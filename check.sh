@@ -25,6 +25,11 @@ go test -run='^$' -fuzz=FuzzTemplateInstantiate -fuzztime=10s ./internal/anneal
 # cache miss), and every template embedding must pass embed.Verify on both
 # topologies, broken qubits included.
 go test -run='TestTemplateInstantiateZeroAllocs|TestTemplateEmbeddingsVerify' -count=1 ./internal/anneal
+# Cold frontend gates: encode, Fast and EmbedIsing must reproduce the pinned
+# golden digests (and the pinned hardware-mode solve counters) bit for bit,
+# and one cold Fast + EmbedIsing on a 300-clause activity queue must stay at
+# or below half the allocations of the map-based implementation.
+go test -run='TestFrontendGolden|TestColdFastEmbedIsingAllocs' -count=1 ./internal/hyqsat
 # Chaos gate: the fault-tolerance layer (fault injection, retry/backoff,
 # circuit breaker, degradation to pure CDCL) under the race detector, and
 # the Resilient wrapper's happy-path overhead contract: 0 extra allocs/op

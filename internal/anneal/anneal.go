@@ -23,7 +23,7 @@ package anneal
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"hyqsat/internal/embed"
 	"hyqsat/internal/qubo"
@@ -72,12 +72,10 @@ type EmbeddedProblem struct {
 	Graph     topo.Topology
 	Embedding *embed.Embedding
 
-	Qubits  []int         // the active qubits, in a fixed order
-	qubitIx map[int]int   // qubit id → index into Qubits
-	H       []float64     // field per active qubit (indexed as Qubits)
-	nodeOf  []int         // active-qubit index → logical node
-	chains  map[int][]int // logical node → active-qubit indices
-	offset  float64       // constant term of the logical Ising model
+	Qubits []int     // the active qubits, in a fixed order
+	H      []float64 // field per active qubit (indexed as Qubits)
+	nodeOf []int     // active-qubit index → logical node
+	offset float64   // constant term of the logical Ising model
 
 	// Flattened structures precomputed once so the sweep kernel neither
 	// allocates nor sorts: CSR adjacency with a symmetric-pair index for the
@@ -101,6 +99,13 @@ type EmbeddedProblem struct {
 type coupling struct {
 	other int // active-qubit index
 	j     float64
+}
+
+// coupler is one programmed coupler between two active qubits, in the order
+// EmbedIsing emits them.
+type coupler struct {
+	a, b int32 // active-qubit indices
+	j    float64
 }
 
 // ChainStrengthFor returns a reasonable ferromagnetic chain coupling for a
@@ -132,44 +137,62 @@ func ChainStrengthFor(is *qubo.Ising) float64 {
 // coupling is split across the couplers available between the two chains,
 // and chain qubits are bound with a ferromagnetic coupling of the given
 // strength. Logical nodes must be present in the embedding; couplings whose
-// endpoints both embedded must be realised by at least one coupler.
+// endpoints both embedded must be realised by at least one coupler. Chains
+// must be disjoint, as in any valid embedding.
 func EmbedIsing(is *qubo.Ising, emb *embed.Embedding, g topo.Topology, chainStrength float64) *EmbeddedProblem {
 	ep := &EmbeddedProblem{
 		Graph:     g,
 		Embedding: emb,
-		qubitIx:   map[int]int{},
-		chains:    map[int][]int{},
 		offset:    is.Offset,
 	}
 	nodes := make([]int, 0, len(emb.Chains))
-	for node := range emb.Chains {
+	total := 0
+	for node, chain := range emb.Chains {
 		nodes = append(nodes, node)
+		total += len(chain)
 	}
-	sort.Ints(nodes)
+	slices.Sort(nodes)
+
+	// Dense qubit → active-index and qubit → node indexes replace per-chain
+	// and per-edge membership sets.
+	qubitIx := make([]int32, g.NumQubits())
+	for i := range qubitIx {
+		qubitIx[i] = -1
+	}
+	owners := embed.NewQubitOwners(g.NumQubits())
+	ep.Qubits = make([]int, 0, total)
+	ep.nodeOf = make([]int, 0, total)
 	for _, node := range nodes {
-		for _, q := range emb.Chains[node] {
-			if _, ok := ep.qubitIx[q]; !ok {
-				ep.qubitIx[q] = len(ep.Qubits)
+		chain := emb.Chains[node]
+		for _, q := range chain {
+			if qubitIx[q] < 0 {
+				qubitIx[q] = int32(len(ep.Qubits))
 				ep.Qubits = append(ep.Qubits, q)
 				ep.nodeOf = append(ep.nodeOf, node)
 			}
 		}
+		owners.Claim(node, chain)
 	}
 	n := len(ep.Qubits)
 	ep.H = make([]float64, n)
-	adj := make([][]coupling, n)
-	addCoupler := func(qa, qb int, j float64) {
-		a, b := ep.qubitIx[qa], ep.qubitIx[qb]
-		adj[a] = append(adj[a], coupling{b, j})
-		adj[b] = append(adj[b], coupling{a, j})
-	}
-	for _, node := range nodes {
-		chain := emb.Chains[node]
-		ix := make([]int, len(chain))
-		for i, q := range chain {
-			ix[i] = ep.qubitIx[q]
+	var couplers []coupler
+	var scratch []topo.Edge
+	addCouplers := func(es []topo.Edge, j float64) {
+		for _, c := range es {
+			couplers = append(couplers, coupler{qubitIx[c.A], qubitIx[c.B], j})
 		}
-		ep.chains[node] = ix
+	}
+	ep.chainNodes = nodes
+	ep.chainIx = make([][]int, len(nodes))
+	ixs := make([]int, total)
+	for ci, node := range nodes {
+		chain := emb.Chains[node]
+		ix := ixs[:len(chain):len(chain)]
+		ixs = ixs[len(chain):]
+		for i, q := range chain {
+			ix[i] = int(qubitIx[q])
+		}
+		ep.chainIx[ci] = ix
 		if h, ok := is.H[node]; ok && len(chain) > 0 {
 			per := h / float64(len(chain))
 			for _, i := range ix {
@@ -177,78 +200,96 @@ func EmbedIsing(is *qubo.Ising, emb *embed.Embedding, g topo.Topology, chainStre
 			}
 		}
 		// Ferromagnetic chain couplers.
-		for _, c := range embed.IntraChainCouplers(g, chain) {
-			addCoupler(c.A, c.B, -chainStrength)
-		}
+		scratch = owners.IntraChainCouplers(scratch[:0], g, node, chain)
+		addCouplers(scratch, -chainStrength)
 	}
 	jEdges := make([]qubo.Edge, 0, len(is.J))
 	for e := range is.J {
 		jEdges = append(jEdges, e)
 	}
-	sort.Slice(jEdges, func(i, k int) bool {
-		if jEdges[i].U != jEdges[k].U {
-			return jEdges[i].U < jEdges[k].U
-		}
-		return jEdges[i].V < jEdges[k].V
-	})
+	slices.SortFunc(jEdges, qubo.CompareEdges)
 	for _, e := range jEdges {
-		j := is.J[e]
-		if _, ok := emb.Chains[e.U]; !ok {
+		chainU, okU := emb.Chains[e.U]
+		_, okV := emb.Chains[e.V]
+		if !okU || !okV {
 			continue
 		}
-		if _, ok := emb.Chains[e.V]; !ok {
-			continue
-		}
-		couplers := embed.InterChainCouplers(g, emb, e.U, e.V)
-		if len(couplers) == 0 {
+		scratch = owners.InterChainCouplers(scratch[:0], g, chainU, e.V)
+		if len(scratch) == 0 {
 			panic("anneal: logical coupling with no hardware coupler; embedding invalid")
 		}
-		per := j / float64(len(couplers))
-		for _, c := range couplers {
-			addCoupler(c.A, c.B, per)
-		}
+		addCouplers(scratch, is.J[e]/float64(len(scratch)))
 	}
-	ep.finalize(adj)
+	ep.finalize(couplers)
 	return ep
 }
 
-// finalize flattens the build-time adjacency into the read-only CSR form the
-// sweep kernel runs on, assigns every unordered qubit pair a stable id (so
-// programming noise perturbs both directions of a coupler identically), and
-// precomputes the chain lists and the coefficient scale that SampleOnce used
-// to rescan on every call.
-func (ep *EmbeddedProblem) finalize(adj [][]coupling) {
+// finalize lays the coupler list out in the read-only CSR form the sweep
+// kernel runs on (each active qubit's entries in coupler order), assigns
+// every unordered qubit pair a stable id (so programming noise perturbs both
+// directions of a coupler identically), and precomputes the coefficient
+// scale and chain shape that SampleOnce used to rescan on every call.
+func (ep *EmbeddedProblem) finalize(couplers []coupler) {
 	n := len(ep.Qubits)
-	total := 0
-	for i := range adj {
-		total += len(adj[i])
-	}
+	total := 2 * len(couplers)
 	ep.adjStart = make([]int32, n+1)
 	ep.adjOther = make([]int32, total)
 	ep.adjJ = make([]float64, total)
 	ep.adjPair = make([]int32, total)
-	pairOf := make(map[[2]int]int32, total/2)
-	k := 0
+	for _, c := range couplers {
+		ep.adjStart[c.a+1]++
+		ep.adjStart[c.b+1]++
+	}
 	for i := 0; i < n; i++ {
-		ep.adjStart[i] = int32(k)
-		for _, c := range adj[i] {
-			key := [2]int{i, c.other}
-			if key[0] > key[1] {
-				key[0], key[1] = key[1], key[0]
+		ep.adjStart[i+1] += ep.adjStart[i]
+	}
+	cursor := make([]int32, n)
+	copy(cursor, ep.adjStart[:n])
+	put := func(row, other int32, j float64) {
+		k := cursor[row]
+		cursor[row]++
+		ep.adjOther[k] = other
+		ep.adjJ[k] = j
+	}
+	for _, c := range couplers {
+		put(c.a, c.b, c.j)
+		put(c.b, c.a, c.j)
+	}
+
+	// Pair ids in order of first appearance, scanning rows in ascending
+	// order: a pair {i,o} first appears in row min(i,o), so an entry with
+	// o < i takes the id its mirror entry got in row o, and an entry with
+	// o ≥ i takes a fresh id unless an earlier entry of its row already
+	// named the same qubit.
+	numPairs := int32(0)
+	for i := int32(0); i < int32(n); i++ {
+		row := ep.adjStart[i]
+		for k := row; k < ep.adjStart[i+1]; k++ {
+			o := ep.adjOther[k]
+			var id int32 = -1
+			if o < i {
+				for m := ep.adjStart[o]; m < ep.adjStart[o+1]; m++ {
+					if ep.adjOther[m] == i {
+						id = ep.adjPair[m]
+						break
+					}
+				}
+			} else {
+				for m := row; m < k; m++ {
+					if ep.adjOther[m] == o {
+						id = ep.adjPair[m]
+						break
+					}
+				}
 			}
-			id, ok := pairOf[key]
-			if !ok {
-				id = int32(len(pairOf))
-				pairOf[key] = id
+			if id < 0 {
+				id = numPairs
+				numPairs++
 			}
-			ep.adjOther[k] = int32(c.other)
-			ep.adjJ[k] = c.j
 			ep.adjPair[k] = id
-			k++
 		}
 	}
-	ep.adjStart[n] = int32(k)
-	ep.numPairs = len(pairOf)
+	ep.numPairs = int(numPairs)
 
 	ep.maxAbs = 0
 	for _, v := range ep.H {
@@ -262,18 +303,11 @@ func (ep *EmbeddedProblem) finalize(adj [][]coupling) {
 		}
 	}
 
-	ep.chainNodes = make([]int, 0, len(ep.chains))
-	for node := range ep.chains {
-		ep.chainNodes = append(ep.chainNodes, node)
-	}
-	sort.Ints(ep.chainNodes)
-	ep.chainIx = make([][]int, len(ep.chainNodes))
 	ep.maxChainLen, ep.chainQubits = 0, 0
-	for i, node := range ep.chainNodes {
-		ep.chainIx[i] = ep.chains[node]
-		ep.chainQubits += len(ep.chainIx[i])
-		if len(ep.chainIx[i]) > ep.maxChainLen {
-			ep.maxChainLen = len(ep.chainIx[i])
+	for _, ix := range ep.chainIx {
+		ep.chainQubits += len(ix)
+		if len(ix) > ep.maxChainLen {
+			ep.maxChainLen = len(ix)
 		}
 	}
 }

@@ -85,7 +85,8 @@ func TestEmbedIsingStructure(t *testing.T) {
 		t.Fatalf("active qubits %d vs embedding %d", ep.NumActiveQubits(), res.Embedding.QubitsUsed())
 	}
 	// Field conservation: Σ per-qubit fields of a chain == logical h.
-	for node, chainIx := range ep.chains {
+	for ci, node := range ep.chainNodes {
+		chainIx := ep.chainIx[ci]
 		sum := 0.0
 		for _, i := range chainIx {
 			sum += ep.H[i]

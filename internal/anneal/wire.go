@@ -161,16 +161,15 @@ func (w *WireProblem) Problem() (*EmbeddedProblem, error) {
 		adjJ:     w.AdjJ,
 		adjPair:  w.AdjPair,
 		numPairs: w.NumPairs,
-		qubitIx:  make(map[int]int, n),
-		chains:   make(map[int][]int, len(w.ChainNodes)),
 		nodeOf:   make([]int, n),
 	}
-	for i, q := range w.Qubits {
-		if _, dup := ep.qubitIx[q]; dup {
+	seen := make(map[int]struct{}, n)
+	for _, q := range w.Qubits {
+		if _, dup := seen[q]; dup {
 			return nil, &WireError{Reason: "qubit",
 				Detail: fmt.Sprintf("qubit id %d appears twice", q)}
 		}
-		ep.qubitIx[q] = i
+		seen[q] = struct{}{}
 	}
 	for i := range ep.nodeOf {
 		ep.nodeOf[i] = -1
@@ -196,7 +195,6 @@ func (w *WireProblem) Problem() (*EmbeddedProblem, error) {
 			}
 			ep.nodeOf[ix] = node
 		}
-		ep.chains[node] = chain
 		ep.chainQubits += len(chain)
 		if len(chain) > ep.maxChainLen {
 			ep.maxChainLen = len(chain)

@@ -165,43 +165,61 @@ func chainsCoupled(g topo.Topology, a, b []int) bool {
 	return false
 }
 
-// InterChainCouplers returns every hardware coupler connecting the chains of
-// nodes u and v — the couplers across which the sampler distributes the
-// logical J weight.
-func InterChainCouplers(g topo.Topology, e *Embedding, u, v int) []topo.Edge {
-	var out []topo.Edge
-	inV := map[int]bool{}
-	for _, q := range e.Chains[v] {
-		inV[q] = true
+// QubitOwners is a dense qubit → problem-node index over an embedding's
+// chains, −1 for a qubit no chain holds. Coupler enumeration tests chain
+// membership with one array load per hardware neighbour instead of building
+// a set per chain or per problem edge.
+type QubitOwners []int32
+
+// NewQubitOwners returns an index with every qubit of a numQubits-qubit
+// topology free.
+func NewQubitOwners(numQubits int) QubitOwners {
+	o := make(QubitOwners, numQubits)
+	for i := range o {
+		o[i] = -1
 	}
-	for _, q := range e.Chains[u] {
+	return o
+}
+
+// Claim records node as the owner of every qubit of chain that no chain
+// holds yet (chains of a valid embedding are disjoint, so claim order only
+// matters for invalid ones).
+func (o QubitOwners) Claim(node int, chain []int) {
+	for _, q := range chain {
+		if o[q] < 0 {
+			o[q] = int32(node)
+		}
+	}
+}
+
+// InterChainCouplers appends to dst every hardware coupler connecting chainU
+// to the chain of node v — the couplers across which the sampler
+// distributes the logical J weight — in chain order, then neighbour order.
+func (o QubitOwners) InterChainCouplers(dst []topo.Edge, g topo.Topology, chainU []int, v int) []topo.Edge {
+	for _, q := range chainU {
 		for _, n := range g.Neighbors(q) {
-			if inV[n] {
+			if int(o[n]) == v {
 				a, b := q, n
 				if a > b {
 					a, b = b, a
 				}
-				out = append(out, topo.Edge{A: a, B: b})
+				dst = append(dst, topo.Edge{A: a, B: b})
 			}
 		}
 	}
-	return out
+	return dst
 }
 
-// IntraChainCouplers returns the hardware couplers joining qubits within one
-// chain — the couplers that receive the ferromagnetic chain coupling.
-func IntraChainCouplers(g topo.Topology, chain []int) []topo.Edge {
-	in := map[int]bool{}
-	for _, q := range chain {
-		in[q] = true
-	}
-	var out []topo.Edge
+// IntraChainCouplers appends to dst the hardware couplers joining qubits
+// within node's chain — the couplers that receive the ferromagnetic chain
+// coupling — in chain order, then neighbour order.
+func (o QubitOwners) IntraChainCouplers(dst []topo.Edge, g topo.Topology, node int, chain []int) []topo.Edge {
 	for _, q := range chain {
 		for _, n := range g.Neighbors(q) {
-			if in[n] && q < n {
-				out = append(out, topo.Edge{A: q, B: n})
+			if q < n && int(o[n]) == node {
+				dst = append(dst, topo.Edge{A: q, B: n})
 			}
 		}
 	}
-	return out
+	return dst
 }

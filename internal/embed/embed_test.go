@@ -138,12 +138,16 @@ func TestFastPrefixEdgesAllRealized(t *testing.T) {
 	for _, k := range res.EmbeddedSet {
 		inSet[k] = true
 	}
+	owners := NewQubitOwners(g.NumQubits())
+	for node, chain := range res.Embedding.Chains {
+		owners.Claim(node, chain)
+	}
 	for i := range enc.Sub {
 		if !inSet[enc.Sub[i].Clause] {
 			continue
 		}
 		for e := range enc.Sub[i].Poly.Quad {
-			if len(InterChainCouplers(g, res.Embedding, e.U, e.V)) == 0 {
+			if len(owners.InterChainCouplers(nil, g, res.Embedding.Chains[e.U], e.V)) == 0 {
 				t.Fatalf("edge %v of embedded clause %d not realised", e, enc.Sub[i].Clause)
 			}
 		}
@@ -389,7 +393,9 @@ func TestIntraChainCouplers(t *testing.T) {
 	g := chimera.New(2, 2, 4)
 	// A vertical line chain of two rows: one coupler between them.
 	chain := []int{g.VerticalLineQubit(0, 0), g.VerticalLineQubit(0, 1)}
-	cs := IntraChainCouplers(g, chain)
+	o := NewQubitOwners(g.NumQubits())
+	o.Claim(7, chain)
+	cs := o.IntraChainCouplers(nil, g, 7, chain)
 	if len(cs) != 1 {
 		t.Fatalf("couplers = %v", cs)
 	}

@@ -173,3 +173,36 @@ func TestSharedEmbedCacheConcurrent(t *testing.T) {
 		t.Fatalf("evictions = %d", evictions)
 	}
 }
+
+// TestSharedCacheSolverHasNoPrivateCache pins the single cache reference: a
+// solver given Options.Cache uses that cache for lookups and Stats, creates
+// no private one, and leaves embed_cache_* off its registry (the shared
+// cache's counters belong where the cache was made); a solver without one
+// gets a private cache whose counters surface on its registry.
+func TestSharedCacheSolverHasNoPrivateCache(t *testing.T) {
+	f := random3SAT(rand.New(rand.NewSource(3)), 20, 85)
+	shared := NewSharedEmbedCache(64)
+	o := simOpts(1)
+	o.WarmupIterations = 8
+	o.Cache = shared
+	s := New(f, o)
+	if s.cache != shared {
+		t.Fatal("solver with Options.Cache holds a different cache")
+	}
+	if _, ok := s.Metrics().Snapshot().Counters["embed_cache_hits"]; ok {
+		t.Fatal("shared-cache solver registered embed_cache_* counters")
+	}
+	s.Solve()
+	if _, misses, _ := shared.HitsMissesEvictions(); misses == 0 {
+		t.Fatal("solve did not use the shared cache")
+	}
+
+	o.Cache = nil
+	p := New(f, o)
+	if p.cache == nil || p.cache == shared {
+		t.Fatal("solver without Options.Cache has no private cache")
+	}
+	if _, ok := p.Metrics().Snapshot().Counters["embed_cache_hits"]; !ok {
+		t.Fatal("private cache counters missing from the solver registry")
+	}
+}

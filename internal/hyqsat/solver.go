@@ -116,7 +116,8 @@ type Options struct {
 	// a shared, content-addressed one (safe for concurrent use by several
 	// solvers). The cube-and-conquer per-cube QA warm-up passes one cache to
 	// every cube's solver so repeated clause queues reuse their embeddings
-	// across cubes.
+	// across cubes. A shared cache keeps its own embed_cache_* counters:
+	// attach them to a registry where the cache is created, not per solver.
 	Cache *SharedEmbedCache
 
 	// DisableTemplates turns off the precomputed clause-tile embedding fast
@@ -292,7 +293,7 @@ type Solver struct {
 	varAdj  [][]int
 	sampler *anneal.Sampler
 	backend qpu.Backend
-	cache   *SharedEmbedCache
+	cache   *SharedEmbedCache // Options.Cache, or a private one
 
 	// Template embedding state: the precomputed clause-tile layout for the
 	// hardware topology, per-shape instantiation builders (memoised — the
@@ -410,7 +411,7 @@ func New(f *cnf.Formula, opts Options) *Solver {
 		origin:  origin,
 		varAdj:  cnf.VarAdjacency(f3),
 		sampler: anneal.NewSampler(opts.Schedule, opts.Noise, opts.Seed^0x3c3c3c),
-		cache:   newEmbedCache(),
+		cache:   opts.Cache,
 		belief:  cnf.NewAssignment(f3.NumVars),
 	}
 	if opts.SatPool != nil {
@@ -452,10 +453,12 @@ func New(f *cnf.Formula, opts Options) *Solver {
 		s.trace = obs.WithSource(s.trace, obs.Source{Solve: id, Name: "hyqsat"})
 	}
 	s.m = newSolverMetrics(s.reg)
-	// Surface the private cache's hit/miss/eviction counters on the solver
-	// registry (a shared Options.Cache keeps its own counters — attach it to
-	// a registry where it is created, not per solver).
-	s.cache.AttachMetrics(s.reg)
+	if s.cache == nil {
+		// A private cache is created here, so its hit/miss/eviction
+		// counters surface on the solver registry.
+		s.cache = newEmbedCache()
+		s.cache.AttachMetrics(s.reg)
+	}
 	s.phases = obs.NewPhaseTracker(s.reg, s.trace, "hyqsat_", "frontend", "backend", "cdcl")
 	s.sat.SetTracer(s.trace)
 	s.sat.SetMetrics(sat.Metrics{
@@ -545,11 +548,7 @@ func (s *Solver) Stats() Stats {
 		CDCL:              s.phases.Total(phaseCDCL),
 		QADevice:          time.Duration(s.m.qaDeviceNs.Value()),
 	}
-	cache := s.cache
-	if s.opts.Cache != nil {
-		cache = s.opts.Cache
-	}
-	_, _, ev := cache.HitsMissesEvictions()
+	_, _, ev := s.cache.HitsMissesEvictions()
 	st.EmbedCacheEvictions = int(ev)
 	return st
 }
@@ -743,22 +742,18 @@ func (s *Solver) hybridIteration(ctx context.Context) (done bool, res Result) {
 		queueIdx = RandomQueue(unsat, s.opts.QueueLimit, s.rng)
 	}
 	s.m.queueDepth.Set(int64(len(queueIdx)))
-	// Both the private and the shared cache are content-addressed sharded
-	// LRUs now; Options.Cache only widens the sharing scope to other solvers
-	// (other cubes, portfolio workers) with identical pipeline options.
-	cache := s.cache
-	if s.opts.Cache != nil {
-		cache = s.opts.Cache
-	}
+	// The cache is a content-addressed sharded LRU, private or shared via
+	// Options.Cache with other solvers (other cubes, portfolio workers) that
+	// run identical pipeline options.
 	key, hash := queueContentKey(s.formula, queueIdx)
-	ent := cache.lookup(key, hash)
+	ent := s.cache.lookup(key, hash)
 	cacheHit := ent != nil
 	if cacheHit {
 		s.m.cacheHits.Inc()
 	} else {
 		s.m.cacheMisses.Inc()
 		ent = s.encodeAndEmbed(queueIdx)
-		cache.store(key, hash, ent)
+		s.cache.store(key, hash, ent)
 	}
 	if s.trace.Enabled() {
 		ev := obs.EmbedEvent{
@@ -951,7 +946,9 @@ func (s *Solver) encodeAndEmbed(queueIdx []int) *embedCacheEntry {
 	for i, ci := range queueIdx {
 		queue[i] = s.formula.Clauses[ci]
 	}
-	enc, err := qubo.Encode(queue)
+	// The summed objective is built later, over the clauses that embed: the
+	// template path sums the whole queue, the Fast path its restriction.
+	enc, err := qubo.EncodeSubClauses(queue)
 	if err != nil {
 		// Defensive: 3-CNF conversion guarantees encodable clauses.
 		return &embedCacheEntry{}
@@ -1019,6 +1016,8 @@ func (s *Solver) templateEmbed(queue []cnf.Clause, enc *qubo.Encoding) *embedCac
 	}
 	if s.opts.AdjustCoefficients {
 		enc.AdjustCoefficients()
+	} else {
+		enc.Rebuild()
 	}
 	norm, _ := enc.Poly.Normalized()
 	ising := norm.ToIsing()

@@ -28,19 +28,35 @@ type Encoding struct {
 	AuxNode []int           // per clause: auxiliary node, or −1 when none was needed
 
 	Sub  []SubClause
-	Poly *Poly // Σ α_ij · H_ij  (Eq. 5); rebuilt by AdjustCoefficients
+	Poly *Poly // Σ α_ij · H_ij  (Eq. 5); nil after EncodeSubClauses until Rebuild
 }
 
 // NumNodes returns the total number of nodes (logical + auxiliary).
 func (e *Encoding) NumNodes() int { return len(e.NodeVar) }
 
-// litPoly returns H_l (Eq. 4's building block): x for a positive literal and
-// 1−x for a negative one, over the node of the literal's variable.
-func litPoly(l cnf.Lit, node int) *Poly {
+// affine returns a literal's H_l (Eq. 4's building block) as s + t·x over
+// its variable's node: x for a positive literal (s=0, t=1) and 1−x for a
+// negative one (s=1, t=−1).
+func affine(l cnf.Lit) (s, t int) {
 	if l.IsNeg() {
-		return Const(1).Sub(Variable(node))
+		return 1, -1
 	}
-	return Variable(node)
+	return 0, 1
+}
+
+// newSubPoly returns an empty polynomial sized for one sub-clause objective
+// (at most three linear and three quadratic terms).
+func newSubPoly() *Poly {
+	return &Poly{Linear: make(map[int]float64, 3), Quad: make(map[Edge]float64, 3)}
+}
+
+// addProduct adds c·x_i·x_j, folding x_i·x_i = x_i for binary variables.
+func (p *Poly) addProduct(i, j int, c float64) {
+	if i == j {
+		p.AddLinear(i, c)
+	} else {
+		p.AddQuad(i, j, c)
+	}
 }
 
 // Encode builds the QA encoding of the given clauses, following the paper's
@@ -50,11 +66,37 @@ func litPoly(l cnf.Lit, node int) *Poly {
 // Clauses longer than three literals are rejected (convert with cnf.To3CNF
 // first). All α coefficients start at 1 (prior work's setting).
 func Encode(clauses []cnf.Clause) (*Encoding, error) {
+	e, err := EncodeSubClauses(clauses)
+	if err != nil {
+		return nil, err
+	}
+	e.Rebuild()
+	return e, nil
+}
+
+// EncodeSubClauses is Encode without the summed objective of Eq. 5: Poly
+// stays nil until Rebuild or AdjustCoefficients computes it. Pipelines that
+// embed a prefix of the clause queue and Restrict the encoding to it (the
+// restriction sums its own objective) skip summing over clauses that never
+// reach the hardware.
+//
+// Each sub-clause objective is written in closed form. With every literal
+// affine, H_l = s + t·x, Eq. 4 expands to
+//
+//	1 literal:  (1−s₁) − t₁x₁
+//	2 literals: (1−s₁)(1−s₂) − t₂(1−s₁)x₂ − t₁(1−s₂)x₁ + t₁t₂x₁x₂
+//	c₁ = a ↔ (l1∨l2): s₁+s₂+s₁s₂ + (1−2s₁−2s₂)a + t₁(1+s₂)x₁ + t₂(1+s₁)x₂
+//	                  − 2t₁ax₁ − 2t₂ax₂ + t₁t₂x₁x₂
+//	c₂ = l3 ∨ a:      (1−s₃) + (s₃−1)a − t₃x₃ + t₃ax₃
+//
+// with x_i·x_i = x_i when a clause repeats a variable. Every coefficient is
+// a small integer, so the result equals the term-by-term product exactly.
+func EncodeSubClauses(clauses []cnf.Clause) (*Encoding, error) {
 	e := &Encoding{
 		Clauses: clauses,
-		VarNode: map[cnf.Var]int{},
+		VarNode: make(map[cnf.Var]int, len(clauses)),
 		AuxNode: make([]int, len(clauses)),
-		Poly:    NewPoly(),
+		Sub:     make([]SubClause, 0, 2*len(clauses)),
 	}
 	node := func(v cnf.Var) int {
 		if n, ok := e.VarNode[v]; ok {
@@ -65,11 +107,6 @@ func Encode(clauses []cnf.Clause) (*Encoding, error) {
 		e.NodeVar = append(e.NodeVar, v)
 		return n
 	}
-	newAux := func() int {
-		n := len(e.NodeVar)
-		e.NodeVar = append(e.NodeVar, cnf.NoVar)
-		return n
-	}
 
 	for k, c := range clauses {
 		e.AuxNode[k] = -1
@@ -78,28 +115,47 @@ func Encode(clauses []cnf.Clause) (*Encoding, error) {
 			return nil, fmt.Errorf("qubo: clause %d is empty", k)
 		case 1:
 			// H = 1 − H1: zero iff the literal is true.
-			h := Const(1).Sub(litPoly(c[0], node(c[0].Var())))
+			x1 := node(c[0].Var())
+			s1, t1 := affine(c[0])
+			h := newSubPoly()
+			h.Offset = float64(1 - s1)
+			h.AddLinear(x1, float64(-t1))
 			e.Sub = append(e.Sub, SubClause{Clause: k, Poly: h, Alpha: 1})
 		case 2:
 			// H = (1−H1)(1−H2): zero iff some literal is true.
-			h1 := litPoly(c[0], node(c[0].Var()))
-			h2 := litPoly(c[1], node(c[1].Var()))
-			h := Const(1).Sub(h1).Mul(Const(1).Sub(h2))
+			x1, x2 := node(c[0].Var()), node(c[1].Var())
+			s1, t1 := affine(c[0])
+			s2, t2 := affine(c[1])
+			h := newSubPoly()
+			h.Offset = float64((1 - s1) * (1 - s2))
+			h.AddLinear(x2, float64(-t2*(1-s1)))
+			h.AddLinear(x1, float64(-t1*(1-s2)))
+			h.addProduct(x1, x2, float64(t1*t2))
 			e.Sub = append(e.Sub, SubClause{Clause: k, Poly: h, Alpha: 1})
 		case 3:
-			a := newAux()
+			// The auxiliary is numbered before the clause's variables.
+			a := len(e.NodeVar)
+			e.NodeVar = append(e.NodeVar, cnf.NoVar)
 			e.AuxNode[k] = a
-			ha := Variable(a)
-			h1 := litPoly(c[0], node(c[0].Var()))
-			h2 := litPoly(c[1], node(c[1].Var()))
-			h3 := litPoly(c[2], node(c[2].Var()))
+			x1, x2, x3 := node(c[0].Var()), node(c[1].Var()), node(c[2].Var())
+			s1, t1 := affine(c[0])
+			s2, t2 := affine(c[1])
+			s3, t3 := affine(c[2])
 			// Eq. 4, first sub-clause: a ↔ (l1 ∨ l2).
-			c1 := ha.Add(h1).Add(h2).
-				Sub(ha.Mul(h1).Scale(2)).
-				Sub(ha.Mul(h2).Scale(2)).
-				Add(h1.Mul(h2))
+			c1 := newSubPoly()
+			c1.Offset = float64(s1 + s2 + s1*s2)
+			c1.AddLinear(a, float64(1-2*s1-2*s2))
+			c1.AddLinear(x1, float64(t1*(1+s2)))
+			c1.AddLinear(x2, float64(t2*(1+s1)))
+			c1.AddQuad(a, x1, float64(-2*t1))
+			c1.AddQuad(a, x2, float64(-2*t2))
+			c1.addProduct(x1, x2, float64(t1*t2))
 			// Eq. 4, second sub-clause: l3 ∨ a.
-			c2 := Const(1).Sub(ha).Sub(h3).Add(ha.Mul(h3))
+			c2 := newSubPoly()
+			c2.Offset = float64(1 - s3)
+			c2.AddLinear(a, float64(s3-1))
+			c2.AddLinear(x3, float64(-t3))
+			c2.AddQuad(a, x3, float64(t3))
 			e.Sub = append(e.Sub,
 				SubClause{Clause: k, Poly: c1, Alpha: 1},
 				SubClause{Clause: k, Poly: c2, Alpha: 1})
@@ -107,14 +163,18 @@ func Encode(clauses []cnf.Clause) (*Encoding, error) {
 			return nil, fmt.Errorf("qubo: clause %d has %d literals; 3-CNF required", k, len(c))
 		}
 	}
-	e.rebuild()
 	return e, nil
 }
 
-// rebuild recomputes the summed objective (Eq. 5) from the sub-clause
+// Rebuild recomputes the summed objective (Eq. 5) from the sub-clause
 // objectives and their current α coefficients.
-func (e *Encoding) rebuild() {
-	p := NewPoly()
+func (e *Encoding) Rebuild() {
+	linear, quad := 0, 0
+	for i := range e.Sub {
+		linear += len(e.Sub[i].Poly.Linear)
+		quad += len(e.Sub[i].Poly.Quad)
+	}
+	p := newPolySized(min(linear, len(e.NodeVar)), quad)
 	for i := range e.Sub {
 		p.AddScaled(e.Sub[i].Poly, e.Sub[i].Alpha)
 	}
@@ -131,7 +191,7 @@ func (e *Encoding) AdjustCoefficients() float64 {
 	for i := range e.Sub {
 		e.Sub[i].Alpha = 1
 	}
-	e.rebuild()
+	e.Rebuild()
 	dStar := e.Poly.DStar()
 	if dStar == 0 {
 		return 0
@@ -142,7 +202,7 @@ func (e *Encoding) AdjustCoefficients() float64 {
 			e.Sub[i].Alpha = dStar / dij
 		}
 	}
-	e.rebuild()
+	e.Rebuild()
 	return dStar
 }
 
@@ -153,11 +213,15 @@ func (e *Encoding) AdjustCoefficients() float64 {
 // produced against the full encoding.
 func (e *Encoding) Restrict(clauseSet []int) *Encoding {
 	r := &Encoding{
-		VarNode: map[cnf.Var]int{},
+		Clauses: make([]cnf.Clause, 0, len(clauseSet)),
+		VarNode: make(map[cnf.Var]int, len(clauseSet)),
 		NodeVar: e.NodeVar,
-		Poly:    NewPoly(),
+		AuxNode: make([]int, 0, len(clauseSet)),
 	}
-	inSet := make(map[int]int, len(clauseSet)) // old clause index → new
+	inSet := make([]int, len(e.Clauses)) // old clause index → new, or −1
+	for i := range inSet {
+		inSet[i] = -1
+	}
 	for _, ci := range clauseSet {
 		inSet[ci] = len(r.Clauses)
 		r.Clauses = append(r.Clauses, e.Clauses[ci])
@@ -167,13 +231,13 @@ func (e *Encoding) Restrict(clauseSet []int) *Encoding {
 		}
 	}
 	for i := range e.Sub {
-		if ni, ok := inSet[e.Sub[i].Clause]; ok {
+		if ni := inSet[e.Sub[i].Clause]; ni >= 0 {
 			sc := e.Sub[i]
 			sc.Clause = ni
 			r.Sub = append(r.Sub, sc)
 		}
 	}
-	r.rebuild()
+	r.Rebuild()
 	return r
 }
 

@@ -10,12 +10,21 @@ package qubo
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
 // Edge is an unordered pair of node indices with U < V, identifying a
 // quadratic term.
 type Edge struct{ U, V int }
+
+// CompareEdges orders edges by U, then V, for slices.SortFunc.
+func CompareEdges(a, b Edge) int {
+	if a.U != b.U {
+		return a.U - b.U
+	}
+	return a.V - b.V
+}
 
 // MkEdge builds a canonical Edge from two distinct node indices.
 func MkEdge(a, b int) Edge {
@@ -57,9 +66,15 @@ func Variable(i int) *Poly {
 	return p
 }
 
+// newPolySized returns the zero polynomial with room for the given numbers
+// of linear and quadratic terms.
+func newPolySized(linear, quad int) *Poly {
+	return &Poly{Linear: make(map[int]float64, linear), Quad: make(map[Edge]float64, quad)}
+}
+
 // Copy returns a deep copy of p.
 func (p *Poly) Copy() *Poly {
-	q := NewPoly()
+	q := newPolySized(len(p.Linear), len(p.Quad))
 	q.Offset = p.Offset
 	for i, c := range p.Linear {
 		q.Linear[i] = c
@@ -110,7 +125,7 @@ func (p *Poly) Sub(q *Poly) *Poly { return p.Copy().AddScaled(q, -1) }
 
 // Scale returns factor·p as a new polynomial.
 func (p *Poly) Scale(factor float64) *Poly {
-	return NewPoly().AddScaled(p, factor)
+	return newPolySized(len(p.Linear), len(p.Quad)).AddScaled(p, factor)
 }
 
 // Mul returns p·q. Both operands must be affine (no quadratic terms), since
@@ -260,7 +275,7 @@ type Ising struct {
 // order so the floating-point results are bit-for-bit reproducible
 // regardless of map iteration order.
 func (p *Poly) ToIsing() *Ising {
-	is := &Ising{H: map[int]float64{}, J: map[Edge]float64{}}
+	is := &Ising{H: make(map[int]float64, len(p.Linear)), J: make(map[Edge]float64, len(p.Quad))}
 	is.Offset = p.Offset
 	add := func(m map[int]float64, i int, v float64) {
 		m[i] += v
@@ -272,7 +287,7 @@ func (p *Poly) ToIsing() *Ising {
 	for i := range p.Linear {
 		linKeys = append(linKeys, i)
 	}
-	sort.Ints(linKeys)
+	slices.Sort(linKeys)
 	for _, i := range linKeys {
 		// c·x = c/2 + (c/2)·s
 		c := p.Linear[i]
@@ -283,12 +298,7 @@ func (p *Poly) ToIsing() *Ising {
 	for e := range p.Quad {
 		quadKeys = append(quadKeys, e)
 	}
-	sort.Slice(quadKeys, func(a, b int) bool {
-		if quadKeys[a].U != quadKeys[b].U {
-			return quadKeys[a].U < quadKeys[b].U
-		}
-		return quadKeys[a].V < quadKeys[b].V
-	})
+	slices.SortFunc(quadKeys, CompareEdges)
 	for _, e := range quadKeys {
 		// c·x_u·x_v = c/4·(1 + s_u + s_v + s_u·s_v)
 		c := p.Quad[e]

@@ -433,3 +433,110 @@ func TestMkEdgeCanonical(t *testing.T) {
 	}()
 	MkEdge(2, 2)
 }
+
+// eq4Reference builds the Eq. 4 objectives of one clause term by term with
+// Poly arithmetic, numbering the auxiliary (if any) before the variables as
+// Encode does.
+func eq4Reference(c cnf.Clause) []*Poly {
+	nodes := map[cnf.Var]int{}
+	next := 0
+	lit := func(l cnf.Lit) *Poly {
+		n, ok := nodes[l.Var()]
+		if !ok {
+			n = next
+			nodes[l.Var()] = n
+			next++
+		}
+		if l.IsNeg() {
+			return Const(1).Sub(Variable(n))
+		}
+		return Variable(n)
+	}
+	switch len(c) {
+	case 1:
+		return []*Poly{Const(1).Sub(lit(c[0]))}
+	case 2:
+		h1 := lit(c[0])
+		h2 := lit(c[1])
+		return []*Poly{Const(1).Sub(h1).Mul(Const(1).Sub(h2))}
+	}
+	a := Variable(next)
+	next++
+	h1, h2, h3 := lit(c[0]), lit(c[1]), lit(c[2])
+	c1 := a.Add(h1).Add(h2).
+		Sub(a.Mul(h1).Scale(2)).
+		Sub(a.Mul(h2).Scale(2)).
+		Add(h1.Mul(h2))
+	c2 := Const(1).Sub(a).Sub(h3).Add(a.Mul(h3))
+	return []*Poly{c1, c2}
+}
+
+func samePoly(p, q *Poly) bool {
+	if math.Float64bits(p.Offset) != math.Float64bits(q.Offset) ||
+		len(p.Linear) != len(q.Linear) || len(p.Quad) != len(q.Quad) {
+		return false
+	}
+	for i, c := range p.Linear {
+		if d, ok := q.Linear[i]; !ok || math.Float64bits(c) != math.Float64bits(d) {
+			return false
+		}
+	}
+	for e, c := range p.Quad {
+		if d, ok := q.Quad[e]; !ok || math.Float64bits(c) != math.Float64bits(d) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestEncodeClosedFormMatchesPolyAlgebra checks the closed-form sub-clause
+// objectives against the term-by-term Poly expansion of Eq. 4, bit for bit
+// (including which zero terms are absent), for every sign pattern and every
+// way a clause of 1–3 literals can repeat a variable.
+func TestEncodeClosedFormMatchesPolyAlgebra(t *testing.T) {
+	for n := 1; n <= 3; n++ {
+		total := 1
+		for i := 0; i < n; i++ {
+			total *= 2 * n // each literal: one of n variables, either sign
+		}
+		for code := 0; code < total; code++ {
+			c := make(cnf.Clause, n)
+			x := code
+			for i := range c {
+				c[i] = cnf.MkLit(cnf.Var(x%n), (x/n)%2 == 1)
+				x /= 2 * n
+			}
+			enc, err := Encode([]cnf.Clause{c})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := eq4Reference(c)
+			if len(enc.Sub) != len(want) {
+				t.Fatalf("clause %v: %d sub-clauses, want %d", c, len(enc.Sub), len(want))
+			}
+			for i, w := range want {
+				if !samePoly(enc.Sub[i].Poly, w) {
+					t.Fatalf("clause %v sub-clause %d: got %+v, want %+v", c, i, *enc.Sub[i].Poly, *w)
+				}
+			}
+		}
+	}
+}
+
+// TestEncodeSubClausesDefersSum pins that EncodeSubClauses differs from
+// Encode only in the unsummed objective.
+func TestEncodeSubClausesDefersSum(t *testing.T) {
+	clauses := []cnf.Clause{cnf.NewClause(1, -2, 3), cnf.NewClause(-1, 4), cnf.NewClause(2)}
+	full, _ := Encode(clauses)
+	lazy, err := EncodeSubClauses(clauses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lazy.Poly != nil {
+		t.Fatal("EncodeSubClauses summed the objective")
+	}
+	lazy.Rebuild()
+	if !samePoly(lazy.Poly, full.Poly) || len(lazy.Sub) != len(full.Sub) {
+		t.Fatal("Rebuild after EncodeSubClauses differs from Encode")
+	}
+}
