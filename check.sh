@@ -1,7 +1,8 @@
 #!/bin/sh
 # Full verification gate: build, vet, race-enabled tests, a short fuzzing
-# pass over the three fuzz targets, and a sampler benchmark smoke run that
-# refreshes the machine-readable perf baseline. Run from the repo root.
+# pass over the fuzz targets, alloc gates, binary smokes, and a sampler
+# benchmark smoke run that refreshes the machine-readable perf baseline. Run
+# from the repo root.
 #
 # Set HYQSAT_BENCH_FULL=1 to also re-check full-report identity across
 # bench worker counts (slow; skipped by default).
@@ -9,12 +10,16 @@ set -eux
 
 go build ./...
 go vet ./...
-go test -race ./...
-# Targeted race runs on the concurrency-bearing packages: parallel Sample,
-# the embedding cache under the hybrid loop, the bench worker pool, the
-# telemetry sinks (emitted into from sampler workers and race entrants), and
-# the portfolio race itself.
-go test -race -count=1 ./internal/anneal ./internal/hyqsat ./internal/bench ./internal/obs ./internal/portfolio
+# One uncached race-detector run over every package covers all the
+# concurrency-bearing code: parallel Sample, the embedding cache under the
+# hybrid loop, the bench worker pool, the telemetry sinks, the portfolio race
+# and clause-sharing bus (soundness corpus, adversarial injection, chaos
+# matrix, stitched cube proofs), the fault-tolerance layer (fault injection,
+# retry/backoff, circuit breaker, degradation to pure CDCL), the qbatch
+# packer and scheduler with its bit-identical demux contract, the hyqsatd
+# service layer under a fault-injecting wire proxy, and the randomized CDCL
+# certification corpus.
+go test -race -count=1 ./...
 go test -run='^$' -fuzz=FuzzParseDIMACS -fuzztime=10s ./internal/cnf
 go test -run='^$' -fuzz=FuzzEncodeClause -fuzztime=10s ./internal/qubo
 go test -run='^$' -fuzz=FuzzProofCheck -fuzztime=10s ./internal/verify
@@ -30,28 +35,18 @@ go test -run='TestTemplateInstantiateZeroAllocs|TestTemplateEmbeddingsVerify' -c
 # and one cold Fast + EmbedIsing on a 300-clause activity queue must stay at
 # or below half the allocations of the map-based implementation.
 go test -run='TestFrontendGolden|TestColdFastEmbedIsingAllocs' -count=1 ./internal/hyqsat
-# Chaos gate: the fault-tolerance layer (fault injection, retry/backoff,
-# circuit breaker, degradation to pure CDCL) under the race detector, and
-# the Resilient wrapper's happy-path overhead contract: 0 extra allocs/op
-# always, ≤1% ns/op via the opt-in perf gate.
-go test -race -count=1 ./internal/qpu ./internal/hyqsat
+# Chaos gate: the Resilient wrapper's happy-path overhead contract: 0 extra
+# allocs/op always, ≤1% ns/op via the opt-in perf gate.
 go test -run=TestResilientHappyPathAllocs -count=1 ./internal/qpu
 HYQSAT_PERF_GATE=1 go test -run=TestResilientOverhead -count=1 -v ./internal/qpu
-# Cross-solve batching gates: the tiling packer and batch scheduler under the
-# race detector (including the determinism contract: demuxed read-sets are
-# bit-identical to sequential solo sampling at the same seeds), pro-rata
-# device-time shares summing exactly to the batched program's access time,
-# and the steady-state pack/demux cycle staying allocation-free.
-go test -race -count=1 ./internal/qbatch
+# Cross-solve batching gates: demuxed read-sets bit-identical to sequential
+# solo sampling at the same seeds, pro-rata device-time shares summing
+# exactly to the batched program's access time, and the steady-state
+# pack/demux cycle staying allocation-free.
 go test -run='TestSampleBatchBitIdenticalToSequentialSample|TestSplitAccessTimeSumsExactly' -count=1 ./internal/anneal
 go test -run='TestPackSteadyStateAllocs' -count=1 ./internal/qbatch
-# Wire-chaos gate: the networked path end to end under the race detector —
-# the hyqsatd service layer (admission control, per-tenant quotas,
-# idempotency, SIGTERM drain), full hybrid solves through qpu.Remote behind
-# a fault-injecting proxy at >=30% fault rates with certified verdicts and
-# goroutine accounting, and dead-server degradation to the Local standby.
-# The decode fuzz targets pin that no wire payload can panic either side.
-go test -race -count=1 ./internal/serve ./cmd/hyqsatd
+# Wire-chaos gate: the decode fuzz targets pin that no wire payload can panic
+# either side of the networked path.
 go test -run='^$' -fuzz=FuzzRemoteDecode -fuzztime=10s ./internal/qpu
 go test -run='^$' -fuzz=FuzzWireProblemDecode -fuzztime=10s ./internal/anneal
 # Built-binary service smoke: a real hyqsatd process with QPU batching on
@@ -125,16 +120,8 @@ grep -q 'quality: qacalls=' "$tracedir/report.txt"
 rm -rf "$tracedir"
 go test -count=1 ./cmd/tracereport
 # CDCL arena gates: steady-state propagation and conflict analysis must stay
-# allocation-free, reduceDB must leave no dead cref behind, and the randomized
-# certification corpus (model-checked SAT, DRAT-checked UNSAT, config
-# agreement) must hold under the race detector.
+# allocation-free, and reduceDB must leave no dead cref behind.
 go test -run='TestPropagateSteadyStateAllocs|TestAnalyzeSteadyStateAllocs|TestNoDeletedWatchersAfterReduce|TestSolveDeterministicAcrossGC' -count=1 ./internal/sat
-go test -race -count=1 -run='TestCDCLCorpusCertified|TestCDCLCorpusDifferential' ./internal/verify
-# Sharing-soundness gate: the randomized clause-sharing corpus (model-checked
-# SAT, shared-proof-checked UNSAT), adversarial bus injection, the QA chaos
-# matrix and the stitched cube proofs, all under the race detector — the bus
-# and the cube scheduler are the most concurrent code in the repo.
-go test -race -count=1 -run='TestSharingSoundnessCorpus|TestSharingAdversarialInjection|TestSharingChaosMatrix|TestCubesPartitionSearchSpace|TestCubeStitchedProofRoundTrip|TestCubeDeterminismSingleWorker' ./internal/portfolio
 # Sharing hot-path alloc gates (run without -race: the detector's own
 # bookkeeping allocates): clause import into the arena and bus export
 # filtering must stay allocation-free in steady state.

@@ -233,7 +233,7 @@ func portfolioSuite() (report, error) {
 			for i := 0; i < b.N; i++ {
 				out, err := portfolio.SolveCubes(context.Background(), f.Copy(),
 					portfolio.CubeOptions{Depth: depth, Workers: workers, ProbeConflicts: 1,
-						Seed: 1, Share: &portfolio.ShareOptions{}})
+						Seed: 1, Share: true})
 				if err != nil {
 					panic("benchreport: cube solve failed: " + err.Error())
 				}

@@ -323,7 +323,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			WrapBackend: wrapBackend,
 		}
 		if *share {
-			co.Share = &portfolio.ShareOptions{}
+			co.Share = true
 		}
 		out, err := portfolio.SolveCubes(ctx, formula, co)
 		switch {
@@ -446,7 +446,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		case "portfolio":
 			ro := portfolio.RaceOptions{Certify: *verifyFlag, Trace: tracer, Metrics: reg}
 			if *share {
-				ro.Share = &portfolio.ShareOptions{}
+				ro.Share = true
 			}
 			out, err := portfolio.SolveWith(ctx, formula,
 				portfolio.DefaultEntrantsBackend(*seed, wrapBackend), ro)

@@ -29,7 +29,7 @@ func recordPortfolioTrace(t *testing.T) string {
 	inst := gen.SatisfiableRandom3SAT(30, 120, 9)
 	out, err := portfolio.SolveWith(context.Background(), inst.Formula,
 		[]portfolio.Entrant{portfolio.HyQSATEntrant(3)},
-		portfolio.RaceOptions{Trace: sink, Share: &portfolio.ShareOptions{}})
+		portfolio.RaceOptions{Trace: sink, Share: true})
 	if err != nil {
 		t.Fatalf("race: %v", err)
 	}

@@ -8,15 +8,15 @@ import (
 	"fmt"
 	"time"
 
-	"hyqsat/internal/chimera"
 	"hyqsat/internal/cnf"
 	"hyqsat/internal/embed"
 	"hyqsat/internal/gen"
 	"hyqsat/internal/qubo"
+	"hyqsat/internal/topo"
 )
 
 func main() {
-	g := chimera.DWave2000Q()
+	g := topo.DWave2000Q()
 	fmt.Printf("hardware: Chimera %d×%d×%d, %d qubits, %d couplers\n",
 		g.M, g.N, g.L, g.NumQubits(), len(g.Edges()))
 

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"hyqsat/internal/anneal"
-	"hyqsat/internal/chimera"
 	"hyqsat/internal/cnf"
 	"hyqsat/internal/embed"
 	"hyqsat/internal/gen"
@@ -20,6 +19,7 @@ import (
 	"hyqsat/internal/portfolio"
 	"hyqsat/internal/qubo"
 	"hyqsat/internal/sat"
+	"hyqsat/internal/topo"
 	"hyqsat/internal/verify"
 )
 
@@ -151,7 +151,7 @@ func TestFullPipelineManually(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := chimera.DWave2000Q()
+	g := topo.DWave2000Q()
 	res := embed.Fast(enc, g)
 	if res.EmbeddedClauses == 0 {
 		t.Fatal("nothing embedded")

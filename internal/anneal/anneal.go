@@ -113,7 +113,7 @@ type coupler struct {
 // rule of thumb for D-Wave embeddings. Isolated sampling slightly favours
 // weaker chains (bench.AblationChainStrength: majority vote repairs breaks),
 // but end-to-end hybrid guidance measures better with intact chains, so the
-// conventional value stands; hyqsat.Options.ChainStrengthMult overrides it.
+// conventional value stands.
 func ChainStrengthFor(is *qubo.Ising) float64 {
 	max := 0.0
 	for _, h := range is.H {

@@ -6,10 +6,10 @@ import (
 	"testing"
 	"time"
 
-	"hyqsat/internal/chimera"
 	"hyqsat/internal/cnf"
 	"hyqsat/internal/embed"
 	"hyqsat/internal/qubo"
+	"hyqsat/internal/topo"
 )
 
 func TestTimingModel(t *testing.T) {
@@ -62,7 +62,7 @@ func TestSampleLogicalAntiferromagnet(t *testing.T) {
 }
 
 // encodeAndEmbed builds the QUBO encoding of the clauses and fast-embeds it.
-func encodeAndEmbed(t *testing.T, clauses []cnf.Clause, g *chimera.Graph) (*qubo.Encoding, *embed.FastResult) {
+func encodeAndEmbed(t *testing.T, clauses []cnf.Clause, g *topo.Chimera) (*qubo.Encoding, *embed.FastResult) {
 	t.Helper()
 	enc, err := qubo.Encode(clauses)
 	if err != nil {
@@ -76,7 +76,7 @@ func encodeAndEmbed(t *testing.T, clauses []cnf.Clause, g *chimera.Graph) (*qubo
 }
 
 func TestEmbedIsingStructure(t *testing.T) {
-	g := chimera.New(4, 4, 4)
+	g := topo.NewChimera(4, 4, 4)
 	enc, res := encodeAndEmbed(t, []cnf.Clause{cnf.NewClause(1, 2, 3)}, g)
 	norm, _ := enc.Poly.Normalized()
 	is := norm.ToIsing()
@@ -98,7 +98,7 @@ func TestEmbedIsingStructure(t *testing.T) {
 }
 
 func TestEmbedIsingPanicsOnMissingCoupler(t *testing.T) {
-	g := chimera.New(2, 2, 2)
+	g := topo.NewChimera(2, 2, 2)
 	is := &qubo.Ising{H: map[int]float64{}, J: map[qubo.Edge]float64{{U: 0, V: 1}: 1}}
 	emb := embed.NewEmbedding()
 	emb.Chains[0] = []int{g.Qubit(0, 0, true, 0)}
@@ -115,7 +115,7 @@ func TestHardwareSampleSolvesSatisfiableClauses(t *testing.T) {
 	// A small satisfiable clause set: the noise-free sampler with a long
 	// schedule should reach unit energy 0 in most samples.
 	rng := rand.New(rand.NewSource(3))
-	g := chimera.DWave2000Q()
+	g := topo.DWave2000Q()
 	f := cnf.New(12)
 	for i := 0; i < 18; i++ {
 		perm := rng.Perm(12)[:3]
@@ -162,7 +162,7 @@ func TestHardwareSampleSolvesSatisfiableClauses(t *testing.T) {
 
 func TestNoiseDegradesEnergy(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	g := chimera.DWave2000Q()
+	g := topo.DWave2000Q()
 	var clauses []cnf.Clause
 	for i := 0; i < 15; i++ {
 		perm := rng.Perm(10)[:3]
@@ -201,7 +201,7 @@ func TestBrokenChainsReported(t *testing.T) {
 	// Huge readout noise must break some chains of a multi-qubit-chain
 	// embedding.
 	rng := rand.New(rand.NewSource(9))
-	g := chimera.DWave2000Q()
+	g := topo.DWave2000Q()
 	var clauses []cnf.Clause
 	for i := 0; i < 12; i++ {
 		perm := rng.Perm(9)[:3]
@@ -229,7 +229,7 @@ func TestBrokenChainsReported(t *testing.T) {
 }
 
 func TestSampleOnceDeterministicForSeed(t *testing.T) {
-	g := chimera.New(4, 4, 4)
+	g := topo.NewChimera(4, 4, 4)
 	enc, res := encodeAndEmbed(t, []cnf.Clause{cnf.NewClause(1, 2, 3), cnf.NewClause(-1, 2, 4)}, g)
 	norm, _ := enc.Poly.Normalized()
 	is := norm.ToIsing()

@@ -6,17 +6,17 @@ import (
 	"sync"
 	"testing"
 
-	"hyqsat/internal/chimera"
 	"hyqsat/internal/cnf"
 	"hyqsat/internal/embed"
 	"hyqsat/internal/qubo"
+	"hyqsat/internal/topo"
 )
 
 // testEmbeddedProblem builds a representative embedded problem from a few
 // random 3-SAT clauses.
 func testEmbeddedProblem(t testing.TB, seed int64, numClauses int) *EmbeddedProblem {
 	rng := rand.New(rand.NewSource(seed))
-	g := chimera.DWave2000Q()
+	g := topo.DWave2000Q()
 	var clauses []cnf.Clause
 	for i := 0; i < numClauses; i++ {
 		perm := rng.Perm(10)[:3]

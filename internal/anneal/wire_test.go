@@ -6,16 +6,16 @@ import (
 	"reflect"
 	"testing"
 
-	"hyqsat/internal/chimera"
 	"hyqsat/internal/cnf"
 	"hyqsat/internal/embed"
 	"hyqsat/internal/qubo"
+	"hyqsat/internal/topo"
 )
 
 // wireTestProblem builds a small multi-clause embedded problem for wire tests.
 func wireTestProblem(t testing.TB) *EmbeddedProblem {
 	t.Helper()
-	g := chimera.New(4, 4, 4)
+	g := topo.NewChimera(4, 4, 4)
 	clauses := []cnf.Clause{
 		cnf.NewClause(1, 2, 3),
 		cnf.NewClause(-4, 5, 6),

@@ -5,12 +5,12 @@ import (
 	"math/rand"
 
 	"hyqsat/internal/anneal"
-	"hyqsat/internal/chimera"
 	"hyqsat/internal/embed"
 	"hyqsat/internal/gen"
 	"hyqsat/internal/hyqsat"
 	"hyqsat/internal/qubo"
 	"hyqsat/internal/sat"
+	"hyqsat/internal/topo"
 )
 
 // This file contains ablations of this implementation's own design choices —
@@ -35,7 +35,7 @@ func AblationChainStrength(cfg Config) *Report {
 		rep.Note("encode failed: %v", err)
 		return rep
 	}
-	g := chimera.DWave2000Q()
+	g := topo.DWave2000Q()
 	res := embed.Fast(enc, g)
 	sub := enc.Restrict(res.EmbeddedSet)
 	sub.AdjustCoefficients()
@@ -86,7 +86,7 @@ func AblationSchedule(cfg Config) *Report {
 		rep.Note("encode failed: %v", err)
 		return rep
 	}
-	g := chimera.DWave2000Q()
+	g := topo.DWave2000Q()
 	res := embed.Fast(enc, g)
 	sub := enc.Restrict(res.EmbeddedSet)
 	sub.AdjustCoefficients()
@@ -182,7 +182,7 @@ func AblationCoefficientAdjust(cfg Config) *Report {
 		for i, inst := range insts {
 			o := hyqsat.HardwareOptions() // noise makes the adjustment matter
 			o.Seed = cfg.Seed + int64(i)
-			o.AdjustCoefficients = adjust
+			o.UniformCoefficients = !adjust
 			rh := hyqsat.New(inst.Formula.Copy(), o).Solve()
 			ratios = append(ratios, float64(base[i])/float64(maxI64(rh.Stats.SAT.Iterations, 1)))
 		}

@@ -7,13 +7,13 @@ import (
 	"time"
 
 	"hyqsat/internal/anneal"
-	"hyqsat/internal/chimera"
 	"hyqsat/internal/embed"
 	"hyqsat/internal/gen"
 	"hyqsat/internal/gnb"
 	"hyqsat/internal/hyqsat"
 	"hyqsat/internal/qubo"
 	"hyqsat/internal/sat"
+	"hyqsat/internal/topo"
 )
 
 // Fig1 reproduces Figure 1: end-to-end time to solve one 128-variable,
@@ -28,7 +28,7 @@ func Fig1(cfg Config) *Report {
 		Header: []string{"Approach", "Embed/prep", "QA access", "CPU solve", "Total"},
 	}
 	inst := gen.Fig1Instance(cfg.Seed + 1)
-	g := chimera.DWave2000Q()
+	g := topo.DWave2000Q()
 	timing := anneal.DWave2000QTiming()
 
 	// (a) Classic CDCL.
@@ -156,7 +156,7 @@ func Fig5(cfg Config) *Report {
 
 // fig8Problem generates one random problem, labels it with the CDCL solver,
 // embeds it fully, and returns its class label and sampled unit energy.
-func fig8Sample(rng *rand.Rand, sampler *anneal.Sampler, g *chimera.Graph, adjust bool) (isSat bool, energy float64, ok bool) {
+func fig8Sample(rng *rand.Rand, sampler *anneal.Sampler, g *topo.Chimera, adjust bool) (isSat bool, energy float64, ok bool) {
 	nv := 15 + rng.Intn(20)
 	m := int(float64(nv) * (3.0 + 3.5*rng.Float64()))
 	inst := gen.Random3SAT(nv, m, rng.Int63())
@@ -197,7 +197,7 @@ func Fig8(cfg Config) *Report {
 		Header: []string{"Class", "Samples", "Mean E", "Std E"},
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 8))
-	g := chimera.DWave2000Q()
+	g := topo.DWave2000Q()
 	sampler := anneal.NewSampler(anneal.Schedule{Sweeps: 256, BetaMin: 0.1, BetaMax: 32},
 		anneal.DWave2000QNoise, cfg.Seed+80)
 	var satE, unsatE []float64
@@ -237,9 +237,9 @@ func Fig10(cfg Config) *Report {
 		Header: []string{"Benchmark", "S1 only", "S2 only", "S4 only", "All"},
 	}
 	masks := []hyqsat.StrategyMask{
-		hyqsat.Strategy1 | hyqsat.StrategyNone,
-		hyqsat.Strategy2 | hyqsat.StrategyNone,
-		hyqsat.Strategy4 | hyqsat.StrategyNone,
+		hyqsat.Strategy1,
+		hyqsat.Strategy2,
+		hyqsat.Strategy4,
 		hyqsat.AllStrategies,
 	}
 	// One job per (family, instance): the classical baseline plus one hybrid

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"hyqsat/internal/anneal"
-	"hyqsat/internal/chimera"
 	"hyqsat/internal/cnf"
 	"hyqsat/internal/embed"
 	"hyqsat/internal/gen"
@@ -14,6 +13,7 @@ import (
 	"hyqsat/internal/hyqsat"
 	"hyqsat/internal/qubo"
 	"hyqsat/internal/sat"
+	"hyqsat/internal/topo"
 )
 
 // Fig12 reproduces Figure 12: the relationship between problem difficulty
@@ -93,7 +93,7 @@ func Fig13(cfg Config) *Report {
 		Header: []string{"#Clauses", "Scheme", "Time", "Success %", "Mean chain"},
 	}
 	timeout := time.Duration(cfg.EmbedTimeoutSec) * time.Second
-	g := chimera.DWave2000Q()
+	g := topo.DWave2000Q()
 
 	queues := make([][]cnf.Clause, cfg.Queues)
 	for qi := range queues {
@@ -189,7 +189,7 @@ func Fig14(cfg Config) *Report {
 
 		or := hyqsat.SimulatorOptions()
 		or.Seed = cfg.Seed + int64(i)
-		or.UseActivityQueue = false
+		or.RandomQueue = true
 		rr := hyqsat.New(inst.Formula.Copy(), or).Solve()
 
 		results[j] = f14res{rc.Stats.Iterations, ra.Stats.SAT.Iterations, rr.Stats.SAT.Iterations}
@@ -258,7 +258,7 @@ func Fig15(cfg Config) *Report {
 		fmt.Sprintf("%.2fx", mean(gapRatios)))
 
 	// (b) Classification quality with device noise, before vs after.
-	g := chimera.DWave2000Q()
+	g := topo.DWave2000Q()
 	quality := func(adjust bool, seedOff int64) (uncertain, accuracy float64) {
 		rng := rand.New(rand.NewSource(cfg.Seed + 150 + seedOff))
 		sampler := anneal.NewSampler(anneal.Schedule{Sweeps: 256, BetaMin: 0.1, BetaMax: 32},

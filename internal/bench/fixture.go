@@ -4,11 +4,11 @@ import (
 	"fmt"
 
 	"hyqsat/internal/anneal"
-	"hyqsat/internal/chimera"
 	"hyqsat/internal/cnf"
 	"hyqsat/internal/embed"
 	"hyqsat/internal/gen"
 	"hyqsat/internal/qubo"
+	"hyqsat/internal/topo"
 )
 
 // BuildSampleFixture builds a representative embedded problem — a random
@@ -21,7 +21,7 @@ func BuildSampleFixture(seed int64, numVars, numClauses int) (*anneal.EmbeddedPr
 	if err != nil {
 		return nil, err
 	}
-	g := chimera.DWave2000Q()
+	g := topo.DWave2000Q()
 	res := embed.Fast(enc, g)
 	if res.EmbeddedClauses == 0 {
 		return nil, fmt.Errorf("bench: no clause of the fixture embedded")

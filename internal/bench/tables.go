@@ -5,10 +5,10 @@ import (
 	"time"
 
 	"hyqsat/internal/anneal"
-	"hyqsat/internal/chimera"
 	"hyqsat/internal/gen"
 	"hyqsat/internal/hyqsat"
 	"hyqsat/internal/sat"
+	"hyqsat/internal/topo"
 )
 
 // familyCount returns how many instances of a family to run under cfg.
@@ -187,7 +187,7 @@ func Table3(cfg Config) *Report {
 		for gi, grid := range grids {
 			o := hyqsat.SimulatorOptions()
 			o.Seed = cfg.Seed + int64(i)
-			o.Hardware = chimera.New(grid, grid, 4)
+			o.Hardware = topo.NewChimera(grid, grid, 4)
 			o.Noise = anneal.Noise{ReadoutFlipProb: 0.10}
 			o.QueueLimit = 40 * grid // let bigger grids see longer queues
 			rh := hyqsat.New(inst.Formula.Copy(), o).Solve()

@@ -5,9 +5,9 @@ import (
 	"testing"
 	"time"
 
-	"hyqsat/internal/chimera"
 	"hyqsat/internal/cnf"
 	"hyqsat/internal/qubo"
+	"hyqsat/internal/topo"
 )
 
 func random3SATClauses(rng *rand.Rand, nVars, nClauses int) []cnf.Clause {
@@ -59,7 +59,7 @@ func bfsQueue(clauses []cnf.Clause, numVars int) []cnf.Clause {
 }
 
 func TestFastSingleClause(t *testing.T) {
-	g := chimera.New(2, 2, 2)
+	g := topo.NewChimera(2, 2, 2)
 	enc, err := qubo.Encode([]cnf.Clause{cnf.NewClause(1, 2, 3)})
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestFastSingleClause(t *testing.T) {
 }
 
 func TestFastShortClauses(t *testing.T) {
-	g := chimera.New(4, 4, 4)
+	g := topo.NewChimera(4, 4, 4)
 	clauses := []cnf.Clause{
 		cnf.NewClause(1),
 		cnf.NewClause(2, -3),
@@ -99,7 +99,7 @@ func TestFastShortClauses(t *testing.T) {
 
 func TestFastOn2000QRandomQueue(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	g := chimera.DWave2000Q()
+	g := topo.DWave2000Q()
 	clauses := bfsQueue(random3SATClauses(rng, 200, 250), 200)
 	enc, err := qubo.Encode(clauses)
 	if err != nil {
@@ -123,7 +123,7 @@ func TestFastOn2000QRandomQueue(t *testing.T) {
 
 func TestFastPrefixEdgesAllRealized(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	g := chimera.New(8, 8, 4)
+	g := topo.NewChimera(8, 8, 4)
 	clauses := bfsQueue(random3SATClauses(rng, 60, 120), 60)
 	enc, err := qubo.Encode(clauses)
 	if err != nil {
@@ -157,7 +157,7 @@ func TestFastPrefixEdgesAllRealized(t *testing.T) {
 func TestFastDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	clauses := bfsQueue(random3SATClauses(rng, 50, 80), 50)
-	g := chimera.New(8, 8, 4)
+	g := topo.NewChimera(8, 8, 4)
 	enc1, _ := qubo.Encode(clauses)
 	enc2, _ := qubo.Encode(clauses)
 	r1, r2 := Fast(enc1, g), Fast(enc2, g)
@@ -175,7 +175,7 @@ func TestFastCapacityGrowsWithGrid(t *testing.T) {
 	var prev int
 	for _, m := range []int{8, 16, 24} {
 		enc, _ := qubo.Encode(clauses)
-		res := Fast(enc, chimera.New(m, m, 4))
+		res := Fast(enc, topo.NewChimera(m, m, 4))
 		if res.EmbeddedClauses < prev {
 			t.Fatalf("capacity shrank on larger grid: %d on %d×%d (prev %d)",
 				res.EmbeddedClauses, m, m, prev)
@@ -187,7 +187,7 @@ func TestFastCapacityGrowsWithGrid(t *testing.T) {
 func TestFastEmbedderInterface(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	clauses := random3SATClauses(rng, 30, 20)
-	res, err := FastEmbedder{}.EmbedClauses(clauses, chimera.DWave2000Q())
+	res, err := FastEmbedder{}.EmbedClauses(clauses, topo.DWave2000Q())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func completeGraph(n int) *Problem {
 }
 
 func TestMinorminerTriangle(t *testing.T) {
-	g := chimera.New(2, 2, 4)
+	g := topo.NewChimera(2, 2, 4)
 	mm := &Minorminer{Seed: 1}
 	emb, err := mm.Embed(triangle(), g)
 	if err != nil {
@@ -228,7 +228,7 @@ func TestMinorminerTriangle(t *testing.T) {
 func TestMinorminerK6NeedsChains(t *testing.T) {
 	// K6 is not a subgraph of Chimera (max degree 6 but bipartite cells),
 	// so chains are mandatory.
-	g := chimera.New(3, 3, 4)
+	g := topo.NewChimera(3, 3, 4)
 	mm := &Minorminer{Seed: 3, MaxRounds: 64}
 	p := completeGraph(6)
 	emb, err := mm.Embed(p, g)
@@ -251,7 +251,7 @@ func TestMinorminerClauseQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := ProblemFromEncoding(enc)
-	g := chimera.DWave2000Q()
+	g := topo.DWave2000Q()
 	mm := &Minorminer{Seed: 7, MaxRounds: 32}
 	emb, err := mm.Embed(p, g)
 	if err != nil {
@@ -270,13 +270,13 @@ func TestMinorminerTimeout(t *testing.T) {
 	enc, _ := qubo.Encode(clauses)
 	p := ProblemFromEncoding(enc)
 	mm := &Minorminer{Seed: 1, MaxRounds: 1000, Timeout: time.Millisecond}
-	if _, err := mm.Embed(p, chimera.DWave2000Q()); err != ErrTimeout {
+	if _, err := mm.Embed(p, topo.DWave2000Q()); err != ErrTimeout {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
 }
 
 func TestPandRTriangle(t *testing.T) {
-	g := chimera.New(2, 2, 4)
+	g := topo.NewChimera(2, 2, 4)
 	pr := &PandR{Seed: 1}
 	emb, err := pr.Embed(triangle(), g)
 	if err != nil {
@@ -295,7 +295,7 @@ func TestPandRClauseQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := ProblemFromEncoding(enc)
-	g := chimera.DWave2000Q()
+	g := topo.DWave2000Q()
 	pr := &PandR{Seed: 5}
 	emb, err := pr.Embed(p, g)
 	if err != nil {
@@ -307,14 +307,14 @@ func TestPandRClauseQueue(t *testing.T) {
 }
 
 func TestPandROverCapacity(t *testing.T) {
-	g := chimera.New(1, 1, 4)
+	g := topo.NewChimera(1, 1, 4)
 	if _, err := (&PandR{Seed: 1}).Embed(completeGraph(10), g); err == nil {
 		t.Fatal("expected failure beyond capacity")
 	}
 }
 
 func TestVerifyCatchesBadEmbeddings(t *testing.T) {
-	g := chimera.New(2, 2, 4)
+	g := topo.NewChimera(2, 2, 4)
 	p := triangle()
 
 	// Empty chain.
@@ -390,7 +390,7 @@ func TestEmbeddingStats(t *testing.T) {
 }
 
 func TestIntraChainCouplers(t *testing.T) {
-	g := chimera.New(2, 2, 4)
+	g := topo.NewChimera(2, 2, 4)
 	// A vertical line chain of two rows: one coupler between them.
 	chain := []int{g.VerticalLineQubit(0, 0), g.VerticalLineQubit(0, 1)}
 	o := NewQubitOwners(g.NumQubits())
@@ -419,7 +419,7 @@ func TestFastAlwaysProducesValidEmbeddings(t *testing.T) {
 			t.Fatal(err)
 		}
 		grids := []int{8, 16, 24}
-		g := chimera.New(grids[trial%3], grids[trial%3], 4)
+		g := topo.NewChimera(grids[trial%3], grids[trial%3], 4)
 		res := Fast(enc, g)
 		if res.EmbeddedClauses == 0 {
 			continue

@@ -3,9 +3,9 @@ package embed
 import (
 	"slices"
 
-	"hyqsat/internal/chimera"
 	"hyqsat/internal/cnf"
 	"hyqsat/internal/qubo"
+	"hyqsat/internal/topo"
 )
 
 // FastResult is the outcome of the paper's fast embedding: a valid embedding
@@ -88,7 +88,7 @@ type undo struct {
 // bottom-up horizontal segment allocation against connection requirements.
 // Per-node state is held in dense slices indexed by problem node.
 type fastState struct {
-	g   *chimera.Graph
+	g   *topo.Chimera
 	enc *qubo.Encoding
 
 	maxVarsPerLine int
@@ -163,7 +163,7 @@ func (st *fastState) rollback() {
 // connections are realised by greedily allocated horizontal segments,
 // scanning horizontal lines bottom-up and columns left-to-right. Only the
 // encoding's sub-clause objectives are read, so its summed Poly may be nil.
-func Fast(enc *qubo.Encoding, g *chimera.Graph) *FastResult {
+func Fast(enc *qubo.Encoding, g *topo.Chimera) *FastResult {
 	st := newFastState(enc, g)
 	var set []int
 	failures := 0
@@ -181,7 +181,7 @@ func Fast(enc *qubo.Encoding, g *chimera.Graph) *FastResult {
 }
 
 // newFastState initialises the embedding state for one run.
-func newFastState(enc *qubo.Encoding, g *chimera.Graph) *fastState {
+func newFastState(enc *qubo.Encoding, g *topo.Chimera) *fastState {
 	n := enc.NumNodes()
 	hWords := (g.N + 63) / 64
 	st := &fastState{
@@ -267,7 +267,7 @@ func (st *fastState) indexClauses() {
 // scan order within a band). Line h lives in row M−1−⌊h/L⌋, so the rows at
 // distance d are p+d (whose lines have the lower indices) and then p−d,
 // each contributing its L lines in ascending order.
-func lineOrders(g *chimera.Graph) []int {
+func lineOrders(g *topo.Chimera) []int {
 	m, l := g.M, g.L
 	out := make([]int, 0, m*m*l)
 	for p := 0; p < m; p++ {
@@ -765,7 +765,7 @@ type FastEmbedder struct{}
 func (FastEmbedder) Name() string { return "hyqsat-fast" }
 
 // EmbedClauses embeds a clause queue and reports how many clauses fit.
-func (FastEmbedder) EmbedClauses(clauses []cnf.Clause, g *chimera.Graph) (*FastResult, error) {
+func (FastEmbedder) EmbedClauses(clauses []cnf.Clause, g *topo.Chimera) (*FastResult, error) {
 	enc, err := qubo.Encode(clauses)
 	if err != nil {
 		return nil, err

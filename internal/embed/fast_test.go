@@ -6,14 +6,14 @@ import (
 	"sort"
 	"testing"
 
-	"hyqsat/internal/chimera"
 	"hyqsat/internal/qubo"
+	"hyqsat/internal/topo"
 )
 
 // sortedLineOrder is the defining order of Fast's horizontal-line scan: all
 // lines by the distance of their row from prefRow, ties bottom-up (lower
 // line index first).
-func sortedLineOrder(g *chimera.Graph, prefRow int) []int {
+func sortedLineOrder(g *topo.Chimera, prefRow int) []int {
 	order := make([]int, g.NumHorizontalLines())
 	for i := range order {
 		order[i] = i
@@ -40,7 +40,7 @@ func sortedLineOrder(g *chimera.Graph, prefRow int) []int {
 // the grid (which hLineOrder clamps).
 func TestLineOrdersMatchSortedScan(t *testing.T) {
 	for _, dims := range [][3]int{{16, 16, 4}, {1, 1, 1}, {3, 5, 2}, {6, 2, 3}} {
-		g := chimera.New(dims[0], dims[1], dims[2])
+		g := topo.NewChimera(dims[0], dims[1], dims[2])
 		st := &fastState{g: g, lineOrder: lineOrders(g)}
 		for p := -3; p < g.M+3; p++ {
 			if got, want := st.hLineOrder(p), sortedLineOrder(g, p); !slices.Equal(got, want) {
@@ -53,7 +53,7 @@ func TestLineOrdersMatchSortedScan(t *testing.T) {
 // TestColsFreeAcrossWords checks the horizontal-qubit bitmap against a plain
 // boolean model on a grid wider than one 64-bit word, including rollback.
 func TestColsFreeAcrossWords(t *testing.T) {
-	g := chimera.New(2, 150, 1)
+	g := topo.NewChimera(2, 150, 1)
 	st := newFastState(&qubo.Encoding{}, g)
 	used := make([][]bool, g.NumHorizontalLines())
 	for h := range used {

@@ -7,7 +7,7 @@ import (
 	"sort"
 	"time"
 
-	"hyqsat/internal/chimera"
+	"hyqsat/internal/topo"
 )
 
 // Minorminer is a from-scratch reimplementation of the Cai–Macready–Roy
@@ -40,7 +40,7 @@ var ErrTimeout = errors.New("embed: timeout")
 func (m *Minorminer) Name() string { return "minorminer" }
 
 // Embed finds chains for every node of p in g, or fails.
-func (m *Minorminer) Embed(p *Problem, g *chimera.Graph) (*Embedding, error) {
+func (m *Minorminer) Embed(p *Problem, g *topo.Chimera) (*Embedding, error) {
 	rounds := m.MaxRounds
 	if rounds == 0 {
 		rounds = 16
@@ -189,7 +189,7 @@ func qubitWeight(usage int, base float64) float64 {
 // grown from each embedded neighbour's chain; the qubit minimising the total
 // connection cost becomes the chain root, and the shortest paths to every
 // neighbour chain form the chain.
-func (m *Minorminer) placeNode(g *chimera.Graph, u int, neighbors []int,
+func (m *Minorminer) placeNode(g *topo.Chimera, u int, neighbors []int,
 	chains [][]int, usage []int, rng *rand.Rand, penaltyBase float64, hard bool) []int {
 
 	nq := g.NumQubits()
@@ -282,7 +282,7 @@ func (m *Minorminer) placeNode(g *chimera.Graph, u int, neighbors []int,
 // weight of a path from the given chain to (and including) that qubit.
 // Parent pointers trace back towards the chain; chain members have
 // parent -1 and distance 0.
-func dijkstraFromChain(g *chimera.Graph, chain []int, usage []int, penaltyBase float64, hard bool) (dist []float64, parent []int) {
+func dijkstraFromChain(g *topo.Chimera, chain []int, usage []int, penaltyBase float64, hard bool) (dist []float64, parent []int) {
 	nq := g.NumQubits()
 	dist = make([]float64, nq)
 	parent = make([]int, nq)

@@ -5,8 +5,8 @@ import (
 	"sort"
 	"time"
 
-	"hyqsat/internal/chimera"
 	"hyqsat/internal/qubo"
+	"hyqsat/internal/topo"
 )
 
 // PandR is a place-and-route embedder in the style of Bian et al. [8]:
@@ -26,7 +26,7 @@ type PandR struct {
 func (p *PandR) Name() string { return "place-and-route" }
 
 // Embed places and routes problem pr into g, or fails.
-func (p *PandR) Embed(pr *Problem, g *chimera.Graph) (*Embedding, error) {
+func (p *PandR) Embed(pr *Problem, g *topo.Chimera) (*Embedding, error) {
 	var deadline time.Time
 	if p.Timeout > 0 {
 		deadline = time.Now().Add(p.Timeout)
@@ -283,7 +283,7 @@ func (p *PandR) Embed(pr *Problem, g *chimera.Graph) (*Embedding, error) {
 // Dijkstra) so that routed snakes do not wall in later edges.
 // It returns the newly claimed qubits (empty when the chains were already
 // adjacent), or nil when no path exists.
-func (p *PandR) route(g *chimera.Graph, u, v int, chains [][]int, used []bool, cellLoad []int) []int {
+func (p *PandR) route(g *topo.Chimera, u, v int, chains [][]int, used []bool, cellLoad []int) []int {
 	inV := map[int]bool{}
 	for _, q := range chains[v] {
 		inV[q] = true

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"hyqsat/internal/anneal"
-	"hyqsat/internal/chimera"
 	"hyqsat/internal/cnf"
 	"hyqsat/internal/embed"
 	"hyqsat/internal/qubo"
@@ -28,7 +27,7 @@ import (
 // step they are named after.
 type EmbedBench struct {
 	graph   topo.Topology
-	chim    *chimera.Graph // nil when the topology has no Fast embedder
+	chim    *topo.Chimera // nil when the topology has no Fast embedder
 	enc     *qubo.Encoding
 	ising   *qubo.Ising
 	builder *anneal.TemplateBuilder
@@ -84,7 +83,7 @@ func NewEmbedBench(topology string, nClauses int) (*EmbedBench, error) {
 		cs:      cs,
 		cache:   newEmbedCache(),
 	}
-	eb.chim, _ = g.(*chimera.Graph)
+	eb.chim, _ = g.(*topo.Chimera)
 
 	n := len(queue)
 	for _, c := range queue {

@@ -5,11 +5,11 @@ import (
 	"testing"
 
 	"hyqsat/internal/anneal"
-	"hyqsat/internal/chimera"
 	"hyqsat/internal/cnf"
 	"hyqsat/internal/embed"
 	"hyqsat/internal/gen"
 	"hyqsat/internal/qubo"
+	"hyqsat/internal/topo"
 )
 
 // coldActivityQueue returns a uf150-sized formula and a 300-clause BFS
@@ -48,7 +48,7 @@ func BenchmarkColdFrontend(b *testing.B) {
 	for i, ci := range idx {
 		queue[i] = f.Clauses[ci]
 	}
-	g := chimera.DWave2000Q()
+	g := topo.DWave2000Q()
 	enc, err := qubo.EncodeSubClauses(queue)
 	if err != nil {
 		b.Fatal(err)
@@ -109,7 +109,7 @@ func TestColdFastEmbedIsingAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := chimera.DWave2000Q()
+	g := topo.DWave2000Q()
 	res := embed.Fast(enc, g)
 	embEnc := enc.Restrict(res.EmbeddedSet)
 	embEnc.AdjustCoefficients()

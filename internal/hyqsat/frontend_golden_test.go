@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"hyqsat/internal/anneal"
-	"hyqsat/internal/chimera"
 	"hyqsat/internal/cnf"
 	"hyqsat/internal/embed"
 	"hyqsat/internal/gen"
@@ -284,7 +283,7 @@ func goldenQueues() (names []string, queues map[string][]cnf.Clause) {
 // goldenStages runs one queue through the cold pipeline exactly as
 // Solver.encodeAndEmbed does (coefficient adjustment on) and digests each
 // stage.
-func goldenStages(t *testing.T, q []cnf.Clause, g *chimera.Graph) stageDigests {
+func goldenStages(t *testing.T, q []cnf.Clause, g *topo.Chimera) stageDigests {
 	t.Helper()
 	enc, err := qubo.Encode(q)
 	if err != nil {
@@ -412,7 +411,7 @@ func goldenSolves() map[string]solveCounts {
 // strengths), plus the exact counters of short hardware-mode solves. Any
 // performance rewrite of these stages must reproduce the goldens exactly.
 func TestFrontendGolden(t *testing.T) {
-	g := chimera.DWave2000Q()
+	g := topo.DWave2000Q()
 	names, queues := goldenQueues()
 	got := frontendGolden{
 		Queues:    map[string]stageDigests{},

@@ -8,10 +8,10 @@ import (
 	"testing"
 
 	"hyqsat/internal/anneal"
-	"hyqsat/internal/chimera"
 	"hyqsat/internal/cnf"
 	"hyqsat/internal/embed"
 	"hyqsat/internal/qubo"
+	"hyqsat/internal/topo"
 )
 
 // fuzzEmbedding lazily builds one real encoding + embedding shared by all
@@ -40,7 +40,7 @@ func fuzzSetup(t testing.TB) (*qubo.Encoding, *anneal.EmbeddedProblem, int) {
 		if err != nil {
 			return
 		}
-		g := chimera.DWave2000Q()
+		g := topo.DWave2000Q()
 		res := embed.Fast(enc, g)
 		if res.EmbeddedClauses == 0 {
 			return

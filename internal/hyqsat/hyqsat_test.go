@@ -2,11 +2,13 @@ package hyqsat
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
-	"hyqsat/internal/chimera"
+	"hyqsat/internal/anneal"
 	"hyqsat/internal/cnf"
 	"hyqsat/internal/sat"
+	"hyqsat/internal/topo"
 )
 
 func random3SAT(rng *rand.Rand, nVars, nClauses int) *cnf.Formula {
@@ -172,11 +174,35 @@ func TestRandomQueueModeSolves(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	f := random3SAT(rng, 30, 126)
 	o := simOpts(4)
-	o.UseActivityQueue = false
+	o.RandomQueue = true
 	r := New(f.Copy(), o).Solve()
 	want := sat.New(f, sat.MiniSATOptions()).Solve().Status
 	if r.Status != want {
 		t.Fatalf("random-queue hybrid %v, cdcl %v", r.Status, want)
+	}
+}
+
+// TestZeroOptionsArePaperSolver pins the Options zero-value contract: with
+// only the schedule and noise filled in, New runs exactly the paper's
+// hardware-mode solver (activity queue, §IV-C coefficients, all strategies).
+func TestZeroOptionsArePaperSolver(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for _, seed := range []int64{1, 2, 3} {
+		f := random3SAT(rng, 40, 170)
+		hw := HardwareOptions()
+		hw.Seed = seed
+		want := New(f.Copy(), hw).Solve()
+		got := New(f.Copy(), Options{Seed: seed, Schedule: anneal.DefaultSchedule(), Noise: anneal.DWave2000QNoise}).Solve()
+		if got.Status != want.Status || !reflect.DeepEqual(got.Model, want.Model) {
+			t.Fatalf("seed %d: zero Options %v, HardwareOptions %v", seed, got.Status, want.Status)
+		}
+		// Phase durations are wall-clock measurements; every counter must match.
+		gs, ws := got.Stats, want.Stats
+		gs.Frontend, gs.Backend, gs.CDCL = 0, 0, 0
+		ws.Frontend, ws.Backend, ws.CDCL = 0, 0, 0
+		if gs != ws {
+			t.Fatalf("seed %d: stats differ:\nzero Options    %+v\nHardwareOptions %+v", seed, gs, ws)
+		}
 	}
 }
 
@@ -215,7 +241,7 @@ func TestScalabilityLargerGridEmbedsMore(t *testing.T) {
 	f := random3SAT(rng, 100, 430)
 	perCall := func(grid int) float64 {
 		o := simOpts(6)
-		o.Hardware = chimera.New(grid, grid, 4)
+		o.Hardware = topo.NewChimera(grid, grid, 4)
 		o.WarmupIterations = 10
 		s := New(f.Copy(), o)
 		s.Solve()

@@ -18,8 +18,9 @@ func TestMultiReadDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) Result {
 		o := simOpts(5)
 		o.NumReads = 6
-		o.SampleWorkers = workers
-		return New(f.Copy(), o).Solve()
+		s := New(f.Copy(), o)
+		s.sampler.Workers = workers
+		return s.Solve()
 	}
 	ref := run(1)
 	for _, workers := range []int{2, 8} {

@@ -19,6 +19,9 @@ import (
 	"hyqsat/internal/cnf"
 )
 
+// topN is the §IV-A activity pool the solver draws queue heads from.
+const topN = 30
+
 // GenerateQueue builds the clause queue of §IV-A: the head is drawn
 // uniformly from the topN highest-activity candidate clauses, then clauses
 // sharing a variable with the current clause are appended breadth-first

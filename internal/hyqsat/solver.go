@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"hyqsat/internal/anneal"
-	"hyqsat/internal/chimera"
 	"hyqsat/internal/cnf"
 	"hyqsat/internal/embed"
 	"hyqsat/internal/gnb"
@@ -40,8 +39,10 @@ const AllStrategies = Strategy1 | Strategy2 | Strategy4
 // feedback strategy without being mistaken for "unset".
 const StrategyNone StrategyMask = 1 << 7
 
-// Options configures the hybrid solver. The zero value is completed with
-// paper-faithful defaults by New.
+// Options configures the hybrid solver. New completes the zero value with
+// paper-faithful defaults: the zero Options is the paper's solver (activity
+// queue, §IV-C coefficient adjustment, every feedback strategy) on the
+// default schedule without device noise.
 type Options struct {
 	// Hardware is the QA topology; defaults to the D-Wave 2000Q Chimera.
 	// Chimera hardware embeds through the template fast path with the
@@ -56,9 +57,6 @@ type Options struct {
 	Noise    anneal.Noise
 	// Timing is the modelled QA device timing (defaults to D-Wave 2000Q).
 	Timing anneal.TimingModel
-	// Partition classifies QA output energies; defaults to the paper's
-	// published calibration (4.5 / 8).
-	Partition gnb.Partition
 	// CDCL configures the classical solver; defaults to MiniSATOptions.
 	CDCL sat.Options
 	// SatPool, when non-nil, recycles the CDCL core's arena-backed state
@@ -69,34 +67,23 @@ type Options struct {
 	SatPool *sat.Pool
 	// Strategies enables feedback strategies; defaults to AllStrategies.
 	Strategies StrategyMask
-	// UseActivityQueue selects the §IV-A activity/BFS queue (true, default)
-	// or the random queue of the Fig 14 ablation (false).
-	UseActivityQueue bool
-	// AdjustCoefficients applies the §IV-C noise optimisation (default true).
-	AdjustCoefficients bool
+	// RandomQueue replaces the §IV-A activity/BFS queue with the random
+	// queue of the Fig 14 ablation.
+	RandomQueue bool
+	// UniformCoefficients skips the §IV-C noise optimisation (α = 1 for
+	// every clause), for the coefficient ablation.
+	UniformCoefficients bool
 	// WarmupIterations fixes the hybrid warm-up length; 0 derives √K from
 	// the problem size as the paper does.
 	WarmupIterations int
 	// QueueLimit bounds the clause queue length handed to the embedder
 	// (default 300; the hardware capacity truncates it further).
 	QueueLimit int
-	// TopN is the activity pool for the queue head selection (default 30).
-	TopN int
-	// QAInterval runs the QA frontend/backend every n-th warm-up iteration
-	// (default 1, as in the paper's cross-iterative loop); intermediate
-	// iterations are plain CDCL steps that consume the injected guidance.
-	QAInterval int
-	// ChainStrengthMult scales the ferromagnetic chain coupling relative to
-	// anneal.ChainStrengthFor's default (1.0).
-	ChainStrengthMult float64
 	// NumReads is the number of device reads per QA access (default 1, the
 	// paper's single-sample mode). With more reads the backend classifies the
 	// best-energy read, and modelled device time is charged per AccessTime —
 	// programming once, then NumReads anneal+readout cycles.
 	NumReads int
-	// SampleWorkers bounds the worker pool fanning reads out in parallel;
-	// 0 means runtime.NumCPU(). Results never depend on it.
-	SampleWorkers int
 	// Seed drives all stochastic choices.
 	Seed int64
 
@@ -119,11 +106,6 @@ type Options struct {
 	// across cubes. A shared cache keeps its own embed_cache_* counters:
 	// attach them to a registry where the cache is created, not per solver.
 	Cache *SharedEmbedCache
-
-	// DisableTemplates turns off the precomputed clause-tile embedding fast
-	// path, forcing every cache miss through the full Fast embedder (the
-	// Fig 13 pipeline). Mainly for benchmarks and ablations.
-	DisableTemplates bool
 
 	// Proof, when non-nil, receives the CDCL core's clause trace in DRAT
 	// form. The proof's premise is the 3-CNF formula actually solved
@@ -153,14 +135,11 @@ type Options struct {
 	// one registry behind one /metrics endpoint). Nil creates a private
 	// registry, retrievable via Solver.Metrics().
 	Metrics *obs.Registry
-
-	// set by New to note which defaults were applied
-	defaulted bool
 }
 
 func (o Options) withDefaults() Options {
 	if o.Hardware == nil {
-		o.Hardware = chimera.DWave2000Q()
+		o.Hardware = topo.DWave2000Q()
 	}
 	if o.Schedule.Sweeps == 0 {
 		o.Schedule = anneal.DefaultSchedule()
@@ -168,31 +147,18 @@ func (o Options) withDefaults() Options {
 	if o.Timing == (anneal.TimingModel{}) {
 		o.Timing = anneal.DWave2000QTiming()
 	}
-	if o.Partition == (gnb.Partition{}) {
-		o.Partition = gnb.DefaultPartition()
-	}
 	if o.CDCL == (sat.Options{}) {
 		o.CDCL = sat.MiniSATOptions()
 	}
-	if o.Strategies == 0 && !o.defaulted {
+	if o.Strategies == 0 {
 		o.Strategies = AllStrategies
 	}
 	if o.QueueLimit == 0 {
 		o.QueueLimit = 300
 	}
-	if o.TopN == 0 {
-		o.TopN = 30
-	}
-	if o.QAInterval == 0 {
-		o.QAInterval = 1
-	}
-	if o.ChainStrengthMult == 0 {
-		o.ChainStrengthMult = 1
-	}
 	if o.NumReads == 0 {
 		o.NumReads = 1
 	}
-	o.defaulted = true
 	return o
 }
 
@@ -200,10 +166,8 @@ func (o Options) withDefaults() Options {
 // simulator runs (Table I): long annealing schedule, no noise.
 func SimulatorOptions() Options {
 	return Options{
-		Schedule:           anneal.LongSchedule(),
-		Noise:              anneal.NoNoise,
-		UseActivityQueue:   true,
-		AdjustCoefficients: true,
+		Schedule: anneal.LongSchedule(),
+		Noise:    anneal.NoNoise,
 	}.withDefaults()
 }
 
@@ -211,10 +175,8 @@ func SimulatorOptions() Options {
 // fast schedule and device-like noise.
 func HardwareOptions() Options {
 	return Options{
-		Schedule:           anneal.DefaultSchedule(),
-		Noise:              anneal.DWave2000QNoise,
-		UseActivityQueue:   true,
-		AdjustCoefficients: true,
+		Schedule: anneal.DefaultSchedule(),
+		Noise:    anneal.DWave2000QNoise,
 	}.withDefaults()
 }
 
@@ -419,16 +381,13 @@ func New(f *cnf.Formula, opts Options) *Solver {
 	} else {
 		s.sat = sat.New(f3, cdclOpts)
 	}
-	s.sampler.Workers = opts.SampleWorkers
 
 	// Template embedding precomputation: one routed tile layout per
 	// topology, instantiated per queue shape. Cheap (one pass over the
 	// tiles), and it makes cache misses on eligible queues O(1) renames.
-	if !opts.DisableTemplates {
-		s.templates = embed.NewTemplateSet(opts.Hardware)
-		s.builders = map[string]*anneal.TemplateBuilder{}
-		s.shapeCheck = qubo.NewShapeChecker()
-	}
+	s.templates = embed.NewTemplateSet(opts.Hardware)
+	s.builders = map[string]*anneal.TemplateBuilder{}
+	s.shapeCheck = qubo.NewShapeChecker()
 
 	// Telemetry wiring: one registry and one tracer reach every layer of the
 	// pipeline (CDCL core, sampler, hybrid loop). Tracing and metrics never
@@ -634,7 +593,7 @@ func (s *Solver) SolveContext(ctx context.Context) Result {
 		if err := ctx.Err(); err != nil {
 			return s.interrupted(err)
 		}
-		if it%s.opts.QAInterval != 0 || s.qaDisabled {
+		if s.qaDisabled {
 			if done, res := s.stepCDCL(); done {
 				return res
 			}
@@ -735,11 +694,11 @@ func (s *Solver) hybridIteration(ctx context.Context) (done bool, res Result) {
 		return s.stepCDCL()
 	}
 	var queueIdx []int
-	if s.opts.UseActivityQueue {
-		queueIdx = GenerateQueue(s.formula, s.varAdj, s.sat.ClauseScores(),
-			unsat, s.opts.TopN, s.opts.QueueLimit, s.rng)
-	} else {
+	if s.opts.RandomQueue {
 		queueIdx = RandomQueue(unsat, s.opts.QueueLimit, s.rng)
+	} else {
+		queueIdx = GenerateQueue(s.formula, s.varAdj, s.sat.ClauseScores(),
+			unsat, topN, s.opts.QueueLimit, s.rng)
 	}
 	s.m.queueDepth.Set(int64(len(queueIdx)))
 	// The cache is a content-addressed sharded LRU, private or shared via
@@ -823,7 +782,7 @@ func (s *Solver) hybridIteration(ctx context.Context) (done bool, res Result) {
 	// --- Backend: interpret energy, apply a feedback strategy ---
 	span = s.phases.Start(phaseBackend)
 	energy, qaAssign := interpretSample(embEnc, sample, s.formula.NumVars)
-	class := s.opts.Partition.Classify(energy)
+	class := gnb.DefaultPartition().Classify(energy)
 
 	allEmbedded := ent.embedded == len(unsat)
 	// emitStrategy records the Fig 9 outcome classification of this QA
@@ -957,7 +916,7 @@ func (s *Solver) encodeAndEmbed(queueIdx []int) *embedCacheEntry {
 		s.m.templateHits.Inc()
 		return ent
 	}
-	chim, ok := s.opts.Hardware.(*chimera.Graph)
+	chim, ok := s.opts.Hardware.(*topo.Chimera)
 	if !ok || chim.NumWorking() != chim.NumQubits() {
 		// No Fast embedder for this topology — or the chip has hard faults,
 		// which Fast's routing assumes away (it would program couplings onto
@@ -971,13 +930,12 @@ func (s *Solver) encodeAndEmbed(queueIdx []int) *embedCacheEntry {
 		return &embedCacheEntry{}
 	}
 	embEnc := enc.Restrict(fastRes.EmbeddedSet)
-	if s.opts.AdjustCoefficients {
+	if !s.opts.UniformCoefficients {
 		embEnc.AdjustCoefficients()
 	}
 	norm, _ := embEnc.Poly.Normalized()
 	ising := norm.ToIsing()
-	ep := anneal.EmbedIsing(ising, fastRes.Embedding, s.opts.Hardware,
-		s.opts.ChainStrengthMult*anneal.ChainStrengthFor(ising))
+	ep := anneal.EmbedIsing(ising, fastRes.Embedding, s.opts.Hardware, anneal.ChainStrengthFor(ising))
 	return &embedCacheEntry{embEnc: embEnc, ep: ep, embedded: fastRes.EmbeddedClauses}
 }
 
@@ -991,9 +949,6 @@ const maxTemplateBuilders = 128
 // coefficient structure outside the template's edge support) — the caller
 // falls back to the Fast embedder.
 func (s *Solver) templateEmbed(queue []cnf.Clause, enc *qubo.Encoding) *embedCacheEntry {
-	if s.templates == nil {
-		return nil
-	}
 	shape, ok := s.shapeCheck.Shape(queue)
 	if !ok || len(shape) > s.templates.Capacity() {
 		return nil
@@ -1014,16 +969,16 @@ func (s *Solver) templateEmbed(queue []cnf.Clause, enc *qubo.Encoding) *embedCac
 		}
 		s.builders[string(shapeKey)] = b
 	}
-	if s.opts.AdjustCoefficients {
-		enc.AdjustCoefficients()
-	} else {
+	if s.opts.UniformCoefficients {
 		enc.Rebuild()
+	} else {
+		enc.AdjustCoefficients()
 	}
 	norm, _ := enc.Poly.Normalized()
 	ising := norm.ToIsing()
 	// BuildNew, not Build: the entry outlives this call in the cache and may
 	// be sampled concurrently with later instantiations.
-	ep := b.BuildNew(ising, s.opts.ChainStrengthMult*anneal.ChainStrengthFor(ising))
+	ep := b.BuildNew(ising, anneal.ChainStrengthFor(ising))
 	if ep == nil {
 		return nil
 	}

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"hyqsat/internal/chimera"
 	"hyqsat/internal/cnf"
 	"hyqsat/internal/sat"
 	"hyqsat/internal/topo"
@@ -32,34 +31,13 @@ func TestSolverEmbedPathAccounting(t *testing.T) {
 	}
 }
 
-// TestSolverDisableTemplates checks the ablation switch: with templates off,
-// every miss goes through the Fast embedder and the solve stays correct.
-func TestSolverDisableTemplates(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	f := random3SAT(rng, 30, 125)
-	o := simOpts(3)
-	o.WarmupIterations = 60
-	o.DisableTemplates = true
-	r := New(f, o).Solve()
-	st := r.Stats
-	if st.EmbedTemplateHits != 0 {
-		t.Fatalf("templates disabled but %d template hits", st.EmbedTemplateHits)
-	}
-	if st.EmbedFastRuns != st.EmbedCacheMisses {
-		t.Fatalf("fast runs %d != cache misses %d", st.EmbedFastRuns, st.EmbedCacheMisses)
-	}
-	if r.Status == sat.Sat && !cnf.FromBools(r.Model[:f.NumVars]).Satisfies(f) {
-		t.Fatal("invalid model")
-	}
-}
-
 // TestSolverBrokenHardware solves on a Chimera with broken qubits: the
 // template set must route around them (shrinking capacity, never emitting an
 // invalid embedding), the Fast embedder — whose routing assumes a fully
 // working chip — must never run, and the verdict must stay exact.
 func TestSolverBrokenHardware(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	g := chimera.DWave2000Q()
+	g := topo.DWave2000Q()
 	for i := 0; i < 120; i++ {
 		g.MarkBroken(rng.Intn(g.NumQubits()))
 	}

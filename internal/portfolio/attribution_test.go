@@ -20,7 +20,7 @@ func TestRaceEventAttribution(t *testing.T) {
 	inst := gen.SatisfiableRandom3SAT(30, 120, 11)
 	out, err := SolveWith(context.Background(), inst.Formula,
 		[]Entrant{MiniSATEntrant(1), HyQSATEntrant(3)},
-		RaceOptions{Trace: ring, Share: &ShareOptions{}})
+		RaceOptions{Trace: ring, Share: true})
 	if err != nil {
 		t.Fatalf("race: %v", err)
 	}
@@ -85,7 +85,7 @@ func TestCubeEventAttribution(t *testing.T) {
 		Workers:        2,
 		ProbeConflicts: 1, // keep the probe inconclusive so cubes actually run
 		Trace:          ring,
-		Share:          &ShareOptions{},
+		Share:          true,
 	})
 	if err != nil {
 		t.Fatalf("cubes: %v", err)

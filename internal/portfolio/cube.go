@@ -40,9 +40,9 @@ type CubeOptions struct {
 	// plus a resolution tree over the cube literals) that the RUP checker
 	// accepts against the input formula.
 	Certify bool
-	// Share, when non-nil, connects the workers with a clause-sharing bus so
-	// a lemma learnt while refuting one cube prunes its siblings.
-	Share *ShareOptions
+	// Share connects the workers with a clause-sharing bus so a lemma learnt
+	// while refuting one cube prunes its siblings.
+	Share bool
 	// Seed randomises the probe and worker solvers.
 	Seed int64
 	// Trace, when non-nil and enabled, receives one CubeEvent per finished
@@ -222,8 +222,8 @@ func SolveCubes(ctx context.Context, f *cnf.Formula, o CubeOptions) (CubeOutcome
 	}
 
 	var bus *Bus
-	if o.Share != nil {
-		bus = NewBus(*o.Share, o.Metrics)
+	if o.Share {
+		bus = NewBus(o.Metrics)
 	}
 	var cache *hyqsat.SharedEmbedCache
 	if o.QAWarmup > 0 {

@@ -137,7 +137,7 @@ func TestCubeSharingUnsat(t *testing.T) {
 	inst := gen.UnsatisfiableRandom3SAT(30, 145, 31)
 	out, err := SolveCubes(context.Background(), inst.Formula,
 		CubeOptions{Depth: 3, Workers: 2, ProbeConflicts: 1, Certify: true,
-			Share: &ShareOptions{}, Seed: 7})
+			Share: true, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestCubeDeterminismSingleWorker(t *testing.T) {
 	run := func(share bool) CubeOutcome {
 		o := CubeOptions{Depth: 3, Workers: 1, ProbeConflicts: 1, Certify: true, Seed: 11}
 		if share {
-			o.Share = &ShareOptions{}
+			o.Share = true
 		}
 		out, err := SolveCubes(context.Background(), inst.Formula, o)
 		if err != nil {

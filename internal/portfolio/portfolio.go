@@ -303,9 +303,8 @@ type RaceOptions struct {
 	// the end when sharing is on). Emission happens from entrant goroutines,
 	// so the tracer must be safe for concurrent use.
 	Trace obs.Tracer
-	// Share, when non-nil, enables the clause-sharing bus between entrants
-	// with these options (the zero value selects the defaults).
-	Share *ShareOptions
+	// Share enables the clause-sharing bus between entrants.
+	Share bool
 	// Bus, when non-nil, is a pre-built bus the race joins instead of
 	// building its own from Share — the hook through which tests inject
 	// adversarial traffic and callers share one bus across races.
@@ -357,8 +356,8 @@ func race(ctx context.Context, f *cnf.Formula, entrants []Entrant, o RaceOptions
 	start := time.Now()
 
 	bus := o.Bus
-	if bus == nil && o.Share != nil {
-		bus = NewBus(*o.Share, o.Metrics)
+	if bus == nil && o.Share {
+		bus = NewBus(o.Metrics)
 	}
 	// One shared additions-only proof log for the whole sharing group: every
 	// sharing entrant appends its DRAT trace here, so any entrant's Unsat

@@ -9,32 +9,19 @@ import (
 	"hyqsat/internal/sat"
 )
 
-// ShareOptions configures the clause-sharing bus.
-type ShareOptions struct {
-	// MaxLen admits only clauses of at most this many literals (default 8).
-	// Short clauses prune the most and cost the least to attach.
-	MaxLen int
-	// MaxLBD admits only clauses of at most this LBD (default 6). Low-LBD
-	// "glue" clauses are the ones empirically worth shipping between solvers.
-	MaxLBD int
-	// Capacity bounds each peer's inbox (default 512). A full inbox drops the
+// Clause-sharing bus bounds.
+const (
+	// maxShareLen admits only clauses of at most this many literals. Short
+	// clauses prune the most and cost the least to attach.
+	maxShareLen = 8
+	// maxShareLBD admits only clauses of at most this LBD. Low-LBD "glue"
+	// clauses are the ones empirically worth shipping between solvers.
+	maxShareLBD = 6
+	// inboxCapacity bounds each peer's inbox. A full inbox drops the
 	// delivery — sharing is best-effort; a slow importer never blocks an
 	// exporter's search loop.
-	Capacity int
-}
-
-func (o ShareOptions) withDefaults() ShareOptions {
-	if o.MaxLen <= 0 {
-		o.MaxLen = 8
-	}
-	if o.MaxLBD <= 0 {
-		o.MaxLBD = 6
-	}
-	if o.Capacity <= 0 {
-		o.Capacity = 512
-	}
-	return o
-}
+	inboxCapacity = 512
+)
 
 // ShareStats is a point-in-time snapshot of the bus counters.
 type ShareStats struct {
@@ -63,8 +50,6 @@ type sharedClause struct {
 // importing solvers re-assert everything they attach into the proof trace
 // (sat.ImportClause). Inject exists precisely to test that property.
 type Bus struct {
-	opts ShareOptions
-
 	mu      sync.Mutex
 	peers   []*Peer
 	seen    map[uint64]struct{}
@@ -79,12 +64,11 @@ type Bus struct {
 
 // NewBus builds a sharing bus. reg, when non-nil, is the metrics registry the
 // bus counters are registered in (portfolio_share_*); nil uses a private one.
-func NewBus(o ShareOptions, reg *obs.Registry) *Bus {
+func NewBus(reg *obs.Registry) *Bus {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	return &Bus{
-		opts:       o.withDefaults(),
 		seen:       make(map[uint64]struct{}),
 		exported:   reg.Counter("portfolio_share_exported"),
 		imported:   reg.Counter("portfolio_share_imported"),
@@ -100,7 +84,7 @@ func NewBus(o ShareOptions, reg *obs.Registry) *Bus {
 func (b *Bus) NewPeer(name string) *Peer {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	p := &Peer{bus: b, name: name, inbox: make(chan sharedClause, b.opts.Capacity)}
+	p := &Peer{bus: b, name: name, inbox: make(chan sharedClause, inboxCapacity)}
 	for _, c := range b.pending {
 		select {
 		case p.inbox <- c:
@@ -180,7 +164,7 @@ func (p *Peer) Name() string { return p.name }
 // (TestExportHotPathAllocs gates this).
 func (p *Peer) Export(lits []cnf.Lit, lbd int32) {
 	b := p.bus
-	if len(lits) == 0 || len(lits) > b.opts.MaxLen || int(lbd) > b.opts.MaxLBD {
+	if len(lits) == 0 || len(lits) > maxShareLen || lbd > maxShareLBD {
 		b.filtered.Inc()
 		return
 	}

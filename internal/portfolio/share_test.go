@@ -41,7 +41,7 @@ func TestSharingSoundnessCorpus(t *testing.T) {
 			entrants = append(entrants, HyQSATEntrant(seed+2))
 		}
 		out, err := SolveWith(context.Background(), inst.Formula, entrants,
-			RaceOptions{Certify: true, Share: &ShareOptions{}})
+			RaceOptions{Certify: true, Share: true})
 		if err != nil {
 			t.Fatalf("instance %s: %v", inst.Name, err)
 		}
@@ -71,7 +71,7 @@ func TestSharingSoundnessCorpus(t *testing.T) {
 func TestSharingAdversarialInjection(t *testing.T) {
 	f := cnf.New(2)
 	f.Add(1, 2)
-	bus := NewBus(ShareOptions{}, nil)
+	bus := NewBus(nil)
 	bus.Inject([]cnf.Lit{cnf.Pos(0)}, 1)
 	bus.Inject([]cnf.Lit{cnf.Neg(0)}, 1)
 	_, err := SolveWith(context.Background(), f, []Entrant{MiniSATEntrant(1)},
@@ -88,7 +88,7 @@ func TestSharingAdversarialInjection(t *testing.T) {
 // run rather than certify a proof with an unjustified step.
 func TestSharingAdversarialInjectionUnsatInstance(t *testing.T) {
 	inst := gen.UnsatisfiableRandom3SAT(20, 100, 3)
-	bus := NewBus(ShareOptions{}, nil)
+	bus := NewBus(nil)
 	// A long clause of only-positive literals over fresh search space is
 	// essentially never RUP for a random instance; pick one and verify the
 	// run is rejected, not certified.
@@ -124,7 +124,7 @@ func TestSharingDeterminism(t *testing.T) {
 	run := func(share bool) Outcome {
 		o := RaceOptions{}
 		if share {
-			o.Share = &ShareOptions{}
+			o.Share = true
 		}
 		out, err := SolveWith(context.Background(), inst.Formula, []Entrant{MiniSATEntrant(9)}, o)
 		if err != nil {
@@ -167,7 +167,7 @@ func TestSharingChaosMatrix(t *testing.T) {
 		} {
 			out, err := SolveWith(context.Background(), inst.Formula,
 				DefaultEntrantsBackend(int64(10*pi+i), wrap),
-				RaceOptions{Certify: true, Share: &ShareOptions{}})
+				RaceOptions{Certify: true, Share: true})
 			if err != nil {
 				t.Fatalf("profile %s instance %s: %v", name, inst.Name, err)
 			}
@@ -191,7 +191,7 @@ func TestSharingChaosMatrix(t *testing.T) {
 // timing-dependent, so the attachment assertion lives in phase one.
 func TestSharingTrafficFlows(t *testing.T) {
 	inst := gen.UnsatisfiableRandom3SAT(44, 210, 12345)
-	bus := NewBus(ShareOptions{}, nil)
+	bus := NewBus(nil)
 	// Both peers join before any traffic: Export fans out to the peers
 	// present at export time.
 	exporterPeer, importerPeer := bus.NewPeer("exporter"), bus.NewPeer("importer")
@@ -215,7 +215,7 @@ func TestSharingTrafficFlows(t *testing.T) {
 
 	out, err := SolveWith(context.Background(), inst.Formula,
 		[]Entrant{MiniSATEntrant(1), KissatEntrant(2)},
-		RaceOptions{Certify: true, Share: &ShareOptions{}})
+		RaceOptions{Certify: true, Share: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,16 +227,28 @@ func TestSharingTrafficFlows(t *testing.T) {
 	}
 }
 
+// posLits returns the clause (x0 ∨ … ∨ x(n-1)).
+func posLits(n int) []cnf.Lit {
+	lits := make([]cnf.Lit, n)
+	for i := range lits {
+		lits[i] = cnf.Pos(cnf.Var(i))
+	}
+	return lits
+}
+
 func TestBusFiltersAndDedupes(t *testing.T) {
-	bus := NewBus(ShareOptions{MaxLen: 3, MaxLBD: 2}, nil)
+	// Probe the filter at its real bounds (maxShareLen = 8, maxShareLBD = 6):
+	// 8 literals at LBD 6 is admitted; 9 literals or LBD 7 is filtered.
+	bus := NewBus(nil)
 	a := bus.NewPeer("a")
 	b := bus.NewPeer("b")
-	long := []cnf.Lit{cnf.Pos(0), cnf.Pos(1), cnf.Pos(2), cnf.Pos(3)}
-	a.Export(long, 1)                              // too long
-	a.Export([]cnf.Lit{cnf.Pos(0), cnf.Pos(1)}, 5) // LBD too high
-	good := []cnf.Lit{cnf.Pos(0), cnf.Pos(1)}
-	a.Export(good, 2)
-	a.Export([]cnf.Lit{cnf.Pos(1), cnf.Pos(0)}, 2) // same clause, reordered
+	a.Export(posLits(9), 1) // too long
+	a.Export(posLits(2), 7) // LBD too high
+	good := posLits(8)
+	a.Export(good, 6)
+	reordered := append([]cnf.Lit(nil), good...)
+	reordered[0], reordered[7] = reordered[7], reordered[0]
+	a.Export(reordered, 6) // same clause, reordered
 	st := bus.Stats()
 	if st.Filtered != 2 || st.Exported != 1 || st.Duplicates != 1 {
 		t.Fatalf("stats %+v", st)
@@ -262,9 +274,9 @@ func TestBusExportHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gate skipped under the race detector")
 	}
-	bus := NewBus(ShareOptions{MaxLen: 3}, nil)
+	bus := NewBus(nil)
 	p := bus.NewPeer("p")
-	long := []cnf.Lit{cnf.Pos(0), cnf.Pos(1), cnf.Pos(2), cnf.Pos(3), cnf.Pos(4)}
+	long := posLits(9)
 	if avg := testing.AllocsPerRun(1000, func() { p.Export(long, 1) }); avg != 0 {
 		t.Fatalf("filtered export allocates %.1f/op, want 0", avg)
 	}

@@ -8,17 +8,17 @@ import (
 	"time"
 
 	"hyqsat/internal/anneal"
-	"hyqsat/internal/chimera"
 	"hyqsat/internal/cnf"
 	"hyqsat/internal/embed"
 	"hyqsat/internal/qubo"
+	"hyqsat/internal/topo"
 )
 
 // testEmbeddedProblem builds a small real embedding so read sets drawn by
 // scripted backends pass boundary validation.
 func testEmbeddedProblem(t testing.TB) *anneal.EmbeddedProblem {
 	rng := rand.New(rand.NewSource(9))
-	g := chimera.DWave2000Q()
+	g := topo.DWave2000Q()
 	var clauses []cnf.Clause
 	for i := 0; i < 8; i++ {
 		perm := rng.Perm(8)[:3]

@@ -16,16 +16,16 @@ import (
 	"time"
 
 	"hyqsat/internal/anneal"
-	"hyqsat/internal/chimera"
 	"hyqsat/internal/cnf"
 	"hyqsat/internal/embed"
 	"hyqsat/internal/qubo"
+	"hyqsat/internal/topo"
 )
 
 // remoteTestProblem builds a small embedded problem for wire tests.
 func remoteTestProblem(t testing.TB) *anneal.EmbeddedProblem {
 	t.Helper()
-	g := chimera.New(4, 4, 4)
+	g := topo.NewChimera(4, 4, 4)
 	clauses := []cnf.Clause{cnf.NewClause(1, 2, 3), cnf.NewClause(-1, 4, 5)}
 	enc, err := qubo.Encode(clauses)
 	if err != nil {

@@ -12,12 +12,12 @@ import (
 	"time"
 
 	"hyqsat/internal/anneal"
-	"hyqsat/internal/chimera"
 	"hyqsat/internal/cnf"
 	"hyqsat/internal/embed"
 	"hyqsat/internal/obs"
 	"hyqsat/internal/qpu"
 	"hyqsat/internal/qubo"
+	"hyqsat/internal/topo"
 )
 
 // nativeProblem builds a small embedded problem on the service's own 2000Q
@@ -26,7 +26,7 @@ import (
 // 16×16 chip — those requests still work, but as solo programs).
 func nativeProblem(t testing.TB, v1, v2, v3 int) *anneal.EmbeddedProblem {
 	t.Helper()
-	g := chimera.DWave2000Q()
+	g := topo.DWave2000Q()
 	clauses := []cnf.Clause{cnf.NewClause(v1, v2, v3)}
 	enc, err := qubo.Encode(clauses)
 	if err != nil {

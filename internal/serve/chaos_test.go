@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"hyqsat/internal/anneal"
-	"hyqsat/internal/chimera"
 	"hyqsat/internal/cnf"
 	"hyqsat/internal/embed"
 	"hyqsat/internal/gen"
@@ -16,12 +15,13 @@ import (
 	"hyqsat/internal/qpu"
 	"hyqsat/internal/qubo"
 	"hyqsat/internal/sat"
+	"hyqsat/internal/topo"
 )
 
 // remoteProblem builds a small embedded problem for sample-endpoint tests.
 func remoteProblem(t testing.TB) *anneal.EmbeddedProblem {
 	t.Helper()
-	g := chimera.New(4, 4, 4)
+	g := topo.NewChimera(4, 4, 4)
 	clauses := []cnf.Clause{cnf.NewClause(1, 2, 3), cnf.NewClause(-1, 4, 5)}
 	enc, err := qubo.Encode(clauses)
 	if err != nil {
@@ -85,11 +85,11 @@ func TestWireChaosMatrix(t *testing.T) {
 	defer origin.Close()
 
 	profiles := map[string]ChaosProfile{
-		"drops":     {Drop: 0.35, StallFor: time.Millisecond},
-		"stalls":    {Stall: 0.35, StallFor: 2 * time.Millisecond},
-		"errors":    {ServerError: 0.4},
-		"corrupt":   {Corrupt: 0.4},
-		"truncate":  {Truncate: 0.4},
+		"drops":    {Drop: 0.35, StallFor: time.Millisecond},
+		"stalls":   {Stall: 0.35, StallFor: 2 * time.Millisecond},
+		"errors":   {ServerError: 0.4},
+		"corrupt":  {Corrupt: 0.4},
+		"truncate": {Truncate: 0.4},
 		"everything": {
 			Drop: 0.08, Stall: 0.08, StallFor: time.Millisecond,
 			ServerError: 0.08, Corrupt: 0.08, Truncate: 0.08,

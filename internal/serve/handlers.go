@@ -46,12 +46,12 @@ func tenantOf(req *http.Request) string {
 
 // deadlineOf converts the X-Hyqsat-Deadline-Ms header into an absolute
 // deadline. Absent or malformed headers mean no client deadline.
-func deadlineOf(req *http.Request, now func() time.Time) time.Time {
+func deadlineOf(req *http.Request) time.Time {
 	ms, err := strconv.ParseInt(req.Header.Get(qpu.HeaderDeadlineMs), 10, 64)
 	if err != nil || ms <= 0 {
 		return time.Time{}
 	}
-	return now().Add(time.Duration(ms) * time.Millisecond)
+	return time.Now().Add(time.Duration(ms) * time.Millisecond)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -85,7 +85,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	}
 	existing := req.Header.Get(qpu.HeaderIdempotency) != ""
 	view, err := s.Submit(tenantOf(req), req.Header.Get(qpu.HeaderIdempotency), sr,
-		deadlineOf(req, s.cfg.Now))
+		deadlineOf(req))
 	if err != nil {
 		var ae *AdmissionError
 		if errors.As(err, &ae) {
@@ -172,7 +172,7 @@ func (s *Service) sampleOnce(req *http.Request) (int, []byte) {
 		blob, _ := json.Marshal(qpu.WireErrorBody{Error: tag, Detail: detail})
 		return status, blob
 	}
-	if dl := deadlineOf(req, s.cfg.Now); !dl.IsZero() && !s.cfg.Now().Before(dl) {
+	if dl := deadlineOf(req); !dl.IsZero() && !time.Now().Before(dl) {
 		return fail(http.StatusGatewayTimeout, "deadline", "client deadline already expired")
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(nil, req.Body, s.cfg.MaxBody))

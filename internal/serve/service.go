@@ -28,6 +28,13 @@ import (
 	"hyqsat/internal/topo"
 )
 
+// Service bounds and seeds that no deployment tunes.
+const (
+	maxTenants = 128  // tenant registry cap; see tenants
+	maxJobs    = 1024 // retained job records; finished jobs evict oldest-first past it
+	sampleSeed = 1    // seed of the /v1/qpu/sample sampler
+)
+
 // Config configures a Service. The zero value is usable: every field has a
 // production default.
 type Config struct {
@@ -36,8 +43,6 @@ type Config struct {
 	QueueDepth int
 	// Workers is the solve worker count (default 2).
 	Workers int
-	// MaxTenants caps the tenant registry (default 128); see tenants.
-	MaxTenants int
 	// DefaultQuota applies to tenants without an Override. Zero fields
 	// default to 4 concurrent jobs and a 50ms device budget refilling at
 	// 5ms/s.
@@ -54,13 +59,8 @@ type Config struct {
 	// DrainGrace is how long Drain lets in-flight solves finish before
 	// cancelling them into checkpointed state (default 5s).
 	DrainGrace time.Duration
-	// MaxJobs bounds retained job records; finished jobs are evicted
-	// oldest-first past the cap (default 1024).
-	MaxJobs int
 	// MaxBody bounds request bodies in bytes (default 8 MiB).
 	MaxBody int64
-	// SampleSeed seeds the /v1/qpu/sample sampler (default 1).
-	SampleSeed int64
 	// BatchWindow is the QPU batching window: concurrent sample requests and
 	// job-solve QA accesses arriving within it are co-tiled onto one device
 	// program, each charged a pro-rata share of the one program's access
@@ -75,8 +75,6 @@ type Config struct {
 	// program's modelled access time. Only the throughput bench sets this —
 	// it restores the shared-serial-device contention batching relieves.
 	BatchPace bool
-	// Now is the clock, injectable for quota tests.
-	Now func() time.Time
 	// Trace receives JobEvents and solver events; nil disables tracing.
 	Trace obs.Tracer
 	// Metrics is the registry for service counters; nil creates a private one.
@@ -91,9 +89,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers == 0 {
 		c.Workers = 2
-	}
-	if c.MaxTenants == 0 {
-		c.MaxTenants = 128
 	}
 	if c.DefaultQuota.MaxConcurrent == 0 {
 		c.DefaultQuota.MaxConcurrent = 4
@@ -119,17 +114,8 @@ func (c Config) withDefaults() Config {
 	if c.DrainGrace == 0 {
 		c.DrainGrace = 5 * time.Second
 	}
-	if c.MaxJobs == 0 {
-		c.MaxJobs = 1024
-	}
 	if c.MaxBody == 0 {
 		c.MaxBody = 8 << 20
-	}
-	if c.SampleSeed == 0 {
-		c.SampleSeed = 1
-	}
-	if c.Now == nil {
-		c.Now = time.Now
 	}
 	if c.Trace == nil {
 		c.Trace = obs.Nop()
@@ -171,16 +157,16 @@ type Service struct {
 }
 
 type serviceMetrics struct {
-	accepted      *obs.Counter
-	rejected      *obs.Counter
-	done          *obs.Counter
-	failed        *obs.Counter
-	checkpointed  *obs.Counter
-	queueDepth    *obs.Gauge
-	qpuSamples    *obs.Counter
-	qpuRejected   *obs.Counter
-	qpuReplays    *obs.Counter
-	deviceBusyNs  *obs.Counter
+	accepted     *obs.Counter
+	rejected     *obs.Counter
+	done         *obs.Counter
+	failed       *obs.Counter
+	checkpointed *obs.Counter
+	queueDepth   *obs.Gauge
+	qpuSamples   *obs.Counter
+	qpuRejected  *obs.Counter
+	qpuReplays   *obs.Counter
+	deviceBusyNs *obs.Counter
 }
 
 // New creates the service and starts its workers.
@@ -194,12 +180,12 @@ func New(cfg Config) *Service {
 		cfg:     cfg,
 		reg:     reg,
 		trace:   cfg.Trace,
-		tenants: newTenants(cfg.MaxTenants, cfg.DefaultQuota, cfg.Now),
+		tenants: newTenants(maxTenants, cfg.DefaultQuota, time.Now),
 		queue:   make(chan *job, cfg.QueueDepth),
 		jobs:    make(map[string]*job),
 		idem:    make(map[string]string),
 		drainCh: make(chan struct{}),
-		sampler: anneal.NewSampler(solveSchedule(cfg.Solve), cfg.Solve.Noise, cfg.SampleSeed),
+		sampler: anneal.NewSampler(solveSchedule(cfg.Solve), cfg.Solve.Noise, sampleSeed),
 		samples: newIdemCache(4096),
 		m: serviceMetrics{
 			accepted:     reg.Counter("serve_jobs_accepted"),
@@ -312,7 +298,7 @@ func (s *Service) Submit(tenant, idemKey string, req SubmitRequest, deadline tim
 		idemKey:  idemKey,
 		req:      req,
 		formula:  formula,
-		accepted: s.cfg.Now(),
+		accepted: time.Now(),
 		deadline: deadline,
 		state:    StateQueued,
 	}
@@ -351,11 +337,11 @@ func (s *Service) Job(id string) (JobView, bool) {
 	return j.view(), true
 }
 
-// evictLocked enforces MaxJobs by dropping the oldest finished jobs (and
+// evictLocked enforces maxJobs by dropping the oldest finished jobs (and
 // their idempotency keys). Unfinished jobs are never evicted; the cap can be
 // transiently exceeded while everything retained is still live.
 func (s *Service) evictLocked() {
-	for len(s.jobs) > s.cfg.MaxJobs {
+	for len(s.jobs) > maxJobs {
 		evicted := false
 		for i, id := range s.order {
 			j := s.jobs[id]
@@ -407,7 +393,7 @@ func (s *Service) worker() {
 // by SolveTimeout; drain cancels it past the grace period.
 func (s *Service) run(j *job) {
 	s.m.queueDepth.Set(int64(len(s.queue)))
-	deadline := s.cfg.Now().Add(s.cfg.SolveTimeout)
+	deadline := time.Now().Add(s.cfg.SolveTimeout)
 	if !j.deadline.IsZero() && j.deadline.Before(deadline) {
 		deadline = j.deadline
 	}
@@ -416,7 +402,7 @@ func (s *Service) run(j *job) {
 
 	j.mu.Lock()
 	j.state = StateRunning
-	j.started = s.cfg.Now()
+	j.started = time.Now()
 	j.cancel = cancel
 	j.mu.Unlock()
 	if s.hardDrain.Load() {
@@ -443,7 +429,7 @@ func (s *Service) run(j *job) {
 	solver.Release()
 
 	j.mu.Lock()
-	j.ended = s.cfg.Now()
+	j.ended = time.Now()
 	j.result = r
 	j.cancel = nil
 	state := StateDone
@@ -557,10 +543,10 @@ func (s *Service) cancelRunning() {
 
 // AdmissionError is a typed admission refusal carrying its HTTP shape.
 type AdmissionError struct {
-	Status     int
-	Tag        string // stable machine tag: "queue_full", "quota", "draining", ...
-	Detail     string
-	RetryAfter time.Duration
+	Status      int
+	Tag         string // stable machine tag: "queue_full", "quota", "draining", ...
+	Detail      string
+	RetryAfter  time.Duration
 	IsPermanent bool
 }
 

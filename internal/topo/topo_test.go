@@ -54,7 +54,7 @@ func TestNeighborsConsistent(t *testing.T) {
 				}
 			}
 			// Coupled agreement + symmetry, spot-checked on random pairs (the
-			// full quadratic scan is covered for Chimera in package chimera).
+			// full quadratic scan is covered for Chimera in chimera_test.go).
 			for i := 0; i < 20000; i++ {
 				a, b := rng.Intn(g.NumQubits()), rng.Intn(g.NumQubits())
 				if g.Coupled(a, b) != g.Coupled(b, a) {
