@@ -31,10 +31,13 @@ go test -run='^$' -fuzz=FuzzTemplateInstantiate -fuzztime=10s ./internal/anneal
 # topologies, broken qubits included.
 go test -run='TestTemplateInstantiateZeroAllocs|TestTemplateEmbeddingsVerify' -count=1 ./internal/anneal
 # Cold frontend gates: encode, Fast and EmbedIsing must reproduce the pinned
-# golden digests (and the pinned hardware-mode solve counters) bit for bit,
-# and one cold Fast + EmbedIsing on a 300-clause activity queue must stay at
-# or below half the allocations of the map-based implementation.
-go test -run='TestFrontendGolden|TestColdFastEmbedIsingAllocs' -count=1 ./internal/hyqsat
+# golden digests (and the pinned hardware-mode solve counters) bit for bit;
+# one cold Fast + EmbedIsing on a 300-clause activity queue must stay at or
+# below half the allocations of the map-based implementation, and the whole
+# cold miss (encodeAndEmbed on warm solver scratch) at or below a quarter of
+# the map-backed encoder's; the cache-hit part of an iteration (unsat scan,
+# queue, content key, lookup, unembedding) must allocate nothing.
+go test -run='TestFrontendGolden|TestColdFastEmbedIsingAllocs|TestColdMissAllocs|TestCacheHitIterationAllocs' -count=1 ./internal/hyqsat
 # Chaos gate: the Resilient wrapper's happy-path overhead contract: 0 extra
 # allocs/op always, ≤1% ns/op via the opt-in perf gate.
 go test -run=TestResilientHappyPathAllocs -count=1 ./internal/qpu

@@ -136,7 +136,7 @@ func TestFullPipelineManually(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(9))
-	unsat := s.UnsatisfiedClauses()
+	unsat := s.UnsatisfiedClauses(nil)
 	if len(unsat) == 0 {
 		t.Fatal("no unsatisfied clauses after 5 steps")
 	}
@@ -181,7 +181,7 @@ func TestFullPipelineManually(t *testing.T) {
 	t.Logf("embedded %d clauses, unit energy %.2f → %v", res.EmbeddedClauses, energy, class)
 
 	// Feed the result back and finish the solve.
-	s.SetPhaseHints(sub.AssignmentFromNodes(x, f3.NumVars))
+	s.SetPhaseHints(sub.AssignmentFromNodes(x, cnf.NewAssignment(f3.NumVars)))
 	r := s.Solve()
 	if r.Status != sat.Sat {
 		t.Fatalf("status %v on a satisfiable instance", r.Status)

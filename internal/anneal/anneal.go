@@ -24,6 +24,7 @@ package anneal
 import (
 	"math"
 	"slices"
+	"sync"
 
 	"hyqsat/internal/embed"
 	"hyqsat/internal/qubo"
@@ -153,16 +154,20 @@ func EmbedIsing(is *qubo.Ising, emb *embed.Embedding, g topo.Topology, chainStre
 	}
 	slices.Sort(nodes)
 
-	// Dense qubit → active-index and qubit → node indexes replace per-chain
-	// and per-edge membership sets.
-	qubitIx := make([]int32, g.NumQubits())
-	for i := range qubitIx {
-		qubitIx[i] = -1
+	// Dense qubit → active-index, qubit → node and node → chain indexes
+	// replace per-chain and per-edge membership sets.
+	sc := embedScratchPool.Get().(*embedScratch)
+	defer embedScratchPool.Put(sc)
+	qubitIx := filled(sc.qubitIx, g.NumQubits(), -1)
+	owners := embed.QubitOwners(filled(sc.owners, g.NumQubits(), -1))
+	chainAt := filled(sc.chainAt, 1, -1)
+	if len(nodes) > 0 {
+		chainAt = filled(sc.chainAt, nodes[len(nodes)-1]+1, -1)
 	}
-	owners := embed.NewQubitOwners(g.NumQubits())
+	sc.qubitIx, sc.owners, sc.chainAt = qubitIx, owners, chainAt
 	ep.Qubits = make([]int, 0, total)
 	ep.nodeOf = make([]int, 0, total)
-	for _, node := range nodes {
+	for ci, node := range nodes {
 		chain := emb.Chains[node]
 		for _, q := range chain {
 			if qubitIx[q] < 0 {
@@ -172,16 +177,18 @@ func EmbedIsing(is *qubo.Ising, emb *embed.Embedding, g topo.Topology, chainStre
 			}
 		}
 		owners.Claim(node, chain)
+		chainAt[node] = int32(ci)
 	}
 	n := len(ep.Qubits)
 	ep.H = make([]float64, n)
-	var couplers []coupler
-	var scratch []topo.Edge
-	addCouplers := func(es []topo.Edge, j float64) {
-		for _, c := range es {
-			couplers = append(couplers, coupler{qubitIx[c.A], qubitIx[c.B], j})
-		}
-	}
+	couplers := sc.couplers[:0]
+	// One neighbour scan per chain: its ferromagnetic chain couplers are
+	// emitted at once (chain order, then neighbour order, as
+	// QubitOwners.IntraChainCouplers lists them), and its couplers to
+	// higher-numbered chains are kept, in the same order, for the logical
+	// couplings below.
+	links := sc.links[:0]
+	linksAt := append(sc.linksAt[:0], 0)
 	ep.chainNodes = nodes
 	ep.chainIx = make([][]int, len(nodes))
 	ixs := make([]int, total)
@@ -199,29 +206,76 @@ func EmbedIsing(is *qubo.Ising, emb *embed.Embedding, g topo.Topology, chainStre
 				ep.H[i] += per
 			}
 		}
-		// Ferromagnetic chain couplers.
-		scratch = owners.IntraChainCouplers(scratch[:0], g, node, chain)
-		addCouplers(scratch, -chainStrength)
+		for _, q := range chain {
+			for _, nb := range g.Neighbors(q) {
+				switch o := int(owners[nb]); {
+				case o == node && q < nb:
+					couplers = append(couplers, coupler{qubitIx[q], qubitIx[nb], -chainStrength})
+				case o > node:
+					links = append(links, link{int32(o), qubitIx[min(q, nb)], qubitIx[max(q, nb)]})
+				}
+			}
+		}
+		linksAt = append(linksAt, int32(len(links)))
 	}
-	jEdges := make([]qubo.Edge, 0, len(is.J))
+	// Logical couplings in ascending edge order, each split evenly across
+	// the couplers between its two chains — the chain-U links naming V, in
+	// order (QubitOwners.InterChainCouplers).
+	keys := sc.keys[:0]
 	for e := range is.J {
-		jEdges = append(jEdges, e)
+		keys = append(keys, uint64(e.U)<<32|uint64(e.V))
 	}
-	slices.SortFunc(jEdges, qubo.CompareEdges)
-	for _, e := range jEdges {
-		chainU, okU := emb.Chains[e.U]
-		_, okV := emb.Chains[e.V]
-		if !okU || !okV {
+	slices.Sort(keys)
+	for _, key := range keys {
+		u, v := int(key>>32), int(key&(1<<32-1))
+		if u >= len(chainAt) || v >= len(chainAt) || chainAt[u] < 0 || chainAt[v] < 0 {
 			continue
 		}
-		scratch = owners.InterChainCouplers(scratch[:0], g, chainU, e.V)
-		if len(scratch) == 0 {
+		cu := chainAt[u]
+		first := len(couplers)
+		for _, l := range links[linksAt[cu]:linksAt[cu+1]] {
+			if int(l.node) == v {
+				couplers = append(couplers, coupler{l.a, l.b, 0})
+			}
+		}
+		if len(couplers) == first {
 			panic("anneal: logical coupling with no hardware coupler; embedding invalid")
 		}
-		addCouplers(scratch, is.J[e]/float64(len(scratch)))
+		j := is.J[qubo.Edge{U: u, V: v}] / float64(len(couplers)-first)
+		for k := first; k < len(couplers); k++ {
+			couplers[k].j = j
+		}
 	}
 	ep.finalize(couplers)
+	sc.couplers, sc.links, sc.linksAt, sc.keys = couplers, links, linksAt, keys
 	return ep
+}
+
+// link is a hardware coupler from a chain to the chain of node, as
+// active-qubit indices in ascending qubit order.
+type link struct {
+	node int32
+	a, b int32
+}
+
+// embedScratch is EmbedIsing's working storage; none of it outlives a call.
+type embedScratch struct {
+	qubitIx, owners, chainAt []int32
+	couplers                 []coupler
+	links                    []link
+	linksAt                  []int32
+	keys                     []uint64
+}
+
+var embedScratchPool = sync.Pool{New: func() any { return new(embedScratch) }}
+
+// filled returns buf resized to n entries of v, reusing its storage.
+func filled(buf []int32, n int, v int32) []int32 {
+	buf = slices.Grow(buf[:0], n)[:n]
+	for i := range buf {
+		buf[i] = v
+	}
+	return buf
 }
 
 // finalize lays the coupler list out in the read-only CSR form the sweep

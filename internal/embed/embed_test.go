@@ -2,6 +2,7 @@ package embed
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -146,7 +147,7 @@ func TestFastPrefixEdgesAllRealized(t *testing.T) {
 		if !inSet[enc.Sub[i].Clause] {
 			continue
 		}
-		for e := range enc.Sub[i].Poly.Quad {
+		for e := range enc.Sub[i].Poly().Quad {
 			if len(owners.InterChainCouplers(nil, g, res.Embedding.Chains[e.U], e.V)) == 0 {
 				t.Fatalf("edge %v of embedded clause %d not realised", e, enc.Sub[i].Clause)
 			}
@@ -262,6 +263,31 @@ func TestMinorminerClauseQueue(t *testing.T) {
 	}
 	t.Logf("minorminer: %d chains, mean %.2f, max %d",
 		len(emb.Chains), emb.MeanChainLength(), emb.MaxChainLength())
+}
+
+// TestMinorminerDeterministicOnEncodings pins that a same-seed Minorminer
+// run on an encoding's problem graph gives the same chains every time: the
+// graph reaches it in the same edge order on every extraction.
+func TestMinorminerDeterministicOnEncodings(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	clauses := bfsQueue(random3SATClauses(rng, 20, 91), 20)[:25]
+	g := topo.DWave2000Q()
+	var first *Embedding
+	for run := 0; run < 4; run++ {
+		enc, err := qubo.Encode(clauses)
+		if err != nil {
+			t.Fatal(err)
+		}
+		emb, err := (&Minorminer{Seed: 3, MaxRounds: 8}).Embed(ProblemFromEncoding(enc), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = emb
+		} else if !reflect.DeepEqual(emb.Chains, first.Chains) {
+			t.Fatalf("run %d: same-seed embedding differs from run 0", run)
+		}
+	}
 }
 
 func TestMinorminerTimeout(t *testing.T) {

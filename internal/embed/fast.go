@@ -17,8 +17,9 @@ type FastResult struct {
 	Embedding       *Embedding
 	EmbeddedClauses int   // len(EmbeddedSet)
 	EmbeddedSet     []int // indices of embedded clauses within the queue
-	// EmbeddedNodes are the problem-graph nodes present in the embedding.
-	EmbeddedNodes map[int]bool
+	// EmbeddedNodes are the problem-graph nodes present in the embedding,
+	// ascending.
+	EmbeddedNodes []int
 }
 
 // maxFastFailures caps the clauses Fast may fail to place before it stops.
@@ -86,32 +87,40 @@ type undo struct {
 // fastState carries the incremental embedding state of the paper's two-step
 // scheme (§IV-B): vertical-line allocation in clause-queue order, and greedy
 // bottom-up horizontal segment allocation against connection requirements.
-// Per-node state is held in dense slices indexed by problem node.
+// Per-node state is held in dense slices indexed by problem node. Every
+// slice keeps its storage across runs (see FastScratch).
 type fastState struct {
-	g   *topo.Chimera
-	enc *qubo.Encoding
+	g    *topo.Chimera
+	dims [3]int // g's M, N, L when the per-graph layout below was built
+	enc  *qubo.Encoding
 
 	maxVarsPerLine int
 	lineVars       [][]int // vertical line → nodes allocated to it
 	lineUsed       []int   // vertical line → rows its occupants' spans cover
+	occupants      int     // nodes holding a vertical line
 	varLine        []int   // node → vertical line, or −1
 	varSpan        []span  // node → row span on its line (set via putSpan)
 	nextLine       int     // next never-used vertical line
 
-	// hUsed is a bitmap of used horizontal qubits: bit c%64 of word
-	// h·hWords + c/64 is set when column c of horizontal line h is taken.
-	hUsed    []uint64
-	hWords   int
-	colUsage []int   // per cell column: used horizontal qubits
+	// colFree holds, per cell column c, a bitmask of the horizontal lines
+	// whose qubit in column c is free: bit h%64 of word c·hWords + h/64.
+	// The lines free across a span of columns are the AND of their masks.
+	colFree []uint64
+	hWords  int
+	// Per cell column, for shared-line allocation: free horizontal qubits,
+	// and the most free rows of any of its vertical lines with room for
+	// another occupant (−1 when none has room) with the first such line,
+	// recomputed when the column is dirty.
+	colAnchor   []int
+	colBestFree []int
+	colBestLine []int
+	colDirty    []bool
+	lineCol     []int32  // vertical line → its cell column
+	mask        []uint64 // freeLinesInOrder scratch: hWords words
+	cands       []int    // freeLinesInOrder result
+
 	segs     [][]seg // node → horizontal segments
 	realized [][]int // node u → partners v > u of realised problem edges
-
-	// Per-clause structure, computed once per run: the distinct logical
-	// nodes of clause k are logical[logicalAt[k]:logicalAt[k+1]], its
-	// required problem edges (sorted) edges[edgesAt[k]:edgesAt[k+1]].
-	logical, logicalAt []int
-	edges              []qubo.Edge
-	edgesAt            []int
 
 	// lineOrder[p·H : (p+1)·H] lists every horizontal line by the distance
 	// of its row from preferred row p, then bottom-up (see hLineOrder).
@@ -120,6 +129,9 @@ type fastState struct {
 	// log records undo entries for the clause currently being added, so a
 	// clause that fails mid-way leaves no allocations behind.
 	log []undo
+
+	set, nodes []int  // finish scratch: embedded clauses, embedded nodes
+	inNodes    []bool // finish scratch: node already in nodes
 }
 
 // note records an undo entry for the current clause.
@@ -136,13 +148,15 @@ func (st *fastState) rollback() {
 			}
 			line := st.varLine[u.node]
 			st.lineVars[line] = st.lineVars[line][:len(st.lineVars[line])-1]
+			st.touch(line)
 			st.varLine[u.node] = -1
+			st.occupants--
 		case undoSpan:
 			st.putSpan(u.node, u.span)
 		case undoCol:
 			h, c := u.i/st.g.N, u.i%st.g.N
-			st.hUsed[h*st.hWords+c/64] &^= 1 << (c % 64)
-			st.colUsage[c]--
+			st.colFree[c*st.hWords+h/64] |= 1 << (h % 64)
+			st.colAnchor[c]++
 		case undoRealize:
 			st.realized[u.node] = st.realized[u.node][:len(st.realized[u.node])-1]
 		case undoSegAdd:
@@ -162,14 +176,28 @@ func (st *fastState) rollback() {
 // grids, with disjoint row spans); auxiliary variables and inter-variable
 // connections are realised by greedily allocated horizontal segments,
 // scanning horizontal lines bottom-up and columns left-to-right. Only the
-// encoding's sub-clause objectives are read, so its summed Poly may be nil.
+// encoding's structure is read (its logical nodes, auxiliaries and problem
+// edges per clause), so the objectives may be absent (EncodeStructure).
 func Fast(enc *qubo.Encoding, g *topo.Chimera) *FastResult {
-	st := newFastState(enc, g)
-	var set []int
+	return new(FastScratch).Fast(enc, g)
+}
+
+// FastScratch is Fast's run state kept for reuse. A caller that embeds a
+// clause queue per iteration keeps one and calls its Fast, which then
+// allocates only the result it returns. A FastScratch must not be used by
+// two goroutines at once.
+type FastScratch struct{ st fastState }
+
+// Fast is the package-level Fast reusing sc's storage; the result shares
+// nothing with sc.
+func (sc *FastScratch) Fast(enc *qubo.Encoding, g *topo.Chimera) *FastResult {
+	st := &sc.st
+	st.reset(enc, g)
+	st.set = st.set[:0]
 	failures := 0
 	for k := range enc.Clauses {
 		if st.addClause(k) {
-			set = append(set, k)
+			st.set = append(st.set, k)
 			continue
 		}
 		failures++
@@ -177,89 +205,70 @@ func Fast(enc *qubo.Encoding, g *topo.Chimera) *FastResult {
 			break // hardware effectively full
 		}
 	}
-	return st.finish(set)
+	return st.finish()
 }
 
-// newFastState initialises the embedding state for one run.
-func newFastState(enc *qubo.Encoding, g *topo.Chimera) *fastState {
-	n := enc.NumNodes()
-	hWords := (g.N + 63) / 64
-	st := &fastState{
-		g:   g,
-		enc: enc,
-		// Allow multiple variables per vertical line once all lines are in
-		// use; each needs a disjoint row span, so budget ~4 rows per
-		// variable.
-		maxVarsPerLine: max(1, g.M/4),
-		lineVars:       make([][]int, g.NumVerticalLines()),
-		lineUsed:       make([]int, g.NumVerticalLines()),
-		varLine:        make([]int, n),
-		varSpan:        make([]span, n),
-		hUsed:          make([]uint64, g.NumHorizontalLines()*hWords),
-		hWords:         hWords,
-		colUsage:       make([]int, g.N),
-		segs:           make([][]seg, n),
-		realized:       make([][]int, n),
-		lineOrder:      lineOrders(g),
+// grow returns s resized to n, keeping its storage when it is large enough.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
 	}
-	for i := range st.varLine {
+	return s[:n]
+}
+
+// reset prepares the state for one run of enc on g.
+func (st *fastState) reset(enc *qubo.Encoding, g *topo.Chimera) {
+	st.enc = enc
+	if dims := [3]int{g.M, g.N, g.L}; st.g != g || st.dims != dims {
+		st.g, st.dims = g, dims
+		st.hWords = (g.NumHorizontalLines() + 63) / 64
+		st.lineOrder = lineOrders(g)
+		st.lineVars = grow(st.lineVars, g.NumVerticalLines())
+		st.lineUsed = grow(st.lineUsed, g.NumVerticalLines())
+		st.colFree = grow(st.colFree, g.N*st.hWords)
+		st.colAnchor = grow(st.colAnchor, g.N)
+		st.colBestFree = grow(st.colBestFree, g.N)
+		st.colBestLine = grow(st.colBestLine, g.N)
+		st.colDirty = grow(st.colDirty, g.N)
+		st.lineCol = grow(st.lineCol, g.NumVerticalLines())
+		for line := range st.lineCol {
+			st.lineCol[line] = int32(line / g.L)
+		}
+		st.mask = grow(st.mask, st.hWords)
+	}
+	// Allow multiple variables per vertical line once all lines are in use;
+	// each needs a disjoint row span, so budget ~4 rows per variable.
+	st.maxVarsPerLine = max(1, g.M/4)
+	for i := range st.lineVars {
+		st.lineVars[i] = st.lineVars[i][:0]
+	}
+	clear(st.lineUsed)
+	st.occupants, st.nextLine = 0, 0
+	for c := 0; c < g.N; c++ {
+		col := st.colFree[c*st.hWords : (c+1)*st.hWords]
+		for w := range col {
+			col[w] = ^uint64(0)
+		}
+		if r := g.NumHorizontalLines() % 64; r != 0 {
+			col[len(col)-1] = 1<<r - 1
+		}
+		st.colAnchor[c] = g.NumHorizontalLines()
+		st.colDirty[c] = true
+	}
+
+	n := enc.NumNodes()
+	st.varLine = grow(st.varLine, n)
+	st.varSpan = grow(st.varSpan, n)
+	st.segs = grow(st.segs, n)
+	st.realized = grow(st.realized, n)
+	for i := 0; i < n; i++ {
 		st.varLine[i] = -1
 		st.varSpan[i] = noSpan
+		st.segs[i] = st.segs[i][:0]
+		st.realized[i] = st.realized[i][:0]
 	}
-	st.indexClauses()
-	return st
-}
-
-// indexClauses precomputes every clause's distinct logical nodes (in literal
-// order) and its required problem edges: the quadratic terms of its
-// sub-clause objectives, deduplicated and sorted.
-func (st *fastState) indexClauses() {
-	enc := st.enc
-	nc := len(enc.Clauses)
-	st.logicalAt = make([]int, nc+1)
-	st.logical = make([]int, 0, 3*nc)
-	for k, c := range enc.Clauses {
-		st.logicalAt[k] = len(st.logical)
-		for _, l := range c {
-			n := enc.VarNode[l.Var()]
-			if !slices.Contains(st.logical[st.logicalAt[k]:], n) {
-				st.logical = append(st.logical, n)
-			}
-		}
-	}
-	st.logicalAt[nc] = len(st.logical)
-
-	// Bucket the sub-clauses' quadratic terms by clause: count an upper
-	// bound per clause, then fill, deduplicate and sort each bucket.
-	bound := make([]int, nc+1)
-	for i := range enc.Sub {
-		bound[enc.Sub[i].Clause+1] += len(enc.Sub[i].Poly.Quad)
-	}
-	for k := 0; k < nc; k++ {
-		bound[k+1] += bound[k]
-	}
-	st.edges = make([]qubo.Edge, bound[nc])
-	fill := make([]int, nc)
-	copy(fill, bound[:nc])
-	for i := range enc.Sub {
-		k := enc.Sub[i].Clause
-		for e := range enc.Sub[i].Poly.Quad {
-			if !slices.Contains(st.edges[bound[k]:fill[k]], e) {
-				st.edges[fill[k]] = e
-				fill[k]++
-			}
-		}
-	}
-	// Compact the buckets in place and record the final offsets.
-	st.edgesAt = make([]int, nc+1)
-	w := 0
-	for k := 0; k < nc; k++ {
-		st.edgesAt[k] = w
-		w += copy(st.edges[w:], st.edges[bound[k]:fill[k]])
-		slices.SortFunc(st.edges[st.edgesAt[k]:w], qubo.CompareEdges)
-	}
-	st.edgesAt[nc] = w
-	st.edges = st.edges[:w]
+	st.inNodes = grow(st.inNodes, n)
+	st.log = st.log[:0]
 }
 
 // lineOrders returns, for every preferred row p, all horizontal line indices
@@ -296,13 +305,7 @@ func (st *fastState) cellCol(node int) int { return st.varLine[node] / st.g.L }
 // clauseNodes returns the distinct logical nodes and the auxiliary node (or
 // -1) of clause k.
 func (st *fastState) clauseNodes(k int) (logical []int, aux int) {
-	return st.logical[st.logicalAt[k]:st.logicalAt[k+1]], st.enc.AuxNode[k]
-}
-
-// clauseEdges returns the problem edges the sub-clauses of clause k require,
-// in a deterministic order.
-func (st *fastState) clauseEdges(k int) []qubo.Edge {
-	return st.edges[st.edgesAt[k]:st.edgesAt[k+1]]
+	return st.enc.LogicalNodes(k), st.enc.AuxNode[k]
 }
 
 // allocLine assigns node a vertical line, preferring fresh lines and
@@ -314,39 +317,52 @@ func (st *fastState) allocLine(node, prefCol int) bool {
 		line := st.nextLine
 		st.nextLine++
 		st.lineVars[line] = append(st.lineVars[line], node)
+		st.touch(line)
 		st.varLine[node] = line
 		st.varSpan[node] = noSpan
+		st.occupants++
 		st.note(undo{kind: undoFreshLine, node: node})
 		return true
 	}
-	best, bestScore := -1, -1<<30
-	for line := range st.lineVars {
-		if len(st.lineVars[line]) >= st.maxVarsPerLine {
-			continue
-		}
-		free := st.g.M - st.lineUsed[line]
-		col := line / st.g.L
-		colDist := col - prefCol
-		if colDist < 0 {
-			colDist = -colDist
-		}
-		// Free rows dominate, then anchor capacity (free horizontal qubits
-		// in the line's column — a variable in a saturated column cannot be
-		// coupled to), then proximity to the clause's other variables.
-		anchorFree := st.g.NumHorizontalLines() - st.colUsage[col]
-		score := free*4096 + anchorFree*16 - colDist
-		if score > bestScore {
-			best, bestScore = line, score
-		}
-	}
+	best := st.bestSharedLine(prefCol)
 	if best < 0 {
 		return false
 	}
 	st.lineVars[best] = append(st.lineVars[best], node)
+	st.touch(best)
 	st.varLine[node] = best
 	st.varSpan[node] = noSpan
+	st.occupants++
 	st.note(undo{kind: undoSharedLine, node: node})
 	return true
+}
+
+// bestSharedLine returns the vertical line a node joins once every line is
+// in use, or −1 when none has room: the first line, in ascending order, with
+// the best score. Free rows dominate, then anchor capacity (free horizontal
+// qubits in the line's column — a variable in a saturated column cannot be
+// coupled to), then proximity to prefCol, the clause's other variables.
+// Within a column (line l lives in column l/L) every line shares the anchor
+// and distance terms, so the column's best line is its first with the most
+// free rows, and the first column with the best score holds the answer.
+func (st *fastState) bestSharedLine(prefCol int) int {
+	best, bestScore := -1, -1<<30
+	for col := 0; col < st.g.N; col++ {
+		if st.colDirty[col] {
+			st.refreshCol(col)
+		}
+		if st.colBestLine[col] < 0 {
+			continue
+		}
+		colDist := col - prefCol
+		if colDist < 0 {
+			colDist = -colDist
+		}
+		if score := st.colBestFree[col]*4096 + st.colAnchor[col]*16 - colDist; score > bestScore {
+			best, bestScore = st.colBestLine[col], score
+		}
+	}
+	return best
 }
 
 // canExtendSpan reports whether node's row span may grow to include row r
@@ -369,8 +385,30 @@ func (st *fastState) canExtendSpan(node, r int) bool {
 // keeping the line's covered-row count in step. A node without a line (or
 // one just allocated or released) always has the empty span.
 func (st *fastState) putSpan(node int, s span) {
-	st.lineUsed[st.varLine[node]] += s.size() - st.varSpan[node].size()
+	line := st.varLine[node]
+	if d := s.size() - st.varSpan[node].size(); d != 0 {
+		st.lineUsed[line] += d
+		st.touch(line)
+	}
 	st.varSpan[node] = s
+}
+
+// touch marks the column of a vertical line whose occupants or covered rows
+// changed.
+func (st *fastState) touch(line int) { st.colDirty[st.lineCol[line]] = true }
+
+// refreshCol recomputes column col's best line for shared allocation.
+func (st *fastState) refreshCol(col int) {
+	st.colBestFree[col], st.colBestLine[col] = -1, -1
+	for line := col * st.g.L; line < (col+1)*st.g.L; line++ {
+		if len(st.lineVars[line]) >= st.maxVarsPerLine {
+			continue
+		}
+		if free := st.g.M - st.lineUsed[line]; free > st.colBestFree[col] {
+			st.colBestFree[col], st.colBestLine[col] = free, line
+		}
+	}
+	st.colDirty[col] = false
 }
 
 // setSpan replaces node's row span, logging the previous one.
@@ -413,26 +451,59 @@ func (st *fastState) hLineOrder(prefRow int) []int {
 	return st.lineOrder[prefRow*n : (prefRow+1)*n]
 }
 
+// lineFree reports whether column c of horizontal line h is free.
+func (st *fastState) lineFree(h, c int) bool {
+	return st.colFree[c*st.hWords+h/64]&(1<<(h%64)) != 0
+}
+
 // colsFree reports whether columns [c1,c2] of horizontal line h are all free.
 func (st *fastState) colsFree(h, c1, c2 int) bool {
-	row := st.hUsed[h*st.hWords : (h+1)*st.hWords]
-	for c1 <= c2 {
-		b := c1 % 64
-		n := min(c2-c1+1, 64-b)
-		if row[c1/64]&(^uint64(0)>>(64-n)<<b) != 0 {
+	for c := c1; c <= c2; c++ {
+		if !st.lineFree(h, c) {
 			return false
 		}
-		c1 += n
 	}
 	return true
 }
 
+// freeLinesInOrder returns the horizontal lines whose columns [c1,c2] are
+// all free, in hLineOrder(prefRow) order: the AND of the columns' free-line
+// masks, read out row group by row group. The result is scratch, valid until
+// the next call.
+func (st *fastState) freeLinesInOrder(c1, c2, prefRow int) []int {
+	m := st.mask
+	copy(m, st.colFree[c1*st.hWords:(c1+1)*st.hWords])
+	for c := c1 + 1; c <= c2; c++ {
+		for w, bits := range st.colFree[c*st.hWords : (c+1)*st.hWords] {
+			m[w] &= bits
+		}
+	}
+	st.cands = st.cands[:0]
+	if !slices.ContainsFunc(m, func(w uint64) bool { return w != 0 }) {
+		return st.cands
+	}
+	// hLineOrder lists each row's L lines as one ascending run; a run held
+	// in one word is skipped with a single test when none of it is free.
+	order, l := st.hLineOrder(prefRow), st.g.L
+	for i := 0; i < len(order); i += l {
+		first := order[i]
+		if w := first / 64; w == (first+l-1)/64 && m[w]>>(first%64)&(1<<l-1) == 0 {
+			continue
+		}
+		for h := first; h < first+l; h++ {
+			if m[h/64]&(1<<(h%64)) != 0 {
+				st.cands = append(st.cands, h)
+			}
+		}
+	}
+	return st.cands
+}
+
 func (st *fastState) takeCols(h, c1, c2 int) {
 	for c := c1; c <= c2; c++ {
-		w, bit := h*st.hWords+c/64, uint64(1)<<(c%64)
-		if st.hUsed[w]&bit == 0 {
-			st.hUsed[w] |= bit
-			st.colUsage[c]++
+		if st.lineFree(h, c) {
+			st.colFree[c*st.hWords+h/64] &^= 1 << (h % 64)
+			st.colAnchor[c]--
 			st.note(undo{kind: undoCol, i: h*st.g.N + c})
 		}
 	}
@@ -468,15 +539,9 @@ func (st *fastState) addClause(k int) bool {
 			newVars++
 		}
 	}
-	free := 0
-	for line := range st.lineVars {
-		if line >= st.nextLine {
-			free += st.maxVarsPerLine
-		} else if room := st.maxVarsPerLine - len(st.lineVars[line]); room > 0 {
-			free += room
-		}
-	}
-	if free < newVars {
+	// No line holds more than maxVarsPerLine nodes, so the free vertical
+	// slots are the total capacity less the nodes placed.
+	if free := len(st.lineVars)*st.maxVarsPerLine - st.occupants; free < newVars {
 		st.rollback()
 		return false
 	}
@@ -519,7 +584,7 @@ func (st *fastState) addClause(k int) bool {
 			}
 		}
 	}
-	for _, e := range st.clauseEdges(k) {
+	for _, e := range st.enc.ClauseEdges(k) {
 		if auxOnHorizontal && st.isAuxEdge(e, aux) {
 			continue // realised by placeAux
 		}
@@ -559,10 +624,7 @@ func (st *fastState) placeAux(aux int, logical []int) bool {
 	}
 	pref /= len(logical)
 	var saved [3]span // logical holds at most three distinct nodes
-	for _, h := range st.hLineOrder(pref) {
-		if !st.colsFree(h, cmin, cmax) {
-			continue
-		}
+	for _, h := range st.freeLinesInOrder(cmin, cmax, pref) {
 		r := st.rowOfHLine(h)
 		// Extend the spans sequentially so clause variables sharing a
 		// vertical line cannot both claim row r; restore on failure.
@@ -653,10 +715,7 @@ func (st *fastState) routeEdge(e qubo.Edge) bool {
 			c1, c2 = c2, c1
 		}
 		pref := (st.preferredRow(owner) + st.preferredRow(target)) / 2
-		for _, h := range st.hLineOrder(pref) {
-			if !st.colsFree(h, c1, c2) {
-				continue
-			}
+		for _, h := range st.freeLinesInOrder(c1, c2, pref) {
 			r := st.rowOfHLine(h)
 			// Sequential extension: owner first, then target against the
 			// updated state, so two endpoints sharing a vertical line
@@ -682,16 +741,15 @@ func (st *fastState) routeEdge(e qubo.Edge) bool {
 }
 
 // finish assembles the Embedding for the embedded clause set.
-func (st *fastState) finish(set []int) *FastResult {
-	nodes := make(map[int]bool, 2*len(set))
-	sortedNodes := make([]int, 0, 2*len(set))
+func (st *fastState) finish() *FastResult {
+	st.nodes = st.nodes[:0]
 	add := func(n int) {
-		if !nodes[n] {
-			nodes[n] = true
-			sortedNodes = append(sortedNodes, n)
+		if !st.inNodes[n] {
+			st.inNodes[n] = true
+			st.nodes = append(st.nodes, n)
 		}
 	}
-	for _, k := range set {
+	for _, k := range st.set {
 		logical, aux := st.clauseNodes(k)
 		for _, n := range logical {
 			add(n)
@@ -700,53 +758,57 @@ func (st *fastState) finish(set []int) *FastResult {
 			add(aux)
 		}
 	}
-	slices.Sort(sortedNodes)
-	emb := &Embedding{Chains: make(map[int][]int, len(sortedNodes))}
-	for _, n := range sortedNodes {
+	slices.Sort(st.nodes)
+	// Size every chain first, so all of them share one backing array.
+	total, chained := 0, 0
+	for _, n := range st.nodes {
+		st.inNodes[n] = false
 		line := st.varLine[n]
-		var s span
+		size := 0
 		if line >= 0 {
-			s = st.varSpan[n]
-			if s.empty() {
+			if st.varSpan[n].empty() {
 				// Variable with no couplings (unit clause): claim one free
 				// row on its line.
 				for r := 0; r < st.g.M; r++ {
 					if st.canExtendSpan(n, r) {
-						s = s.with(r)
-						st.putSpan(n, s)
+						st.putSpan(n, st.varSpan[n].with(r))
 						break
 					}
 				}
 			}
-		}
-		size := 0
-		if line >= 0 {
-			size = s.size()
+			size = st.varSpan[n].size()
 		}
 		for _, sg := range st.segs[n] {
 			size += sg.C2 - sg.C1 + 1
 		}
-		if size == 0 {
-			continue
+		if size > 0 {
+			total += size
+			chained++
 		}
-		chain := make([]int, 0, size)
-		if line >= 0 {
-			for r := s.Min; r <= s.Max; r++ {
-				chain = append(chain, st.g.VerticalLineQubit(line, r))
+	}
+	qubits := make([]int, 0, total)
+	emb := &Embedding{Chains: make(map[int][]int, chained)}
+	for _, n := range st.nodes {
+		start := len(qubits)
+		if line := st.varLine[n]; line >= 0 {
+			for r, s := st.varSpan[n].Min, st.varSpan[n]; r <= s.Max; r++ {
+				qubits = append(qubits, st.g.VerticalLineQubit(line, r))
 			}
 		}
 		for _, sg := range st.segs[n] {
 			for c := sg.C1; c <= sg.C2; c++ {
-				chain = append(chain, st.g.HorizontalLineQubit(sg.Line, c))
+				qubits = append(qubits, st.g.HorizontalLineQubit(sg.Line, c))
 			}
 		}
-		emb.Chains[n] = chain
+		if len(qubits) > start {
+			emb.Chains[n] = qubits[start:len(qubits):len(qubits)]
+		}
 	}
 	return &FastResult{
 		Embedding:       emb,
-		EmbeddedClauses: len(set),
-		EmbeddedSet:     set,
-		EmbeddedNodes:   nodes,
+		EmbeddedClauses: len(st.set),
+		EmbeddedSet:     slices.Clone(st.set),
+		EmbeddedNodes:   slices.Clone(st.nodes),
 	}
 }
 

@@ -50,36 +50,124 @@ func TestLineOrdersMatchSortedScan(t *testing.T) {
 	}
 }
 
-// TestColsFreeAcrossWords checks the horizontal-qubit bitmap against a plain
-// boolean model on a grid wider than one 64-bit word, including rollback.
+// TestColsFreeAcrossWords checks the per-column free-line masks against a
+// plain boolean model, including rollback, on a grid 150 columns wide and on
+// one with 80 horizontal lines (two mask words per column): colsFree on one
+// line, and freeLinesInOrder — the lines free across a column span, in scan
+// order — against filtering hLineOrder by colsFree.
 func TestColsFreeAcrossWords(t *testing.T) {
-	g := topo.NewChimera(2, 150, 1)
-	st := newFastState(&qubo.Encoding{}, g)
-	used := make([][]bool, g.NumHorizontalLines())
-	for h := range used {
-		used[h] = make([]bool, g.N)
-	}
-	rng := rand.New(rand.NewSource(1))
-	for step := 0; step < 400; step++ {
-		h := rng.Intn(len(used))
-		c1 := rng.Intn(g.N)
-		c2 := min(g.N-1, c1+rng.Intn(80))
-		want := true
-		for c := c1; c <= c2; c++ {
-			want = want && !used[h][c]
+	for _, g := range []*topo.Chimera{topo.NewChimera(2, 150, 1), topo.NewChimera(20, 3, 4)} {
+		st := &fastState{}
+		st.reset(&qubo.Encoding{}, g)
+		used := make([][]bool, g.NumHorizontalLines())
+		for h := range used {
+			used[h] = make([]bool, g.N)
 		}
-		if got := st.colsFree(h, c1, c2); got != want {
-			t.Fatalf("step %d: colsFree(%d,%d,%d) = %v, want %v", step, h, c1, c2, got, want)
-		}
-		if rng.Intn(4) == 0 {
-			st.log = st.log[:0]
-			st.takeCols(h, c1, c2)
-			if rng.Intn(2) == 0 {
-				st.rollback()
-				continue
-			}
+		free := func(h, c1, c2 int) bool {
 			for c := c1; c <= c2; c++ {
-				used[h][c] = true
+				if used[h][c] {
+					return false
+				}
+			}
+			return true
+		}
+		rng := rand.New(rand.NewSource(1))
+		for step := 0; step < 400; step++ {
+			h := rng.Intn(len(used))
+			c1 := rng.Intn(g.N)
+			c2 := min(g.N-1, c1+rng.Intn(80))
+			if got, want := st.colsFree(h, c1, c2), free(h, c1, c2); got != want {
+				t.Fatalf("%dx%d step %d: colsFree(%d,%d,%d) = %v, want %v", g.M, g.N, step, h, c1, c2, got, want)
+			}
+			pref := rng.Intn(g.M)
+			var want []int
+			for _, l := range st.hLineOrder(pref) {
+				if free(l, c1, c2) {
+					want = append(want, l)
+				}
+			}
+			if got := st.freeLinesInOrder(c1, c2, pref); !slices.Equal(got, want) {
+				t.Fatalf("%dx%d step %d: freeLinesInOrder(%d,%d,%d) = %v, want %v", g.M, g.N, step, c1, c2, pref, got, want)
+			}
+			if rng.Intn(4) == 0 {
+				st.log = st.log[:0]
+				st.takeCols(h, c1, c2)
+				if rng.Intn(2) == 0 {
+					st.rollback()
+					continue
+				}
+				for c := c1; c <= c2; c++ {
+					used[h][c] = true
+				}
+			}
+		}
+	}
+}
+
+// scannedSharedLine is the defining line scan of bestSharedLine: every line
+// with room, in ascending order, scored by free rows, then free horizontal
+// qubits in its column, then distance from prefCol; the first best wins.
+func scannedSharedLine(st *fastState, prefCol int) int {
+	best, bestScore := -1, -1<<30
+	for line := range st.lineVars {
+		if len(st.lineVars[line]) >= st.maxVarsPerLine {
+			continue
+		}
+		col := line / st.g.L
+		anchorFree := 0
+		for h := 0; h < st.g.NumHorizontalLines(); h++ {
+			if st.lineFree(h, col) {
+				anchorFree++
+			}
+		}
+		colDist := col - prefCol
+		if colDist < 0 {
+			colDist = -colDist
+		}
+		if score := (st.g.M-st.lineUsed[line])*4096 + anchorFree*16 - colDist; score > bestScore {
+			best, bestScore = line, score
+		}
+	}
+	return best
+}
+
+// TestBestSharedLineMatchesScan checks the per-column cache behind shared
+// vertical-line allocation against the full line scan: on a tie between the
+// columns either side of a full preferred column, and after every clause of
+// random queues (kept or rolled back) on several grid shapes.
+func TestBestSharedLineMatchesScan(t *testing.T) {
+	tie := &fastState{}
+	tie.reset(&qubo.Encoding{}, topo.NewChimera(8, 8, 4))
+	for line := range tie.lineVars {
+		n := tie.maxVarsPerLine
+		if line/tie.g.L != 3 {
+			n = 1
+		}
+		for range n {
+			tie.lineVars[line] = append(tie.lineVars[line], line)
+		}
+		tie.touch(line)
+	}
+	tie.nextLine = len(tie.lineVars)
+	if got, want := tie.bestSharedLine(3), scannedSharedLine(tie, 3); got != want || want/tie.g.L != 2 {
+		t.Fatalf("tie around full column 3: line %d, want %d in column 2", got, want)
+	}
+
+	rng := rand.New(rand.NewSource(7))
+	for _, dims := range [][3]int{{16, 16, 4}, {8, 8, 4}, {12, 5, 3}, {4, 20, 2}} {
+		g := topo.NewChimera(dims[0], dims[1], dims[2])
+		enc, err := qubo.EncodeStructure(bfsQueue(random3SATClauses(rng, 80, 340), 80))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := &fastState{}
+		st.reset(enc, g)
+		for k := range enc.Clauses {
+			st.addClause(k)
+			for pref := range g.N {
+				if got, want := st.bestSharedLine(pref), scannedSharedLine(st, pref); got != want {
+					t.Fatalf("chimera%v after clause %d, prefCol %d: line %d, want %d", dims, k, pref, got, want)
+				}
 			}
 		}
 	}

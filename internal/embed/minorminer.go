@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -275,6 +276,9 @@ func (m *Minorminer) placeNode(g *topo.Chimera, u int, neighbors []int,
 	for q := range inChain {
 		chain = append(chain, q)
 	}
+	// Sorted, so the next Dijkstra seeds its heap in the same order on every
+	// run and same-seed runs stay identical.
+	slices.Sort(chain)
 	return chain
 }
 

@@ -125,13 +125,10 @@ func (c *SharedEmbedCache) shard(h uint64) *cacheShard {
 }
 
 // queueContentKey flattens the queue's clauses into a comparable literal
-// sequence (clauses separated by NoLit) and its splitmix64-folded hash.
-func queueContentKey(f *cnf.Formula, queueIdx []int) ([]cnf.Lit, uint64) {
-	n := len(queueIdx)
-	for _, ci := range queueIdx {
-		n += len(f.Clauses[ci])
-	}
-	key := make([]cnf.Lit, 0, n)
+// sequence (clauses separated by NoLit), appended to dst, and its
+// splitmix64-folded hash.
+func queueContentKey(dst []cnf.Lit, f *cnf.Formula, queueIdx []int) ([]cnf.Lit, uint64) {
+	key := dst
 	for _, ci := range queueIdx {
 		key = append(key, f.Clauses[ci]...)
 		key = append(key, cnf.NoLit)

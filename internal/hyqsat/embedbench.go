@@ -17,7 +17,8 @@ import (
 // three costs are directly comparable on identical input:
 //
 //   - ColdFast — the pre-template miss path: Fast embedding search,
-//     restriction, coefficient adjustment, normalisation, EmbedIsing.
+//     restriction, coefficient adjustment, normalisation, EmbedIsing, on
+//     reused scratch as the solver runs it.
 //   - TemplateInstantiate — the template miss path: rewrite the precomputed
 //     skeleton's coefficient arrays in place (zero allocations).
 //   - CacheHit — a content-key lookup in a prewarmed sharded LRU.
@@ -35,6 +36,7 @@ type EmbedBench struct {
 	cache   *SharedEmbedCache
 	key     []cnf.Lit
 	hash    uint64
+	front   frontendScratch
 }
 
 // NewEmbedBench prepares the fixture for a topology ("chimera" or "pegasus")
@@ -70,19 +72,14 @@ func NewEmbedBench(topology string, nClauses int) (*EmbedBench, error) {
 	if err != nil {
 		return nil, err
 	}
-	enc.AdjustCoefficients()
-	norm, _ := enc.Poly.Normalized()
-	ising := norm.ToIsing()
-	cs := anneal.ChainStrengthFor(ising)
-
 	eb := &EmbedBench{
 		graph:   g,
 		enc:     enc,
-		ising:   ising,
 		builder: builder,
-		cs:      cs,
 		cache:   newEmbedCache(),
 	}
+	eb.ising = enc.Program(&eb.front.sums, true)
+	eb.cs = anneal.ChainStrengthFor(eb.ising)
 	eb.chim, _ = g.(*topo.Chimera)
 
 	n := len(queue)
@@ -95,7 +92,7 @@ func NewEmbedBench(topology string, nClauses int) (*EmbedBench, error) {
 		eb.key = append(eb.key, cnf.NoLit)
 	}
 	eb.hash = hashLits(eb.key)
-	ep := builder.BuildNew(ising, cs)
+	ep := builder.BuildNew(eb.ising, eb.cs)
 	if ep == nil {
 		return nil, fmt.Errorf("embedbench: fixture Ising does not fit its own template")
 	}
@@ -114,14 +111,11 @@ func (e *EmbedBench) ColdFast() int {
 	if e.chim == nil {
 		panic("embedbench: topology has no Fast embedder")
 	}
-	fastRes := embed.Fast(e.enc, e.chim)
+	fastRes := e.front.fast.Fast(e.enc, e.chim)
 	if fastRes.EmbeddedClauses == 0 {
 		panic("embedbench: Fast embedded nothing")
 	}
-	embEnc := e.enc.Restrict(fastRes.EmbeddedSet)
-	embEnc.AdjustCoefficients()
-	norm, _ := embEnc.Poly.Normalized()
-	ising := norm.ToIsing()
+	ising := e.enc.Restrict(fastRes.EmbeddedSet).Program(&e.front.sums, true)
 	anneal.EmbedIsing(ising, fastRes.Embedding, e.graph,
 		anneal.ChainStrengthFor(ising))
 	return fastRes.EmbeddedClauses

@@ -2,6 +2,7 @@ package hyqsat
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hyqsat/internal/anneal"
@@ -30,14 +31,20 @@ func coldActivityQueue() (*cnf.Formula, []int) {
 	return f, GenerateQueue(f, cnf.VarAdjacency(f), scores, cands, 30, 300, rng)
 }
 
-// frontendSink keeps benchmarked results live.
-var frontendSink any
+// frontendSink and queueSink keep benchmarked results live.
+var (
+	frontendSink any
+	queueSink    []int
+)
 
 // BenchmarkColdFrontend times one cold pass of the frontend pipeline
 // (encode → Fast → restrict → coefficient adjustment → Ising → EmbedIsing)
 // on a uf150 activity queue through the solver's own encodeAndEmbed, then
-// each stage on its own: encode, Fast, program (restrict, adjust,
-// normalise, Ising conversion) and EmbedIsing.
+// each stage on its own, on reused scratch as the solver runs them: encode
+// (structure only), Fast, program (restrict, adjust, normalise, Ising
+// conversion) and EmbedIsing. The queue sub-benchmark times the part of the
+// frontend every iteration runs before any embedding: the unsat-set scan,
+// queue generation, content key and cache lookup.
 func BenchmarkColdFrontend(b *testing.B) {
 	f, idx := coldActivityQueue()
 	s := New(f, HardwareOptions())
@@ -49,19 +56,17 @@ func BenchmarkColdFrontend(b *testing.B) {
 		queue[i] = f.Clauses[ci]
 	}
 	g := topo.DWave2000Q()
-	enc, err := qubo.EncodeSubClauses(queue)
-	if err != nil {
+	var fs frontendScratch
+	if err := fs.enc.Reset(queue); err != nil {
 		b.Fatal(err)
 	}
-	res := embed.Fast(enc, g)
+	res := fs.fast.Fast(&fs.enc, g)
 	program := func() *qubo.Ising {
-		embEnc := enc.Restrict(res.EmbeddedSet)
-		embEnc.AdjustCoefficients()
-		norm, _ := embEnc.Poly.Normalized()
-		return norm.ToIsing()
+		return fs.enc.Restrict(res.EmbeddedSet).Program(&fs.sums, true)
 	}
 	is := program()
 	cs := anneal.ChainStrengthFor(is)
+	var enc qubo.Encoding
 
 	b.Run("pipeline", func(b *testing.B) {
 		b.ReportAllocs()
@@ -72,13 +77,13 @@ func BenchmarkColdFrontend(b *testing.B) {
 	b.Run("encode", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			frontendSink, _ = qubo.EncodeSubClauses(queue)
+			frontendSink = enc.Reset(queue)
 		}
 	})
 	b.Run("fast", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			frontendSink = embed.Fast(enc, g)
+			frontendSink = fs.fast.Fast(&fs.enc, g)
 		}
 	})
 	b.Run("program", func(b *testing.B) {
@@ -93,6 +98,62 @@ func BenchmarkColdFrontend(b *testing.B) {
 			frontendSink = anneal.EmbedIsing(is, res.Embedding, g, cs)
 		}
 	})
+	b.Run("queue", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			queueSink, _, _ = s.lookupQueue()
+		}
+	})
+}
+
+// TestColdMissAllocs gates the allocations of one whole cold miss,
+// encodeAndEmbed on the 300-clause activity queue, on a solver whose
+// run-scoped scratch is warm: only what the cache entry keeps may be
+// allocated. The map-backed encoder the dense encoding replaced took 3687
+// allocs/run here; the bound is a quarter of that.
+func TestColdMissAllocs(t *testing.T) {
+	f, idx := coldActivityQueue()
+	s := New(f, HardwareOptions())
+	allocs := testing.AllocsPerRun(5, func() {
+		if ent := s.encodeAndEmbed(idx); ent.embedded == 0 || ent.viaTemplate {
+			t.Fatalf("fixture queue did not take the cold Fast path (embedded %d)", ent.embedded)
+		}
+	})
+	t.Logf("cold miss: %.0f allocs/run", allocs)
+	if allocs > 920 {
+		t.Fatalf("cold miss allocated %.0f times per run, want <= 920", allocs)
+	}
+}
+
+// TestCacheHitIterationAllocs gates the part of a hybrid iteration that
+// builds no embedding at zero allocations in steady state: the unsat-set
+// scan, queue generation, content key and cache lookup every iteration
+// runs, here hitting the cache, then unembedding a read and collecting the
+// embedded variables for the feedback strategies.
+func TestCacheHitIterationAllocs(t *testing.T) {
+	f, _ := coldActivityQueue()
+	s := New(f, HardwareOptions())
+	const seed = 7
+	s.rng.Seed(seed)
+	idx, hash, _ := s.lookupQueue()
+	ent := s.encodeAndEmbed(idx)
+	s.cache.store(s.key, hash, ent)
+	sample := anneal.Sample{NodeValues: map[int]bool{}}
+	for n := 0; n < ent.embEnc.NumNodes(); n++ {
+		sample.NodeValues[n] = n%3 == 0
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		s.rng.Seed(seed) // the same queue every run: a cache hit
+		if _, _, hit := s.lookupQueue(); hit != ent {
+			t.Fatal("fixture queue missed the cache")
+		}
+		s.reader.interpret(ent.embEnc, sample, f.NumVars)
+		s.vars = embeddedVars(s.vars[:0], ent.embEnc)
+		slices.Sort(s.vars)
+	})
+	if allocs != 0 {
+		t.Fatalf("cache-hit iteration allocated %.0f times per run, want 0", allocs)
+	}
 }
 
 // TestColdFastEmbedIsingAllocs gates the allocations of one cold Fast

@@ -171,7 +171,7 @@ func (d *digest) encoding(e *qubo.Encoding) {
 	for _, sc := range e.Sub {
 		d.int(sc.Clause)
 		d.float(sc.Alpha)
-		d.poly(sc.Poly)
+		d.poly(sc.Poly())
 	}
 	d.poly(e.Poly)
 }
@@ -179,14 +179,7 @@ func (d *digest) encoding(e *qubo.Encoding) {
 func (d *digest) fastResult(r *embed.FastResult) {
 	d.int(r.EmbeddedClauses)
 	d.ints(r.EmbeddedSet)
-	nodes := make([]int, 0, len(r.EmbeddedNodes))
-	for n, in := range r.EmbeddedNodes {
-		if in {
-			nodes = append(nodes, n)
-		}
-	}
-	slices.Sort(nodes)
-	d.ints(nodes)
+	d.ints(r.EmbeddedNodes)
 	chained := make([]int, 0, len(r.Embedding.Chains))
 	for n := range r.Embedding.Chains {
 		chained = append(chained, n)
@@ -280,10 +273,11 @@ func goldenQueues() (names []string, queues map[string][]cnf.Clause) {
 	return names, queues
 }
 
-// goldenStages runs one queue through the cold pipeline exactly as
-// Solver.encodeAndEmbed does (coefficient adjustment on) and digests each
-// stage.
-func goldenStages(t *testing.T, q []cnf.Clause, g *topo.Chimera) stageDigests {
+// goldenStages digests the full Encode of one queue, then runs the queue
+// through the cold pipeline exactly as Solver.encodeAndEmbed does
+// (coefficient adjustment on), on scratch shared across the corpus as a
+// solver shares it across iterations, and digests each stage.
+func goldenStages(t *testing.T, q []cnf.Clause, g *topo.Chimera, fs *frontendScratch) stageDigests {
 	t.Helper()
 	enc, err := qubo.Encode(q)
 	if err != nil {
@@ -294,7 +288,10 @@ func goldenStages(t *testing.T, q []cnf.Clause, g *topo.Chimera) stageDigests {
 	d.encoding(enc)
 	out.Encode = d.sum()
 
-	res := embed.Fast(enc, g)
+	if err := fs.enc.Reset(q); err != nil {
+		t.Fatal(err)
+	}
+	res := fs.fast.Fast(&fs.enc, g)
 	d = newDigest()
 	d.fastResult(res)
 	out.Fast = d.sum()
@@ -302,10 +299,9 @@ func goldenStages(t *testing.T, q []cnf.Clause, g *topo.Chimera) stageDigests {
 		return out
 	}
 
-	embEnc := enc.Restrict(res.EmbeddedSet)
-	embEnc.AdjustCoefficients()
-	norm, _ := embEnc.Poly.Normalized()
-	is := norm.ToIsing()
+	embEnc := fs.enc.Restrict(res.EmbeddedSet)
+	is := embEnc.Program(&fs.sums, true)
+	embEnc.Rebuild() // the adjusted objective, which Program does not build
 	d = newDigest()
 	d.encoding(embEnc)
 	d.ising(is)
@@ -418,8 +414,9 @@ func TestFrontendGolden(t *testing.T) {
 		Templates: goldenTemplates(t),
 		Solves:    goldenSolves(),
 	}
+	var fs frontendScratch
 	for _, name := range names {
-		got.Queues[name] = goldenStages(t, queues[name], g)
+		got.Queues[name] = goldenStages(t, queues[name], g, &fs)
 	}
 
 	path := filepath.FromSlash(frontendGoldenFile)

@@ -46,6 +46,7 @@ func fuzzSetup(t testing.TB) (*qubo.Encoding, *anneal.EmbeddedProblem, int) {
 			return
 		}
 		embEnc := enc.Restrict(res.EmbeddedSet)
+		embEnc.Rebuild()
 		norm, _ := embEnc.Poly.Normalized()
 		is := norm.ToIsing()
 		fuzzEmbedding.embEnc = embEnc
@@ -59,7 +60,7 @@ func fuzzSetup(t testing.TB) (*qubo.Encoding, *anneal.EmbeddedProblem, int) {
 }
 
 // FuzzUnembedCorrupt is the satellite fuzz target of the fault-tolerance
-// layer: unembedding (interpretSample) and boundary validation must never
+// layer: unembedding (sampleReader.interpret) and boundary validation must never
 // panic on corrupted sample vectors — negative or absurd logical node keys,
 // non-finite energies, arbitrary value patterns. Corrupted reads are a
 // modelled fault (FaultInjector's corrupt profile); the solver's contract is
@@ -86,7 +87,8 @@ func FuzzUnembedCorrupt(f *testing.F) {
 		sample := anneal.Sample{NodeValues: values, HardwareEnergy: energy}
 
 		// Unembedding must tolerate any readout shape.
-		e, assign := interpretSample(embEnc, sample, nVars)
+		var r sampleReader
+		e, assign := r.interpret(embEnc, sample, nVars)
 		_ = e
 		if len(assign) != nVars {
 			t.Fatalf("assignment covers %d vars, want %d", len(assign), nVars)

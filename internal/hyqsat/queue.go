@@ -14,7 +14,9 @@
 package hyqsat
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 
 	"hyqsat/internal/cnf"
 )
@@ -31,17 +33,42 @@ const topN = 30
 // indices into the formula.
 func GenerateQueue(f *cnf.Formula, varAdj [][]int, scores []float64,
 	candidates []int, topN, limit int, rng *rand.Rand) []int {
+	return new(queueGen).generate(f, varAdj, scores, candidates, topN, limit, rng)
+}
+
+// queueGen is GenerateQueue's working storage, kept by a solver across
+// iterations so that queue generation allocates nothing in steady state.
+type queueGen struct {
+	// stamp marks clause c as a candidate of the current call when
+	// stamp[c] == epoch, and as already queued when stamp[c] == epoch+1.
+	stamp []uint32
+	epoch uint32
+	top   []int
+	queue []int
+	vars  []cnf.Var
+}
+
+// generate is GenerateQueue on g's storage: it makes the same rng draws and
+// returns the same queue, valid until the next call.
+func (g *queueGen) generate(f *cnf.Formula, varAdj [][]int, scores []float64,
+	candidates []int, topN, limit int, rng *rand.Rand) []int {
 
 	if len(candidates) == 0 || limit <= 0 {
 		return nil
 	}
-	inCandidates := make(map[int]bool, len(candidates))
+	if len(g.stamp) < len(f.Clauses) || g.epoch >= math.MaxUint32-2 {
+		g.stamp = make([]uint32, len(f.Clauses))
+		g.epoch = 0
+	}
+	g.epoch += 2
+	candidate, queued := g.epoch, g.epoch+1
 	for _, c := range candidates {
-		inCandidates[c] = true
+		g.stamp[c] = candidate
 	}
 
 	// Top-N by activity score among candidates.
-	top := append([]int(nil), candidates...)
+	top := append(g.top[:0], candidates...)
+	g.top = top
 	// Partial selection sort: enough for N ≈ 30.
 	if topN > len(top) {
 		topN = len(top)
@@ -57,22 +84,41 @@ func GenerateQueue(f *cnf.Formula, varAdj [][]int, scores []float64,
 	}
 	head := top[rng.Intn(topN)]
 
-	visited := map[int]bool{head: true}
-	queue := []int{head}
+	g.stamp[head] = queued
+	queue := append(g.queue[:0], head)
 	for cur := 0; cur < len(queue) && len(queue) < limit; cur++ {
-		for _, v := range f.Clauses[queue[cur]].Vars() {
+		g.vars = sortedVars(g.vars[:0], f.Clauses[queue[cur]])
+		for _, v := range g.vars {
 			for _, other := range varAdj[v] {
 				if len(queue) >= limit {
 					break
 				}
-				if !visited[other] && inCandidates[other] {
-					visited[other] = true
+				if g.stamp[other] == candidate {
+					g.stamp[other] = queued
 					queue = append(queue, other)
 				}
 			}
 		}
 	}
+	g.queue = queue
 	return queue
+}
+
+// sortedVars appends the distinct variables of c to dst in ascending order,
+// as Clause.Vars returns them.
+func sortedVars(dst []cnf.Var, c cnf.Clause) []cnf.Var {
+	for _, l := range c {
+		v := l.Var()
+		i := len(dst)
+		for i > 0 && dst[i-1] > v {
+			i--
+		}
+		if i > 0 && dst[i-1] == v {
+			continue
+		}
+		dst = slices.Insert(dst, i, v)
+	}
+	return dst
 }
 
 // RandomQueue is the Fig 14 baseline: a uniformly shuffled prefix of the

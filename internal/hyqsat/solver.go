@@ -1,11 +1,12 @@
 package hyqsat
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"hyqsat/internal/anneal"
@@ -287,6 +288,28 @@ type Solver struct {
 	// iterations skip straight to CDCL instead of paying a doomed QA round
 	// trip each time.
 	qaDisabled bool
+
+	// Run-scoped scratch reused by every iteration, so that an iteration
+	// allocates only what a cache entry keeps: the unsat-set scan, queue
+	// generation and content key of the lookup every iteration pays; the
+	// encoding, Fast state and objective sums of a cold miss; and the
+	// unembedding and feedback buffers of the backend.
+	unsat  []int
+	queues queueGen
+	key    []cnf.Lit
+	front  frontendScratch
+	reader sampleReader
+	vars   []cnf.Var
+	lits   []cnf.Lit
+}
+
+// frontendScratch is the working storage of encodeAndEmbed.
+type frontendScratch struct {
+	queue []cnf.Clause
+	enc   qubo.Encoding
+	fast  embed.FastScratch
+	sums  qubo.Sums
+	all   []int // 0, 1, …: the template path restricts to the whole queue
 }
 
 // Phase indices of the measured Fig 11 phases (QA device time is modelled,
@@ -686,33 +709,20 @@ func (s *Solver) hybridIteration(ctx context.Context) (done bool, res Result) {
 
 	// --- Frontend: clause queue → embedding → coefficients ---
 	span := s.phases.Start(phaseFrontend)
-	unsat := s.sat.UnsatisfiedClauses()
-	if len(unsat) == 0 {
+	queueIdx, hash, ent := s.lookupQueue()
+	if queueIdx == nil {
 		// Current assignment satisfies everything the decision trail covers;
 		// let CDCL finish (it will extend and terminate).
 		span.End()
 		return s.stepCDCL()
 	}
-	var queueIdx []int
-	if s.opts.RandomQueue {
-		queueIdx = RandomQueue(unsat, s.opts.QueueLimit, s.rng)
-	} else {
-		queueIdx = GenerateQueue(s.formula, s.varAdj, s.sat.ClauseScores(),
-			unsat, topN, s.opts.QueueLimit, s.rng)
-	}
-	s.m.queueDepth.Set(int64(len(queueIdx)))
-	// The cache is a content-addressed sharded LRU, private or shared via
-	// Options.Cache with other solvers (other cubes, portfolio workers) that
-	// run identical pipeline options.
-	key, hash := queueContentKey(s.formula, queueIdx)
-	ent := s.cache.lookup(key, hash)
 	cacheHit := ent != nil
 	if cacheHit {
 		s.m.cacheHits.Inc()
 	} else {
 		s.m.cacheMisses.Inc()
 		ent = s.encodeAndEmbed(queueIdx)
-		s.cache.store(key, hash, ent)
+		s.cache.store(s.key, hash, ent)
 	}
 	if s.trace.Enabled() {
 		ev := obs.EmbedEvent{
@@ -781,10 +791,10 @@ func (s *Solver) hybridIteration(ctx context.Context) (done bool, res Result) {
 
 	// --- Backend: interpret energy, apply a feedback strategy ---
 	span = s.phases.Start(phaseBackend)
-	energy, qaAssign := interpretSample(embEnc, sample, s.formula.NumVars)
+	energy, qaAssign := s.reader.interpret(embEnc, sample, s.formula.NumVars)
 	class := gnb.DefaultPartition().Classify(energy)
 
-	allEmbedded := ent.embedded == len(unsat)
+	allEmbedded := ent.embedded == len(s.unsat)
 	// emitStrategy records the Fig 9 outcome classification of this QA
 	// access and which feedback strategy fired on it (0 = none/masked).
 	emitStrategy := func(strategy int) {
@@ -830,24 +840,20 @@ func (s *Solver) hybridIteration(ctx context.Context) (done bool, res Result) {
 		if energy < 1e-9 {
 			// An exactly-satisfying core solution is worth testing as a
 			// unit: decide its variables next, highest activity first.
-			vars := make([]cnf.Var, 0, len(embEnc.VarNode))
-			for v := range embEnc.VarNode {
-				vars = append(vars, v)
-			}
-			sort.Slice(vars, func(i, j int) bool {
-				ai, aj := s.sat.VarActivity(vars[i]), s.sat.VarActivity(vars[j])
-				if ai != aj {
-					return ai > aj
+			s.vars = embeddedVars(s.vars[:0], embEnc)
+			slices.SortFunc(s.vars, func(a, b cnf.Var) int {
+				if c := cmp.Compare(s.sat.VarActivity(b), s.sat.VarActivity(a)); c != 0 {
+					return c
 				}
-				return vars[i] < vars[j]
+				return cmp.Compare(a, b)
 			})
-			lits := make([]cnf.Lit, 0, len(vars))
-			for _, v := range vars {
+			s.lits = s.lits[:0]
+			for _, v := range s.vars {
 				if qaAssign[v] != cnf.Undef {
-					lits = append(lits, cnf.MkLit(v, qaAssign[v] == cnf.False))
+					s.lits = append(s.lits, cnf.MkLit(v, qaAssign[v] == cnf.False))
 				}
 			}
-			s.sat.ForceDecisions(lits)
+			s.sat.ForceDecisions(s.lits)
 		}
 	case class == gnb.Uncertain:
 		// Strategy 3: no usable signal.
@@ -858,12 +864,9 @@ func (s *Solver) hybridIteration(ctx context.Context) (done bool, res Result) {
 		// decide their variables first to reach the conflict quickly.
 		s.m.strat[3].Inc()
 		emitStrategy(4)
-		vars := make([]cnf.Var, 0, len(embEnc.VarNode))
-		for v := range embEnc.VarNode {
-			vars = append(vars, v)
-		}
-		sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
-		s.sat.PrioritizeVars(vars)
+		s.vars = embeddedVars(s.vars[:0], embEnc)
+		slices.Sort(s.vars)
+		s.sat.PrioritizeVars(s.vars)
 	default:
 		// The class's feedback strategy is disabled by the ablation mask;
 		// still record the outcome so Fig 9 counts stay complete.
@@ -874,20 +877,63 @@ func (s *Solver) hybridIteration(ctx context.Context) (done bool, res Result) {
 	return s.stepCDCL()
 }
 
-// interpretSample unembeds one (possibly corrupted) QA read: node values are
+// embeddedVars appends the SAT variables of the embedded encoding to dst,
+// in map order.
+func embeddedVars(dst []cnf.Var, embEnc *qubo.Encoding) []cnf.Var {
+	for v := range embEnc.VarNode {
+		dst = append(dst, v)
+	}
+	return dst
+}
+
+// lookupQueue is the part of the frontend every iteration runs, cache hit or
+// miss: it scans the unsatisfied clauses, generates the clause queue, keys
+// it by content (left in s.key) and looks the key up in the embedding
+// cache, returning nil ent on a miss and a nil queue when no clause is
+// unsatisfied. It allocates nothing in steady state; the queue it returns
+// is scratch, valid until the next call.
+func (s *Solver) lookupQueue() (queueIdx []int, hash uint64, ent *embedCacheEntry) {
+	s.unsat = s.sat.UnsatisfiedClauses(s.unsat[:0])
+	if len(s.unsat) == 0 {
+		return nil, 0, nil
+	}
+	if s.opts.RandomQueue {
+		queueIdx = RandomQueue(s.unsat, s.opts.QueueLimit, s.rng)
+	} else {
+		queueIdx = s.queues.generate(s.formula, s.varAdj, s.sat.ClauseScores(),
+			s.unsat, topN, s.opts.QueueLimit, s.rng)
+	}
+	s.m.queueDepth.Set(int64(len(queueIdx)))
+	// The cache is a content-addressed sharded LRU, private or shared via
+	// Options.Cache with other solvers (other cubes, portfolio workers) that
+	// run identical pipeline options.
+	s.key, hash = queueContentKey(s.key[:0], s.formula, queueIdx)
+	return queueIdx, hash, s.cache.lookup(s.key, hash)
+}
+
+// sampleReader unembeds QA reads into buffers it keeps across reads.
+type sampleReader struct {
+	x  []bool
+	qa cnf.Assignment
+}
+
+// interpret unembeds one (possibly corrupted) QA read: node values are
 // mapped into the embedded encoding's node space and reduced to the unit
-// energy and the partial assignment over the SAT variables. Logical nodes
-// outside the encoding's node range — which corrupted sample vectors can
-// name — are dropped rather than indexed: unembedding must never panic or
-// index out of range (fuzzed by FuzzUnembedCorrupt).
-func interpretSample(embEnc *qubo.Encoding, sample anneal.Sample, numVars int) (energy float64, qaAssign cnf.Assignment) {
-	x := make([]bool, embEnc.NumNodes())
+// energy and the partial assignment over the SAT variables, which is valid
+// until the next call. Logical nodes outside the encoding's node range —
+// which corrupted sample vectors can name — are dropped rather than indexed:
+// unembedding must never panic or index out of range (fuzzed by
+// FuzzUnembedCorrupt).
+func (r *sampleReader) interpret(embEnc *qubo.Encoding, sample anneal.Sample, numVars int) (energy float64, qaAssign cnf.Assignment) {
+	r.x = slices.Grow(r.x[:0], embEnc.NumNodes())[:embEnc.NumNodes()]
+	clear(r.x)
 	for node, v := range sample.NodeValues {
-		if node >= 0 && node < len(x) {
-			x[node] = v
+		if node >= 0 && node < len(r.x) {
+			r.x[node] = v
 		}
 	}
-	return embEnc.UnitEnergy(x), embEnc.AssignmentFromNodes(x, numVars)
+	r.qa = slices.Grow(r.qa[:0], numVars)[:numVars]
+	return embEnc.UnitEnergy(r.x), embEnc.AssignmentFromNodes(r.x, r.qa)
 }
 
 // encodeAndEmbed runs the frontend pipeline for one clause queue. Template
@@ -900,19 +946,22 @@ func interpretSample(embEnc *qubo.Encoding, sample anneal.Sample, numVars int) (
 // iteration). Output is immutable and memoised in the embedding cache; an
 // entry with embedded == 0 records an unusable queue (encode failure or no
 // embeddable clause) so repeats skip straight to CDCL.
+//
+// Only the structure of the queue is encoded up front; sub-clause objectives
+// and their sum are built for the clauses that embed (the whole queue on the
+// template path, Fast's embedded set otherwise). Everything else lives in
+// run-scoped scratch, so a miss allocates only what its cache entry keeps.
 func (s *Solver) encodeAndEmbed(queueIdx []int) *embedCacheEntry {
-	queue := make([]cnf.Clause, len(queueIdx))
-	for i, ci := range queueIdx {
-		queue[i] = s.formula.Clauses[ci]
+	fs := &s.front
+	fs.queue = fs.queue[:0]
+	for _, ci := range queueIdx {
+		fs.queue = append(fs.queue, s.formula.Clauses[ci])
 	}
-	// The summed objective is built later, over the clauses that embed: the
-	// template path sums the whole queue, the Fast path its restriction.
-	enc, err := qubo.EncodeSubClauses(queue)
-	if err != nil {
+	if err := fs.enc.Reset(fs.queue); err != nil {
 		// Defensive: 3-CNF conversion guarantees encodable clauses.
 		return &embedCacheEntry{}
 	}
-	if ent := s.templateEmbed(queue, enc); ent != nil {
+	if ent := s.templateEmbed(fs.queue, &fs.enc); ent != nil {
 		s.m.templateHits.Inc()
 		return ent
 	}
@@ -925,16 +974,12 @@ func (s *Solver) encodeAndEmbed(queueIdx []int) *embedCacheEntry {
 		return &embedCacheEntry{}
 	}
 	s.m.fastRuns.Inc()
-	fastRes := embed.Fast(enc, chim)
+	fastRes := fs.fast.Fast(&fs.enc, chim)
 	if fastRes.EmbeddedClauses == 0 {
 		return &embedCacheEntry{}
 	}
-	embEnc := enc.Restrict(fastRes.EmbeddedSet)
-	if !s.opts.UniformCoefficients {
-		embEnc.AdjustCoefficients()
-	}
-	norm, _ := embEnc.Poly.Normalized()
-	ising := norm.ToIsing()
+	embEnc := fs.enc.Restrict(fastRes.EmbeddedSet)
+	ising := embEnc.Program(&fs.sums, !s.opts.UniformCoefficients)
 	ep := anneal.EmbedIsing(ising, fastRes.Embedding, s.opts.Hardware, anneal.ChainStrengthFor(ising))
 	return &embedCacheEntry{embEnc: embEnc, ep: ep, embedded: fastRes.EmbeddedClauses}
 }
@@ -969,20 +1014,18 @@ func (s *Solver) templateEmbed(queue []cnf.Clause, enc *qubo.Encoding) *embedCac
 		}
 		s.builders[string(shapeKey)] = b
 	}
-	if s.opts.UniformCoefficients {
-		enc.Rebuild()
-	} else {
-		enc.AdjustCoefficients()
+	for len(s.front.all) < len(queue) {
+		s.front.all = append(s.front.all, len(s.front.all))
 	}
-	norm, _ := enc.Poly.Normalized()
-	ising := norm.ToIsing()
+	embEnc := enc.Restrict(s.front.all[:len(queue)])
+	ising := embEnc.Program(&s.front.sums, !s.opts.UniformCoefficients)
 	// BuildNew, not Build: the entry outlives this call in the cache and may
 	// be sampled concurrently with later instantiations.
 	ep := b.BuildNew(ising, anneal.ChainStrengthFor(ising))
 	if ep == nil {
 		return nil
 	}
-	return &embedCacheEntry{embEnc: enc, ep: ep, embedded: len(queue), viaTemplate: true}
+	return &embedCacheEntry{embEnc: embEnc, ep: ep, embedded: len(queue), viaTemplate: true}
 }
 
 // fullModel extends the QA assignment with the current trail and saved

@@ -72,7 +72,8 @@ type RunOutput struct {
 // window, returning Unknown when the budget expires. The context carries the
 // race's cancellation and any caller deadline; entrants propagate it into
 // cancellable solvers (the hybrid's QA backend honours it) and may otherwise
-// rely on the window budget for responsiveness.
+// rely on the window budget for responsiveness. The race waits for every
+// entrant before it returns, so Run must return promptly once ctx is done.
 type Entrant struct {
 	Name string
 	Run  func(ctx context.Context, in RunInput) RunOutput
@@ -377,6 +378,11 @@ func race(ctx context.Context, f *cnf.Formula, entrants []Entrant, o RaceOptions
 	}
 	results := make(chan msg, len(entrants))
 	ctx, cancel := context.WithCancel(ctx)
+	// The race returns only after every entrant has: losers are cancelled
+	// and joined, so none outlives the race and the aggregate taken after
+	// the join holds every window's work.
+	var running sync.WaitGroup
+	defer running.Wait()
 	defer cancel()
 
 	for _, e := range entrants {
@@ -386,12 +392,19 @@ func race(ctx context.Context, f *cnf.Formula, entrants []Entrant, o RaceOptions
 			peer = bus.NewPeer(e.Name)
 		}
 		entTrace := obs.WithSource(trace, obs.Source{Solve: raceID, Name: e.Name})
+		// Window sizes grow geometrically so easy instances finish in the
+		// first window and cancellation stays responsive on hard ones.
+		budget := int64(20_000)
+		// Every entrant's first window event is emitted here, before any
+		// entrant runs, so it precedes the decision however fast the winner.
+		if entTrace.Enabled() {
+			entTrace.Emit(obs.PortfolioEvent{Entrant: e.Name, Status: "window", Budget: budget})
+		}
+		running.Add(1)
 		go func() {
-			// Window sizes grow geometrically so easy instances finish in
-			// the first window and cancellation stays responsive on hard
-			// ones. Every window restarts the entrant from scratch; learnt
-			// state is entrant-local except for what crosses the bus.
-			budget := int64(20_000)
+			defer running.Done()
+			// Every window restarts the entrant from scratch; learnt state
+			// is entrant-local except for what crosses the bus.
 			// report pairs the verdict message with its trace event.
 			report := func(r sat.Result, status string, certified bool, err error) {
 				if entTrace.Enabled() {
@@ -403,13 +416,13 @@ func race(ctx context.Context, f *cnf.Formula, entrants []Entrant, o RaceOptions
 				}
 				results <- msg{e.Name, r, certified, err}
 			}
-			for {
+			for window := 0; ; window++ {
 				select {
 				case <-ctx.Done():
 					return
 				default:
 				}
-				if entTrace.Enabled() {
+				if window > 0 && entTrace.Enabled() {
 					entTrace.Emit(obs.PortfolioEvent{Entrant: e.Name, Status: "window", Budget: budget})
 				}
 				in := RunInput{Formula: f.Copy(), Budget: budget, Certify: o.Certify, Trace: entTrace}
@@ -476,7 +489,10 @@ func race(ctx context.Context, f *cnf.Formula, entrants []Entrant, o RaceOptions
 				raceTrace.Emit(obs.PortfolioEvent{Entrant: m.name, Status: "winner"})
 			}
 			out := Outcome{Winner: m.name, Result: m.res, Elapsed: time.Since(start),
-				Certified: m.cert, Aggregate: agg.snapshot()}
+				Certified: m.cert}
+			cancel()
+			running.Wait()
+			out.Aggregate = agg.snapshot()
 			if bus != nil {
 				out.Share = bus.Stats()
 				if raceTrace.Enabled() {

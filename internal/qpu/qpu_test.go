@@ -37,6 +37,7 @@ func testEmbeddedProblem(t testing.TB) *anneal.EmbeddedProblem {
 		t.Fatal("nothing embedded")
 	}
 	embEnc := enc.Restrict(res.EmbeddedSet)
+	embEnc.Rebuild()
 	norm, _ := embEnc.Poly.Normalized()
 	is := norm.ToIsing()
 	return anneal.EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))

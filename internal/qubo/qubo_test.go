@@ -3,6 +3,7 @@ package qubo
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hyqsat/internal/cnf"
@@ -243,8 +244,8 @@ func TestEncodePaperExample(t *testing.T) {
 	check("ax3", p.Quad[MkEdge(a, nx3)], 1)
 
 	check("d*", p.DStar(), 2)
-	check("d11", enc.Sub[0].Poly.DStar(), 2)
-	check("d12", enc.Sub[1].Poly.DStar(), 1)
+	check("d11", enc.Sub[0].DStar(), 2)
+	check("d12", enc.Sub[1].DStar(), 1)
 
 	dStar := enc.AdjustCoefficients()
 	check("returned d*", dStar, 2)
@@ -377,7 +378,7 @@ func TestNodesFromAssignmentZeroEnergyOnModels(t *testing.T) {
 			t.Fatalf("model maps to unit energy %v", e)
 		}
 		// Round trip back to SAT variables.
-		back := enc.AssignmentFromNodes(x, nv)
+		back := enc.AssignmentFromNodes(x, cnf.NewAssignment(nv))
 		for v := range enc.VarNode {
 			if back[v] != model[v] {
 				t.Fatalf("round trip changed var %d", v)
@@ -412,6 +413,9 @@ func TestEncodeRejectsBadClauses(t *testing.T) {
 func TestProblemGraphMatchesQuadTerms(t *testing.T) {
 	enc, _ := Encode([]cnf.Clause{cnf.NewClause(1, 2, 3), cnf.NewClause(-1, 2, 4)})
 	g := enc.ProblemGraph()
+	if !slices.IsSortedFunc(g, CompareEdges) {
+		t.Fatalf("graph edges not sorted: %v", g)
+	}
 	if len(g) != len(enc.Poly.Quad) {
 		t.Fatalf("graph has %d edges, poly has %d quad terms", len(g), len(enc.Poly.Quad))
 	}
@@ -515,28 +519,165 @@ func TestEncodeClosedFormMatchesPolyAlgebra(t *testing.T) {
 				t.Fatalf("clause %v: %d sub-clauses, want %d", c, len(enc.Sub), len(want))
 			}
 			for i, w := range want {
-				if !samePoly(enc.Sub[i].Poly, w) {
-					t.Fatalf("clause %v sub-clause %d: got %+v, want %+v", c, i, *enc.Sub[i].Poly, *w)
+				if !samePoly(enc.Sub[i].Poly(), w) {
+					t.Fatalf("clause %v sub-clause %d: got %+v, want %+v", c, i, *enc.Sub[i].Poly(), *w)
 				}
 			}
 		}
 	}
 }
 
-// TestEncodeSubClausesDefersSum pins that EncodeSubClauses differs from
-// Encode only in the unsummed objective.
-func TestEncodeSubClausesDefersSum(t *testing.T) {
+// TestEncodeStructureDefersObjectives pins that EncodeStructure builds the
+// structure alone, and that restricting it to every clause and summing gives
+// exactly Encode's objectives.
+func TestEncodeStructureDefersObjectives(t *testing.T) {
 	clauses := []cnf.Clause{cnf.NewClause(1, -2, 3), cnf.NewClause(-1, 4), cnf.NewClause(2)}
 	full, _ := Encode(clauses)
-	lazy, err := EncodeSubClauses(clauses)
+	lazy, err := EncodeStructure(clauses)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lazy.Poly != nil {
-		t.Fatal("EncodeSubClauses summed the objective")
+	if lazy.Sub != nil || lazy.Poly != nil {
+		t.Fatal("EncodeStructure built objectives")
 	}
-	lazy.Rebuild()
-	if !samePoly(lazy.Poly, full.Poly) || len(lazy.Sub) != len(full.Sub) {
-		t.Fatal("Rebuild after EncodeSubClauses differs from Encode")
+	r := lazy.Restrict([]int{0, 1, 2})
+	if r.Poly != nil {
+		t.Fatal("Restrict summed the objective")
+	}
+	r.Rebuild()
+	if !samePoly(r.Poly, full.Poly) || len(r.Sub) != len(full.Sub) {
+		t.Fatal("Rebuild after EncodeStructure and Restrict differs from Encode")
+	}
+	for i := range r.Sub {
+		if r.Sub[i].Clause != full.Sub[i].Clause || !samePoly(r.Sub[i].Poly(), full.Sub[i].Poly()) {
+			t.Fatalf("sub-clause %d differs from Encode's", i)
+		}
+	}
+}
+
+// randomQueue returns n clauses of 1–3 literals over nVars variables, so
+// repeated variables within a clause and tautologies occur.
+func randomQueue(rng *rand.Rand, nVars, n int) []cnf.Clause {
+	q := make([]cnf.Clause, n)
+	for i := range q {
+		c := make(cnf.Clause, 1+rng.Intn(3))
+		for j := range c {
+			c[j] = cnf.MkLit(cnf.Var(rng.Intn(nVars)), rng.Intn(2) == 1)
+		}
+		q[i] = c
+	}
+	return q
+}
+
+// TestClauseStructureMatchesObjectives pins each clause's logical nodes
+// (distinct, in literal order) and problem edges (the union of its
+// sub-clause objectives' quadratic terms, sorted) against the objectives.
+func TestClauseStructureMatchesObjectives(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		enc, err := Encode(randomQueue(rng, 2+rng.Intn(20), 1+rng.Intn(40)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, c := range enc.Clauses {
+			var logical []int
+			for _, l := range c {
+				if n := enc.VarNode[l.Var()]; !slices.Contains(logical, n) {
+					logical = append(logical, n)
+				}
+			}
+			if !slices.Equal(enc.LogicalNodes(k), logical) {
+				t.Fatalf("clause %d %v: logical nodes %v, want %v", k, c, enc.LogicalNodes(k), logical)
+			}
+			var edges []Edge
+			for i := range enc.Sub {
+				if enc.Sub[i].Clause != k {
+					continue
+				}
+				for e := range enc.Sub[i].Poly().Quad {
+					if !slices.Contains(edges, e) {
+						edges = append(edges, e)
+					}
+				}
+			}
+			slices.SortFunc(edges, CompareEdges)
+			if !slices.Equal(enc.ClauseEdges(k), edges) {
+				t.Fatalf("clause %d %v: edges %v, want %v", k, c, enc.ClauseEdges(k), edges)
+			}
+		}
+	}
+}
+
+// sameIsing compares two Ising models bit for bit.
+func sameIsing(a, b *Ising) bool {
+	if math.Float64bits(a.Offset) != math.Float64bits(b.Offset) || len(a.H) != len(b.H) || len(a.J) != len(b.J) {
+		return false
+	}
+	for i, h := range a.H {
+		if g, ok := b.H[i]; !ok || math.Float64bits(g) != math.Float64bits(h) {
+			return false
+		}
+	}
+	for e, j := range a.J {
+		if g, ok := b.J[e]; !ok || math.Float64bits(g) != math.Float64bits(j) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestProgramMatchesPolyAlgebra checks Program against the map-polynomial
+// pipeline it replaces — Σ α·H accumulated with AddScaled, §IV-C α from the
+// α=1 sum's DStar, Normalized, ToIsing — bit for bit, with and without the
+// adjustment, on random restrictions of random queues, reusing one Sums.
+func TestProgramMatchesPolyAlgebra(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var s Sums
+	sum := func(e *Encoding) *Poly {
+		p := NewPoly()
+		for i := range e.Sub {
+			p.AddScaled(e.Sub[i].Poly(), e.Sub[i].Alpha)
+		}
+		return p
+	}
+	for trial := 0; trial < 200; trial++ {
+		q := randomQueue(rng, 2+rng.Intn(30), 1+rng.Intn(60))
+		full, err := EncodeStructure(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var set []int
+		for k := range q {
+			if rng.Intn(3) > 0 {
+				set = append(set, k)
+			}
+		}
+		adjust := trial%2 == 0
+
+		ref := full.Restrict(set)
+		if adjust {
+			dStar := sum(ref).DStar()
+			for i := range ref.Sub {
+				if dij := ref.Sub[i].DStar(); dStar != 0 && dij > 0 {
+					ref.Sub[i].Alpha = dStar / dij
+				}
+			}
+		}
+		norm, _ := sum(ref).Normalized()
+		want := norm.ToIsing()
+
+		got := full.Restrict(set)
+		is := got.Program(&s, adjust)
+		if !sameIsing(is, want) {
+			t.Fatalf("trial %d (adjust %v): Program %+v, want %+v", trial, adjust, *is, *want)
+		}
+		for i := range got.Sub {
+			if math.Float64bits(got.Sub[i].Alpha) != math.Float64bits(ref.Sub[i].Alpha) {
+				t.Fatalf("trial %d: α[%d] = %v, want %v", trial, i, got.Sub[i].Alpha, ref.Sub[i].Alpha)
+			}
+		}
+		if got.Rebuild(); !samePoly(got.Poly, sum(ref)) {
+			t.Fatalf("trial %d: Rebuild differs from AddScaled accumulation", trial)
+		}
 	}
 }

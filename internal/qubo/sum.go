@@ -1,0 +1,176 @@
+package qubo
+
+import "slices"
+
+// Sums is dense storage for the summed objective of an encoding (Eq. 5):
+// per-node linear coefficients and per-edge quadratic ones over the sorted
+// edges the sub-clause objectives couple. A zero coefficient is an absent
+// term, as in Poly, whose maps never hold zeros. Sub-clauses are added in
+// order, so every key's contributions are summed in the same order Poly's
+// map accumulation sums them and every coefficient is bit-identical to it.
+//
+// The zero value is ready to use; a caller that programs an encoding per
+// iteration keeps one Sums and reuses its storage.
+type Sums struct {
+	n      int       // node count of the encoding summed
+	offset float64   // constant term
+	lin    []float64 // node → linear coefficient
+	keys   []int     // distinct quadratic keys U·n+V, ascending
+	quad   []float64 // quadratic coefficient per key
+	slot   []int32   // per quadratic term of the sub-clauses, in order: index into keys
+	h      []float64 // Ising field scratch
+}
+
+// edge decodes a quadratic key.
+func (s *Sums) edge(key int) Edge { return Edge{key / s.n, key % s.n} }
+
+// sum lays out e's quadratic keys and sums its objectives at their current
+// α coefficients.
+func (s *Sums) sum(e *Encoding) {
+	s.n = e.NumNodes()
+	s.keys = s.keys[:0]
+	for i := range e.Sub {
+		for _, t := range e.Sub[i].Quad() {
+			s.keys = append(s.keys, t.Edge.U*s.n+t.Edge.V)
+		}
+	}
+	slices.Sort(s.keys)
+	s.keys = slices.Compact(s.keys)
+	s.slot = s.slot[:0]
+	for i := range e.Sub {
+		for _, t := range e.Sub[i].Quad() {
+			j, _ := slices.BinarySearch(s.keys, t.Edge.U*s.n+t.Edge.V)
+			s.slot = append(s.slot, int32(j))
+		}
+	}
+	s.resum(e)
+}
+
+// resum re-sums e's objectives over the layout of the last sum, which must
+// have been taken over the same encoding (only α may have changed).
+func (s *Sums) resum(e *Encoding) {
+	s.offset = 0
+	s.lin = zeroed(s.lin, s.n)
+	s.quad = zeroed(s.quad, len(s.keys))
+	t := 0
+	for i := range e.Sub {
+		sc := &e.Sub[i]
+		s.offset += sc.Alpha * sc.Offset
+		for _, l := range sc.Linear() {
+			s.lin[l.Node] += sc.Alpha * l.C
+		}
+		for _, q := range sc.Quad() {
+			s.quad[s.slot[t]] += sc.Alpha * q.C
+			t++
+		}
+	}
+}
+
+// zeroed returns buf resized to n zeros, reusing its storage.
+func zeroed(buf []float64, n int) []float64 {
+	buf = slices.Grow(buf[:0], n)[:n]
+	clear(buf)
+	return buf
+}
+
+// dStar is Poly.DStar of the sum.
+func (s *Sums) dStar() float64 {
+	d := 0.0
+	for _, c := range s.lin {
+		d = max(d, abs(c)/2)
+	}
+	for _, c := range s.quad {
+		d = max(d, abs(c))
+	}
+	return d
+}
+
+// poly materialises the sum as a polynomial.
+func (s *Sums) poly() *Poly {
+	nLin, nQuad := 0, 0
+	for _, c := range s.lin {
+		if c != 0 {
+			nLin++
+		}
+	}
+	for _, c := range s.quad {
+		if c != 0 {
+			nQuad++
+		}
+	}
+	p := newPolySized(nLin, nQuad)
+	p.Offset = s.offset
+	for i, c := range s.lin {
+		if c != 0 {
+			p.Linear[i] = c
+		}
+	}
+	for j, c := range s.quad {
+		if c != 0 {
+			p.Quad[s.edge(s.keys[j])] = c
+		}
+	}
+	return p
+}
+
+// ising returns the sum normalised by its d* and converted to an Ising
+// model: the floating-point operations of Poly.Normalized followed by
+// ToIsing, in the same order, so the result is bit-identical to theirs.
+func (s *Sums) ising() *Ising {
+	// Normalized divides by d* as a multiplication by 1/d* added to a zero
+	// coefficient (Scale is AddScaled into an empty polynomial); a zero d*
+	// leaves the polynomial as is.
+	d := s.dStar()
+	norm := func(c float64) float64 { return c }
+	if d != 0 {
+		inv := 1 / d
+		norm = func(c float64) float64 { return 0 + inv*c }
+	}
+	// ToIsing: x = (1+s)/2, linear terms in ascending node order, then
+	// quadratic terms in ascending edge order.
+	offset := norm(s.offset)
+	s.h = zeroed(s.h, s.n)
+	nJ := 0
+	for i, c := range s.lin {
+		if c == 0 {
+			continue
+		}
+		if c = norm(c); c != 0 {
+			offset += c / 2
+			s.h[i] += c / 2
+		}
+	}
+	for j, c := range s.quad {
+		if c == 0 {
+			continue
+		}
+		if c = norm(c); c != 0 {
+			e := s.edge(s.keys[j])
+			offset += c / 4
+			s.h[e.U] += c / 4
+			s.h[e.V] += c / 4
+			nJ++
+		}
+	}
+	nH := 0
+	for _, h := range s.h {
+		if h != 0 {
+			nH++
+		}
+	}
+	is := &Ising{Offset: offset, H: make(map[int]float64, nH), J: make(map[Edge]float64, nJ)}
+	for i, h := range s.h {
+		if h != 0 {
+			is.H[i] = h
+		}
+	}
+	for j, c := range s.quad {
+		if c == 0 {
+			continue
+		}
+		if c = norm(c); c != 0 && c/4 != 0 {
+			is.J[s.edge(s.keys[j])] = c / 4
+		}
+	}
+	return is
+}

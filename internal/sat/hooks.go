@@ -40,11 +40,12 @@ func (s *Solver) TopActiveClauses(n int) []int {
 	return idx[:n]
 }
 
-// UnsatisfiedClauses returns the indices of input clauses not currently
-// satisfied by the partial assignment (the clause set the frontend receives
-// from the decision step).
-func (s *Solver) UnsatisfiedClauses() []int {
-	var out []int
+// UnsatisfiedClauses appends to dst the indices of input clauses not
+// currently satisfied by the partial assignment (the clause set the frontend
+// receives from the decision step) and returns the extended slice, so a
+// caller scanning every iteration can reuse one buffer.
+func (s *Solver) UnsatisfiedClauses(dst []int) []int {
+	out := dst
 	for i, c := range s.formula.Clauses {
 		sat := false
 		for _, l := range c {

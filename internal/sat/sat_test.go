@@ -372,14 +372,14 @@ func TestUnsatisfiedClauses(t *testing.T) {
 	f.Add(1, 2)
 	f.Add(-1, 3)
 	s := New(f, MiniSATOptions())
-	u := s.UnsatisfiedClauses()
+	u := s.UnsatisfiedClauses(nil)
 	if len(u) != 2 {
 		t.Fatalf("initially unsatisfied = %v", u)
 	}
 	if r := s.Solve(); r.Status != Sat {
 		t.Fatal("should be Sat")
 	}
-	if u := s.UnsatisfiedClauses(); len(u) != 0 {
+	if u := s.UnsatisfiedClauses(nil); len(u) != 0 {
 		t.Fatalf("after Sat, unsatisfied = %v", u)
 	}
 }
