@@ -39,7 +39,8 @@ go test -run='TestTemplateInstantiateZeroAllocs|TestTemplateEmbeddingsVerify' -c
 # queue, content key, lookup, unembedding) must allocate nothing.
 go test -run='TestFrontendGolden|TestColdFastEmbedIsingAllocs|TestColdMissAllocs|TestCacheHitIterationAllocs' -count=1 ./internal/hyqsat
 # Chaos gate: the Resilient wrapper's happy-path overhead contract: 0 extra
-# allocs/op always, ≤1% ns/op via the opt-in perf gate.
+# allocs/op always, ≤1% ns/op via the opt-in perf gate (median of per-round
+# paired ratios, run order alternating each round; internal/perfgate).
 go test -run=TestResilientHappyPathAllocs -count=1 ./internal/qpu
 HYQSAT_PERF_GATE=1 go test -run=TestResilientOverhead -count=1 -v ./internal/qpu
 # Cross-solve batching gates: demuxed read-sets bit-identical to sequential
@@ -99,7 +100,8 @@ grep -q 'drained cleanly' "$wiredir/out.log"
 rm -rf "$wiredir"
 # Telemetry gates: the sweep kernel keeps its 0 allocs/op contract with the
 # no-op tracer installed, and stays within 1% ns/op of the untraced kernel
-# (in-process interleaved benchmark; opt-in via the env var).
+# (median of per-round paired ratios, as the chaos gate; opt-in via the env
+# var).
 go test -run='TestSampleIntoZeroAllocsWithNopTracer|TestSampleOnceSteadyStateAllocs' -count=1 ./internal/anneal .
 HYQSAT_PERF_GATE=1 go test -run=TestNopTracerKernelOverhead -count=1 -v ./internal/anneal
 # Trace round-trip smoke: record a real solve with -trace, then replay the

@@ -22,7 +22,7 @@ import (
 )
 
 func main() {
-	only := flag.String("only", "", "comma-separated experiment ids (fig1,fig5,fig8,fig10..fig15,table1..table3)")
+	only := flag.String("only", "", "comma-separated experiment ids (fig1,fig5,fig8,fig10..fig15,table1..table3,ablation-chain,ablation-schedule,ablation-warmup,ablation-adjust)")
 	problems := flag.Int("problems", 0, "instances per benchmark family (default 2; paper uses up to 100)")
 	queues := flag.Int("queues", 0, "clause queues for fig13 (default 2; paper 50)")
 	samples := flag.Int("samples", 0, "samples for distribution experiments (default 120; paper 2000)")

@@ -160,12 +160,11 @@ func TestFullPipelineManually(t *testing.T) {
 	if err := embed.Verify(embed.ProblemFromEncoding(sub), g, res.Embedding); err != nil {
 		t.Fatal(err)
 	}
-	sub.AdjustCoefficients()
-	norm, d := sub.Poly.Normalized()
-	if d <= 0 {
+	var sums qubo.Sums
+	is := sub.Program(&sums, true)
+	if d := sums.DStar(); d <= 0 {
 		t.Fatalf("normalizer %v", d)
 	}
-	is := norm.ToIsing()
 	ep := anneal.EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))
 	sample := anneal.NewSampler(anneal.LongSchedule(), anneal.NoNoise, 9).SampleOnce(ep)
 

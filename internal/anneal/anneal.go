@@ -97,11 +97,6 @@ type EmbeddedProblem struct {
 	chainQubits int // total qubits held in chains
 }
 
-type coupling struct {
-	other int // active-qubit index
-	j     float64
-}
-
 // coupler is one programmed coupler between two active qubits, in the order
 // EmbedIsing emits them.
 type coupler struct {
@@ -376,55 +371,4 @@ type Sample struct {
 	NodeValues     map[int]bool // logical node → value (x = spin up)
 	BrokenChains   int
 	HardwareEnergy float64 // Ising energy of the raw spins, incl. chain terms
-}
-
-// SampleLogical anneals a logical Ising model directly (no embedding): the
-// idealised noise-free simulator over the problem graph. numNodes bounds the
-// node index space.
-func (s *Sampler) SampleLogical(is *qubo.Ising, numNodes int) map[int]bool {
-	// Build dense adjacency.
-	h := make([]float64, numNodes)
-	for i, v := range is.H {
-		h[i] = v
-	}
-	adj := make([][]coupling, numNodes)
-	for e, j := range is.J {
-		adj[e.U] = append(adj[e.U], coupling{e.V, j})
-		adj[e.V] = append(adj[e.V], coupling{e.U, j})
-	}
-	spins := make([]int8, numNodes)
-	for i := range spins {
-		if s.Rng.Intn(2) == 0 {
-			spins[i] = 1
-		} else {
-			spins[i] = -1
-		}
-	}
-	sched := s.Schedule
-	if sched.Sweeps <= 0 {
-		sched = DefaultSchedule()
-	}
-	beta := sched.BetaMin
-	ratio := 1.0
-	if sched.Sweeps > 1 {
-		ratio = math.Pow(sched.BetaMax/sched.BetaMin, 1/float64(sched.Sweeps-1))
-	}
-	for sweep := 0; sweep < sched.Sweeps; sweep++ {
-		for i := 0; i < numNodes; i++ {
-			local := h[i]
-			for _, c := range adj[i] {
-				local += c.j * float64(spins[c.other])
-			}
-			dE := -2 * float64(spins[i]) * local
-			if dE <= 0 || s.Rng.Float64() < math.Exp(-beta*dE) {
-				spins[i] = -spins[i]
-			}
-		}
-		beta *= ratio
-	}
-	out := make(map[int]bool, numNodes)
-	for i, sp := range spins {
-		out[i] = sp > 0
-	}
-	return out
 }

@@ -27,40 +27,6 @@ func TestTimingModel(t *testing.T) {
 	}
 }
 
-func TestSampleLogicalFindsGroundStateOfTinyProblems(t *testing.T) {
-	// Ferromagnetic pair with a field: ground state both up.
-	is := &qubo.Ising{
-		H: map[int]float64{0: -1, 1: -1},
-		J: map[qubo.Edge]float64{{U: 0, V: 1}: -1},
-	}
-	s := NewSampler(LongSchedule(), NoNoise, 1)
-	hits := 0
-	for trial := 0; trial < 20; trial++ {
-		v := s.SampleLogical(is, 2)
-		if v[0] && v[1] {
-			hits++
-		}
-	}
-	if hits < 18 {
-		t.Fatalf("ground state found %d/20 times", hits)
-	}
-}
-
-func TestSampleLogicalAntiferromagnet(t *testing.T) {
-	// J>0 favours opposite spins.
-	is := &qubo.Ising{
-		H: map[int]float64{},
-		J: map[qubo.Edge]float64{{U: 0, V: 1}: 1},
-	}
-	s := NewSampler(LongSchedule(), NoNoise, 2)
-	for trial := 0; trial < 20; trial++ {
-		v := s.SampleLogical(is, 2)
-		if v[0] == v[1] {
-			t.Fatalf("trial %d: antiferromagnet aligned", trial)
-		}
-	}
-}
-
 // encodeAndEmbed builds the QUBO encoding of the clauses and fast-embeds it.
 func encodeAndEmbed(t *testing.T, clauses []cnf.Clause, g *topo.Chimera) (*qubo.Encoding, *embed.FastResult) {
 	t.Helper()
@@ -78,8 +44,7 @@ func encodeAndEmbed(t *testing.T, clauses []cnf.Clause, g *topo.Chimera) (*qubo.
 func TestEmbedIsingStructure(t *testing.T) {
 	g := topo.NewChimera(4, 4, 4)
 	enc, res := encodeAndEmbed(t, []cnf.Clause{cnf.NewClause(1, 2, 3)}, g)
-	norm, _ := enc.Poly.Normalized()
-	is := norm.ToIsing()
+	is := enc.Program(&qubo.Sums{}, false)
 	ep := EmbedIsing(is, res.Embedding, g, ChainStrengthFor(is))
 	if ep.NumActiveQubits() != res.Embedding.QubitsUsed() {
 		t.Fatalf("active qubits %d vs embedding %d", ep.NumActiveQubits(), res.Embedding.QubitsUsed())
@@ -138,9 +103,7 @@ func TestHardwareSampleSolvesSatisfiableClauses(t *testing.T) {
 		}
 	}
 	enc, res := encodeAndEmbed(t, f.Clauses, g)
-	enc.AdjustCoefficients()
-	norm, _ := enc.Poly.Normalized()
-	is := norm.ToIsing()
+	is := enc.Program(&qubo.Sums{}, true)
 	ep := EmbedIsing(is, res.Embedding, g, ChainStrengthFor(is))
 
 	s := NewSampler(LongSchedule(), NoNoise, 7)
@@ -173,8 +136,7 @@ func TestNoiseDegradesEnergy(t *testing.T) {
 		clauses = append(clauses, c)
 	}
 	enc, res := encodeAndEmbed(t, clauses, g)
-	norm, _ := enc.Poly.Normalized()
-	is := norm.ToIsing()
+	is := enc.Program(&qubo.Sums{}, false)
 	ep := EmbedIsing(is, res.Embedding, g, ChainStrengthFor(is))
 
 	meanEnergy := func(noise Noise, sched Schedule, seed int64) float64 {
@@ -215,8 +177,7 @@ func TestBrokenChainsReported(t *testing.T) {
 	if res.Embedding.MaxChainLength() < 2 {
 		t.Skip("no multi-qubit chains to break")
 	}
-	norm, _ := enc.Poly.Normalized()
-	is := norm.ToIsing()
+	is := enc.Program(&qubo.Sums{}, false)
 	ep := EmbedIsing(is, res.Embedding, g, ChainStrengthFor(is))
 	s := NewSampler(DefaultSchedule(), Noise{ReadoutFlipProb: 0.4}, 13)
 	broken := 0
@@ -231,8 +192,7 @@ func TestBrokenChainsReported(t *testing.T) {
 func TestSampleOnceDeterministicForSeed(t *testing.T) {
 	g := topo.NewChimera(4, 4, 4)
 	enc, res := encodeAndEmbed(t, []cnf.Clause{cnf.NewClause(1, 2, 3), cnf.NewClause(-1, 2, 4)}, g)
-	norm, _ := enc.Poly.Normalized()
-	is := norm.ToIsing()
+	is := enc.Program(&qubo.Sums{}, false)
 	ep := EmbedIsing(is, res.Embedding, g, ChainStrengthFor(is))
 	a := NewSampler(DefaultSchedule(), DWave2000QNoise, 99).SampleOnce(ep)
 	b := NewSampler(DefaultSchedule(), DWave2000QNoise, 99).SampleOnce(ep)

@@ -75,7 +75,7 @@ func TestEmbedIsingMatchesReferenceCouplers(t *testing.T) {
 			t.Fatal(err)
 		}
 		var emb *embed.Embedding
-		is := enc.Poly.ToIsing()
+		is := enc.Program(&qubo.Sums{}, false)
 		if trial%3 == 2 {
 			p := embed.ProblemFromEncoding(enc)
 			if emb, err = (&embed.Minorminer{Seed: int64(trial)}).Embed(p, g); err != nil {

@@ -34,8 +34,7 @@ func testEmbeddedProblem(t testing.TB, seed int64, numClauses int) *EmbeddedProb
 	if res.EmbeddedClauses != numClauses {
 		t.Fatalf("embedded %d/%d clauses", res.EmbeddedClauses, numClauses)
 	}
-	norm, _ := enc.Poly.Normalized()
-	is := norm.ToIsing()
+	is := enc.Program(&qubo.Sums{}, false)
 	return EmbedIsing(is, res.Embedding, g, ChainStrengthFor(is))
 }
 

@@ -39,9 +39,7 @@ func isingFor(t testing.TB, clauses []cnf.Clause) (*qubo.Encoding, *qubo.Ising) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc.AdjustCoefficients()
-	norm, _ := enc.Poly.Normalized()
-	return enc, norm.ToIsing()
+	return enc, enc.Program(&qubo.Sums{}, true)
 }
 
 // Every template instantiation must pass embed.Verify, on both topologies,
@@ -296,9 +294,7 @@ func FuzzTemplateInstantiate(f *testing.F) {
 		if err != nil {
 			t.Fatalf("eligible queue failed to encode: %v", err)
 		}
-		enc.AdjustCoefficients()
-		norm, _ := enc.Poly.Normalized()
-		is := norm.ToIsing()
+		is := enc.Program(&qubo.Sums{}, true)
 		ep := b.Build(is, ChainStrengthFor(is))
 		if ep == nil {
 			t.Fatalf("template-shaped model rejected for shape %v", shape)

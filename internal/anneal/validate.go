@@ -3,7 +3,6 @@ package anneal
 import (
 	"fmt"
 	"math"
-	"slices"
 )
 
 // ReadSetError reports a malformed ReadSet at the sampler/solver boundary:
@@ -66,10 +65,13 @@ func ValidateReadSet(ep *EmbeddedProblem, rs *ReadSet, wantReads int) error {
 			return &ReadSetError{Reason: "chain_count", Read: i,
 				Detail: fmt.Sprintf("readout covers %d chains, embedding has %d", len(s.NodeValues), chains)}
 		}
-		for node := range s.NodeValues {
-			if _, ok := slices.BinarySearch(ep.chainNodes, node); !ok {
+		// With the counts equal, a missing chain means the readout names a
+		// node the embedding does not carry. Looking the chains up is cheaper
+		// than walking the map, and this runs on every QA access.
+		for _, node := range ep.chainNodes {
+			if _, ok := s.NodeValues[node]; !ok {
 				return &ReadSetError{Reason: "unknown_node", Read: i,
-					Detail: fmt.Sprintf("readout names logical node %d, which the embedding does not carry", node)}
+					Detail: fmt.Sprintf("readout lacks logical node %d and names one the embedding does not carry", node)}
 			}
 		}
 	}

@@ -28,8 +28,7 @@ func wireTestProblem(t testing.TB) *EmbeddedProblem {
 	if res.EmbeddedClauses != len(clauses) {
 		t.Fatalf("embedded %d/%d clauses", res.EmbeddedClauses, len(clauses))
 	}
-	norm, _ := enc.Poly.Normalized()
-	is := norm.ToIsing()
+	is := enc.Program(&qubo.Sums{}, false)
 	return EmbedIsing(is, res.Embedding, g, ChainStrengthFor(is))
 }
 

@@ -38,9 +38,7 @@ func AblationChainStrength(cfg Config) *Report {
 	g := topo.DWave2000Q()
 	res := embed.Fast(enc, g)
 	sub := enc.Restrict(res.EmbeddedSet)
-	sub.AdjustCoefficients()
-	norm, _ := sub.Poly.Normalized()
-	is := norm.ToIsing()
+	is := sub.Program(&qubo.Sums{}, true)
 	base := anneal.ChainStrengthFor(is) / 1.25
 
 	for _, mult := range []float64{0.5, 0.75, 1.0, 1.25, 1.75, 2.5} {
@@ -89,9 +87,7 @@ func AblationSchedule(cfg Config) *Report {
 	g := topo.DWave2000Q()
 	res := embed.Fast(enc, g)
 	sub := enc.Restrict(res.EmbeddedSet)
-	sub.AdjustCoefficients()
-	norm, _ := sub.Poly.Normalized()
-	is := norm.ToIsing()
+	is := sub.Program(&qubo.Sums{}, true)
 	ep := anneal.EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))
 
 	for _, sweeps := range []int{8, 32, 64, 256, 1024} {

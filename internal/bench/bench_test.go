@@ -123,7 +123,8 @@ func TestFig13Shapes(t *testing.T) {
 
 func TestByIDCoversAll(t *testing.T) {
 	for _, id := range []string{"fig1", "fig5", "fig8", "fig10", "fig11",
-		"fig12", "fig13", "fig14", "fig15", "table1", "table2", "table3"} {
+		"fig12", "fig13", "fig14", "fig15", "table1", "table2", "table3",
+		"ablation-chain", "ablation-schedule", "ablation-warmup", "ablation-adjust"} {
 		if ByID(id) == nil {
 			t.Fatalf("ByID(%q) = nil", id)
 		}

@@ -59,9 +59,7 @@ func Fig1(cfg Config) *Report {
 				"embedding failed: "+mmErr.Error())
 		} else {
 			access := timing.AccessTime(60)
-			enc.AdjustCoefficients()
-			norm, _ := enc.Poly.Normalized()
-			is := norm.ToIsing()
+			is := enc.Program(&qubo.Sums{}, true)
 			ep := anneal.EmbedIsing(is, emb, g, anneal.ChainStrengthFor(is))
 			sampler := anneal.NewSampler(anneal.DefaultSchedule(), anneal.DWave2000QNoise, cfg.Seed)
 			reads := sampler.Sample(ep, 60) // one access, 60 parallel reads
@@ -172,11 +170,7 @@ func fig8Sample(rng *rand.Rand, sampler *anneal.Sampler, g *topo.Chimera, adjust
 	if res.EmbeddedClauses != len(inst.Formula.Clauses) {
 		return false, 0, false // need the full problem on hardware
 	}
-	if adjust {
-		enc.AdjustCoefficients()
-	}
-	norm, _ := enc.Poly.Normalized()
-	is := norm.ToIsing()
+	is := enc.Program(&qubo.Sums{}, adjust)
 	ep := anneal.EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))
 	s := sampler.SampleOnce(ep)
 	x := make([]bool, enc.NumNodes())

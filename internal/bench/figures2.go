@@ -237,9 +237,10 @@ func Fig15(cfg Config) *Report {
 		if err != nil {
 			continue
 		}
-		dStar := enc.Poly.DStar()
-		gapBefore := 1 / dStar // every violated sub-clause contributes 1/d* at α=1
-		enc.AdjustCoefficients()
+		var s qubo.Sums
+		enc.Program(&s, false)
+		gapBefore := 1 / s.DStar() // every violated sub-clause contributes 1/d* at α=1
+		enc.Program(&s, true)
 		// Mean sub-clause contribution after normalisation: the steepness of
 		// the energy surface the paper's Fig 15(a) plots. (The worst-case
 		// sub-clause keeps α=1 by construction, so the mean is the quantity
@@ -249,7 +250,7 @@ func Fig15(cfg Config) *Report {
 			meanAlpha += enc.Sub[i].Alpha
 		}
 		meanAlpha /= float64(len(enc.Sub))
-		gapAfter := meanAlpha / enc.Poly.DStar()
+		gapAfter := meanAlpha / s.DStar()
 		before = append(before, gapBefore)
 		after = append(after, gapAfter)
 		gapRatios = append(gapRatios, gapAfter/gapBefore)
@@ -333,6 +334,14 @@ func ByID(id string) func(Config) *Report {
 		return Table2
 	case "table3":
 		return Table3
+	case "ablation-chain":
+		return AblationChainStrength
+	case "ablation-schedule":
+		return AblationSchedule
+	case "ablation-warmup":
+		return AblationWarmup
+	case "ablation-adjust":
+		return AblationCoefficientAdjust
 	}
 	return nil
 }

@@ -27,9 +27,7 @@ func BuildSampleFixture(seed int64, numVars, numClauses int) (*anneal.EmbeddedPr
 		return nil, fmt.Errorf("bench: no clause of the fixture embedded")
 	}
 	sub := enc.Restrict(res.EmbeddedSet)
-	sub.AdjustCoefficients()
-	norm, _ := sub.Poly.Normalized()
-	is := norm.ToIsing()
+	is := sub.Program(&qubo.Sums{}, true)
 	return anneal.EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is)), nil
 }
 

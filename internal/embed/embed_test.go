@@ -147,7 +147,8 @@ func TestFastPrefixEdgesAllRealized(t *testing.T) {
 		if !inSet[enc.Sub[i].Clause] {
 			continue
 		}
-		for e := range enc.Sub[i].Poly().Quad {
+		for _, q := range enc.Sub[i].Quad() {
+			e := q.Edge
 			if len(owners.InterChainCouplers(nil, g, res.Embedding.Chains[e.U], e.V)) == 0 {
 				t.Fatalf("edge %v of embedded clause %d not realised", e, enc.Sub[i].Clause)
 			}

@@ -20,14 +20,10 @@ import (
 type Circuit struct {
 	F      *cnf.Formula
 	Inputs []cnf.Lit
-	gates  int
 }
 
 // NewCircuit returns an empty circuit over a fresh formula.
 func NewCircuit() *Circuit { return &Circuit{F: cnf.New(0)} }
-
-// NumGates returns the number of gates emitted so far.
-func (c *Circuit) NumGates() int { return c.gates }
 
 // Input allocates a primary input wire.
 func (c *Circuit) Input() cnf.Lit {
@@ -54,7 +50,6 @@ func (c *Circuit) Not(a cnf.Lit) cnf.Lit { return a.Not() }
 // And emits y ↔ a∧b and returns y.
 func (c *Circuit) And(a, b cnf.Lit) cnf.Lit {
 	y := cnf.Pos(c.F.NewVar())
-	c.gates++
 	c.F.AddClause(cnf.Clause{y.Not(), a})
 	c.F.AddClause(cnf.Clause{y.Not(), b})
 	c.F.AddClause(cnf.Clause{y, a.Not(), b.Not()})
@@ -69,17 +64,11 @@ func (c *Circuit) Or(a, b cnf.Lit) cnf.Lit {
 // Xor emits y ↔ a⊕b and returns y.
 func (c *Circuit) Xor(a, b cnf.Lit) cnf.Lit {
 	y := cnf.Pos(c.F.NewVar())
-	c.gates++
 	c.F.AddClause(cnf.Clause{y.Not(), a, b})
 	c.F.AddClause(cnf.Clause{y.Not(), a.Not(), b.Not()})
 	c.F.AddClause(cnf.Clause{y, a, b.Not()})
 	c.F.AddClause(cnf.Clause{y, a.Not(), b})
 	return y
-}
-
-// Mux emits y ↔ (s ? a : b).
-func (c *Circuit) Mux(s, a, b cnf.Lit) cnf.Lit {
-	return c.Or(c.And(s, a), c.And(s.Not(), b))
 }
 
 // AssertTrue forces wire l to 1.

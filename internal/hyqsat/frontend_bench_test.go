@@ -173,9 +173,7 @@ func TestColdFastEmbedIsingAllocs(t *testing.T) {
 	g := topo.DWave2000Q()
 	res := embed.Fast(enc, g)
 	embEnc := enc.Restrict(res.EmbeddedSet)
-	embEnc.AdjustCoefficients()
-	norm, _ := embEnc.Poly.Normalized()
-	is := norm.ToIsing()
+	is := embEnc.Program(&qubo.Sums{}, true)
 	cs := anneal.ChainStrengthFor(is)
 	allocs := testing.AllocsPerRun(5, func() {
 		r := embed.Fast(enc, g)

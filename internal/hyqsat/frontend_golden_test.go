@@ -106,21 +106,13 @@ func (d *digest) floats(vs []float64) {
 
 func (d *digest) sum() string { return hex.EncodeToString(d.h.Sum(nil)) }
 
-// poly hashes a polynomial in sorted key order. Map entries are hashed as
-// present, so a stored zero coefficient would change the digest.
-func (d *digest) poly(p *qubo.Poly) {
-	d.float(p.Offset)
-	lin := make([]int, 0, len(p.Linear))
-	for i := range p.Linear {
-		lin = append(lin, i)
-	}
-	slices.Sort(lin)
-	d.int(len(lin))
-	for _, i := range lin {
-		d.int(i)
-		d.float(p.Linear[i])
-	}
-	d.quad(p.Quad)
+// objective hashes a quadratic objective in sorted key order: the constant,
+// then the linear and quadratic terms. Map entries are hashed as present, so
+// a stored zero coefficient would change the digest.
+func (d *digest) objective(offset float64, lin map[int]float64, quad map[qubo.Edge]float64) {
+	d.float(offset)
+	d.linearMap(lin)
+	d.quad(quad)
 }
 
 func (d *digest) quad(m map[qubo.Edge]float64) {
@@ -167,13 +159,30 @@ func (d *digest) encoding(e *qubo.Encoding) {
 		d.int(int(v))
 	}
 	d.ints(e.AuxNode)
+	// Each sub-clause objective, then the summed objective of Eq. 5: Σ α·H
+	// added in sub-clause order, a term dropped whenever it cancels to zero.
 	d.int(len(e.Sub))
+	offset, lin, quad := 0.0, map[int]float64{}, map[qubo.Edge]float64{}
 	for _, sc := range e.Sub {
 		d.int(sc.Clause)
 		d.float(sc.Alpha)
-		d.poly(sc.Poly())
+		subLin, subQuad := map[int]float64{}, map[qubo.Edge]float64{}
+		offset += sc.Alpha * sc.Offset
+		for _, t := range sc.Linear() {
+			subLin[t.Node] = t.C
+			if lin[t.Node] += sc.Alpha * t.C; lin[t.Node] == 0 {
+				delete(lin, t.Node)
+			}
+		}
+		for _, t := range sc.Quad() {
+			subQuad[t.Edge] = t.C
+			if quad[t.Edge] += sc.Alpha * t.C; quad[t.Edge] == 0 {
+				delete(quad, t.Edge)
+			}
+		}
+		d.objective(sc.Offset, subLin, subQuad)
 	}
-	d.poly(e.Poly)
+	d.objective(offset, lin, quad)
 }
 
 func (d *digest) fastResult(r *embed.FastResult) {
@@ -301,7 +310,6 @@ func goldenStages(t *testing.T, q []cnf.Clause, g *topo.Chimera, fs *frontendScr
 
 	embEnc := fs.enc.Restrict(res.EmbeddedSet)
 	is := embEnc.Program(&fs.sums, true)
-	embEnc.Rebuild() // the adjusted objective, which Program does not build
 	d = newDigest()
 	d.encoding(embEnc)
 	d.ising(is)

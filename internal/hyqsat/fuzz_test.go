@@ -46,9 +46,7 @@ func fuzzSetup(t testing.TB) (*qubo.Encoding, *anneal.EmbeddedProblem, int) {
 			return
 		}
 		embEnc := enc.Restrict(res.EmbeddedSet)
-		embEnc.Rebuild()
-		norm, _ := embEnc.Poly.Normalized()
-		is := norm.ToIsing()
+		is := embEnc.Program(&qubo.Sums{}, false)
 		fuzzEmbedding.embEnc = embEnc
 		fuzzEmbedding.ep = anneal.EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))
 		fuzzEmbedding.vars = nVars

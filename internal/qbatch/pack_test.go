@@ -36,8 +36,7 @@ func memberProblem(t testing.TB, g *topo.Chimera, seed int64, numClauses, numVar
 	if res.EmbeddedClauses != numClauses {
 		t.Fatalf("embedded %d/%d clauses", res.EmbeddedClauses, numClauses)
 	}
-	norm, _ := enc.Poly.Normalized()
-	is := norm.ToIsing()
+	is := enc.Program(&qubo.Sums{}, false)
 	return anneal.EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))
 }
 

@@ -37,9 +37,7 @@ func testEmbeddedProblem(t testing.TB) *anneal.EmbeddedProblem {
 		t.Fatal("nothing embedded")
 	}
 	embEnc := enc.Restrict(res.EmbeddedSet)
-	embEnc.Rebuild()
-	norm, _ := embEnc.Poly.Normalized()
-	is := norm.ToIsing()
+	is := embEnc.Program(&qubo.Sums{}, false)
 	return anneal.EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))
 }
 

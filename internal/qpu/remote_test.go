@@ -35,8 +35,7 @@ func remoteTestProblem(t testing.TB) *anneal.EmbeddedProblem {
 	if res.EmbeddedClauses != len(clauses) {
 		t.Fatalf("embedded %d/%d clauses", res.EmbeddedClauses, len(clauses))
 	}
-	norm, _ := enc.Poly.Normalized()
-	is := norm.ToIsing()
+	is := enc.Program(&qubo.Sums{}, false)
 	return anneal.EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"hyqsat/internal/anneal"
 	"hyqsat/internal/obs"
+	"hyqsat/internal/perfgate"
 )
 
 // fastConfig is a Resilient config with no real waiting: instant backoff
@@ -303,8 +304,8 @@ func TestResilientHappyPathAllocs(t *testing.T) {
 
 // TestResilientOverhead is the time half of the overhead gate check.sh runs:
 // happy-path ns/op through the Resilient wrapper must stay within 1% of the
-// direct backend. Benchmarked in-process, interleaved, min-of-5 (same idiom
-// as the anneal kernel gate); opt-in via HYQSAT_PERF_GATE=1.
+// direct backend, as the median of per-round paired ratios (same rule as the
+// anneal kernel gate); opt-in via HYQSAT_PERF_GATE=1.
 func TestResilientOverhead(t *testing.T) {
 	if os.Getenv("HYQSAT_PERF_GATE") == "" {
 		t.Skip("perf gate disabled; set HYQSAT_PERF_GATE=1")
@@ -313,29 +314,17 @@ func TestResilientOverhead(t *testing.T) {
 	ctx := context.Background()
 	direct := NewLocal(testSampler())
 	wrapped := NewResilient(NewLocal(testSampler()), Config{CallTimeout: time.Second})
-	bench := func(b Backend) float64 {
-		r := testing.Benchmark(func(tb *testing.B) {
-			for j := 0; j < tb.N; j++ {
+	submit := func(b Backend) func(int) {
+		return func(n int) {
+			for j := 0; j < n; j++ {
 				if _, err := b.Submit(ctx, ep, 1); err != nil {
-					tb.Fatal(err)
+					t.Fatal(err)
 				}
 			}
-		})
-		return float64(r.NsPerOp())
-	}
-	direct.Submit(ctx, ep, 1) // warm both scratch sets before timing
-	wrapped.Submit(ctx, ep, 1)
-	baseline, withWrap := 0.0, 0.0
-	for i := 0; i < 5; i++ {
-		if p := bench(direct); baseline == 0 || p < baseline {
-			baseline = p
-		}
-		if n := bench(wrapped); withWrap == 0 || n < withWrap {
-			withWrap = n
 		}
 	}
-	ratio := withWrap / baseline
-	t.Logf("happy path ns/op: direct=%.0f resilient=%.0f ratio=%.4f", baseline, withWrap, ratio)
+	ratio, ratios := perfgate.Overhead(1001, submit(direct), submit(wrapped))
+	t.Logf("happy path resilient/direct: median ratio %.4f over %d rounds", ratio, len(ratios))
 	if ratio > 1.01 {
 		t.Fatalf("Resilient costs %.2f%% on the happy path, budget is 1%%", 100*(ratio-1))
 	}

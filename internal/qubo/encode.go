@@ -27,7 +27,7 @@ type QuadTerm struct {
 //
 // The objective is a fixed-size term list: Offset plus at most three linear
 // and three quadratic terms, no term zero and no node or edge twice — the
-// same terms a Poly's maps would hold.
+// same terms a map polynomial would hold.
 type SubClause struct {
 	Clause int // index of the source clause within the encoded subset
 	Alpha  float64
@@ -121,26 +121,14 @@ func (s *SubClause) Energy(x []bool) float64 {
 	return e
 }
 
-// Poly returns the α=1 objective as a polynomial.
-func (s *SubClause) Poly() *Poly {
-	p := newPolySized(int(s.nLin), int(s.nQuad))
-	p.Offset = s.Offset
-	for _, t := range s.Linear() {
-		p.Linear[t.Node] = t.C
-	}
-	for _, t := range s.Quad() {
-		p.Quad[t.Edge] = t.C
-	}
-	return p
-}
-
 // Encoding is the QA problem built from a set of clauses. It has two parts:
 //
 //   - the structure: node numbering for logical and auxiliary variables and,
 //     per clause, its distinct logical nodes and the problem edges its
 //     sub-clause objectives couple. This is all the Fast embedder reads.
-//   - the objectives: per-sub-clause objectives (Sub) and the summed
-//     objective of Eq. 5 (Poly).
+//   - the objectives: per-sub-clause objectives (Sub) with their α
+//     coefficients. Program sums them into the objective of Eq. 5 and
+//     returns it as the Ising model programmed on the annealer.
 //
 // EncodeStructure builds only the structure, so a pipeline that embeds a
 // prefix of a clause queue builds objectives (Restrict) only for the clauses
@@ -159,8 +147,7 @@ type Encoding struct {
 	edges              []Edge
 	edgesAt            []int
 
-	Sub  []SubClause // nil after EncodeStructure until Restrict
-	Poly *Poly       // Σ α_ij · H_ij (Eq. 5); nil until Rebuild or AdjustCoefficients
+	Sub []SubClause // nil after EncodeStructure until Restrict
 }
 
 // NumNodes returns the total number of nodes (logical + auxiliary).
@@ -256,13 +243,12 @@ func Encode(clauses []cnf.Clause) (*Encoding, error) {
 	for k, c := range clauses {
 		e.Sub = append(e.Sub, clauseObjectives(&buf, k, c, e.literalNodes(c), e.AuxNode[k])...)
 	}
-	e.Rebuild()
 	return e, nil
 }
 
 // EncodeStructure is Encode without the objectives: it numbers the nodes and
-// records each clause's logical nodes and problem edges, leaving Sub and
-// Poly nil. Restrict builds the objectives for the clauses that need them.
+// records each clause's logical nodes and problem edges, leaving Sub nil.
+// Restrict builds the objectives for the clauses that need them.
 func EncodeStructure(clauses []cnf.Clause) (*Encoding, error) {
 	e := &Encoding{}
 	if err := e.Reset(clauses); err != nil {
@@ -288,7 +274,7 @@ func (e *Encoding) Reset(clauses []cnf.Clause) error {
 	e.logicalAt = append(e.logicalAt[:0], 0)
 	e.edges = e.edges[:0]
 	e.edgesAt = append(e.edgesAt[:0], 0)
-	e.Sub, e.Poly = nil, nil
+	e.Sub = nil
 
 	var buf [2]SubClause
 	for k, c := range clauses {
@@ -349,11 +335,10 @@ func (e *Encoding) literalNodes(c cnf.Clause) [3]int {
 
 // Restrict returns a new encoding over the same node numbering containing
 // only the given clauses (indices into e.Clauses, in ascending order), with
-// their sub-clause objectives built at α = 1 and Poly left nil until Rebuild
-// or AdjustCoefficients. The restriction is how a partially-embedded clause
-// queue becomes the problem actually programmed on hardware: node ids stay
-// aligned with the embedding produced against the full encoding. It shares
-// no storage with e, so e may be Reset afterwards.
+// their sub-clause objectives built at α = 1. The restriction is how a
+// partially-embedded clause queue becomes the problem actually programmed on
+// hardware: node ids stay aligned with the embedding produced against the
+// full encoding. It shares no storage with e, so e may be Reset afterwards.
 func (e *Encoding) Restrict(clauseSet []int) *Encoding {
 	nLogical, nEdges := 0, 0
 	for _, ci := range clauseSet {
@@ -388,65 +373,29 @@ func (e *Encoding) Restrict(clauseSet []int) *Encoding {
 	return r
 }
 
-// Rebuild recomputes the summed objective (Eq. 5) from the sub-clause
-// objectives and their current α coefficients.
-func (e *Encoding) Rebuild() {
-	var s Sums
-	s.sum(e)
-	e.Poly = s.poly()
-}
-
-// AdjustCoefficients applies the paper's noise optimisation (§IV-C,
-// Eq. 6–9): with all α=1 it computes the global d* of the summed objective
-// and each sub-clause's own d_ij, then raises α_ij to d*/d_ij and rebuilds
-// the objective. This widens the energy gap that normalisation would
-// otherwise crush, at the cost of exactly one extra objective evaluation.
-// It returns the d* that was used.
-func (e *Encoding) AdjustCoefficients() float64 {
-	var s Sums
-	dStar := e.adjust(&s)
-	if dStar != 0 {
-		s.sum(e)
-	}
-	e.Poly = s.poly()
-	return dStar
-}
-
-// adjust sets every α to d*/d_ij (§IV-C), summing the α=1 objective into s
-// once to find d*. It returns d*; when that is 0 every α stays 1 and s still
-// holds the α=1 sum.
-func (e *Encoding) adjust(s *Sums) float64 {
+// Program applies the paper's noise optimisation (§IV-C, Eq. 6–9) when
+// adjust is set — with every α=1 it finds the global d* of the summed
+// objective, then raises each α_ij to d*/d_ij, widening the energy gap that
+// normalisation would otherwise crush — and leaves every α at 1 otherwise.
+// It returns the summed objective (Eq. 5) normalised by its d* into the
+// hardware ranges B ∈ [−2,2], J ∈ [−1,1] and converted to an Ising model:
+// the problem programmed on the annealer. The sum is built in s, which a
+// caller may reuse across encodings; afterwards s.DStar reports the d* of
+// the programmed objective.
+func (e *Encoding) Program(s *Sums, adjust bool) *Ising {
 	for i := range e.Sub {
 		e.Sub[i].Alpha = 1
 	}
 	s.sum(e)
-	dStar := s.dStar()
-	if dStar == 0 {
-		return 0
-	}
-	for i := range e.Sub {
-		if dij := e.Sub[i].DStar(); dij > 0 {
-			e.Sub[i].Alpha = dStar / dij
+	if adjust {
+		if dStar := s.DStar(); dStar != 0 {
+			for i := range e.Sub {
+				if dij := e.Sub[i].DStar(); dij > 0 {
+					e.Sub[i].Alpha = dStar / dij
+				}
+			}
+			s.resum(e)
 		}
-	}
-	return dStar
-}
-
-// Program sets the α coefficients — d*/d_ij (§IV-C) when adjust is set, 1
-// otherwise — and returns the normalised Ising model of the summed
-// objective: the problem programmed on the annealer. The result is bit for
-// bit AdjustCoefficients (or Rebuild at α=1), Poly.Normalized and ToIsing,
-// but the α=1 objective is summed once and no map polynomial is built; s is
-// scratch a caller may reuse across encodings. Poly is left nil.
-func (e *Encoding) Program(s *Sums, adjust bool) *Ising {
-	e.Poly = nil
-	if !adjust {
-		for i := range e.Sub {
-			e.Sub[i].Alpha = 1
-		}
-		s.sum(e)
-	} else if e.adjust(s) != 0 {
-		s.sum(e)
 	}
 	return s.ising()
 }

@@ -58,10 +58,6 @@ func TestPolyEnergyMatchesExpansion(t *testing.T) {
 		if got := p.EnergyDense(x); math.Abs(got-want) > 1e-12 {
 			t.Fatalf("energy %v want %v", got, want)
 		}
-		xm := map[int]bool{0: x[0], 1: x[1], 2: x[2], 3: x[3]}
-		if got := p.Energy(xm); math.Abs(got-want) > 1e-12 {
-			t.Fatalf("map energy %v want %v", got, want)
-		}
 	}
 }
 
@@ -140,18 +136,10 @@ func TestDStarAndNormalize(t *testing.T) {
 	}
 }
 
-func TestMinEnergyBrute(t *testing.T) {
-	// x0 − 2x1 + x0x1 is minimised at x0=0, x1=1 with energy −2.
-	p := Variable(0).Sub(Variable(1).Scale(2)).Add(Variable(0).Mul(Variable(1)))
-	e, x := p.MinEnergyBrute()
-	if e != -2 || x[0] || !x[1] {
-		t.Fatalf("min %v at %v", e, x)
-	}
-}
-
 // enumerate all assignments of the encoding's nodes and return min energy of
 // the current (α-weighted) objective.
 func minEnergyOf(e *Encoding) float64 {
+	p := objective(e)
 	n := e.NumNodes()
 	best := math.Inf(1)
 	x := make([]bool, n)
@@ -159,7 +147,7 @@ func minEnergyOf(e *Encoding) float64 {
 		for i := 0; i < n; i++ {
 			x[i] = mask&(1<<i) != 0
 		}
-		if v := e.Poly.EnergyDense(x); v < best {
+		if v := p.EnergyDense(x); v < best {
 			best = v
 		}
 	}
@@ -181,6 +169,7 @@ func TestEncodeSingleClauseSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		p := objective(enc)
 		nSATVars := len(c.Vars())
 		for mask := 0; mask < 1<<nSATVars; mask++ {
 			a := cnf.NewAssignment(3)
@@ -203,7 +192,7 @@ func TestEncodeSingleClauseSemantics(t *testing.T) {
 				if auxCount == 1 {
 					x[enc.AuxNode[0]] = am != 0
 				}
-				if v := enc.Poly.EnergyDense(x); v < minE {
+				if v := p.EnergyDense(x); v < minE {
 					minE = v
 				}
 			}
@@ -227,7 +216,7 @@ func TestEncodePaperExample(t *testing.T) {
 	}
 	nx1, nx2, nx3 := enc.VarNode[0], enc.VarNode[1], enc.VarNode[2]
 	a := enc.AuxNode[0]
-	p := enc.Poly
+	p := objective(enc)
 	check := func(name string, got, want float64) {
 		if math.Abs(got-want) > 1e-12 {
 			t.Fatalf("%s = %v, want %v", name, got, want)
@@ -247,13 +236,13 @@ func TestEncodePaperExample(t *testing.T) {
 	check("d11", enc.Sub[0].DStar(), 2)
 	check("d12", enc.Sub[1].DStar(), 1)
 
-	dStar := enc.AdjustCoefficients()
-	check("returned d*", dStar, 2)
+	var s Sums
+	enc.Program(&s, true)
 	check("α11", enc.Sub[0].Alpha, 1)
 	check("α12", enc.Sub[1].Alpha, 2)
 
 	// Eq. 9: H' = x1 + x2 − 2x3 − a + x1x2 − 2ax1 − 2ax2 + 2ax3 + 2.
-	p = enc.Poly
+	p = objective(enc)
 	check("offset'", p.Offset, 2)
 	check("x1'", p.Linear[nx1], 1)
 	check("x2'", p.Linear[nx2], 1)
@@ -264,6 +253,7 @@ func TestEncodePaperExample(t *testing.T) {
 	check("ax2'", p.Quad[MkEdge(a, nx2)], -2)
 	check("ax3'", p.Quad[MkEdge(a, nx3)], 2)
 	check("d*' preserved", p.DStar(), 2)
+	check("programmed d*", s.DStar(), 2)
 }
 
 func TestEncodeMultiClauseMinEnergyEqualsSatisfiability(t *testing.T) {
@@ -316,6 +306,7 @@ func TestAdjustCoefficientsNeverShrinksMinUnsatEnergy(t *testing.T) {
 	// The α adjustment multiplies violated-sub-clause contributions by
 	// α ≥ 1, so for every assignment the adjusted energy ≥ the unit energy.
 	rng := rand.New(rand.NewSource(5))
+	var s Sums
 	for trial := 0; trial < 30; trial++ {
 		f := cnf.New(4)
 		for i := 0; i < 4; i++ {
@@ -326,14 +317,15 @@ func TestAdjustCoefficientsNeverShrinksMinUnsatEnergy(t *testing.T) {
 			f.AddClause(c)
 		}
 		enc, _ := Encode(f.Clauses)
-		enc.AdjustCoefficients()
+		enc.Program(&s, true)
+		p := objective(enc)
 		n := enc.NumNodes()
 		for mask := 0; mask < 1<<n; mask++ {
 			x := make([]bool, n)
 			for i := 0; i < n; i++ {
 				x[i] = mask&(1<<i) != 0
 			}
-			adjusted := enc.Poly.EnergyDense(x)
+			adjusted := p.EnergyDense(x)
 			unit := enc.UnitEnergy(x)
 			if adjusted < unit-1e-9 {
 				t.Fatalf("adjusted %v < unit %v", adjusted, unit)
@@ -371,7 +363,7 @@ func TestNodesFromAssignmentZeroEnergyOnModels(t *testing.T) {
 		}
 		enc, _ := Encode(f.Clauses)
 		x := enc.NodesFromAssignment(model)
-		if e := enc.Poly.EnergyDense(x); math.Abs(e) > 1e-9 {
+		if e := objective(enc).EnergyDense(x); math.Abs(e) > 1e-9 {
 			t.Fatalf("model maps to energy %v", e)
 		}
 		if e := enc.UnitEnergy(x); math.Abs(e) > 1e-9 {
@@ -416,11 +408,12 @@ func TestProblemGraphMatchesQuadTerms(t *testing.T) {
 	if !slices.IsSortedFunc(g, CompareEdges) {
 		t.Fatalf("graph edges not sorted: %v", g)
 	}
-	if len(g) != len(enc.Poly.Quad) {
-		t.Fatalf("graph has %d edges, poly has %d quad terms", len(g), len(enc.Poly.Quad))
+	quad := objective(enc).Quad
+	if len(g) != len(quad) {
+		t.Fatalf("graph has %d edges, poly has %d quad terms", len(g), len(quad))
 	}
 	for _, e := range g {
-		if _, ok := enc.Poly.Quad[e]; !ok {
+		if _, ok := quad[e]; !ok {
 			t.Fatalf("edge %v not in poly", e)
 		}
 	}
@@ -519,8 +512,8 @@ func TestEncodeClosedFormMatchesPolyAlgebra(t *testing.T) {
 				t.Fatalf("clause %v: %d sub-clauses, want %d", c, len(enc.Sub), len(want))
 			}
 			for i, w := range want {
-				if !samePoly(enc.Sub[i].Poly(), w) {
-					t.Fatalf("clause %v sub-clause %d: got %+v, want %+v", c, i, *enc.Sub[i].Poly(), *w)
+				if got := subPoly(&enc.Sub[i]); !samePoly(got, w) {
+					t.Fatalf("clause %v sub-clause %d: got %+v, want %+v", c, i, *got, *w)
 				}
 			}
 		}
@@ -528,8 +521,8 @@ func TestEncodeClosedFormMatchesPolyAlgebra(t *testing.T) {
 }
 
 // TestEncodeStructureDefersObjectives pins that EncodeStructure builds the
-// structure alone, and that restricting it to every clause and summing gives
-// exactly Encode's objectives.
+// structure alone, and that restricting it to every clause gives exactly
+// Encode's objectives.
 func TestEncodeStructureDefersObjectives(t *testing.T) {
 	clauses := []cnf.Clause{cnf.NewClause(1, -2, 3), cnf.NewClause(-1, 4), cnf.NewClause(2)}
 	full, _ := Encode(clauses)
@@ -537,19 +530,15 @@ func TestEncodeStructureDefersObjectives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lazy.Sub != nil || lazy.Poly != nil {
+	if lazy.Sub != nil {
 		t.Fatal("EncodeStructure built objectives")
 	}
 	r := lazy.Restrict([]int{0, 1, 2})
-	if r.Poly != nil {
-		t.Fatal("Restrict summed the objective")
-	}
-	r.Rebuild()
-	if !samePoly(r.Poly, full.Poly) || len(r.Sub) != len(full.Sub) {
-		t.Fatal("Rebuild after EncodeStructure and Restrict differs from Encode")
+	if !samePoly(objective(r), objective(full)) || len(r.Sub) != len(full.Sub) {
+		t.Fatal("summed objective after EncodeStructure and Restrict differs from Encode")
 	}
 	for i := range r.Sub {
-		if r.Sub[i].Clause != full.Sub[i].Clause || !samePoly(r.Sub[i].Poly(), full.Sub[i].Poly()) {
+		if r.Sub[i].Clause != full.Sub[i].Clause || !samePoly(subPoly(&r.Sub[i]), subPoly(&full.Sub[i])) {
 			t.Fatalf("sub-clause %d differs from Encode's", i)
 		}
 	}
@@ -594,9 +583,9 @@ func TestClauseStructureMatchesObjectives(t *testing.T) {
 				if enc.Sub[i].Clause != k {
 					continue
 				}
-				for e := range enc.Sub[i].Poly().Quad {
-					if !slices.Contains(edges, e) {
-						edges = append(edges, e)
+				for _, q := range enc.Sub[i].Quad() {
+					if !slices.Contains(edges, q.Edge) {
+						edges = append(edges, q.Edge)
 					}
 				}
 			}
@@ -626,20 +615,13 @@ func sameIsing(a, b *Ising) bool {
 	return true
 }
 
-// TestProgramMatchesPolyAlgebra checks Program against the map-polynomial
-// pipeline it replaces — Σ α·H accumulated with AddScaled, §IV-C α from the
-// α=1 sum's DStar, Normalized, ToIsing — bit for bit, with and without the
-// adjustment, on random restrictions of random queues, reusing one Sums.
+// TestProgramMatchesPolyAlgebra checks Program against the reference map
+// algebra — Σ α·H accumulated with AddScaled, §IV-C α from the α=1 sum's
+// DStar, Normalized, ToIsing — bit for bit, with and without the adjustment,
+// on random restrictions of random queues, reusing one Sums.
 func TestProgramMatchesPolyAlgebra(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	var s Sums
-	sum := func(e *Encoding) *Poly {
-		p := NewPoly()
-		for i := range e.Sub {
-			p.AddScaled(e.Sub[i].Poly(), e.Sub[i].Alpha)
-		}
-		return p
-	}
 	for trial := 0; trial < 200; trial++ {
 		q := randomQueue(rng, 2+rng.Intn(30), 1+rng.Intn(60))
 		full, err := EncodeStructure(q)
@@ -656,14 +638,14 @@ func TestProgramMatchesPolyAlgebra(t *testing.T) {
 
 		ref := full.Restrict(set)
 		if adjust {
-			dStar := sum(ref).DStar()
+			dStar := objective(ref).DStar()
 			for i := range ref.Sub {
 				if dij := ref.Sub[i].DStar(); dStar != 0 && dij > 0 {
 					ref.Sub[i].Alpha = dStar / dij
 				}
 			}
 		}
-		norm, _ := sum(ref).Normalized()
+		norm, _ := objective(ref).Normalized()
 		want := norm.ToIsing()
 
 		got := full.Restrict(set)
@@ -676,8 +658,8 @@ func TestProgramMatchesPolyAlgebra(t *testing.T) {
 				t.Fatalf("trial %d: α[%d] = %v, want %v", trial, i, got.Sub[i].Alpha, ref.Sub[i].Alpha)
 			}
 		}
-		if got.Rebuild(); !samePoly(got.Poly, sum(ref)) {
-			t.Fatalf("trial %d: Rebuild differs from AddScaled accumulation", trial)
+		if d, want := s.DStar(), objective(ref).DStar(); math.Float64bits(d) != math.Float64bits(want) {
+			t.Fatalf("trial %d: Sums.DStar %v, want %v", trial, d, want)
 		}
 	}
 }

@@ -53,8 +53,7 @@ func TestLayoutMatchesEncode(t *testing.T) {
 		// Quadratic support must match exactly — no missing and no extra
 		// edges, for any polarities, both before and after coefficient
 		// adjustment and normalisation.
-		enc.AdjustCoefficients()
-		norm, _ := enc.Poly.Normalized()
+		is := enc.Program(&Sums{}, true)
 		want := map[Edge]bool{}
 		for _, e := range EdgesForShape(shape) {
 			if want[e] {
@@ -62,11 +61,11 @@ func TestLayoutMatchesEncode(t *testing.T) {
 			}
 			want[e] = true
 		}
-		for _, poly := range []*Poly{enc.Poly, norm} {
-			if len(poly.Quad) != len(want) {
-				t.Fatalf("shape %v: %d quad edges, want %d", shape, len(poly.Quad), len(want))
+		for _, quad := range []map[Edge]float64{objective(enc).Quad, is.J} {
+			if len(quad) != len(want) {
+				t.Fatalf("shape %v: %d quad edges, want %d", shape, len(quad), len(want))
 			}
-			for e := range poly.Quad {
+			for e := range quad {
 				if !want[e] {
 					t.Fatalf("shape %v: unexpected quad edge %v", shape, e)
 				}

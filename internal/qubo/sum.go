@@ -5,9 +5,9 @@ import "slices"
 // Sums is dense storage for the summed objective of an encoding (Eq. 5):
 // per-node linear coefficients and per-edge quadratic ones over the sorted
 // edges the sub-clause objectives couple. A zero coefficient is an absent
-// term, as in Poly, whose maps never hold zeros. Sub-clauses are added in
-// order, so every key's contributions are summed in the same order Poly's
-// map accumulation sums them and every coefficient is bit-identical to it.
+// term. Sub-clauses are added in order, so every key's contributions are
+// summed in the same order on every call and every coefficient is
+// reproducible bit for bit.
 //
 // The zero value is ready to use; a caller that programs an encoding per
 // iteration keeps one Sums and reuses its storage.
@@ -73,8 +73,11 @@ func zeroed(buf []float64, n int) []float64 {
 	return buf
 }
 
-// dStar is Poly.DStar of the sum.
-func (s *Sums) dStar() float64 {
+// DStar is the paper's d* (Eq. 6) of the last sum: the largest of |B_i|/2
+// over linear coefficients and |J_ij| over quadratic ones. It is the factor
+// normalisation divides by, and hence the quantity that shrinks the energy
+// gap.
+func (s *Sums) DStar() float64 {
 	d := 0.0
 	for _, c := range s.lin {
 		d = max(d, abs(c)/2)
@@ -85,48 +88,20 @@ func (s *Sums) dStar() float64 {
 	return d
 }
 
-// poly materialises the sum as a polynomial.
-func (s *Sums) poly() *Poly {
-	nLin, nQuad := 0, 0
-	for _, c := range s.lin {
-		if c != 0 {
-			nLin++
-		}
-	}
-	for _, c := range s.quad {
-		if c != 0 {
-			nQuad++
-		}
-	}
-	p := newPolySized(nLin, nQuad)
-	p.Offset = s.offset
-	for i, c := range s.lin {
-		if c != 0 {
-			p.Linear[i] = c
-		}
-	}
-	for j, c := range s.quad {
-		if c != 0 {
-			p.Quad[s.edge(s.keys[j])] = c
-		}
-	}
-	return p
-}
-
 // ising returns the sum normalised by its d* and converted to an Ising
-// model: the floating-point operations of Poly.Normalized followed by
-// ToIsing, in the same order, so the result is bit-identical to theirs.
+// model. The floating-point operations are those of the reference map
+// algebra (TestProgramMatchesPolyAlgebra), in the same order, so the result
+// is bit-identical to it.
 func (s *Sums) ising() *Ising {
-	// Normalized divides by d* as a multiplication by 1/d* added to a zero
-	// coefficient (Scale is AddScaled into an empty polynomial); a zero d*
-	// leaves the polynomial as is.
-	d := s.dStar()
+	// Normalisation multiplies by 1/d* and adds the product to a zero
+	// coefficient; a zero d* leaves the sum as is.
+	d := s.DStar()
 	norm := func(c float64) float64 { return c }
 	if d != 0 {
 		inv := 1 / d
 		norm = func(c float64) float64 { return 0 + inv*c }
 	}
-	// ToIsing: x = (1+s)/2, linear terms in ascending node order, then
+	// Ising form: x = (1+s)/2, linear terms in ascending node order, then
 	// quadratic terms in ascending edge order.
 	offset := norm(s.offset)
 	s.h = zeroed(s.h, s.n)

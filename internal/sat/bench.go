@@ -70,8 +70,3 @@ func (b *PropagateBench) Run() int64 {
 	s.cancelUntil(s.rootLevel)
 	return s.stats.Propagations - start
 }
-
-// NumLearntsWarm reports how many learnt clauses the warm-up search left in
-// the database (for sanity checks: a zero here means the workload is
-// exercising problem clauses only).
-func (b *PropagateBench) NumLearntsWarm() int { return len(b.s.learnts) }

@@ -61,11 +61,6 @@ func (s *Solver) UnsatisfiedClauses(dst []int) []int {
 	return out
 }
 
-// CurrentAssignment returns a snapshot of the current (partial) assignment.
-func (s *Solver) CurrentAssignment() cnf.Assignment {
-	return append(cnf.Assignment(nil), s.assigns...)
-}
-
 // VarValue returns the current truth value of v.
 func (s *Solver) VarValue(v cnf.Var) cnf.Value { return s.assigns[v] }
 
@@ -161,9 +156,3 @@ func (s *Solver) ClearInterrupt() { s.interrupted.Store(false) }
 
 // Formula returns the input formula the solver was built from.
 func (s *Solver) Formula() *cnf.Formula { return s.formula }
-
-// DecisionLevel returns the current decision level (0 = root).
-func (s *Solver) DecisionLevel() int { return int(s.decisionLevel()) }
-
-// NumLearnts returns the number of live learnt clauses.
-func (s *Solver) NumLearnts() int { return len(s.learnts) }

@@ -33,8 +33,7 @@ func nativeProblem(t testing.TB, v1, v2, v3 int) *anneal.EmbeddedProblem {
 		t.Fatal(err)
 	}
 	res := embed.Fast(enc, g)
-	norm, _ := enc.Poly.Normalized()
-	is := norm.ToIsing()
+	is := enc.Program(&qubo.Sums{}, false)
 	return anneal.EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))
 }
 

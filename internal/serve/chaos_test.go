@@ -28,8 +28,7 @@ func remoteProblem(t testing.TB) *anneal.EmbeddedProblem {
 		t.Fatal(err)
 	}
 	res := embed.Fast(enc, g)
-	norm, _ := enc.Poly.Normalized()
-	is := norm.ToIsing()
+	is := enc.Program(&qubo.Sums{}, false)
 	return anneal.EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))
 }
 
