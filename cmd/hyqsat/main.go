@@ -99,7 +99,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	tracePath := fs.String("trace", "", "write a JSONL event trace of the solve to this file")
 	metricsAddr := fs.String("metrics-addr", "", "serve live introspection (/metrics, /solve/status, ...) on this address")
 	flightN := fs.Int("flight-recorder", 0, "keep the last N trace events; dump to stderr on UNSAT/UNKNOWN or panic")
-	maxConflicts := fs.Int64("max-conflicts", 0, "CDCL conflict budget; report UNKNOWN once exhausted (0 = unlimited)")
+	maxConflicts := fs.Int64("max-conflicts", 0, "CDCL conflict budget of a single solver (not -solver=portfolio or -cube); report UNKNOWN once exhausted (0 = unlimited)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget; report UNKNOWN with partial stats once expired (0 = none)")
 	faultProfile := fs.String("fault-profile", "", "inject QA faults: preset (none, flaky, slow, corrupt, drift, outage) or key=value list")
 	share := fs.Bool("share", false, "portfolio/cube: exchange learnt clauses between solvers over the sharing bus")
@@ -116,6 +116,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "hyqsat:", err)
 		return 1
+	}
+	// The race and the cube workers run their solvers without a conflict
+	// budget; only the context stops them.
+	if *maxConflicts > 0 && (*cube || *solver == "portfolio") {
+		return fail(fmt.Errorf("-max-conflicts applies to a single solver, not to -solver=portfolio or -cube; use -timeout to bound a race"))
 	}
 
 	if *cpuProfile != "" {
@@ -218,9 +223,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}()
 
 	// Solve context: the wall-clock budget (-timeout) and Ctrl-C both cancel
-	// it; solvers poll it at safe points and the QA backend honours it inside
-	// retry/backoff, so interruption yields UNKNOWN plus partial telemetry
-	// rather than a killed process.
+	// it; the hybrid polls it at safe points, CDCL solvers are interrupted
+	// through it, and the QA backend honours it inside retry/backoff, so
+	// interruption yields UNKNOWN plus partial telemetry rather than a killed
+	// process.
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -350,8 +356,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			if *stats {
 				fmt.Fprintf(stdout, "c cubes=%d refuted=%d winner=%d workers=%d elapsed=%v\n",
 					out.Cubes, out.Refuted, out.WinningCube, co.Workers, out.Elapsed)
-				fmt.Fprintf(stdout, "c aggregate windows=%d conflicts=%d propagations=%d imported=%d qacalls=%d qareads=%d\n",
-					out.Aggregate.Windows, out.Aggregate.SAT.Conflicts,
+				fmt.Fprintf(stdout, "c aggregate conflicts=%d propagations=%d imported=%d qacalls=%d qareads=%d\n",
+					out.Aggregate.SAT.Conflicts,
 					out.Aggregate.SAT.Propagations, out.Aggregate.SAT.Imported,
 					out.Aggregate.QACalls, out.Aggregate.QAReads)
 				if *share {
@@ -385,7 +391,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			if hook != nil {
 				s.SetProofWriter(hook)
 			}
-			r := solveClassical(ctx, s)
+			// -timeout and Ctrl-C interrupt the search. AfterFunc does so
+			// from its own goroutine even when ctx is already done, so an
+			// expired context also interrupts here, before the search starts.
+			defer context.AfterFunc(ctx, s.Interrupt)()
+			if ctx.Err() != nil {
+				s.Interrupt()
+			}
+			r := s.Solve()
 			if r.Status == sat.Unknown && ctx.Err() != nil {
 				fmt.Fprintln(stderr, "c interrupted:", ctx.Err())
 			}
@@ -462,8 +475,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 				if *stats {
 					fmt.Fprintf(stdout, "c winner=%s elapsed=%v iterations=%d\n",
 						out.Winner, out.Elapsed, out.Result.Stats.Iterations)
-					fmt.Fprintf(stdout, "c aggregate windows=%d conflicts=%d imported=%d qacalls=%d qareads=%d\n",
-						out.Aggregate.Windows, out.Aggregate.SAT.Conflicts,
+					fmt.Fprintf(stdout, "c aggregate conflicts=%d imported=%d qacalls=%d qareads=%d\n",
+						out.Aggregate.SAT.Conflicts,
 						out.Aggregate.SAT.Imported, out.Aggregate.QACalls, out.Aggregate.QAReads)
 					if *share {
 						fmt.Fprintf(stdout, "c share exported=%d imported=%d filtered=%d duplicates=%d dropped=%d\n",
@@ -514,28 +527,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 		dumpFlight(why)
 		return 0
-	}
-}
-
-// solveClassical runs a classical CDCL solver to completion, polling the
-// context between bounded windows of iterations so -timeout and Ctrl-C stay
-// responsive (a window is ~milliseconds; a programmed iteration, like a
-// device access, is never preempted mid-step).
-func solveClassical(ctx context.Context, s *sat.Solver) sat.Result {
-	for {
-		if ctx.Err() != nil {
-			return sat.Result{Status: sat.Unknown, Stats: s.Stats()}
-		}
-		for i := 0; i < 4096; i++ {
-			switch s.Step() {
-			case sat.StepSat:
-				return sat.Result{Status: sat.Sat, Model: s.Model(), Stats: s.Stats()}
-			case sat.StepUnsat:
-				return sat.Result{Status: sat.Unsat, Stats: s.Stats()}
-			case sat.StepBudget:
-				return sat.Result{Status: sat.Unknown, Stats: s.Stats()}
-			}
-		}
 	}
 }
 

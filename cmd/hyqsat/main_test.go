@@ -394,8 +394,28 @@ func TestCLISharingPortfolio(t *testing.T) {
 	if !strings.Contains(out, "c share exported=") {
 		t.Fatalf("missing share stats line: %q", out)
 	}
-	if !strings.Contains(out, "c aggregate windows=") {
+	if !strings.Contains(out, "c aggregate conflicts=") {
 		t.Fatalf("missing aggregate stats line: %q", out)
+	}
+}
+
+func TestCLIMaxConflictsRejectedForRaceAndCube(t *testing.T) {
+	// The race and the cube workers have no conflict budget, so
+	// -max-conflicts there would be silently ignored: it is a usage error
+	// that points at -timeout.
+	for _, args := range [][]string{
+		{"-solver", "portfolio", "-max-conflicts", "5"},
+		{"-cube", "-max-conflicts", "5"},
+		{"-cube", "-solver", "minisat", "-max-conflicts", "5"},
+	} {
+		code, out, errOut := runCLI(t, args, satCNF)
+		if code != 1 || !strings.Contains(errOut, "-timeout") {
+			t.Fatalf("%v: code=%d out=%q err=%q, want exit 1 naming -timeout", args, code, out, errOut)
+		}
+	}
+	// A single solver keeps its budget.
+	if code, out, errOut := runCLI(t, []string{"-solver", "minisat", "-max-conflicts", "5"}, satCNF); code != 10 {
+		t.Fatalf("minisat with -max-conflicts: code=%d out=%q err=%q", code, out, errOut)
 	}
 }
 

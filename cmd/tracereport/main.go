@@ -15,7 +15,7 @@
 //   - the QA-quality summary: chain-break rate bucketed by chain length,
 //     energy-gap distribution, per-strategy hits and conflict segments, and
 //     the payoff estimate (conflicts avoided per device-µs),
-//   - portfolio window/winner, clause-sharing and cube statistics when the
+//   - portfolio entrants/winner, clause-sharing and cube statistics when the
 //     trace recorded a race or a cube-and-conquer run, and
 //   - with -calls, the per-access QA call table.
 //
@@ -31,6 +31,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"hyqsat/internal/obs"
@@ -151,8 +152,8 @@ type SourceReport struct {
 
 // PortfolioStats summarises a race recorded in the trace.
 type PortfolioStats struct {
-	Windows map[string]int `json:"windows"` // entrant → budget windows started
-	Winner  string         `json:"winner,omitempty"`
+	Entrants []string `json:"entrants"` // sorted
+	Winner   string   `json:"winner,omitempty"`
 }
 
 // CubeStats summarises a cube-and-conquer run recorded in the trace.
@@ -211,7 +212,7 @@ func buildReport(name string, r io.Reader, withCalls bool) (*Report, error) {
 func solveReport(id string, events []obs.Stamped, withCalls bool) SolveReport {
 	sr := SolveReport{Solve: id, Aggregate: aggregate(events)}
 
-	windows := map[string]int{}
+	var entrants []string
 	var winner string
 	cubeStatus := map[string]int{}
 	cubeSeen := map[int]bool{}
@@ -221,8 +222,8 @@ func solveReport(id string, events []obs.Stamped, withCalls bool) SolveReport {
 		switch e := ev.E.(type) {
 		case obs.PortfolioEvent:
 			switch e.Status {
-			case "window":
-				windows[e.Entrant]++
+			case "start":
+				entrants = append(entrants, e.Entrant)
 			case "winner":
 				winner = e.Entrant
 			}
@@ -236,8 +237,9 @@ func solveReport(id string, events []obs.Stamped, withCalls bool) SolveReport {
 			cubeConflicts += e.Conflicts
 		}
 	}
-	if len(windows) > 0 || winner != "" {
-		sr.Portfolio = &PortfolioStats{Windows: windows, Winner: winner}
+	if len(entrants) > 0 || winner != "" {
+		sort.Strings(entrants)
+		sr.Portfolio = &PortfolioStats{Entrants: entrants, Winner: winner}
 	}
 	if len(cubeSeen) > 0 {
 		sr.Cubes = &CubeStats{Cubes: len(cubeSeen), ByStatus: cubeStatus,
@@ -351,10 +353,7 @@ func writeReport(w io.Writer, rep *Report) {
 		fmt.Fprintf(w, "solve %s\n", id)
 		writeAggregate(w, "", sr.Aggregate, "  ")
 		if sr.Portfolio != nil {
-			fmt.Fprintf(w, "  portfolio:")
-			for _, name := range sortedKeys(sr.Portfolio.Windows) {
-				fmt.Fprintf(w, " %s=%dw", name, sr.Portfolio.Windows[name])
-			}
+			fmt.Fprintf(w, "  portfolio: entrants=%s", strings.Join(sr.Portfolio.Entrants, ","))
 			if sr.Portfolio.Winner != "" {
 				fmt.Fprintf(w, " winner=%s", sr.Portfolio.Winner)
 			}

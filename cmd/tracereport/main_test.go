@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -56,12 +57,12 @@ func TestReportFromPortfolioShareTrace(t *testing.T) {
 	}
 	text := out.String()
 	for _, want := range []string{
-		"schema 1",              // header parsed
+		fmt.Sprintf("schema %d", obs.TraceSchemaVersion), // header parsed
 		"source hyqsat/s3",      // entrant attribution survived the trace
 		"frontend", "qa_device", // per-entrant phase breakdown
 		"quality:", "energy gap:", "chain-break by max len:", // quality report
 		"share: exported=", // bus stats
-		"winner=hyqsat/s3",
+		"portfolio: entrants=hyqsat/s3 winner=hyqsat/s3",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("report missing %q\nreport:\n%s", want, text)
@@ -86,8 +87,9 @@ func TestReportJSON(t *testing.T) {
 		t.Fatalf("got %d solves, want 1 (one race id)", len(rep.Solves))
 	}
 	sr := rep.Solves[0]
-	if sr.Portfolio == nil || sr.Portfolio.Winner != "hyqsat/s3" {
-		t.Fatalf("portfolio stats missing or wrong winner: %+v", sr.Portfolio)
+	if sr.Portfolio == nil || sr.Portfolio.Winner != "hyqsat/s3" ||
+		len(sr.Portfolio.Entrants) != 1 || sr.Portfolio.Entrants[0] != "hyqsat/s3" {
+		t.Fatalf("portfolio stats missing, wrong entrants or wrong winner: %+v", sr.Portfolio)
 	}
 	if sr.Share == nil {
 		t.Fatal("share stats missing")

@@ -7,12 +7,32 @@ import (
 	"hyqsat/internal/obs"
 )
 
+// oracleReadSet is the read set member i of a batch must return, built one
+// read at a time without any fan-out: read j draws from the (seed, call, j)
+// stream of a fresh scratch, and the best read is the earliest of lowest
+// energy.
+func oracleReadSet(s *Sampler, ep *EmbeddedProblem, call int64, reads int) ReadSet {
+	if reads <= 0 {
+		reads = 1
+	}
+	rs := ReadSet{Samples: make([]Sample, reads)}
+	for j := range rs.Samples {
+		var scr Scratch
+		s.sampleRead(ep, call, j, &scr, &rs.Samples[j])
+		if rs.Samples[j].HardwareEnergy < rs.Samples[rs.Best].HardwareEnergy {
+			rs.Best = j
+		}
+	}
+	return rs
+}
+
 // TestSampleBatchBitIdenticalToSequentialSample is the batching determinism
 // contract: for the same sampler seed, SampleBatch(eps, reads) returns, per
-// member, exactly the read set a fresh sequence of solo Sample calls would
-// have returned — same values, same energies, same chain breaks, same best
-// index. This is what lets the qbatch scheduler coalesce tenant requests
-// without changing any tenant's observable results.
+// member, exactly the read set of the per-read oracle at the member's call
+// index — which is also what a sequence of solo Sample calls returns, Sample
+// being a one-member batch: same values, same energies, same chain breaks,
+// same best index. This is what lets the qbatch scheduler coalesce tenant
+// requests without changing any tenant's observable results.
 func TestSampleBatchBitIdenticalToSequentialSample(t *testing.T) {
 	eps := []*EmbeddedProblem{
 		testEmbeddedProblem(t, 21, 6),
@@ -23,11 +43,10 @@ func TestSampleBatchBitIdenticalToSequentialSample(t *testing.T) {
 	reads := []int{4, 1, 7, 0} // 0 exercises the clamp-to-1 path
 
 	for _, workers := range []int{1, 4} {
-		solo := NewSampler(DefaultSchedule(), DWave2000QNoise, 42)
-		solo.Workers = workers
+		oracle := NewSampler(DefaultSchedule(), DWave2000QNoise, 42)
 		var want []ReadSet
 		for i, ep := range eps {
-			want = append(want, solo.Sample(ep, reads[i]))
+			want = append(want, oracleReadSet(oracle, ep, int64(i), reads[i]))
 		}
 
 		batched := NewSampler(DefaultSchedule(), DWave2000QNoise, 42)
@@ -38,14 +57,14 @@ func TestSampleBatchBitIdenticalToSequentialSample(t *testing.T) {
 		}
 		for i := range got {
 			if got[i].Best != want[i].Best {
-				t.Fatalf("workers=%d member %d: best %d, solo best %d", workers, i, got[i].Best, want[i].Best)
+				t.Fatalf("workers=%d member %d: best %d, oracle best %d", workers, i, got[i].Best, want[i].Best)
 			}
 			if len(got[i].Samples) != len(want[i].Samples) {
-				t.Fatalf("workers=%d member %d: %d reads, solo %d", workers, i, len(got[i].Samples), len(want[i].Samples))
+				t.Fatalf("workers=%d member %d: %d reads, oracle %d", workers, i, len(got[i].Samples), len(want[i].Samples))
 			}
 			for j := range got[i].Samples {
 				if !sameSample(got[i].Samples[j], want[i].Samples[j]) {
-					t.Fatalf("workers=%d member %d read %d differs from solo sampling", workers, i, j)
+					t.Fatalf("workers=%d member %d read %d differs from the oracle", workers, i, j)
 				}
 			}
 		}

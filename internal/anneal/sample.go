@@ -3,8 +3,6 @@ package anneal
 import (
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"hyqsat/internal/obs"
@@ -21,13 +19,14 @@ type Sampler struct {
 	Schedule Schedule
 	Noise    Noise
 	Rng      *rand.Rand
-	// Workers bounds the worker pool used by Sample; 0 means
-	// runtime.NumCPU(). The sampled values do not depend on it.
+	// Workers bounds the worker pool used by Sample and SampleBatch; 0
+	// means runtime.NumCPU(). The sampled values do not depend on it.
 	Workers int
-	// Trace, when non-nil and enabled, receives one QACallEvent per Sample
-	// call with the per-read energies and chain-break counts. Tracing never
-	// touches the sweep kernel (SampleInto stays 0 allocs/op) and never
-	// consumes sampler randomness, so sampled values are unchanged.
+	// Trace, when non-nil and enabled, receives one QACallEvent per sampled
+	// problem (per Sample call, per SampleBatch member) with the per-read
+	// energies and chain-break counts. Tracing never touches the sweep
+	// kernel (SampleInto stays 0 allocs/op) and never consumes sampler
+	// randomness, so sampled values are unchanged.
 	Trace obs.Tracer
 	// Timing, when set, stamps QACallEvents with the modelled device time of
 	// the access. It does not affect sampling.
@@ -98,74 +97,14 @@ type ReadSet struct {
 // BestSample returns the best-energy sample of the set.
 func (rs *ReadSet) BestSample() Sample { return rs.Samples[rs.Best] }
 
-// Sample draws numReads samples from one programmed problem, fanning the
-// reads across a worker pool bounded by Workers (default runtime.NumCPU()).
-// Each read's RNG stream is derived from (sampler seed, call index, read
-// index), so for a fixed seed the result is bit-identical at any worker
-// count, and successive calls draw fresh randomness.
+// Sample draws numReads samples from one programmed problem: it is a
+// one-member SampleBatch, so the reads fan across a worker pool bounded by
+// Workers (default runtime.NumCPU()). Each read's RNG stream is derived from
+// (sampler seed, call index, read index), so for a fixed seed the result is
+// bit-identical at any worker count, and successive calls draw fresh
+// randomness.
 func (s *Sampler) Sample(ep *EmbeddedProblem, numReads int) ReadSet {
-	if numReads <= 0 {
-		numReads = 1
-	}
-	call := s.calls.Add(1) - 1
-	samples := make([]Sample, numReads)
-	workers := s.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > numReads {
-		workers = numReads
-	}
-	if workers <= 1 {
-		var scr Scratch
-		for i := range samples {
-			s.sampleRead(ep, call, i, &scr, &samples[i])
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var scr Scratch
-				for {
-					i := int(next.Add(1) - 1)
-					if i >= numReads {
-						return
-					}
-					s.sampleRead(ep, call, i, &scr, &samples[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	best := 0
-	for i := 1; i < len(samples); i++ {
-		if samples[i].HardwareEnergy < samples[best].HardwareEnergy {
-			best = i
-		}
-	}
-	if s.Trace != nil && s.Trace.Enabled() {
-		energies := make([]float64, len(samples))
-		broken := make([]int, len(samples))
-		for i := range samples {
-			energies[i] = samples[i].HardwareEnergy
-			broken[i] = samples[i].BrokenChains
-		}
-		s.Trace.Emit(obs.QACallEvent{
-			Call:         call,
-			Reads:        numReads,
-			Energies:     energies,
-			BrokenChains: broken,
-			Chains:       len(ep.chainNodes),
-			MaxChainLen:  ep.maxChainLen,
-			ChainQubits:  ep.chainQubits,
-			Best:         best,
-			DeviceNs:     s.Timing.AccessTime(numReads).Nanoseconds(),
-		})
-	}
-	return ReadSet{Samples: samples, Best: best}
+	return s.SampleBatch([]*EmbeddedProblem{ep}, []int{numReads})[0]
 }
 
 // sampleRead executes one read with its own deterministic RNG stream.

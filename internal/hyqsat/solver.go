@@ -138,7 +138,12 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-func (o Options) withDefaults() Options {
+// WithDefaults returns o with every zero field the solver defaults filled
+// in: the D-Wave 2000Q graph, schedule and timing, MiniSAT CDCL options, all
+// strategies, a 300-clause queue and one read per access. New applies it;
+// callers that must agree with a solver on those values (the solve service's
+// sampler, batcher and quota charging) apply it themselves.
+func (o Options) WithDefaults() Options {
 	if o.Hardware == nil {
 		o.Hardware = topo.DWave2000Q()
 	}
@@ -169,7 +174,7 @@ func SimulatorOptions() Options {
 	return Options{
 		Schedule: anneal.LongSchedule(),
 		Noise:    anneal.NoNoise,
-	}.withDefaults()
+	}.WithDefaults()
 }
 
 // HardwareOptions returns the configuration of the real-QA runs (Table II):
@@ -178,7 +183,7 @@ func HardwareOptions() Options {
 	return Options{
 		Schedule: anneal.DefaultSchedule(),
 		Noise:    anneal.DWave2000QNoise,
-	}.withDefaults()
+	}.WithDefaults()
 }
 
 // Stats aggregates the hybrid solve counters and the Fig 11 time breakdown.
@@ -385,7 +390,7 @@ func newSolverMetrics(reg *obs.Registry) solverMetrics {
 // literals are converted to 3-CNF first (the extra variables stay internal;
 // the model returned covers the original variables).
 func New(f *cnf.Formula, opts Options) *Solver {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	f3, origin := cnf.To3CNF(f)
 	cdclOpts := opts.CDCL
 	cdclOpts.Seed = opts.Seed ^ 0x5a5a5a
@@ -605,7 +610,7 @@ func (s *Solver) Belief() cnf.Assignment {
 func (s *Solver) Solve() Result { return s.SolveContext(context.Background()) }
 
 // SolveContext is Solve with cancellation: the context is checked between
-// hybrid iterations and in bounded CDCL windows, and propagated into every
+// hybrid iterations and every 256 CDCL steps, and propagated into every
 // QA backend submission (deadlines reach the retry/backoff layer). On
 // cancellation the solve stops at the next boundary and returns Unknown with
 // Result.Err set to the context's error; counters and phase accounting stay

@@ -26,8 +26,9 @@ type Event interface {
 
 // TraceSchemaVersion is the schema version stamped into the header record of
 // every JSONL trace. Bump it when the envelope or an event payload changes
-// incompatibly.
-const TraceSchemaVersion = 1
+// incompatibly. Version 2: PortfolioEvent lost its budget and its per-window
+// "window" status became one "start" per entrant.
+const TraceSchemaVersion = 2
 
 // headerKind is the envelope type tag of the header record.
 const headerKind = "header"
@@ -163,13 +164,12 @@ func (PhaseSpan) Kind() string { return "phase_span" }
 // Duration returns the span length in nanoseconds.
 func (p PhaseSpan) Duration() int64 { return p.EndNs - p.StartNs }
 
-// PortfolioEvent records portfolio-race progress: an entrant starting a
-// conflict-budget window ("window"), finishing with a verdict ("sat",
+// PortfolioEvent records portfolio-race progress: an entrant entering the
+// race ("start", once per entrant), finishing with a verdict ("sat",
 // "unsat", "error"), or being declared the race winner ("winner").
 type PortfolioEvent struct {
 	Entrant string `json:"entrant"`
 	Status  string `json:"status"`
-	Budget  int64  `json:"budget,omitempty"`
 	Err     string `json:"err,omitempty"`
 }
 

@@ -215,7 +215,8 @@ type qualityAgg struct {
 	degrades int64
 
 	// conflict-segment attribution: conflictTotal is monotonic across
-	// counter resets (portfolio budget windows restart entrants); segStart
+	// counter resets (each cube's QA warm-up runs a fresh CDCL core under
+	// its worker's source); segStart
 	// marks where the currently-open segment began; curStrategy is the
 	// strategy whose guidance the open segment runs under (-1 before the
 	// first strategy event — those conflicts stay unattributed).
@@ -310,7 +311,7 @@ func (a *qualityAgg) observe(e Event, t *QualityTracker) {
 		if ev.Conflicts >= a.lastRaw {
 			a.conflictTotal += ev.Conflicts - a.lastRaw
 		} else {
-			a.conflictTotal += ev.Conflicts // counter reset (new window)
+			a.conflictTotal += ev.Conflicts // counter reset (a fresh CDCL core)
 		}
 		a.lastRaw = ev.Conflicts
 	}

@@ -132,15 +132,16 @@ func TestQualityDegradeJoinsBaseline(t *testing.T) {
 	}
 }
 
-// TestQualityConflictCounterReset: portfolio budget windows restart the
-// entrant, resetting its conflict counter; the tracker must keep the total
-// monotonic instead of attributing a huge negative delta.
+// TestQualityConflictCounterReset: each cube's QA warm-up runs a fresh CDCL
+// core under its worker's source, resetting the conflict counter; the
+// tracker must keep the total monotonic instead of attributing a huge
+// negative delta.
 func TestQualityConflictCounterReset(t *testing.T) {
 	q := NewQualityTracker(nil)
 	q.Emit(StrategyHitEvent{Strategy: 0})
 	q.Emit(ConflictEvent{Conflicts: 50})
 	q.Emit(ConflictEvent{Conflicts: 80})
-	q.Emit(ConflictEvent{Conflicts: 30}) // reset: new window, 30 fresh conflicts
+	q.Emit(ConflictEvent{Conflicts: 30}) // reset: new warm-up, 30 fresh conflicts
 	q.Emit(StrategyHitEvent{Strategy: 1})
 
 	s := q.Snapshot()

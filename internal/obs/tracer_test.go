@@ -20,7 +20,7 @@ var allKinds = []Event{
 	StrategyHitEvent{Iteration: 2, Class: "satisfiable", Strategy: 1,
 		Energy: 0, AllEmbedded: true},
 	PhaseSpan{Phase: "frontend", StartNs: 100, EndNs: 350},
-	PortfolioEvent{Entrant: "minisat/s1", Status: "window", Budget: 20000},
+	PortfolioEvent{Entrant: "minisat/s1", Status: "start"},
 	BreakerEvent{Backend: "local", From: "closed", To: "open", Failures: 3},
 	QPURetryEvent{Call: 9, Attempt: 2, BackoffNs: 1000, Err: "timeout"},
 	QPUFaultEvent{Call: 9, Fault: "transient"},

@@ -12,7 +12,7 @@ import (
 
 // TestRaceEventAttribution pins the attribution contract of a portfolio
 // race: every emitted event carries the race's solve id, race-level events
-// (windows, verdicts, winner, share) come from "race", and each entrant's
+// (winner, share) come from "race", and each entrant's starts, verdicts and
 // solver events come from that entrant's name — even though the hybrid
 // solver scopes itself as "hyqsat" internally, the outer entrant scope wins.
 func TestRaceEventAttribution(t *testing.T) {
@@ -48,7 +48,7 @@ func TestRaceEventAttribution(t *testing.T) {
 		bySrc[ev.Src]++
 		switch pe := ev.E.(type) {
 		case obs.PortfolioEvent:
-			// Windows and verdicts come from the entrant that ran them; the
+			// Starts and verdicts come from the entrant that ran them; the
 			// winner announcement comes from the race itself.
 			want := pe.Entrant
 			if pe.Status == "winner" {

@@ -276,10 +276,10 @@ func SolveCubes(ctx context.Context, f *cnf.Formula, o CubeOptions) (CubeOutcome
 			solvers[w].SetTracer(workerTrace[w])
 		}
 	}
-	// Reclaim losing workers the moment the race is decided: without the
-	// interrupt they would grind out the rest of their current budget window
-	// before observing the cancellation. Interrupt is the one cross-goroutine
-	// safe solver method; the deferred cancel above releases this watcher.
+	// Stop every worker the moment the run is decided or the caller's
+	// context ends: the interrupt is the only thing that stops a cube's
+	// solve early. Interrupt is the one cross-goroutine safe solver method;
+	// the deferred cancel above releases this watcher.
 	go func() {
 		<-ctx.Done()
 		for _, s := range solvers {
@@ -327,59 +327,47 @@ func SolveCubes(ctx context.Context, f *cnf.Formula, o CubeOptions) (CubeOutcome
 						return
 					}
 				}
-				// Escalating budget windows keep the worker responsive to
-				// cancellation without abandoning hard cubes.
-				window := int64(10_000)
-			cubeLoop:
-				for {
-					solver.SetBudget(solver.Stats().Conflicts + window)
-					r := solver.SolveWithAssumptions(cube)
-					switch {
-					case r.Status == sat.Sat:
-						if err := verify.CheckModel(f, r.Model); err != nil {
-							fail(ErrInvalidModel{fmt.Sprintf("cube-w%d", w)})
-							return
-						}
-						mu.Lock()
-						if winCube < 0 {
-							winCube = ci
-							winRes = r
-						}
-						mu.Unlock()
-						emit(ci, "sat", r.Stats.Conflicts-startConf)
-						cancel()
+				r := solver.SolveWithAssumptions(cube)
+				switch {
+				case r.Status == sat.Sat:
+					if err := verify.CheckModel(f, r.Model); err != nil {
+						fail(ErrInvalidModel{fmt.Sprintf("cube-w%d", w)})
 						return
-					case r.Status == sat.Unsat && r.AssumptionsFailed:
-						// The cube is refuted. ¬cube is a RUP consequence of
-						// the clauses this worker has already logged (the
-						// learnt clauses that made the assumptions conflict),
-						// so it extends the stitched proof soundly.
-						if stitch != nil {
-							stitch.ProofAdd(negCube(cube))
-						}
-						mu.Lock()
-						refuted++
-						mu.Unlock()
-						emit(ci, "refuted", r.Stats.Conflicts-startConf)
-						break cubeLoop
-					case r.Status == sat.Unsat:
-						// Unsatisfiable outright, independent of the cube:
-						// the empty clause is already in this worker's proof.
-						mu.Lock()
-						globalUnsat = true
-						mu.Unlock()
-						emit(ci, "refuted", r.Stats.Conflicts-startConf)
-						cancel()
-						return
-					default:
-						select {
-						case <-ctx.Done():
-							emit(ci, "abandoned", r.Stats.Conflicts-startConf)
-							return
-						default:
-						}
-						window *= 2
 					}
+					mu.Lock()
+					if winCube < 0 {
+						winCube = ci
+						winRes = r
+					}
+					mu.Unlock()
+					emit(ci, "sat", r.Stats.Conflicts-startConf)
+					cancel()
+					return
+				case r.Status == sat.Unsat && r.AssumptionsFailed:
+					// The cube is refuted. ¬cube is a RUP consequence of the
+					// clauses this worker has already logged (the learnt
+					// clauses that made the assumptions conflict), so it
+					// extends the stitched proof soundly.
+					if stitch != nil {
+						stitch.ProofAdd(negCube(cube))
+					}
+					mu.Lock()
+					refuted++
+					mu.Unlock()
+					emit(ci, "refuted", r.Stats.Conflicts-startConf)
+				case r.Status == sat.Unsat:
+					// Unsatisfiable outright, independent of the cube: the
+					// empty clause is already in this worker's proof.
+					mu.Lock()
+					globalUnsat = true
+					mu.Unlock()
+					emit(ci, "refuted", r.Stats.Conflicts-startConf)
+					cancel()
+					return
+				default:
+					// Unknown: the solver was interrupted.
+					emit(ci, "abandoned", r.Stats.Conflicts-startConf)
+					return
 				}
 			}
 		}()

@@ -9,6 +9,7 @@ import (
 
 	"hyqsat/internal/cnf"
 	"hyqsat/internal/gen"
+	"hyqsat/internal/obs"
 	"hyqsat/internal/sat"
 	"hyqsat/internal/verify"
 )
@@ -215,19 +216,31 @@ func TestCubeProbeShortCircuit(t *testing.T) {
 
 func TestCubeAggregatesAllWorkers(t *testing.T) {
 	inst := gen.UnsatisfiableRandom3SAT(26, 126, 22)
+	ring := obs.NewRing(4096)
 	out, err := SolveCubes(context.Background(), inst.Formula,
-		CubeOptions{Depth: 3, Workers: 2, ProbeConflicts: 1, Seed: 17})
+		CubeOptions{Depth: 3, Workers: 2, ProbeConflicts: 1, Seed: 17, Trace: ring})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Result.Status != sat.Unsat {
 		t.Fatalf("status %v", out.Result.Status)
 	}
-	// Probe window + one window per worker at minimum.
-	if out.Aggregate.Windows < 3 {
-		t.Fatalf("aggregate windows %d, want >= 3", out.Aggregate.Windows)
-	}
 	if out.Aggregate.SAT.Conflicts == 0 {
 		t.Fatal("no conflicts aggregated across workers")
+	}
+	// Every cube's conflicts, whichever worker solved it, land in the
+	// aggregate (which also holds the probe's).
+	var cubeConflicts int64
+	for _, ev := range ring.Events() {
+		if ce, ok := ev.E.(obs.CubeEvent); ok {
+			cubeConflicts += ce.Conflicts
+		}
+	}
+	if cubeConflicts == 0 {
+		t.Fatal("no cube events recorded")
+	}
+	if out.Aggregate.SAT.Conflicts < cubeConflicts {
+		t.Fatalf("aggregate conflicts %d < %d summed over cube events",
+			out.Aggregate.SAT.Conflicts, cubeConflicts)
 	}
 }

@@ -7,10 +7,10 @@
 // splitter (cube.go) that partitions an instance into assumption cubes solved
 // across workers.
 //
-// Each entrant runs on its own copy of the formula in its own goroutine;
-// the first Sat or Unsat result cancels the others (they are abandoned, not
-// interrupted mid-step: solvers poll their conflict budget in bounded
-// windows). Results are always cross-checked: a Sat entrant must produce a
+// Each entrant runs once, on its own copy of the formula in its own
+// goroutine; the first Sat or Unsat result cancels the race context, which
+// interrupts the others' solvers (sat.Solver.Interrupt). Results are always
+// cross-checked: a Sat entrant must produce a
 // verified model, and in certifying mode (SolveCertified) an Unsat entrant
 // must additionally produce a DRAT proof that the internal/verify RUP checker
 // accepts before its verdict is allowed to win the race. With sharing
@@ -34,9 +34,9 @@ import (
 	"hyqsat/internal/verify"
 )
 
-// RunInput is one entrant budget window: the formula copy to solve, the
-// conflict budget, and the race-level facilities the entrant should wire into
-// its solver. Exchange (when non-nil) is the entrant's clause-sharing
+// RunInput is what an entrant's one run receives: the formula copy to solve
+// and the race-level facilities the entrant should wire into its solver.
+// Exchange (when non-nil) is the entrant's clause-sharing
 // endpoint; SharedProof (when non-nil, certifying shared races only) is the
 // group proof log the entrant must route its DRAT trace into if — and only
 // if — it attaches the exchange. An entrant whose premise differs from the
@@ -44,7 +44,6 @@ import (
 // certify privately.
 type RunInput struct {
 	Formula     *cnf.Formula
-	Budget      int64
 	Certify     bool
 	Exchange    sat.ClauseExchange
 	SharedProof sat.ProofWriter
@@ -55,11 +54,12 @@ type RunInput struct {
 	Trace obs.Tracer
 }
 
-// RunOutput is the window's outcome. Cert carries a private certificate
-// (premise + recorded proof) backing an Unsat verdict; SharedCert instead
-// marks the verdict as certified through the shared proof log, which the race
-// snapshots and checks itself. QAReads/QACalls report quantum-backend work so
-// the race can aggregate total effort across entrants and windows.
+// RunOutput is the outcome of an entrant's run. Cert carries a private
+// certificate (premise + recorded proof) backing an Unsat verdict; SharedCert
+// instead marks the verdict as certified through the shared proof log, which
+// the race snapshots and checks itself. QAReads/QACalls report
+// quantum-backend work so the race can aggregate total effort across
+// entrants.
 type RunOutput struct {
 	Result     sat.Result
 	Cert       *verify.Certificate
@@ -68,12 +68,14 @@ type RunOutput struct {
 	QACalls    int64
 }
 
-// Entrant is one competitor: a name and a Run function solving one budget
-// window, returning Unknown when the budget expires. The context carries the
-// race's cancellation and any caller deadline; entrants propagate it into
-// cancellable solvers (the hybrid's QA backend honours it) and may otherwise
-// rely on the window budget for responsiveness. The race waits for every
-// entrant before it returns, so Run must return promptly once ctx is done.
+// Entrant is one competitor: a name and a Run function the race calls once,
+// which solves until it reaches a verdict. The context carries the race's
+// cancellation and any caller deadline; entrants wire it into their solvers
+// (context.AfterFunc + sat.Solver.Interrupt, and the hybrid's QA backend
+// honours it directly). The race waits for every entrant before it returns,
+// so Run must return promptly once ctx is done. Returning Unknown while ctx
+// is still live means the entrant gave up; the race counts that as a failed
+// entrant.
 type Entrant struct {
 	Name string
 	Run  func(ctx context.Context, in RunInput) RunOutput
@@ -81,10 +83,9 @@ type Entrant struct {
 
 // MiniSATEntrant is the VSIDS/Luby baseline.
 func MiniSATEntrant(seed int64) Entrant {
-	mk := func(f *cnf.Formula, budget int64) (*sat.Solver, *cnf.Formula) {
+	mk := func(f *cnf.Formula) (*sat.Solver, *cnf.Formula) {
 		o := sat.MiniSATOptions()
 		o.Seed = seed
-		o.MaxConflicts = budget
 		return sat.New(f, o), f
 	}
 	return cdclEntrant(fmt.Sprintf("minisat/s%d", seed), mk)
@@ -92,26 +93,23 @@ func MiniSATEntrant(seed int64) Entrant {
 
 // KissatEntrant is the CHB/LBD baseline.
 func KissatEntrant(seed int64) Entrant {
-	mk := func(f *cnf.Formula, budget int64) (*sat.Solver, *cnf.Formula) {
+	mk := func(f *cnf.Formula) (*sat.Solver, *cnf.Formula) {
 		o := sat.KissatOptions()
 		o.Seed = seed
-		o.MaxConflicts = budget
 		return sat.New(f, o), f
 	}
 	return cdclEntrant(fmt.Sprintf("kissat/s%d", seed), mk)
 }
 
-// cdclEntrant wraps a classical solver constructor into the Run shape.
-// Classical solvers have no in-flight cancellation; the bounded conflict
-// windows keep their cancellation latency acceptable. Their premise is the
-// race formula itself, so they always join the sharing bus when offered.
-func cdclEntrant(name string, mk func(*cnf.Formula, int64) (*sat.Solver, *cnf.Formula)) Entrant {
+// cdclEntrant wraps a classical solver constructor into the Run shape. The
+// solver has no conflict budget: the race context interrupts it. Its premise
+// is the race formula itself, so it always joins the sharing bus when
+// offered.
+func cdclEntrant(name string, mk func(*cnf.Formula) (*sat.Solver, *cnf.Formula)) Entrant {
 	return Entrant{
 		Name: name,
 		Run: func(ctx context.Context, in RunInput) RunOutput {
-			s, premise := mk(in.Formula, in.Budget)
-			// Stop mid-window when the race is decided instead of grinding
-			// out the rest of the conflict budget.
+			s, premise := mk(in.Formula)
 			defer context.AfterFunc(ctx, s.Interrupt)()
 			if in.Trace != nil && in.Trace.Enabled() {
 				s.SetTracer(in.Trace)
@@ -159,7 +157,6 @@ func HyQSATEntrantBackend(seed int64, wrap func(qpu.Backend) qpu.Backend) Entran
 		Run: func(ctx context.Context, in RunInput) RunOutput {
 			o := hyqsat.HardwareOptions()
 			o.Seed = seed
-			o.CDCL.MaxConflicts = in.Budget
 			o.WrapBackend = wrap
 			o.Trace = in.Trace
 			h := hyqsat.New(in.Formula, o)
@@ -210,19 +207,17 @@ func DefaultEntrantsBackend(seed int64, wrap func(qpu.Backend) qpu.Backend) []En
 	return []Entrant{MiniSATEntrant(seed), KissatEntrant(seed + 1), HyQSATEntrantBackend(seed+2, wrap)}
 }
 
-// AggregateStats sums the work of every entrant budget window of a race —
-// winners, losers and abandoned windows alike — so conflict counts and QA
-// effort reflect the total cost of the parallel solve, not just the winner's
-// final window.
+// AggregateStats sums the work of every solver a parallel solve ran — in a
+// race the winner and every interrupted or failed loser, in a cube run the
+// probe, every worker and every QA warm-up — so conflict counts and QA effort
+// reflect the total cost of the solve, not just the winner's.
 type AggregateStats struct {
-	Windows int64 // entrant budget windows completed
 	SAT     sat.Stats
 	QAReads int64
 	QACalls int64
 }
 
 func (a *AggregateStats) add(out RunOutput) {
-	a.Windows++
 	s, t := &a.SAT, out.Result.Stats
 	s.Iterations += t.Iterations
 	s.Decisions += t.Decisions
@@ -241,8 +236,8 @@ func (a *AggregateStats) add(out RunOutput) {
 	a.QACalls += out.QACalls
 }
 
-// aggregate is the mutex-guarded race-wide accumulator entrant goroutines
-// report into after every window.
+// aggregate is the mutex-guarded accumulator the goroutines of a race or
+// cube run report into.
 type aggregate struct {
 	mu sync.Mutex
 	st AggregateStats
@@ -299,10 +294,12 @@ type RaceOptions struct {
 	// Certify requires DRAT-backed Unsat verdicts (see SolveCertified).
 	Certify bool
 	// Trace, when non-nil and enabled, receives PortfolioEvents as the race
-	// progresses: one "window" event per entrant budget window, a verdict
-	// event per entrant result, and a "winner" event (plus one ShareEvent at
-	// the end when sharing is on). Emission happens from entrant goroutines,
-	// so the tracer must be safe for concurrent use.
+	// progresses: one "start" event per entrant, all emitted before any
+	// entrant runs; one verdict event ("sat", "unsat" or "error") per entrant
+	// that finished with one; and a "winner" event (plus one ShareEvent at
+	// the end when sharing is on). Entrants interrupted by the race's end
+	// emit nothing more. Emission happens from entrant goroutines, so the
+	// tracer must be safe for concurrent use.
 	Trace obs.Tracer
 	// Share enables the clause-sharing bus between entrants.
 	Share bool
@@ -315,10 +312,9 @@ type RaceOptions struct {
 }
 
 // Solve races the entrants on f until one returns a conclusive verified
-// result or the context is cancelled. Entrants solve in conflict-budget
-// windows so cancellation latency stays bounded. Sat models are always
-// checked; Unsat verdicts are trusted (use SolveCertified to require
-// proofs).
+// result, every entrant has failed, or the context is cancelled. Sat models
+// are always checked; Unsat verdicts are trusted (use SolveCertified to
+// require proofs).
 func Solve(ctx context.Context, f *cnf.Formula, entrants []Entrant) (Outcome, error) {
 	return SolveWith(ctx, f, entrants, RaceOptions{})
 }
@@ -378,9 +374,9 @@ func race(ctx context.Context, f *cnf.Formula, entrants []Entrant, o RaceOptions
 	}
 	results := make(chan msg, len(entrants))
 	ctx, cancel := context.WithCancel(ctx)
-	// The race returns only after every entrant has: losers are cancelled
+	// The race returns only after every entrant has: losers are interrupted
 	// and joined, so none outlives the race and the aggregate taken after
-	// the join holds every window's work.
+	// the join holds every entrant's work.
 	var running sync.WaitGroup
 	defer running.Wait()
 	defer cancel()
@@ -392,23 +388,25 @@ func race(ctx context.Context, f *cnf.Formula, entrants []Entrant, o RaceOptions
 			peer = bus.NewPeer(e.Name)
 		}
 		entTrace := obs.WithSource(trace, obs.Source{Solve: raceID, Name: e.Name})
-		// Window sizes grow geometrically so easy instances finish in the
-		// first window and cancellation stays responsive on hard ones.
-		budget := int64(20_000)
-		// Every entrant's first window event is emitted here, before any
-		// entrant runs, so it precedes the decision however fast the winner.
+		// Every entrant's start event is emitted here, before any entrant
+		// runs, so it precedes the decision however fast the winner.
 		if entTrace.Enabled() {
-			entTrace.Emit(obs.PortfolioEvent{Entrant: e.Name, Status: "window", Budget: budget})
+			entTrace.Emit(obs.PortfolioEvent{Entrant: e.Name, Status: "start"})
+		}
+		in := RunInput{Formula: f.Copy(), Certify: o.Certify, Trace: entTrace}
+		if peer != nil {
+			in.Exchange = peer
+			if sharedProof != nil {
+				in.SharedProof = sharedProof
+			}
 		}
 		running.Add(1)
 		go func() {
 			defer running.Done()
-			// Every window restarts the entrant from scratch; learnt state
-			// is entrant-local except for what crosses the bus.
 			// report pairs the verdict message with its trace event.
 			report := func(r sat.Result, status string, certified bool, err error) {
 				if entTrace.Enabled() {
-					ev := obs.PortfolioEvent{Entrant: e.Name, Status: status, Budget: budget}
+					ev := obs.PortfolioEvent{Entrant: e.Name, Status: status}
 					if err != nil {
 						ev.Err = err.Error()
 					}
@@ -416,58 +414,44 @@ func race(ctx context.Context, f *cnf.Formula, entrants []Entrant, o RaceOptions
 				}
 				results <- msg{e.Name, r, certified, err}
 			}
-			for window := 0; ; window++ {
-				select {
-				case <-ctx.Done():
+			out := e.Run(ctx, in)
+			// Losers and failed entrants count too.
+			agg.add(out)
+			r := out.Result
+			switch r.Status {
+			case sat.Sat:
+				if err := verify.CheckModel(f, r.Model); err != nil {
+					report(r, "error", false, ErrInvalidModel{e.Name})
 					return
-				default:
 				}
-				if window > 0 && entTrace.Enabled() {
-					entTrace.Emit(obs.PortfolioEvent{Entrant: e.Name, Status: "window", Budget: budget})
-				}
-				in := RunInput{Formula: f.Copy(), Budget: budget, Certify: o.Certify, Trace: entTrace}
-				if peer != nil {
-					in.Exchange = peer
-					if sharedProof != nil {
-						in.SharedProof = sharedProof
+				report(r, "sat", o.Certify, nil)
+			case sat.Unsat:
+				if o.Certify {
+					cert := out.Cert
+					if cert == nil && out.SharedCert {
+						// The verdict's proof lives in the shared log; the
+						// snapshot already contains this entrant's empty
+						// clause (solvers log before returning).
+						cert = &verify.Certificate{Premise: f, Proof: sharedProof.Snapshot()}
 					}
-				}
-				out := e.Run(ctx, in)
-				// Satellite fix: every window's work lands in the aggregate,
-				// so losers and abandoned windows still count.
-				agg.add(out)
-				r := out.Result
-				if r.Status == sat.Sat {
-					if err := verify.CheckModel(f, r.Model); err != nil {
-						report(r, "error", false, ErrInvalidModel{e.Name})
+					if cert == nil {
+						report(r, "error", false, ErrUncertified{e.Name,
+							fmt.Errorf("no certificate produced")})
 						return
 					}
-					report(r, "sat", o.Certify, nil)
-					return
-				}
-				if r.Status == sat.Unsat {
-					if o.Certify {
-						cert := out.Cert
-						if cert == nil && out.SharedCert {
-							// The verdict's proof lives in the shared log; the
-							// snapshot already contains this entrant's empty
-							// clause (solvers log before returning).
-							cert = &verify.Certificate{Premise: f, Proof: sharedProof.Snapshot()}
-						}
-						if cert == nil {
-							report(r, "error", false, ErrUncertified{e.Name,
-								fmt.Errorf("no certificate produced")})
-							return
-						}
-						if err := cert.CheckUnsat(); err != nil {
-							report(r, "error", false, ErrUncertified{e.Name, err})
-							return
-						}
+					if err := cert.CheckUnsat(); err != nil {
+						report(r, "error", false, ErrUncertified{e.Name, err})
+						return
 					}
-					report(r, "unsat", o.Certify, nil)
-					return
 				}
-				budget *= 4
+				report(r, "unsat", o.Certify, nil)
+			default:
+				// Unknown once the race is over is the interrupt doing its
+				// job; before that, the entrant gave up.
+				if ctx.Err() == nil {
+					report(r, "error", false,
+						fmt.Errorf("portfolio: entrant %s gave up without a verdict", e.Name))
+				}
 			}
 		}()
 	}

@@ -2,12 +2,16 @@ package portfolio
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"hyqsat/internal/cnf"
 	"hyqsat/internal/gen"
+	"hyqsat/internal/obs"
 	"hyqsat/internal/sat"
 )
 
@@ -130,7 +134,7 @@ func TestPortfolioCertifiedRejectsLyingUnsat(t *testing.T) {
 
 func TestPortfolioFirstWinnerCancellation(t *testing.T) {
 	// Dedicated concurrent-cancellation stress: one instant winner racing
-	// slow losers that keep solving in small budget windows. The losers must
+	// slow losers that only stop when the race is decided. The losers must
 	// observe cancellation and exit instead of racing the returned Outcome.
 	// Run with -race; the test fails under the race detector if the fan-out
 	// shares state unsafely.
@@ -138,8 +142,8 @@ func TestPortfolioFirstWinnerCancellation(t *testing.T) {
 	slow := func(name string) Entrant {
 		return Entrant{
 			Name: name,
-			Run: func(_ context.Context, _ RunInput) RunOutput {
-				time.Sleep(2 * time.Millisecond)
+			Run: func(ctx context.Context, _ RunInput) RunOutput {
+				<-ctx.Done()
 				return RunOutput{Result: sat.Result{Status: sat.Unknown}} // never concludes
 			},
 		}
@@ -163,8 +167,8 @@ func TestPortfolioCancelWhileRacing(t *testing.T) {
 	f.Add(1, 2, 3)
 	stuck := Entrant{
 		Name: "stuck",
-		Run: func(_ context.Context, _ RunInput) RunOutput {
-			time.Sleep(time.Millisecond)
+		Run: func(ctx context.Context, _ RunInput) RunOutput {
+			<-ctx.Done()
 			return RunOutput{Result: sat.Result{Status: sat.Unknown}}
 		},
 	}
@@ -183,20 +187,19 @@ func TestPortfolioCancelWhileRacing(t *testing.T) {
 }
 
 func TestPortfolioAggregatesLoserStats(t *testing.T) {
-	// Regression: outcomes used to report only the winner's final window,
+	// Regression: outcomes used to report only the winner's result,
 	// silently dropping the conflicts/QA reads burnt by cancelled losers.
-	// A race between a deliberately slow loser that reports known work and an
-	// instant winner must still show the loser's work in the aggregate.
+	// A race between a loser that runs until it is interrupted and then
+	// reports known work, and a winner, must still show the loser's work in
+	// the aggregate.
 	f := cnf.New(2)
 	f.Add(1, 2)
 	started := make(chan struct{})
 	loser := Entrant{
 		Name: "loser",
 		Run: func(ctx context.Context, _ RunInput) RunOutput {
-			select {
-			case started <- struct{}{}:
-			default:
-			}
+			close(started)
+			<-ctx.Done()
 			return RunOutput{
 				Result:  sat.Result{Status: sat.Unknown, Stats: sat.Stats{Conflicts: 123, Propagations: 456}},
 				QAReads: 7,
@@ -207,7 +210,7 @@ func TestPortfolioAggregatesLoserStats(t *testing.T) {
 	winner := Entrant{
 		Name: "winner",
 		Run: func(ctx context.Context, in RunInput) RunOutput {
-			<-started // let the loser finish one window first
+			<-started // the loser is running before the race is decided
 			s := sat.New(in.Formula, sat.MiniSATOptions())
 			return RunOutput{Result: s.Solve()}
 		},
@@ -218,9 +221,6 @@ func TestPortfolioAggregatesLoserStats(t *testing.T) {
 	}
 	if out.Winner != "winner" {
 		t.Fatalf("winner %q", out.Winner)
-	}
-	if out.Aggregate.Windows < 2 {
-		t.Fatalf("aggregate windows %d, want >= 2 (loser's window dropped)", out.Aggregate.Windows)
 	}
 	if out.Aggregate.SAT.Conflicts < 123 || out.Aggregate.SAT.Propagations < 456 {
 		t.Fatalf("loser stats missing from aggregate: %+v", out.Aggregate.SAT)
@@ -259,5 +259,82 @@ func TestPortfolioAgreesWithDirectSolve(t *testing.T) {
 		if out.Result.Status != want {
 			t.Fatalf("trial %d: portfolio %v, direct %v", trial, out.Result.Status, want)
 		}
+	}
+}
+
+// TestPortfolioRunsEachEntrantOnce: the race calls every entrant's Run
+// exactly once. An entrant that returns Unknown while the race is still
+// undecided has given up; it is reported as a failed entrant naming it, and
+// it is not run again.
+func TestPortfolioRunsEachEntrantOnce(t *testing.T) {
+	f := cnf.New(3)
+	f.Add(1, 2, 3)
+	var quits atomic.Int32
+	quitted := make(chan struct{})
+	quitter := Entrant{
+		Name: "quitter",
+		Run: func(context.Context, RunInput) RunOutput {
+			if quits.Add(1) == 1 {
+				close(quitted)
+			}
+			return RunOutput{Result: sat.Result{Status: sat.Unknown}}
+		},
+	}
+	var wins atomic.Int32
+	winner := Entrant{
+		Name: "winner",
+		Run: func(_ context.Context, in RunInput) RunOutput {
+			wins.Add(1)
+			<-quitted
+			// Give a re-run of the quitter time to happen.
+			time.Sleep(20 * time.Millisecond)
+			return RunOutput{Result: sat.New(in.Formula, sat.MiniSATOptions()).Solve()}
+		},
+	}
+	ring := obs.NewRing(64)
+	out, err := SolveWith(context.Background(), f, []Entrant{quitter, winner}, RaceOptions{Trace: ring})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Winner != "winner" || out.Result.Status != sat.Sat {
+		t.Fatalf("winner=%q status=%v", out.Winner, out.Result.Status)
+	}
+	if q, w := quits.Load(), wins.Load(); q != 1 || w != 1 {
+		t.Fatalf("Run calls: quitter=%d winner=%d, want 1 each", q, w)
+	}
+	var gaveUp bool
+	for _, ev := range ring.Events() {
+		if pe, ok := ev.E.(obs.PortfolioEvent); ok && pe.Entrant == "quitter" && pe.Status == "error" {
+			gaveUp = strings.Contains(pe.Err, "quitter")
+		}
+	}
+	if !gaveUp {
+		t.Fatal("quitter's give-up not reported as an error event naming it")
+	}
+}
+
+// TestPortfolioAllEntrantsGiveUp: when every entrant returns Unknown with
+// the race still undecided, the race fails at once with an entrant error
+// instead of waiting for the caller's context.
+func TestPortfolioAllEntrantsGiveUp(t *testing.T) {
+	f := cnf.New(3)
+	f.Add(1, 2, 3)
+	quitter := func(name string) Entrant {
+		return Entrant{Name: name, Run: func(context.Context, RunInput) RunOutput {
+			return RunOutput{Result: sat.Result{Status: sat.Unknown}}
+		}}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err := Solve(ctx, f, []Entrant{quitter("q1"), quitter("q2")})
+	if err == nil || ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v after %v, want an entrant error before the deadline", err, time.Since(start))
+	}
+	if !strings.Contains(err.Error(), "gave up") {
+		t.Fatalf("err = %v, want a give-up error", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("race took %v to fail", d)
 	}
 }

@@ -88,9 +88,6 @@ type RemoteConfig struct {
 	// Seed makes the idempotency-key stream deterministic for tests; 0 draws
 	// a random instance id.
 	Seed int64
-	// Trace receives nothing today; reserved so the transport can emit
-	// wire-level events without an API break.
-	Trace obs.Tracer
 }
 
 // Remote is the client side of the hyqsatd wire: it implements Backend by

@@ -26,9 +26,8 @@ func (s *Solver) SolveWithAssumptions(assumptions []cnf.Lit) Result {
 	}
 
 	for {
-		// Honour the conflict budget and the asynchronous interrupt flag so
-		// incremental callers (the cube-and-conquer workers) can bound each
-		// call and stay cancellable.
+		// Honour the conflict budget (the cube probe's) and the asynchronous
+		// interrupt flag (how the cube workers are cancelled).
 		if s.opts.MaxConflicts > 0 && s.stats.Conflicts >= s.opts.MaxConflicts {
 			s.cancelUntil(0)
 			return Result{Status: Unknown, Stats: s.stats}

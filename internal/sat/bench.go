@@ -26,7 +26,6 @@ type PropagateBench struct {
 func NewPropagateBench(f *cnf.Formula, opts Options, warmupConflicts int64) (*PropagateBench, error) {
 	full := opts
 	full.MaxConflicts = 0
-	full.MaxIterations = 0
 	r := New(f.Copy(), full).Solve()
 	if r.Status != Sat {
 		return nil, errors.New("sat: PropagateBench requires a satisfiable formula")

@@ -133,9 +133,3 @@ func (s *Solver) ImportClause(lits []cnf.Lit, lbd int32) {
 		s.ca.setLBD(c, lbd)
 	}
 }
-
-// SetBudget replaces the conflict budget (Options.MaxConflicts) of the
-// solver. Budgets compare against the cumulative conflict count, so
-// incremental callers extend them between windows:
-// s.SetBudget(s.Stats().Conflicts + window).
-func (s *Solver) SetBudget(maxConflicts int64) { s.opts.MaxConflicts = maxConflicts }

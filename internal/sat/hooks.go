@@ -144,11 +144,11 @@ func (s *Solver) SetMetrics(m Metrics) { s.metrics = m }
 // Interrupt asynchronously stops the current search: the search loops poll
 // the flag where they poll the conflict budget, so the in-flight
 // Solve/SolveWithAssumptions call returns Unknown within one propagation
-// round instead of grinding out its remaining budget window. This is the one
-// solver method that is safe to call from another goroutine; the portfolio
-// and cube schedulers use it to reclaim losing workers the moment a race is
-// decided. The flag persists until ClearInterrupt, so a late Interrupt is
-// never lost between budget windows.
+// round. This is the one solver method that is safe to call from another
+// goroutine, and the one way a caller stops a search early: the portfolio
+// race, the cube workers and the CLI wire it to their context (usually via
+// context.AfterFunc). The flag persists until ClearInterrupt, so an
+// Interrupt that lands before the search starts is not lost.
 func (s *Solver) Interrupt() { s.interrupted.Store(true) }
 
 // ClearInterrupt re-arms an interrupted solver for further solving.

@@ -44,19 +44,18 @@ const (
 // Options configures a Solver. The zero value is usable but
 // MiniSATOptions/KissatOptions are the intended entry points.
 type Options struct {
-	Heuristic     Heuristic
-	Restarts      RestartPolicy
-	Reduce        ReduceMode
-	VarDecay      float64 // VSIDS activity decay, e.g. 0.95
-	ClauseDecay   float64 // learnt-clause activity decay, e.g. 0.999
-	RestartBase   int64   // Luby unit in conflicts, e.g. 100
-	PhaseSaving   bool    // remember last polarity per variable
-	InitialPhase  bool    // polarity used before any saving/hint
-	Seed          int64   // randomises tie-breaking and occasional decisions
-	RandomFreq    float64 // probability of a random decision variable
-	MaxConflicts  int64   // stop with Unknown after this many conflicts (0 = unlimited)
-	MaxIterations int64   // stop with Unknown after this many iterations (0 = unlimited)
-	TrackVisits   bool    // per-clause propagation/conflict visit counters (Fig 5)
+	Heuristic    Heuristic
+	Restarts     RestartPolicy
+	Reduce       ReduceMode
+	VarDecay     float64 // VSIDS activity decay, e.g. 0.95
+	ClauseDecay  float64 // learnt-clause activity decay, e.g. 0.999
+	RestartBase  int64   // Luby unit in conflicts, e.g. 100
+	PhaseSaving  bool    // remember last polarity per variable
+	InitialPhase bool    // polarity used before any saving/hint
+	Seed         int64   // randomises tie-breaking and occasional decisions
+	RandomFreq   float64 // probability of a random decision variable
+	MaxConflicts int64   // stop with Unknown after this many conflicts (0 = unlimited)
+	TrackVisits  bool    // per-clause propagation/conflict visit counters (Fig 5)
 }
 
 // MiniSATOptions returns the MiniSAT-2.2-style baseline configuration used as

@@ -211,16 +211,16 @@ func TestConflictBudget(t *testing.T) {
 	}
 }
 
-func TestIterationBudgetAndResume(t *testing.T) {
+func TestConflictBudgetAndResume(t *testing.T) {
 	opts := MiniSATOptions()
-	opts.MaxIterations = 5
+	opts.MaxConflicts = 5
 	s := New(pigeonhole(5, 4), opts)
 	r := s.Solve()
 	if r.Status != Unknown {
 		t.Fatalf("status %v, want Unknown", r.Status)
 	}
-	// Widen the budget and resume: must reach Unsat.
-	s.opts.MaxIterations = 0
+	// Lift the budget and resume: must reach Unsat.
+	s.opts.MaxConflicts = 0
 	r = s.Solve()
 	if r.Status != Unsat {
 		t.Fatalf("resumed status %v, want Unsat", r.Status)

@@ -15,7 +15,7 @@ const (
 	StepContinue StepStatus = iota // search continues
 	StepSat                        // a model was found
 	StepUnsat                      // unsatisfiability was proven
-	StepBudget                     // a conflict/iteration budget was exhausted
+	StepBudget                     // the conflict budget ran out or the search was interrupted
 )
 
 // Step runs one iteration of the CDCL search: propagation, conflict
@@ -32,9 +32,6 @@ func (s *Solver) Step() StepStatus {
 		return StepSat
 	}
 	if s.opts.MaxConflicts > 0 && s.stats.Conflicts >= s.opts.MaxConflicts {
-		return StepBudget
-	}
-	if s.opts.MaxIterations > 0 && s.stats.Iterations >= s.opts.MaxIterations {
 		return StepBudget
 	}
 	if s.interrupted.Load() {
@@ -96,9 +93,9 @@ func (s *Solver) Step() StepStatus {
 	return StepContinue
 }
 
-// Solve runs the CDCL search to completion (or budget exhaustion) and
-// returns the result. Solve may be called again after budget exhaustion to
-// continue the search with a fresh budget window.
+// Solve runs the CDCL search to completion (or until the conflict budget
+// runs out or Interrupt stops it) and returns the result. Solve may be
+// called again afterwards to continue the search.
 func (s *Solver) Solve() Result {
 	if s.decisionLevel() == s.rootLevel {
 		s.drainImports()

@@ -197,7 +197,7 @@ func (s *Service) sampleOnce(req *http.Request) (int, []byte) {
 	// case — then refund the difference once the batcher reports the actual
 	// pro-rata share of the (possibly shared) device program.
 	tenant := tenantOf(req)
-	cost := s.timing().AccessTime(sr.Reads)
+	cost := s.cfg.Solve.Timing.AccessTime(sr.Reads)
 	if err := s.tenants.ChargeDevice(tenant, cost); err != nil {
 		s.m.qpuRejected.Inc()
 		var qe *QuotaError

@@ -25,7 +25,6 @@ import (
 	"hyqsat/internal/obs"
 	"hyqsat/internal/qbatch"
 	"hyqsat/internal/sat"
-	"hyqsat/internal/topo"
 )
 
 // Service bounds and seeds that no deployment tunes.
@@ -103,11 +102,10 @@ func (c Config) withDefaults() Config {
 		c.Solve = hyqsat.SimulatorOptions()
 		c.Solve.SelfCertify = true
 	}
-	if c.Solve.Hardware == nil {
-		// Pin the topology here so the batching scheduler and every job's
-		// solver agree on the hardware graph they co-tile.
-		c.Solve.Hardware = topo.DWave2000Q()
-	}
+	// Complete Solve as the solver will, so the sample endpoint, the
+	// batching scheduler, quota charging and every job's solver agree on the
+	// device they emulate and the hardware graph they co-tile.
+	c.Solve = c.Solve.WithDefaults()
 	if c.SolveTimeout == 0 {
 		c.SolveTimeout = 2 * time.Minute
 	}
@@ -185,7 +183,7 @@ func New(cfg Config) *Service {
 		jobs:    make(map[string]*job),
 		idem:    make(map[string]string),
 		drainCh: make(chan struct{}),
-		sampler: anneal.NewSampler(solveSchedule(cfg.Solve), cfg.Solve.Noise, sampleSeed),
+		sampler: anneal.NewSampler(cfg.Solve.Schedule, cfg.Solve.Noise, sampleSeed),
 		samples: newIdemCache(4096),
 		m: serviceMetrics{
 			accepted:     reg.Counter("serve_jobs_accepted"),
@@ -214,24 +212,6 @@ func New(cfg Config) *Service {
 		go s.worker()
 	}
 	return s
-}
-
-// solveSchedule mirrors the solver's own defaulting so the sample endpoint
-// emulates the same device the config describes. Noise needs no defaulting:
-// the zero value IS anneal.NoNoise, exactly as the solver treats it.
-func solveSchedule(o hyqsat.Options) anneal.Schedule {
-	if o.Schedule.Sweeps == 0 {
-		return anneal.DefaultSchedule()
-	}
-	return o.Schedule
-}
-
-// timing returns the modelled device timing used for quota charging.
-func (s *Service) timing() anneal.TimingModel {
-	if s.cfg.Solve.Timing != (anneal.TimingModel{}) {
-		return s.cfg.Solve.Timing
-	}
-	return anneal.DWave2000QTiming()
 }
 
 // Metrics returns the service's registry (for /metrics exposure).
