@@ -145,6 +145,10 @@ go run ./cmd/benchreport -stdout >/dev/null
 # `go run ./cmd/benchreport -suite cdcl` after intentional perf changes
 # (the pre_refactor section is preserved automatically).
 if [ "${HYQSAT_PERF_GATE:-0}" = "1" ]; then
+	# Sampler regression gate: rerun the sampler suite against
+	# BENCH_baseline.json. The SamplerParallel rows swing widely on a 2-vCPU
+	# host, hence the threshold.
+	go run ./cmd/benchreport -compare BENCH_baseline.json -threshold 40
 	go run ./cmd/benchreport -compare BENCH_cdcl.json -threshold 25
 	# Cube-and-conquer scaling gate: rerun the portfolio suite against the
 	# CubeConquer rows of the same snapshot. Parallel wall-clock numbers on

@@ -14,7 +14,11 @@
 // read's RNG stream derived from (seed, call, read) so results are
 // bit-identical regardless of worker count. The sweep kernel itself
 // (SampleInto) runs allocation-free in steady state against the flattened,
-// read-only structures EmbedIsing precomputes on EmbeddedProblem.
+// read-only structures EmbedIsing precomputes on EmbeddedProblem, plus
+// per-read chain-boundary lists it gathers into the worker's Scratch;
+// its Metropolis test calls math.Exp only when the draw does not already
+// decide the outcome. Both shortcuts leave every read bit-identical to a
+// plain sweep over the CSR rows.
 //
 // Wall-clock device time is *modelled*, not measured: TimingModel charges
 // the D-Wave 2000Q datasheet costs per sample, which is how the paper

@@ -79,10 +79,11 @@ func (s *Sampler) SampleBatch(eps []*EmbeddedProblem, reads []int) []ReadSet {
 		s.sampleRead(eps[m], base+int64(m), read, scr, &sets[m].Samples[read])
 	}
 	if workers <= 1 {
-		var scr Scratch
+		scr := s.takeScratch()
 		for item := 0; item < items; item++ {
-			runItem(item, &scr)
+			runItem(item, scr)
 		}
+		s.releaseScratch(scr)
 	} else {
 		var next atomic.Int64
 		var wg sync.WaitGroup
@@ -90,13 +91,14 @@ func (s *Sampler) SampleBatch(eps []*EmbeddedProblem, reads []int) []ReadSet {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				var scr Scratch
+				scr := s.takeScratch()
+				defer s.releaseScratch(scr)
 				for {
 					item := int(next.Add(1) - 1)
 					if item >= items {
 						return
 					}
-					runItem(item, &scr)
+					runItem(item, scr)
 				}
 			}()
 		}

@@ -3,6 +3,7 @@ package anneal
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 
 	"hyqsat/internal/obs"
@@ -35,6 +36,12 @@ type Sampler struct {
 	seed    int64
 	calls   atomic.Int64
 	scratch Scratch // serial-path buffers for SampleOnce / SampleInto
+
+	// idle holds SampleBatch worker scratches between calls, so a device
+	// access reuses their buffers and RNG instead of allocating them. It
+	// grows to the sampler's peak number of concurrent workers.
+	idleMu sync.Mutex
+	idle   []*Scratch
 }
 
 // NewSampler returns a sampler with the given schedule and noise, seeded
@@ -43,15 +50,23 @@ func NewSampler(sched Schedule, noise Noise, seed int64) *Sampler {
 	return &Sampler{Schedule: sched, Noise: noise, Rng: rand.New(rand.NewSource(seed)), seed: seed}
 }
 
-// Scratch holds the reusable buffers of one sampling worker: the spin state
-// and the perturbed-coefficient copies of the programming-noise model. A
-// scratch grows to fit whatever problem it is used on and is never shared
-// between concurrent workers.
+// Scratch holds the reusable buffers of one sampling worker: the spin state,
+// the perturbed-coefficient copies of the programming-noise model, and the
+// chain-boundary lists of the chain sweep (see gatherBoundary). A scratch
+// grows to fit whatever problem it is used on and is never shared between
+// concurrent workers.
 type Scratch struct {
-	spins     []int8
+	spins     []float64 // ±1 per active qubit
 	h         []float64 // perturbed per-qubit fields
 	j         []float64 // perturbed per-entry couplers (CSR order)
 	pairNoise []float64 // one Gaussian draw per unordered coupler pair
+	bndJ      []float64 // boundary coupler strength
+	bndOther  []int32   // boundary coupler far qubit
+	bndAt     []int32   // per chain position, plus one: first boundary entry
+
+	// rng is the per-read stream of a SampleBatch worker scratch, reseeded
+	// in place for every read (sampleRead); nil until first used.
+	rng *rand.Rand
 }
 
 // fit sizes the buffers for ep. Once a scratch has been used on a problem of
@@ -61,6 +76,52 @@ func (scr *Scratch) fit(ep *EmbeddedProblem) {
 	scr.h = fitSlice(scr.h, len(ep.Qubits))
 	scr.j = fitSlice(scr.j, len(ep.adjJ))
 	scr.pairNoise = fitSlice(scr.pairNoise, ep.numPairs)
+}
+
+// gatherBoundary builds the chain-boundary lists of one read under the
+// coupler strengths j (programming noise applied). For chain position p
+// (chains in chainIx order, each chain's qubits in order), entries bndAt[p]
+// up to bndAt[p+1] hold the strength and far qubit of every CSR entry of
+// that qubit whose far qubit belongs to another node, in CSR order: exactly
+// the terms a scan of the whole row keeps. The lists live in the scratch,
+// not on EmbeddedProblem, so the embedding cache's problems stay as small
+// as they were; one gather costs about one chain sweep.
+func (scr *Scratch) gatherBoundary(ep *EmbeddedProblem, j []float64) {
+	bndJ, bndOther := scr.bndJ[:0], scr.bndOther[:0]
+	bndAt := append(scr.bndAt[:0], 0)
+	node := ep.nodeOf
+	for _, ix := range ep.chainIx {
+		for _, i := range ix {
+			myNode := node[i]
+			for k := ep.adjStart[i]; k < ep.adjStart[i+1]; k++ {
+				if o := ep.adjOther[k]; node[o] != myNode {
+					bndJ = append(bndJ, j[k])
+					bndOther = append(bndOther, o)
+				}
+			}
+			bndAt = append(bndAt, int32(len(bndJ)))
+		}
+	}
+	scr.bndJ, scr.bndOther, scr.bndAt = bndJ, bndOther, bndAt
+}
+
+// takeScratch returns an idle worker scratch, or a new one.
+func (s *Sampler) takeScratch() *Scratch {
+	s.idleMu.Lock()
+	defer s.idleMu.Unlock()
+	if n := len(s.idle); n > 0 {
+		scr := s.idle[n-1]
+		s.idle = s.idle[:n-1]
+		return scr
+	}
+	return new(Scratch)
+}
+
+// releaseScratch makes a worker scratch idle again.
+func (s *Sampler) releaseScratch(scr *Scratch) {
+	s.idleMu.Lock()
+	s.idle = append(s.idle, scr)
+	s.idleMu.Unlock()
 }
 
 func fitSlice[T any](s []T, n int) []T {
@@ -109,8 +170,13 @@ func (s *Sampler) Sample(ep *EmbeddedProblem, numReads int) ReadSet {
 
 // sampleRead executes one read with its own deterministic RNG stream.
 func (s *Sampler) sampleRead(ep *EmbeddedProblem, call int64, read int, scr *Scratch, out *Sample) {
-	rng := rand.New(rand.NewSource(readSeed(s.seed, call, read)))
-	s.sampleWith(ep, rng, scr, out)
+	seed := readSeed(s.seed, call, read)
+	if scr.rng == nil {
+		scr.rng = rand.New(rand.NewSource(seed))
+	} else {
+		scr.rng.Seed(seed) // rebuilds exactly the state NewSource(seed) builds
+	}
+	s.sampleWith(ep, scr.rng, scr, out)
 }
 
 // readSeed mixes (seed, call, read) into a well-spread 63-bit stream seed
@@ -131,9 +197,58 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
+// expCutoff is the βΔE above which a Metropolis move can only be accepted
+// on a zero draw: rand.Float64 returns 0 or a value ≥ 2⁻⁶³, and
+// math.Exp(-44) ≈ 7.8e-20 lies below 2⁻⁶³ ≈ 1.08e-19.
+const expCutoff = 44
+
+// expBand is the relative half-width of the band around accept's estimate
+// of e^(−x) inside which the draw is compared with math.Exp itself.
+const expBand = 1e-3
+
+// accept is the Metropolis test u < math.Exp(-x) for a draw u of
+// rand.Float64 and a move cost x = βΔE. It returns the same result for
+// every such u and every x, but mostly without calling Exp:
+//
+//   - Past expCutoff a non-zero draw fails the test, and only a zero draw
+//     reaches Exp.
+//   - On [0, expCutoff], a = 2^(−k)·p(t), with k and t from x·log₂e = k + t/ln 2
+//     and p the degree-5 Taylor polynomial of e^(−t) on [0, ln 2), bounds
+//     e^(−x) from below within a relative 3.1e-4 (the series alternates, so
+//     the truncation error is below t⁶/720 and e^(−t) ≥ ½), plus rounding
+//     near 1e-14. math.Exp is within one ulp of e^(−x), so a draw below
+//     a·(1−expBand) passes and one at or above a·(1+expBand) fails; only
+//     draws in between reach Exp.
+func accept(u, x float64) bool {
+	if x > expCutoff {
+		if u != 0 {
+			return false
+		}
+	} else if x >= 0 {
+		y := x * math.Log2E
+		k := int(y)
+		t := (y - float64(k)) * math.Ln2
+		p := 1 - t*(1-t*(1.0/2-t*(1.0/6-t*(1.0/24-t*(1.0/120)))))
+		a := p * math.Float64frombits(uint64(1023-k)<<52) // p·2^(−k), k ≤ 63
+		if u < a*(1-expBand) {
+			return true
+		}
+		if u >= a*(1+expBand) {
+			return false
+		}
+	}
+	return u < math.Exp(-x)
+}
+
 // sampleWith is the sweep kernel: one anneal + readout against ep using rng
 // for every stochastic choice and scr for every buffer. It touches only
 // read-only fields of ep and performs no steady-state allocations.
+//
+// Reads are bit-identical to a plain sweep over the CSR rows with one
+// math.Exp per Metropolis test (referenceSampleWith in the tests): the chain
+// sweep sums the per-read boundary lists of scr, which hold the same terms
+// in the same order, and accept skips only Exp calls whose outcome the draw
+// already decides. Spins are ±1.0, so every product with a spin is exact.
 func (s *Sampler) sampleWith(ep *EmbeddedProblem, rng *rand.Rand, scr *Scratch, out *Sample) {
 	n := len(ep.Qubits)
 	scr.fit(ep)
@@ -157,6 +272,7 @@ func (s *Sampler) sampleWith(ep *EmbeddedProblem, rng *rand.Rand, scr *Scratch, 
 			j[k] = ep.adjJ[k] + scr.pairNoise[ep.adjPair[k]]
 		}
 	}
+	scr.gatherBoundary(ep, j)
 
 	// Random initial state, chain-aligned: the device initialises in a
 	// superposition and strong chain couplers keep chains coherent; a chain
@@ -166,7 +282,7 @@ func (s *Sampler) sampleWith(ep *EmbeddedProblem, rng *rand.Rand, scr *Scratch, 
 		spins[i] = 1
 	}
 	for _, ix := range ep.chainIx {
-		v := int8(1)
+		v := 1.0
 		if rng.Intn(2) == 0 {
 			v = -1
 		}
@@ -189,26 +305,24 @@ func (s *Sampler) sampleWith(ep *EmbeddedProblem, rng *rand.Rand, scr *Scratch, 
 	if sched.Sweeps > 1 {
 		ratio = math.Pow(sched.BetaMax/sched.BetaMin, 1/float64(sched.Sweeps-1))
 	}
-	node := ep.nodeOf
-	adjStart, adjOther := ep.adjStart, ep.adjOther
+	bndJ, bndOther, bndAt := scr.bndJ, scr.bndOther, scr.bndAt
 	for sweep := 0; sweep < sched.Sweeps; sweep++ {
+		pos := 0
 		for _, ix := range ep.chainIx {
 			// ΔE of flipping the whole chain: internal couplers are
 			// unchanged, only fields and chain-boundary couplers count.
 			sum := 0.0
+			e := bndAt[pos]
 			for _, i := range ix {
+				pos++
 				local := h[i]
-				myNode := node[i]
-				for k := adjStart[i]; k < adjStart[i+1]; k++ {
-					o := adjOther[k]
-					if node[o] != myNode {
-						local += j[k] * float64(spins[o])
-					}
+				for end := bndAt[pos]; e < end; e++ {
+					local += bndJ[e] * spins[bndOther[e]]
 				}
-				sum += float64(spins[i]) * local
+				sum += spins[i] * local
 			}
 			dE := -2 * sum
-			if dE <= 0 || rng.Float64() < math.Exp(-beta*dE) {
+			if dE <= 0 || accept(rng.Float64(), beta*dE) {
 				for _, i := range ix {
 					spins[i] = -spins[i]
 				}
@@ -221,14 +335,15 @@ func (s *Sampler) sampleWith(ep *EmbeddedProblem, rng *rand.Rand, scr *Scratch, 
 	if qubitSweeps < 2 {
 		qubitSweeps = 2
 	}
+	adjStart, adjOther := ep.adjStart, ep.adjOther
 	for sweep := 0; sweep < qubitSweeps; sweep++ {
 		for i := 0; i < n; i++ {
 			local := h[i]
 			for k := adjStart[i]; k < adjStart[i+1]; k++ {
-				local += j[k] * float64(spins[adjOther[k]])
+				local += j[k] * spins[adjOther[k]]
 			}
-			dE := -2 * float64(spins[i]) * local
-			if dE <= 0 || rng.Float64() < math.Exp(-sched.BetaMax*dE) {
+			dE := -2 * spins[i] * local
+			if dE <= 0 || accept(rng.Float64(), sched.BetaMax*dE) {
 				spins[i] = -spins[i]
 			}
 		}
@@ -247,10 +362,10 @@ func (s *Sampler) sampleWith(ep *EmbeddedProblem, rng *rand.Rand, scr *Scratch, 
 	// coefficients — that is what the device reports).
 	energy := ep.offset
 	for i := 0; i < n; i++ {
-		energy += ep.H[i] * float64(spins[i])
+		energy += ep.H[i] * spins[i]
 		for k := adjStart[i]; k < adjStart[i+1]; k++ {
 			if o := int(adjOther[k]); o > i {
-				energy += ep.adjJ[k] * float64(spins[i]) * float64(spins[o])
+				energy += ep.adjJ[k] * spins[i] * spins[o]
 			}
 		}
 	}

@@ -1,8 +1,12 @@
 package anneal
 
 import (
+	"encoding/json"
+	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -233,5 +237,359 @@ func TestPairIDsSymmetric(t *testing.T) {
 		if c != 2 {
 			t.Fatalf("pair id %d appears in %d entries, want 2", id, c)
 		}
+	}
+}
+
+// referenceSampleWith is the sweep kernel as first written: the chain sweep
+// scans every chain qubit's whole CSR row and skips intra-node entries, and
+// every acceptance test calls math.Exp. sampleWith must reproduce it bit for
+// bit (TestSampleWithMatchesReference).
+func referenceSampleWith(s *Sampler, ep *EmbeddedProblem, rng *rand.Rand, out *Sample) {
+	n := len(ep.Qubits)
+	h := ep.H
+	j := ep.adjJ
+	// Programming noise: perturb copies of the coefficients, one Gaussian
+	// draw per field and per unordered coupler pair (both CSR directions of a
+	// coupler receive the same perturbation).
+	if s.Noise.CoefficientSigma > 0 {
+		sigma := s.Noise.CoefficientSigma * ep.maxAbs
+		h = slices.Clone(ep.H)
+		for i := range h {
+			h[i] += sigma * rng.NormFloat64()
+		}
+		pairNoise := make([]float64, ep.numPairs)
+		for p := range pairNoise {
+			pairNoise[p] = sigma * rng.NormFloat64()
+		}
+		j = make([]float64, len(ep.adjJ))
+		for k := range j {
+			j[k] = ep.adjJ[k] + pairNoise[ep.adjPair[k]]
+		}
+	}
+
+	// Random initial state, chain-aligned: the device initialises in a
+	// superposition and strong chain couplers keep chains coherent; a chain
+	// starts as one logical spin.
+	spins := make([]int8, n)
+	for i := range spins {
+		spins[i] = 1
+	}
+	for _, ix := range ep.chainIx {
+		v := int8(1)
+		if rng.Intn(2) == 0 {
+			v = -1
+		}
+		for _, i := range ix {
+			spins[i] = v
+		}
+	}
+
+	// Metropolis sweeps with geometric β schedule. Moves are chain-level
+	// (an intact chain behaves as one logical spin in the device; the strong
+	// ferromagnetic coupling makes independent qubit flips within a chain
+	// exponentially unlikely), followed by a short single-qubit phase that
+	// lets hardware imperfection express itself, including chain breaks.
+	sched := s.Schedule
+	if sched.Sweeps <= 0 {
+		sched = DefaultSchedule()
+	}
+	beta := sched.BetaMin
+	ratio := 1.0
+	if sched.Sweeps > 1 {
+		ratio = math.Pow(sched.BetaMax/sched.BetaMin, 1/float64(sched.Sweeps-1))
+	}
+	node := ep.nodeOf
+	adjStart, adjOther := ep.adjStart, ep.adjOther
+	for sweep := 0; sweep < sched.Sweeps; sweep++ {
+		for _, ix := range ep.chainIx {
+			// ΔE of flipping the whole chain: internal couplers are
+			// unchanged, only fields and chain-boundary couplers count.
+			sum := 0.0
+			for _, i := range ix {
+				local := h[i]
+				myNode := node[i]
+				for k := adjStart[i]; k < adjStart[i+1]; k++ {
+					o := adjOther[k]
+					if node[o] != myNode {
+						local += j[k] * float64(spins[o])
+					}
+				}
+				sum += float64(spins[i]) * local
+			}
+			dE := -2 * sum
+			if dE <= 0 || rng.Float64() < math.Exp(-beta*dE) {
+				for _, i := range ix {
+					spins[i] = -spins[i]
+				}
+			}
+		}
+		beta *= ratio
+	}
+	// Single-qubit relaxation at final β.
+	qubitSweeps := sched.Sweeps / 16
+	if qubitSweeps < 2 {
+		qubitSweeps = 2
+	}
+	for sweep := 0; sweep < qubitSweeps; sweep++ {
+		for i := 0; i < n; i++ {
+			local := h[i]
+			for k := adjStart[i]; k < adjStart[i+1]; k++ {
+				local += j[k] * float64(spins[adjOther[k]])
+			}
+			dE := -2 * float64(spins[i]) * local
+			if dE <= 0 || rng.Float64() < math.Exp(-sched.BetaMax*dE) {
+				spins[i] = -spins[i]
+			}
+		}
+	}
+
+	// Readout noise.
+	if s.Noise.ReadoutFlipProb > 0 {
+		for i := range spins {
+			if rng.Float64() < s.Noise.ReadoutFlipProb {
+				spins[i] = -spins[i]
+			}
+		}
+	}
+
+	// Hardware energy of the read spins (with the true, unperturbed
+	// coefficients — that is what the device reports).
+	energy := ep.offset
+	for i := 0; i < n; i++ {
+		energy += ep.H[i] * float64(spins[i])
+		for k := adjStart[i]; k < adjStart[i+1]; k++ {
+			if o := int(adjOther[k]); o > i {
+				energy += ep.adjJ[k] * float64(spins[i]) * float64(spins[o])
+			}
+		}
+	}
+
+	// Unembed: majority vote per chain (sorted node order keeps the
+	// tie-breaking RNG stream deterministic).
+	if out.NodeValues == nil {
+		out.NodeValues = make(map[int]bool, len(ep.chainNodes))
+	} else {
+		clear(out.NodeValues)
+	}
+	broken := 0
+	for ci, node := range ep.chainNodes {
+		up, down := 0, 0
+		for _, i := range ep.chainIx[ci] {
+			if spins[i] > 0 {
+				up++
+			} else {
+				down++
+			}
+		}
+		if up > 0 && down > 0 {
+			broken++
+		}
+		switch {
+		case up > down:
+			out.NodeValues[node] = true
+		case down > up:
+			out.NodeValues[node] = false
+		default:
+			out.NodeValues[node] = rng.Intn(2) == 0
+		}
+	}
+	out.BrokenChains = broken
+	out.HardwareEnergy = energy
+}
+
+// oracleProblems returns embedded problems of every construction the sampler
+// serves: random clause sets programmed by EmbedIsing over Fast and
+// Minorminer embeddings on Chimera and over template embeddings on Pegasus,
+// TemplateBuilder.BuildNew instantiations on both topologies, and wire-decoded
+// problems with one chain dropped, so that some active qubits lie outside
+// every chain (nodeOf == -1).
+func oracleProblems(t *testing.T) map[string]*EmbeddedProblem {
+	rng := rand.New(rand.NewSource(41))
+	out := map[string]*EmbeddedProblem{}
+	chimera := topo.NewChimera(8, 8, 4)
+	for trial := 0; trial < 6; trial++ {
+		q := make([]cnf.Clause, 10+rng.Intn(30))
+		for i := range q {
+			c := make(cnf.Clause, 1+rng.Intn(3))
+			for j := range c {
+				c[j] = cnf.MkLit(cnf.Var(rng.Intn(20)), rng.Intn(2) == 1)
+			}
+			q[i] = c
+		}
+		enc, err := qubo.Encode(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("chimera/fast%d", trial)
+		emb := embed.Fast(enc, chimera).Embedding
+		if trial%2 == 1 {
+			name = fmt.Sprintf("chimera/minorminer%d", trial)
+			if emb, err = (&embed.Minorminer{Seed: int64(trial)}).Embed(embed.ProblemFromEncoding(enc), chimera); err != nil {
+				continue
+			}
+		}
+		is := enc.Program(&qubo.Sums{}, false)
+		out[name] = EmbedIsing(is, emb, chimera, ChainStrengthFor(is))
+	}
+	for _, g := range templateTopologies() {
+		ts := embed.NewTemplateSet(g)
+		for trial := 0; trial < 3; trial++ {
+			queue := randTemplateQueue(rng, 2+rng.Intn(8))
+			shape, _ := qubo.NewShapeChecker().Shape(queue)
+			b, err := NewTemplateBuilder(ts, shape)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, is := isingFor(t, queue)
+			cs := ChainStrengthFor(is)
+			out[fmt.Sprintf("%s/builder%d", g.Name(), trial)] = b.BuildNew(is, cs)
+			out[fmt.Sprintf("%s/template%d", g.Name(), trial)] = EmbedIsing(is, b.Embedding(), g, cs)
+		}
+	}
+	for name, ep := range maps.Clone(out) {
+		if len(ep.chainNodes) < 3 {
+			continue
+		}
+		w := ep.WireView()
+		drop := len(w.ChainNodes) / 2
+		w.ChainNodes = slices.Delete(slices.Clone(w.ChainNodes), drop, drop+1)
+		w.Chains = slices.Delete(slices.Clone(w.Chains), drop, drop+1)
+		blob, err := json.Marshal(&w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dec WireProblem
+		if err := json.Unmarshal(blob, &dec); err != nil {
+			t.Fatal(err)
+		}
+		wp, err := dec.Problem()
+		if err != nil {
+			t.Fatalf("%s: wire form with a dropped chain rejected: %v", name, err)
+		}
+		out[name+"/wire"] = wp
+	}
+	return out
+}
+
+// TestSampleWithMatchesReference is the kernel's oracle: on every problem of
+// oracleProblems, under both noise models and several schedules, sampleWith
+// returns the energy bits, node values and chain-break count of
+// referenceSampleWith and leaves its RNG at the same stream position. One
+// scratch serves every problem, so buffers that grow and shrink between
+// problems are covered too.
+func TestSampleWithMatchesReference(t *testing.T) {
+	problems := oracleProblems(t)
+	names := make([]string, 0, len(problems))
+	for name := range problems {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	outside := 0
+	for _, name := range names {
+		if slices.Contains(problems[name].nodeOf, -1) {
+			outside++
+		}
+	}
+	if outside == 0 {
+		t.Fatal("no oracle problem has a qubit outside every chain")
+	}
+	schedules := []struct {
+		name  string
+		sched Schedule
+		reads int
+	}{
+		{"default", DefaultSchedule(), 3},
+		{"long", LongSchedule(), 1},
+		{"one-sweep", Schedule{Sweeps: 1, BetaMin: 0.1, BetaMax: 32}, 3},
+	}
+	noises := []struct {
+		name  string
+		noise Noise
+	}{{"nonoise", NoNoise}, {"dwave", DWave2000QNoise}}
+	var scr Scratch
+	seed := int64(0)
+	for _, name := range names {
+		ep := problems[name]
+		for _, sc := range schedules {
+			for _, nz := range noises {
+				s := &Sampler{Schedule: sc.sched, Noise: nz.noise}
+				for read := 0; read < sc.reads; read++ {
+					seed++
+					gotRng := rand.New(rand.NewSource(seed))
+					wantRng := rand.New(rand.NewSource(seed))
+					var got, want Sample
+					s.sampleWith(ep, gotRng, &scr, &got)
+					referenceSampleWith(s, ep, wantRng, &want)
+					if math.Float64bits(got.HardwareEnergy) != math.Float64bits(want.HardwareEnergy) ||
+						got.BrokenChains != want.BrokenChains || !maps.Equal(got.NodeValues, want.NodeValues) {
+						t.Fatalf("%s %s %s read %d: kernel (E=%v broken=%d) differs from reference (E=%v broken=%d)",
+							name, sc.name, nz.name, read, got.HardwareEnergy, got.BrokenChains, want.HardwareEnergy, want.BrokenChains)
+					}
+					if g, w := gotRng.Int63(), wantRng.Int63(); g != w {
+						t.Fatalf("%s %s %s read %d: RNG stream position differs from reference", name, sc.name, nz.name, read)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAcceptMatchesExp pins the Metropolis test to its definition: for
+// every draw rand.Float64 can return that the grid reaches (0, 2⁻⁶³, 2⁻⁶²,
+// random draws, and the draws nearest math.Exp(-x) and the edges of accept's
+// fallback band) and every move cost on a grid through the estimate's whole
+// range [0, 44], the cut-off at 43–45, the underflow of Exp at 700–760,
+// +Inf and the values accept leaves to Exp (negative and NaN), accept(u, x)
+// equals u < math.Exp(-x).
+func TestAcceptMatchesExp(t *testing.T) {
+	if !(math.Exp(-expCutoff) < 0x1p-63) {
+		t.Fatalf("math.Exp(-%d) = %g is not below 2⁻⁶³: the cut-off is not exact", expCutoff, math.Exp(-expCutoff))
+	}
+	var xs []float64
+	for x := 0.0; x <= 50; x += 0.001 {
+		xs = append(xs, x)
+	}
+	for x := 43.0; x <= 45; x += 1e-5 {
+		xs = append(xs, x)
+	}
+	for x := 700.0; x <= 760; x += 0.01 {
+		xs = append(xs, x)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 100000; i++ {
+		xs = append(xs, 44*rng.Float64())
+	}
+	xs = append(xs, expCutoff, math.Nextafter(expCutoff, 0), math.Nextafter(expCutoff, 100),
+		math.Inf(1), math.Copysign(0, -1), -1e-300, -0.5, -700, math.Inf(-1), math.NaN())
+	for _, x := range xs {
+		e := math.Exp(-x)
+		us := []float64{0, 0x1p-63, 0x1p-62, rng.Float64(), rng.Float64()}
+		for _, c := range []float64{e, e * (1 - expBand), e * (1 + expBand)} {
+			for _, u := range []float64{math.Nextafter(c, 0), c, math.Nextafter(c, 1)} {
+				if u >= 0x1p-63 && u < 1 {
+					us = append(us, u)
+				}
+			}
+		}
+		for _, u := range us {
+			if got, want := accept(u, x), u < e; got != want {
+				t.Fatalf("accept(%v, %v) = %v, u < math.Exp(-x) says %v", u, x, got, want)
+			}
+		}
+	}
+}
+
+// TestSampleOneReadAllocs pins the allocations of a one-read Sample, the
+// call every hybrid QA access makes: the read set, its sample and node-value
+// map, and the fan-out's bookkeeping. The worker scratch and its RNG are the
+// sampler's, reused and reseeded in place, so neither the 4.9 KB rngSource
+// nor the kernel buffers are allocated per access.
+func TestSampleOneReadAllocs(t *testing.T) {
+	ep := testEmbeddedProblem(t, 19, 12)
+	s := NewSampler(DefaultSchedule(), DWave2000QNoise, 4)
+	s.Sample(ep, 1) // warm up the sampler's worker scratch
+	allocs := testing.AllocsPerRun(50, func() { s.Sample(ep, 1) })
+	if allocs > 11 {
+		t.Fatalf("Sample(ep, 1) allocates %.1f objects, want at most 11", allocs)
 	}
 }

@@ -27,6 +27,7 @@ type WireProblem struct {
 	ChainNodes []int     `json:"chain_nodes"`
 	// Chains holds, per entry of ChainNodes, the active-qubit *indices* of
 	// that logical node's chain (indices into Qubits, not raw qubit ids).
+	// No index may appear in more than one chain position.
 	Chains [][]int `json:"chains"`
 }
 
@@ -176,6 +177,9 @@ func (w *WireProblem) Problem() (*EmbeddedProblem, error) {
 	}
 	ep.chainNodes = w.ChainNodes
 	ep.chainIx = w.Chains
+	// Chains are disjoint, as in any valid embedding. This also bounds the
+	// per-read boundary lists the sweep kernel gathers by the CSR size.
+	inChain := make([]bool, n)
 	prev := math.MinInt
 	for ci, node := range w.ChainNodes {
 		if node <= prev {
@@ -193,6 +197,11 @@ func (w *WireProblem) Problem() (*EmbeddedProblem, error) {
 				return nil, &WireError{Reason: "chain_index",
 					Detail: fmt.Sprintf("chain for node %d names qubit index %d outside [0,%d)", node, ix, n)}
 			}
+			if inChain[ix] {
+				return nil, &WireError{Reason: "chain_index",
+					Detail: fmt.Sprintf("qubit index %d sits in more than one chain position", ix)}
+			}
+			inChain[ix] = true
 			ep.nodeOf[ix] = node
 		}
 		ep.chainQubits += len(chain)

@@ -102,6 +102,8 @@ func TestWireProblemRejectsCorruption(t *testing.T) {
 		{"unsorted chain nodes", func(w *WireProblem) { w.ChainNodes[0] = w.ChainNodes[1] }, "chain"},
 		{"chain index out of range", func(w *WireProblem) { w.Chains[0][0] = len(w.Qubits) }, "chain_index"},
 		{"chain index negative", func(w *WireProblem) { w.Chains[0][0] = -2 }, "chain_index"},
+		{"chain index in two chains", func(w *WireProblem) { w.Chains[1][0] = w.Chains[0][0] }, "chain_index"},
+		{"chain index twice in a chain", func(w *WireProblem) { w.Chains[0] = append(w.Chains[0], w.Chains[0][0]) }, "chain_index"},
 		{"duplicate qubit id", func(w *WireProblem) { w.Qubits[1] = w.Qubits[0] }, "qubit"},
 	}
 	for _, tc := range cases {
