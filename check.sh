@@ -10,6 +10,8 @@ set -eux
 
 go build ./...
 go vet ./...
+# Every Go file is gofmt-clean.
+test -z "$(gofmt -l .)"
 # One uncached race-detector run over every package covers all the
 # concurrency-bearing code: parallel Sample, the embedding cache under the
 # hybrid loop, the bench worker pool, the telemetry sinks, the portfolio race
@@ -127,6 +129,9 @@ go test -count=1 ./cmd/tracereport
 # CDCL arena gates: steady-state propagation and conflict analysis must stay
 # allocation-free, and reduceDB must leave no dead cref behind.
 go test -run='TestPropagateSteadyStateAllocs|TestAnalyzeSteadyStateAllocs|TestNoDeletedWatchersAfterReduce|TestSolveDeterministicAcrossGC' -count=1 ./internal/sat
+# Proof-checker alloc gate: a one-worker DRAT check of the shared uuf150
+# proof fixture allocates at most one object per four proof steps.
+go test -run='TestCheckUnsatProofAllocs' -count=1 ./internal/verify
 # Sharing hot-path alloc gates (run without -race: the detector's own
 # bookkeeping allocates): clause import into the arena and bus export
 # filtering must stay allocation-free in steady state.

@@ -5,7 +5,9 @@
 //   - sampler (default): the QA sweep-kernel workloads of the root
 //     BenchmarkSampleOnce / BenchmarkSamplerParallel → BENCH_baseline.json
 //   - cdcl: the CDCL solver workloads of internal/sat's BenchmarkPropagate /
-//     BenchmarkSolveUF → BENCH_cdcl.json
+//     BenchmarkSolveUF and the DRAT check of internal/verify's
+//     BenchmarkCheckUnsatProof → BENCH_cdcl.json (merged by benchmark name,
+//     so the portfolio rows stay)
 //   - portfolio: cube-and-conquer wall-clock scaling on the uf100/uuf100
 //     family at 1/2/4 workers, merged by benchmark name into BENCH_cdcl.json
 //     (the CDCL snapshot keeps its suite tag and existing entries)
@@ -56,6 +58,7 @@ import (
 	"hyqsat/internal/portfolio"
 	"hyqsat/internal/sat"
 	"hyqsat/internal/serve"
+	"hyqsat/internal/verify"
 )
 
 // readsPerCall mirrors the root BenchmarkSamplerParallel workload.
@@ -177,9 +180,10 @@ func samplerSuite() (report, error) {
 	return rep, nil
 }
 
-// cdclSuite runs the CDCL solver workloads — identical to internal/sat's
-// BenchmarkPropagate and BenchmarkSolveUF, so `go test -bench` numbers and
-// snapshot numbers are directly comparable.
+// cdclSuite runs the CDCL solver workloads and the proof check of an UNSAT
+// verdict — identical to internal/sat's BenchmarkPropagate and
+// BenchmarkSolveUF and internal/verify's BenchmarkCheckUnsatProof, so
+// `go test -bench` numbers and snapshot numbers are directly comparable.
 func cdclSuite() (report, error) {
 	f := bench.BuildCDCLFixture()
 	pb, err := sat.NewPropagateBench(f, sat.MiniSATOptions(), 2000)
@@ -202,6 +206,16 @@ func cdclSuite() (report, error) {
 		for i := 0; i < b.N; i++ {
 			if r := sat.New(f, opts).Solve(); r.Status != sat.Sat {
 				panic("benchreport: cdcl fixture must be satisfiable")
+			}
+		}
+	}))
+	pf, proof := bench.BuildProofFixture()
+	rep.Benchmarks = append(rep.Benchmarks, run("CheckProof/uuf150", 0, func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := verify.CheckUnsatProof(pf, proof); err != nil {
+				panic("benchreport: proof fixture rejected: " + err.Error())
 			}
 		}
 	}))
@@ -535,13 +549,13 @@ func main() {
 		path = defaultOut(*suite)
 	}
 	// Preserve a previously recorded pre-refactor section verbatim, and fold
-	// the portfolio suite into an existing snapshot instead of clobbering it
-	// (BENCH_cdcl.json carries both the cdcl and the portfolio families).
+	// the cdcl and portfolio suites into an existing snapshot instead of
+	// clobbering it (BENCH_cdcl.json carries both families).
 	if prev, err := loadReport(path); err == nil {
 		if len(prev.PreRefactor) > 0 {
 			rep.PreRefactor = prev.PreRefactor
 		}
-		if *suite == "portfolio" && len(prev.Benchmarks) > 0 {
+		if (*suite == "cdcl" || *suite == "portfolio") && len(prev.Benchmarks) > 0 {
 			rep = mergeReports(prev, rep)
 		}
 	}

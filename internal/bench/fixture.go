@@ -8,7 +8,9 @@ import (
 	"hyqsat/internal/embed"
 	"hyqsat/internal/gen"
 	"hyqsat/internal/qubo"
+	"hyqsat/internal/sat"
 	"hyqsat/internal/topo"
+	"hyqsat/internal/verify"
 )
 
 // BuildSampleFixture builds a representative embedded problem — a random
@@ -37,4 +39,19 @@ func BuildSampleFixture(seed int64, numVars, numClauses int) (*anneal.EmbeddedPr
 // at the phase-transition clause/variable ratio, deterministic by seed.
 func BuildCDCLFixture() *cnf.Formula {
 	return gen.SatisfiableRandom3SAT(100, 430, 1).Formula
+}
+
+// BuildProofFixture returns the uuf150-645 instance shared by the proof
+// checker benchmarks (internal/verify BenchmarkCheckUnsatProof and
+// cmd/benchreport -suite cdcl) with the DRAT proof a MiniSAT-configured solve
+// records for it: 8.6k steps, deterministic by seed.
+func BuildProofFixture() (*cnf.Formula, verify.Proof) {
+	f := gen.UnsatisfiableRandom3SAT(150, 645, 3).Formula
+	rec := verify.NewRecorder()
+	s := sat.New(f.Copy(), sat.MiniSATOptions())
+	s.SetProofWriter(rec)
+	if r := s.Solve(); r.Status != sat.Unsat {
+		panic("bench: proof fixture must be unsatisfiable")
+	}
+	return f, rec.Proof()
 }

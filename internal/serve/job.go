@@ -50,11 +50,11 @@ type SubmitRequest struct {
 // JobView is the JSON representation of a job returned by the status and
 // submit endpoints.
 type JobView struct {
-	ID       string `json:"id"`
-	Tenant   string `json:"tenant"`
-	State    string `json:"state"`
-	Verdict  string `json:"verdict,omitempty"` // "sat" | "unsat" | "unknown"
-	Certified bool  `json:"certified,omitempty"`
+	ID        string `json:"id"`
+	Tenant    string `json:"tenant"`
+	State     string `json:"state"`
+	Verdict   string `json:"verdict,omitempty"` // "sat" | "unsat" | "unknown"
+	Certified bool   `json:"certified,omitempty"`
 	// Model is the satisfying assignment as DIMACS literals (positive =
 	// true), truncated to the input formula's variables.
 	Model   []int  `json:"model,omitempty"`

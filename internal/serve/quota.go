@@ -27,9 +27,9 @@ type TenantQuota struct {
 // RetryAfter hint; permanent ones (hard budget spent) set Permanent, which
 // clients surface through qpu.Permanent so retry layers stop resending.
 type QuotaError struct {
-	Tenant     string
-	Resource   string // "device_time" | "concurrency" | "tenants"
-	RetryAfter time.Duration
+	Tenant      string
+	Resource    string // "device_time" | "concurrency" | "tenants"
+	RetryAfter  time.Duration
 	IsPermanent bool
 }
 

@@ -18,24 +18,13 @@ func TestCDCLCorpusCertified(t *testing.T) {
 	if testing.Short() {
 		instances = 10
 	}
-	rng := rand.New(rand.NewSource(20260806))
 	configs := map[string]sat.Options{
 		"minisat": sat.MiniSATOptions(),
 		"kissat":  sat.KissatOptions(),
 	}
 	var sats, unsats int
-	for i := 0; i < instances; i++ {
-		n := 20 + rng.Intn(81)           // 20..100 variables
-		ratio := 3.6 + rng.Float64()*1.6 // 3.6..5.2 clause/var
-		f := cnf.New(n)
-		for c := 0; c < int(ratio*float64(n)); c++ {
-			perm := rng.Perm(n)[:3]
-			cl := make(cnf.Clause, 3)
-			for j, v := range perm {
-				cl[j] = cnf.MkLit(cnf.Var(v), rng.Intn(2) == 1)
-			}
-			f.AddClause(cl)
-		}
+	for i, f := range certCorpus(instances) {
+		n := f.NumVars
 		var verdicts []sat.Status
 		for name, opts := range configs {
 			rec := NewRecorder()
@@ -72,6 +61,29 @@ func TestCDCLCorpusCertified(t *testing.T) {
 		t.Fatalf("corpus was one-sided: %d SAT / %d UNSAT — widen the ratio range", sats, unsats)
 	}
 	t.Logf("certified %d instances (%d SAT, %d UNSAT)", instances, sats, unsats)
+}
+
+// certCorpus returns the first instances formulas of the certification
+// corpus: uniform random 3-SAT over 20–100 variables at 3.6–5.2 clauses per
+// variable, deterministic.
+func certCorpus(instances int) []*cnf.Formula {
+	rng := rand.New(rand.NewSource(20260806))
+	out := make([]*cnf.Formula, instances)
+	for i := range out {
+		n := 20 + rng.Intn(81)           // 20..100 variables
+		ratio := 3.6 + rng.Float64()*1.6 // 3.6..5.2 clause/var
+		f := cnf.New(n)
+		for c := 0; c < int(ratio*float64(n)); c++ {
+			perm := rng.Perm(n)[:3]
+			cl := make(cnf.Clause, 3)
+			for j, v := range perm {
+				cl[j] = cnf.MkLit(cnf.Var(v), rng.Intn(2) == 1)
+			}
+			f.AddClause(cl)
+		}
+		out[i] = f
+	}
+	return out
 }
 
 // TestCDCLCorpusDifferential cross-checks the arena-based solver against the

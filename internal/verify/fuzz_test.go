@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,7 +10,8 @@ import (
 )
 
 // FuzzProofCheck throws arbitrary formula/proof text pairs at the DRAT
-// parser and RUP checker. The checker must never panic, and — the soundness
+// parser and RUP checker. The checker must never panic, must return the
+// reference checker's verdict and error text, and — the soundness
 // property — must never accept an UNSAT proof for a formula the reference
 // oracle can satisfy. Corrupted proofs may fail parsing or checking, but can
 // never turn a satisfiable formula into a certified-UNSAT one.
@@ -34,7 +36,20 @@ func FuzzProofCheck(f *testing.F) {
 		if len(proof) > 200 {
 			t.Skip()
 		}
-		if CheckUnsatProof(formula, proof) != nil {
+		// The production checker, and its multi-worker path dealing one
+		// addition per chunk, must return the reference checker's verdict
+		// and error text.
+		want := fmt.Sprint(referenceCheckUnsatProof(formula, proof))
+		for name, err := range map[string]error{
+			"CheckUnsatProof":    CheckUnsatProof(formula, proof),
+			"3 workers, chunk 1": checkUnsatProof(formula, proof, 3, 1),
+		} {
+			if got := fmt.Sprint(err); got != want {
+				t.Fatalf("%s: got %q, reference %q\nformula:\n%s\nproof:\n%s",
+					name, got, want, cnfText, proofText)
+			}
+		}
+		if want != "<nil>" {
 			return // rejected: always sound
 		}
 		// Accepted: the formula must actually be unsatisfiable. The oracle

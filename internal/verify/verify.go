@@ -9,6 +9,11 @@
 //     capture that trace in DRAT form, and CheckUnsatProof replays it with a
 //     standalone reverse-unit-propagation (RUP) checker, so an UNSAT verdict
 //     is accepted only when mechanically re-derived from the input formula.
+//     The checker keeps its clauses in one flat arena with blocker-literal
+//     watches, and splits a long proof's RUP checks across GOMAXPROCS
+//     workers in interleaved chunks; each worker replays the whole proof, so
+//     verdicts and errors are exactly those of a sequential check (DESIGN.md
+//     §6).
 //
 //   - Model certification (CheckModel): a SAT verdict is accepted only when
 //     the reported assignment is total over the formula's variables and
