@@ -20,8 +20,11 @@ test -z "$(gofmt -l .)"
 # retry/backoff, circuit breaker, degradation to pure CDCL), the qbatch
 # packer and scheduler with its bit-identical demux contract, the hyqsatd
 # service layer under a fault-injecting wire proxy, and the randomized CDCL
-# certification corpus.
-go test -race -count=1 ./...
+# certification corpus. HYQSAT_PERF_GATE is unset for this pass: the 1%
+# ns/op gates (TestResilientOverhead, TestNopTracerKernelOverhead) measure
+# the detector's overhead rather than the code's, so they run only in their
+# own un-instrumented steps below.
+env -u HYQSAT_PERF_GATE go test -race -count=1 ./...
 go test -run='^$' -fuzz=FuzzParseDIMACS -fuzztime=10s ./internal/cnf
 go test -run='^$' -fuzz=FuzzEncodeClause -fuzztime=10s ./internal/qubo
 go test -run='^$' -fuzz=FuzzProofCheck -fuzztime=10s ./internal/verify

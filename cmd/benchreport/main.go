@@ -3,7 +3,8 @@
 // trajectory to compare against. Five suites exist:
 //
 //   - sampler (default): the QA sweep-kernel workloads of the root
-//     BenchmarkSampleOnce / BenchmarkSamplerParallel → BENCH_baseline.json
+//     BenchmarkSampleOnce / BenchmarkSampleOnceLong / BenchmarkSamplerParallel
+//     → BENCH_baseline.json
 //   - cdcl: the CDCL solver workloads of internal/sat's BenchmarkPropagate /
 //     BenchmarkSolveUF and the DRAT check of internal/verify's
 //     BenchmarkCheckUnsatProof → BENCH_cdcl.json (merged by benchmark name,
@@ -144,16 +145,24 @@ func samplerSuite() (report, error) {
 		return report{}, err
 	}
 	rep := hostReport("sampler")
-	rep.Benchmarks = append(rep.Benchmarks, run("SampleOnce", 1, func(b *testing.B) {
-		s := anneal.NewSampler(anneal.DefaultSchedule(), anneal.DWave2000QNoise, 7)
-		var out anneal.Sample
-		s.SampleInto(ep, &out) // warm up scratch buffers
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.SampleInto(ep, &out)
-		}
-	}))
+	// SampleOnce is the hardware-mode read (fast schedule, device noise);
+	// SampleOnce/long is the simulator-mode read the daemon serves (long
+	// schedule, no noise), where the chain phase dominates.
+	sampleOnce := func(name string, sched anneal.Schedule, noise anneal.Noise) benchResult {
+		return run(name, 1, func(b *testing.B) {
+			s := anneal.NewSampler(sched, noise, 7)
+			var out anneal.Sample
+			s.SampleInto(ep, &out) // warm up scratch buffers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.SampleInto(ep, &out)
+			}
+		})
+	}
+	rep.Benchmarks = append(rep.Benchmarks,
+		sampleOnce("SampleOnce", anneal.DefaultSchedule(), anneal.DWave2000QNoise),
+		sampleOnce("SampleOnce/long", anneal.LongSchedule(), anneal.NoNoise))
 
 	var serial, four float64
 	for _, workers := range []int{1, 2, 4} {

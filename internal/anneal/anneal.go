@@ -14,11 +14,13 @@
 // read's RNG stream derived from (seed, call, read) so results are
 // bit-identical regardless of worker count. The sweep kernel itself
 // (SampleInto) runs allocation-free in steady state against the flattened,
-// read-only structures EmbedIsing precomputes on EmbeddedProblem, plus
-// per-read chain-boundary lists it gathers into the worker's Scratch;
-// its Metropolis test calls math.Exp only when the draw does not already
-// decide the outcome. Both shortcuts leave every read bit-identical to a
-// plain sweep over the CSR rows.
+// read-only structures EmbedIsing precomputes on EmbeddedProblem. Its chain
+// phase runs on the problem's chain graph, which each worker's Scratch
+// derives once per problem, with one incrementally kept field per chain,
+// and its Metropolis test calls math.Exp only when the draw does not
+// already decide the outcome. Reads are bit-identical to a plain sweep over
+// the CSR rows whenever every sum is exact, and agree in distribution
+// otherwise.
 //
 // Wall-clock device time is *modelled*, not measured: TimingModel charges
 // the D-Wave 2000Q datasheet costs per sample, which is how the paper
@@ -79,7 +81,6 @@ type EmbeddedProblem struct {
 
 	Qubits []int     // the active qubits, in a fixed order
 	H      []float64 // field per active qubit (indexed as Qubits)
-	nodeOf []int     // active-qubit index → logical node
 	offset float64   // constant term of the logical Ising model
 
 	// Flattened structures precomputed once so the sweep kernel neither
@@ -165,14 +166,12 @@ func EmbedIsing(is *qubo.Ising, emb *embed.Embedding, g topo.Topology, chainStre
 	}
 	sc.qubitIx, sc.owners, sc.chainAt = qubitIx, owners, chainAt
 	ep.Qubits = make([]int, 0, total)
-	ep.nodeOf = make([]int, 0, total)
 	for ci, node := range nodes {
 		chain := emb.Chains[node]
 		for _, q := range chain {
 			if qubitIx[q] < 0 {
 				qubitIx[q] = int32(len(ep.Qubits))
 				ep.Qubits = append(ep.Qubits, q)
-				ep.nodeOf = append(ep.nodeOf, node)
 			}
 		}
 		owners.Claim(node, chain)

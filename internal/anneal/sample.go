@@ -51,58 +51,145 @@ func NewSampler(sched Schedule, noise Noise, seed int64) *Sampler {
 }
 
 // Scratch holds the reusable buffers of one sampling worker: the spin state,
-// the perturbed-coefficient copies of the programming-noise model, and the
-// chain-boundary lists of the chain sweep (see gatherBoundary). A scratch
-// grows to fit whatever problem it is used on and is never shared between
-// concurrent workers.
+// the perturbed-coefficient copies of the programming-noise model, the
+// chain graph of the problem it last sampled, and the per-read chain
+// couplings, signs and fields of the chain phase. A scratch grows to fit
+// whatever problem it is used on and is never shared between concurrent
+// workers.
 type Scratch struct {
 	spins     []float64 // ±1 per active qubit
 	h         []float64 // perturbed per-qubit fields
 	j         []float64 // perturbed per-entry couplers (CSR order)
 	pairNoise []float64 // one Gaussian draw per unordered coupler pair
-	bndJ      []float64 // boundary coupler strength
-	bndOther  []int32   // boundary coupler far qubit
-	bndAt     []int32   // per chain position, plus one: first boundary entry
+	chainK    []float64 // per chain slot: summed coupling (chainGraph.nbr)
+	chainS    []float64 // ±1 per chain
+	chainG    []float64 // per chain: S_c times its local field, so ΔE = −2·G_c
+
+	// graph is the chain graph of graphOf. It depends only on a problem's
+	// structure, which never changes after construction, so it is rebuilt
+	// only when the scratch meets another problem.
+	graphOf *EmbeddedProblem
+	graph   chainGraph
 
 	// rng is the per-read stream of a SampleBatch worker scratch, reseeded
 	// in place for every read (sampleRead); nil until first used.
 	rng *rand.Rand
 }
 
-// fit sizes the buffers for ep. Once a scratch has been used on a problem of
-// the same or larger size, fit allocates nothing.
+// fit sizes the buffers for ep and builds its chain graph. Once a scratch
+// has been used on a problem of the same or larger size, fit allocates
+// nothing.
 func (scr *Scratch) fit(ep *EmbeddedProblem) {
 	scr.spins = fitSlice(scr.spins, len(ep.Qubits))
 	scr.h = fitSlice(scr.h, len(ep.Qubits))
 	scr.j = fitSlice(scr.j, len(ep.adjJ))
 	scr.pairNoise = fitSlice(scr.pairNoise, ep.numPairs)
+	if scr.graphOf != ep {
+		scr.graph.build(ep)
+		scr.graphOf = ep
+	}
+	scr.chainK = fitSlice(scr.chainK, len(scr.graph.nbr))
+	scr.chainS = fitSlice(scr.chainS, len(ep.chainIx))
+	scr.chainG = fitSlice(scr.chainG, len(ep.chainIx))
 }
 
-// gatherBoundary builds the chain-boundary lists of one read under the
-// coupler strengths j (programming noise applied). For chain position p
-// (chains in chainIx order, each chain's qubits in order), entries bndAt[p]
-// up to bndAt[p+1] hold the strength and far qubit of every CSR entry of
-// that qubit whose far qubit belongs to another node, in CSR order: exactly
-// the terms a scan of the whole row keeps. The lists live in the scratch,
-// not on EmbeddedProblem, so the embedding cache's problems stay as small
-// as they were; one gather costs about one chain sweep.
-func (scr *Scratch) gatherBoundary(ep *EmbeddedProblem, j []float64) {
-	bndJ, bndOther := scr.bndJ[:0], scr.bndOther[:0]
-	bndAt := append(scr.bndAt[:0], 0)
-	node := ep.nodeOf
-	for _, ix := range ep.chainIx {
+// chainGraph is the structure the kernel's chain phase runs on: there an
+// intact chain is one logical spin, so a chain move needs only the chain's
+// field and its couplings to other chains. Row c of the chain CSR lists, in
+// ascending order, every chain d whose qubits have a CSR entry naming a
+// qubit of c: slot s of row c holds the coupling by which chain c's spin
+// enters d's field. fold lists the CSR entries each read folds into those
+// couplings and into the chains' fields.
+type chainGraph struct {
+	start []int32     // chain CSR row offsets, len(chainIx)+1
+	nbr   []int32     // per slot: the listening chain d
+	fold  []foldEntry // chain rows' entries that leave their chain, in row order
+	work  []int32     // build's per-qubit and per-chain arrays
+}
+
+// foldEntry is one CSR entry k of a chain qubit's row whose far qubit lies
+// outside the chain: to is a coupling slot of the chain CSR, or ^c when the
+// far qubit is in no chain, whose spin stays +1 through the chain phase, so
+// that the coupler adds to the field of chain c.
+type foldEntry struct{ k, to int32 }
+
+// build derives ep's chain graph from its CSR adjacency and chain lists. An
+// entry in a row of chain d naming a qubit of chain c ≠ d folds into the
+// slot of d in row c. A hybrid QA access samples a problem once, so a build
+// costs about as much as a read's fold: one pass over every chain row
+// collects the entries that leave their chain without a branch, and the
+// passes that follow visit only those (about a fifth of the entries on a
+// uf150 queue).
+func (cg *chainGraph) build(ep *EmbeddedProblem) {
+	n, nc := len(ep.Qubits), len(ep.chainIx)
+	// chainOf maps an active qubit to its chain, −1 when in no chain;
+	// foldAt[d] is where chain d's entries start in the fold list; seen[c]
+	// is d+1 in the counting pass, and ^d in the filling pass, once chain
+	// d's rows have named chain c; at counts each chain CSR row's slots,
+	// then is its fill cursor.
+	cg.work = fitSlice(cg.work, n+3*nc+1)
+	chainOf, foldAt := cg.work[:n], cg.work[n:n+nc+1]
+	seen, at := cg.work[n+nc+1:n+2*nc+1], cg.work[n+2*nc+1:]
+	for i := range chainOf {
+		chainOf[i] = -1
+	}
+	clear(seen)
+	clear(at)
+	for c, ix := range ep.chainIx {
 		for _, i := range ix {
-			myNode := node[i]
-			for k := ep.adjStart[i]; k < ep.adjStart[i+1]; k++ {
-				if o := ep.adjOther[k]; node[o] != myNode {
-					bndJ = append(bndJ, j[k])
-					bndOther = append(bndOther, o)
-				}
-			}
-			bndAt = append(bndAt, int32(len(bndJ)))
+			chainOf[i] = int32(c)
 		}
 	}
-	scr.bndJ, scr.bndOther, scr.bndAt = bndJ, bndOther, bndAt
+	// Every entry is written at the list's end, which advances only past
+	// an entry that leaves its chain.
+	fold := fitSlice(cg.fold, len(ep.adjOther))
+	m := 0
+	for d, ix := range ep.chainIx {
+		foldAt[d] = int32(m)
+		for _, i := range ix {
+			for k := ep.adjStart[i]; k < ep.adjStart[i+1]; k++ {
+				c := chainOf[ep.adjOther[k]]
+				fold[m] = foldEntry{k, c}
+				if int(c) != d {
+					m++
+				}
+			}
+		}
+	}
+	foldAt[nc] = int32(m)
+	fold = fold[:m]
+	for d := 0; d < nc; d++ {
+		for x := foldAt[d]; x < foldAt[d+1]; x++ {
+			if c := fold[x].to; c < 0 {
+				fold[x].to = ^int32(d)
+			} else if seen[c] != int32(d+1) {
+				seen[c] = int32(d + 1)
+				at[c]++
+			}
+		}
+	}
+	start := fitSlice(cg.start, nc+1)
+	start[0] = 0
+	for c, slots := range at {
+		start[c+1] = start[c] + slots
+	}
+	nbr := fitSlice(cg.nbr, int(start[nc]))
+	copy(at, start[:nc])
+	for d := 0; d < nc; d++ {
+		for x := foldAt[d]; x < foldAt[d+1]; x++ {
+			c := fold[x].to
+			if c < 0 {
+				continue
+			}
+			if seen[c] != ^int32(d) {
+				seen[c] = ^int32(d)
+				nbr[at[c]] = int32(d)
+				at[c]++
+			}
+			fold[x].to = at[c] - 1
+		}
+	}
+	cg.start, cg.nbr, cg.fold = start, nbr, fold
 }
 
 // takeScratch returns an idle worker scratch, or a new one.
@@ -244,11 +331,19 @@ func accept(u, x float64) bool {
 // for every stochastic choice and scr for every buffer. It touches only
 // read-only fields of ep and performs no steady-state allocations.
 //
-// Reads are bit-identical to a plain sweep over the CSR rows with one
-// math.Exp per Metropolis test (referenceSampleWith in the tests): the chain
-// sweep sums the per-read boundary lists of scr, which hold the same terms
-// in the same order, and accept skips only Exp calls whose outcome the draw
-// already decides. Spins are ±1.0, so every product with a spin is exact.
+// The chain phase runs on the chain graph (chainGraph, built by fit when the
+// scratch meets a new problem): each chain is one spin S_c with a kept
+// field G_c = S_c·(its qubits' fields, plus its couplers to qubits in no
+// chain, which stay +1 through the phase, plus Σ_d K_cd·S_d), so a move
+// costs O(1) and an accepted flip O(chain degree). Reads are
+// bit-identical to a plain sweep over the CSR rows with one math.Exp per
+// Metropolis test (referenceSampleWith in the tests) whenever every sum
+// either kernel forms is exact, as with dyadic coefficients and no
+// programming noise. Otherwise the two sum the same terms in a different
+// order, so a ΔE may differ in its last bits, and a move whose ΔE is 0 in
+// one kernel may cost one draw in the other. accept skips only Exp calls
+// whose outcome the draw already decides. Spins are ±1.0, so every product
+// with a spin is exact.
 func (s *Sampler) sampleWith(ep *EmbeddedProblem, rng *rand.Rand, scr *Scratch, out *Sample) {
 	n := len(ep.Qubits)
 	scr.fit(ep)
@@ -272,23 +367,45 @@ func (s *Sampler) sampleWith(ep *EmbeddedProblem, rng *rand.Rand, scr *Scratch, 
 			j[k] = ep.adjJ[k] + scr.pairNoise[ep.adjPair[k]]
 		}
 	}
-	scr.gatherBoundary(ep, j)
+
+	// Fold the read's coefficients onto the chain graph: each chain's field
+	// from its qubits' fields and its couplers to qubits in no chain, each
+	// coupling slot from its chain-crossing couplers.
+	chainStart, chainNbr := scr.graph.start, scr.graph.nbr
+	K, S, G := scr.chainK, scr.chainS, scr.chainG
+	for c, ix := range ep.chainIx {
+		f := 0.0
+		for _, i := range ix {
+			f += h[i]
+		}
+		G[c] = f
+	}
+	clear(K)
+	for _, e := range scr.graph.fold {
+		if e.to >= 0 {
+			K[e.to] += j[e.k]
+		} else {
+			G[^e.to] += j[e.k]
+		}
+	}
 
 	// Random initial state, chain-aligned: the device initialises in a
 	// superposition and strong chain couplers keep chains coherent; a chain
 	// starts as one logical spin.
-	spins := scr.spins
-	for i := range spins {
-		spins[i] = 1
-	}
-	for _, ix := range ep.chainIx {
-		v := 1.0
+	for c := range S {
+		S[c] = 1
 		if rng.Intn(2) == 0 {
-			v = -1
+			S[c] = -1
 		}
-		for _, i := range ix {
-			spins[i] = v
+	}
+	// Each chain's spin enters its listeners' fields; then G_c = S_c·field.
+	for c, sc := range S {
+		for slot := chainStart[c]; slot < chainStart[c+1]; slot++ {
+			G[chainNbr[slot]] += K[slot] * sc
 		}
+	}
+	for c, sc := range S {
+		G[c] *= sc
 	}
 
 	// Metropolis sweeps with geometric β schedule. Moves are chain-level
@@ -305,30 +422,34 @@ func (s *Sampler) sampleWith(ep *EmbeddedProblem, rng *rand.Rand, scr *Scratch, 
 	if sched.Sweeps > 1 {
 		ratio = math.Pow(sched.BetaMax/sched.BetaMin, 1/float64(sched.Sweeps-1))
 	}
-	bndJ, bndOther, bndAt := scr.bndJ, scr.bndOther, scr.bndAt
 	for sweep := 0; sweep < sched.Sweeps; sweep++ {
-		pos := 0
-		for _, ix := range ep.chainIx {
+		for c := range G {
 			// ΔE of flipping the whole chain: internal couplers are
 			// unchanged, only fields and chain-boundary couplers count.
-			sum := 0.0
-			e := bndAt[pos]
-			for _, i := range ix {
-				pos++
-				local := h[i]
-				for end := bndAt[pos]; e < end; e++ {
-					local += bndJ[e] * spins[bndOther[e]]
-				}
-				sum += spins[i] * local
-			}
-			dE := -2 * sum
+			dE := -2 * G[c]
 			if dE <= 0 || accept(rng.Float64(), beta*dE) {
-				for _, i := range ix {
-					spins[i] = -spins[i]
+				// Flipping S_c negates G_c and moves each listener's
+				// field by 2·S_c·K (S_c the new sign).
+				G[c] = -G[c]
+				sc := -S[c]
+				S[c] = sc
+				for slot := chainStart[c]; slot < chainStart[c+1]; slot++ {
+					d := chainNbr[slot]
+					G[d] += 2 * sc * S[d] * K[slot]
 				}
 			}
 		}
 		beta *= ratio
+	}
+	// The chains' signs become the qubits' spins; qubits in no chain stay +1.
+	spins := scr.spins
+	for i := range spins {
+		spins[i] = 1
+	}
+	for c, ix := range ep.chainIx {
+		for _, i := range ix {
+			spins[i] = S[c]
+		}
 	}
 	// Single-qubit relaxation at final β.
 	qubitSweeps := sched.Sweeps / 16

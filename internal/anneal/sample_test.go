@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -240,10 +241,106 @@ func TestPairIDsSymmetric(t *testing.T) {
 	}
 }
 
+// qubitNodes maps every active qubit of ep to the logical node of its
+// chain, or −1 when it is in no chain.
+func qubitNodes(ep *EmbeddedProblem) []int {
+	nodes := make([]int, len(ep.Qubits))
+	for i, c := range chainsOfQubits(ep) {
+		nodes[i] = -1
+		if c >= 0 {
+			nodes[i] = ep.chainNodes[c]
+		}
+	}
+	return nodes
+}
+
+// chainsOfQubits maps every active qubit of ep to the index of its chain,
+// or −1 when it is in no chain.
+func chainsOfQubits(ep *EmbeddedProblem) []int32 {
+	chainOf := make([]int32, len(ep.Qubits))
+	for i := range chainOf {
+		chainOf[i] = -1
+	}
+	for c, ix := range ep.chainIx {
+		for _, i := range ix {
+			chainOf[i] = int32(c)
+		}
+	}
+	return chainOf
+}
+
+// TestChainGraph checks the chain graph of every oracle problem against its
+// definition: the fold list holds, in row order, exactly the CSR entries of
+// chain rows that leave their chain; an entry from chain d to chain c holds
+// the slot of d in row c, and one to a qubit in no chain names d itself;
+// every row lists distinct chains in ascending order, each named by at
+// least one entry. One graph is rebuilt for every problem in turn, so its
+// buffers grow and shrink as in a worker's scratch.
+func TestChainGraph(t *testing.T) {
+	problems := oracleProblems(t)
+	var cg chainGraph
+	free := 0
+	for _, name := range sortedNames(problems) {
+		ep := problems[name]
+		cg.build(ep)
+		chainOf := chainsOfQubits(ep)
+		var want []int32 // CSR entries that leave their chain, in row order
+		for _, ix := range ep.chainIx {
+			for _, i := range ix {
+				for k := ep.adjStart[i]; k < ep.adjStart[i+1]; k++ {
+					if chainOf[ep.adjOther[k]] != chainOf[i] {
+						want = append(want, k)
+					}
+				}
+			}
+		}
+		if len(cg.fold) != len(want) {
+			t.Fatalf("%s: %d fold entries, want %d", name, len(cg.fold), len(want))
+		}
+		if len(cg.start) != len(ep.chainIx)+1 || cg.start[len(ep.chainIx)] != int32(len(cg.nbr)) {
+			t.Fatalf("%s: chain CSR of %d offsets and %d slots for %d chains", name, len(cg.start), len(cg.nbr), len(ep.chainIx))
+		}
+		used := make([]bool, len(cg.nbr))
+		for x, e := range cg.fold {
+			if e.k != want[x] {
+				t.Fatalf("%s: fold entry %d is CSR entry %d, want %d", name, x, e.k, want[x])
+			}
+			row := sort.Search(len(ep.Qubits), func(i int) bool { return ep.adjStart[i+1] > e.k })
+			d, c := chainOf[row], chainOf[ep.adjOther[e.k]]
+			switch {
+			case c < 0:
+				if e.to != ^d {
+					t.Fatalf("%s: entry %d from chain %d to a free qubit folds to %d", name, e.k, d, e.to)
+				}
+				free++
+			case e.to < cg.start[c] || e.to >= cg.start[c+1] || cg.nbr[e.to] != d:
+				t.Fatalf("%s: entry %d from chain %d to chain %d folds to slot %d", name, e.k, d, c, e.to)
+			default:
+				used[e.to] = true
+			}
+		}
+		for c := range ep.chainIx {
+			row := cg.nbr[cg.start[c]:cg.start[c+1]]
+			for x := 1; x < len(row); x++ {
+				if row[x] <= row[x-1] {
+					t.Fatalf("%s: chain row %d not strictly ascending: %v", name, c, row)
+				}
+			}
+		}
+		if k := slices.Index(used, false); k >= 0 {
+			t.Fatalf("%s: chain slot %d is named by no CSR entry", name, k)
+		}
+	}
+	if free == 0 {
+		t.Fatal("no oracle problem has a coupler from a chain to a qubit in no chain")
+	}
+}
+
 // referenceSampleWith is the sweep kernel as first written: the chain sweep
 // scans every chain qubit's whole CSR row and skips intra-node entries, and
 // every acceptance test calls math.Exp. sampleWith must reproduce it bit for
-// bit (TestSampleWithMatchesReference).
+// bit wherever every sum is exact (TestSampleWithMatchesReference) and in
+// distribution everywhere (TestSampleWithMatchesReferenceStatistics).
 func referenceSampleWith(s *Sampler, ep *EmbeddedProblem, rng *rand.Rand, out *Sample) {
 	n := len(ep.Qubits)
 	h := ep.H
@@ -298,7 +395,7 @@ func referenceSampleWith(s *Sampler, ep *EmbeddedProblem, rng *rand.Rand, out *S
 	if sched.Sweeps > 1 {
 		ratio = math.Pow(sched.BetaMax/sched.BetaMin, 1/float64(sched.Sweeps-1))
 	}
-	node := ep.nodeOf
+	node := qubitNodes(ep)
 	adjStart, adjOther := ep.adjStart, ep.adjOther
 	for sweep := 0; sweep < sched.Sweeps; sweep++ {
 		for _, ix := range ep.chainIx {
@@ -402,7 +499,7 @@ func referenceSampleWith(s *Sampler, ep *EmbeddedProblem, rng *rand.Rand, out *S
 // Minorminer embeddings on Chimera and over template embeddings on Pegasus,
 // TemplateBuilder.BuildNew instantiations on both topologies, and wire-decoded
 // problems with one chain dropped, so that some active qubits lie outside
-// every chain (nodeOf == -1).
+// every chain.
 func oracleProblems(t *testing.T) map[string]*EmbeddedProblem {
 	rng := rand.New(rand.NewSource(41))
 	out := map[string]*EmbeddedProblem{}
@@ -471,22 +568,49 @@ func oracleProblems(t *testing.T) map[string]*EmbeddedProblem {
 	return out
 }
 
-// TestSampleWithMatchesReference is the kernel's oracle: on every problem of
-// oracleProblems, under both noise models and several schedules, sampleWith
-// returns the energy bits, node values and chain-break count of
-// referenceSampleWith and leaves its RNG at the same stream position. One
-// scratch serves every problem, so buffers that grow and shrink between
-// problems are covered too.
-func TestSampleWithMatchesReference(t *testing.T) {
-	problems := oracleProblems(t)
+// sortedNames returns the keys of problems in order.
+func sortedNames(problems map[string]*EmbeddedProblem) []string {
 	names := make([]string, 0, len(problems))
 	for name := range problems {
 		names = append(names, name)
 	}
 	slices.Sort(names)
+	return names
+}
+
+// dyadic returns a copy of ep whose fields and couplers are rounded to
+// multiples of 1/64. Every sum the sampling kernels form over such
+// coefficients and ±1 spins is exact, so summation order cannot matter.
+func dyadic(ep *EmbeddedProblem) *EmbeddedProblem {
+	round := func(v float64) float64 { return math.Round(v*64) / 64 }
+	cp := *ep
+	cp.H = make([]float64, len(ep.H))
+	cp.adjJ = make([]float64, len(ep.adjJ))
+	cp.maxAbs = 0
+	for i, v := range ep.H {
+		cp.H[i] = round(v)
+		cp.maxAbs = max(cp.maxAbs, math.Abs(cp.H[i]))
+	}
+	for k, v := range ep.adjJ {
+		cp.adjJ[k] = round(v)
+		cp.maxAbs = max(cp.maxAbs, math.Abs(cp.adjJ[k]))
+	}
+	return &cp
+}
+
+// TestSampleWithMatchesReference is the kernel's bit-identity oracle: on a
+// dyadic copy (see dyadic) of every problem of oracleProblems, with no
+// programming noise, with and without readout noise and under several
+// schedules, sampleWith returns the energy bits, node values and
+// chain-break count of referenceSampleWith and leaves its RNG at the same
+// stream position. One scratch serves every problem, so buffers that grow
+// and shrink between problems are covered too.
+func TestSampleWithMatchesReference(t *testing.T) {
+	problems := oracleProblems(t)
+	names := sortedNames(problems)
 	outside := 0
 	for _, name := range names {
-		if slices.Contains(problems[name].nodeOf, -1) {
+		if slices.Contains(qubitNodes(problems[name]), -1) {
 			outside++
 		}
 	}
@@ -505,11 +629,11 @@ func TestSampleWithMatchesReference(t *testing.T) {
 	noises := []struct {
 		name  string
 		noise Noise
-	}{{"nonoise", NoNoise}, {"dwave", DWave2000QNoise}}
+	}{{"nonoise", NoNoise}, {"readout", Noise{ReadoutFlipProb: DWave2000QNoise.ReadoutFlipProb}}}
 	var scr Scratch
 	seed := int64(0)
 	for _, name := range names {
-		ep := problems[name]
+		ep := dyadic(problems[name])
 		for _, sc := range schedules {
 			for _, nz := range noises {
 				s := &Sampler{Schedule: sc.sched, Noise: nz.noise}
@@ -532,6 +656,78 @@ func TestSampleWithMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSampleWithMatchesReferenceStatistics compares sampleWith with
+// referenceSampleWith on the unrounded oracle problems, with and without
+// programming noise, where the kernels sum the same terms in different
+// orders and so may part ways at a near-tie. Over statReads reads per
+// problem at fixed seeds, the kernels' mean energies must agree within four
+// standard errors of their difference, and their ground-state hit rates
+// (reads at the lowest energy either kernel found) within four standard
+// errors of a difference of two such rates plus one read. The kernels are
+// paired on seeds, so most reads coincide and the actual gaps sit far
+// inside both bounds; a kernel that drops a term or misplaces a sign moves
+// them by many standard errors.
+func TestSampleWithMatchesReferenceStatistics(t *testing.T) {
+	const statReads = 400
+	problems := oracleProblems(t)
+	var scr Scratch
+	for _, nz := range []struct {
+		name  string
+		noise Noise
+	}{{"nonoise", NoNoise}, {"dwave", DWave2000QNoise}} {
+		s := &Sampler{Schedule: DefaultSchedule(), Noise: nz.noise}
+		seed := int64(1000)
+		for _, name := range sortedNames(problems) {
+			ep := problems[name]
+			got := make([]float64, statReads)
+			want := make([]float64, statReads)
+			same := 0
+			for read := range got {
+				seed++
+				var g, w Sample
+				s.sampleWith(ep, rand.New(rand.NewSource(seed)), &scr, &g)
+				referenceSampleWith(s, ep, rand.New(rand.NewSource(seed)), &w)
+				got[read], want[read] = g.HardwareEnergy, w.HardwareEnergy
+				if math.Abs(g.HardwareEnergy-w.HardwareEnergy) <= 1e-9 {
+					same++
+				}
+			}
+			ground := min(slices.Min(got), slices.Min(want))
+			mg, vg, hg := energyStats(got, ground)
+			mw, vw, hw := energyStats(want, ground)
+			n := float64(statReads)
+			if se := math.Sqrt((vg + vw) / n); math.Abs(mg-mw) > 4*se+1e-9 {
+				t.Errorf("%s %s: mean energy %.4f vs reference %.4f, beyond 4 standard errors (%.4f)",
+					name, nz.name, mg, mw, se)
+			}
+			p := (hg + hw) / 2
+			if se := math.Sqrt(2 * p * (1 - p) / n); math.Abs(hg-hw) > 4*se+1/n {
+				t.Errorf("%s %s: ground-state hit rate %.3f vs reference %.3f, beyond 4 standard errors (%.3f)",
+					name, nz.name, hg, hw, se)
+			}
+			t.Logf("%s %s: %d/%d reads within 1e-9 of the reference; mean %.4f vs %.4f; ground rate %.3f vs %.3f",
+				name, nz.name, same, statReads, mg, mw, hg, hw)
+		}
+	}
+}
+
+// energyStats returns the mean and variance of the energies and the share
+// of them within 1e-9 of ground.
+func energyStats(es []float64, ground float64) (mean, variance, hit float64) {
+	for _, e := range es {
+		mean += e
+		if e-ground <= 1e-9 {
+			hit++
+		}
+	}
+	n := float64(len(es))
+	mean /= n
+	for _, e := range es {
+		variance += (e - mean) * (e - mean)
+	}
+	return mean, variance / n, hit / n
 }
 
 // TestAcceptMatchesExp pins the Metropolis test to its definition: for

@@ -29,6 +29,7 @@ type TemplateBuilder struct {
 	edges     []qubo.Edge      // logical edge per edge id
 	edgeID    map[qubo.Edge]int32
 	numNodes  int
+	nodeOf    []int     // per active qubit: the logical node of its chain
 	entrySrc  []int32   // per CSR entry: edge id, or −1 for a chain coupler
 	entrySpan []float64 // per CSR entry: 1/(couplers realising its edge)
 	hScale    []float64 // per active qubit: 1/(chain length of its node)
@@ -63,6 +64,7 @@ func NewTemplateBuilder(ts *embed.TemplateSet, shape []int) (*TemplateBuilder, e
 		edges:     edges,
 		edgeID:    make(map[qubo.Edge]int32, len(edges)),
 		numNodes:  numNodes,
+		nodeOf:    make([]int, len(ep.Qubits)),
 		entrySrc:  make([]int32, len(ep.adjJ)),
 		entrySpan: make([]float64, len(ep.adjJ)),
 		hScale:    append([]float64(nil), ep.H...),
@@ -70,10 +72,15 @@ func NewTemplateBuilder(ts *embed.TemplateSet, shape []int) (*TemplateBuilder, e
 	for i, e := range edges {
 		b.edgeID[e] = int32(i)
 	}
+	for ci, ix := range ep.chainIx {
+		for _, i := range ix {
+			b.nodeOf[i] = ep.chainNodes[ci]
+		}
+	}
 	n := len(ep.Qubits)
 	for i := 0; i < n; i++ {
 		for k := ep.adjStart[i]; k < ep.adjStart[i+1]; k++ {
-			u, v := ep.nodeOf[i], ep.nodeOf[ep.adjOther[k]]
+			u, v := b.nodeOf[i], b.nodeOf[ep.adjOther[k]]
 			if u == v {
 				b.entrySrc[k] = -1 // intra-chain ferromagnetic coupler
 				continue
@@ -115,7 +122,7 @@ func (b *TemplateBuilder) program(dst *EmbeddedProblem, is *qubo.Ising, chainStr
 	dst.offset = is.Offset
 	maxAbs := 0.0
 	for i := range dst.H {
-		h := is.H[b.ep.nodeOf[i]] * b.hScale[i]
+		h := is.H[b.nodeOf[i]] * b.hScale[i]
 		dst.H[i] = h
 		if a := math.Abs(h); a > maxAbs {
 			maxAbs = a

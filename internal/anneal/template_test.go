@@ -129,8 +129,9 @@ func compareEmbedded(t *testing.T, name string, got, want *EmbeddedProblem) {
 	if len(got.Qubits) != len(want.Qubits) {
 		t.Fatalf("%s: %d qubits, want %d", name, len(got.Qubits), len(want.Qubits))
 	}
+	gotNodes, wantNodes := qubitNodes(got), qubitNodes(want)
 	for i := range got.Qubits {
-		if got.Qubits[i] != want.Qubits[i] || got.nodeOf[i] != want.nodeOf[i] {
+		if got.Qubits[i] != want.Qubits[i] || gotNodes[i] != wantNodes[i] {
 			t.Fatalf("%s: qubit order diverges at %d", name, i)
 		}
 		if !approxEq(got.H[i], want.H[i]) {

@@ -162,7 +162,6 @@ func (w *WireProblem) Problem() (*EmbeddedProblem, error) {
 		adjJ:     w.AdjJ,
 		adjPair:  w.AdjPair,
 		numPairs: w.NumPairs,
-		nodeOf:   make([]int, n),
 	}
 	seen := make(map[int]struct{}, n)
 	for _, q := range w.Qubits {
@@ -172,13 +171,10 @@ func (w *WireProblem) Problem() (*EmbeddedProblem, error) {
 		}
 		seen[q] = struct{}{}
 	}
-	for i := range ep.nodeOf {
-		ep.nodeOf[i] = -1
-	}
 	ep.chainNodes = w.ChainNodes
 	ep.chainIx = w.Chains
-	// Chains are disjoint, as in any valid embedding. This also bounds the
-	// per-read boundary lists the sweep kernel gathers by the CSR size.
+	// Chains are disjoint, as in any valid embedding, so every qubit has at
+	// most one chain in the sampler's chain graph.
 	inChain := make([]bool, n)
 	prev := math.MinInt
 	for ci, node := range w.ChainNodes {
@@ -202,7 +198,6 @@ func (w *WireProblem) Problem() (*EmbeddedProblem, error) {
 					Detail: fmt.Sprintf("qubit index %d sits in more than one chain position", ix)}
 			}
 			inChain[ix] = true
-			ep.nodeOf[ix] = node
 		}
 		ep.chainQubits += len(chain)
 		if len(chain) > ep.maxChainLen {

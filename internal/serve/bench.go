@@ -112,7 +112,7 @@ func RunThroughputBench(cfg ThroughputConfig) (ThroughputResult, error) {
 			tenant := fmt.Sprintf("bench-%d", c)
 			for i := c; i < cfg.Jobs; i += cfg.Clients {
 				t0 := time.Now()
-				view, err := svc.Submit(tenant, "", SubmitRequest{
+				view, _, err := svc.Submit(tenant, "", SubmitRequest{
 					CNF:  instances[i],
 					Seed: cfg.Seed + int64(i),
 				}, time.Time{})

@@ -83,8 +83,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, http.StatusBadRequest, qpu.WireErrorBody{Error: "bad_json", Detail: err.Error()})
 		return
 	}
-	existing := req.Header.Get(qpu.HeaderIdempotency) != ""
-	view, err := s.Submit(tenantOf(req), req.Header.Get(qpu.HeaderIdempotency), sr,
+	view, replayed, err := s.Submit(tenantOf(req), req.Header.Get(qpu.HeaderIdempotency), sr,
 		deadlineOf(req))
 	if err != nil {
 		var ae *AdmissionError
@@ -98,7 +97,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	// A replayed idempotent submit returns the existing job with 200; a
 	// fresh admission is 202 (the job runs asynchronously).
 	status := http.StatusAccepted
-	if existing && view.State != StateQueued {
+	if replayed {
 		status = http.StatusOK
 	}
 	writeJSON(w, status, view)

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -255,6 +256,103 @@ func TestIdempotentSubmit(t *testing.T) {
 	_ = json.Unmarshal(blob, &third)
 	if third.ID == first.ID {
 		t.Fatal("idempotency keys leaked across tenants")
+	}
+}
+
+// TestIdempotentReplayOfQueuedJob: a replay is answered 200 and a fresh
+// admission 202 whatever state the job is in — here the replayed job is
+// still queued behind a parked one.
+func TestIdempotentReplayOfQueuedJob(t *testing.T) {
+	bk := &blockingBackend{release: make(chan struct{})}
+	defer close(bk.release)
+	svc := New(Config{Workers: 1, Solve: blockingOptions(bk), HaveSolveDefaults: true,
+		DrainGrace: 50 * time.Millisecond})
+	defer svc.Drain(context.Background())
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	for _, key := range []string{"parked", "queued"} {
+		resp, blob := postJob(t, srv.URL, submitBody(t, 7),
+			map[string]string{qpu.HeaderIdempotency: key})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("fresh submit %q: %d %s, want 202", key, resp.StatusCode, blob)
+		}
+	}
+	resp, blob := postJob(t, srv.URL, submitBody(t, 7),
+		map[string]string{qpu.HeaderIdempotency: "queued"})
+	var v JobView
+	_ = json.Unmarshal(blob, &v)
+	if resp.StatusCode != http.StatusOK || v.State != StateQueued {
+		t.Fatalf("replay of a queued job: %d %s, want 200 with state queued", resp.StatusCode, blob)
+	}
+}
+
+// TestIdempotentSubmitConcurrent: submits racing on one idempotency key
+// create exactly one job; every other one replays it and keeps no
+// concurrency slot. Every racer is held after admission until all have
+// passed the first idempotency check, so each must find the winner's job
+// under the second lock.
+func TestIdempotentSubmitConcurrent(t *testing.T) {
+	const n = 16
+	bk := &blockingBackend{release: make(chan struct{})}
+	defer close(bk.release)
+	svc := New(Config{Workers: 1, Solve: blockingOptions(bk), HaveSolveDefaults: true,
+		DrainGrace: 50 * time.Millisecond, DefaultQuota: TenantQuota{MaxConcurrent: n}})
+	defer svc.Drain(context.Background())
+	var arrived sync.WaitGroup
+	arrived.Add(n)
+	svc.admitted = func() {
+		arrived.Done()
+		arrived.Wait()
+	}
+
+	req := SubmitRequest{CNF: testCNF(t, 7), Seed: 7}
+	type result struct {
+		view     JobView
+		replayed bool
+		err      error
+	}
+	results := make([]result, n)
+	var wg sync.WaitGroup
+	for g := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := &results[g]
+			r.view, r.replayed, r.err = svc.Submit("team-a", "race-1", req, time.Time{})
+		}()
+	}
+	wg.Wait()
+
+	fresh := 0
+	for g, r := range results {
+		if r.err != nil {
+			t.Fatalf("submit %d: %v", g, r.err)
+		}
+		if r.view.ID != results[0].view.ID {
+			t.Fatalf("submit %d got job %s, submit 0 got %s", g, r.view.ID, results[0].view.ID)
+		}
+		if !r.replayed {
+			fresh++
+		}
+	}
+	if fresh != 1 {
+		t.Fatalf("%d submits report a fresh job, want 1", fresh)
+	}
+	if got := svc.m.accepted.Value(); got != 1 {
+		t.Fatalf("accepted = %d, want 1", got)
+	}
+	svc.mu.Lock()
+	jobs := len(svc.jobs)
+	svc.mu.Unlock()
+	if jobs != 1 {
+		t.Fatalf("%d jobs created, want 1", jobs)
+	}
+	svc.tenants.mu.Lock()
+	inFlight := svc.tenants.byName["team-a"].inFlight
+	svc.tenants.mu.Unlock()
+	if inFlight != 1 {
+		t.Fatalf("tenant holds %d concurrency slots, want 1", inFlight)
 	}
 }
 

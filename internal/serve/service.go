@@ -137,6 +137,11 @@ type Service struct {
 	seq      int64
 	draining bool
 
+	// admitted, when a test sets it, runs after a submit passes admission
+	// and before it relocks to create its job: the window in which a
+	// racing submit with the same idempotency key can win.
+	admitted func()
+
 	drainCh   chan struct{} // closed when drain starts; workers finish the queue and exit
 	hardDrain atomic.Bool   // set past the grace period: jobs checkpoint instead of solving
 	wg        sync.WaitGroup
@@ -229,28 +234,25 @@ func (s *Service) Draining() bool {
 
 // Submit admits a solve job: CNF parse, idempotency replay, tenant
 // concurrency quota, bounded queue. The error is always a typed
-// *AdmissionError on refusal.
-func (s *Service) Submit(tenant, idemKey string, req SubmitRequest, deadline time.Time) (JobView, error) {
+// *AdmissionError on refusal. replayed reports that the view is the job an
+// earlier submit with the same tenant and idempotency key created; of
+// concurrent submits sharing a key that pass admission, exactly one creates
+// the job and the rest give their slot back and replay it.
+func (s *Service) Submit(tenant, idemKey string, req SubmitRequest, deadline time.Time) (view JobView, replayed bool, err error) {
 	formula, err := cnf.ParseDIMACSString(req.CNF)
 	if err != nil {
-		return JobView{}, &AdmissionError{Status: 400, Tag: "bad_cnf", Detail: err.Error()}
+		return JobView{}, false, &AdmissionError{Status: 400, Tag: "bad_cnf", Detail: err.Error()}
 	}
+	key := tenant + "\x00" + idemKey
 
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		return JobView{}, &AdmissionError{Status: 503, Tag: "draining", RetryAfter: s.cfg.DrainGrace}
+		return JobView{}, false, &AdmissionError{Status: 503, Tag: "draining", RetryAfter: s.cfg.DrainGrace}
 	}
-	if idemKey != "" {
-		if id, ok := s.idem[tenant+"\x00"+idemKey]; ok {
-			j := s.jobs[id]
-			s.mu.Unlock()
-			if j != nil {
-				return j.view(), nil
-			}
-			return JobView{}, &AdmissionError{Status: 409, Tag: "idempotency_evicted",
-				Detail: "the original job aged out; use a fresh key"}
-		}
+	if j, ok := s.idemJobLocked(idemKey, key); ok {
+		s.mu.Unlock()
+		return replay(j)
 	}
 	s.mu.Unlock()
 
@@ -259,9 +261,12 @@ func (s *Service) Submit(tenant, idemKey string, req SubmitRequest, deadline tim
 		var qe *QuotaError
 		if errors.As(err, &qe) {
 			s.emitJob("", tenant, "rejected", "", qe.Resource, 0, 0)
-			return JobView{}, admissionFromQuota(qe)
+			return JobView{}, false, admissionFromQuota(qe)
 		}
-		return JobView{}, &AdmissionError{Status: 500, Tag: "internal", Detail: err.Error()}
+		return JobView{}, false, &AdmissionError{Status: 500, Tag: "internal", Detail: err.Error()}
+	}
+	if s.admitted != nil {
+		s.admitted()
 	}
 
 	s.mu.Lock()
@@ -269,7 +274,14 @@ func (s *Service) Submit(tenant, idemKey string, req SubmitRequest, deadline tim
 		// Drain started between the checks; give the slot back.
 		s.mu.Unlock()
 		s.tenants.FinishJob(tenant)
-		return JobView{}, &AdmissionError{Status: 503, Tag: "draining", RetryAfter: s.cfg.DrainGrace}
+		return JobView{}, false, &AdmissionError{Status: 503, Tag: "draining", RetryAfter: s.cfg.DrainGrace}
+	}
+	if j, ok := s.idemJobLocked(idemKey, key); ok {
+		// A racing submit with the same key won between the checks; give
+		// the slot back and replay its job.
+		s.mu.Unlock()
+		s.tenants.FinishJob(tenant)
+		return replay(j)
 	}
 	s.seq++
 	j := &job{
@@ -290,12 +302,12 @@ func (s *Service) Submit(tenant, idemKey string, req SubmitRequest, deadline tim
 		s.tenants.FinishJob(tenant)
 		s.m.rejected.Inc()
 		s.emitJob("", tenant, "rejected", "", "queue_full", 0, 0)
-		return JobView{}, &AdmissionError{Status: 429, Tag: "queue_full", RetryAfter: time.Second}
+		return JobView{}, false, &AdmissionError{Status: 429, Tag: "queue_full", RetryAfter: time.Second}
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	if idemKey != "" {
-		s.idem[tenant+"\x00"+idemKey] = j.id
+		s.idem[key] = j.id
 	}
 	s.evictLocked()
 	s.m.queueDepth.Set(int64(len(s.queue)))
@@ -303,7 +315,31 @@ func (s *Service) Submit(tenant, idemKey string, req SubmitRequest, deadline tim
 
 	s.m.accepted.Inc()
 	s.emitJob(j.id, tenant, "accepted", "", "", 0, 0)
-	return j.view(), nil
+	return j.view(), false, nil
+}
+
+// idemJobLocked looks up the job an earlier submit created under an
+// idempotency key (key is the tenant-qualified form of idemKey). ok reports
+// that there was one; j is nil when it has since been evicted.
+func (s *Service) idemJobLocked(idemKey, key string) (j *job, ok bool) {
+	if idemKey == "" {
+		return nil, false
+	}
+	id, ok := s.idem[key]
+	if !ok {
+		return nil, false
+	}
+	return s.jobs[id], true
+}
+
+// replay answers a submit whose idempotency key names job j, or names a job
+// that aged out when j is nil.
+func replay(j *job) (JobView, bool, error) {
+	if j == nil {
+		return JobView{}, false, &AdmissionError{Status: 409, Tag: "idempotency_evicted",
+			Detail: "the original job aged out; use a fresh key"}
+	}
+	return j.view(), true, nil
 }
 
 // Job returns the view of a job by id.

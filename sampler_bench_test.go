@@ -37,6 +37,22 @@ func BenchmarkSampleOnce(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "samples/sec")
 }
 
+// BenchmarkSampleOnceLong is BenchmarkSampleOnce in simulator mode, the
+// setting the daemon serves: the long schedule without noise, where the
+// chain phase's 512 sweeps dominate the read.
+func BenchmarkSampleOnceLong(b *testing.B) {
+	ep := samplerFixture(b)
+	s := anneal.NewSampler(anneal.LongSchedule(), anneal.NoNoise, 7)
+	var out anneal.Sample
+	s.SampleInto(ep, &out) // warm up scratch buffers
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.SampleInto(ep, &out)
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "samples/sec")
+}
+
 // TestSampleOnceSteadyStateAllocs asserts the kernel's zero-allocation
 // contract from the root package too, so a plain `go test .` catches an
 // allocation regression without running benchmarks.
