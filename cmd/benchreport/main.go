@@ -12,10 +12,8 @@
 //   - portfolio: cube-and-conquer wall-clock scaling on the uf100/uuf100
 //     family at 1/2/4 workers, merged by benchmark name into BENCH_cdcl.json
 //     (the CDCL snapshot keeps its suite tag and existing entries)
-//   - embed: the frontend embedding paths on one template-eligible queue —
-//     cold Fast pipeline vs template instantiation vs cache hit, per
-//     topology → BENCH_embed.json (template_speedup records the cold/template
-//     ratio; the template rows must stay at 0 allocs/op)
+//   - embed: the frontend embedding paths on one var-disjoint queue — cold
+//     Fast pipeline vs cache hit, per topology → BENCH_embed.json
 //   - serve: end-to-end daemon throughput under a paced virtual QPU at
 //     1/8/64 concurrent clients with batching on and off → BENCH_serve.json
 //     (serve_batch_speedup_8c records jobs/sec on over off at 8 clients; the
@@ -96,11 +94,6 @@ type report struct {
 	// cubes diversify the search (the first model found wins, so parallel
 	// workers can skip work the serial run must do).
 	PortfolioSpeedup4W float64 `json:"portfolio_speedup_4w,omitempty"`
-	// TemplateSpeedup is the cold-Fast-pipeline ns/op over template
-	// instantiation ns/op on the same Chimera queue (embed suite). The
-	// acceptance bar is >= 5; check.sh's opt-in perf gate enforces it via
-	// TestEmbedTemplateSpeedup.
-	TemplateSpeedup float64 `json:"template_speedup,omitempty"`
 	// ServeBatchSpeedup8C is jobs/sec with QPU batching on over off at 8
 	// concurrent clients (serve suite). The acceptance bar is > 1: batching
 	// must raise throughput once the paced device is contended.
@@ -283,43 +276,26 @@ func portfolioSuite() (report, error) {
 }
 
 // embedQueueLen is the embed-suite workload: a var-disjoint 3-literal queue
-// long enough to exercise real routing work in the cold Fast pipeline while
-// fitting both topologies' template capacity.
+// long enough to exercise real routing work in the cold Fast pipeline.
 const embedQueueLen = 128
 
-// embedSuite measures the three frontend embedding paths on one
-// template-eligible queue per topology. Cold Fast only exists on Chimera;
-// template instantiation and cache hits run everywhere.
+// embedSuite measures the frontend embedding paths on one queue per
+// topology: the cold Fast pipeline (on Pegasus, onto its Chimera fabric) and
+// a cache hit.
 func embedSuite() (report, error) {
 	rep := hostReport("embed")
-	var coldNs, tmplNs float64
 	for _, topology := range []string{"chimera", "pegasus"} {
 		eb, err := hyqsat.NewEmbedBench(topology, embedQueueLen)
 		if err != nil {
 			return report{}, err
 		}
-		tmpl := run("EmbedTemplate/"+topology, 0, func(b *testing.B) {
-			eb.TemplateInstantiate() // warm the skeleton's scratch coefficients
+		rep.Benchmarks = append(rep.Benchmarks, run("EmbedColdFast/"+topology, 0, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eb.TemplateInstantiate()
+				eb.ColdFast()
 			}
-		})
-		rep.Benchmarks = append(rep.Benchmarks, tmpl)
-		if eb.SupportsFast() {
-			cold := run("EmbedColdFast/"+topology, 0, func(b *testing.B) {
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					eb.ColdFast()
-				}
-			})
-			rep.Benchmarks = append(rep.Benchmarks, cold)
-			if topology == "chimera" {
-				coldNs, tmplNs = cold.NsPerOp, tmpl.NsPerOp
-			}
-		}
+		}))
 		rep.Benchmarks = append(rep.Benchmarks, run("EmbedCacheHit/"+topology, 0, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -327,9 +303,6 @@ func embedSuite() (report, error) {
 				eb.CacheHit()
 			}
 		}))
-	}
-	if tmplNs > 0 {
-		rep.TemplateSpeedup = coldNs / tmplNs
 	}
 	return rep, nil
 }
@@ -429,9 +402,6 @@ func mergeReports(prev, cur report) report {
 	}
 	if merged.PortfolioSpeedup4W == 0 {
 		merged.PortfolioSpeedup4W = prev.PortfolioSpeedup4W
-	}
-	if merged.TemplateSpeedup == 0 {
-		merged.TemplateSpeedup = prev.TemplateSpeedup
 	}
 	if merged.ServeBatchSpeedup8C == 0 {
 		merged.ServeBatchSpeedup8C = prev.ServeBatchSpeedup8C
@@ -590,9 +560,8 @@ func main() {
 		fmt.Printf("benchreport: wrote %s (CubeConquer uf100 4-worker speedup %.2fx on %d CPUs)\n",
 			path, rep.PortfolioSpeedup4W, rep.NumCPU)
 	case "embed":
-		fmt.Printf("benchreport: wrote %s (template %.0f ns/op %d allocs/op, %.0fx over cold Fast)\n",
-			path, rep.Benchmarks[0].NsPerOp, rep.Benchmarks[0].AllocsPerOp,
-			rep.TemplateSpeedup)
+		fmt.Printf("benchreport: wrote %s (cold Fast on chimera %.0f ns/op %d allocs/op)\n",
+			path, rep.Benchmarks[0].NsPerOp, rep.Benchmarks[0].AllocsPerOp)
 	case "serve":
 		fmt.Printf("benchreport: wrote %s (batching speedup at 8 clients %.2fx on %d CPUs)\n",
 			path, rep.ServeBatchSpeedup8C, rep.NumCPU)

@@ -89,7 +89,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	solver := fs.String("solver", "hyqsat", "solver: hyqsat, minisat, kissat, or portfolio (race all three)")
 	mode := fs.String("mode", "hw", "QA mode for hyqsat: sim (noise-free) or hw (emulated D-Wave 2000Q)")
-	topology := fs.String("topology", "chimera", "QA hardware topology for hyqsat: chimera (D-Wave 2000Q) or pegasus")
+	topology := fs.String("topology", "chimera", "QA hardware topology for hyqsat: chimera (D-Wave 2000Q) or pegasus (Pegasus(16); clauses embed on its Chimera fabric)")
 	seed := fs.Int64("seed", 1, "random seed")
 	stats := fs.Bool("stats", false, "print solver statistics")
 	model := fs.Bool("model", true, "print the satisfying assignment")
@@ -546,7 +546,7 @@ func printHybridStats(w io.Writer, st hyqsat.Stats) {
 	}
 	fmt.Fprintf(w, "c embedcache hits=%d misses=%d evictions=%d (%.0f%% hit rate)\n",
 		st.EmbedCacheHits, st.EmbedCacheMisses, st.EmbedCacheEvictions, hitRate)
-	fmt.Fprintf(w, "c embed template=%d fast=%d\n", st.EmbedTemplateHits, st.EmbedFastRuns)
+	fmt.Fprintf(w, "c embed fast=%d\n", st.EmbedFastRuns)
 	fmt.Fprintf(w, "c cdcl conflicts=%d restarts=%d learned=%d brokenchains=%d\n",
 		st.SAT.Conflicts, st.SAT.Restarts, st.SAT.Learned, st.BrokenChains)
 	total := st.Total()

@@ -496,15 +496,14 @@ func referenceSampleWith(s *Sampler, ep *EmbeddedProblem, rng *rand.Rand, out *S
 
 // oracleProblems returns embedded problems of every construction the sampler
 // serves: random clause sets programmed by EmbedIsing over Fast and
-// Minorminer embeddings on Chimera and over template embeddings on Pegasus,
-// TemplateBuilder.BuildNew instantiations on both topologies, and wire-decoded
-// problems with one chain dropped, so that some active qubits lie outside
-// every chain.
+// Minorminer embeddings on Chimera, over Fast embeddings on the Chimera
+// fabric of a Pegasus (whose odd couplers join chains the fabric alone does
+// not) and on a Chimera with broken qubits, and wire-decoded problems with
+// one chain dropped, so that some active qubits lie outside every chain.
 func oracleProblems(t *testing.T) map[string]*EmbeddedProblem {
 	rng := rand.New(rand.NewSource(41))
 	out := map[string]*EmbeddedProblem{}
-	chimera := topo.NewChimera(8, 8, 4)
-	for trial := 0; trial < 6; trial++ {
+	randEncoding := func() *qubo.Encoding {
 		q := make([]cnf.Clause, 10+rng.Intn(30))
 		for i := range q {
 			c := make(cnf.Clause, 1+rng.Intn(3))
@@ -517,10 +516,16 @@ func oracleProblems(t *testing.T) map[string]*EmbeddedProblem {
 		if err != nil {
 			t.Fatal(err)
 		}
+		return enc
+	}
+	chimera := topo.NewChimera(8, 8, 4)
+	for trial := 0; trial < 6; trial++ {
+		enc := randEncoding()
 		name := fmt.Sprintf("chimera/fast%d", trial)
 		emb := embed.Fast(enc, chimera).Embedding
 		if trial%2 == 1 {
 			name = fmt.Sprintf("chimera/minorminer%d", trial)
+			var err error
 			if emb, err = (&embed.Minorminer{Seed: int64(trial)}).Embed(embed.ProblemFromEncoding(enc), chimera); err != nil {
 				continue
 			}
@@ -528,19 +533,21 @@ func oracleProblems(t *testing.T) map[string]*EmbeddedProblem {
 		is := enc.Program(&qubo.Sums{}, false)
 		out[name] = EmbedIsing(is, emb, chimera, ChainStrengthFor(is))
 	}
-	for _, g := range templateTopologies() {
-		ts := embed.NewTemplateSet(g)
+	pegasus := topo.NewPegasus(9)
+	faulted := topo.NewChimera(8, 8, 4)
+	for i := 0; i < 40; i++ {
+		faulted.MarkBroken(rng.Intn(faulted.NumQubits()))
+	}
+	for _, hw := range []struct {
+		name   string
+		g      topo.Topology
+		fabric *topo.Chimera
+	}{{"pegasus", pegasus, pegasus.Fabric()}, {"faulted", faulted, faulted}} {
 		for trial := 0; trial < 3; trial++ {
-			queue := randTemplateQueue(rng, 2+rng.Intn(8))
-			shape, _ := qubo.NewShapeChecker().Shape(queue)
-			b, err := NewTemplateBuilder(ts, shape)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, is := isingFor(t, queue)
-			cs := ChainStrengthFor(is)
-			out[fmt.Sprintf("%s/builder%d", g.Name(), trial)] = b.BuildNew(is, cs)
-			out[fmt.Sprintf("%s/template%d", g.Name(), trial)] = EmbedIsing(is, b.Embedding(), g, cs)
+			enc := randEncoding()
+			res := embed.Fast(enc, hw.fabric)
+			is := enc.Restrict(res.EmbeddedSet).Program(&qubo.Sums{}, true)
+			out[fmt.Sprintf("%s/fast%d", hw.name, trial)] = EmbedIsing(is, res.Embedding, hw.g, ChainStrengthFor(is))
 		}
 	}
 	for name, ep := range maps.Clone(out) {

@@ -1,6 +1,8 @@
 package embed
 
 import (
+	"fmt"
+	"math/bits"
 	"slices"
 
 	"hyqsat/internal/cnf"
@@ -96,7 +98,7 @@ type fastState struct {
 
 	maxVarsPerLine int
 	lineVars       [][]int // vertical line → nodes allocated to it
-	lineUsed       []int   // vertical line → rows its occupants' spans cover
+	lineUsed       []int   // vertical line → broken rows plus rows its occupants' spans cover
 	occupants      int     // nodes holding a vertical line
 	varLine        []int   // node → vertical line, or −1
 	varSpan        []span  // node → row span on its line (set via putSpan)
@@ -118,6 +120,13 @@ type fastState struct {
 	lineCol     []int32  // vertical line → its cell column
 	mask        []uint64 // freeLinesInOrder scratch: hWords words
 	cands       []int    // freeLinesInOrder result
+
+	// Broken qubits of g, derived once per graph: brokenRows[line] has bit
+	// r set when the line's row-r qubit is broken (canExtendSpan keeps
+	// every span clear of them), and brokenH lists the broken horizontal
+	// qubits as h·N+c, taken out of colFree at every reset.
+	brokenRows []uint64
+	brokenH    []int
 
 	segs     [][]seg // node → horizontal segments
 	realized [][]int // node u → partners v > u of realised problem edges
@@ -169,17 +178,32 @@ func (st *fastState) rollback() {
 }
 
 // Fast runs the paper's linear-time embedding of the encoding's clauses, in
-// order, onto g, skipping clauses that do not fit. Broken qubits are not
-// avoided (the paper's scheme assumes a fully working chip; use Minorminer
-// for graphs with hard faults). Logical
-// variables go to vertical lines (shared by multiple variables on larger
-// grids, with disjoint row spans); auxiliary variables and inter-variable
-// connections are realised by greedily allocated horizontal segments,
-// scanning horizontal lines bottom-up and columns left-to-right. Only the
-// encoding's structure is read (its logical nodes, auxiliaries and problem
-// edges per clause), so the objectives may be absent (EncodeStructure).
+// order, onto g, skipping clauses that do not fit. Logical variables go to
+// vertical lines (shared by multiple variables on larger grids, with
+// disjoint row spans); auxiliary variables and inter-variable connections
+// are realised by greedily allocated horizontal segments, scanning
+// horizontal lines bottom-up and columns left-to-right. Broken qubits are
+// avoided: no span covers a broken vertical qubit and no segment a broken
+// horizontal one, so a faulted chip only lowers how many clauses fit. On a
+// chip without faults the output is that of the paper's scheme. Broken
+// vertical qubits must lie in rows below 64. Only the encoding's structure
+// is read (its logical nodes, auxiliaries and problem edges per clause), so
+// the objectives may be absent (EncodeStructure).
 func Fast(enc *qubo.Encoding, g *topo.Chimera) *FastResult {
 	return new(FastScratch).Fast(enc, g)
+}
+
+// FastFabric returns the Chimera grid Fast embeds onto for hardware g: g
+// itself, the fabric view of a Pegasus (Pegasus.Fabric, whose embeddings are
+// embeddings of the Pegasus), or nil for a topology Fast cannot target.
+func FastFabric(g topo.Topology) *topo.Chimera {
+	switch g := g.(type) {
+	case *topo.Chimera:
+		return g
+	case *topo.Pegasus:
+		return g.Fabric()
+	}
+	return nil
 }
 
 // FastScratch is Fast's run state kept for reuse. A caller that embeds a
@@ -189,7 +213,8 @@ func Fast(enc *qubo.Encoding, g *topo.Chimera) *FastResult {
 type FastScratch struct{ st fastState }
 
 // Fast is the package-level Fast reusing sc's storage; the result shares
-// nothing with sc.
+// nothing with sc. The broken qubits of g are read on the first run on g,
+// so g must not be marked broken further between runs on one scratch.
 func (sc *FastScratch) Fast(enc *qubo.Encoding, g *topo.Chimera) *FastResult {
 	st := &sc.st
 	st.reset(enc, g)
@@ -235,6 +260,23 @@ func (st *fastState) reset(enc *qubo.Encoding, g *topo.Chimera) {
 			st.lineCol[line] = int32(line / g.L)
 		}
 		st.mask = grow(st.mask, st.hWords)
+		st.brokenRows = grow(st.brokenRows, g.NumVerticalLines())
+		clear(st.brokenRows)
+		st.brokenH = st.brokenH[:0]
+		for q := range g.NumQubits() {
+			if !g.IsBroken(q) {
+				continue
+			}
+			r, c, horizontal, _ := g.Coords(q)
+			if horizontal {
+				st.brokenH = append(st.brokenH, g.HorizontalLineOf(q)*g.N+c)
+				continue
+			}
+			if r >= 64 {
+				panic(fmt.Sprintf("embed: broken vertical qubit %d in row %d; Fast tracks rows below 64", q, r))
+			}
+			st.brokenRows[g.VerticalLineOf(q)] |= 1 << r
+		}
 	}
 	// Allow multiple variables per vertical line once all lines are in use;
 	// each needs a disjoint row span, so budget ~4 rows per variable.
@@ -242,7 +284,10 @@ func (st *fastState) reset(enc *qubo.Encoding, g *topo.Chimera) {
 	for i := range st.lineVars {
 		st.lineVars[i] = st.lineVars[i][:0]
 	}
-	clear(st.lineUsed)
+	// A line's broken rows count as used, so its free rows are M less them.
+	for line, rows := range st.brokenRows {
+		st.lineUsed[line] = bits.OnesCount64(rows)
+	}
 	st.occupants, st.nextLine = 0, 0
 	for c := 0; c < g.N; c++ {
 		col := st.colFree[c*st.hWords : (c+1)*st.hWords]
@@ -254,6 +299,11 @@ func (st *fastState) reset(enc *qubo.Encoding, g *topo.Chimera) {
 		}
 		st.colAnchor[c] = g.NumHorizontalLines()
 		st.colDirty[c] = true
+	}
+	for _, i := range st.brokenH {
+		h, c := i/g.N, i%g.N
+		st.colFree[c*st.hWords+h/64] &^= 1 << (h % 64)
+		st.colAnchor[c]--
 	}
 
 	n := enc.NumNodes()
@@ -366,10 +416,15 @@ func (st *fastState) bestSharedLine(prefCol int) int {
 }
 
 // canExtendSpan reports whether node's row span may grow to include row r
-// without colliding with a cohabitant on the same vertical line.
+// without covering a broken qubit or colliding with a cohabitant on the
+// same vertical line.
 func (st *fastState) canExtendSpan(node, r int) bool {
 	line := st.varLine[node]
 	ns := st.varSpan[node].with(r)
+	// A shift by 64 yields 0, so a 64-row span masks all 64 bits.
+	if b := st.brokenRows[line]; b != 0 && b>>ns.Min&(1<<ns.size()-1) != 0 {
+		return false
+	}
 	for _, v := range st.lineVars[line] {
 		if v == node {
 			continue

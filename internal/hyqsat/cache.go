@@ -14,13 +14,11 @@ import (
 // queue. Entries are immutable after construction — EmbeddedProblem is
 // read-only after programming — so one entry may be sampled from many
 // goroutines concurrently. embedded == 0 marks a queue the embedder could
-// not use at all (skip QA for it); viaTemplate records whether the template
-// fast path built it (for observability only).
+// not use at all (skip QA for it).
 type embedCacheEntry struct {
-	embEnc      *qubo.Encoding
-	ep          *anneal.EmbeddedProblem
-	embedded    int
-	viaTemplate bool
+	embEnc   *qubo.Encoding
+	ep       *anneal.EmbeddedProblem
+	embedded int
 }
 
 // embedCacheCap is the default capacity of an embedding cache. The former

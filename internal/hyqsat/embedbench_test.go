@@ -1,9 +1,6 @@
 package hyqsat
 
-import (
-	"os"
-	"testing"
-)
+import "testing"
 
 // TestEmbedBenchFixture sanity-checks the bench harness on both topologies:
 // every measured path must produce a usable result on identical input.
@@ -13,53 +10,12 @@ func TestEmbedBenchFixture(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", topology, err)
 		}
-		if ep := eb.TemplateInstantiate(); ep == nil || ep.NumActiveQubits() == 0 {
-			t.Fatalf("%s: template instantiation produced no problem", topology)
+		cold := eb.ColdFast()
+		if cold == 0 {
+			t.Fatalf("%s: cold Fast embedded nothing", topology)
 		}
-		if got := eb.CacheHit(); got != 16 {
-			t.Fatalf("%s: cache hit returned %d embedded clauses, want 16", topology, got)
+		if got := eb.CacheHit(); got != cold {
+			t.Fatalf("%s: cache hit returned %d embedded clauses, cold Fast %d", topology, got, cold)
 		}
-		if eb.SupportsFast() != (topology == "chimera") {
-			t.Fatalf("%s: SupportsFast = %v", topology, eb.SupportsFast())
-		}
-		if eb.SupportsFast() {
-			if got := eb.ColdFast(); got == 0 {
-				t.Fatalf("%s: cold Fast embedded nothing", topology)
-			}
-		}
-	}
-}
-
-// TestEmbedTemplateSpeedup is the opt-in perf gate behind the BENCH_embed
-// acceptance bar: template instantiation must beat the cold Fast pipeline by
-// at least 5× on the same queue. In-process interleaved measurement, enabled
-// via HYQSAT_PERF_GATE=1 (wall-clock comparisons are too noisy for the
-// default test run).
-func TestEmbedTemplateSpeedup(t *testing.T) {
-	if os.Getenv("HYQSAT_PERF_GATE") != "1" {
-		t.Skip("perf gate disabled; set HYQSAT_PERF_GATE=1")
-	}
-	eb, err := NewEmbedBench("chimera", 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			eb.ColdFast()
-		}
-	})
-	tmpl := testing.Benchmark(func(b *testing.B) {
-		eb.TemplateInstantiate()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			eb.TemplateInstantiate()
-		}
-	})
-	coldNs := float64(cold.T.Nanoseconds()) / float64(cold.N)
-	tmplNs := float64(tmpl.T.Nanoseconds()) / float64(tmpl.N)
-	speedup := coldNs / tmplNs
-	t.Logf("cold Fast %.0f ns/op, template %.0f ns/op, speedup %.1fx", coldNs, tmplNs, speedup)
-	if speedup < 5 {
-		t.Fatalf("template speedup %.1fx, want >= 5x", speedup)
 	}
 }

@@ -46,10 +46,11 @@ const StrategyNone StrategyMask = 1 << 7
 // default schedule without device noise.
 type Options struct {
 	// Hardware is the QA topology; defaults to the D-Wave 2000Q Chimera.
-	// Chimera hardware embeds through the template fast path with the
-	// paper's Fast embedder as fallback; other topologies (topo.Pegasus)
-	// embed through templates only — queues that fit no template degrade to
-	// pure CDCL for that iteration.
+	// Every clause queue embeds through the paper's Fast embedder: on a
+	// topo.Chimera directly, on a topo.Pegasus onto its Chimera fabric
+	// (Pegasus.Fabric), in both cases around the broken qubits. Any other
+	// topology has no embedder, and every warm-up iteration runs pure CDCL.
+	// The topology must not be marked broken once New has run.
 	Hardware topo.Topology
 	// Schedule and Noise configure the annealing substitute. The defaults
 	// (DefaultSchedule, DWave2000QNoise) emulate the real device; use
@@ -203,10 +204,10 @@ type Stats struct {
 	// encode → embed → program pipeline for a repeated clause queue.
 	EmbedCacheHits   int
 	EmbedCacheMisses int
-	// How cache misses were served: template instantiation (O(1) rename
-	// onto the precomputed tile layout) vs a full Fast embedder run.
+	// EmbedTemplateHits is always 0: every cache miss is a Fast embedder
+	// run. The field stays for readers of the former clause-tile counter.
 	EmbedTemplateHits int
-	EmbedFastRuns     int
+	EmbedFastRuns     int // cache misses served by a Fast embedder run
 	// LRU evictions in the embedding cache the solver used. When Options.Cache
 	// shares one cache across solvers, this counts evictions cache-wide, not
 	// just this solver's.
@@ -263,13 +264,10 @@ type Solver struct {
 	backend qpu.Backend
 	cache   *SharedEmbedCache // Options.Cache, or a private one
 
-	// Template embedding state: the precomputed clause-tile layout for the
-	// hardware topology, per-shape instantiation builders (memoised — the
-	// queue generator produces a handful of shapes per solve), and the
-	// reusable eligibility checker.
-	templates  *embed.TemplateSet
-	builders   map[string]*anneal.TemplateBuilder
-	shapeCheck *qubo.ShapeChecker
+	// fabric is the Chimera grid Fast embeds onto: Options.Hardware itself,
+	// or a Pegasus's fabric view built once here. nil when the topology has
+	// no Fast embedder.
+	fabric *topo.Chimera
 
 	// Telemetry: every counter of the former Stats struct lives in the
 	// registry now (Stats() reads them back); phase time accounting goes
@@ -314,7 +312,6 @@ type frontendScratch struct {
 	enc   qubo.Encoding
 	fast  embed.FastScratch
 	sums  qubo.Sums
-	all   []int // 0, 1, …: the template path restricts to the whole queue
 }
 
 // Phase indices of the measured Fig 11 phases (QA device time is modelled,
@@ -336,15 +333,11 @@ type solverMetrics struct {
 	broken      *obs.Counter
 	cacheHits   *obs.Counter
 	cacheMisses *obs.Counter
-	// Embedding-path counters: a cache miss is served either by template
-	// instantiation (an O(1) rename into preallocated buffers) or by a full
-	// Fast embedder run — the ratio is the template layer's win.
-	templateHits *obs.Counter
-	fastRuns     *obs.Counter
-	strat        [4]*obs.Counter
-	qaDeviceNs   *obs.Counter
-	degraded     *obs.Counter // iterations that lost QA guidance to a backend fault
-	invalid      *obs.Counter // read sets rejected by boundary validation
+	fastRuns    *obs.Counter // cache misses served by a Fast embedder run
+	strat       [4]*obs.Counter
+	qaDeviceNs  *obs.Counter
+	degraded    *obs.Counter // iterations that lost QA guidance to a backend fault
+	invalid     *obs.Counter // read sets rejected by boundary validation
 
 	iteration  *obs.Gauge // hybrid warm-up iterations so far
 	queueDepth *obs.Gauge // clause-queue length of the latest frontend pass
@@ -363,16 +356,15 @@ func newSolverMetrics(reg *obs.Registry) solverMetrics {
 		broken:      reg.Counter("hyqsat_broken_chains"),
 		cacheHits:   reg.Counter("hyqsat_embed_cache_hits"),
 		cacheMisses: reg.Counter("hyqsat_embed_cache_misses"),
-		// Unprefixed names per the embedding-layer convention shared with
+		// Unprefixed name per the embedding-layer convention shared with
 		// SharedEmbedCache.AttachMetrics (embed_cache_*).
-		templateHits: reg.Counter("embed_template_hits"),
-		fastRuns:     reg.Counter("embed_fast_runs"),
-		degraded:     reg.Counter("hyqsat_qa_degraded"),
-		invalid:      reg.Counter("hyqsat_qa_invalid_readsets"),
-		qaDeviceNs:   reg.Counter("hyqsat_phase_qa_device_ns"),
-		iteration:    reg.Gauge("hyqsat_iteration"),
-		queueDepth:   reg.Gauge("hyqsat_queue_depth"),
-		cdclIters:    reg.Gauge("hyqsat_cdcl_iterations"),
+		fastRuns:   reg.Counter("embed_fast_runs"),
+		degraded:   reg.Counter("hyqsat_qa_degraded"),
+		invalid:    reg.Counter("hyqsat_qa_invalid_readsets"),
+		qaDeviceNs: reg.Counter("hyqsat_phase_qa_device_ns"),
+		iteration:  reg.Gauge("hyqsat_iteration"),
+		queueDepth: reg.Gauge("hyqsat_queue_depth"),
+		cdclIters:  reg.Gauge("hyqsat_cdcl_iterations"),
 		// Energy buckets follow the gnb partition landmarks (0 / 4.5 / 8);
 		// chain-break fraction is bucketed in tenths.
 		readEnergy: reg.Histogram("hyqsat_qa_read_energy",
@@ -410,12 +402,7 @@ func New(f *cnf.Formula, opts Options) *Solver {
 		s.sat = sat.New(f3, cdclOpts)
 	}
 
-	// Template embedding precomputation: one routed tile layout per
-	// topology, instantiated per queue shape. Cheap (one pass over the
-	// tiles), and it makes cache misses on eligible queues O(1) renames.
-	s.templates = embed.NewTemplateSet(opts.Hardware)
-	s.builders = map[string]*anneal.TemplateBuilder{}
-	s.shapeCheck = qubo.NewShapeChecker()
+	s.fabric = embed.FastFabric(opts.Hardware)
 
 	// Telemetry wiring: one registry and one tracer reach every layer of the
 	// pipeline (CDCL core, sampler, hybrid loop). Tracing and metrics never
@@ -514,26 +501,25 @@ func (s *Solver) WarmupBudget() int {
 // registry directly (SAT sub-stats are not atomics).
 func (s *Solver) Stats() Stats {
 	st := Stats{
-		SAT:               s.sat.Stats(),
-		WarmupIterations:  int(s.m.warmup.Value()),
-		QACalls:           int(s.m.qaCalls.Value()),
-		QAReads:           s.m.qaReads.Value(),
-		EmbeddedClauses:   s.m.embedded.Value(),
-		BrokenChains:      s.m.broken.Value(),
-		EmbedCacheHits:    int(s.m.cacheHits.Value()),
-		EmbedCacheMisses:  int(s.m.cacheMisses.Value()),
-		EmbedTemplateHits: int(s.m.templateHits.Value()),
-		EmbedFastRuns:     int(s.m.fastRuns.Value()),
-		Strategy1Hits:     int(s.m.strat[0].Value()),
-		Strategy2Hits:     int(s.m.strat[1].Value()),
-		Strategy3Hits:     int(s.m.strat[2].Value()),
-		Strategy4Hits:     int(s.m.strat[3].Value()),
-		QADegraded:        s.m.degraded.Value(),
-		QAInvalid:         s.m.invalid.Value(),
-		Frontend:          s.phases.Total(phaseFrontend),
-		Backend:           s.phases.Total(phaseBackend),
-		CDCL:              s.phases.Total(phaseCDCL),
-		QADevice:          time.Duration(s.m.qaDeviceNs.Value()),
+		SAT:              s.sat.Stats(),
+		WarmupIterations: int(s.m.warmup.Value()),
+		QACalls:          int(s.m.qaCalls.Value()),
+		QAReads:          s.m.qaReads.Value(),
+		EmbeddedClauses:  s.m.embedded.Value(),
+		BrokenChains:     s.m.broken.Value(),
+		EmbedCacheHits:   int(s.m.cacheHits.Value()),
+		EmbedCacheMisses: int(s.m.cacheMisses.Value()),
+		EmbedFastRuns:    int(s.m.fastRuns.Value()),
+		Strategy1Hits:    int(s.m.strat[0].Value()),
+		Strategy2Hits:    int(s.m.strat[1].Value()),
+		Strategy3Hits:    int(s.m.strat[2].Value()),
+		Strategy4Hits:    int(s.m.strat[3].Value()),
+		QADegraded:       s.m.degraded.Value(),
+		QAInvalid:        s.m.invalid.Value(),
+		Frontend:         s.phases.Total(phaseFrontend),
+		Backend:          s.phases.Total(phaseBackend),
+		CDCL:             s.phases.Total(phaseCDCL),
+		QADevice:         time.Duration(s.m.qaDeviceNs.Value()),
 	}
 	_, _, ev := s.cache.HitsMissesEvictions()
 	st.EmbedCacheEvictions = int(ev)
@@ -941,22 +927,20 @@ func (r *sampleReader) interpret(embEnc *qubo.Encoding, sample anneal.Sample, nu
 	return embEnc.UnitEnergy(r.x), embEnc.AssignmentFromNodes(r.x, r.qa)
 }
 
-// encodeAndEmbed runs the frontend pipeline for one clause queue. Template
-// fast path first: when the queue is template-eligible (1–3 distinct-var
-// literals per clause, var-disjoint across the queue, within tile capacity),
-// the whole queue instantiates onto the precomputed tile layout by renaming —
-// no embedding search, no restriction. Otherwise the paper's Fast embedder
-// runs (fully-working Chimera hardware only; other topologies, and chips with
-// broken qubits, degrade to CDCL for the
-// iteration). Output is immutable and memoised in the embedding cache; an
-// entry with embedded == 0 records an unusable queue (encode failure or no
-// embeddable clause) so repeats skip straight to CDCL.
+// encodeAndEmbed runs the frontend pipeline for one clause queue: encode,
+// the paper's Fast embedder on the solver's fabric, restriction to the
+// embedded clauses, programming and EmbedIsing onto Options.Hardware. Output
+// is immutable and memoised in the embedding cache; an entry with
+// embedded == 0 records an unusable queue (no embedder for the topology,
+// encode failure or no embeddable clause) so repeats skip straight to CDCL.
 //
 // Only the structure of the queue is encoded up front; sub-clause objectives
-// and their sum are built for the clauses that embed (the whole queue on the
-// template path, Fast's embedded set otherwise). Everything else lives in
+// and their sum are built for Fast's embedded set. Everything else lives in
 // run-scoped scratch, so a miss allocates only what its cache entry keeps.
 func (s *Solver) encodeAndEmbed(queueIdx []int) *embedCacheEntry {
+	if s.fabric == nil {
+		return &embedCacheEntry{}
+	}
 	fs := &s.front
 	fs.queue = fs.queue[:0]
 	for _, ci := range queueIdx {
@@ -966,20 +950,8 @@ func (s *Solver) encodeAndEmbed(queueIdx []int) *embedCacheEntry {
 		// Defensive: 3-CNF conversion guarantees encodable clauses.
 		return &embedCacheEntry{}
 	}
-	if ent := s.templateEmbed(fs.queue, &fs.enc); ent != nil {
-		s.m.templateHits.Inc()
-		return ent
-	}
-	chim, ok := s.opts.Hardware.(*topo.Chimera)
-	if !ok || chim.NumWorking() != chim.NumQubits() {
-		// No Fast embedder for this topology — or the chip has hard faults,
-		// which Fast's routing assumes away (it would program couplings onto
-		// broken qubits). Only the broken-aware template path runs there;
-		// everything else skips QA for this queue.
-		return &embedCacheEntry{}
-	}
 	s.m.fastRuns.Inc()
-	fastRes := fs.fast.Fast(&fs.enc, chim)
+	fastRes := fs.fast.Fast(&fs.enc, s.fabric)
 	if fastRes.EmbeddedClauses == 0 {
 		return &embedCacheEntry{}
 	}
@@ -987,50 +959,6 @@ func (s *Solver) encodeAndEmbed(queueIdx []int) *embedCacheEntry {
 	ising := embEnc.Program(&fs.sums, !s.opts.UniformCoefficients)
 	ep := anneal.EmbedIsing(ising, fastRes.Embedding, s.opts.Hardware, anneal.ChainStrengthFor(ising))
 	return &embedCacheEntry{embEnc: embEnc, ep: ep, embedded: fastRes.EmbeddedClauses}
-}
-
-// maxTemplateBuilders bounds the per-shape builder memo; queues producing
-// more distinct shapes than this fall back to Fast rather than growing the
-// map without limit.
-const maxTemplateBuilders = 128
-
-// templateEmbed attempts the template fast path for an encoded queue. It
-// returns nil when the queue is ineligible (shape, capacity, or a
-// coefficient structure outside the template's edge support) — the caller
-// falls back to the Fast embedder.
-func (s *Solver) templateEmbed(queue []cnf.Clause, enc *qubo.Encoding) *embedCacheEntry {
-	shape, ok := s.shapeCheck.Shape(queue)
-	if !ok || len(shape) > s.templates.Capacity() {
-		return nil
-	}
-	shapeKey := make([]byte, len(shape))
-	for i, n := range shape {
-		shapeKey[i] = byte(n)
-	}
-	b, ok := s.builders[string(shapeKey)]
-	if !ok {
-		if len(s.builders) >= maxTemplateBuilders {
-			return nil
-		}
-		var err error
-		b, err = anneal.NewTemplateBuilder(s.templates, shape)
-		if err != nil {
-			return nil
-		}
-		s.builders[string(shapeKey)] = b
-	}
-	for len(s.front.all) < len(queue) {
-		s.front.all = append(s.front.all, len(s.front.all))
-	}
-	embEnc := enc.Restrict(s.front.all[:len(queue)])
-	ising := embEnc.Program(&s.front.sums, !s.opts.UniformCoefficients)
-	// BuildNew, not Build: the entry outlives this call in the cache and may
-	// be sampled concurrently with later instantiations.
-	ep := b.BuildNew(ising, anneal.ChainStrengthFor(ising))
-	if ep == nil {
-		return nil
-	}
-	return &embedCacheEntry{embEnc: embEnc, ep: ep, embedded: len(queue), viaTemplate: true}
 }
 
 // fullModel extends the QA assignment with the current trail and saved

@@ -54,7 +54,9 @@ type Config struct {
 	// CallTimeout is the per-attempt deadline budget, imposed on top of any
 	// caller deadline (whichever is earlier wins). 0 disables it. The
 	// deadline is imposed without allocating: a pooled timer-free context
-	// whose Deadline/Err cooperative backends poll.
+	// whose Deadline/Err cooperative backends poll. The budget starts when
+	// the backend first polls it, which every backend here does on entry
+	// to Submit, so an attempt reads the clock once on the happy path.
 	CallTimeout time.Duration
 	// Timing prices failed attempts: every attempt that dies after reaching
 	// the device is charged AccessTime(reads) of modelled device time to the
@@ -68,7 +70,7 @@ type Config struct {
 	// creates a private registry (retrievable via Resilient.Metrics).
 	Metrics *obs.Registry
 	// Clock and Sleep are injectable for deterministic tests: Clock feeds the
-	// breaker cooldown and deadline budgets (default time.Now), Sleep
+	// breaker cooldown and deadline budgets (default monotonicNow), Sleep
 	// implements the retry backoff (default SleepContext).
 	Clock func() time.Time
 	Sleep func(ctx context.Context, d time.Duration) error
@@ -100,13 +102,23 @@ func (c Config) withDefaults() Config {
 		c.Metrics = obs.NewRegistry()
 	}
 	if c.Clock == nil {
-		c.Clock = time.Now
+		c.Clock = monotonicNow
 	}
 	if c.Sleep == nil {
 		c.Sleep = SleepContext
 	}
 	return c
 }
+
+// monoStart anchors monotonicNow.
+var monoStart = time.Now()
+
+// monotonicNow is the default Clock: the current time from a single read of
+// the monotonic clock, where time.Now reads the wall clock as well. Its
+// results compare and subtract exactly like time.Now's (the comparisons use
+// the monotonic reading); only their wall-clock part is monoStart's plus
+// the elapsed time, so it does not follow steps of the system clock.
+func monotonicNow() time.Time { return monoStart.Add(time.Since(monoStart)) }
 
 // resilientMetrics are the wrapper's registry handles.
 type resilientMetrics struct {
@@ -133,6 +145,10 @@ type Resilient struct {
 	m     resilientMetrics
 
 	calls atomic.Int64
+	// clear mirrors "closed breaker, no failure streak" — the state in which
+	// allow admits and onSuccess changes nothing — so the happy path takes
+	// no lock. Written under mu whenever state or fails change.
+	clear atomic.Bool
 
 	mu       sync.Mutex // guards breaker state and jitter RNG
 	state    BreakerState
@@ -163,6 +179,7 @@ func NewResilient(inner Backend, cfg Config) *Resilient {
 		},
 	}
 	r.ctxPool.New = func() any { return new(deadlineCtx) }
+	r.clear.Store(true)
 	return r
 }
 
@@ -240,19 +257,16 @@ func (r *Resilient) attempt(ctx context.Context, ep *anneal.EmbeddedProblem, rea
 			err = fmt.Errorf("%w: %v", &FaultError{Fault: "panic"}, p)
 		}
 	}()
-	actx := ctx
 	if r.cfg.CallTimeout > 0 {
 		dc := r.ctxPool.Get().(*deadlineCtx)
-		dc.Context = ctx
-		dc.clock = r.cfg.Clock
-		dc.deadline = r.cfg.Clock().Add(r.cfg.CallTimeout)
-		defer func() {
-			dc.Context = nil
-			r.ctxPool.Put(dc)
-		}()
-		actx = dc
+		dc.arm(ctx, r.cfg.CallTimeout, r.cfg.Clock)
+		rs, err = r.inner.Submit(dc, ep, reads)
+		// A backend that panicked keeps its context out of the pool.
+		dc.Context = nil
+		r.ctxPool.Put(dc)
+	} else {
+		rs, err = r.inner.Submit(ctx, ep, reads)
 	}
-	rs, err = r.inner.Submit(actx, ep, reads)
 	if err != nil {
 		return anneal.ReadSet{}, err
 	}
@@ -283,6 +297,9 @@ func (r *Resilient) backoff(attempt int) time.Duration {
 // when the cooldown has elapsed. It returns ErrBreakerOpen when the call must
 // be rejected without touching the backend.
 func (r *Resilient) allow() error {
+	if r.clear.Load() {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	switch r.state {
@@ -307,6 +324,9 @@ func (r *Resilient) allow() error {
 // onSuccess records a successful submission: failure streak reset, and a
 // half-open probe closes the breaker.
 func (r *Resilient) onSuccess() {
+	if r.clear.Load() {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.fails = 0
@@ -314,6 +334,7 @@ func (r *Resilient) onSuccess() {
 	if r.state != BreakerClosed {
 		r.transition(BreakerClosed)
 	}
+	r.clear.Store(true)
 }
 
 // onFailure records a failed submission (all attempts exhausted): a failed
@@ -323,6 +344,7 @@ func (r *Resilient) onFailure() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.fails++
+	r.clear.Store(false)
 	r.probing = false
 	switch r.state {
 	case BreakerHalfOpen:
@@ -356,19 +378,48 @@ func (r *Resilient) transition(to BreakerState) {
 // backend (and SleepContext) polls. That is exactly the semantics a real
 // device access has: a submission can be abandoned between steps, never
 // preempted mid-anneal.
+//
+// The budget starts at the first Deadline or Err call, whose clock read
+// then serves both to fix the deadline and to answer the call (a budget
+// that has just started has not run out). The context is safe for
+// concurrent use: callers that race the first call each answer from their
+// own clock read, and one of them fixes the deadline.
 type deadlineCtx struct {
 	context.Context
-	deadline time.Time
+	budget   time.Duration
 	clock    func() time.Time
+	started  atomic.Uint32 // 0 budget not started, 1 starting, 2 deadline fixed
+	deadline time.Time     // written once, before started becomes 2
+}
+
+// arm points c at a parent context and a fresh budget.
+func (c *deadlineCtx) arm(parent context.Context, budget time.Duration, clock func() time.Time) {
+	c.Context, c.budget, c.clock = parent, budget, clock
+	c.started.Store(0)
+}
+
+// imposed returns the imposed deadline and whether this call started the
+// budget (its clock read is then the budget's start).
+func (c *deadlineCtx) imposed() (deadline time.Time, fresh bool) {
+	if c.started.Load() == 2 {
+		return c.deadline, false
+	}
+	d := c.clock().Add(c.budget)
+	if c.started.CompareAndSwap(0, 1) {
+		c.deadline = d
+		c.started.Store(2)
+	}
+	return d, true
 }
 
 // Deadline implements context.Context, reporting the earlier of the parent's
 // deadline and the imposed one.
 func (c *deadlineCtx) Deadline() (time.Time, bool) {
-	if pd, ok := c.Context.Deadline(); ok && pd.Before(c.deadline) {
+	d, _ := c.imposed()
+	if pd, ok := c.Context.Deadline(); ok && pd.Before(d) {
 		return pd, true
 	}
-	return c.deadline, true
+	return d, true
 }
 
 // Err implements context.Context.
@@ -376,7 +427,7 @@ func (c *deadlineCtx) Err() error {
 	if err := c.Context.Err(); err != nil {
 		return err
 	}
-	if !c.clock().Before(c.deadline) {
+	if d, fresh := c.imposed(); !fresh && !c.clock().Before(d) {
 		return context.DeadlineExceeded
 	}
 	return nil

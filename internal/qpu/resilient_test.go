@@ -102,6 +102,7 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	r.mu.Lock()
 	r.state = BreakerOpen
 	r.openedAt = clock.Now().Add(-time.Hour)
+	r.clear.Store(false) // as every state change under mu does
 	r.mu.Unlock()
 
 	if err := r.allow(); err != nil {

@@ -1,6 +1,9 @@
 package topo
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Pegasus is a Pegasus-family hardware model in "nice coordinates": three
 // interleaved Chimera(s,s,4) fabrics (s = m−1) whose cells are augmented with
@@ -22,7 +25,9 @@ import "fmt"
 // coupler-exact replica of an Advantage working graph. What the embedding
 // layers need from it is exactly what it models: denser connectivity than
 // Chimera, so chains are shorter (Pudenz et al. tie chain length to error
-// rates), and more K_{4,4} tiles per fabric for the template embedder.
+// rates). Copy 0 alone is a Chimera(s,s,4) with the same qubit indices
+// (Fabric), which is where the hybrid solver's Fast embedder places its
+// clauses.
 type Pegasus struct {
 	M      int // Pegasus size parameter; the fabric grid is s×s with s = M−1
 	s      int
@@ -71,6 +76,18 @@ func (g *Pegasus) Coords(q int) (t, y, x, u, k int) {
 	y = q % g.s
 	t = q / g.s
 	return
+}
+
+// Fabric returns fabric copy 0 as a Chimera(m−1, m−1, 4) over the same
+// qubit indices: Chimera qubit ((y·s+x)·2+u)·4+k is Pegasus qubit
+// (0,y,x,u,k), whose index is the same number, and every Chimera coupler is
+// a Pegasus coupler. An embedding found on the fabric is therefore an
+// embedding on g as it stands. The fabric's qubits are broken where g's
+// are; it is a snapshot, so build it after the last MarkBroken.
+func (g *Pegasus) Fabric() *Chimera {
+	f := &Chimera{M: g.s, N: g.s, L: 4, broken: slices.Clone(g.broken[:g.s*g.s*8])}
+	f.rebuildAdj()
+	return f
 }
 
 // MarkBroken marks qubit q unusable and rebuilds the adjacency eagerly.
@@ -140,8 +157,8 @@ func (g *Pegasus) Edges() []Edge { return edgesFromAdj(g.NumQubits(), &g.adj) }
 // Tiles enumerates the K_{4,4} unit cells copy-major then row-major: side A
 // holds the horizontal (u=0) qubits of a cell, side B the vertical (u=1)
 // ones. Broken qubits are included. Pegasus(m) yields 3·(m−1)² tiles — for
-// m=16 that is 675 vs Chimera(16,16,4)'s 256, the density win the template
-// embedder exploits.
+// m=16 that is 675 vs Chimera(16,16,4)'s 256, room for that many more
+// co-tiled batch members.
 func (g *Pegasus) Tiles() []Tile {
 	out := make([]Tile, 0, 3*g.s*g.s)
 	for t := 0; t < 3; t++ {

@@ -1,6 +1,6 @@
 // Package topo models quantum-annealer hardware graphs behind one Topology
-// interface, so the embedding layers (embed.Fast, the clause-tile template
-// instantiator, the minor-embedding heuristics) can target any qubit fabric.
+// interface, so the embedding layers (embed.Fast, the minor-embedding
+// heuristics) and the qbatch co-tiling packer can target any qubit fabric.
 //
 // Two concrete topologies are provided:
 //
@@ -12,8 +12,8 @@
 //     chain length drives error rates (Pudenz et al.).
 //
 // Both precompute CSR adjacency at construction so Neighbors returns a
-// subslice view with zero allocations — it sits under the routing inner loop
-// of embed.Fast and under embed.Verify.
+// subslice view with zero allocations — it sits under the minor-embedding
+// heuristics' routing, anneal.EmbedIsing and embed.Verify.
 package topo
 
 import "fmt"
@@ -23,9 +23,9 @@ type Edge struct{ A, B int }
 
 // Tile is one K_{L,L} unit cell of a topology: every working qubit on side A
 // shares a coupler with every working qubit on side B (no couplers within a
-// side are implied). Tiles are the unit the clause-template embedder
-// allocates: one 3-SAT clause gadget per tile. Broken qubits are included in
-// the slices; consumers filter with IsBroken.
+// side are implied). Tiles are the unit the qbatch packer allocates when it
+// co-tiles several small problems into one device program. Broken qubits
+// are included in the slices; consumers filter with IsBroken.
 type Tile struct {
 	A, B []int
 }
@@ -52,7 +52,8 @@ type Topology interface {
 	// into precomputed adjacency (nil when q is broken). Callers must not
 	// modify or retain it across MarkBroken calls.
 	Neighbors(q int) []int
-	// Tiles enumerates the K_{L,L} unit cells in a fixed deterministic order.
+	// Tiles enumerates the K_{L,L} unit cells in a fixed deterministic order;
+	// the qbatch packer places batch members tile by tile.
 	Tiles() []Tile
 	// Edges enumerates every working coupler.
 	Edges() []Edge
@@ -91,35 +92,38 @@ func (a *intAdj) row(q int) []int {
 // buildAdj constructs CSR adjacency for n qubits from a neighbour generator:
 // forEach(q, emit) must call emit(p) once per coupler partner of q (in the
 // order Neighbors should present them), regardless of broken state — broken
-// endpoints are filtered here. Rows of broken qubits are left empty.
+// endpoints are filtered here. Rows of broken qubits are left empty. The two
+// emit callbacks are built once, not once per qubit, so construction
+// allocates only the CSR arrays.
 func buildAdj(n int, broken []bool, forEach func(q int, emit func(p int))) intAdj {
 	counts := make([]int32, n+1)
-	for q := 0; q < n; q++ {
-		if broken[q] {
-			continue
+	var q int
+	count := func(p int) {
+		if !broken[p] {
+			counts[q+1]++
 		}
-		forEach(q, func(p int) {
-			if !broken[p] {
-				counts[q+1]++
-			}
-		})
 	}
-	for q := 0; q < n; q++ {
-		counts[q+1] += counts[q]
+	for q = 0; q < n; q++ {
+		if !broken[q] {
+			forEach(q, count)
+		}
+	}
+	for i := 0; i < n; i++ {
+		counts[i+1] += counts[i]
 	}
 	adj := intAdj{start: counts, list: make([]int, counts[n])}
 	fill := make([]int32, n)
 	copy(fill, counts[:n])
-	for q := 0; q < n; q++ {
-		if broken[q] {
-			continue
+	add := func(p int) {
+		if !broken[p] {
+			adj.list[fill[q]] = p
+			fill[q]++
 		}
-		forEach(q, func(p int) {
-			if !broken[p] {
-				adj.list[fill[q]] = p
-				fill[q]++
-			}
-		})
+	}
+	for q = 0; q < n; q++ {
+		if !broken[q] {
+			forEach(q, add)
+		}
 	}
 	return adj
 }
