@@ -13,8 +13,8 @@ go vet ./...
 # Every Go file is gofmt-clean.
 test -z "$(gofmt -l .)"
 # One uncached race-detector run over every package covers all the
-# concurrency-bearing code: parallel Sample, the embedding cache under the
-# hybrid loop, the bench worker pool, the telemetry sinks, the portfolio race
+# concurrency-bearing code: parallel Sample under the hybrid loop, the
+# bench worker pool, the telemetry sinks, the portfolio race
 # and clause-sharing bus (soundness corpus, adversarial injection, chaos
 # matrix, stitched cube proofs), the fault-tolerance layer (fault injection,
 # retry/backoff, circuit breaker, degradation to pure CDCL), the qbatch
@@ -38,10 +38,12 @@ go test -run='TestFastEmbeddingsVerify' -count=1 ./internal/embed
 # golden digests (and the pinned hardware-mode solve counters) bit for bit;
 # one cold Fast + EmbedIsing on a 300-clause activity queue must stay at or
 # below half the allocations of the map-based implementation, and the whole
-# cold miss (encodeAndEmbed on warm solver scratch) at or below a quarter of
-# the map-backed encoder's; the cache-hit part of an iteration (unsat scan,
-# queue, content key, lookup, unembedding) must allocate nothing.
-go test -run='TestFrontendGolden|TestColdFastEmbedIsingAllocs|TestColdMissAllocs|TestCacheHitIterationAllocs' -count=1 ./internal/hyqsat
+# embedding pass (encodeAndEmbed on warm solver scratch) at or below 64; the
+# part of an iteration that builds no embedding (unsat scan, queue
+# generation, unembedding, embedded-variable collection) must allocate
+# nothing; and a collection mid-solve must free the embedded problems of
+# past iterations.
+go test -run='TestFrontendGolden|TestColdFastEmbedIsingAllocs|TestColdMissAllocs|TestIterationScratchAllocs|TestPastProblemsCollected' -count=1 ./internal/hyqsat
 # Chaos gate: the Resilient wrapper's happy-path overhead contract: 0 extra
 # allocs/op always, ≤1% ns/op via the opt-in perf gate (median of per-round
 # paired ratios, run order alternating each round; internal/perfgate).
@@ -162,9 +164,9 @@ if [ "${HYQSAT_PERF_GATE:-0}" = "1" ]; then
 	# a small shared host swing much more than single-threaded ones, so the
 	# threshold is wider.
 	go run ./cmd/benchreport -suite portfolio -compare BENCH_cdcl.json -threshold 60
-	# Embedding-path gate: no embed-suite row (cold Fast pipeline and cache
-	# hit, per topology) may regress beyond the noise threshold of a small
-	# shared host. Regenerate the snapshot with
+	# Embedding-path gate: no embed-suite row (the cold Fast pipeline, per
+	# topology) may regress beyond the noise threshold of a small shared
+	# host. Regenerate the snapshot with
 	# `go run ./cmd/benchreport -suite embed` after intentional perf changes.
 	go run ./cmd/benchreport -suite embed -compare BENCH_embed.json -threshold 75
 	# Serve throughput gate: rerun the daemon throughput suite (paced virtual

@@ -12,8 +12,8 @@
 //   - portfolio: cube-and-conquer wall-clock scaling on the uf100/uuf100
 //     family at 1/2/4 workers, merged by benchmark name into BENCH_cdcl.json
 //     (the CDCL snapshot keeps its suite tag and existing entries)
-//   - embed: the frontend embedding paths on one var-disjoint queue — cold
-//     Fast pipeline vs cache hit, per topology → BENCH_embed.json
+//   - embed: the frontend embedding pass on one var-disjoint queue — the
+//     cold Fast pipeline, per topology → BENCH_embed.json
 //   - serve: end-to-end daemon throughput under a paced virtual QPU at
 //     1/8/64 concurrent clients with batching on and off → BENCH_serve.json
 //     (serve_batch_speedup_8c records jobs/sec on over off at 8 clients; the
@@ -279,9 +279,8 @@ func portfolioSuite() (report, error) {
 // long enough to exercise real routing work in the cold Fast pipeline.
 const embedQueueLen = 128
 
-// embedSuite measures the frontend embedding paths on one queue per
-// topology: the cold Fast pipeline (on Pegasus, onto its Chimera fabric) and
-// a cache hit.
+// embedSuite measures the frontend embedding pass on one queue per
+// topology: the cold Fast pipeline (on Pegasus, onto its Chimera fabric).
 func embedSuite() (report, error) {
 	rep := hostReport("embed")
 	for _, topology := range []string{"chimera", "pegasus"} {
@@ -294,13 +293,6 @@ func embedSuite() (report, error) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				eb.ColdFast()
-			}
-		}))
-		rep.Benchmarks = append(rep.Benchmarks, run("EmbedCacheHit/"+topology, 0, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eb.CacheHit()
 			}
 		}))
 	}

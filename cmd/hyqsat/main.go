@@ -539,13 +539,6 @@ func printHybridStats(w io.Writer, st hyqsat.Stats) {
 	fmt.Fprintf(w, "c iterations=%d warmup=%d qacalls=%d reads=%d embedded=%d s1=%d s2=%d s3=%d s4=%d\n",
 		st.SAT.Iterations, st.WarmupIterations, st.QACalls, st.QAReads, st.EmbeddedClauses,
 		st.Strategy1Hits, st.Strategy2Hits, st.Strategy3Hits, st.Strategy4Hits)
-	lookups := st.EmbedCacheHits + st.EmbedCacheMisses
-	hitRate := 0.0
-	if lookups > 0 {
-		hitRate = 100 * float64(st.EmbedCacheHits) / float64(lookups)
-	}
-	fmt.Fprintf(w, "c embedcache hits=%d misses=%d evictions=%d (%.0f%% hit rate)\n",
-		st.EmbedCacheHits, st.EmbedCacheMisses, st.EmbedCacheEvictions, hitRate)
 	fmt.Fprintf(w, "c embed fast=%d\n", st.EmbedFastRuns)
 	fmt.Fprintf(w, "c cdcl conflicts=%d restarts=%d learned=%d brokenchains=%d\n",
 		st.SAT.Conflicts, st.SAT.Restarts, st.SAT.Learned, st.BrokenChains)

@@ -146,8 +146,11 @@ func TestCLIReadsAndStats(t *testing.T) {
 	if code != 10 {
 		t.Fatalf("code=%d out=%q err=%q", code, out, errOut)
 	}
-	if !strings.Contains(out, "reads=") || !strings.Contains(out, "embedcache hits=") {
-		t.Fatalf("stats output missing read/cache counters: %q", out)
+	if !strings.Contains(out, "reads=") || !strings.Contains(out, "c embed fast=") {
+		t.Fatalf("stats output missing read/embed counters: %q", out)
+	}
+	if strings.Contains(out, "embedcache") {
+		t.Fatalf("stats output still reports the removed embedding cache: %q", out)
 	}
 }
 

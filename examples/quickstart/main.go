@@ -42,7 +42,7 @@ func main() {
 	st := r.Stats
 	fmt.Printf("iterations: %d (warm-up %d), QA calls: %d (%d reads), clauses accelerated: %d\n",
 		st.SAT.Iterations, st.WarmupIterations, st.QACalls, st.QAReads, st.EmbeddedClauses)
-	fmt.Printf("embedding cache: %d hits / %d misses\n", st.EmbedCacheHits, st.EmbedCacheMisses)
+	fmt.Printf("embeddings built: %d (Fast embedder runs)\n", st.EmbedFastRuns)
 	fmt.Printf("time: frontend %v + QA %v + backend %v + CDCL %v = %v\n",
 		st.Frontend, st.QADevice, st.Backend, st.CDCL, st.Total())
 }

@@ -1,17 +1,37 @@
 package hyqsat
 
 import (
+	"context"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
+	"hyqsat/internal/anneal"
 	"hyqsat/internal/cnf"
 	"hyqsat/internal/embed"
+	"hyqsat/internal/gen"
+	"hyqsat/internal/qpu"
 	"hyqsat/internal/sat"
 	"hyqsat/internal/topo"
 )
 
-// TestSolverEmbedPathAccounting pins the miss-service invariant on Chimera:
-// every cache miss is served by one Fast embedder run, visible in Stats.
+// submitHook is a qpu.Backend decorator that shows each submitted problem
+// to onSubmit before passing it on.
+type submitHook struct {
+	qpu.Backend
+	onSubmit func(*anneal.EmbeddedProblem)
+}
+
+func (h submitHook) Submit(ctx context.Context, ep *anneal.EmbeddedProblem, reads int) (anneal.ReadSet, error) {
+	h.onSubmit(ep)
+	return h.Backend.Submit(ctx, ep, reads)
+}
+
+// TestSolverEmbedPathAccounting pins the embedding accounting on Chimera:
+// every frontend pass that reaches embedding is one Fast embedder run, and
+// the embedding-cache hit counter, kept for its readers, never moves.
 func TestSolverEmbedPathAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	f := random3SAT(rng, 40, 170)
@@ -22,9 +42,9 @@ func TestSolverEmbedPathAccounting(t *testing.T) {
 	if st.EmbedCacheMisses == 0 {
 		t.Fatal("solve ran no embeddings")
 	}
-	if st.EmbedFastRuns != st.EmbedCacheMisses || st.EmbedTemplateHits != 0 {
-		t.Fatalf("fast runs %d, template hits %d, want fast runs = misses (%d) and no template hits",
-			st.EmbedFastRuns, st.EmbedTemplateHits, st.EmbedCacheMisses)
+	if st.EmbedFastRuns != st.EmbedCacheMisses || st.EmbedTemplateHits != 0 || st.EmbedCacheHits != 0 {
+		t.Fatalf("fast runs %d, template hits %d, cache hits %d; want fast runs = passes (%d) and no hits",
+			st.EmbedFastRuns, st.EmbedTemplateHits, st.EmbedCacheHits, st.EmbedCacheMisses)
 	}
 	if r.Status == sat.Sat && !cnf.FromBools(r.Model[:f.NumVars]).Satisfies(f) {
 		t.Fatal("invalid model")
@@ -32,46 +52,46 @@ func TestSolverEmbedPathAccounting(t *testing.T) {
 }
 
 // solveOnHardware solves f on g with SelfCertify and checks the contract
-// every topology keeps: QA ran, every cache miss was a Fast run, every
-// cached EmbeddedProblem passes embed.Verify against g itself (its broken
-// qubits and, on Pegasus, the full Pegasus graph), and the verdict equals
-// pure CDCL's and is certified.
+// every topology keeps: QA ran, every frontend pass was a Fast run, every
+// submitted EmbeddedProblem passes embed.Verify against g itself (its
+// broken qubits and, on Pegasus, the full Pegasus graph), and the verdict
+// equals pure CDCL's and is certified.
 func solveOnHardware(t *testing.T, f *cnf.Formula, g topo.Topology, seed int64) Stats {
 	t.Helper()
 	o := simOpts(seed)
 	o.Hardware = g
 	o.WarmupIterations = 60
 	o.SelfCertify = true
-	s := New(f, o)
-	r := s.Solve()
-	st := r.Stats
-	if st.QACalls == 0 {
-		t.Fatalf("%s: no QA calls in %d warm-up iterations", g.Name(), st.WarmupIterations)
-	}
-	if st.EmbedFastRuns != st.EmbedCacheMisses {
-		t.Fatalf("%s: %d Fast runs for %d cache misses", g.Name(), st.EmbedFastRuns, st.EmbedCacheMisses)
-	}
-	if st.EmbedCacheEvictions != 0 {
-		t.Fatalf("%s: %d cache evictions; the check below needs every entry", g.Name(), st.EmbedCacheEvictions)
-	}
+	var s *Solver
 	verified := 0
-	for i := range s.cache.shards {
-		for _, le := range s.cache.shards[i].entries {
-			ent := le.ent
-			if ent.embedded == 0 {
-				continue
+	o.WrapBackend = func(b qpu.Backend) qpu.Backend {
+		return submitHook{Backend: b, onSubmit: func(ep *anneal.EmbeddedProblem) {
+			if ep.Graph != g {
+				t.Fatalf("%s: problem programmed onto %s, not the solver's hardware", g.Name(), ep.Graph.Name())
 			}
-			if ent.ep.Graph != g {
-				t.Fatalf("%s: problem programmed onto %s, not the solver's hardware", g.Name(), ent.ep.Graph.Name())
+			// The pass's queue encoding is still in the solver's scratch:
+			// re-running Fast on it recovers the embedded clause set the
+			// problem was programmed from.
+			res := embed.Fast(&s.front.enc, s.fabric)
+			if !reflect.DeepEqual(res.Embedding.Chains, ep.Embedding.Chains) {
+				t.Fatalf("%s: submitted embedding differs from Fast's on the pass's queue", g.Name())
 			}
-			if err := embed.Verify(embed.ProblemFromEncoding(ent.embEnc), g, ent.ep.Embedding); err != nil {
+			p := embed.ProblemFromEncoding(s.front.enc.Restrict(res.EmbeddedSet))
+			if err := embed.Verify(p, g, ep.Embedding); err != nil {
 				t.Fatalf("%s: %v", g.Name(), err)
 			}
 			verified++
-		}
+		}}
 	}
-	if verified == 0 {
-		t.Fatalf("%s: no embedded problem to verify", g.Name())
+	s = New(f, o)
+	r := s.Solve()
+	st := r.Stats
+	if st.QACalls == 0 || verified < st.QACalls {
+		t.Fatalf("%s: %d QA calls, %d verified problems in %d warm-up iterations",
+			g.Name(), st.QACalls, verified, st.WarmupIterations)
+	}
+	if st.EmbedFastRuns != st.EmbedCacheMisses {
+		t.Fatalf("%s: %d Fast runs for %d frontend passes", g.Name(), st.EmbedFastRuns, st.EmbedCacheMisses)
 	}
 	want := sat.New(f.Copy(), sat.MiniSATOptions()).Solve().Status
 	if r.Status != want || !r.Certified {
@@ -109,5 +129,57 @@ func TestSolverPegasusDegrades(t *testing.T) {
 		for _, nc := range []int{85, 125} {
 			solveOnHardware(t, random3SAT(rng, 20+nc/12, nc), g, 7)
 		}
+	}
+}
+
+// TestPastProblemsCollected pins the frontend's retention contract: nothing
+// keeps an iteration's embedded problem once the iteration ends, so a
+// collection in the middle of a solve frees the problems of past iterations
+// while the solver is still live. The one exception is the problem submitted
+// just before, which the sampler's scratch still keys its chain graph by.
+func TestPastProblemsCollected(t *testing.T) {
+	f := gen.Random3SAT(150, 645, 3).Formula
+	o := HardwareOptions()
+	o.Seed = 3
+	o.WarmupIterations = 40
+	const checkAt = 20
+	// One slot per possible submission, so a finalizer never blocks.
+	freed := make(chan struct{}, o.WarmupIterations)
+	submitted := 0
+	o.WrapBackend = func(b qpu.Backend) qpu.Backend {
+		return submitHook{Backend: b, onSubmit: func(ep *anneal.EmbeddedProblem) {
+			if submitted == checkAt {
+				runtime.GC()
+				timeout := time.After(10 * time.Second)
+				for i := 0; i < checkAt-1; i++ {
+					select {
+					case <-freed:
+					case <-timeout:
+						t.Fatalf("%d of %d past problems still live mid-solve", checkAt-1-i, checkAt-1)
+					}
+				}
+			}
+			submitted++
+			runtime.SetFinalizer(ep, func(*anneal.EmbeddedProblem) { freed <- struct{}{} })
+		}}
+	}
+	s := New(f, o)
+	s.Solve()
+	if submitted <= checkAt {
+		t.Fatalf("solve submitted %d problems, want more than %d", submitted, checkAt)
+	}
+	runtime.KeepAlive(s)
+}
+
+// TestDefaultHardwareShared pins that defaulted options share one 2000Q
+// graph per process, while topo.DWave2000Q keeps building fresh ones for
+// callers that mark qubits broken.
+func TestDefaultHardwareShared(t *testing.T) {
+	a, b := Options{}.WithDefaults(), HardwareOptions()
+	if a.Hardware == nil || a.Hardware != b.Hardware {
+		t.Fatalf("defaulted options got distinct graphs %p and %p", a.Hardware, b.Hardware)
+	}
+	if topo.Topology(topo.DWave2000Q()) == a.Hardware {
+		t.Fatal("topo.DWave2000Q returned the shared default graph")
 	}
 }

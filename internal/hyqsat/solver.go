@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"time"
 
 	"hyqsat/internal/anneal"
@@ -45,7 +46,9 @@ const StrategyNone StrategyMask = 1 << 7
 // queue, §IV-C coefficient adjustment, every feedback strategy) on the
 // default schedule without device noise.
 type Options struct {
-	// Hardware is the QA topology; defaults to the D-Wave 2000Q Chimera.
+	// Hardware is the QA topology; defaults to a D-Wave 2000Q Chimera built
+	// once per process and shared read-only by every defaulted solver (mark
+	// broken qubits on a graph of your own, never on the default).
 	// Every clause queue embeds through the paper's Fast embedder: on a
 	// topo.Chimera directly, on a topo.Pegasus onto its Chimera fabric
 	// (Pegasus.Fabric), in both cases around the broken qubits. Any other
@@ -101,14 +104,6 @@ type Options struct {
 	// retry/breaker layer. Nil leaves the backend undecorated.
 	WrapBackend func(qpu.Backend) qpu.Backend
 
-	// Cache, when non-nil, replaces the solver's private embedding cache with
-	// a shared, content-addressed one (safe for concurrent use by several
-	// solvers). The cube-and-conquer per-cube QA warm-up passes one cache to
-	// every cube's solver so repeated clause queues reuse their embeddings
-	// across cubes. A shared cache keeps its own embed_cache_* counters:
-	// attach them to a registry where the cache is created, not per solver.
-	Cache *SharedEmbedCache
-
 	// Proof, when non-nil, receives the CDCL core's clause trace in DRAT
 	// form. The proof's premise is the 3-CNF formula actually solved
 	// (ThreeCNF), which is equisatisfiable with the input.
@@ -139,14 +134,18 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
+// defaultHardware is the D-Wave 2000Q graph every Options without Hardware
+// shares. It is read-only: nothing may mark its qubits broken.
+var defaultHardware = sync.OnceValue(topo.DWave2000Q)
+
 // WithDefaults returns o with every zero field the solver defaults filled
-// in: the D-Wave 2000Q graph, schedule and timing, MiniSAT CDCL options, all
-// strategies, a 300-clause queue and one read per access. New applies it;
-// callers that must agree with a solver on those values (the solve service's
-// sampler, batcher and quota charging) apply it themselves.
+// in: the shared D-Wave 2000Q graph, schedule and timing, MiniSAT CDCL
+// options, all strategies, a 300-clause queue and one read per access. New
+// applies it; callers that must agree with a solver on those values (the
+// solve service's sampler, batcher and quota charging) apply it themselves.
 func (o Options) WithDefaults() Options {
 	if o.Hardware == nil {
-		o.Hardware = topo.DWave2000Q()
+		o.Hardware = defaultHardware()
 	}
 	if o.Schedule.Sweeps == 0 {
 		o.Schedule = anneal.DefaultSchedule()
@@ -200,18 +199,16 @@ type Stats struct {
 	EmbeddedClauses  int64 // cumulative clauses accelerated on QA
 	BrokenChains     int64
 
-	// Frontend embedding-cache counters: a hit skips the whole
-	// encode → embed → program pipeline for a repeated clause queue.
+	// EmbedCacheMisses counts the frontend passes that reached embedding
+	// (every warm-up iteration with an unsatisfied clause); each builds its
+	// embedding afresh. EmbedCacheHits is always 0: the frontend keeps no
+	// embedding cache. Both names stay for readers of the former counters.
 	EmbedCacheHits   int
 	EmbedCacheMisses int
-	// EmbedTemplateHits is always 0: every cache miss is a Fast embedder
+	// EmbedTemplateHits is always 0: every embedding is a Fast embedder
 	// run. The field stays for readers of the former clause-tile counter.
 	EmbedTemplateHits int
-	EmbedFastRuns     int // cache misses served by a Fast embedder run
-	// LRU evictions in the embedding cache the solver used. When Options.Cache
-	// shares one cache across solvers, this counts evictions cache-wide, not
-	// just this solver's.
-	EmbedCacheEvictions int
+	EmbedFastRuns     int // frontend passes served by a Fast embedder run
 
 	Strategy1Hits int
 	Strategy2Hits int
@@ -262,7 +259,6 @@ type Solver struct {
 	varAdj  [][]int
 	sampler *anneal.Sampler
 	backend qpu.Backend
-	cache   *SharedEmbedCache // Options.Cache, or a private one
 
 	// fabric is the Chimera grid Fast embeds onto: Options.Hardware itself,
 	// or a Pegasus's fabric view built once here. nil when the topology has
@@ -293,13 +289,15 @@ type Solver struct {
 	qaDisabled bool
 
 	// Run-scoped scratch reused by every iteration, so that an iteration
-	// allocates only what a cache entry keeps: the unsat-set scan, queue
-	// generation and content key of the lookup every iteration pays; the
-	// encoding, Fast state and objective sums of a cold miss; and the
-	// unembedding and feedback buffers of the backend.
+	// allocates only the embedding it submits: the unsat-set scan and queue
+	// generation; the encoding, Fast state and objective sums of the
+	// embedding pass; and the unembedding and feedback buffers of the
+	// backend. The embedded encoding and EmbeddedProblem themselves are
+	// fresh per iteration and unreferenced once it ends: the sampler's
+	// scratch keys its chain graph by problem pointer, and a problem handed
+	// to a backend must stay immutable.
 	unsat  []int
 	queues queueGen
-	key    []cnf.Lit
 	front  frontendScratch
 	reader sampleReader
 	vars   []cnf.Var
@@ -331,9 +329,9 @@ type solverMetrics struct {
 	qaReads     *obs.Counter
 	embedded    *obs.Counter
 	broken      *obs.Counter
-	cacheHits   *obs.Counter
-	cacheMisses *obs.Counter
-	fastRuns    *obs.Counter // cache misses served by a Fast embedder run
+	cacheHits   *obs.Counter // always 0: no embedding cache
+	embedPasses *obs.Counter // frontend passes that reached embedding
+	fastRuns    *obs.Counter // frontend passes served by a Fast embedder run
 	strat       [4]*obs.Counter
 	qaDeviceNs  *obs.Counter
 	degraded    *obs.Counter // iterations that lost QA guidance to a backend fault
@@ -355,16 +353,14 @@ func newSolverMetrics(reg *obs.Registry) solverMetrics {
 		embedded:    reg.Counter("hyqsat_embedded_clauses"),
 		broken:      reg.Counter("hyqsat_broken_chains"),
 		cacheHits:   reg.Counter("hyqsat_embed_cache_hits"),
-		cacheMisses: reg.Counter("hyqsat_embed_cache_misses"),
-		// Unprefixed name per the embedding-layer convention shared with
-		// SharedEmbedCache.AttachMetrics (embed_cache_*).
-		fastRuns:   reg.Counter("embed_fast_runs"),
-		degraded:   reg.Counter("hyqsat_qa_degraded"),
-		invalid:    reg.Counter("hyqsat_qa_invalid_readsets"),
-		qaDeviceNs: reg.Counter("hyqsat_phase_qa_device_ns"),
-		iteration:  reg.Gauge("hyqsat_iteration"),
-		queueDepth: reg.Gauge("hyqsat_queue_depth"),
-		cdclIters:  reg.Gauge("hyqsat_cdcl_iterations"),
+		embedPasses: reg.Counter("hyqsat_embed_cache_misses"),
+		fastRuns:    reg.Counter("embed_fast_runs"),
+		degraded:    reg.Counter("hyqsat_qa_degraded"),
+		invalid:     reg.Counter("hyqsat_qa_invalid_readsets"),
+		qaDeviceNs:  reg.Counter("hyqsat_phase_qa_device_ns"),
+		iteration:   reg.Gauge("hyqsat_iteration"),
+		queueDepth:  reg.Gauge("hyqsat_queue_depth"),
+		cdclIters:   reg.Gauge("hyqsat_cdcl_iterations"),
 		// Energy buckets follow the gnb partition landmarks (0 / 4.5 / 8);
 		// chain-break fraction is bucketed in tenths.
 		readEnergy: reg.Histogram("hyqsat_qa_read_energy",
@@ -393,7 +389,6 @@ func New(f *cnf.Formula, opts Options) *Solver {
 		origin:  origin,
 		varAdj:  cnf.VarAdjacency(f3),
 		sampler: anneal.NewSampler(opts.Schedule, opts.Noise, opts.Seed^0x3c3c3c),
-		cache:   opts.Cache,
 		belief:  cnf.NewAssignment(f3.NumVars),
 	}
 	if opts.SatPool != nil {
@@ -427,12 +422,6 @@ func New(f *cnf.Formula, opts Options) *Solver {
 		s.trace = obs.WithSource(s.trace, obs.Source{Solve: id, Name: "hyqsat"})
 	}
 	s.m = newSolverMetrics(s.reg)
-	if s.cache == nil {
-		// A private cache is created here, so its hit/miss/eviction
-		// counters surface on the solver registry.
-		s.cache = newEmbedCache()
-		s.cache.AttachMetrics(s.reg)
-	}
 	s.phases = obs.NewPhaseTracker(s.reg, s.trace, "hyqsat_", "frontend", "backend", "cdcl")
 	s.sat.SetTracer(s.trace)
 	s.sat.SetMetrics(sat.Metrics{
@@ -500,7 +489,7 @@ func (s *Solver) WarmupBudget() int {
 // truth). Safe to call after Solve; during a solve, use LiveStatus or the
 // registry directly (SAT sub-stats are not atomics).
 func (s *Solver) Stats() Stats {
-	st := Stats{
+	return Stats{
 		SAT:              s.sat.Stats(),
 		WarmupIterations: int(s.m.warmup.Value()),
 		QACalls:          int(s.m.qaCalls.Value()),
@@ -508,7 +497,7 @@ func (s *Solver) Stats() Stats {
 		EmbeddedClauses:  s.m.embedded.Value(),
 		BrokenChains:     s.m.broken.Value(),
 		EmbedCacheHits:   int(s.m.cacheHits.Value()),
-		EmbedCacheMisses: int(s.m.cacheMisses.Value()),
+		EmbedCacheMisses: int(s.m.embedPasses.Value()),
 		EmbedFastRuns:    int(s.m.fastRuns.Value()),
 		Strategy1Hits:    int(s.m.strat[0].Value()),
 		Strategy2Hits:    int(s.m.strat[1].Value()),
@@ -521,9 +510,6 @@ func (s *Solver) Stats() Stats {
 		CDCL:             s.phases.Total(phaseCDCL),
 		QADevice:         time.Duration(s.m.qaDeviceNs.Value()),
 	}
-	_, _, ev := s.cache.HitsMissesEvictions()
-	st.EmbedCacheEvictions = int(ev)
-	return st
 }
 
 // Metrics returns the solver's metrics registry — the live counters, gauges
@@ -560,10 +546,6 @@ func (s *Solver) LiveStatus() map[string]any {
 		"qa_reads":         s.m.qaReads.Value(),
 		"qa_degraded":      s.m.degraded.Value(),
 		"embedded_clauses": s.m.embedded.Value(),
-		"embed_cache": map[string]int64{
-			"hits":   s.m.cacheHits.Value(),
-			"misses": s.m.cacheMisses.Value(),
-		},
 		"strategy_hits": map[string]int64{
 			"s1": s.m.strat[0].Value(),
 			"s2": s.m.strat[1].Value(),
@@ -700,40 +682,33 @@ func (s *Solver) hybridIteration(ctx context.Context) (done bool, res Result) {
 
 	// --- Frontend: clause queue → embedding → coefficients ---
 	span := s.phases.Start(phaseFrontend)
-	queueIdx, hash, ent := s.lookupQueue()
+	queueIdx := s.clauseQueue()
 	if queueIdx == nil {
 		// Current assignment satisfies everything the decision trail covers;
 		// let CDCL finish (it will extend and terminate).
 		span.End()
 		return s.stepCDCL()
 	}
-	cacheHit := ent != nil
-	if cacheHit {
-		s.m.cacheHits.Inc()
-	} else {
-		s.m.cacheMisses.Inc()
-		ent = s.encodeAndEmbed(queueIdx)
-		s.cache.store(s.key, hash, ent)
-	}
+	s.m.embedPasses.Inc()
+	fe := s.encodeAndEmbed(queueIdx)
 	if s.trace.Enabled() {
 		ev := obs.EmbedEvent{
 			Iteration:      iteration,
 			QueueLen:       len(queueIdx),
-			Embedded:       ent.embedded,
-			CacheHit:       cacheHit,
+			Embedded:       fe.embedded,
 			HardwareQubits: s.opts.Hardware.NumQubits(),
 		}
-		if ent.ep != nil {
-			ev.ActiveQubits = ent.ep.NumActiveQubits()
+		if fe.ep != nil {
+			ev.ActiveQubits = fe.ep.NumActiveQubits()
 		}
 		s.trace.Emit(ev)
 	}
-	if ent.embedded == 0 {
+	if fe.embedded == 0 {
 		span.End()
 		return s.stepCDCL()
 	}
-	embEnc, ep := ent.embEnc, ent.ep
-	s.m.embedded.Add(int64(ent.embedded))
+	embEnc, ep := fe.embEnc, fe.ep
+	s.m.embedded.Add(int64(fe.embedded))
 	span.End()
 
 	// --- QA: NumReads samples from one programmed problem; the backend
@@ -785,7 +760,7 @@ func (s *Solver) hybridIteration(ctx context.Context) (done bool, res Result) {
 	energy, qaAssign := s.reader.interpret(embEnc, sample, s.formula.NumVars)
 	class := gnb.DefaultPartition().Classify(energy)
 
-	allEmbedded := ent.embedded == len(s.unsat)
+	allEmbedded := fe.embedded == len(s.unsat)
 	// emitStrategy records the Fig 9 outcome classification of this QA
 	// access and which feedback strategy fired on it (0 = none/masked).
 	emitStrategy := func(strategy int) {
@@ -877,16 +852,14 @@ func embeddedVars(dst []cnf.Var, embEnc *qubo.Encoding) []cnf.Var {
 	return dst
 }
 
-// lookupQueue is the part of the frontend every iteration runs, cache hit or
-// miss: it scans the unsatisfied clauses, generates the clause queue, keys
-// it by content (left in s.key) and looks the key up in the embedding
-// cache, returning nil ent on a miss and a nil queue when no clause is
-// unsatisfied. It allocates nothing in steady state; the queue it returns
+// clauseQueue is the part of the frontend that precedes embedding: it scans
+// the unsatisfied clauses and generates the clause queue, nil when no clause
+// is unsatisfied. It allocates nothing in steady state; the queue it returns
 // is scratch, valid until the next call.
-func (s *Solver) lookupQueue() (queueIdx []int, hash uint64, ent *embedCacheEntry) {
+func (s *Solver) clauseQueue() (queueIdx []int) {
 	s.unsat = s.sat.UnsatisfiedClauses(s.unsat[:0])
 	if len(s.unsat) == 0 {
-		return nil, 0, nil
+		return nil
 	}
 	if s.opts.RandomQueue {
 		queueIdx = RandomQueue(s.unsat, s.opts.QueueLimit, s.rng)
@@ -895,11 +868,7 @@ func (s *Solver) lookupQueue() (queueIdx []int, hash uint64, ent *embedCacheEntr
 			s.unsat, topN, s.opts.QueueLimit, s.rng)
 	}
 	s.m.queueDepth.Set(int64(len(queueIdx)))
-	// The cache is a content-addressed sharded LRU, private or shared via
-	// Options.Cache with other solvers (other cubes, portfolio workers) that
-	// run identical pipeline options.
-	s.key, hash = queueContentKey(s.key[:0], s.formula, queueIdx)
-	return queueIdx, hash, s.cache.lookup(s.key, hash)
+	return queueIdx
 }
 
 // sampleReader unembeds QA reads into buffers it keeps across reads.
@@ -927,19 +896,28 @@ func (r *sampleReader) interpret(embEnc *qubo.Encoding, sample anneal.Sample, nu
 	return embEnc.UnitEnergy(r.x), embEnc.AssignmentFromNodes(r.x, r.qa)
 }
 
+// frontendOutput is what one frontend pass hands to the QA access and the
+// backend: the encoding restricted to the embedded clauses and the problem
+// programmed from it. embedded == 0 marks a queue the embedder could not use
+// at all (skip QA for it). Both pointers are fresh per pass and immutable.
+type frontendOutput struct {
+	embEnc   *qubo.Encoding
+	ep       *anneal.EmbeddedProblem
+	embedded int
+}
+
 // encodeAndEmbed runs the frontend pipeline for one clause queue: encode,
 // the paper's Fast embedder on the solver's fabric, restriction to the
-// embedded clauses, programming and EmbedIsing onto Options.Hardware. Output
-// is immutable and memoised in the embedding cache; an entry with
-// embedded == 0 records an unusable queue (no embedder for the topology,
-// encode failure or no embeddable clause) so repeats skip straight to CDCL.
+// embedded clauses, programming and EmbedIsing onto Options.Hardware. A
+// result with embedded == 0 records an unusable queue (no embedder for the
+// topology, encode failure or no embeddable clause).
 //
 // Only the structure of the queue is encoded up front; sub-clause objectives
 // and their sum are built for Fast's embedded set. Everything else lives in
-// run-scoped scratch, so a miss allocates only what its cache entry keeps.
-func (s *Solver) encodeAndEmbed(queueIdx []int) *embedCacheEntry {
+// run-scoped scratch, so a pass allocates only the output it returns.
+func (s *Solver) encodeAndEmbed(queueIdx []int) frontendOutput {
 	if s.fabric == nil {
-		return &embedCacheEntry{}
+		return frontendOutput{}
 	}
 	fs := &s.front
 	fs.queue = fs.queue[:0]
@@ -948,17 +926,17 @@ func (s *Solver) encodeAndEmbed(queueIdx []int) *embedCacheEntry {
 	}
 	if err := fs.enc.Reset(fs.queue); err != nil {
 		// Defensive: 3-CNF conversion guarantees encodable clauses.
-		return &embedCacheEntry{}
+		return frontendOutput{}
 	}
 	s.m.fastRuns.Inc()
 	fastRes := fs.fast.Fast(&fs.enc, s.fabric)
 	if fastRes.EmbeddedClauses == 0 {
-		return &embedCacheEntry{}
+		return frontendOutput{}
 	}
 	embEnc := fs.enc.Restrict(fastRes.EmbeddedSet)
 	ising := embEnc.Program(&fs.sums, !s.opts.UniformCoefficients)
 	ep := anneal.EmbedIsing(ising, fastRes.Embedding, s.opts.Hardware, anneal.ChainStrengthFor(ising))
-	return &embedCacheEntry{embEnc: embEnc, ep: ep, embedded: fastRes.EmbeddedClauses}
+	return frontendOutput{embEnc: embEnc, ep: ep, embedded: fastRes.EmbeddedClauses}
 }
 
 // fullModel extends the QA assignment with the current trail and saved

@@ -117,16 +117,18 @@ type BatchEvent struct {
 func (BatchEvent) Kind() string { return "qa_batch" }
 
 // EmbedEvent records one frontend embedding step: the clause-queue length,
-// how many clauses were embedded (0 = unusable queue, skipped to CDCL),
-// whether the embedding cache served the queue, and the hardware cell usage
-// (active qubits out of the hardware graph's qubits).
+// how many clauses were embedded (0 = unusable queue, skipped to CDCL), and
+// the hardware cell usage (active qubits out of the hardware graph's
+// qubits).
 type EmbedEvent struct {
-	Iteration      int64 `json:"iteration"`
-	QueueLen       int   `json:"queue_len"`
-	Embedded       int   `json:"embedded"`
-	CacheHit       bool  `json:"cache_hit"`
-	ActiveQubits   int   `json:"active_qubits"`
-	HardwareQubits int   `json:"hardware_qubits"`
+	Iteration int64 `json:"iteration"`
+	QueueLen  int   `json:"queue_len"`
+	Embedded  int   `json:"embedded"`
+	// CacheHit is always false: every step builds its embedding afresh. The
+	// field stays so the trace schema keeps its cache_hit key.
+	CacheHit       bool `json:"cache_hit"`
+	ActiveQubits   int  `json:"active_qubits"`
+	HardwareQubits int  `json:"hardware_qubits"`
 }
 
 // Kind implements Event.

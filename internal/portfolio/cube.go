@@ -53,8 +53,7 @@ type CubeOptions struct {
 	Metrics *obs.Registry
 	// QAWarmup, when positive, runs that many HyQSAT hybrid warm-up
 	// iterations on formula+cube before each cube's CDCL solve, feeding the
-	// QA belief back as phase hints. Embeddings are reused across cubes
-	// through a content-addressed shared cache.
+	// QA belief back as phase hints.
 	QAWarmup int
 	// WarmupConflicts bounds each warm-up's CDCL budget (default 2000).
 	WarmupConflicts int64
@@ -225,11 +224,6 @@ func SolveCubes(ctx context.Context, f *cnf.Formula, o CubeOptions) (CubeOutcome
 	if o.Share {
 		bus = NewBus(o.Metrics)
 	}
-	var cache *hyqsat.SharedEmbedCache
-	if o.QAWarmup > 0 {
-		cache = hyqsat.NewSharedEmbedCache(0)
-	}
-
 	// The cube queue: preloaded and closed, so pulling from it is both the
 	// schedule and the stealing mechanism.
 	work := make(chan int, len(cubes))
@@ -312,8 +306,8 @@ func SolveCubes(ctx context.Context, f *cnf.Formula, o CubeOptions) (CubeOutcome
 				}
 				cube := cubes[ci]
 				startConf := solver.Stats().Conflicts
-				if cache != nil {
-					model, qaReads, qaCalls := cubeWarmup(ctx, f, cube, o, cache, solver, wt)
+				if o.QAWarmup > 0 {
+					model, qaReads, qaCalls := cubeWarmup(ctx, f, cube, o, solver, wt)
 					agg.add(RunOutput{QAReads: qaReads, QACalls: qaCalls})
 					if model != nil {
 						mu.Lock()
@@ -441,14 +435,13 @@ func SolveCubes(ctx context.Context, f *cnf.Formula, o CubeOptions) (CubeOutcome
 
 // cubeWarmup runs a bounded HyQSAT hybrid warm-up on f restricted by the
 // cube (formula plus cube unit clauses) and transfers the resulting QA
-// belief into the CDCL worker as phase hints. Embedding work is shared
-// across cubes through the content-addressed cache. When the warm-up itself
+// belief into the CDCL worker as phase hints. When the warm-up itself
 // stumbles on a model of f, the (verified) model is returned and wins the
 // solve; a warm-up Unsat is ignored — its premise is the restricted
 // formula's 3-CNF form, which the stitched proof cannot absorb, so the CDCL
 // worker re-derives the refutation certifiably.
 func cubeWarmup(ctx context.Context, f *cnf.Formula, cube Cube, o CubeOptions,
-	cache *hyqsat.SharedEmbedCache, solver *sat.Solver, trace obs.Tracer) (model []bool, qaReads, qaCalls int64) {
+	solver *sat.Solver, trace obs.Tracer) (model []bool, qaReads, qaCalls int64) {
 	g := f.Copy()
 	for _, l := range cube {
 		g.AddClause(cnf.Clause{l})
@@ -457,7 +450,6 @@ func cubeWarmup(ctx context.Context, f *cnf.Formula, cube Cube, o CubeOptions,
 	ho.Seed = o.Seed
 	ho.WarmupIterations = o.QAWarmup
 	ho.CDCL.MaxConflicts = o.WarmupConflicts
-	ho.Cache = cache
 	ho.WrapBackend = o.WrapBackend
 	ho.Trace = trace
 	h := hyqsat.New(g, ho)

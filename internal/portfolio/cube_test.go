@@ -176,9 +176,9 @@ func TestCubeDeterminismSingleWorker(t *testing.T) {
 	}
 }
 
-// TestCubeQAWarmup exercises the per-cube QA warm-up path: embeddings reused
-// through the shared content-addressed cache, belief fed back as phase
-// hints, and the verdict still correct and certified.
+// TestCubeQAWarmup exercises the per-cube QA warm-up path: QA calls
+// aggregated across cubes, belief fed back as phase hints, and the verdict
+// still correct and certified.
 func TestCubeQAWarmup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("QA warm-up skipped in -short")
