@@ -10,6 +10,9 @@ set -eux
 
 go build ./...
 go vet ./...
+# The nested perfbench module is outside `./...`; build, vet and test it so a
+# change under internal/ that breaks the benchmark fails here.
+(cd perfbench && go vet ./... && go test -count=1 ./...)
 # Every Go file is gofmt-clean.
 test -z "$(gofmt -l .)"
 # One uncached race-detector run over every package covers all the
@@ -18,12 +21,12 @@ test -z "$(gofmt -l .)"
 # and clause-sharing bus (soundness corpus, adversarial injection, chaos
 # matrix, stitched cube proofs), the fault-tolerance layer (fault injection,
 # retry/backoff, circuit breaker, degradation to pure CDCL), the qbatch
-# packer and scheduler with its bit-identical demux contract, the hyqsatd
-# service layer under a fault-injecting wire proxy, and the randomized CDCL
-# certification corpus. HYQSAT_PERF_GATE is unset for this pass: the 1%
-# ns/op gates (TestResilientOverhead, TestNopTracerKernelOverhead) measure
-# the detector's overhead rather than the code's, so they run only in their
-# own un-instrumented steps below.
+# packer and scheduler with its bit-identical per-member sampling contract,
+# the hyqsatd service layer under a fault-injecting wire proxy, and the
+# randomized CDCL certification corpus. HYQSAT_PERF_GATE is unset for this
+# pass: the 1% ns/op gates (TestResilientOverhead,
+# TestNopTracerKernelOverhead) measure the detector's overhead rather than
+# the code's, so they run only in their own un-instrumented steps below.
 env -u HYQSAT_PERF_GATE go test -race -count=1 ./...
 go test -run='^$' -fuzz=FuzzParseDIMACS -fuzztime=10s ./internal/cnf
 go test -run='^$' -fuzz=FuzzEncodeClause -fuzztime=10s ./internal/qubo
@@ -49,10 +52,10 @@ go test -run='TestFrontendGolden|TestColdFastEmbedIsingAllocs|TestColdMissAllocs
 # paired ratios, run order alternating each round; internal/perfgate).
 go test -run=TestResilientHappyPathAllocs -count=1 ./internal/qpu
 HYQSAT_PERF_GATE=1 go test -run=TestResilientOverhead -count=1 -v ./internal/qpu
-# Cross-solve batching gates: demuxed read-sets bit-identical to sequential
-# solo sampling at the same seeds, pro-rata device-time shares summing
-# exactly to the batched program's access time, and the steady-state
-# pack/demux cycle staying allocation-free.
+# Cross-solve batching gates: each member's read set from a batched program
+# bit-identical to sequential solo sampling at the same seeds, pro-rata
+# device-time shares summing exactly to the batched program's access time,
+# and the steady-state pack cycle staying allocation-free.
 go test -run='TestSampleBatchBitIdenticalToSequentialSample|TestSplitAccessTimeSumsExactly' -count=1 ./internal/anneal
 go test -run='TestPackSteadyStateAllocs' -count=1 ./internal/qbatch
 # Wire-chaos gate: the decode fuzz targets pin that no wire payload can panic

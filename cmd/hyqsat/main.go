@@ -95,7 +95,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	model := fs.Bool("model", true, "print the satisfying assignment")
 	proofPath := fs.String("proof", "", "write a DRAT proof to this file")
 	verifyFlag := fs.Bool("verify", false, "self-certify the verdict before reporting it")
-	reads := fs.Int("reads", 0, "QA reads per anneal access for hyqsat (default 1; best-energy read is used)")
+	reads := fs.Int("reads", 0, fmt.Sprintf("QA reads per anneal access for hyqsat, at most %d (0 = 1; best-energy read is used)", qpu.MaxReads))
 	tracePath := fs.String("trace", "", "write a JSONL event trace of the solve to this file")
 	metricsAddr := fs.String("metrics-addr", "", "serve live introspection (/metrics, /solve/status, ...) on this address")
 	flightN := fs.Int("flight-recorder", 0, "keep the last N trace events; dump to stderr on UNSAT/UNKNOWN or panic")
@@ -121,6 +121,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	// budget; only the context stops them.
 	if *maxConflicts > 0 && (*cube || *solver == "portfolio") {
 		return fail(fmt.Errorf("-max-conflicts applies to a single solver, not to -solver=portfolio or -cube; use -timeout to bound a race"))
+	}
+	if *reads < 0 || *reads > qpu.MaxReads {
+		return fail(fmt.Errorf("-reads %d outside [0, %d]", *reads, qpu.MaxReads))
 	}
 
 	if *cpuProfile != "" {
@@ -462,7 +465,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 				ro.Share = true
 			}
 			out, err := portfolio.SolveWith(ctx, formula,
-				portfolio.DefaultEntrantsBackend(*seed, wrapBackend), ro)
+				portfolio.DefaultEntrants(*seed, wrapBackend), ro)
 			switch {
 			case err != nil && ctx.Err() != nil:
 				// The race was interrupted, not lost: report UNKNOWN.

@@ -64,6 +64,8 @@ func TestCLIErrors(t *testing.T) {
 		{"malformed input", nil, "p cnf 2 9\n1 2 0\n"},
 		{"empty input", nil, ""},
 		{"proof with portfolio", []string{"-solver", "portfolio", "-proof", filepath.Join(t.TempDir(), "p.drat")}, satCNF},
+		{"negative reads", []string{"-reads", "-3"}, satCNF},
+		{"reads over bound", []string{"-reads", "4097"}, satCNF},
 	}
 	for _, tc := range cases {
 		if code, out, errOut := runCLI(t, tc.args, tc.stdin); code != 1 {
@@ -440,7 +442,7 @@ func TestCLICubeAndConquer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proof, err := verify.ParseDRATString(string(data))
+	proof, err := verify.ParseDRAT(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func recordPortfolioTrace(t *testing.T) string {
 	sink := obs.NewJSONLSink(f)
 	inst := gen.SatisfiableRandom3SAT(30, 120, 9)
 	out, err := portfolio.SolveWith(context.Background(), inst.Formula,
-		[]portfolio.Entrant{portfolio.HyQSATEntrant(3)},
+		[]portfolio.Entrant{portfolio.HyQSATEntrant(3, nil)},
 		portfolio.RaceOptions{Trace: sink, Share: true})
 	if err != nil {
 		t.Fatalf("race: %v", err)

@@ -93,8 +93,8 @@ func TestAllSolversAgreeAcrossFamilies(t *testing.T) {
 				}
 				// Certified portfolio race over the same instance: the
 				// winner's verdict must match and carry certification.
-				out, err := portfolio.SolveCertified(context.Background(),
-					f.Copy(), portfolio.DefaultEntrants(7))
+				out, err := portfolio.SolveWith(context.Background(),
+					f.Copy(), portfolio.DefaultEntrants(7, nil), portfolio.RaceOptions{Certify: true})
 				if err != nil {
 					t.Fatalf("certified portfolio: %v", err)
 				}

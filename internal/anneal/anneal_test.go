@@ -22,9 +22,6 @@ func TestTimingModel(t *testing.T) {
 	if got := tm.AccessTime(60); got != want {
 		t.Fatalf("AccessTime(60) = %v, want %v", got, want)
 	}
-	if tm.SampleTime() != tm.AccessTime(1) {
-		t.Fatal("SampleTime != AccessTime(1)")
-	}
 }
 
 // encodeAndEmbed builds the QUBO encoding of the clauses and fast-embeds it.

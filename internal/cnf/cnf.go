@@ -50,14 +50,6 @@ func (l Lit) IsNeg() bool { return l&1 == 1 }
 // Not returns the complement of l.
 func (l Lit) Not() Lit { return l ^ 1 }
 
-// XorSign flips the polarity of l when flip is true.
-func (l Lit) XorSign(flip bool) Lit {
-	if flip {
-		return l ^ 1
-	}
-	return l
-}
-
 // Dimacs returns the 1-based signed integer encoding of l used by the DIMACS
 // CNF format: variable 0 becomes 1 (or -1 when negated), and so on.
 func (l Lit) Dimacs() int {
@@ -116,26 +108,6 @@ func (c Clause) Vars() []Var {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// Has reports whether c contains the literal l.
-func (c Clause) Has(l Lit) bool {
-	for _, m := range c {
-		if m == l {
-			return true
-		}
-	}
-	return false
-}
-
-// HasVar reports whether c mentions variable v with either polarity.
-func (c Clause) HasVar(v Var) bool {
-	for _, m := range c {
-		if m.Var() == v {
-			return true
-		}
-	}
-	return false
 }
 
 // IsTautology reports whether c contains a literal and its complement.
@@ -233,20 +205,6 @@ func (f *Formula) Copy() *Formula {
 	return g
 }
 
-// Simplified returns a copy of f with tautological clauses removed and
-// duplicate literals within each clause deduplicated.
-func (f *Formula) Simplified() *Formula {
-	g := &Formula{NumVars: f.NumVars}
-	for _, c := range f.Clauses {
-		n := c.Normalized()
-		if n.IsTautology() {
-			continue
-		}
-		g.Clauses = append(g.Clauses, n)
-	}
-	return g
-}
-
 func (f *Formula) String() string {
 	parts := make([]string, len(f.Clauses))
 	for i, c := range f.Clauses {
@@ -336,16 +294,6 @@ func (a Assignment) Set(v Var, b bool) {
 	}
 }
 
-// IsTotal reports whether every variable is assigned.
-func (a Assignment) IsTotal() bool {
-	for _, v := range a {
-		if v == Undef {
-			return false
-		}
-	}
-	return true
-}
-
 // ClauseStatus is the status of a clause under a partial assignment.
 type ClauseStatus int8
 
@@ -386,16 +334,4 @@ func (a Assignment) Satisfies(f *Formula) bool {
 		}
 	}
 	return true
-}
-
-// CountUnsatisfied returns the number of clauses of f not satisfied by a
-// (falsified or not-yet-determined clauses both count as unsatisfied).
-func (a Assignment) CountUnsatisfied(f *Formula) int {
-	n := 0
-	for _, c := range f.Clauses {
-		if a.Status(c) != ClauseSatisfied {
-			n++
-		}
-	}
-	return n
 }

@@ -40,45 +40,6 @@ func To3CNF(f *Formula) (*Formula, []int) {
 	return g, origin
 }
 
-// Stats summarises structural properties of a formula.
-type Stats struct {
-	NumVars       int
-	NumClauses    int
-	NumLiterals   int
-	MaxClauseLen  int
-	MinClauseLen  int
-	ClauseLenHist map[int]int
-	// ClauseVarRatio is m/n, the clause-to-variable ratio; ≈4.26 marks the
-	// random 3-SAT phase transition where the hardest instances live.
-	ClauseVarRatio float64
-}
-
-// ComputeStats returns structural statistics for f.
-func ComputeStats(f *Formula) Stats {
-	s := Stats{
-		NumVars:       f.NumVars,
-		NumClauses:    len(f.Clauses),
-		ClauseLenHist: make(map[int]int),
-		MinClauseLen:  0,
-	}
-	first := true
-	for _, c := range f.Clauses {
-		s.NumLiterals += len(c)
-		s.ClauseLenHist[len(c)]++
-		if len(c) > s.MaxClauseLen {
-			s.MaxClauseLen = len(c)
-		}
-		if first || len(c) < s.MinClauseLen {
-			s.MinClauseLen = len(c)
-			first = false
-		}
-	}
-	if f.NumVars > 0 {
-		s.ClauseVarRatio = float64(len(f.Clauses)) / float64(f.NumVars)
-	}
-	return s
-}
-
 // VarAdjacency returns, for each variable, the indices of the clauses that
 // mention it. This is the shared-variable adjacency used by the clause-queue
 // breadth-first traversal (paper §IV-A).

@@ -19,7 +19,6 @@ package embed
 
 import (
 	"fmt"
-	"sort"
 
 	"hyqsat/internal/qubo"
 	"hyqsat/internal/topo"
@@ -53,16 +52,6 @@ func (e *Embedding) QubitsUsed() int {
 		n += len(c)
 	}
 	return n
-}
-
-// ChainLengths returns the chain length of every embedded node.
-func (e *Embedding) ChainLengths() []int {
-	out := make([]int, 0, len(e.Chains))
-	for _, c := range e.Chains {
-		out = append(out, len(c))
-	}
-	sort.Ints(out)
-	return out
 }
 
 // MeanChainLength returns the average chain length (0 for an empty embedding).

@@ -186,21 +186,6 @@ func TestFastCapacityGrowsWithGrid(t *testing.T) {
 	}
 }
 
-func TestFastEmbedderInterface(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	clauses := random3SATClauses(rng, 30, 20)
-	res, err := FastEmbedder{}.EmbedClauses(clauses, topo.DWave2000Q())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.EmbeddedClauses != 20 {
-		t.Fatalf("embedded %d/20 on an empty 2000Q", res.EmbeddedClauses)
-	}
-	if (FastEmbedder{}).Name() == "" {
-		t.Fatal("empty name")
-	}
-}
-
 func triangle() *Problem {
 	return &Problem{NumNodes: 3, Edges: []qubo.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}}}
 }
@@ -406,10 +391,6 @@ func TestEmbeddingStats(t *testing.T) {
 	}
 	if e.MaxChainLength() != 3 {
 		t.Fatalf("MaxChainLength = %d", e.MaxChainLength())
-	}
-	lens := e.ChainLengths()
-	if len(lens) != 2 || lens[0] != 1 || lens[1] != 3 {
-		t.Fatalf("ChainLengths = %v", lens)
 	}
 	if NewEmbedding().MeanChainLength() != 0 {
 		t.Fatal("empty embedding mean should be 0")

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"slices"
 
-	"hyqsat/internal/cnf"
 	"hyqsat/internal/qubo"
 	"hyqsat/internal/topo"
 )
@@ -871,21 +870,4 @@ func (st *fastState) finish() *FastResult {
 // has when its clause was embedded; defensive for failed clauses).
 func (st *fastState) auxPlaced(aux int) bool {
 	return len(st.segs[aux]) > 0 || st.varLine[aux] >= 0
-}
-
-// FastEmbedder adapts Fast to the generic Embedder interface used by the
-// Fig 13 comparison: the clause queue is encoded and embedded, and the
-// result is reported as a (possibly partial) embedding of the problem graph.
-type FastEmbedder struct{}
-
-// Name implements Embedder.
-func (FastEmbedder) Name() string { return "hyqsat-fast" }
-
-// EmbedClauses embeds a clause queue and reports how many clauses fit.
-func (FastEmbedder) EmbedClauses(clauses []cnf.Clause, g *topo.Chimera) (*FastResult, error) {
-	enc, err := qubo.Encode(clauses)
-	if err != nil {
-		return nil, err
-	}
-	return Fast(enc, g), nil
 }

@@ -3,6 +3,7 @@ package hyqsat
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"hyqsat/internal/anneal"
@@ -296,7 +297,7 @@ func TestGenerateQueueProperties(t *testing.T) {
 		shares := false
 		for _, v := range f.Clauses[q[i]].Vars() {
 			for j := 0; j < len(q); j++ {
-				if j != i && f.Clauses[q[j]].HasVar(v) {
+				if j != i && slices.Contains(f.Clauses[q[j]].Vars(), v) {
 					shares = true
 				}
 			}

@@ -90,7 +90,7 @@ func TestSingleReadDeviceTimeUnchanged(t *testing.T) {
 	if st.QAReads != int64(st.QACalls) {
 		t.Fatalf("QAReads = %d, want one per call (%d)", st.QAReads, st.QACalls)
 	}
-	if want := time.Duration(st.QACalls) * o.Timing.SampleTime(); st.QADevice != want {
+	if want := time.Duration(st.QACalls) * o.Timing.AccessTime(1); st.QADevice != want {
 		t.Fatalf("QADevice = %v, want %v", st.QADevice, want)
 	}
 }

@@ -130,15 +130,6 @@ func ComputeQuality(events []Stamped) QualitySummary {
 	return t.Snapshot()
 }
 
-// ComputeQualityBySource is ComputeQuality grouped by event source.
-func ComputeQualityBySource(events []Stamped) map[Source]QualitySummary {
-	t := NewQualityTracker(nil)
-	for _, ev := range events {
-		t.EmitFrom(ev.Source(), ev.E)
-	}
-	return t.BySource()
-}
-
 // QualitySummary is the QA-quality feature vector of one event stream — the
 // exact signals the future adaptive-dispatch policy consumes.
 type QualitySummary struct {

@@ -252,7 +252,11 @@ func TestComputeQualityMatchesLive(t *testing.T) {
 		lo.ChainBreakRate != ls.ChainBreakRate {
 		t.Fatalf("offline %+v != live %+v", lo, ls)
 	}
-	perSrc := ComputeQualityBySource(ring.Events())
+	offline := NewQualityTracker(nil)
+	for _, ev := range ring.Events() {
+		offline.EmitFrom(ev.Source(), ev.E)
+	}
+	perSrc := offline.BySource()
 	if _, ok := perSrc[Source{Solve: "s1", Name: "hyqsat"}]; !ok {
 		t.Fatalf("offline by-source lost attribution: %v", perSrc)
 	}

@@ -19,7 +19,7 @@ func TestRaceEventAttribution(t *testing.T) {
 	ring := obs.NewRing(4096)
 	inst := gen.SatisfiableRandom3SAT(30, 120, 11)
 	out, err := SolveWith(context.Background(), inst.Formula,
-		[]Entrant{MiniSATEntrant(1), HyQSATEntrant(3)},
+		[]Entrant{MiniSATEntrant(1), HyQSATEntrant(3, nil)},
 		RaceOptions{Trace: ring, Share: true})
 	if err != nil {
 		t.Fatalf("race: %v", err)

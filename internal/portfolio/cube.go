@@ -58,7 +58,7 @@ type CubeOptions struct {
 	// WarmupConflicts bounds each warm-up's CDCL budget (default 2000).
 	WarmupConflicts int64
 	// WrapBackend decorates the warm-ups' QA access path (fault injection,
-	// Resilient), as in HyQSATEntrantBackend.
+	// Resilient), as in HyQSATEntrant.
 	WrapBackend func(qpu.Backend) qpu.Backend
 }
 
@@ -101,15 +101,12 @@ type CubeOutcome struct {
 	Proof verify.Proof
 }
 
-// MakeCubes runs the lookahead probe and splits f into assumption cubes: the
+// makeCubes runs the lookahead probe and splits f into assumption cubes: the
 // probe searches under a conflict budget, then the depth highest-activity
 // variables not fixed at the root become split variables, and every sign
 // combination over them becomes a cube. When the probe solves the instance
-// outright the returned cube list is nil and the Result is conclusive.
-func MakeCubes(f *cnf.Formula, depth int, probeConflicts, seed int64) ([]Cube, sat.Result) {
-	return makeCubes(f, depth, probeConflicts, seed, nil)
-}
-
+// outright the returned cube list is nil and the Result is conclusive. proof,
+// when non-nil, receives the probe's DRAT trace.
 func makeCubes(f *cnf.Formula, depth int, probeConflicts, seed int64, proof sat.ProofWriter) ([]Cube, sat.Result) {
 	po := sat.MiniSATOptions()
 	po.Seed = seed

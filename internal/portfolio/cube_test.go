@@ -21,7 +21,7 @@ import (
 func TestCubesPartitionSearchSpace(t *testing.T) {
 	inst := gen.SatisfiableRandom3SAT(50, 210, 4)
 	// A probe budget of 1 keeps the instance unsolved so cubes are produced.
-	cubes, probe := MakeCubes(inst.Formula, 4, 1, 1)
+	cubes, probe := makeCubes(inst.Formula, 4, 1, 1, nil)
 	if probe.Status != sat.Unknown {
 		t.Fatalf("probe concluded %v; no cubes to test", probe.Status)
 	}
@@ -73,7 +73,7 @@ func TestCubesPartitionSearchSpace(t *testing.T) {
 // cube, and each refutation is flagged as assumption-dependent or global.
 func TestCubeUnsatUnderEveryCube(t *testing.T) {
 	inst := gen.UnsatisfiableRandom3SAT(26, 126, 8)
-	cubes, probe := MakeCubes(inst.Formula, 3, 1, 2)
+	cubes, probe := makeCubes(inst.Formula, 3, 1, 2, nil)
 	if probe.Status != sat.Unknown {
 		t.Fatalf("probe concluded %v; raise the instance size", probe.Status)
 	}

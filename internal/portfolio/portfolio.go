@@ -10,10 +10,10 @@
 // Each entrant runs once, on its own copy of the formula in its own
 // goroutine; the first Sat or Unsat result cancels the race context, which
 // interrupts the others' solvers (sat.Solver.Interrupt). Results are always
-// cross-checked: a Sat entrant must produce a
-// verified model, and in certifying mode (SolveCertified) an Unsat entrant
-// must additionally produce a DRAT proof that the internal/verify RUP checker
-// accepts before its verdict is allowed to win the race. With sharing
+// cross-checked: a Sat entrant must produce a verified model, and in
+// certifying mode (RaceOptions.Certify) an Unsat entrant must additionally
+// produce a DRAT proof that the internal/verify RUP checker accepts before
+// its verdict is allowed to win the race. With sharing
 // enabled, certification runs against a single shared additions-only proof
 // log all sharing entrants append to (see verify.SharedRecorder), and every
 // imported clause is re-asserted into that log by the importer — so a
@@ -138,20 +138,17 @@ func cdclEntrant(name string, mk func(*cnf.Formula) (*sat.Solver, *cnf.Formula))
 
 // HyQSATEntrant is the hybrid solver on the emulated annealer. Its
 // certificate premise is the 3-CNF form the hybrid actually solves,
-// equisatisfiable with the input formula.
-func HyQSATEntrant(seed int64) Entrant { return HyQSATEntrantBackend(seed, nil) }
-
-// HyQSATEntrantBackend is HyQSATEntrant with a decorated QA access path:
-// wrap (when non-nil) is applied around the solver's Local backend, which is
-// how a portfolio race runs the hybrid against a fault-injected or
-// Resilient-wrapped QPU. The race context reaches the backend, so deadlines
-// and cancellation propagate into retry/backoff.
+// equisatisfiable with the input formula. wrap (nil for none) is applied
+// around the solver's Local backend, which is how a portfolio race runs the
+// hybrid against a fault-injected or Resilient-wrapped QPU. The race context
+// reaches the backend, so deadlines and cancellation propagate into
+// retry/backoff.
 //
 // Sharing: the hybrid solves the 3-CNF conversion of the input, so it joins
 // the bus only when the input already is 3-CNF (then the conversion copies
 // the clause list verbatim and the premises coincide). On longer-clause
 // inputs it races unshared and certifies against its own 3-CNF premise.
-func HyQSATEntrantBackend(seed int64, wrap func(qpu.Backend) qpu.Backend) Entrant {
+func HyQSATEntrant(seed int64, wrap func(qpu.Backend) qpu.Backend) Entrant {
 	return Entrant{
 		Name: fmt.Sprintf("hyqsat/s%d", seed),
 		Run: func(ctx context.Context, in RunInput) RunOutput {
@@ -195,16 +192,13 @@ func HyQSATEntrantBackend(seed int64, wrap func(qpu.Backend) qpu.Backend) Entran
 	}
 }
 
-// DefaultEntrants returns a diverse three-way portfolio.
-func DefaultEntrants(seed int64) []Entrant { return DefaultEntrantsBackend(seed, nil) }
-
-// DefaultEntrantsBackend is DefaultEntrants with the hybrid entrant's QA
-// access path decorated by wrap (fault injection, Resilient). The classical
-// entrants are unaffected — which is the point: under a total QPU outage the
-// portfolio still answers through them and through the hybrid's own
-// pure-CDCL degradation.
-func DefaultEntrantsBackend(seed int64, wrap func(qpu.Backend) qpu.Backend) []Entrant {
-	return []Entrant{MiniSATEntrant(seed), KissatEntrant(seed + 1), HyQSATEntrantBackend(seed+2, wrap)}
+// DefaultEntrants returns a diverse three-way portfolio. wrap (nil for none)
+// decorates the hybrid entrant's QA access path (fault injection,
+// Resilient). The classical entrants are unaffected — which is the point:
+// under a total QPU outage the portfolio still answers through them and
+// through the hybrid's own pure-CDCL degradation.
+func DefaultEntrants(seed int64, wrap func(qpu.Backend) qpu.Backend) []Entrant {
+	return []Entrant{MiniSATEntrant(seed), KissatEntrant(seed + 1), HyQSATEntrant(seed+2, wrap)}
 }
 
 // AggregateStats sums the work of every solver a parallel solve ran — in a
@@ -291,7 +285,11 @@ func (e ErrUncertified) Unwrap() error { return e.Reason }
 
 // RaceOptions configures SolveWith.
 type RaceOptions struct {
-	// Certify requires DRAT-backed Unsat verdicts (see SolveCertified).
+	// Certify makes an Unsat winner produce a DRAT proof accepted by the
+	// RUP checker against the entrant's premise; without it Unsat verdicts
+	// are trusted (Sat models are checked either way). Entrants that certify
+	// neither privately nor through a shared log can win Sat races but have
+	// their Unsat verdicts rejected.
 	Certify bool
 	// Trace, when non-nil and enabled, receives PortfolioEvents as the race
 	// progresses: one "start" event per entrant, all emitted before any
@@ -311,29 +309,10 @@ type RaceOptions struct {
 	Metrics *obs.Registry
 }
 
-// Solve races the entrants on f until one returns a conclusive verified
+// SolveWith races the entrants on f until one returns a conclusive verified
 // result, every entrant has failed, or the context is cancelled. Sat models
-// are always checked; Unsat verdicts are trusted (use SolveCertified to
-// require proofs).
-func Solve(ctx context.Context, f *cnf.Formula, entrants []Entrant) (Outcome, error) {
-	return SolveWith(ctx, f, entrants, RaceOptions{})
-}
-
-// SolveCertified is Solve with mandatory certification: a Sat winner must
-// produce a model satisfying f, and an Unsat winner must produce a DRAT
-// proof accepted by the RUP checker against the entrant's premise. Entrants
-// that certify neither privately nor through a shared log can win Sat races
-// but have their Unsat verdicts rejected.
-func SolveCertified(ctx context.Context, f *cnf.Formula, entrants []Entrant) (Outcome, error) {
-	return SolveWith(ctx, f, entrants, RaceOptions{Certify: true})
-}
-
-// SolveWith is the fully configurable race entry point.
+// are always checked; Unsat verdicts are checked when o.Certify is set.
 func SolveWith(ctx context.Context, f *cnf.Formula, entrants []Entrant, o RaceOptions) (Outcome, error) {
-	return race(ctx, f, entrants, o)
-}
-
-func race(ctx context.Context, f *cnf.Formula, entrants []Entrant, o RaceOptions) (Outcome, error) {
 	trace := o.Trace
 	if trace == nil {
 		trace = obs.Nop()

@@ -17,7 +17,7 @@ import (
 
 func TestPortfolioSatisfiable(t *testing.T) {
 	inst := gen.SatisfiableRandom3SAT(40, 168, 5)
-	out, err := Solve(context.Background(), inst.Formula, DefaultEntrants(1))
+	out, err := SolveWith(context.Background(), inst.Formula, DefaultEntrants(1, nil), RaceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestPortfolioSatisfiable(t *testing.T) {
 
 func TestPortfolioUnsatisfiable(t *testing.T) {
 	inst := gen.CmpAdd(6, 3)
-	out, err := Solve(context.Background(), inst.Formula, DefaultEntrants(2))
+	out, err := SolveWith(context.Background(), inst.Formula, DefaultEntrants(2, nil), RaceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestPortfolioContextCancel(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := Solve(ctx, f, []Entrant{MiniSATEntrant(1)})
+	_, err := SolveWith(ctx, f, []Entrant{MiniSATEntrant(1)}, RaceOptions{})
 	if err == nil {
 		// The instance may legitimately be solved within 50ms; accept both.
 		return
@@ -71,7 +71,7 @@ func TestPortfolioContextCancel(t *testing.T) {
 func TestPortfolioNoEntrants(t *testing.T) {
 	f := cnf.New(1)
 	f.Add(1)
-	if _, err := Solve(context.Background(), f, nil); err == nil {
+	if _, err := SolveWith(context.Background(), f, nil, RaceOptions{}); err == nil {
 		t.Fatal("expected error with no entrants")
 	}
 }
@@ -86,14 +86,14 @@ func TestPortfolioRejectsInvalidModels(t *testing.T) {
 			return RunOutput{Result: sat.Result{Status: sat.Sat, Model: []bool{false, false}}}
 		},
 	}
-	if _, err := Solve(context.Background(), f, []Entrant{liar}); err == nil {
+	if _, err := SolveWith(context.Background(), f, []Entrant{liar}, RaceOptions{}); err == nil {
 		t.Fatal("invalid model accepted")
 	}
 }
 
 func TestPortfolioCertifiedSat(t *testing.T) {
 	inst := gen.SatisfiableRandom3SAT(40, 168, 11)
-	out, err := SolveCertified(context.Background(), inst.Formula, DefaultEntrants(3))
+	out, err := SolveWith(context.Background(), inst.Formula, DefaultEntrants(3, nil), RaceOptions{Certify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestPortfolioCertifiedUnsat(t *testing.T) {
 	if inst.Expected != sat.Unsat {
 		t.Fatalf("expected UNSAT fixture, got %v", inst.Expected)
 	}
-	out, err := SolveCertified(context.Background(), inst.Formula, DefaultEntrants(4))
+	out, err := SolveWith(context.Background(), inst.Formula, DefaultEntrants(4, nil), RaceOptions{Certify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestPortfolioCertifiedRejectsLyingUnsat(t *testing.T) {
 			return RunOutput{Result: sat.Result{Status: sat.Unsat}}
 		},
 	}
-	if _, err := SolveCertified(context.Background(), f, []Entrant{liar}); err == nil {
+	if _, err := SolveWith(context.Background(), f, []Entrant{liar}, RaceOptions{Certify: true}); err == nil {
 		t.Fatal("uncertified UNSAT verdict accepted")
 	}
 }
@@ -150,7 +150,7 @@ func TestPortfolioFirstWinnerCancellation(t *testing.T) {
 	}
 	for trial := 0; trial < 25; trial++ {
 		entrants := []Entrant{slow("slow1"), MiniSATEntrant(int64(trial)), slow("slow2")}
-		out, err := Solve(context.Background(), inst.Formula, entrants)
+		out, err := SolveWith(context.Background(), inst.Formula, entrants, RaceOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestPortfolioCancelWhileRacing(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	if _, err := Solve(ctx, f, []Entrant{stuck, stuck}); err == nil {
+	if _, err := SolveWith(ctx, f, []Entrant{stuck, stuck}, RaceOptions{}); err == nil {
 		t.Fatal("expected context error")
 	}
 	if time.Since(start) > 5*time.Second {
@@ -215,7 +215,7 @@ func TestPortfolioAggregatesLoserStats(t *testing.T) {
 			return RunOutput{Result: s.Solve()}
 		},
 	}
-	out, err := Solve(context.Background(), f, []Entrant{loser, winner})
+	out, err := SolveWith(context.Background(), f, []Entrant{loser, winner}, RaceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestPortfolioHybridQAWorkAggregated(t *testing.T) {
 	// The hybrid entrant's QA effort must surface in the aggregate even when
 	// a classical entrant wins the race.
 	inst := gen.SatisfiableRandom3SAT(40, 168, 13)
-	out, err := Solve(context.Background(), inst.Formula, []Entrant{HyQSATEntrant(5)})
+	out, err := SolveWith(context.Background(), inst.Formula, []Entrant{HyQSATEntrant(5, nil)}, RaceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestPortfolioAgreesWithDirectSolve(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		inst := gen.Random3SAT(30, 126, rng.Int63())
 		want := sat.New(inst.Formula.Copy(), sat.MiniSATOptions()).Solve().Status
-		out, err := Solve(context.Background(), inst.Formula, DefaultEntrants(int64(trial)))
+		out, err := SolveWith(context.Background(), inst.Formula, DefaultEntrants(int64(trial), nil), RaceOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,7 +327,7 @@ func TestPortfolioAllEntrantsGiveUp(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	start := time.Now()
-	_, err := Solve(ctx, f, []Entrant{quitter("q1"), quitter("q2")})
+	_, err := SolveWith(ctx, f, []Entrant{quitter("q1"), quitter("q2")}, RaceOptions{})
 	if err == nil || ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v after %v, want an entrant error before the deadline", err, time.Since(start))
 	}

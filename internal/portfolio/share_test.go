@@ -38,7 +38,7 @@ func TestSharingSoundnessCorpus(t *testing.T) {
 		if i%4 == 0 {
 			// Every fourth instance adds the hybrid to the sharing group
 			// (inputs are 3-CNF, so it joins the bus).
-			entrants = append(entrants, HyQSATEntrant(seed+2))
+			entrants = append(entrants, HyQSATEntrant(seed+2, nil))
 		}
 		out, err := SolveWith(context.Background(), inst.Formula, entrants,
 			RaceOptions{Certify: true, Share: true})
@@ -166,7 +166,7 @@ func TestSharingChaosMatrix(t *testing.T) {
 			gen.UnsatisfiableRandom3SAT(24, 118, int64(200+pi)),
 		} {
 			out, err := SolveWith(context.Background(), inst.Formula,
-				DefaultEntrantsBackend(int64(10*pi+i), wrap),
+				DefaultEntrants(int64(10*pi+i), wrap),
 				RaceOptions{Certify: true, Share: true})
 			if err != nil {
 				t.Fatalf("profile %s instance %s: %v", name, inst.Name, err)

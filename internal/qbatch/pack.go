@@ -8,10 +8,10 @@
 //
 // The package has two layers: the Packer/Packing pair places member problems
 // onto disjoint tile regions (first-fit over free unit cells, zero-alloc
-// renaming in steady state) and can materialize the merged embedded problem
-// with per-member demux maps; the Scheduler collects concurrent requests for
-// a short window, packs them, runs one batched device access, and charges
-// each member a pro-rata share of the single program's access time.
+// relocation in steady state) and so decides which requests fit one program;
+// the Scheduler collects concurrent requests for a short window, packs them,
+// samples each member with its own stream in one batched device access, and
+// charges each member a pro-rata share of the single program's access time.
 package qbatch
 
 import (
@@ -116,12 +116,6 @@ func NewPacker(g topo.Topology) (*Packer, error) {
 	return p, nil
 }
 
-// NumTiles returns the number of unit cells available for packing.
-func (p *Packer) NumTiles() int { return len(p.tiles) }
-
-// Topology returns the hardware graph the packer places onto.
-func (p *Packer) Topology() topo.Topology { return p.g }
-
 // Compatible reports whether ep was embedded for (a graph interchangeable
 // with) the packer's topology. A nil Graph — e.g. a problem decoded from the
 // wire — is accepted; feasibility is then judged purely by whether its qubit
@@ -157,20 +151,15 @@ type placement struct {
 	qubitLen int
 	tileOff  int // offset into tileBuf; length = source-tile count
 	tileLen  int
-	nodeOff  int // first merged node id of this member's chains
-	nodes    int
 }
 
-// Placement is the demux map of one packed member: the relocated physical
-// qubit id per active-qubit index, the target tiles occupied, and the
-// half-open merged node id range [NodeOffset, NodeOffset+Nodes) its chain
-// nodes were renumbered into. The slices are views into the packing's
-// buffers — valid until the next Add or Reset.
+// Placement is the relocation map of one packed member: the relocated
+// physical qubit id per active-qubit index and the target tiles occupied.
+// The slices are views into the packing's buffers — valid until the next
+// Add or Reset.
 type Placement struct {
-	QubitMap   []int
-	Tiles      []int32
-	NodeOffset int
-	Nodes      int
+	QubitMap []int
+	Tiles    []int32
 }
 
 // Packing is one in-progress co-tiling of member problems onto disjoint
@@ -195,11 +184,9 @@ type Packing struct {
 	chosenStamp []uint32
 	memTiles    []memberTile
 
-	members    []anneal.WireProblem
 	placements []placement
 	qubitBuf   []int
 	tileBuf    []int32
-	nodeCount  int
 }
 
 // NewPacking returns an empty packing over the packer's topology.
@@ -219,24 +206,20 @@ func (p *Packer) NewPacking() *Packing {
 // Reset empties the packing, retaining every buffer for reuse.
 func (k *Packing) Reset() {
 	k.epoch++
-	k.members = k.members[:0]
 	k.placements = k.placements[:0]
 	k.qubitBuf = k.qubitBuf[:0]
 	k.tileBuf = k.tileBuf[:0]
-	k.nodeCount = 0
 }
 
 // Len returns the number of committed members.
-func (k *Packing) Len() int { return len(k.members) }
+func (k *Packing) Len() int { return len(k.placements) }
 
-// Placement returns the demux map of committed member i.
+// Placement returns the relocation map of committed member i.
 func (k *Packing) Placement(i int) Placement {
 	pl := k.placements[i]
 	return Placement{
-		QubitMap:   k.qubitBuf[pl.qubitOff : pl.qubitOff+pl.qubitLen : pl.qubitOff+pl.qubitLen],
-		Tiles:      k.tileBuf[pl.tileOff : pl.tileOff+pl.tileLen : pl.tileOff+pl.tileLen],
-		NodeOffset: pl.nodeOff,
-		Nodes:      pl.nodes,
+		QubitMap: k.qubitBuf[pl.qubitOff : pl.qubitOff+pl.qubitLen : pl.qubitOff+pl.qubitLen],
+		Tiles:    k.tileBuf[pl.tileOff : pl.tileOff+pl.tileLen : pl.tileOff+pl.tileLen],
 	}
 }
 
@@ -342,14 +325,11 @@ func (k *Packing) Add(ep *anneal.EmbeddedProblem) (int, error) {
 			k.qubitBuf = append(k.qubitBuf, tile.B[p.qubitPos[q]])
 		}
 	}
-	idx := len(k.members)
-	k.members = append(k.members, w)
+	idx := len(k.placements)
 	k.placements = append(k.placements, placement{
 		qubitOff: qubitOff, qubitLen: len(w.Qubits),
 		tileOff: tileOff, tileLen: len(k.memTiles),
-		nodeOff: k.nodeCount, nodes: len(w.ChainNodes),
 	})
-	k.nodeCount += len(w.ChainNodes)
 	return idx, nil
 }
 
@@ -373,7 +353,7 @@ func (k *Packing) placePerTile() error {
 		if target < 0 {
 			return &PackError{Reason: ReasonCapacity,
 				Detail: fmt.Sprintf("no free cell fits member cell %d (%d members already placed)",
-					mt.src, len(k.members))}
+					mt.src, len(k.placements))}
 		}
 		k.chosenStamp[target] = k.addEpoch
 		mt.target = target
@@ -424,7 +404,7 @@ cand:
 	}
 	return &PackError{Reason: ReasonCapacity,
 		Detail: fmt.Sprintf("no translation fits the %d-cell member (%d members already placed)",
-			len(k.memTiles), len(k.members))}
+			len(k.memTiles), len(k.placements))}
 }
 
 // relocated returns the physical qubit id of q after a tile translation by
@@ -436,69 +416,4 @@ func (k *Packing) relocated(q int, delta int32) int {
 		return tile.A[p.qubitPos[q]]
 	}
 	return tile.B[p.qubitPos[q]]
-}
-
-// BuildMerged materializes the packing as one embedded problem: member wire
-// forms concatenated with qubits renamed to their relocated physical ids,
-// chain nodes renumbered into disjoint [NodeOffset, NodeOffset+Nodes)
-// ranges, and index spaces (adjacency rows, pair ids, chain indices)
-// shifted past earlier members. The result is validated by the same
-// anneal.WireProblem.Problem checks that guard wire decoding, so a packing
-// bug surfaces as a typed error here rather than a mis-sample. BuildMerged
-// allocates; the scheduler's hot path never calls it (batched members are
-// sampled per-member for bit-exact determinism), it exists for tests,
-// tooling, and any future path that programs a real merged device job.
-func (k *Packing) BuildMerged() (*anneal.EmbeddedProblem, error) {
-	if len(k.members) == 0 {
-		return nil, fmt.Errorf("qbatch: empty packing")
-	}
-	var w anneal.WireProblem
-	w.AdjStart = append(w.AdjStart, 0)
-	pairBase := int32(0)
-	for i, m := range k.members {
-		pl := k.placements[i]
-		base := int32(len(w.Qubits))
-		edgeBase := int32(len(w.AdjOther))
-		w.Qubits = append(w.Qubits, k.qubitBuf[pl.qubitOff:pl.qubitOff+pl.qubitLen]...)
-		w.H = append(w.H, m.H...)
-		w.Offset += m.Offset
-		for _, row := range m.AdjStart[1:] {
-			w.AdjStart = append(w.AdjStart, edgeBase+row)
-		}
-		for e, other := range m.AdjOther {
-			w.AdjOther = append(w.AdjOther, base+other)
-			w.AdjJ = append(w.AdjJ, m.AdjJ[e])
-			w.AdjPair = append(w.AdjPair, pairBase+m.AdjPair[e])
-		}
-		pairBase += int32(m.NumPairs)
-		w.NumPairs += m.NumPairs
-		for ci := range m.ChainNodes {
-			w.ChainNodes = append(w.ChainNodes, pl.nodeOff+ci)
-		}
-		for _, chain := range m.Chains {
-			shifted := make([]int, len(chain))
-			for j, ix := range chain {
-				shifted[j] = int(base) + ix
-			}
-			w.Chains = append(w.Chains, shifted)
-		}
-	}
-	return w.Problem()
-}
-
-// DemuxNodeValues translates a merged-problem sample back into member i's
-// original logical node ids, writing into dst (allocated when nil) and
-// returning it.
-func (k *Packing) DemuxNodeValues(i int, merged map[int]bool, dst map[int]bool) map[int]bool {
-	m := k.members[i]
-	pl := k.placements[i]
-	if dst == nil {
-		dst = make(map[int]bool, len(m.ChainNodes))
-	}
-	for ci, node := range m.ChainNodes {
-		if v, ok := merged[pl.nodeOff+ci]; ok {
-			dst[node] = v
-		}
-	}
-	return dst
 }

@@ -43,7 +43,9 @@ func memberProblem(t testing.TB, g *topo.Chimera, seed int64, numClauses, numVar
 // TestPackDisjointPlacement is the packer's core invariant: committed
 // members occupy pairwise-disjoint tiles and pairwise-disjoint physical
 // qubits, even though every member was embedded starting from cell 0 of the
-// same topology.
+// same topology, and every member's couplers survive its relocation —
+// through per-tile renaming for tile-local members as well as through
+// translation for chained ones.
 func TestPackDisjointPlacement(t *testing.T) {
 	g := topo.DWave2000Q()
 	p, err := NewPacker(g)
@@ -88,54 +90,14 @@ func TestPackDisjointPlacement(t *testing.T) {
 			}
 			seenQubit[q] = i
 		}
-	}
-}
-
-// TestPackMergedProblemValidates checks that the merged embedded problem
-// passes the full wire-problem validation (CSR shape, chain indices, no
-// duplicate qubits), samples without panicking, and that the per-member
-// demux recovers exactly each member's logical node set.
-func TestPackMergedProblemValidates(t *testing.T) {
-	g := topo.DWave2000Q()
-	p, err := NewPacker(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := p.NewPacking()
-	members := []*anneal.EmbeddedProblem{
-		memberProblem(t, g, 11, 3, 4),
-		memberProblem(t, g, 12, 1, 3),
-		memberProblem(t, g, 13, 5, 6),
-	}
-	for i, ep := range members {
-		if _, err := k.Add(ep); err != nil {
-			t.Fatalf("member %d: %v", i, err)
-		}
-	}
-	merged, err := k.BuildMerged()
-	if err != nil {
-		t.Fatalf("merged problem fails validation: %v", err)
-	}
-	wantQubits := 0
-	for _, ep := range members {
-		wantQubits += len(ep.Qubits)
-	}
-	if len(merged.Qubits) != wantQubits {
-		t.Fatalf("merged problem has %d qubits, want %d", len(merged.Qubits), wantQubits)
-	}
-
-	s := anneal.NewSampler(anneal.DefaultSchedule(), anneal.DWave2000QNoise, 3)
-	rs := s.Sample(merged, 2)
-	sample := rs.BestSample()
-	for i, ep := range members {
-		got := k.DemuxNodeValues(i, sample.NodeValues, nil)
-		w := ep.WireView()
-		if len(got) != len(w.ChainNodes) {
-			t.Fatalf("member %d: demuxed %d nodes, want %d", i, len(got), len(w.ChainNodes))
-		}
-		for _, node := range w.ChainNodes {
-			if _, ok := got[node]; !ok {
-				t.Fatalf("member %d: demux lost logical node %d", i, node)
+		w := members[i].WireView()
+		for a := range w.Qubits {
+			for e := w.AdjStart[a]; e < w.AdjStart[a+1]; e++ {
+				b := w.AdjOther[e]
+				if !g.Coupled(pl.QubitMap[a], pl.QubitMap[b]) {
+					t.Fatalf("member %d: relocated coupler %d–%d does not exist on the device",
+						i, pl.QubitMap[a], pl.QubitMap[b])
+				}
 			}
 		}
 	}
@@ -181,9 +143,10 @@ func TestPackCapacityAndReset(t *testing.T) {
 	}
 	k := p.NewPacking()
 	ep := memberProblem(t, g, 31, 1, 3)
+	numTiles := len(g.Tiles())
 	added := 0
 	var capErr *PackError
-	for added <= p.NumTiles() {
+	for added <= numTiles {
 		if _, err := k.Add(ep); err != nil {
 			if !errors.As(err, &capErr) || capErr.Reason != ReasonCapacity {
 				t.Fatalf("after %d members: %v, want ReasonCapacity", added, err)
@@ -195,8 +158,8 @@ func TestPackCapacityAndReset(t *testing.T) {
 	if capErr == nil {
 		t.Fatalf("chip never filled after %d members", added)
 	}
-	if added == 0 || added > p.NumTiles() {
-		t.Fatalf("placed %d single-tile members on a %d-tile chip", added, p.NumTiles())
+	if added == 0 || added > numTiles {
+		t.Fatalf("placed %d single-tile members on a %d-tile chip", added, numTiles)
 	}
 	k.Reset()
 	if _, err := k.Add(ep); err != nil {

@@ -28,6 +28,11 @@ const (
 	HeaderDeadlineMs  = "X-Hyqsat-Deadline-Ms"
 )
 
+// MaxReads bounds the reads of one QPU access: the sample endpoint refuses
+// requests beyond it and the CLI rejects a larger -reads, since every access
+// sizes its read set by the request.
+const MaxReads = 4096
+
 // SampleRequest is the body of a remote sampling call.
 type SampleRequest struct {
 	Problem *anneal.WireProblem `json:"problem"`

@@ -411,18 +411,6 @@ func (e *Encoding) UnitEnergy(x []bool) float64 {
 	return total
 }
 
-// ViolatedSubClauses returns the indices of sub-clauses with positive energy
-// under the assignment.
-func (e *Encoding) ViolatedSubClauses(x []bool) []int {
-	var out []int
-	for i := range e.Sub {
-		if e.Sub[i].Energy(x) > 1e-9 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // AssignmentFromNodes converts a node-level assignment back to a partial
 // assignment over the original SAT variables (auxiliaries are dropped),
 // written into a, which must cover every encoded variable: a is reset to

@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"slices"
 	"testing"
 
 	"hyqsat/internal/cnf"
@@ -172,7 +173,7 @@ func TestExchangeAttachedNoTrafficBitIdentical(t *testing.T) {
 		c := make(cnf.Clause, 0, 3)
 		for len(c) < 3 {
 			l := cnf.MkLit(cnf.Var(next(30)), next(2) == 1)
-			if !c.Has(l) && !c.Has(l.Not()) {
+			if !slices.Contains(c, l) && !slices.Contains(c, l.Not()) {
 				c = append(c, l)
 			}
 		}
@@ -217,7 +218,7 @@ func TestInterruptStopsSearchAndRearms(t *testing.T) {
 		c := make(cnf.Clause, 0, 3)
 		for len(c) < 3 {
 			l := cnf.MkLit(cnf.Var(next(30)), next(2) == 1)
-			if !c.Has(l) && !c.Has(l.Not()) {
+			if !slices.Contains(c, l) && !slices.Contains(c, l.Not()) {
 				c = append(c, l)
 			}
 		}

@@ -1,44 +1,18 @@
 package sat
 
 import (
-	"sort"
-
 	"hyqsat/internal/cnf"
 	"hyqsat/internal/obs"
 )
 
 // This file contains the introspection and guidance hooks consumed by the
-// HyQSAT hybrid loop (paper §IV frontend and §V backend). They are part of
-// the package API so that alternative hybrid policies can be built on the
-// same solver.
+// HyQSAT hybrid loop (paper §IV frontend and §V backend).
 
-// ClauseScore returns the paper's activity score of input clause i
+// ClauseScores returns the paper's activity scores of all input clauses
 // (§IV-A: initialised to 1, bumped whenever the clause participates in
-// resolving a conflict).
-func (s *Solver) ClauseScore(i int) float64 { return s.clauseScore[i] }
-
-// ClauseScores returns the activity scores of all input clauses.
-// The returned slice is owned by the solver; callers must not mutate it.
+// resolving a conflict). The returned slice is owned by the solver; callers
+// must not mutate it.
 func (s *Solver) ClauseScores() []float64 { return s.clauseScore }
-
-// TopActiveClauses returns the indices of the n input clauses with the
-// highest activity scores, most active first.
-func (s *Solver) TopActiveClauses(n int) []int {
-	idx := make([]int, len(s.clauseScore))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if s.clauseScore[idx[a]] != s.clauseScore[idx[b]] {
-			return s.clauseScore[idx[a]] > s.clauseScore[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-	if n > len(idx) {
-		n = len(idx)
-	}
-	return idx[:n]
-}
 
 // UnsatisfiedClauses appends to dst the indices of input clauses not
 // currently satisfied by the partial assignment (the clause set the frontend
@@ -64,13 +38,9 @@ func (s *Solver) UnsatisfiedClauses(dst []int) []int {
 // VarValue returns the current truth value of v.
 func (s *Solver) VarValue(v cnf.Var) cnf.Value { return s.assigns[v] }
 
-// SetPhaseHint biases future decisions on v towards the given polarity
-// (feedback strategy 2: adopt the QA assignment as the next search state).
-func (s *Solver) SetPhaseHint(v cnf.Var, phase bool) {
-	s.polarity[v] = phase
-}
-
-// SetPhaseHints applies SetPhaseHint for every assigned variable of a.
+// SetPhaseHints biases future decisions on every assigned variable of a
+// towards its value in a (feedback strategy 2: adopt the QA assignment as the
+// next search state).
 func (s *Solver) SetPhaseHints(a cnf.Assignment) {
 	for v, val := range a {
 		if val != cnf.Undef {

@@ -256,26 +256,21 @@ func TestClauseScoresBumpOnConflict(t *testing.T) {
 	if r := s.Solve(); r.Status != Unsat {
 		t.Fatalf("status %v", r.Status)
 	}
+	scores := s.ClauseScores()
+	if len(scores) != len(f.Clauses) {
+		t.Fatalf("%d scores for %d clauses", len(scores), len(f.Clauses))
+	}
 	bumped := false
-	for i := range f.Clauses {
-		if s.ClauseScore(i) > 1.0 {
+	for i, sc := range scores {
+		if sc > 1.0 {
 			bumped = true
 		}
-		if s.ClauseScore(i) < 1.0 {
-			t.Fatalf("clause %d score %v < 1", i, s.ClauseScore(i))
+		if sc < 1.0 {
+			t.Fatalf("clause %d score %v < 1", i, sc)
 		}
 	}
 	if !bumped {
 		t.Fatal("no clause scores bumped despite conflicts")
-	}
-	top := s.TopActiveClauses(3)
-	if len(top) != 3 {
-		t.Fatalf("TopActiveClauses returned %d", len(top))
-	}
-	for i := 1; i < len(top); i++ {
-		if s.ClauseScore(top[i-1]) < s.ClauseScore(top[i]) {
-			t.Fatal("TopActiveClauses not sorted by score")
-		}
 	}
 }
 
@@ -308,9 +303,11 @@ func TestPhaseHints(t *testing.T) {
 	opts := MiniSATOptions()
 	opts.PhaseSaving = false
 	s := New(f, opts)
+	a := cnf.NewAssignment(5)
 	for v := cnf.Var(0); v < 5; v++ {
-		s.SetPhaseHint(v, true)
+		a.Set(v, true)
 	}
+	s.SetPhaseHints(a)
 	r := s.Solve()
 	if r.Status != Sat {
 		t.Fatalf("status %v", r.Status)

@@ -185,8 +185,8 @@ func (s *Service) sampleOnce(req *http.Request) (int, []byte) {
 	if sr.Problem == nil {
 		return fail(http.StatusBadRequest, "bad_problem", "no problem in request")
 	}
-	if sr.Reads < 1 || sr.Reads > 1<<12 {
-		return fail(http.StatusBadRequest, "bad_reads", "reads outside [1,4096]")
+	if sr.Reads < 1 || sr.Reads > qpu.MaxReads {
+		return fail(http.StatusBadRequest, "bad_reads", "reads outside [1,"+strconv.Itoa(qpu.MaxReads)+"]")
 	}
 	ep, err := sr.Problem.Problem()
 	if err != nil {

@@ -485,8 +485,8 @@ func TestSampleEndpointQuota(t *testing.T) {
 	defer svc.Drain(context.Background())
 	// team-throttled: tiny refillable budget. team-capped: hard budget.
 	access := anneal.DWave2000QTiming().AccessTime(1)
-	svc.SetQuota("team-throttled", TenantQuota{DeviceBudget: access, DeviceRefill: time.Microsecond})
-	svc.SetQuota("team-capped", TenantQuota{DeviceBudget: access, DeviceRefill: 0})
+	svc.tenants.Override("team-throttled", TenantQuota{DeviceBudget: access, DeviceRefill: time.Microsecond})
+	svc.tenants.Override("team-capped", TenantQuota{DeviceBudget: access, DeviceRefill: 0})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 

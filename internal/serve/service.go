@@ -222,9 +222,6 @@ func New(cfg Config) *Service {
 // Metrics returns the service's registry (for /metrics exposure).
 func (s *Service) Metrics() *obs.Registry { return s.reg }
 
-// SetQuota installs a per-tenant quota override.
-func (s *Service) SetQuota(tenant string, q TenantQuota) { s.tenants.Override(tenant, q) }
-
 // Draining reports whether Drain has started.
 func (s *Service) Draining() bool {
 	s.mu.Lock()

@@ -203,11 +203,6 @@ func ParseDRAT(r io.Reader) (Proof, error) {
 	return p, nil
 }
 
-// ParseDRATString is ParseDRAT over an in-memory string.
-func ParseDRATString(s string) (Proof, error) {
-	return ParseDRAT(strings.NewReader(s))
-}
-
 // --- RUP proof checking ---
 
 // proofChunk is how many consecutive additions one worker RUP-checks before

@@ -189,7 +189,7 @@ func TestDRATTextRoundTrip(t *testing.T) {
 	if err := WriteDRAT(&sb, proof); err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := ParseDRATString(sb.String())
+	parsed, err := ParseDRAT(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,11 +221,11 @@ func TestParseDRATErrors(t *testing.T) {
 		"-0 0\n",       // -0 literal
 		"1 -0 0\n",     // -0 literal mid-clause
 	} {
-		if _, err := ParseDRATString(src); err == nil {
+		if _, err := ParseDRAT(strings.NewReader(src)); err == nil {
 			t.Fatalf("expected error for %q", src)
 		}
 	}
-	p, err := ParseDRATString("c comment\n\n1 -2 0\nd 1 -2 0\n0\n")
+	p, err := ParseDRAT(strings.NewReader("c comment\n\n1 -2 0\nd 1 -2 0\n0\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
