@@ -47,7 +47,8 @@ go test -run='TestFastEmbeddingsVerify' -count=1 ./internal/embed
 # nothing; and a collection mid-solve must free the embedded problems of
 # past iterations.
 go test -run='TestFrontendGolden|TestColdFastEmbedIsingAllocs|TestColdMissAllocs|TestIterationScratchAllocs|TestPastProblemsCollected' -count=1 ./internal/hyqsat
-# Chaos gate: the Resilient wrapper's happy-path overhead contract: 0 extra
+# Chaos gate: the Resilient wrapper's happy-path overhead contract, measured
+# with the CLI's zero Config (every attempt on the caller's context): 0 extra
 # allocs/op always, ≤1% ns/op via the opt-in perf gate (median of per-round
 # paired ratios, run order alternating each round; internal/perfgate).
 go test -run=TestResilientHappyPathAllocs -count=1 ./internal/qpu

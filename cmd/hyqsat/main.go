@@ -23,9 +23,10 @@
 // emulated annealer is wrapped in a seeded fault injector (presets none,
 // flaky, slow, corrupt, drift, outage — or a key=value list like
 // "transient=0.3,latency=5ms"; see internal/qpu.ParseProfile) plus the
-// Resilient reliability layer (retry with backoff, circuit breaker, per-call
-// deadlines, read-set validation). QA failures degrade iterations to pure
-// CDCL; verdicts remain exact and -verify still certifies them.
+// Resilient reliability layer (retry with backoff, circuit breaker, panic
+// recovery, read-set validation); the caller's deadline (-timeout) bounds
+// every attempt. QA failures degrade iterations to pure CDCL; verdicts
+// remain exact and -verify still certifies them.
 //
 // -proof streams a DRAT proof of the solver's clause derivations to a file;
 // for an UNSAT run the file certifies the verdict (checkable by any DRAT
@@ -38,7 +39,7 @@
 //
 // -trace streams a structured JSONL event log of the solve (conflicts,
 // restarts, QA calls with per-read energies, embeddings, strategy outcomes,
-// phase spans); internal/obs.ReadJSONL parses it back and PhaseBreakdown /
+// phase spans); internal/obs.ReadTrace parses it back and PhaseBreakdown /
 // OutcomeCounts reconstruct the paper's Fig 11 and Fig 9 views from it.
 //
 // -metrics-addr serves live introspection while the solve runs: /metrics

@@ -204,7 +204,7 @@ func TestCLITraceStreamReconstructsFigures(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tf.Close()
-	events, err := obs.ReadJSONL(tf)
+	_, events, err := obs.ReadTrace(tf)
 	if err != nil {
 		t.Fatalf("trace unparseable: %v", err)
 	}
@@ -240,7 +240,7 @@ func TestCLIFlightRecorderDumpsOnBudgetExhaustion(t *testing.T) {
 	if !ok {
 		t.Fatalf("no dump after header: %q", errOut)
 	}
-	events, err := obs.ReadJSONL(strings.NewReader(rest))
+	_, events, err := obs.ReadTrace(strings.NewReader(rest))
 	if err != nil || len(events) == 0 {
 		t.Fatalf("flight dump unparseable: events=%d err=%v", len(events), err)
 	}

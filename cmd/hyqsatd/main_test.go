@@ -108,7 +108,7 @@ func TestDaemonSolvesAndDrainsOnSIGTERM(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	events, err := obs.ReadJSONL(f)
+	_, events, err := obs.ReadTrace(f)
 	if err != nil {
 		t.Fatalf("trace not parseable: %v", err)
 	}

@@ -24,7 +24,6 @@ var keptUncalled = map[string]string{
 	"verify.FormatDisagreements":           "renders DiffRandom failures in those tests",
 	"qubo.Encoding.NodesFromAssignment":    "TestNodesFromAssignmentZeroEnergyOnModels and FuzzEncodeClause: the ground-state oracle",
 	"verify.ParseDRAT":                     "the DRAT round-trip, CLI -proof and stitched cube-proof tests read proofs back with it",
-	"obs.ReadJSONL":                        "the CLI and daemon trace tests parse recorded traces back with it",
 	"hyqsat.GenerateQueue":                 "the queue tests and TestFullPipelineManually drive §IV-A queue generation on its own",
 	"perfgate.Overhead":                    "the 1% overhead gates TestNopTracerKernelOverhead and TestResilientOverhead",
 	// Hooks that tests use to check safety invariants.
@@ -34,7 +33,6 @@ var keptUncalled = map[string]string{
 	"portfolio.Bus.Inject":        "TestSharingAdversarialInjection* feed corrupted clauses through the bus",
 	"qpu.FaultInjector.Calls":     "the fault-injection and Resilient tests count backend calls",
 	"obs.QualityTracker.BySource": "TestQualityBySourceIsolation checks per-source segment attribution",
-	"serve.tenants.Override":      "TestSampleEndpointQuota installs the per-tenant device budgets it enforces",
 	// The Go client of hyqsatd's /v1/qpu/sample endpoint and its chaos proxy.
 	"qpu.NewRemote":         "the /v1/qpu/sample client: TestRemote* and the FuzzRemoteDecode gate",
 	"qpu.NewFallback":       "degrades a Remote to a local backend: TestFallbackServesStandby, TestDeadServerDegradesToLocal",
@@ -134,4 +132,123 @@ func qualified(pkg string, fn *ast.FuncDecl) string {
 		recv = id.Name
 	}
 	return pkg + "." + recv + "." + fn.Name.Name
+}
+
+// keptUnset lists the fields of exported *Config and *Options structs under
+// internal/ that no non-test code writes but that stay, each with the reason.
+// Keys are pkg.Type.Field.
+var keptUnset = map[string]string{
+	"portfolio.RaceOptions.Bus": "the hook TestSharingAdversarialInjection* use to feed corrupted clauses to the entrants",
+	"qpu.RemoteConfig.BaseURL":  "the /v1/qpu/sample client is built only by its tests (see keptUncalled's qpu.NewRemote)",
+	"qpu.RemoteConfig.Client":   "the same client's transport seam; nil, which every caller passes, builds the pooled default",
+}
+
+// TestNoUnsetConfigFields fails when a field of an exported struct type under
+// internal/ whose name ends in Config or Options is never written in the
+// module's non-test Go files (internal/, cmd/, examples/, perfbench/): a
+// setting nothing sets selects a code path only tests can reach. A write is a
+// composite-literal key, an assignment or increment target, or an address
+// taken with &x.F. Like TestNoUncalledInternalExports it matches names, not
+// types: a write of any field of the same name counts.
+func TestNoUnsetConfigFields(t *testing.T) {
+	type field struct{ file, name, key string }
+	var fields []field
+	written := map[string]bool{}
+	// target marks the field selected by an assignment target, and every
+	// field it is reached through: writing x.A.B writes A too.
+	var target func(ast.Expr)
+	target = func(e ast.Expr) {
+		switch e := e.(type) {
+		case *ast.SelectorExpr:
+			written[e.Sel.Name] = true
+			target(e.X)
+		case *ast.IndexExpr:
+			target(e.X)
+		case *ast.StarExpr:
+			target(e.X)
+		case *ast.ParenExpr:
+			target(e.X)
+		}
+	}
+	fset := token.NewFileSet()
+	for _, root := range []string{"internal", "cmd", "examples", "perfbench"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			if strings.HasPrefix(path, "internal"+string(filepath.Separator)) {
+				for _, d := range f.Decls {
+					gd, ok := d.(*ast.GenDecl)
+					if !ok || gd.Tok != token.TYPE {
+						continue
+					}
+					for _, spec := range gd.Specs {
+						ts := spec.(*ast.TypeSpec)
+						st, ok := ts.Type.(*ast.StructType)
+						name := ts.Name.Name
+						if !ok || !ts.Name.IsExported() ||
+							!(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+							continue
+						}
+						for _, fl := range st.Fields.List {
+							for _, id := range fl.Names {
+								fields = append(fields, field{path, id.Name, f.Name.Name + "." + name + "." + id.Name})
+							}
+						}
+					}
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					for _, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								written[id.Name] = true
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						target(lhs)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						target(n.X)
+					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(fields) == 0 {
+		t.Fatal("found no Config or Options fields under internal/")
+	}
+	declared := map[string]bool{}
+	var unset []string
+	for _, f := range fields {
+		declared[f.key] = true
+		if _, ok := keptUnset[f.key]; !ok && !written[f.name] {
+			unset = append(unset, f.file+": "+f.key)
+		}
+	}
+	sort.Strings(unset)
+	for _, u := range unset {
+		t.Errorf("%s is never set in non-test code; delete it and the path it selects, or list it in keptUnset with the reason", u)
+	}
+	for key := range keptUnset {
+		if !declared[key] {
+			t.Errorf("keptUnset lists %s, which is no longer declared", key)
+		}
+	}
 }

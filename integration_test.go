@@ -165,7 +165,7 @@ func TestFullPipelineManually(t *testing.T) {
 	if d := sums.DStar(); d <= 0 {
 		t.Fatalf("normalizer %v", d)
 	}
-	ep := anneal.EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))
+	ep := new(anneal.EmbedScratch).EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))
 	sample := anneal.NewSampler(anneal.LongSchedule(), anneal.NoNoise, 9).SampleOnce(ep)
 
 	x := make([]bool, sub.NumNodes())

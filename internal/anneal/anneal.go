@@ -30,7 +30,6 @@ package anneal
 import (
 	"math"
 	"slices"
-	"sync"
 
 	"hyqsat/internal/embed"
 	"hyqsat/internal/qubo"
@@ -140,7 +139,10 @@ func ChainStrengthFor(is *qubo.Ising) float64 {
 // strength. Logical nodes must be present in the embedding; couplings whose
 // endpoints both embedded must be realised by at least one coupler. Chains
 // must be disjoint, as in any valid embedding.
-func EmbedIsing(is *qubo.Ising, emb *embed.Embedding, g topo.Topology, chainStrength float64) *EmbeddedProblem {
+//
+// The working storage comes from sc and is kept there for the next call, so
+// a caller that programs many problems allocates little beyond the result.
+func (sc *EmbedScratch) EmbedIsing(is *qubo.Ising, emb *embed.Embedding, g topo.Topology, chainStrength float64) *EmbeddedProblem {
 	ep := &EmbeddedProblem{
 		Graph:     g,
 		Embedding: emb,
@@ -156,8 +158,6 @@ func EmbedIsing(is *qubo.Ising, emb *embed.Embedding, g topo.Topology, chainStre
 
 	// Dense qubit → active-index, qubit → node and node → chain indexes
 	// replace per-chain and per-edge membership sets.
-	sc := embedScratchPool.Get().(*embedScratch)
-	defer embedScratchPool.Put(sc)
 	qubitIx := filled(sc.qubitIx, g.NumQubits(), -1)
 	owners := embed.QubitOwners(filled(sc.owners, g.NumQubits(), -1))
 	chainAt := filled(sc.chainAt, 1, -1)
@@ -256,16 +256,17 @@ type link struct {
 	a, b int32
 }
 
-// embedScratch is EmbedIsing's working storage; none of it outlives a call.
-type embedScratch struct {
+// EmbedScratch is EmbedIsing's working storage, kept by the caller for reuse
+// the way embed.FastScratch is; none of it is referenced by a returned
+// problem. The zero value is ready to use. An EmbedScratch must not be used
+// by two goroutines at once.
+type EmbedScratch struct {
 	qubitIx, owners, chainAt []int32
 	couplers                 []coupler
 	links                    []link
 	linksAt                  []int32
 	keys                     []uint64
 }
-
-var embedScratchPool = sync.Pool{New: func() any { return new(embedScratch) }}
 
 // filled returns buf resized to n entries of v, reusing its storage.
 func filled(buf []int32, n int, v int32) []int32 {

@@ -42,7 +42,7 @@ func TestEmbedIsingStructure(t *testing.T) {
 	g := topo.NewChimera(4, 4, 4)
 	enc, res := encodeAndEmbed(t, []cnf.Clause{cnf.NewClause(1, 2, 3)}, g)
 	is := enc.Program(&qubo.Sums{}, false)
-	ep := EmbedIsing(is, res.Embedding, g, ChainStrengthFor(is))
+	ep := new(EmbedScratch).EmbedIsing(is, res.Embedding, g, ChainStrengthFor(is))
 	if ep.NumActiveQubits() != res.Embedding.QubitsUsed() {
 		t.Fatalf("active qubits %d vs embedding %d", ep.NumActiveQubits(), res.Embedding.QubitsUsed())
 	}
@@ -70,7 +70,7 @@ func TestEmbedIsingPanicsOnMissingCoupler(t *testing.T) {
 			t.Fatal("expected panic for unrealised coupling")
 		}
 	}()
-	EmbedIsing(is, emb, g, 1)
+	new(EmbedScratch).EmbedIsing(is, emb, g, 1)
 }
 
 func TestHardwareSampleSolvesSatisfiableClauses(t *testing.T) {
@@ -101,7 +101,7 @@ func TestHardwareSampleSolvesSatisfiableClauses(t *testing.T) {
 	}
 	enc, res := encodeAndEmbed(t, f.Clauses, g)
 	is := enc.Program(&qubo.Sums{}, true)
-	ep := EmbedIsing(is, res.Embedding, g, ChainStrengthFor(is))
+	ep := new(EmbedScratch).EmbedIsing(is, res.Embedding, g, ChainStrengthFor(is))
 
 	s := NewSampler(LongSchedule(), NoNoise, 7)
 	zero := 0
@@ -134,7 +134,7 @@ func TestNoiseDegradesEnergy(t *testing.T) {
 	}
 	enc, res := encodeAndEmbed(t, clauses, g)
 	is := enc.Program(&qubo.Sums{}, false)
-	ep := EmbedIsing(is, res.Embedding, g, ChainStrengthFor(is))
+	ep := new(EmbedScratch).EmbedIsing(is, res.Embedding, g, ChainStrengthFor(is))
 
 	meanEnergy := func(noise Noise, sched Schedule, seed int64) float64 {
 		s := NewSampler(sched, noise, seed)
@@ -175,7 +175,7 @@ func TestBrokenChainsReported(t *testing.T) {
 		t.Skip("no multi-qubit chains to break")
 	}
 	is := enc.Program(&qubo.Sums{}, false)
-	ep := EmbedIsing(is, res.Embedding, g, ChainStrengthFor(is))
+	ep := new(EmbedScratch).EmbedIsing(is, res.Embedding, g, ChainStrengthFor(is))
 	s := NewSampler(DefaultSchedule(), Noise{ReadoutFlipProb: 0.4}, 13)
 	broken := 0
 	for trial := 0; trial < 10; trial++ {
@@ -190,7 +190,7 @@ func TestSampleOnceDeterministicForSeed(t *testing.T) {
 	g := topo.NewChimera(4, 4, 4)
 	enc, res := encodeAndEmbed(t, []cnf.Clause{cnf.NewClause(1, 2, 3), cnf.NewClause(-1, 2, 4)}, g)
 	is := enc.Program(&qubo.Sums{}, false)
-	ep := EmbedIsing(is, res.Embedding, g, ChainStrengthFor(is))
+	ep := new(EmbedScratch).EmbedIsing(is, res.Embedding, g, ChainStrengthFor(is))
 	a := NewSampler(DefaultSchedule(), DWave2000QNoise, 99).SampleOnce(ep)
 	b := NewSampler(DefaultSchedule(), DWave2000QNoise, 99).SampleOnce(ep)
 	if a.HardwareEnergy != b.HardwareEnergy || a.BrokenChains != b.BrokenChains {

@@ -57,10 +57,12 @@ func referenceCouplers(is *qubo.Ising, emb *embed.Embedding, g topo.Topology, ch
 // queues (restricted to the embedded clauses, so some J edges have an
 // unembedded end) and Minorminer embeddings, and checks that the CSR
 // adjacency EmbedIsing builds is exactly the one its reference coupler list
-// lays out.
+// lays out. One scratch serves every trial, so state left by a larger
+// problem must not leak into the next.
 func TestEmbedIsingMatchesReferenceCouplers(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := topo.NewChimera(8, 8, 4)
+	var sc EmbedScratch
 	for trial := 0; trial < 12; trial++ {
 		q := make([]cnf.Clause, 20+rng.Intn(60))
 		for i := range q {
@@ -89,7 +91,7 @@ func TestEmbedIsingMatchesReferenceCouplers(t *testing.T) {
 				is = sub.Program(&qubo.Sums{}, true)
 			}
 		}
-		ep := EmbedIsing(is, emb, g, 1.5)
+		ep := sc.EmbedIsing(is, emb, g, 1.5)
 		qubitIx := map[int]int32{}
 		for i, q := range ep.Qubits {
 			qubitIx[q] = int32(i)

@@ -40,7 +40,7 @@ func testEmbeddedProblem(t testing.TB, seed int64, numClauses int) *EmbeddedProb
 		t.Fatalf("embedded %d/%d clauses", res.EmbeddedClauses, numClauses)
 	}
 	is := enc.Program(&qubo.Sums{}, false)
-	return EmbedIsing(is, res.Embedding, g, ChainStrengthFor(is))
+	return new(EmbedScratch).EmbedIsing(is, res.Embedding, g, ChainStrengthFor(is))
 }
 
 func sameSample(a, b Sample) bool {
@@ -531,7 +531,7 @@ func oracleProblems(t *testing.T) map[string]*EmbeddedProblem {
 			}
 		}
 		is := enc.Program(&qubo.Sums{}, false)
-		out[name] = EmbedIsing(is, emb, chimera, ChainStrengthFor(is))
+		out[name] = new(EmbedScratch).EmbedIsing(is, emb, chimera, ChainStrengthFor(is))
 	}
 	pegasus := topo.NewPegasus(9)
 	faulted := topo.NewChimera(8, 8, 4)
@@ -547,7 +547,7 @@ func oracleProblems(t *testing.T) map[string]*EmbeddedProblem {
 			enc := randEncoding()
 			res := embed.Fast(enc, hw.fabric)
 			is := enc.Restrict(res.EmbeddedSet).Program(&qubo.Sums{}, true)
-			out[fmt.Sprintf("%s/fast%d", hw.name, trial)] = EmbedIsing(is, res.Embedding, hw.g, ChainStrengthFor(is))
+			out[fmt.Sprintf("%s/fast%d", hw.name, trial)] = new(EmbedScratch).EmbedIsing(is, res.Embedding, hw.g, ChainStrengthFor(is))
 		}
 	}
 	for name, ep := range maps.Clone(out) {

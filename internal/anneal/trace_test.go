@@ -52,7 +52,7 @@ func TestSampleTracingPreservesResults(t *testing.T) {
 	}
 
 	sink.Flush()
-	events, err := obs.ReadJSONL(&buf)
+	_, events, err := obs.ReadTrace(&buf)
 	if err != nil || len(events) != 1 {
 		t.Fatalf("events=%d err=%v, want one qa_call", len(events), err)
 	}

@@ -29,7 +29,7 @@ func wireTestProblem(t testing.TB) *EmbeddedProblem {
 		t.Fatalf("embedded %d/%d clauses", res.EmbeddedClauses, len(clauses))
 	}
 	is := enc.Program(&qubo.Sums{}, false)
-	return EmbedIsing(is, res.Embedding, g, ChainStrengthFor(is))
+	return new(EmbedScratch).EmbedIsing(is, res.Embedding, g, ChainStrengthFor(is))
 }
 
 // A wire round trip must preserve sampling behaviour exactly: the

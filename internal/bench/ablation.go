@@ -41,8 +41,9 @@ func AblationChainStrength(cfg Config) *Report {
 	is := sub.Program(&qubo.Sums{}, true)
 	base := anneal.ChainStrengthFor(is) / 1.25
 
+	var sc anneal.EmbedScratch
 	for _, mult := range []float64{0.5, 0.75, 1.0, 1.25, 1.75, 2.5} {
-		ep := anneal.EmbedIsing(is, res.Embedding, g, mult*base)
+		ep := sc.EmbedIsing(is, res.Embedding, g, mult*base)
 		sampler := anneal.NewSampler(anneal.LongSchedule(), anneal.DWave2000QNoise, rng.Int63())
 		var total float64
 		zero, broken := 0, 0
@@ -88,7 +89,7 @@ func AblationSchedule(cfg Config) *Report {
 	res := embed.Fast(enc, g)
 	sub := enc.Restrict(res.EmbeddedSet)
 	is := sub.Program(&qubo.Sums{}, true)
-	ep := anneal.EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))
+	ep := new(anneal.EmbedScratch).EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))
 
 	for _, sweeps := range []int{8, 32, 64, 256, 1024} {
 		sampler := anneal.NewSampler(anneal.Schedule{Sweeps: sweeps, BetaMin: 0.1, BetaMax: 32},

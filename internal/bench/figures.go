@@ -60,7 +60,7 @@ func Fig1(cfg Config) *Report {
 		} else {
 			access := timing.AccessTime(60)
 			is := enc.Program(&qubo.Sums{}, true)
-			ep := anneal.EmbedIsing(is, emb, g, anneal.ChainStrengthFor(is))
+			ep := new(anneal.EmbedScratch).EmbedIsing(is, emb, g, anneal.ChainStrengthFor(is))
 			sampler := anneal.NewSampler(anneal.DefaultSchedule(), anneal.DWave2000QNoise, cfg.Seed)
 			reads := sampler.Sample(ep, 60) // one access, 60 parallel reads
 			solved := 0
@@ -153,8 +153,9 @@ func Fig5(cfg Config) *Report {
 }
 
 // fig8Problem generates one random problem, labels it with the CDCL solver,
-// embeds it fully, and returns its class label and sampled unit energy.
-func fig8Sample(rng *rand.Rand, sampler *anneal.Sampler, g *topo.Chimera, adjust bool) (isSat bool, energy float64, ok bool) {
+// embeds it fully (programming through sc), and returns its class label and
+// sampled unit energy.
+func fig8Sample(rng *rand.Rand, sampler *anneal.Sampler, sc *anneal.EmbedScratch, g *topo.Chimera, adjust bool) (isSat bool, energy float64, ok bool) {
 	nv := 15 + rng.Intn(20)
 	m := int(float64(nv) * (3.0 + 3.5*rng.Float64()))
 	inst := gen.Random3SAT(nv, m, rng.Int63())
@@ -171,7 +172,7 @@ func fig8Sample(rng *rand.Rand, sampler *anneal.Sampler, g *topo.Chimera, adjust
 		return false, 0, false // need the full problem on hardware
 	}
 	is := enc.Program(&qubo.Sums{}, adjust)
-	ep := anneal.EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))
+	ep := sc.EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))
 	s := sampler.SampleOnce(ep)
 	x := make([]bool, enc.NumNodes())
 	for n, v := range s.NodeValues {
@@ -194,9 +195,10 @@ func Fig8(cfg Config) *Report {
 	g := topo.DWave2000Q()
 	sampler := anneal.NewSampler(anneal.Schedule{Sweeps: 256, BetaMin: 0.1, BetaMax: 32},
 		anneal.DWave2000QNoise, cfg.Seed+80)
+	var sc anneal.EmbedScratch
 	var satE, unsatE []float64
 	for len(satE) < cfg.Samples/2 || len(unsatE) < cfg.Samples/2 {
-		isSat, e, ok := fig8Sample(rng, sampler, g, true)
+		isSat, e, ok := fig8Sample(rng, sampler, &sc, g, true)
 		if !ok {
 			continue
 		}

@@ -264,9 +264,10 @@ func Fig15(cfg Config) *Report {
 		rng := rand.New(rand.NewSource(cfg.Seed + 150 + seedOff))
 		sampler := anneal.NewSampler(anneal.Schedule{Sweeps: 256, BetaMin: 0.1, BetaMax: 32},
 			anneal.DWave2000QNoise, cfg.Seed+151)
+		var sc anneal.EmbedScratch
 		var satE, unsatE []float64
 		for len(satE) < cfg.Samples/2 || len(unsatE) < cfg.Samples/2 {
-			isSat, e, ok := fig8Sample(rng, sampler, g, adjust)
+			isSat, e, ok := fig8Sample(rng, sampler, &sc, g, adjust)
 			if !ok {
 				continue
 			}

@@ -30,7 +30,7 @@ func BuildSampleFixture(seed int64, numVars, numClauses int) (*anneal.EmbeddedPr
 	}
 	sub := enc.Restrict(res.EmbeddedSet)
 	is := sub.Program(&qubo.Sums{}, true)
-	return anneal.EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is)), nil
+	return new(anneal.EmbedScratch).EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is)), nil
 }
 
 // BuildCDCLFixture returns the uf100-430 instance shared by the CDCL

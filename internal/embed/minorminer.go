@@ -24,10 +24,6 @@ type Minorminer struct {
 	Seed      int64
 	MaxRounds int           // improvement rounds before giving up (default 16)
 	Timeout   time.Duration // wall-clock budget (default none)
-
-	debug       func(format string, args ...any) // optional tracing hook for tests
-	debugChains bool                             // log chain-size stats per round
-	debugHook   func(chains [][]int, usage []int)
 }
 
 // ErrEmbeddingFailed is returned when an embedder exhausts its budget
@@ -137,33 +133,10 @@ func (m *Minorminer) Embed(p *Problem, g *topo.Chimera) (*Embedding, error) {
 		}
 		// Success when every qubit hosts at most one chain.
 		ok := true
-		over := 0
 		for _, c := range usage {
 			if c > 1 {
 				ok = false
-				over += c - 1
 			}
-		}
-		if m.debug != nil {
-			m.debug("round %d: overlap %d", round, over)
-			if m.debugChains {
-				total, max := 0, 0
-				for _, c := range chains {
-					total += len(c)
-					if len(c) > max {
-						max = len(c)
-					}
-				}
-				m.debug("  chains: total qubits %d, max len %d", total, max)
-				for q, c := range usage {
-					if c > 1 {
-						m.debug("  overlapped qubit %d used by %d chains", q, c)
-					}
-				}
-			}
-		}
-		if m.debugHook != nil && round == rounds-1 {
-			m.debugHook(chains, usage)
 		}
 		// Escalate congestion penalties (the CMR repair schedule).
 		if penaltyBase < 1e6 {

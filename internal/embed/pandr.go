@@ -18,8 +18,6 @@ type PandR struct {
 	Seed         int64
 	SAIterations int           // placement annealing iterations (default 200·nodes)
 	Timeout      time.Duration // wall-clock budget (default none)
-
-	debug func(format string, args ...any) // optional tracing hook for tests
 }
 
 // Name implements the informal Embedder naming convention.

@@ -60,6 +60,6 @@ func (e *EmbedBench) ColdFast() int {
 		panic("embedbench: Fast embedded nothing")
 	}
 	ising := e.enc.Restrict(fastRes.EmbeddedSet).Program(&e.front.sums, true)
-	anneal.EmbedIsing(ising, fastRes.Embedding, e.graph, anneal.ChainStrengthFor(ising))
+	e.front.ising.EmbedIsing(ising, fastRes.Embedding, e.graph, anneal.ChainStrengthFor(ising))
 	return fastRes.EmbeddedClauses
 }

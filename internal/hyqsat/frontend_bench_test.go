@@ -94,7 +94,7 @@ func BenchmarkColdFrontend(b *testing.B) {
 	b.Run("embedising", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			frontendSink = anneal.EmbedIsing(is, res.Embedding, g, cs)
+			frontendSink = fs.ising.EmbedIsing(is, res.Embedding, g, cs)
 		}
 	})
 	b.Run("queue", func(b *testing.B) {
@@ -109,8 +109,9 @@ func BenchmarkColdFrontend(b *testing.B) {
 // pass, encodeAndEmbed on the 300-clause activity queue, on a solver whose
 // run-scoped scratch is warm: only the embedding the pass returns may be
 // allocated. The map-backed encoder the dense encoding replaced took 3687
-// allocs/run here; the pass now takes 42 (53 under the race detector, whose
-// bookkeeping allocates), and the bound leaves room for toolchain drift.
+// allocs/run here; the pass now takes 42, under the race detector too (all
+// its scratch is solver-held, none pooled), and the bound leaves room for
+// toolchain drift.
 func TestColdMissAllocs(t *testing.T) {
 	f, idx := coldActivityQueue()
 	s := New(f, HardwareOptions())
@@ -178,7 +179,7 @@ func TestColdFastEmbedIsingAllocs(t *testing.T) {
 	cs := anneal.ChainStrengthFor(is)
 	allocs := testing.AllocsPerRun(5, func() {
 		r := embed.Fast(enc, g)
-		anneal.EmbedIsing(is, r.Embedding, g, cs)
+		new(anneal.EmbedScratch).EmbedIsing(is, r.Embedding, g, cs)
 	})
 	t.Logf("cold Fast + EmbedIsing: %.0f allocs/run", allocs)
 	if allocs > 12981/2 {

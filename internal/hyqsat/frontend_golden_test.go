@@ -314,7 +314,7 @@ func goldenStages(t *testing.T, q []cnf.Clause, g *topo.Chimera, fs *frontendScr
 	d.ising(is)
 	out.Ising = d.sum()
 
-	ep := anneal.EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))
+	ep := new(anneal.EmbedScratch).EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))
 	d = newDigest()
 	d.embedded(ep)
 	out.Embedded = d.sum()

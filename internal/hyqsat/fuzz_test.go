@@ -48,7 +48,7 @@ func fuzzSetup(t testing.TB) (*qubo.Encoding, *anneal.EmbeddedProblem, int) {
 		embEnc := enc.Restrict(res.EmbeddedSet)
 		is := embEnc.Program(&qubo.Sums{}, false)
 		fuzzEmbedding.embEnc = embEnc
-		fuzzEmbedding.ep = anneal.EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))
+		fuzzEmbedding.ep = new(anneal.EmbedScratch).EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))
 		fuzzEmbedding.vars = nVars
 	})
 	if fuzzEmbedding.embEnc == nil {

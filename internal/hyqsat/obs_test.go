@@ -60,9 +60,9 @@ func TestTraceReconstructsFigures(t *testing.T) {
 	if err := sink.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	events, err := obs.ReadJSONL(&buf)
+	_, events, err := obs.ReadTrace(&buf)
 	if err != nil {
-		t.Fatalf("ReadJSONL: %v", err)
+		t.Fatalf("ReadTrace: %v", err)
 	}
 	if len(events) == 0 {
 		t.Fatal("trace is empty")

@@ -310,6 +310,7 @@ type frontendScratch struct {
 	enc   qubo.Encoding
 	fast  embed.FastScratch
 	sums  qubo.Sums
+	ising anneal.EmbedScratch
 }
 
 // Phase indices of the measured Fig 11 phases (QA device time is modelled,
@@ -935,7 +936,7 @@ func (s *Solver) encodeAndEmbed(queueIdx []int) frontendOutput {
 	}
 	embEnc := fs.enc.Restrict(fastRes.EmbeddedSet)
 	ising := embEnc.Program(&fs.sums, !s.opts.UniformCoefficients)
-	ep := anneal.EmbedIsing(ising, fastRes.Embedding, s.opts.Hardware, anneal.ChainStrengthFor(ising))
+	ep := fs.ising.EmbedIsing(ising, fastRes.Embedding, s.opts.Hardware, anneal.ChainStrengthFor(ising))
 	return frontendOutput{embEnc: embEnc, ep: ep, embedded: fastRes.EmbeddedClauses}
 }
 

@@ -33,7 +33,7 @@ func TestPhaseTrackerDisjointSpans(t *testing.T) {
 	}
 
 	sink.Flush()
-	events, err := ReadJSONL(&buf)
+	_, events, err := ReadTrace(&buf)
 	if err != nil || len(events) != 6 {
 		t.Fatalf("events=%d err=%v, want 6 phase spans", len(events), err)
 	}

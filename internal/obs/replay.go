@@ -8,20 +8,12 @@ import (
 	"time"
 )
 
-// ReadJSONL decodes a JSONL event stream (as written by JSONLSink or
-// Ring.Dump) back into stamped, concretely-typed events. Events with an
-// unknown type tag are skipped — a newer trace stays readable by an older
-// reader — but malformed lines are errors. Header records are consumed
-// silently; use ReadTrace to get the header too.
-func ReadJSONL(r io.Reader) ([]Stamped, error) {
-	_, events, err := ReadTrace(r)
-	return events, err
-}
-
-// ReadTrace decodes a JSONL event stream like ReadJSONL and additionally
-// returns the trace header. Legacy header-less traces decode fine: the
-// returned header is the zero HeaderEvent (Schema 0), which callers can use
-// to detect that no alignment information is available.
+// ReadTrace decodes a JSONL event stream (as written by JSONLSink or
+// Ring.Dump) back into its header and stamped, concretely-typed events.
+// Events with an unknown type tag are skipped — a newer trace stays readable
+// by an older reader — but malformed lines are errors. Legacy header-less
+// traces decode fine: the returned header is the zero HeaderEvent (Schema 0),
+// which callers can use to detect that no alignment information is available.
 func ReadTrace(r io.Reader) (HeaderEvent, []Stamped, error) {
 	type rawStamped struct {
 		T     string          `json:"t"`
@@ -55,12 +47,13 @@ func ReadTrace(r io.Reader) (HeaderEvent, []Stamped, error) {
 			}
 			continue
 		}
-		ev, err := decodeEvent(raw.T, raw.E)
+		decode, ok := eventDecoders[raw.T]
+		if !ok {
+			continue // unknown kind
+		}
+		ev, err := decode(raw.E)
 		if err != nil {
 			return header, out, fmt.Errorf("obs: trace line %d: %w", line, err)
-		}
-		if ev == nil {
-			continue // unknown kind
 		}
 		out = append(out, Stamped{T: raw.T, TS: raw.TS, Solve: raw.Solve, Src: raw.Src, E: ev})
 	}
@@ -70,102 +63,32 @@ func ReadTrace(r io.Reader) (HeaderEvent, []Stamped, error) {
 	return header, out, nil
 }
 
-// decodeEvent maps a type tag back to its concrete event type. Unknown tags
-// return (nil, nil).
-func decodeEvent(kind string, raw json.RawMessage) (Event, error) {
-	unmarshal := func(v Event) (Event, error) {
-		if err := json.Unmarshal(raw, v); err != nil {
-			return nil, err
-		}
-		return v, nil
-	}
-	switch kind {
-	case "conflict":
-		e, err := unmarshal(&ConflictEvent{})
-		return deref(e, err)
-	case "restart":
-		e, err := unmarshal(&RestartEvent{})
-		return deref(e, err)
-	case "qa_call":
-		e, err := unmarshal(&QACallEvent{})
-		return deref(e, err)
-	case "qa_batch":
-		e, err := unmarshal(&BatchEvent{})
-		return deref(e, err)
-	case "embed":
-		e, err := unmarshal(&EmbedEvent{})
-		return deref(e, err)
-	case "strategy":
-		e, err := unmarshal(&StrategyHitEvent{})
-		return deref(e, err)
-	case "phase_span":
-		e, err := unmarshal(&PhaseSpan{})
-		return deref(e, err)
-	case "portfolio":
-		e, err := unmarshal(&PortfolioEvent{})
-		return deref(e, err)
-	case "breaker":
-		e, err := unmarshal(&BreakerEvent{})
-		return deref(e, err)
-	case "qpu_retry":
-		e, err := unmarshal(&QPURetryEvent{})
-		return deref(e, err)
-	case "qpu_fault":
-		e, err := unmarshal(&QPUFaultEvent{})
-		return deref(e, err)
-	case "degrade":
-		e, err := unmarshal(&DegradeEvent{})
-		return deref(e, err)
-	case "share":
-		e, err := unmarshal(&ShareEvent{})
-		return deref(e, err)
-	case "cube":
-		e, err := unmarshal(&CubeEvent{})
-		return deref(e, err)
-	case "job":
-		e, err := unmarshal(&JobEvent{})
-		return deref(e, err)
-	}
-	return nil, nil
+// eventDecoders maps every event kind, as its Kind method names it, to the
+// decoder of its concrete type. The header is read separately.
+var eventDecoders = map[string]func(json.RawMessage) (Event, error){
+	ConflictEvent{}.Kind():    decodeAs[ConflictEvent],
+	RestartEvent{}.Kind():     decodeAs[RestartEvent],
+	QACallEvent{}.Kind():      decodeAs[QACallEvent],
+	BatchEvent{}.Kind():       decodeAs[BatchEvent],
+	EmbedEvent{}.Kind():       decodeAs[EmbedEvent],
+	StrategyHitEvent{}.Kind(): decodeAs[StrategyHitEvent],
+	PhaseSpan{}.Kind():        decodeAs[PhaseSpan],
+	PortfolioEvent{}.Kind():   decodeAs[PortfolioEvent],
+	BreakerEvent{}.Kind():     decodeAs[BreakerEvent],
+	QPURetryEvent{}.Kind():    decodeAs[QPURetryEvent],
+	QPUFaultEvent{}.Kind():    decodeAs[QPUFaultEvent],
+	DegradeEvent{}.Kind():     decodeAs[DegradeEvent],
+	ShareEvent{}.Kind():       decodeAs[ShareEvent],
+	CubeEvent{}.Kind():        decodeAs[CubeEvent],
+	JobEvent{}.Kind():         decodeAs[JobEvent],
 }
 
-// deref turns the pointer the decoder needed back into the value type the
-// emitters use, so replayed events compare equal to the originals.
-func deref(e Event, err error) (Event, error) {
-	if err != nil {
+// decodeAs decodes one event payload as a T and returns it by value, the
+// type the emitters use, so replayed events compare equal to the originals.
+func decodeAs[T Event](raw json.RawMessage) (Event, error) {
+	var e T
+	if err := json.Unmarshal(raw, &e); err != nil {
 		return nil, err
-	}
-	switch v := e.(type) {
-	case *ConflictEvent:
-		return *v, nil
-	case *RestartEvent:
-		return *v, nil
-	case *QACallEvent:
-		return *v, nil
-	case *BatchEvent:
-		return *v, nil
-	case *EmbedEvent:
-		return *v, nil
-	case *StrategyHitEvent:
-		return *v, nil
-	case *PhaseSpan:
-		return *v, nil
-	case *PortfolioEvent:
-		return *v, nil
-	case *BreakerEvent:
-		return *v, nil
-	case *QPURetryEvent:
-		return *v, nil
-	case *QPUFaultEvent:
-		return *v, nil
-	case *DegradeEvent:
-		return *v, nil
-	case *ShareEvent:
-		return *v, nil
-	case *CubeEvent:
-		return *v, nil
-	case *JobEvent:
-		return *v, nil
 	}
 	return e, nil
 }

@@ -68,7 +68,7 @@ func TestHandlerFlight(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("flight code=%d", code)
 	}
-	events, err := ReadJSONL(strings.NewReader(body))
+	_, events, err := ReadTrace(strings.NewReader(body))
 	if err != nil || len(events) != 1 {
 		t.Fatalf("flight body events=%d err=%v body=%q", len(events), err, body)
 	}
@@ -207,7 +207,7 @@ func TestConcurrentEmitAndScrape(t *testing.T) {
 				t.Fatalf("scrape %s: %v", path, err)
 			}
 			if path == "/trace/flight" {
-				if _, err := ReadJSONL(resp.Body); err != nil {
+				if _, _, err := ReadTrace(resp.Body); err != nil {
 					t.Fatalf("flight dump not parseable mid-emit: %v", err)
 				}
 			} else {

@@ -97,14 +97,14 @@ type funcTracer struct{ fn func(Event) }
 func (f *funcTracer) Enabled() bool { return true }
 func (f *funcTracer) Emit(e Event)  { f.fn(e) }
 
-// TestReadJSONLSkipsHeader keeps legacy readers working: ReadJSONL consumes
-// the header silently, and header-less streams read fine through ReadTrace.
+// TestReadJSONLSkipsHeader keeps legacy readers working: ReadTrace keeps the
+// header out of the events, and header-less streams read fine.
 func TestReadJSONLSkipsHeader(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONLSink(&buf)
 	sink.Emit(RestartEvent{Restarts: 1})
 	sink.Flush()
-	evs, err := ReadJSONL(&buf)
+	_, evs, err := ReadTrace(&buf)
 	if err != nil || len(evs) != 1 {
 		t.Fatalf("events=%d err=%v, want just the restart", len(evs), err)
 	}

@@ -84,7 +84,7 @@ func (s Stamped) Source() Source { return Source{Solve: s.Solve, Name: s.Src} }
 //
 // The first record of the stream is a HeaderEvent carrying the trace schema
 // version and the wall-clock time the sink was created, so offline tooling
-// can align traces recorded by different processes. ReadJSONL tolerates
+// can align traces recorded by different processes. ReadTrace tolerates
 // streams without the header (traces recorded before it existed).
 type JSONLSink struct {
 	mu    sync.Mutex

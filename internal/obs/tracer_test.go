@@ -27,6 +27,8 @@ var allKinds = []Event{
 	DegradeEvent{Iteration: 5, Err: "breaker open"},
 	ShareEvent{Exported: 10, Imported: 4, Filtered: 2, Duplicates: 1, Dropped: 3},
 	CubeEvent{Cube: 3, Worker: 1, Status: "refuted", Conflicts: 1234},
+	BatchEvent{Members: 3, TotalReads: 5, ProgramReads: 2, ActiveQubits: 60,
+		DeviceNs: 140000, DeviceSavedNs: 260000},
 	JobEvent{Job: "j-1", Tenant: "team-a", State: "done", Verdict: "sat",
 		QueueMs: 12, RunMs: 340},
 }
@@ -43,19 +45,26 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := sink.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	got, err := ReadJSONL(&buf)
+	_, got, err := ReadTrace(&buf)
 	if err != nil {
-		t.Fatalf("ReadJSONL: %v", err)
+		t.Fatalf("ReadTrace: %v", err)
 	}
 	if len(got) != len(allKinds) {
 		t.Fatalf("got %d events, want %d", len(got), len(allKinds))
 	}
+	covered := map[string]bool{}
 	for i, e := range allKinds {
+		covered[e.Kind()] = true
 		if got[i].T != e.Kind() {
 			t.Errorf("event %d: tag %q, want %q", i, got[i].T, e.Kind())
 		}
 		if !reflect.DeepEqual(got[i].E, e) {
 			t.Errorf("event %d: %#v != %#v", i, got[i].E, e)
+		}
+	}
+	for kind := range eventDecoders {
+		if !covered[kind] {
+			t.Errorf("allKinds has no %q event; the round trip does not cover it", kind)
 		}
 	}
 	for i := 1; i < len(got); i++ {
@@ -69,9 +78,9 @@ func TestJSONLRoundTrip(t *testing.T) {
 func TestReadJSONLSkipsUnknownKinds(t *testing.T) {
 	in := `{"t":"from_the_future","ts":1,"e":{"x":1}}` + "\n" +
 		`{"t":"restart","ts":2,"e":{"restarts":1,"conflicts":9}}` + "\n"
-	got, err := ReadJSONL(strings.NewReader(in))
+	_, got, err := ReadTrace(strings.NewReader(in))
 	if err != nil {
-		t.Fatalf("ReadJSONL: %v", err)
+		t.Fatalf("ReadTrace: %v", err)
 	}
 	if len(got) != 1 || got[0].E != (RestartEvent{Restarts: 1, Conflicts: 9}) {
 		t.Fatalf("got %#v, want the one restart event", got)
@@ -79,7 +88,7 @@ func TestReadJSONLSkipsUnknownKinds(t *testing.T) {
 }
 
 func TestReadJSONLRejectsMalformedLines(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("not json\n")); err == nil {
+	if _, _, err := ReadTrace(strings.NewReader("not json\n")); err == nil {
 		t.Fatal("malformed line silently accepted")
 	}
 }
@@ -112,7 +121,7 @@ func TestTee(t *testing.T) {
 	sa.Flush()
 	sb.Flush()
 	for name, buf := range map[string]*bytes.Buffer{"a": &a, "b": &b} {
-		evs, err := ReadJSONL(buf)
+		_, evs, err := ReadTrace(buf)
 		if err != nil || len(evs) != 1 {
 			t.Fatalf("sink %s: events=%d err=%v", name, len(evs), err)
 		}
@@ -141,7 +150,7 @@ func TestRingKeepsLastN(t *testing.T) {
 	if err := r.Dump(&buf); err != nil {
 		t.Fatalf("dump: %v", err)
 	}
-	replayed, err := ReadJSONL(&buf)
+	_, replayed, err := ReadTrace(&buf)
 	if err != nil || len(replayed) != 3 {
 		t.Fatalf("replayed=%d err=%v", len(replayed), err)
 	}

@@ -37,7 +37,7 @@ func memberProblem(t testing.TB, g *topo.Chimera, seed int64, numClauses, numVar
 		t.Fatalf("embedded %d/%d clauses", res.EmbeddedClauses, numClauses)
 	}
 	is := enc.Program(&qubo.Sums{}, false)
-	return anneal.EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))
+	return new(anneal.EmbedScratch).EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))
 }
 
 // TestPackDisjointPlacement is the packer's core invariant: committed

@@ -303,19 +303,12 @@ func streamSeed(seed, call int64) int64 {
 	return int64(x >> 1)
 }
 
-// SleepContext sleeps for d, clipped to ctx's deadline and interruptible by
-// its cancellation; it returns ctx's verdict after waking, so sleeping into
-// a deadline reports context.DeadlineExceeded. Deadlines are honoured by
-// polling rather than by relying on Done alone, which lets the timer-free
-// deadline contexts of the Resilient wrapper work.
+// SleepContext sleeps for d, cut short by ctx's cancellation or deadline; it
+// returns ctx's verdict after waking, so sleeping into a deadline reports
+// context.DeadlineExceeded.
 func SleepContext(ctx context.Context, d time.Duration) error {
 	if err := ctx.Err(); err != nil {
 		return err
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		if rem := time.Until(dl); rem < d {
-			d = rem
-		}
 	}
 	if d > 0 {
 		t := time.NewTimer(d)
@@ -325,13 +318,5 @@ func SleepContext(ctx context.Context, d time.Duration) error {
 		case <-t.C:
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	// A sleep clipped to the deadline may wake a beat before the context's
-	// own timer fires; the deadline has still passed, so report it.
-	if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
-		return context.DeadlineExceeded
-	}
-	return nil
+	return ctx.Err()
 }

@@ -185,7 +185,7 @@ func TestSleepContext(t *testing.T) {
 	if err := SleepContext(ctx, time.Hour); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled sleep: %v", err)
 	}
-	// A deadline clips the sleep and reports DeadlineExceeded on waking.
+	// A deadline cuts the sleep short and reports DeadlineExceeded on waking.
 	dctx, dcancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer dcancel()
 	start := time.Now()

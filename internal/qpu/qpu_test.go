@@ -38,7 +38,7 @@ func testEmbeddedProblem(t testing.TB) *anneal.EmbeddedProblem {
 	}
 	embEnc := enc.Restrict(res.EmbeddedSet)
 	is := embEnc.Program(&qubo.Sums{}, false)
-	return anneal.EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))
+	return new(anneal.EmbedScratch).EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))
 }
 
 func testSampler() *anneal.Sampler {

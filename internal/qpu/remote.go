@@ -167,16 +167,6 @@ func (r *Remote) Submit(ctx context.Context, ep *anneal.EmbeddedProblem, reads i
 	if err != nil {
 		return anneal.ReadSet{}, &RemoteError{Reason: "decode", Detail: "encoding request: " + err.Error(), IsPermanent: true}
 	}
-	// The Resilient wrapper's per-attempt budget is a cooperative deadline
-	// (no timer, Done never fires early). The HTTP transport only honours
-	// Done, so materialise the effective deadline into a real timer context —
-	// that is what turns a stalled remote read into a timeout instead of a
-	// hang.
-	if d, ok := ctx.Deadline(); ok {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, d)
-		defer cancel()
-	}
 	key := r.instance + "-" + strconv.FormatInt(r.calls.Add(1), 10)
 
 	var lastErr error

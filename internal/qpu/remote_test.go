@@ -36,7 +36,7 @@ func remoteTestProblem(t testing.TB) *anneal.EmbeddedProblem {
 		t.Fatalf("embedded %d/%d clauses", res.EmbeddedClauses, len(clauses))
 	}
 	is := enc.Program(&qubo.Sums{}, false)
-	return anneal.EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))
+	return new(anneal.EmbedScratch).EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))
 }
 
 // sampleHandler is a minimal wire-correct server: decode, sample with its own

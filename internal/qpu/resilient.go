@@ -37,7 +37,9 @@ func (s BreakerState) String() string {
 }
 
 // Config tunes the Resilient decorator. The zero value is completed with
-// production defaults by NewResilient.
+// production defaults by NewResilient. There is no per-attempt timeout: every
+// attempt runs on the caller's context, so the caller's deadline bounds the
+// whole Submit, retries and backoff included.
 type Config struct {
 	// MaxAttempts bounds tries per Submit, including the first (default 3).
 	MaxAttempts int
@@ -51,13 +53,6 @@ type Config struct {
 	// before admitting a half-open probe (default 1s).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// CallTimeout is the per-attempt deadline budget, imposed on top of any
-	// caller deadline (whichever is earlier wins). 0 disables it. The
-	// deadline is imposed without allocating: a pooled timer-free context
-	// whose Deadline/Err cooperative backends poll. The budget starts when
-	// the backend first polls it, which every backend here does on entry
-	// to Submit, so an attempt reads the clock once on the happy path.
-	CallTimeout time.Duration
 	// Timing prices failed attempts: every attempt that dies after reaching
 	// the device is charged AccessTime(reads) of modelled device time to the
 	// qpu_wasted_device_ns counter (defaults to D-Wave 2000Q timing).
@@ -70,8 +65,8 @@ type Config struct {
 	// creates a private registry (retrievable via Resilient.Metrics).
 	Metrics *obs.Registry
 	// Clock and Sleep are injectable for deterministic tests: Clock feeds the
-	// breaker cooldown and deadline budgets (default monotonicNow), Sleep
-	// implements the retry backoff (default SleepContext).
+	// breaker cooldown (default monotonicNow), Sleep implements the retry
+	// backoff (default SleepContext).
 	Clock func() time.Time
 	Sleep func(ctx context.Context, d time.Duration) error
 }
@@ -133,12 +128,12 @@ type resilientMetrics struct {
 }
 
 // Resilient decorates a Backend with the reliability layer a remote QPU
-// needs: context-deadline propagation, per-attempt timeout budgets, retry
-// with exponential backoff and deterministic jitter, a closed/open/half-open
-// circuit breaker, panic recovery, and read-set validation. On the happy path
-// (closed breaker, first attempt succeeds) it adds zero allocations and
-// negligible time over calling the inner backend directly — enforced by
-// check.sh gates.
+// needs: every attempt runs on the caller's context (its deadline bounds the
+// whole Submit), retry with exponential backoff and deterministic jitter, a
+// closed/open/half-open circuit breaker, panic recovery, and read-set
+// validation. On the happy path (closed breaker, first attempt succeeds) it
+// adds zero allocations and negligible time over calling the inner backend
+// directly — enforced by check.sh gates.
 type Resilient struct {
 	inner Backend
 	cfg   Config
@@ -156,8 +151,6 @@ type Resilient struct {
 	openedAt time.Time
 	probing  bool // a half-open probe is in flight
 	rng      *rand.Rand
-
-	ctxPool sync.Pool // *deadlineCtx, reused so timeout budgets don't allocate
 }
 
 // NewResilient wraps inner with the reliability layer.
@@ -178,7 +171,6 @@ func NewResilient(inner Backend, cfg Config) *Resilient {
 			state:       cfg.Metrics.Gauge("qpu_breaker_state"),
 		},
 	}
-	r.ctxPool.New = func() any { return new(deadlineCtx) }
 	r.clear.Store(true)
 	return r
 }
@@ -245,11 +237,10 @@ func (r *Resilient) Submit(ctx context.Context, ep *anneal.EmbeddedProblem, read
 	return anneal.ReadSet{}, lastErr
 }
 
-// attempt runs one try against the inner backend: the per-attempt deadline
-// budget is imposed through a pooled timer-free context, panics from the
-// sweep kernel (or any decorator below) are recovered into errors, and the
-// returned read set is shape-validated before it is allowed to count as a
-// success.
+// attempt runs one try against the inner backend on the caller's context:
+// panics from the sweep kernel (or any decorator below) are recovered into
+// errors, and the returned read set is shape-validated before it is allowed
+// to count as a success.
 func (r *Resilient) attempt(ctx context.Context, ep *anneal.EmbeddedProblem, reads int) (rs anneal.ReadSet, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -257,16 +248,7 @@ func (r *Resilient) attempt(ctx context.Context, ep *anneal.EmbeddedProblem, rea
 			err = fmt.Errorf("%w: %v", &FaultError{Fault: "panic"}, p)
 		}
 	}()
-	if r.cfg.CallTimeout > 0 {
-		dc := r.ctxPool.Get().(*deadlineCtx)
-		dc.arm(ctx, r.cfg.CallTimeout, r.cfg.Clock)
-		rs, err = r.inner.Submit(dc, ep, reads)
-		// A backend that panicked keeps its context out of the pool.
-		dc.Context = nil
-		r.ctxPool.Put(dc)
-	} else {
-		rs, err = r.inner.Submit(ctx, ep, reads)
-	}
+	rs, err = r.inner.Submit(ctx, ep, reads)
 	if err != nil {
 		return anneal.ReadSet{}, err
 	}
@@ -369,66 +351,4 @@ func (r *Resilient) transition(to BreakerState) {
 			Backend: r.inner.Name(), From: from.String(), To: to.String(), Failures: r.fails,
 		})
 	}
-}
-
-// deadlineCtx imposes an earlier deadline on a parent context without the
-// timer goroutine and allocations of context.WithDeadline. Done returns the
-// parent's channel, so cancellation still propagates; the tightened deadline
-// is visible through Deadline and enforced by Err, which every cooperative
-// backend (and SleepContext) polls. That is exactly the semantics a real
-// device access has: a submission can be abandoned between steps, never
-// preempted mid-anneal.
-//
-// The budget starts at the first Deadline or Err call, whose clock read
-// then serves both to fix the deadline and to answer the call (a budget
-// that has just started has not run out). The context is safe for
-// concurrent use: callers that race the first call each answer from their
-// own clock read, and one of them fixes the deadline.
-type deadlineCtx struct {
-	context.Context
-	budget   time.Duration
-	clock    func() time.Time
-	started  atomic.Uint32 // 0 budget not started, 1 starting, 2 deadline fixed
-	deadline time.Time     // written once, before started becomes 2
-}
-
-// arm points c at a parent context and a fresh budget.
-func (c *deadlineCtx) arm(parent context.Context, budget time.Duration, clock func() time.Time) {
-	c.Context, c.budget, c.clock = parent, budget, clock
-	c.started.Store(0)
-}
-
-// imposed returns the imposed deadline and whether this call started the
-// budget (its clock read is then the budget's start).
-func (c *deadlineCtx) imposed() (deadline time.Time, fresh bool) {
-	if c.started.Load() == 2 {
-		return c.deadline, false
-	}
-	d := c.clock().Add(c.budget)
-	if c.started.CompareAndSwap(0, 1) {
-		c.deadline = d
-		c.started.Store(2)
-	}
-	return d, true
-}
-
-// Deadline implements context.Context, reporting the earlier of the parent's
-// deadline and the imposed one.
-func (c *deadlineCtx) Deadline() (time.Time, bool) {
-	d, _ := c.imposed()
-	if pd, ok := c.Context.Deadline(); ok && pd.Before(d) {
-		return pd, true
-	}
-	return d, true
-}
-
-// Err implements context.Context.
-func (c *deadlineCtx) Err() error {
-	if err := c.Context.Err(); err != nil {
-		return err
-	}
-	if d, fresh := c.imposed(); !fresh && !c.clock().Before(d) {
-		return context.DeadlineExceeded
-	}
-	return nil
 }

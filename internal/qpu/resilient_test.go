@@ -229,8 +229,7 @@ func TestResilientValidatesReadSets(t *testing.T) {
 }
 
 // TestDeadlinePropagation checks the caller's context reaches the backend and
-// an expired deadline aborts the retry loop rather than burning attempts, and
-// that CallTimeout imposes a per-attempt deadline visible to the backend.
+// a cancelled caller aborts the retry loop rather than burning attempts.
 func TestDeadlinePropagation(t *testing.T) {
 	ep := testEmbeddedProblem(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -238,26 +237,6 @@ func TestDeadlinePropagation(t *testing.T) {
 	r := NewResilient(&scripted{sampler: testSampler()}, Config{Sleep: instantSleep})
 	if _, err := r.Submit(ctx, ep, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ctx: err=%v, want context.Canceled", err)
-	}
-
-	// A per-call timeout in the past makes cooperative backends (SleepContext
-	// here, standing in for the sampler's submission boundary) observe
-	// DeadlineExceeded; the attempt fails rather than hanging.
-	clock := &fakeClock{now: time.Unix(1000, 0)}
-	slowInner := backendFunc(func(ctx context.Context, ep *anneal.EmbeddedProblem, reads int) (anneal.ReadSet, error) {
-		dl, ok := ctx.Deadline()
-		if !ok {
-			t.Fatal("no deadline imposed on the attempt context")
-		}
-		clock.now = dl.Add(time.Millisecond) // the job outlives its budget
-		return anneal.ReadSet{}, ctx.Err()
-	})
-	r2 := NewResilient(slowInner, Config{
-		MaxAttempts: 1, CallTimeout: 50 * time.Millisecond,
-		Clock: clock.Now, Sleep: instantSleep,
-	})
-	if _, err := r2.Submit(context.Background(), ep, 1); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("expired call budget: err=%v, want DeadlineExceeded", err)
 	}
 }
 
@@ -270,16 +249,16 @@ func (f backendFunc) Submit(ctx context.Context, ep *anneal.EmbeddedProblem, rea
 }
 
 // TestResilientHappyPathAllocs is the alloc half of the overhead gate: on the
-// happy path (closed breaker, first attempt succeeds, CallTimeout armed) the
-// Resilient wrapper must add zero allocations over calling the backend
+// happy path (closed breaker, first attempt succeeds, the CLI's zero Config)
+// the Resilient wrapper must add zero allocations over calling the backend
 // directly.
 func TestResilientHappyPathAllocs(t *testing.T) {
 	ep := testEmbeddedProblem(t)
 	ctx := context.Background()
 
 	direct := NewLocal(testSampler())
-	wrapped := NewResilient(NewLocal(testSampler()), Config{CallTimeout: time.Second})
-	// Warm scratch buffers and the deadline-context pool before measuring.
+	wrapped := NewResilient(NewLocal(testSampler()), Config{})
+	// Warm scratch buffers before measuring.
 	if _, err := direct.Submit(ctx, ep, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +293,7 @@ func TestResilientOverhead(t *testing.T) {
 	ep := testEmbeddedProblem(t)
 	ctx := context.Background()
 	direct := NewLocal(testSampler())
-	wrapped := NewResilient(NewLocal(testSampler()), Config{CallTimeout: time.Second})
+	wrapped := NewResilient(NewLocal(testSampler()), Config{})
 	submit := func(b Backend) func(int) {
 		return func(n int) {
 			for j := 0; j < n; j++ {

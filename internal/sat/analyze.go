@@ -128,15 +128,15 @@ func (s *Solver) litRedundant(q cnf.Lit) bool {
 // bumpOnConflict applies the heuristic-specific score update for a variable
 // encountered during conflict analysis.
 func (s *Solver) bumpOnConflict(v cnf.Var) {
-	switch s.opts.Heuristic {
-	case CHB:
+	switch s.opts.Preset {
+	case Kissat: // CHB
 		// Conflict-history bandit: reward is larger the more recently the
 		// variable last participated in a conflict.
 		reward := 1.0 / float64(s.stats.Conflicts-s.lastConflict[v]+1)
 		s.varAct[v] = (1-s.chbAlpha)*s.varAct[v] + s.chbAlpha*reward
 		s.lastConflict[v] = s.stats.Conflicts
 		s.order.update(v)
-	default:
+	default: // VSIDS
 		s.varBump(v, s.varInc)
 	}
 }
@@ -205,13 +205,13 @@ func (s *Solver) handleConflict(conflict cref) bool {
 			Backjump:  int(backjump),
 		})
 	}
-	switch s.opts.Heuristic {
-	case CHB:
+	switch s.opts.Preset {
+	case Kissat: // CHB
 		// Decay α towards its floor, per the CHB schedule.
 		if s.chbAlpha > 0.06 {
 			s.chbAlpha -= 1e-6
 		}
-	default:
+	default: // VSIDS
 		s.varDecayActivity()
 	}
 	s.claDecayActivity()

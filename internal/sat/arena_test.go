@@ -261,35 +261,6 @@ func TestBinaryClauseEncoding(t *testing.T) {
 	}
 }
 
-// TestPickBranchVarRandomFallsBackToHeap covers the near-complete-trail case:
-// with RandomFreq=1 and a single unassigned variable, all 16 random probes
-// may hit assigned variables — pickBranchVar must still return the remaining
-// variable via the activity heap, never NoVar.
-func TestPickBranchVarRandomFallsBackToHeap(t *testing.T) {
-	const n = 64
-	for seed := int64(0); seed < 20; seed++ {
-		opts := MiniSATOptions()
-		opts.RandomFreq = 1.0
-		opts.Seed = seed
-		f := cnf.New(n)
-		lits := make([]int, n)
-		for i := range lits {
-			lits[i] = i + 1
-		}
-		f.Add(lits...) // one wide clause, no forced propagation
-		s := New(f, opts)
-		// Assign every variable but the last.
-		s.newDecisionLevel()
-		for v := cnf.Var(0); v < n-1; v++ {
-			s.enqueue(cnf.Pos(v), crefUndef)
-		}
-		got := s.pickBranchVar()
-		if got != cnf.Var(n-1) {
-			t.Fatalf("seed %d: pickBranchVar = %v, want %v", seed, got, cnf.Var(n-1))
-		}
-	}
-}
-
 // TestArenaStats sanity-checks the introspection hook.
 func TestArenaStats(t *testing.T) {
 	f := cnf.New(3)

@@ -7,89 +7,56 @@
 // Two preset configurations mirror the paper's classical baselines:
 // MiniSATOptions (VSIDS + Luby + activity reduction, as in MiniSAT 2.2) and
 // KissatOptions (CHB + LBD-EMA restarts + LBD reduction, the heuristic family
-// of KisSAT). The solver additionally exposes the hooks the HyQSAT hybrid
-// loop needs: stepwise execution, per-clause conflict-activity scores,
-// phase hints, and variable prioritisation.
+// of KisSAT). Options is exactly a preset selector plus Seed, MaxConflicts
+// and TrackVisits; nothing else about the search is configurable. The solver
+// additionally exposes the hooks the HyQSAT hybrid loop needs: stepwise
+// execution, per-clause conflict-activity scores, phase hints, and variable
+// prioritisation.
 package sat
 
-// Heuristic selects the branching-variable heuristic.
-type Heuristic int
+// Preset selects one of the two baseline configurations. Each fixes the
+// branching heuristic, restart policy, learnt-clause reduction and initial
+// polarity together; phase saving is always on, and the decay factors and
+// Luby unit are the constants below.
+type Preset int
 
-// Branching heuristics.
+// Baseline presets.
 const (
-	VSIDS Heuristic = iota // exponentially-decayed conflict activity (MiniSAT/Chaff)
-	CHB                    // conflict-history-based bandit scores (KisSAT family)
+	// MiniSAT is MiniSAT 2.2: VSIDS branching, Luby restarts, activity-based
+	// reduction, initial polarity false.
+	MiniSAT Preset = iota
+	// Kissat is the KisSAT heuristic family: CHB branching, LBD-EMA restarts,
+	// LBD-based clause retention, initial polarity true.
+	Kissat
 )
 
-// RestartPolicy selects when the solver restarts.
-type RestartPolicy int
-
-// Restart policies.
+// Search constants shared by both presets.
 const (
-	LubyRestarts    RestartPolicy = iota // Luby sequence × base conflicts
-	GlucoseRestarts                      // fast/slow LBD exponential moving averages
-	NoRestartsAtAll                      // never restart (useful in tests)
+	varDecay    = 0.95  // VSIDS activity decay
+	clauseDecay = 0.999 // learnt-clause activity decay
+	restartBase = 100   // Luby unit in conflicts
 )
 
-// ReduceMode selects how the learnt-clause database is trimmed.
-type ReduceMode int
-
-// Learnt-clause reduction modes.
-const (
-	ReduceByActivity ReduceMode = iota // drop the less active half (MiniSAT)
-	ReduceByLBD                        // keep low-LBD glue clauses (Glucose/KisSAT)
-	NoReduce                           // keep everything (useful in tests)
-)
-
-// Options configures a Solver. The zero value is usable but
-// MiniSATOptions/KissatOptions are the intended entry points.
+// Options configures a Solver: a preset plus per-run settings. The zero
+// value is the MiniSAT preset; MiniSATOptions/KissatOptions are the intended
+// entry points.
 type Options struct {
-	Heuristic    Heuristic
-	Restarts     RestartPolicy
-	Reduce       ReduceMode
-	VarDecay     float64 // VSIDS activity decay, e.g. 0.95
-	ClauseDecay  float64 // learnt-clause activity decay, e.g. 0.999
-	RestartBase  int64   // Luby unit in conflicts, e.g. 100
-	PhaseSaving  bool    // remember last polarity per variable
-	InitialPhase bool    // polarity used before any saving/hint
-	Seed         int64   // randomises tie-breaking and occasional decisions
-	RandomFreq   float64 // probability of a random decision variable
-	MaxConflicts int64   // stop with Unknown after this many conflicts (0 = unlimited)
-	TrackVisits  bool    // per-clause propagation/conflict visit counters (Fig 5)
+	Preset       Preset
+	Seed         int64 // per-solver seed; the search itself draws no random numbers
+	MaxConflicts int64 // stop with Unknown after this many conflicts (0 = unlimited)
+	TrackVisits  bool  // per-clause propagation/conflict visit counters (Fig 5)
 }
 
 // MiniSATOptions returns the MiniSAT-2.2-style baseline configuration used as
 // "classic CDCL" throughout the paper's evaluation.
 func MiniSATOptions() Options {
-	return Options{
-		Heuristic:    VSIDS,
-		Restarts:     LubyRestarts,
-		Reduce:       ReduceByActivity,
-		VarDecay:     0.95,
-		ClauseDecay:  0.999,
-		RestartBase:  100,
-		PhaseSaving:  true,
-		InitialPhase: false,
-		Seed:         91648253,
-		RandomFreq:   0,
-	}
+	return Options{Preset: MiniSAT, Seed: 91648253}
 }
 
 // KissatOptions returns the KisSAT-style baseline: CHB branching, LBD-EMA
 // restarts, and LBD-based clause retention.
 func KissatOptions() Options {
-	return Options{
-		Heuristic:    CHB,
-		Restarts:     GlucoseRestarts,
-		Reduce:       ReduceByLBD,
-		VarDecay:     0.95,
-		ClauseDecay:  0.999,
-		RestartBase:  100,
-		PhaseSaving:  true,
-		InitialPhase: true,
-		Seed:         140819,
-		RandomFreq:   0,
-	}
+	return Options{Preset: Kissat, Seed: 140819}
 }
 
 // Status is the outcome of a solve.

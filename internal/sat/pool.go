@@ -1,7 +1,6 @@
 package sat
 
 import (
-	"math/rand"
 	"sync"
 
 	"hyqsat/internal/cnf"
@@ -33,22 +32,8 @@ func emptySlice[T any](s []T, n int) []T {
 // freshly constructed one: New is literally reset applied to a zero Solver,
 // and TestPoolBitIdentical pins the equivalence over a polluted-state corpus.
 func (s *Solver) reset(f *cnf.Formula, opts Options) {
-	if opts.VarDecay == 0 {
-		opts.VarDecay = 0.95
-	}
-	if opts.ClauseDecay == 0 {
-		opts.ClauseDecay = 0.999
-	}
-	if opts.RestartBase == 0 {
-		opts.RestartBase = 100
-	}
 	n := f.NumVars
 	s.opts = opts
-	if s.rng == nil {
-		s.rng = rand.New(rand.NewSource(opts.Seed))
-	} else {
-		s.rng.Seed(opts.Seed)
-	}
 	s.formula = f
 
 	// Size the arena for the problem clauses up front; learnt records extend
@@ -89,7 +74,7 @@ func (s *Solver) reset(f *cnf.Formula, opts Options) {
 
 	s.polarity = resetSlice(s.polarity, n)
 	for i := range s.polarity {
-		s.polarity[i] = opts.InitialPhase
+		s.polarity[i] = opts.Preset == Kissat
 	}
 	s.varAct = resetSlice(s.varAct, n)
 	s.varInc = 1.0

@@ -300,9 +300,7 @@ func TestPhaseHints(t *testing.T) {
 	// With no constraints beyond a wide clause, phase hints decide polarity.
 	f := cnf.New(5)
 	f.Add(1, 2, 3, 4, 5)
-	opts := MiniSATOptions()
-	opts.PhaseSaving = false
-	s := New(f, opts)
+	s := New(f, MiniSATOptions())
 	a := cnf.NewAssignment(5)
 	for v := cnf.Var(0); v < 5; v++ {
 		a.Set(v, true)
@@ -325,10 +323,7 @@ func TestSetPhaseHintsFromAssignment(t *testing.T) {
 	a := cnf.NewAssignment(4)
 	a.Set(0, false)
 	a.Set(1, true)
-	opts := MiniSATOptions()
-	opts.PhaseSaving = false
-	opts.InitialPhase = false
-	s := New(f, opts)
+	s := New(f, MiniSATOptions())
 	s.SetPhaseHints(a)
 	r := s.Solve()
 	if r.Status != Sat {
@@ -415,35 +410,6 @@ func TestReduceDBKeepsCorrectness(t *testing.T) {
 	}
 	if r.Stats.Removed == 0 {
 		t.Log("note: no clauses were removed (DB never filled); widening instance would exercise reduceDB")
-	}
-}
-
-func TestNoRestartsNoReduceStillCorrect(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	opts := MiniSATOptions()
-	opts.Restarts = NoRestartsAtAll
-	opts.Reduce = NoReduce
-	for trial := 0; trial < 50; trial++ {
-		f := randomFormula(rng, 8, 25, 3)
-		want := bruteForce(f)
-		r := New(f.Copy(), opts).Solve()
-		if (r.Status == Sat) != want {
-			t.Fatalf("trial %d mismatch", trial)
-		}
-	}
-}
-
-func TestRandomDecisionsStillCorrect(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	opts := MiniSATOptions()
-	opts.RandomFreq = 0.3
-	for trial := 0; trial < 50; trial++ {
-		f := randomFormula(rng, 8, 25, 3)
-		want := bruteForce(f)
-		r := New(f.Copy(), opts).Solve()
-		if (r.Status == Sat) != want {
-			t.Fatalf("trial %d mismatch", trial)
-		}
 	}
 }
 

@@ -53,7 +53,7 @@ func (s *Solver) Step() StepStatus {
 		if s.shouldRestart() {
 			s.restart()
 		}
-		if s.opts.Reduce != NoReduce && float64(len(s.learnts)) >= s.maxLearnts {
+		if float64(len(s.learnts)) >= s.maxLearnts {
 			s.reduceDB()
 		}
 		// A conflict concludes this iteration; the next decision happens in
@@ -115,14 +115,10 @@ func (s *Solver) Solve() Result {
 // --- Restarts ---
 
 func (s *Solver) restartBudget() int64 {
-	switch s.opts.Restarts {
-	case LubyRestarts:
-		return luby(2, s.lubyIndex) * s.opts.RestartBase
-	case GlucoseRestarts:
+	if s.opts.Preset == Kissat {
 		return 50 // EMA check window; the EMA test drives the decision
-	default:
-		return 1 << 62
 	}
+	return luby(2, s.lubyIndex) * restartBase
 }
 
 func (s *Solver) updateRestartEMA() {
@@ -142,17 +138,13 @@ func (s *Solver) shouldRestart() bool {
 	if s.decisionLevel() == s.rootLevel {
 		return false
 	}
-	switch s.opts.Restarts {
-	case LubyRestarts:
-		s.conflictsUntilRestart--
-		return s.conflictsUntilRestart <= 0
-	case GlucoseRestarts:
+	if s.opts.Preset == Kissat {
 		// Restart when recent conflicts produce markedly worse (higher-LBD)
 		// clauses than the long-run average.
 		return s.emaConflicts > 50 && s.lbdEMAFast > 1.25*s.lbdEMASlow
-	default:
-		return false
 	}
+	s.conflictsUntilRestart--
+	return s.conflictsUntilRestart <= 0
 }
 
 func (s *Solver) restart() {
@@ -206,8 +198,8 @@ func (s *Solver) reduceDB() {
 		}
 		candidates = append(candidates, c)
 	}
-	switch s.opts.Reduce {
-	case ReduceByLBD:
+	switch s.opts.Preset {
+	case Kissat: // LBD first, activity breaks ties
 		sort.Slice(candidates, func(i, j int) bool {
 			li, lj := s.ca.lbd(candidates[i]), s.ca.lbd(candidates[j])
 			if li != lj {
@@ -215,7 +207,7 @@ func (s *Solver) reduceDB() {
 			}
 			return s.ca.act(candidates[i]) > s.ca.act(candidates[j])
 		})
-	default:
+	default: // MiniSAT: activity only
 		sort.Slice(candidates, func(i, j int) bool {
 			return s.ca.act(candidates[i]) > s.ca.act(candidates[j])
 		})
@@ -225,7 +217,7 @@ func (s *Solver) reduceDB() {
 	removed := 0
 	for i, c := range candidates {
 		protected := s.isReason(c) || s.ca.size(c) == 2 ||
-			(s.opts.Reduce == ReduceByLBD && s.ca.lbd(c) <= 2)
+			(s.opts.Preset == Kissat && s.ca.lbd(c) <= 2)
 		if i < keep || protected {
 			live = append(live, c)
 			continue

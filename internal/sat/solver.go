@@ -1,7 +1,6 @@
 package sat
 
 import (
-	"math/rand"
 	"sync/atomic"
 
 	"hyqsat/internal/cnf"
@@ -21,7 +20,6 @@ type watcher struct {
 // concurrent use.
 type Solver struct {
 	opts    Options
-	rng     *rand.Rand
 	formula *cnf.Formula // the (cleaned) input, for model checking and hybrid hooks
 
 	ca      clauseArena // flat clause store: problem and learnt records interleaved
@@ -218,9 +216,7 @@ func (s *Solver) cancelUntil(lvl int32) {
 	for i := len(s.trail) - 1; i >= bound; i-- {
 		l := s.trail[i]
 		v := l.Var()
-		if s.opts.PhaseSaving {
-			s.polarity[v] = !l.IsNeg()
-		}
+		s.polarity[v] = !l.IsNeg()
 		s.assigns[v] = cnf.Undef
 		s.reason[v] = crefUndef
 		if !s.order.contains(v) {
@@ -232,22 +228,8 @@ func (s *Solver) cancelUntil(lvl int32) {
 	s.qhead = len(s.trail)
 }
 
-// pickBranchVar pops the most active unassigned variable (occasionally a
-// random one, per Options.RandomFreq).
+// pickBranchVar pops the most active unassigned variable.
 func (s *Solver) pickBranchVar() cnf.Var {
-	if s.opts.RandomFreq > 0 && len(s.assigns) > 0 &&
-		s.rng.Float64() < s.opts.RandomFreq {
-		// Random decision: sample an unassigned variable. Near a full
-		// assignment all 16 probes can hit assigned variables; the activity
-		// heap below is the explicit fallback, so a random round never
-		// returns NoVar while unassigned variables remain.
-		for tries := 0; tries < 16; tries++ {
-			v := cnf.Var(s.rng.Intn(len(s.assigns)))
-			if s.assigns[v] == cnf.Undef {
-				return v
-			}
-		}
-	}
 	for !s.order.empty() {
 		v := s.order.pop()
 		if s.assigns[v] == cnf.Undef {
@@ -271,7 +253,7 @@ func (s *Solver) varBump(v cnf.Var, amount float64) {
 }
 
 func (s *Solver) varDecayActivity() {
-	s.varInc /= s.opts.VarDecay
+	s.varInc /= varDecay
 }
 
 func (s *Solver) claBump(c cref) {
@@ -288,5 +270,5 @@ func (s *Solver) claBump(c cref) {
 }
 
 func (s *Solver) claDecayActivity() {
-	s.claInc /= s.opts.ClauseDecay
+	s.claInc /= clauseDecay
 }

@@ -34,7 +34,7 @@ func nativeProblem(t testing.TB, v1, v2, v3 int) *anneal.EmbeddedProblem {
 	}
 	res := embed.Fast(enc, g)
 	is := enc.Program(&qubo.Sums{}, false)
-	return anneal.EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))
+	return new(anneal.EmbedScratch).EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))
 }
 
 func postSample(t testing.TB, url, tenant string, ep *anneal.EmbeddedProblem, reads int) (int, []byte) {

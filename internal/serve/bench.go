@@ -21,11 +21,10 @@ type ThroughputConfig struct {
 	// Jobs is the total number of solve jobs across all clients. Default
 	// 8 × Clients.
 	Jobs int
-	// Batching selects whether the service batches QPU accesses; off runs
-	// one device program per request (the baseline).
+	// Batching selects whether the service batches QPU accesses, with the
+	// service's default window; off runs one device program per request
+	// (the baseline).
 	Batching bool
-	// Window overrides the batching window (0 → service default).
-	Window time.Duration
 	// Vars/Clauses shape the random 3-SAT instances (defaults 12/50).
 	Vars, Clauses int
 	// Reads is the solver's NumReads per QA access (default 1). Higher
@@ -78,7 +77,7 @@ func RunThroughputBench(cfg ThroughputConfig) (ThroughputResult, error) {
 		solve.NumReads = cfg.Reads
 	}
 	reg := obs.NewRegistry()
-	window := cfg.Window
+	var window time.Duration // 0: the service's default batching window
 	if !cfg.Batching {
 		window = -1
 	}

@@ -29,7 +29,7 @@ func remoteProblem(t testing.TB) *anneal.EmbeddedProblem {
 	}
 	res := embed.Fast(enc, g)
 	is := enc.Program(&qubo.Sums{}, false)
-	return anneal.EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))
+	return new(anneal.EmbedScratch).EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))
 }
 
 // remoteStack builds the production client stack against baseURL: Remote

@@ -7,7 +7,8 @@ import (
 	"time"
 )
 
-// TenantQuota is the per-tenant resource policy.
+// TenantQuota is the resource policy applied to each tenant's own usage;
+// every tenant gets Config.DefaultQuota.
 type TenantQuota struct {
 	// MaxConcurrent bounds jobs admitted but not yet finished (queued +
 	// running). 0 means the service default.
@@ -87,14 +88,13 @@ func (b *bucket) take(now time.Time, cost time.Duration) (wait time.Duration, ok
 
 // tenantState is one tenant's live accounting.
 type tenantState struct {
-	quota    TenantQuota
 	device   bucket
 	inFlight int       // admitted jobs not yet finished
 	lastSeen time.Time // for eviction of idle tenants at capacity
 }
 
-// tenants is the bounded tenant registry: per-tenant quotas and live usage.
-// The map is capped; when full, idle tenants (no in-flight work) are evicted
+// tenants is the bounded tenant registry: live usage per tenant, all under
+// the same default quota. The map is capped; when full, idle tenants (no in-flight work) are evicted
 // oldest-first, and if every tenant is busy, new tenants are refused rather
 // than growing without bound — tenant names come off the wire and must not
 // be able to exhaust memory.
@@ -125,7 +125,6 @@ func (t *tenants) get(name string) (*tenantState, error) {
 		}
 		q := t.defaults
 		ts = &tenantState{
-			quota: q,
 			device: bucket{
 				capacity: q.DeviceBudget,
 				refill:   q.DeviceRefill,
@@ -159,30 +158,6 @@ func (t *tenants) evictIdle() bool {
 	return true
 }
 
-// Override installs a specific quota for one tenant (resetting its device
-// bucket to the new full budget).
-func (t *tenants) Override(name string, q TenantQuota) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if q.MaxConcurrent == 0 {
-		q.MaxConcurrent = t.defaults.MaxConcurrent
-	}
-	if q.DeviceBudget == 0 {
-		q.DeviceBudget = t.defaults.DeviceBudget
-	}
-	ts := t.byName[name]
-	if ts == nil {
-		if len(t.byName) >= t.max {
-			t.evictIdle()
-		}
-		ts = &tenantState{}
-		t.byName[name] = ts
-	}
-	ts.quota = q
-	ts.device = bucket{capacity: q.DeviceBudget, refill: q.DeviceRefill, balance: q.DeviceBudget, last: t.now()}
-	ts.lastSeen = t.now()
-}
-
 // AdmitJob reserves one concurrency slot for the tenant.
 func (t *tenants) AdmitJob(name string) error {
 	t.mu.Lock()
@@ -191,7 +166,7 @@ func (t *tenants) AdmitJob(name string) error {
 	if err != nil {
 		return err
 	}
-	if ts.inFlight >= ts.quota.MaxConcurrent {
+	if ts.inFlight >= t.defaults.MaxConcurrent {
 		return &QuotaError{Tenant: name, Resource: "concurrency", RetryAfter: time.Second}
 	}
 	ts.inFlight++

@@ -481,40 +481,30 @@ func TestDrain(t *testing.T) {
 // Retry-After while refillable and with a permanent 403 once a hard budget
 // is spent; qpu.Remote surfaces both as typed errors.
 func TestSampleEndpointQuota(t *testing.T) {
-	svc := New(Config{Workers: 1})
-	defer svc.Drain(context.Background())
-	// team-throttled: tiny refillable budget. team-capped: hard budget.
 	access := anneal.DWave2000QTiming().AccessTime(1)
-	svc.tenants.Override("team-throttled", TenantQuota{DeviceBudget: access, DeviceRefill: time.Microsecond})
-	svc.tenants.Override("team-capped", TenantQuota{DeviceBudget: access, DeviceRefill: 0})
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-
 	ep := remoteProblem(t)
-	clients := map[string]*qpu.Remote{}
-	submit := func(tenant string) error {
-		remote := clients[tenant]
-		if remote == nil {
-			var err error
-			// Distinct seeds: same-seed clients generate identical
-			// idempotency keys, and a replayed key hits the response cache
-			// instead of the quota.
-			remote, err = qpu.NewRemote(qpu.RemoteConfig{
-				BaseURL: srv.URL, Tenant: tenant, Seed: int64(1 + len(clients)),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			clients[tenant] = remote
+	// twoAccesses runs two sample calls for one tenant against a service
+	// whose default quota holds exactly one access, and returns the second
+	// call's error.
+	twoAccesses := func(quota TenantQuota) error {
+		t.Helper()
+		svc := New(Config{Workers: 1, DefaultQuota: quota})
+		defer svc.Drain(context.Background())
+		srv := httptest.NewServer(svc.Handler())
+		defer srv.Close()
+		remote, err := qpu.NewRemote(qpu.RemoteConfig{BaseURL: srv.URL, Tenant: "team", Seed: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
-		_, err := remote.Submit(context.Background(), ep, 1)
+		if _, err := remote.Submit(context.Background(), ep, 1); err != nil {
+			t.Fatalf("first access under %+v: %v", quota, err)
+		}
+		_, err = remote.Submit(context.Background(), ep, 1)
 		return err
 	}
 
-	if err := submit("team-throttled"); err != nil {
-		t.Fatalf("first throttled access: %v", err)
-	}
-	err := submit("team-throttled")
+	// Throttled: a tiny refillable budget.
+	err := twoAccesses(TenantQuota{DeviceBudget: access, DeviceRefill: time.Microsecond})
 	var re *qpu.RemoteError
 	if !errors.As(err, &re) || re.Status != http.StatusTooManyRequests {
 		t.Fatalf("throttled: %v, want 429 RemoteError", err)
@@ -526,10 +516,8 @@ func TestSampleEndpointQuota(t *testing.T) {
 		t.Fatal("a refillable quota refusal must not be permanent")
 	}
 
-	if err := submit("team-capped"); err != nil {
-		t.Fatalf("first capped access: %v", err)
-	}
-	err = submit("team-capped")
+	// Capped: a hard budget that never refills.
+	err = twoAccesses(TenantQuota{DeviceBudget: access, DeviceRefill: 0})
 	if !errors.As(err, &re) || re.Status != http.StatusForbidden {
 		t.Fatalf("capped: %v, want 403 RemoteError", err)
 	}

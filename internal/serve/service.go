@@ -42,7 +42,7 @@ type Config struct {
 	QueueDepth int
 	// Workers is the solve worker count (default 2).
 	Workers int
-	// DefaultQuota applies to tenants without an Override. Zero fields
+	// DefaultQuota applies to every tenant. Zero fields
 	// default to 4 concurrent jobs and a 50ms device budget refilling at
 	// 5ms/s.
 	DefaultQuota TenantQuota
