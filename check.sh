@@ -18,12 +18,13 @@ test -z "$(gofmt -l .)"
 # One uncached race-detector run over every package covers all the
 # concurrency-bearing code: parallel Sample under the hybrid loop, the
 # bench worker pool, the telemetry sinks, the portfolio race
-# and clause-sharing bus (soundness corpus, adversarial injection, chaos
-# matrix, stitched cube proofs), the fault-tolerance layer (fault injection,
+# and clause-sharing bus (soundness corpus, adversarial injection, faulty-QPU
+# entrants, stitched cube proofs), the fault-tolerance layer (fault injection,
 # retry/backoff, circuit breaker, degradation to pure CDCL), the qbatch
 # packer and scheduler with its bit-identical per-member sampling contract,
-# the hyqsatd service layer under a fault-injecting wire proxy, and the
-# randomized CDCL certification corpus. HYQSAT_PERF_GATE is unset for this
+# the hyqsatd service layer (admission, quotas, idempotency, drain, sample
+# requests cancelled mid-flight), and the randomized CDCL certification
+# corpus. HYQSAT_PERF_GATE is unset for this
 # pass: the 1% ns/op gates (TestResilientOverhead,
 # TestNopTracerKernelOverhead) measure the detector's overhead rather than
 # the code's, so they run only in their own un-instrumented steps below.
@@ -59,9 +60,10 @@ HYQSAT_PERF_GATE=1 go test -run=TestResilientOverhead -count=1 -v ./internal/qpu
 # and the steady-state pack cycle staying allocation-free.
 go test -run='TestSampleBatchBitIdenticalToSequentialSample|TestSplitAccessTimeSumsExactly' -count=1 ./internal/anneal
 go test -run='TestPackSteadyStateAllocs' -count=1 ./internal/qbatch
-# Wire-chaos gate: the decode fuzz targets pin that no wire payload can panic
-# either side of the networked path.
-go test -run='^$' -fuzz=FuzzRemoteDecode -fuzztime=10s ./internal/qpu
+# Wire-decode gate: the decode fuzz targets pin that no /v1/qpu/sample
+# payload can panic its decoders, the server's request decoder and the
+# response decoder (qpu.SampleResponse.ReadSet).
+go test -run='^$' -fuzz=FuzzSampleResponseDecode -fuzztime=10s ./internal/qpu
 go test -run='^$' -fuzz=FuzzWireProblemDecode -fuzztime=10s ./internal/anneal
 # Built-binary service smoke: a real hyqsatd process with QPU batching on
 # serves a job round trip (submit DIMACS, poll to a certified verdict), its

@@ -379,7 +379,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			if *solver == "kissat" {
 				opts = sat.KissatOptions()
 			}
-			opts.Seed = *seed
 			opts.MaxConflicts = *maxConflicts
 			s := sat.New(formula, opts)
 			s.SetTracer(obs.WithSource(tracer, obs.Source{Name: *solver}))

@@ -2,14 +2,14 @@
 // failure first: bounded job queue with reject-don't-buffer admission,
 // per-tenant quotas on concurrent jobs and modelled QA device time,
 // idempotency keys against double-submits, client deadline propagation, and
-// graceful drain on SIGTERM/SIGINT (stop accepting, finish or checkpoint
-// in-flight jobs, flush traces).
+// graceful drain on SIGTERM/SIGINT (stop accepting, finish in-flight jobs or
+// stop them as checkpointed, flush traces).
 //
 // API (see DESIGN.md §14 and the README's "Running as a service"):
 //
 //	POST /v1/jobs        {"cnf": "<DIMACS>", "seed": n} → 202 {"id": ...}
 //	GET  /v1/jobs/{id}   job status / certified verdict
-//	POST /v1/qpu/sample  remote QA sampling for qpu.Remote clients
+//	POST /v1/qpu/sample  one QA device access over HTTP (qpu wire format)
 //	GET  /healthz        liveness + drain state
 //
 // A second -obs address exposes the usual introspection endpoints

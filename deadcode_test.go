@@ -33,11 +33,6 @@ var keptUncalled = map[string]string{
 	"portfolio.Bus.Inject":        "TestSharingAdversarialInjection* feed corrupted clauses through the bus",
 	"qpu.FaultInjector.Calls":     "the fault-injection and Resilient tests count backend calls",
 	"obs.QualityTracker.BySource": "TestQualityBySourceIsolation checks per-source segment attribution",
-	// The Go client of hyqsatd's /v1/qpu/sample endpoint and its chaos proxy.
-	"qpu.NewRemote":         "the /v1/qpu/sample client: TestRemote* and the FuzzRemoteDecode gate",
-	"qpu.NewFallback":       "degrades a Remote to a local backend: TestFallbackServesStandby, TestDeadServerDegradesToLocal",
-	"qpu.Fallback.FellBack": "the same tests assert the fallback engaged",
-	"serve.NewChaosProxy":   "TestWireChaosMatrix and TestChaosLeavesNoGoroutines",
 	// Called only implicitly, through an interface.
 	"portfolio.ErrUncertified.Unwrap": "errors.Is and errors.As walk it",
 }
@@ -139,8 +134,6 @@ func qualified(pkg string, fn *ast.FuncDecl) string {
 // Keys are pkg.Type.Field.
 var keptUnset = map[string]string{
 	"portfolio.RaceOptions.Bus": "the hook TestSharingAdversarialInjection* use to feed corrupted clauses to the entrants",
-	"qpu.RemoteConfig.BaseURL":  "the /v1/qpu/sample client is built only by its tests (see keptUncalled's qpu.NewRemote)",
-	"qpu.RemoteConfig.Client":   "the same client's transport seam; nil, which every caller passes, builds the pooled default",
 }
 
 // TestNoUnsetConfigFields fails when a field of an exported struct type under

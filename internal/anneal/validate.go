@@ -14,7 +14,8 @@ import (
 type ReadSetError struct {
 	// Reason is a stable tag naming the violated invariant: "empty",
 	// "read_count", "best_index", "nil_values", "energy", "chain_count",
-	// "unknown_node".
+	// "unknown_node", or "shape" for a wire response that does not decode
+	// to a read set (qpu.SampleResponse.ReadSet).
 	Reason string
 	// Read is the index of the offending read, or -1 for set-level faults.
 	Read int

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"hyqsat/internal/anneal"
 	"hyqsat/internal/gen"
 	"hyqsat/internal/obs"
 	"hyqsat/internal/qpu"
@@ -186,38 +185,5 @@ func TestChaosPreservesDeterminism(t *testing.T) {
 	if a.Status != b.Status || a.Stats.QACalls != b.Stats.QACalls ||
 		a.Stats.QADegraded != b.Stats.QADegraded || a.Stats.SAT.Conflicts != b.Stats.SAT.Conflicts {
 		t.Fatalf("identical chaos runs diverged:\n  a=%+v\n  b=%+v", a.Stats, b.Stats)
-	}
-}
-
-// permanentReject is a backend whose every submission is refused by policy
-// (quota budget spent) — the rejection satisfies qpu.Permanent.
-type permanentReject struct{ calls int }
-
-func (p *permanentReject) Submit(context.Context, *anneal.EmbeddedProblem, int) (anneal.ReadSet, error) {
-	p.calls++
-	return anneal.ReadSet{}, &qpu.RemoteError{
-		Reason: "status", Status: 403, Detail: "device budget spent", IsPermanent: true,
-	}
-}
-func (p *permanentReject) Name() string { return "reject" }
-
-// TestPermanentRejectionDisablesQA: a permanent policy rejection (quota
-// spent, auth revoked) must degrade the iteration AND switch the remaining
-// warm-up off the QA path — one doomed submission, not one per interval —
-// while the solve still terminates certified.
-func TestPermanentRejectionDisablesQA(t *testing.T) {
-	be := &permanentReject{}
-	inst := gen.SatisfiableRandom3SAT(14, 50, 8)
-	o := chaosOptions(41)
-	o.WrapBackend = func(qpu.Backend) qpu.Backend { return be }
-	r := New(inst.Formula, o).Solve()
-	if r.Status != sat.Sat || !r.Certified {
-		t.Fatalf("rejected solve: status=%v certified=%v (%v)", r.Status, r.Certified, r.CertErr)
-	}
-	if be.calls != 1 {
-		t.Fatalf("backend submitted to %d times after a permanent rejection, want 1", be.calls)
-	}
-	if r.Stats.QADegraded != 1 {
-		t.Fatalf("degraded iterations = %d, want exactly 1", r.Stats.QADegraded)
 	}
 }

@@ -281,13 +281,6 @@ type Solver struct {
 	// recorder captures the CDCL proof trace when SelfCertify is on.
 	recorder *verify.Recorder
 
-	// qaDisabled flips when the backend rejects a submission permanently
-	// (quota budget spent, auth revoked — anything satisfying
-	// qpu.Permanent). Re-submitting cannot succeed, so the remaining warm-up
-	// iterations skip straight to CDCL instead of paying a doomed QA round
-	// trip each time.
-	qaDisabled bool
-
 	// Run-scoped scratch reused by every iteration, so that an iteration
 	// allocates only the embedding it submits: the unsat-set scan and queue
 	// generation; the encoding, Fast state and objective sums of the
@@ -381,8 +374,6 @@ func newSolverMetrics(reg *obs.Registry) solverMetrics {
 func New(f *cnf.Formula, opts Options) *Solver {
 	opts = opts.WithDefaults()
 	f3, origin := cnf.To3CNF(f)
-	cdclOpts := opts.CDCL
-	cdclOpts.Seed = opts.Seed ^ 0x5a5a5a
 	s := &Solver{
 		opts:    opts,
 		rng:     rand.New(rand.NewSource(opts.Seed)),
@@ -393,9 +384,9 @@ func New(f *cnf.Formula, opts Options) *Solver {
 		belief:  cnf.NewAssignment(f3.NumVars),
 	}
 	if opts.SatPool != nil {
-		s.sat = opts.SatPool.Get(f3, cdclOpts)
+		s.sat = opts.SatPool.Get(f3, opts.CDCL)
 	} else {
-		s.sat = sat.New(f3, cdclOpts)
+		s.sat = sat.New(f3, opts.CDCL)
 	}
 
 	s.fabric = embed.FastFabric(opts.Hardware)
@@ -589,12 +580,6 @@ func (s *Solver) SolveContext(ctx context.Context) Result {
 	for it := 0; it < warmup; it++ {
 		if err := ctx.Err(); err != nil {
 			return s.interrupted(err)
-		}
-		if s.qaDisabled {
-			if done, res := s.stepCDCL(); done {
-				return res
-			}
-			continue
 		}
 		if done, res := s.hybridIteration(ctx); done {
 			return res
@@ -966,11 +951,6 @@ func (s *Solver) fullModel(qa cnf.Assignment) ([]bool, bool) {
 // certified when SelfCertify is on).
 func (s *Solver) degrade(iteration int64, cause error) (bool, Result) {
 	s.m.degraded.Inc()
-	if qpu.Permanent(cause) {
-		// A policy rejection, not an outage: the backend will refuse every
-		// further submission the same way, so stop asking.
-		s.qaDisabled = true
-	}
 	if s.trace.Enabled() {
 		s.trace.Emit(obs.DegradeEvent{Iteration: iteration, Err: cause.Error()})
 	}

@@ -263,9 +263,10 @@ func (CubeEvent) Kind() string { return "cube" }
 // "accepted" (admitted to the queue), "rejected" (admission refused — Err
 // carries the stable reason tag: "queue_full", "quota", "draining", ...),
 // "started", "done" (Verdict "sat"/"unsat"/"unknown"), "failed", and
-// "checkpointed" (drain interrupted the solve; the job is resumable). QueueMs
-// is the time spent waiting for a worker, RunMs the solve time; both are zero
-// until the respective phase has happened.
+// "checkpointed" (drain or a deadline interrupted the solve; its partial
+// stats stand, but no solver state is saved, so only a new submission solves
+// it, from scratch). QueueMs is the time spent waiting for a worker, RunMs
+// the solve time; both are zero until the respective phase has happened.
 type JobEvent struct {
 	Job     string `json:"job"`
 	Tenant  string `json:"tenant"`

@@ -18,8 +18,8 @@ type Source struct {
 	// race, one cube-and-conquer run). Allocate with NextSolveID.
 	Solve string
 	// Name identifies the emitter within the solve: "hyqsat", a portfolio
-	// entrant name ("minisat/s1"), a cube worker ("cube/w3"), the QPU access
-	// layer ("qpu"), ...
+	// entrant name ("minisat", "hyqsat/s3"), a cube worker ("cube/w3"), the
+	// QPU access layer ("qpu"), ...
 	Name string
 }
 

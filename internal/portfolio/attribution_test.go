@@ -19,7 +19,7 @@ func TestRaceEventAttribution(t *testing.T) {
 	ring := obs.NewRing(4096)
 	inst := gen.SatisfiableRandom3SAT(30, 120, 11)
 	out, err := SolveWith(context.Background(), inst.Formula,
-		[]Entrant{MiniSATEntrant(1), HyQSATEntrant(3, nil)},
+		[]Entrant{MiniSATEntrant(), HyQSATEntrant(3, nil)},
 		RaceOptions{Trace: ring, Share: true})
 	if err != nil {
 		t.Fatalf("race: %v", err)
@@ -67,7 +67,7 @@ func TestRaceEventAttribution(t *testing.T) {
 			}
 		}
 	}
-	for _, want := range []string{"race", "minisat/s1", "hyqsat/s3"} {
+	for _, want := range []string{"race", "minisat", "hyqsat/s3"} {
 		if bySrc[want] == 0 {
 			t.Errorf("no events from source %q; sources seen: %v", want, bySrc)
 		}

@@ -43,7 +43,8 @@ type CubeOptions struct {
 	// Share connects the workers with a clause-sharing bus so a lemma learnt
 	// while refuting one cube prunes its siblings.
 	Share bool
-	// Seed randomises the probe and worker solvers.
+	// Seed seeds the QA warm-ups' hybrid solvers (see QAWarmup); the probe
+	// and worker CDCL solvers draw no random numbers.
 	Seed int64
 	// Trace, when non-nil and enabled, receives one CubeEvent per finished
 	// cube (and a ShareEvent when sharing is on). Emitted from worker
@@ -107,9 +108,8 @@ type CubeOutcome struct {
 // combination over them becomes a cube. When the probe solves the instance
 // outright the returned cube list is nil and the Result is conclusive. proof,
 // when non-nil, receives the probe's DRAT trace.
-func makeCubes(f *cnf.Formula, depth int, probeConflicts, seed int64, proof sat.ProofWriter) ([]Cube, sat.Result) {
+func makeCubes(f *cnf.Formula, depth int, probeConflicts int64, proof sat.ProofWriter) ([]Cube, sat.Result) {
 	po := sat.MiniSATOptions()
-	po.Seed = seed
 	po.MaxConflicts = probeConflicts
 	probe := sat.New(f.Copy(), po)
 	if proof != nil {
@@ -193,7 +193,7 @@ func SolveCubes(ctx context.Context, f *cnf.Formula, o CubeOptions) (CubeOutcome
 	}
 	agg := &aggregate{}
 
-	cubes, probeRes := makeCubes(f, o.Depth, o.ProbeConflicts, o.Seed, proof)
+	cubes, probeRes := makeCubes(f, o.Depth, o.ProbeConflicts, proof)
 	agg.add(RunOutput{Result: probeRes})
 	if probeRes.Status != sat.Unknown {
 		out := CubeOutcome{Result: probeRes, WinningCube: -1,
@@ -253,9 +253,7 @@ func SolveCubes(ctx context.Context, f *cnf.Formula, o CubeOptions) (CubeOutcome
 	solvers := make([]*sat.Solver, o.Workers)
 	workerTrace := make([]obs.Tracer, o.Workers)
 	for w := range solvers {
-		so := sat.MiniSATOptions()
-		so.Seed = o.Seed + int64(w) + 1
-		solvers[w] = sat.New(f.Copy(), so)
+		solvers[w] = sat.New(f.Copy(), sat.MiniSATOptions())
 		if proof != nil {
 			solvers[w].SetProofWriter(proof)
 		}

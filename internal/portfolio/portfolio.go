@@ -82,34 +82,24 @@ type Entrant struct {
 }
 
 // MiniSATEntrant is the VSIDS/Luby baseline.
-func MiniSATEntrant(seed int64) Entrant {
-	mk := func(f *cnf.Formula) (*sat.Solver, *cnf.Formula) {
-		o := sat.MiniSATOptions()
-		o.Seed = seed
-		return sat.New(f, o), f
-	}
-	return cdclEntrant(fmt.Sprintf("minisat/s%d", seed), mk)
+func MiniSATEntrant() Entrant {
+	return cdclEntrant("minisat", sat.MiniSATOptions())
 }
 
 // KissatEntrant is the CHB/LBD baseline.
-func KissatEntrant(seed int64) Entrant {
-	mk := func(f *cnf.Formula) (*sat.Solver, *cnf.Formula) {
-		o := sat.KissatOptions()
-		o.Seed = seed
-		return sat.New(f, o), f
-	}
-	return cdclEntrant(fmt.Sprintf("kissat/s%d", seed), mk)
+func KissatEntrant() Entrant {
+	return cdclEntrant("kissat", sat.KissatOptions())
 }
 
-// cdclEntrant wraps a classical solver constructor into the Run shape. The
+// cdclEntrant wraps a classical solver preset into the Run shape. The
 // solver has no conflict budget: the race context interrupts it. Its premise
 // is the race formula itself, so it always joins the sharing bus when
 // offered.
-func cdclEntrant(name string, mk func(*cnf.Formula) (*sat.Solver, *cnf.Formula)) Entrant {
+func cdclEntrant(name string, opts sat.Options) Entrant {
 	return Entrant{
 		Name: name,
 		Run: func(ctx context.Context, in RunInput) RunOutput {
-			s, premise := mk(in.Formula)
+			s := sat.New(in.Formula, opts)
 			defer context.AfterFunc(ctx, s.Interrupt)()
 			if in.Trace != nil && in.Trace.Enabled() {
 				s.SetTracer(in.Trace)
@@ -129,7 +119,7 @@ func cdclEntrant(name string, mk func(*cnf.Formula) (*sat.Solver, *cnf.Formula))
 			r := s.Solve()
 			out := RunOutput{Result: r, SharedCert: in.Certify && in.SharedProof != nil}
 			if rec != nil {
-				out.Cert = &verify.Certificate{Premise: premise, Proof: rec.Proof()}
+				out.Cert = &verify.Certificate{Premise: in.Formula, Proof: rec.Proof()}
 			}
 			return out
 		},
@@ -198,7 +188,7 @@ func HyQSATEntrant(seed int64, wrap func(qpu.Backend) qpu.Backend) Entrant {
 // under a total QPU outage the portfolio still answers through them and
 // through the hybrid's own pure-CDCL degradation.
 func DefaultEntrants(seed int64, wrap func(qpu.Backend) qpu.Backend) []Entrant {
-	return []Entrant{MiniSATEntrant(seed), KissatEntrant(seed + 1), HyQSATEntrant(seed+2, wrap)}
+	return []Entrant{MiniSATEntrant(), KissatEntrant(), HyQSATEntrant(seed+2, wrap)}
 }
 
 // AggregateStats sums the work of every solver a parallel solve ran — in a

@@ -58,7 +58,7 @@ func TestPortfolioContextCancel(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := SolveWith(ctx, f, []Entrant{MiniSATEntrant(1)}, RaceOptions{})
+	_, err := SolveWith(ctx, f, []Entrant{MiniSATEntrant()}, RaceOptions{})
 	if err == nil {
 		// The instance may legitimately be solved within 50ms; accept both.
 		return
@@ -149,7 +149,7 @@ func TestPortfolioFirstWinnerCancellation(t *testing.T) {
 		}
 	}
 	for trial := 0; trial < 25; trial++ {
-		entrants := []Entrant{slow("slow1"), MiniSATEntrant(int64(trial)), slow("slow2")}
+		entrants := []Entrant{slow("slow1"), MiniSATEntrant(), slow("slow2")}
 		out, err := SolveWith(context.Background(), inst.Formula, entrants, RaceOptions{})
 		if err != nil {
 			t.Fatal(err)

@@ -34,7 +34,7 @@ func TestSharingSoundnessCorpus(t *testing.T) {
 		} else {
 			inst = gen.UnsatisfiableRandom3SAT(28, 136, seed)
 		}
-		entrants := []Entrant{MiniSATEntrant(seed), KissatEntrant(seed + 1)}
+		entrants := []Entrant{MiniSATEntrant(), KissatEntrant()}
 		if i%4 == 0 {
 			// Every fourth instance adds the hybrid to the sharing group
 			// (inputs are 3-CNF, so it joins the bus).
@@ -74,7 +74,7 @@ func TestSharingAdversarialInjection(t *testing.T) {
 	bus := NewBus(nil)
 	bus.Inject([]cnf.Lit{cnf.Pos(0)}, 1)
 	bus.Inject([]cnf.Lit{cnf.Neg(0)}, 1)
-	_, err := SolveWith(context.Background(), f, []Entrant{MiniSATEntrant(1)},
+	_, err := SolveWith(context.Background(), f, []Entrant{MiniSATEntrant()},
 		RaceOptions{Certify: true, Bus: bus})
 	var uncert ErrUncertified
 	if !errors.As(err, &uncert) {
@@ -93,7 +93,7 @@ func TestSharingAdversarialInjectionUnsatInstance(t *testing.T) {
 	// essentially never RUP for a random instance; pick one and verify the
 	// run is rejected, not certified.
 	bus.Inject([]cnf.Lit{cnf.Pos(0), cnf.Pos(1)}, 2)
-	out, err := SolveWith(context.Background(), inst.Formula, []Entrant{MiniSATEntrant(2)},
+	out, err := SolveWith(context.Background(), inst.Formula, []Entrant{MiniSATEntrant()},
 		RaceOptions{Certify: true, Bus: bus})
 	if err == nil {
 		// The injected clause may by luck be a real consequence; then the
@@ -126,7 +126,7 @@ func TestSharingDeterminism(t *testing.T) {
 		if share {
 			o.Share = true
 		}
-		out, err := SolveWith(context.Background(), inst.Formula, []Entrant{MiniSATEntrant(9)}, o)
+		out, err := SolveWith(context.Background(), inst.Formula, []Entrant{MiniSATEntrant()}, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +214,7 @@ func TestSharingTrafficFlows(t *testing.T) {
 	}
 
 	out, err := SolveWith(context.Background(), inst.Formula,
-		[]Entrant{MiniSATEntrant(1), KissatEntrant(2)},
+		[]Entrant{MiniSATEntrant(), KissatEntrant()},
 		RaceOptions{Certify: true, Share: true})
 	if err != nil {
 		t.Fatal(err)

@@ -226,9 +226,6 @@ func (r *Resilient) Submit(ctx context.Context, ep *anneal.EmbeddedProblem, read
 		// The attempt burnt real (modelled) device access time with nothing
 		// to show for it; charge it so capacity accounting stays honest.
 		r.m.wastedNs.Add(r.cfg.Timing.AccessTime(max(reads, 1)).Nanoseconds())
-		if Permanent(err) {
-			break // a policy rejection; resending the same call cannot succeed
-		}
 		if ctx.Err() != nil {
 			break // the caller is gone; retrying serves nobody
 		}

@@ -89,11 +89,11 @@ func EncodeReadSet(rs *anneal.ReadSet) *SampleResponse {
 
 // ReadSet converts the wire form back. Shape violations (ragged node/value
 // arrays, duplicate nodes, absurd sizes, non-finite energies) are rejected
-// with a typed *RemoteError reason "shape"; semantic validation against the
-// embedding stays the caller's job (anneal.ValidateReadSet).
+// with a typed *anneal.ReadSetError reason "shape"; semantic validation
+// against the embedding stays the caller's job (anneal.ValidateReadSet).
 func (sr *SampleResponse) ReadSet() (anneal.ReadSet, error) {
 	shape := func(format string, args ...any) (anneal.ReadSet, error) {
-		return anneal.ReadSet{}, &RemoteError{Reason: "shape", Detail: fmt.Sprintf(format, args...)}
+		return anneal.ReadSet{}, &anneal.ReadSetError{Reason: "shape", Read: -1, Detail: fmt.Sprintf(format, args...)}
 	}
 	if len(sr.Samples) == 0 {
 		return shape("response carries no samples")

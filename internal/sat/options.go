@@ -7,8 +7,9 @@
 // Two preset configurations mirror the paper's classical baselines:
 // MiniSATOptions (VSIDS + Luby + activity reduction, as in MiniSAT 2.2) and
 // KissatOptions (CHB + LBD-EMA restarts + LBD reduction, the heuristic family
-// of KisSAT). Options is exactly a preset selector plus Seed, MaxConflicts
-// and TrackVisits; nothing else about the search is configurable. The solver
+// of KisSAT). Options is exactly a preset selector plus MaxConflicts and
+// TrackVisits; nothing else about the search is configurable, and the search
+// draws no random numbers. The solver
 // additionally exposes the hooks the HyQSAT hybrid loop needs: stepwise
 // execution, per-clause conflict-activity scores, phase hints, and variable
 // prioritisation.
@@ -42,7 +43,6 @@ const (
 // entry points.
 type Options struct {
 	Preset       Preset
-	Seed         int64 // per-solver seed; the search itself draws no random numbers
 	MaxConflicts int64 // stop with Unknown after this many conflicts (0 = unlimited)
 	TrackVisits  bool  // per-clause propagation/conflict visit counters (Fig 5)
 }
@@ -50,13 +50,13 @@ type Options struct {
 // MiniSATOptions returns the MiniSAT-2.2-style baseline configuration used as
 // "classic CDCL" throughout the paper's evaluation.
 func MiniSATOptions() Options {
-	return Options{Preset: MiniSAT, Seed: 91648253}
+	return Options{Preset: MiniSAT}
 }
 
 // KissatOptions returns the KisSAT-style baseline: CHB branching, LBD-EMA
 // restarts, and LBD-based clause retention.
 func KissatOptions() Options {
-	return Options{Preset: Kissat, Seed: 140819}
+	return Options{Preset: Kissat}
 }
 
 // Status is the outcome of a solve.

@@ -54,7 +54,6 @@ func TestPoolBitIdentical(t *testing.T) {
 			opts = KissatOptions()
 		}
 		opts.TrackVisits = i%4 == 2
-		opts.Seed = int64(1000 + i)
 		jobs = append(jobs, job{f, opts})
 	}
 	// An immediately-unsat formula (empty clause) exercises the ingestion
@@ -89,7 +88,6 @@ func TestPoolConcurrent(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				f := random3SAT(rng, 8+w%3, 30+rng.Intn(12))
 				opts := MiniSATOptions()
-				opts.Seed = int64(w*100 + i)
 				fresh := New(f, opts).Solve()
 				s := pool.Get(f, opts)
 				pooled := s.Solve()

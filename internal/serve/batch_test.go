@@ -21,9 +21,7 @@ import (
 )
 
 // nativeProblem builds a small embedded problem on the service's own 2000Q
-// topology, so its wire form is co-tileable by the batching scheduler
-// (remoteProblem uses a 4×4 test graph whose couplers don't exist on the
-// 16×16 chip — those requests still work, but as solo programs).
+// topology, so its wire form is co-tileable by the batching scheduler.
 func nativeProblem(t testing.TB, v1, v2, v3 int) *anneal.EmbeddedProblem {
 	t.Helper()
 	g := topo.DWave2000Q()
@@ -37,15 +35,24 @@ func nativeProblem(t testing.TB, v1, v2, v3 int) *anneal.EmbeddedProblem {
 	return new(anneal.EmbedScratch).EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))
 }
 
-func postSample(t testing.TB, url, tenant string, ep *anneal.EmbeddedProblem, reads int) (int, []byte) {
+// newSampleRequest builds a /v1/qpu/sample request for tenant, bound to ctx.
+func newSampleRequest(ctx context.Context, t testing.TB, url, tenant string, ep *anneal.EmbeddedProblem, reads int) *http.Request {
 	t.Helper()
 	blob, err := json.Marshal(qpu.SampleRequest{Problem: ep.Wire(), Reads: reads})
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, _ := http.NewRequest("POST", url+qpu.SamplePath, bytes.NewReader(blob))
+	req, err := http.NewRequestWithContext(ctx, "POST", url+qpu.SamplePath, bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
 	req.Header.Set(qpu.HeaderTenant, tenant)
-	resp, err := http.DefaultClient.Do(req)
+	return req
+}
+
+func postSample(t testing.TB, url, tenant string, ep *anneal.EmbeddedProblem, reads int) (int, []byte) {
+	t.Helper()
+	resp, err := http.DefaultClient.Do(newSampleRequest(context.Background(), t, url, tenant, ep, reads))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 //
 //	POST /v1/jobs        submit a solve (DIMACS CNF in JSON); 202 + job view
 //	GET  /v1/jobs/{id}   job status/result
-//	POST /v1/qpu/sample  remote QA sampling for qpu.Remote clients
+//	POST /v1/qpu/sample  one QA device access over HTTP (qpu wire format)
 //	GET  /healthz        liveness + drain state
 //
 // Every refusal carries a JSON body in qpu.WireErrorBody shape and, when the
@@ -124,11 +124,11 @@ func (s *Service) handleHealth(w http.ResponseWriter, req *http.Request) {
 	})
 }
 
-// handleSample is the remote QPU endpoint qpu.Remote talks to: decode and
-// fully re-validate the wire problem, charge the tenant's device-time
-// bucket, sample deterministically, and cache the response under the
-// idempotency key so transport replays observe the identical read set
-// without a second (charged) device access.
+// handleSample serves one QA device access to an HTTP client speaking the
+// qpu wire format: decode and fully re-validate the wire problem, charge the
+// tenant's device-time bucket, sample through the batcher, and cache the
+// response under the idempotency key so a client that resends a request
+// observes the identical read set without a second (charged) device access.
 func (s *Service) handleSample(w http.ResponseWriter, req *http.Request) {
 	if s.Draining() {
 		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.DrainGrace))

@@ -16,7 +16,7 @@ const (
 	StateRunning      = "running"
 	StateDone         = "done"
 	StateFailed       = "failed"
-	StateCheckpointed = "checkpointed" // drain interrupted the solve; resubmit to resume
+	StateCheckpointed = "checkpointed" // drain or deadline interrupted the solve; nothing is saved to resume from
 )
 
 // job is one admitted solve. Fields past the mutex are owned by it; the

@@ -25,8 +25,8 @@ type TenantQuota struct {
 }
 
 // QuotaError is a typed admission refusal. Temporary refusals carry a
-// RetryAfter hint; permanent ones (hard budget spent) set Permanent, which
-// clients surface through qpu.Permanent so retry layers stop resending.
+// RetryAfter hint and become 429s; permanent ones (hard budget spent) set
+// IsPermanent and become 403s.
 type QuotaError struct {
 	Tenant      string
 	Resource    string // "device_time" | "concurrency" | "tenants"
@@ -40,10 +40,6 @@ func (e *QuotaError) Error() string {
 	}
 	return fmt.Sprintf("tenant %q: %s exhausted, retry after %v", e.Tenant, e.Resource, e.RetryAfter)
 }
-
-// Permanent implements the classification interface shared with qpu: a hard
-// budget refusal cannot be cured by retrying.
-func (e *QuotaError) Permanent() bool { return e.IsPermanent }
 
 // bucket is a token bucket over time.Duration tokens with an injectable
 // clock. Not safe for concurrent use; the tenant registry's lock covers it.

@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -478,51 +480,140 @@ func TestDrain(t *testing.T) {
 }
 
 // TestSampleEndpointQuota: the device-time bucket refuses with 429 +
-// Retry-After while refillable and with a permanent 403 once a hard budget
-// is spent; qpu.Remote surfaces both as typed errors.
+// Retry-After and a "quota" error body while refillable, and with 403 once a
+// hard budget is spent.
 func TestSampleEndpointQuota(t *testing.T) {
 	access := anneal.DWave2000QTiming().AccessTime(1)
-	ep := remoteProblem(t)
-	// twoAccesses runs two sample calls for one tenant against a service
-	// whose default quota holds exactly one access, and returns the second
-	// call's error.
-	twoAccesses := func(quota TenantQuota) error {
+	ep := nativeProblem(t, 1, 2, 3)
+	// twoAccesses sends two sample requests for one tenant to a service whose
+	// default quota holds exactly one access, and returns the second
+	// response with its body.
+	twoAccesses := func(quota TenantQuota) (*http.Response, []byte) {
 		t.Helper()
 		svc := New(Config{Workers: 1, DefaultQuota: quota})
 		defer svc.Drain(context.Background())
 		srv := httptest.NewServer(svc.Handler())
 		defer srv.Close()
-		remote, err := qpu.NewRemote(qpu.RemoteConfig{BaseURL: srv.URL, Tenant: "team", Seed: 1})
+		if code, body := postSample(t, srv.URL, "team", ep, 1); code != http.StatusOK {
+			t.Fatalf("first access under %+v: %d %s", quota, code, body)
+		}
+		resp, err := http.DefaultClient.Do(newSampleRequest(context.Background(), t, srv.URL, "team", ep, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := remote.Submit(context.Background(), ep, 1); err != nil {
-			t.Fatalf("first access under %+v: %v", quota, err)
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
 		}
-		_, err = remote.Submit(context.Background(), ep, 1)
-		return err
+		return resp, body
 	}
 
 	// Throttled: a tiny refillable budget.
-	err := twoAccesses(TenantQuota{DeviceBudget: access, DeviceRefill: time.Microsecond})
-	var re *qpu.RemoteError
-	if !errors.As(err, &re) || re.Status != http.StatusTooManyRequests {
-		t.Fatalf("throttled: %v, want 429 RemoteError", err)
+	resp, body := twoAccesses(TenantQuota{DeviceBudget: access, DeviceRefill: time.Microsecond})
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("throttled: %d %s, want 429", resp.StatusCode, body)
 	}
-	if re.RetryAfter <= 0 {
-		t.Fatal("throttled refusal carries no Retry-After")
+	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || secs < 1 {
+		t.Fatalf("throttled refusal carries Retry-After %q, want whole seconds >= 1", resp.Header.Get("Retry-After"))
 	}
-	if qpu.Permanent(err) {
-		t.Fatal("a refillable quota refusal must not be permanent")
+	var eb qpu.WireErrorBody
+	if err := json.Unmarshal(body, &eb); err != nil || eb.Error != "quota" {
+		t.Fatalf("throttled body %s, want error \"quota\"", body)
 	}
 
 	// Capped: a hard budget that never refills.
-	err = twoAccesses(TenantQuota{DeviceBudget: access, DeviceRefill: 0})
-	if !errors.As(err, &re) || re.Status != http.StatusForbidden {
-		t.Fatalf("capped: %v, want 403 RemoteError", err)
+	resp, body = twoAccesses(TenantQuota{DeviceBudget: access, DeviceRefill: 0})
+	if resp.StatusCode != http.StatusForbidden {
+		t.Fatalf("capped: %d %s, want 403", resp.StatusCode, body)
 	}
-	if !qpu.Permanent(err) {
-		t.Fatal("a spent hard budget must classify as permanent")
+}
+
+// TestSampleCancelledClientsRefundAndLeaveNoGoroutines: sample requests whose
+// clients hang up while the batch window holds them leave no charge behind
+// beyond the device time their program ran — every pre-charged solo access
+// time is reconciled to the actual share — and, once the service drains, no
+// goroutine behind.
+func TestSampleCancelledClientsRefundAndLeaveNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	const (
+		tenant  = "hangup"
+		members = 4
+		reads   = 2
+	)
+	cost := anneal.DWave2000QTiming().AccessTime(reads)
+	budget := 2 * members * cost
+	svc := New(Config{
+		Workers:         1,
+		BatchWindow:     time.Second,
+		BatchMaxMembers: 2 * members,
+		DefaultQuota:    TenantQuota{MaxConcurrent: members, DeviceBudget: budget},
+	})
+	srv := httptest.NewServer(svc.Handler())
+	client := &http.Client{Transport: &http.Transport{}}
+	balance := func() time.Duration {
+		svc.tenants.mu.Lock()
+		defer svc.tenants.mu.Unlock()
+		if ts := svc.tenants.byName[tenant]; ts != nil {
+			return ts.device.balance
+		}
+		return budget
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	errs := make([]error, members)
+	for i := 0; i < members; i++ {
+		req := newSampleRequest(ctx, t, srv.URL, tenant, nativeProblem(t, 3*i+1, 3*i+2, 3*i+3), reads)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := client.Do(req)
+			if err == nil {
+				resp.Body.Close()
+			}
+			errs[i] = err
+		}(i)
+	}
+	// Hang up once every request has been pre-charged, i.e. is waiting in
+	// the batch window.
+	deadline := time.Now().Add(10 * time.Second)
+	for balance() != budget-members*cost {
+		if time.Now().After(deadline) {
+			t.Fatalf("requests never all reached the batcher: balance %v", balance())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	wg.Wait()
+	for i, err := range errs {
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("request %d: %v, want the client's cancellation", i, err)
+		}
+	}
+	srv.Close() // waits for every handler to return
+
+	if svc.m.qpuRejected.Value() == 0 {
+		t.Fatal("no handler observed the cancellation")
+	}
+	spent := time.Duration(svc.m.deviceBusyNs.Value())
+	if want := anneal.DWave2000QTiming().BatchAccessTime([]int{reads, reads, reads, reads}); spent != want {
+		t.Fatalf("device busy %v, want one %d-member program's %v", spent, members, want)
+	}
+	if got := balance(); got != budget-spent {
+		t.Fatalf("balance %v after cancelled requests, want budget %v less the %v the program ran", got, budget, spent)
+	}
+
+	if err := svc.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	client.CloseIdleConnections()
+	deadline = time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked through cancelled samples: %d -> %d", before, runtime.NumGoroutine())
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 
@@ -534,7 +625,7 @@ func TestSampleIdempotencyNoDoubleCharge(t *testing.T) {
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 
-	blob, err := json.Marshal(qpu.SampleRequest{Problem: remoteProblem(t).Wire(), Reads: 2})
+	blob, err := json.Marshal(qpu.SampleRequest{Problem: nativeProblem(t, 1, 2, 3).Wire(), Reads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,10 @@
 // quotas on modelled QA device time and concurrent jobs, and idempotency
 // keys so client retries never double-submit. Deadlines propagate from the
 // X-Hyqsat-Deadline-Ms header into the solve context, SIGTERM drains
-// gracefully (stop accepting, finish or checkpoint in-flight jobs, flush
-// traces), and the /v1/qpu/sample endpoint serves qpu.Remote clients from a
-// deterministic server-side sampler under the same quota regime.
+// gracefully (stop accepting, finish in-flight jobs or stop them as
+// checkpointed, flush traces), and the /v1/qpu/sample endpoint serves single
+// QA device accesses to HTTP clients from a deterministic server-side
+// sampler under the same quota regime.
 package serve
 
 import (
@@ -449,7 +450,9 @@ func (s *Service) run(j *job) {
 	switch {
 	case r.Err != nil:
 		// The solve was interrupted (drain or deadline), not wrong: the job
-		// is checkpointed — its stats stand and a resubmission resumes work.
+		// is checkpointed — its partial stats stand, but no solver state is
+		// saved. A same-key resubmit returns this record; a new key solves
+		// from scratch.
 		state = StateCheckpointed
 		j.err = r.Err
 	case r.Status == sat.Unknown:
@@ -570,12 +573,9 @@ func (e *AdmissionError) Error() string {
 	return e.Tag
 }
 
-// Permanent implements the shared classification interface.
-func (e *AdmissionError) Permanent() bool { return e.IsPermanent }
-
 func admissionFromQuota(qe *QuotaError) *AdmissionError {
 	ae := &AdmissionError{Tag: "quota", Detail: qe.Error(), RetryAfter: qe.RetryAfter}
-	if qe.Permanent() {
+	if qe.IsPermanent {
 		ae.Status, ae.IsPermanent = 403, true
 	} else {
 		ae.Status = 429
