@@ -121,8 +121,8 @@ func ChainStrengthFor(is *qubo.Ising) float64 {
 			max = v
 		}
 	}
-	for _, j := range is.J {
-		if v := math.Abs(j); v > max {
+	for _, t := range is.J {
+		if v := math.Abs(t.C); v > max {
 			max = v
 		}
 	}
@@ -198,8 +198,8 @@ func (sc *EmbedScratch) EmbedIsing(is *qubo.Ising, emb *embed.Embedding, g topo.
 			ix[i] = int(qubitIx[q])
 		}
 		ep.chainIx[ci] = ix
-		if h, ok := is.H[node]; ok && len(chain) > 0 {
-			per := h / float64(len(chain))
+		if node < len(is.H) && is.H[node] != 0 && len(chain) > 0 {
+			per := is.H[node] / float64(len(chain))
 			for _, i := range ix {
 				ep.H[i] += per
 			}
@@ -219,13 +219,8 @@ func (sc *EmbedScratch) EmbedIsing(is *qubo.Ising, emb *embed.Embedding, g topo.
 	// Logical couplings in ascending edge order, each split evenly across
 	// the couplers between its two chains — the chain-U links naming V, in
 	// order (QubitOwners.InterChainCouplers).
-	keys := sc.keys[:0]
-	for e := range is.J {
-		keys = append(keys, uint64(e.U)<<32|uint64(e.V))
-	}
-	slices.Sort(keys)
-	for _, key := range keys {
-		u, v := int(key>>32), int(key&(1<<32-1))
+	for _, t := range is.J {
+		u, v := t.Edge.U, t.Edge.V
 		if u >= len(chainAt) || v >= len(chainAt) || chainAt[u] < 0 || chainAt[v] < 0 {
 			continue
 		}
@@ -239,13 +234,13 @@ func (sc *EmbedScratch) EmbedIsing(is *qubo.Ising, emb *embed.Embedding, g topo.
 		if len(couplers) == first {
 			panic("anneal: logical coupling with no hardware coupler; embedding invalid")
 		}
-		j := is.J[qubo.Edge{U: u, V: v}] / float64(len(couplers)-first)
+		j := t.C / float64(len(couplers)-first)
 		for k := first; k < len(couplers); k++ {
 			couplers[k].j = j
 		}
 	}
 	ep.finalize(couplers)
-	sc.couplers, sc.links, sc.linksAt, sc.keys = couplers, links, linksAt, keys
+	sc.couplers, sc.links, sc.linksAt = couplers, links, linksAt
 	return ep
 }
 
@@ -265,7 +260,6 @@ type EmbedScratch struct {
 	couplers                 []coupler
 	links                    []link
 	linksAt                  []int32
-	keys                     []uint64
 }
 
 // filled returns buf resized to n entries of v, reusing its storage.
@@ -296,17 +290,17 @@ func (ep *EmbeddedProblem) finalize(couplers []coupler) {
 	for i := 0; i < n; i++ {
 		ep.adjStart[i+1] += ep.adjStart[i]
 	}
+	// Each coupler's two entries; until its pair id is assigned below, an
+	// entry's adjPair holds the index of its mirror entry.
 	cursor := make([]int32, n)
 	copy(cursor, ep.adjStart[:n])
-	put := func(row, other int32, j float64) {
-		k := cursor[row]
-		cursor[row]++
-		ep.adjOther[k] = other
-		ep.adjJ[k] = j
-	}
 	for _, c := range couplers {
-		put(c.a, c.b, c.j)
-		put(c.b, c.a, c.j)
+		ka := cursor[c.a]
+		cursor[c.a]++
+		kb := cursor[c.b]
+		cursor[c.b]++
+		ep.adjOther[ka], ep.adjJ[ka], ep.adjPair[ka] = c.b, c.j, kb
+		ep.adjOther[kb], ep.adjJ[kb], ep.adjPair[kb] = c.a, c.j, ka
 	}
 
 	// Pair ids in order of first appearance, scanning rows in ascending
@@ -321,12 +315,7 @@ func (ep *EmbeddedProblem) finalize(couplers []coupler) {
 			o := ep.adjOther[k]
 			var id int32 = -1
 			if o < i {
-				for m := ep.adjStart[o]; m < ep.adjStart[o+1]; m++ {
-					if ep.adjOther[m] == i {
-						id = ep.adjPair[m]
-						break
-					}
-				}
+				id = ep.adjPair[ep.adjPair[k]]
 			} else {
 				for m := row; m < k; m++ {
 					if ep.adjOther[m] == o {

@@ -61,7 +61,7 @@ func TestEmbedIsingStructure(t *testing.T) {
 
 func TestEmbedIsingPanicsOnMissingCoupler(t *testing.T) {
 	g := topo.NewChimera(2, 2, 2)
-	is := &qubo.Ising{H: map[int]float64{}, J: map[qubo.Edge]float64{{U: 0, V: 1}: 1}}
+	is := &qubo.Ising{H: []float64{0, 0}, J: []qubo.QuadTerm{{Edge: qubo.Edge{U: 0, V: 1}, C: 1}}}
 	emb := embed.NewEmbedding()
 	emb.Chains[0] = []int{g.Qubit(0, 0, true, 0)}
 	emb.Chains[1] = []int{g.Qubit(1, 1, true, 0)} // no coupler between them
@@ -204,11 +204,11 @@ func TestSampleOnceDeterministicForSeed(t *testing.T) {
 }
 
 func TestChainStrengthFor(t *testing.T) {
-	is := &qubo.Ising{H: map[int]float64{0: 0.5}, J: map[qubo.Edge]float64{{U: 0, V: 1}: -2}}
+	is := &qubo.Ising{H: []float64{0.5, 0}, J: []qubo.QuadTerm{{Edge: qubo.Edge{U: 0, V: 1}, C: -2}}}
 	if got := ChainStrengthFor(is); math.Abs(got-2.5) > 1e-12 {
 		t.Fatalf("chain strength %v, want 1.25·2 = 2.5", got)
 	}
-	if ChainStrengthFor(&qubo.Ising{H: map[int]float64{}, J: map[qubo.Edge]float64{}}) != 1 {
+	if ChainStrengthFor(&qubo.Ising{}) != 1 {
 		t.Fatal("zero model should give strength 1")
 	}
 }

@@ -37,18 +37,16 @@ func referenceCouplers(is *qubo.Ising, emb *embed.Embedding, g topo.Topology, ch
 	for _, n := range nodes {
 		add(owners.IntraChainCouplers(nil, g, n, emb.Chains[n]), -chainStrength)
 	}
-	edges := make([]qubo.Edge, 0, len(is.J))
-	for e := range is.J {
-		edges = append(edges, e)
-	}
-	slices.SortFunc(edges, qubo.CompareEdges)
-	for _, e := range edges {
+	terms := slices.Clone(is.J)
+	slices.SortFunc(terms, func(a, b qubo.QuadTerm) int { return qubo.CompareEdges(a.Edge, b.Edge) })
+	for _, t := range terms {
+		e := t.Edge
 		chainU, okU := emb.Chains[e.U]
 		if _, okV := emb.Chains[e.V]; !okU || !okV {
 			continue
 		}
 		es := owners.InterChainCouplers(nil, g, chainU, e.V)
-		add(es, is.J[e]/float64(len(es)))
+		add(es, t.C/float64(len(es)))
 	}
 	return out
 }

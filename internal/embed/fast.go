@@ -2,6 +2,7 @@ package embed
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -77,13 +78,16 @@ const (
 )
 
 // undo is one typed undo-log entry; which fields matter depends on kind.
+// Every clause Fast tries logs several, so entries are kept small.
 type undo struct {
 	kind undoKind
-	node int
-	i    int
-	span span
-	seg  seg
+	node int32
+	i    int32
+	v    [3]int32 // undoSpan: the span's Min, Max; undoSegSet: the segment
 }
+
+// logged returns the undo entry of a kind that names only a node.
+func logged(kind undoKind, node int) undo { return undo{kind: kind, node: int32(node)} }
 
 // fastState carries the incremental embedding state of the paper's two-step
 // scheme (§IV-B): vertical-line allocation in clause-queue order, and greedy
@@ -108,17 +112,16 @@ type fastState struct {
 	// The lines free across a span of columns are the AND of their masks.
 	colFree []uint64
 	hWords  int
-	// Per cell column, for shared-line allocation: free horizontal qubits,
-	// and the most free rows of any of its vertical lines with room for
-	// another occupant (−1 when none has room) with the first such line,
-	// recomputed when the column is dirty.
+	// Per cell column, for shared-line allocation: free horizontal qubits;
+	// the first of its vertical lines with room for another occupant and
+	// the most free rows (−1 when none has room); and the column's score
+	// before distance (see bestSharedLine), dirtyCol until recomputed after
+	// any of these changed.
 	colAnchor   []int
-	colBestFree []int
 	colBestLine []int
-	colDirty    []bool
+	colKey      []int
 	lineCol     []int32  // vertical line → its cell column
-	mask        []uint64 // freeLinesInOrder scratch: hWords words
-	cands       []int    // freeLinesInOrder result
+	mask        []uint64 // firstFreeLine scratch: hWords words
 
 	// Broken qubits of g, derived once per graph: brokenRows[line] has bit
 	// r set when the line's row-r qubit is broken (canExtendSpan keeps
@@ -130,9 +133,9 @@ type fastState struct {
 	segs     [][]seg // node → horizontal segments
 	realized [][]int // node u → partners v > u of realised problem edges
 
-	// lineOrder[p·H : (p+1)·H] lists every horizontal line by the distance
-	// of its row from preferred row p, then bottom-up (see hLineOrder).
-	lineOrder []int
+	// rowOrder[p·M : (p+1)·M] lists every grid row by its distance from
+	// preferred row p, the lower row first on a tie (see firstFreeLine).
+	rowOrder []int
 
 	// log records undo entries for the clause currently being added, so a
 	// clause that fails mid-way leaves no allocations behind.
@@ -149,28 +152,30 @@ func (st *fastState) note(u undo) { st.log = append(st.log, u) }
 func (st *fastState) rollback() {
 	for i := len(st.log) - 1; i >= 0; i-- {
 		u := &st.log[i]
+		node := int(u.node)
 		switch u.kind {
 		case undoFreshLine, undoSharedLine:
 			if u.kind == undoFreshLine {
 				st.nextLine--
 			}
-			line := st.varLine[u.node]
+			line := st.varLine[node]
 			st.lineVars[line] = st.lineVars[line][:len(st.lineVars[line])-1]
 			st.touch(line)
-			st.varLine[u.node] = -1
+			st.varLine[node] = -1
 			st.occupants--
 		case undoSpan:
-			st.putSpan(u.node, u.span)
+			st.putSpan(node, span{int(u.v[0]), int(u.v[1])})
 		case undoCol:
-			h, c := u.i/st.g.N, u.i%st.g.N
+			h, c := int(u.i)/st.g.N, int(u.i)%st.g.N
 			st.colFree[c*st.hWords+h/64] |= 1 << (h % 64)
 			st.colAnchor[c]++
+			st.anchorMoved(c, 1)
 		case undoRealize:
-			st.realized[u.node] = st.realized[u.node][:len(st.realized[u.node])-1]
+			st.realized[node] = st.realized[node][:len(st.realized[node])-1]
 		case undoSegAdd:
-			st.segs[u.node] = st.segs[u.node][:len(st.segs[u.node])-1]
+			st.segs[node] = st.segs[node][:len(st.segs[node])-1]
 		case undoSegSet:
-			st.segs[u.node][u.i] = u.seg
+			st.segs[node][u.i] = seg{int(u.v[0]), int(u.v[1]), int(u.v[2])}
 		}
 	}
 	st.log = st.log[:0]
@@ -246,14 +251,13 @@ func (st *fastState) reset(enc *qubo.Encoding, g *topo.Chimera) {
 	if dims := [3]int{g.M, g.N, g.L}; st.g != g || st.dims != dims {
 		st.g, st.dims = g, dims
 		st.hWords = (g.NumHorizontalLines() + 63) / 64
-		st.lineOrder = lineOrders(g)
+		st.rowOrder = rowOrders(g)
 		st.lineVars = grow(st.lineVars, g.NumVerticalLines())
 		st.lineUsed = grow(st.lineUsed, g.NumVerticalLines())
 		st.colFree = grow(st.colFree, g.N*st.hWords)
 		st.colAnchor = grow(st.colAnchor, g.N)
-		st.colBestFree = grow(st.colBestFree, g.N)
 		st.colBestLine = grow(st.colBestLine, g.N)
-		st.colDirty = grow(st.colDirty, g.N)
+		st.colKey = grow(st.colKey, g.N)
 		st.lineCol = grow(st.lineCol, g.NumVerticalLines())
 		for line := range st.lineCol {
 			st.lineCol[line] = int32(line / g.L)
@@ -297,7 +301,7 @@ func (st *fastState) reset(enc *qubo.Encoding, g *topo.Chimera) {
 			col[len(col)-1] = 1<<r - 1
 		}
 		st.colAnchor[c] = g.NumHorizontalLines()
-		st.colDirty[c] = true
+		st.colKey[c] = dirtyCol
 	}
 	for _, i := range st.brokenH {
 		h, c := i/g.N, i%g.N
@@ -320,24 +324,18 @@ func (st *fastState) reset(enc *qubo.Encoding, g *topo.Chimera) {
 	st.log = st.log[:0]
 }
 
-// lineOrders returns, for every preferred row p, all horizontal line indices
-// ordered by the distance of their row from p, then bottom-up (the paper's
-// scan order within a band). Line h lives in row M−1−⌊h/L⌋, so the rows at
-// distance d are p+d (whose lines have the lower indices) and then p−d,
-// each contributing its L lines in ascending order.
-func lineOrders(g *topo.Chimera) []int {
-	m, l := g.M, g.L
-	out := make([]int, 0, m*m*l)
+// rowOrders returns, for every preferred row p, all grid rows ordered by
+// their distance from p: at distance d first p+d, the lower row, whose lines
+// have the lower indices (line h lives in row M−1−⌊h/L⌋), then p−d.
+func rowOrders(g *topo.Chimera) []int {
+	m := g.M
+	out := make([]int, 0, m*m)
 	for p := 0; p < m; p++ {
 		for d := 0; d < m; d++ {
 			rows := [2]int{p + d, p - d}
 			for _, r := range rows[:min(d+1, 2)] {
-				if r < 0 || r >= m {
-					continue
-				}
-				first := (m - 1 - r) * l
-				for h := first; h < first+l; h++ {
-					out = append(out, h)
+				if r >= 0 && r < m {
+					out = append(out, r)
 				}
 			}
 		}
@@ -349,7 +347,7 @@ func lineOrders(g *topo.Chimera) []int {
 func (st *fastState) rowOfHLine(h int) int { return st.g.M - 1 - h/st.g.L }
 
 // cellCol returns the cell column of a logical node's vertical line.
-func (st *fastState) cellCol(node int) int { return st.varLine[node] / st.g.L }
+func (st *fastState) cellCol(node int) int { return int(st.lineCol[st.varLine[node]]) }
 
 // clauseNodes returns the distinct logical nodes and the auxiliary node (or
 // -1) of clause k.
@@ -370,7 +368,7 @@ func (st *fastState) allocLine(node, prefCol int) bool {
 		st.varLine[node] = line
 		st.varSpan[node] = noSpan
 		st.occupants++
-		st.note(undo{kind: undoFreshLine, node: node})
+		st.note(logged(undoFreshLine, node))
 		return true
 	}
 	best := st.bestSharedLine(prefCol)
@@ -382,7 +380,7 @@ func (st *fastState) allocLine(node, prefCol int) bool {
 	st.varLine[node] = best
 	st.varSpan[node] = noSpan
 	st.occupants++
-	st.note(undo{kind: undoSharedLine, node: node})
+	st.note(logged(undoSharedLine, node))
 	return true
 }
 
@@ -396,23 +394,30 @@ func (st *fastState) allocLine(node, prefCol int) bool {
 // free rows, and the first column with the best score holds the answer.
 func (st *fastState) bestSharedLine(prefCol int) int {
 	best, bestScore := -1, -1<<30
-	for col := 0; col < st.g.N; col++ {
-		if st.colDirty[col] {
-			st.refreshCol(col)
-		}
-		if st.colBestLine[col] < 0 {
-			continue
+	for col, key := range st.colKey {
+		if key == dirtyCol {
+			key = st.refreshCol(col)
 		}
 		colDist := col - prefCol
 		if colDist < 0 {
 			colDist = -colDist
 		}
-		if score := st.colBestFree[col]*4096 + st.colAnchor[col]*16 - colDist; score > bestScore {
-			best, bestScore = st.colBestLine[col], score
+		if score := key - colDist; score > bestScore {
+			best, bestScore = col, score
 		}
 	}
-	return best
+	if best < 0 {
+		return -1
+	}
+	return st.colBestLine[best]
 }
+
+// Column keys: dirtyCol marks a column to recompute, and noRoomCol scores a
+// column without room below any real score.
+const (
+	dirtyCol  = math.MinInt
+	noRoomCol = math.MinInt / 2
+)
 
 // canExtendSpan reports whether node's row span may grow to include row r
 // without covering a broken qubit or colliding with a cohabitant on the
@@ -449,25 +454,40 @@ func (st *fastState) putSpan(node int, s span) {
 
 // touch marks the column of a vertical line whose occupants or covered rows
 // changed.
-func (st *fastState) touch(line int) { st.colDirty[st.lineCol[line]] = true }
+func (st *fastState) touch(line int) { st.colKey[st.lineCol[line]] = dirtyCol }
 
-// refreshCol recomputes column col's best line for shared allocation.
-func (st *fastState) refreshCol(col int) {
-	st.colBestFree[col], st.colBestLine[col] = -1, -1
+// anchorMoved keeps column c's key in step with a change of d in its free
+// horizontal qubits. A column without room keeps a key below any real one.
+func (st *fastState) anchorMoved(c, d int) {
+	if st.colKey[c] != dirtyCol {
+		st.colKey[c] += 16 * d
+	}
+}
+
+// refreshCol recomputes column col's best line for shared allocation and
+// returns its key.
+func (st *fastState) refreshCol(col int) int {
+	bestFree, bestLine := -1, -1
 	for line := col * st.g.L; line < (col+1)*st.g.L; line++ {
 		if len(st.lineVars[line]) >= st.maxVarsPerLine {
 			continue
 		}
-		if free := st.g.M - st.lineUsed[line]; free > st.colBestFree[col] {
-			st.colBestFree[col], st.colBestLine[col] = free, line
+		if free := st.g.M - st.lineUsed[line]; free > bestFree {
+			bestFree, bestLine = free, line
 		}
 	}
-	st.colDirty[col] = false
+	key := noRoomCol
+	if bestLine >= 0 {
+		key = bestFree*4096 + st.colAnchor[col]*16
+	}
+	st.colBestLine[col], st.colKey[col] = bestLine, key
+	return key
 }
 
 // setSpan replaces node's row span, logging the previous one.
 func (st *fastState) setSpan(node int, s span) {
-	st.note(undo{kind: undoSpan, node: node, span: st.varSpan[node]})
+	prev := st.varSpan[node]
+	st.note(undo{kind: undoSpan, node: int32(node), v: [3]int32{int32(prev.Min), int32(prev.Max)}})
 	st.putSpan(node, s)
 }
 
@@ -495,14 +515,12 @@ func (st *fastState) preferredRow(node int) int {
 	return st.g.M - 1 - slot*band - band/2
 }
 
-// hLineOrder returns all horizontal line indices sorted by the distance of
-// their row from the preferred row, then bottom-up (the paper's scan order
-// within a band). A preferred row off the grid orders lines exactly as the
-// nearest grid row does, so it is clamped.
-func (st *fastState) hLineOrder(prefRow int) []int {
+// rowsByDistance returns the grid rows sorted by their distance from the
+// preferred row, the lower row first on a tie. A preferred row off the grid
+// orders rows exactly as the nearest grid row does, so it is clamped.
+func (st *fastState) rowsByDistance(prefRow int) []int {
 	prefRow = min(max(prefRow, 0), st.g.M-1)
-	n := st.g.NumHorizontalLines()
-	return st.lineOrder[prefRow*n : (prefRow+1)*n]
+	return st.rowOrder[prefRow*st.g.M : (prefRow+1)*st.g.M]
 }
 
 // lineFree reports whether column c of horizontal line h is free.
@@ -520,11 +538,12 @@ func (st *fastState) colsFree(h, c1, c2 int) bool {
 	return true
 }
 
-// freeLinesInOrder returns the horizontal lines whose columns [c1,c2] are
-// all free, in hLineOrder(prefRow) order: the AND of the columns' free-line
-// masks, read out row group by row group. The result is scratch, valid until
-// the next call.
-func (st *fastState) freeLinesInOrder(c1, c2, prefRow int) []int {
+// firstFreeLine returns the first horizontal line, in the paper's scan
+// order, whose columns [c1,c2] are all free and whose row r passes fits(r),
+// or −1 when there is none. The scan takes rows by their distance from
+// prefRow (rowsByDistance) and each row's L lines bottom-up. Every line of a
+// row shares fits' answer, so fits is asked once per row with a free line.
+func (st *fastState) firstFreeLine(c1, c2, prefRow int, fits func(r int) bool) int {
 	m := st.mask
 	copy(m, st.colFree[c1*st.hWords:(c1+1)*st.hWords])
 	for c := c1 + 1; c <= c2; c++ {
@@ -532,25 +551,31 @@ func (st *fastState) freeLinesInOrder(c1, c2, prefRow int) []int {
 			m[w] &= bits
 		}
 	}
-	st.cands = st.cands[:0]
 	if !slices.ContainsFunc(m, func(w uint64) bool { return w != 0 }) {
-		return st.cands
+		return -1
 	}
-	// hLineOrder lists each row's L lines as one ascending run; a run held
-	// in one word is skipped with a single test when none of it is free.
-	order, l := st.hLineOrder(prefRow), st.g.L
-	for i := 0; i < len(order); i += l {
-		first := order[i]
-		if w := first / 64; w == (first+l-1)/64 && m[w]>>(first%64)&(1<<l-1) == 0 {
-			continue
-		}
-		for h := first; h < first+l; h++ {
-			if m[h/64]&(1<<(h%64)) != 0 {
-				st.cands = append(st.cands, h)
+	l := st.g.L
+	for _, r := range st.rowsByDistance(prefRow) {
+		first := (st.g.M - 1 - r) * l
+		h := -1
+		if w := first / 64; w == (first+l-1)/64 {
+			// The row's lines lie in one mask word.
+			if run := m[w] >> (first % 64) & (1<<l - 1); run != 0 {
+				h = first + bits.TrailingZeros64(run)
+			}
+		} else {
+			for i := first; i < first+l; i++ {
+				if m[i/64]&(1<<(i%64)) != 0 {
+					h = i
+					break
+				}
 			}
 		}
+		if h >= 0 && fits(r) {
+			return h
+		}
 	}
-	return st.cands
+	return -1
 }
 
 func (st *fastState) takeCols(h, c1, c2 int) {
@@ -558,7 +583,8 @@ func (st *fastState) takeCols(h, c1, c2 int) {
 		if st.lineFree(h, c) {
 			st.colFree[c*st.hWords+h/64] &^= 1 << (h % 64)
 			st.colAnchor[c]--
-			st.note(undo{kind: undoCol, i: h*st.g.N + c})
+			st.anchorMoved(c, -1)
+			st.note(undo{kind: undoCol, i: int32(h*st.g.N + c)})
 		}
 	}
 }
@@ -566,7 +592,7 @@ func (st *fastState) takeCols(h, c1, c2 int) {
 // realize records a problem edge as realised (logged).
 func (st *fastState) realize(e qubo.Edge) {
 	st.realized[e.U] = append(st.realized[e.U], e.V)
-	st.note(undo{kind: undoRealize, node: e.U})
+	st.note(logged(undoRealize, e.U))
 }
 
 // isRealized reports whether a problem edge has been realised.
@@ -575,7 +601,7 @@ func (st *fastState) isRealized(e qubo.Edge) bool { return slices.Contains(st.re
 // addSeg appends a horizontal segment to node's chain (logged).
 func (st *fastState) addSeg(node int, sg seg) {
 	st.segs[node] = append(st.segs[node], sg)
-	st.note(undo{kind: undoSegAdd, node: node})
+	st.note(logged(undoSegAdd, node))
 }
 
 // addClause embeds clause k, returning false when it does not fit; a failed
@@ -677,40 +703,37 @@ func (st *fastState) placeAux(aux int, logical []int) bool {
 		pref += st.preferredRow(n)
 	}
 	pref /= len(logical)
-	var saved [3]span // logical holds at most three distinct nodes
-	for _, h := range st.freeLinesInOrder(cmin, cmax, pref) {
-		r := st.rowOfHLine(h)
-		// Extend the spans sequentially so clause variables sharing a
-		// vertical line cannot both claim row r; restore on failure.
-		ok := true
-		extended := 0
-		for i, n := range logical {
-			saved[i] = st.varSpan[n]
-			extended++
-			if !st.canExtendSpan(n, r) {
-				ok = false
-				break
+	// Every variable's span must grow to the segment's row. Two variables
+	// sharing a vertical line cannot both cover one row; variables on
+	// distinct lines extend independently of each other.
+	for i, n := range logical {
+		for _, o := range logical[:i] {
+			if st.varLine[o] == st.varLine[n] {
+				return false
 			}
-			st.putSpan(n, st.varSpan[n].with(r))
 		}
-		if !ok {
-			for i := 0; i < extended; i++ {
-				st.putSpan(logical[i], saved[i])
-			}
-			continue
-		}
-		// Log the net span changes for clause-level rollback.
-		for i, n := range logical {
-			st.note(undo{kind: undoSpan, node: n, span: saved[i]})
-		}
-		st.takeCols(h, cmin, cmax)
-		st.addSeg(aux, seg{h, cmin, cmax})
+	}
+	h := st.firstFreeLine(cmin, cmax, pref, func(r int) bool {
 		for _, n := range logical {
-			st.realize(qubo.MkEdge(aux, n))
+			if !st.canExtendSpan(n, r) {
+				return false
+			}
 		}
 		return true
+	})
+	if h < 0 {
+		return false
 	}
-	return false
+	r := st.rowOfHLine(h)
+	for _, n := range logical {
+		st.extendSpan(n, r)
+	}
+	st.takeCols(h, cmin, cmax)
+	st.addSeg(aux, seg{h, cmin, cmax})
+	for _, n := range logical {
+		st.realize(qubo.MkEdge(aux, n))
+	}
+	return true
 }
 
 // routeEdge realises a logical-logical problem edge, trying in order:
@@ -754,44 +777,38 @@ func (st *fastState) routeEdge(e qubo.Edge) bool {
 			}
 			st.takeCols(sg.Line, nc1, sg.C1-1) // empty when extending right
 			st.takeCols(sg.Line, sg.C2+1, nc2) // empty when extending left
-			st.note(undo{kind: undoSegSet, node: owner, i: i, seg: sg})
+			st.note(undo{kind: undoSegSet, node: int32(owner), i: int32(i), v: [3]int32{int32(sg.Line), int32(sg.C1), int32(sg.C2)}})
 			st.segs[owner][i] = seg{sg.Line, nc1, nc2}
 			st.extendSpan(target, r)
 			st.realize(e)
 			return true
 		}
 	}
-	// (c) A fresh segment from one endpoint's column to the other's.
-	for _, pair := range [2][2]int{{u, v}, {v, u}} {
-		owner, target := pair[0], pair[1]
-		c1, c2 := st.cellCol(owner), st.cellCol(target)
-		if c1 > c2 {
-			c1, c2 = c2, c1
-		}
-		pref := (st.preferredRow(owner) + st.preferredRow(target)) / 2
-		for _, h := range st.freeLinesInOrder(c1, c2, pref) {
-			r := st.rowOfHLine(h)
-			// Sequential extension: owner first, then target against the
-			// updated state, so two endpoints sharing a vertical line
-			// cannot both claim row r.
-			if !st.canExtendSpan(owner, r) {
-				continue
-			}
-			prevOwner := st.varSpan[owner]
-			st.putSpan(owner, prevOwner.with(r))
-			if !st.canExtendSpan(target, r) {
-				st.putSpan(owner, prevOwner)
-				continue
-			}
-			st.note(undo{kind: undoSpan, node: owner, span: prevOwner})
-			st.takeCols(h, c1, c2)
-			st.addSeg(owner, seg{h, c1, c2})
-			st.extendSpan(target, r)
-			st.realize(e)
-			return true
-		}
+	// (c) A fresh segment from u's column to v's, owned by u. Both spans
+	// must grow to its row: endpoints sharing a vertical line cannot both
+	// cover one row, and endpoints on distinct lines extend independently,
+	// so no row suits v as owner that does not suit u.
+	if st.varLine[u] == st.varLine[v] {
+		return false
 	}
-	return false
+	c1, c2 := st.cellCol(u), st.cellCol(v)
+	if c1 > c2 {
+		c1, c2 = c2, c1
+	}
+	pref := (st.preferredRow(u) + st.preferredRow(v)) / 2
+	h := st.firstFreeLine(c1, c2, pref, func(r int) bool {
+		return st.canExtendSpan(u, r) && st.canExtendSpan(v, r)
+	})
+	if h < 0 {
+		return false
+	}
+	r := st.rowOfHLine(h)
+	st.extendSpan(u, r)
+	st.takeCols(h, c1, c2)
+	st.addSeg(u, seg{h, c1, c2})
+	st.extendSpan(v, r)
+	st.realize(e)
+	return true
 }
 
 // finish assembles the Embedding for the embedded clause set.

@@ -35,15 +35,27 @@ func sortedLineOrder(g *topo.Chimera, prefRow int) []int {
 	return order
 }
 
-// TestLineOrdersMatchSortedScan pins the precomputed line orders to the
-// sorted definition on several grid shapes, including preferred rows off
-// the grid (which hLineOrder clamps).
+// scanOrder expands rowsByDistance into the lines firstFreeLine scans:
+// each row's L lines in ascending order.
+func scanOrder(st *fastState, prefRow int) []int {
+	var out []int
+	for _, r := range st.rowsByDistance(prefRow) {
+		for h := (st.g.M - 1 - r) * st.g.L; h < (st.g.M-r)*st.g.L; h++ {
+			out = append(out, h)
+		}
+	}
+	return out
+}
+
+// TestLineOrdersMatchSortedScan pins the precomputed row orders, expanded
+// into lines, to the sorted definition on several grid shapes, including
+// preferred rows off the grid (which rowsByDistance clamps).
 func TestLineOrdersMatchSortedScan(t *testing.T) {
 	for _, dims := range [][3]int{{16, 16, 4}, {1, 1, 1}, {3, 5, 2}, {6, 2, 3}} {
 		g := topo.NewChimera(dims[0], dims[1], dims[2])
-		st := &fastState{g: g, lineOrder: lineOrders(g)}
+		st := &fastState{g: g, rowOrder: rowOrders(g)}
 		for p := -3; p < g.M+3; p++ {
-			if got, want := st.hLineOrder(p), sortedLineOrder(g, p); !slices.Equal(got, want) {
+			if got, want := scanOrder(st, p), sortedLineOrder(g, p); !slices.Equal(got, want) {
 				t.Fatalf("chimera%v prefRow %d: order %v, want %v", dims, p, got, want)
 			}
 		}
@@ -52,11 +64,12 @@ func TestLineOrdersMatchSortedScan(t *testing.T) {
 
 // TestColsFreeAcrossWords checks the per-column free-line masks against a
 // plain boolean model, including rollback, on a grid 150 columns wide and on
-// one with 80 horizontal lines (two mask words per column): colsFree on one
-// line, and freeLinesInOrder — the lines free across a column span, in scan
-// order — against filtering hLineOrder by colsFree.
+// ones with 80 and 90 horizontal lines (two mask words per column, rows
+// straddling a word): colsFree on one line, and firstFreeLine — the first
+// line free across a column span whose row passes a test, in scan order —
+// against the first line of sortedLineOrder that passes both.
 func TestColsFreeAcrossWords(t *testing.T) {
-	for _, g := range []*topo.Chimera{topo.NewChimera(2, 150, 1), topo.NewChimera(20, 3, 4)} {
+	for _, g := range []*topo.Chimera{topo.NewChimera(2, 150, 1), topo.NewChimera(20, 3, 4), topo.NewChimera(18, 3, 5)} {
 		st := &fastState{}
 		st.reset(&qubo.Encoding{}, g)
 		used := make([][]bool, g.NumHorizontalLines())
@@ -80,14 +93,17 @@ func TestColsFreeAcrossWords(t *testing.T) {
 				t.Fatalf("%dx%d step %d: colsFree(%d,%d,%d) = %v, want %v", g.M, g.N, step, h, c1, c2, got, want)
 			}
 			pref := rng.Intn(g.M)
-			var want []int
-			for _, l := range st.hLineOrder(pref) {
-				if free(l, c1, c2) {
-					want = append(want, l)
+			rows := rng.Uint64() | rng.Uint64() // about three rows in four pass
+			fits := func(r int) bool { return rows>>(r%64)&1 != 0 }
+			want := -1
+			for _, l := range sortedLineOrder(g, pref) {
+				if free(l, c1, c2) && fits(st.rowOfHLine(l)) {
+					want = l
+					break
 				}
 			}
-			if got := st.freeLinesInOrder(c1, c2, pref); !slices.Equal(got, want) {
-				t.Fatalf("%dx%d step %d: freeLinesInOrder(%d,%d,%d) = %v, want %v", g.M, g.N, step, c1, c2, pref, got, want)
+			if got := st.firstFreeLine(c1, c2, pref, fits); got != want {
+				t.Fatalf("%dx%d step %d: firstFreeLine(%d,%d,%d) = %d, want %d", g.M, g.N, step, c1, c2, pref, got, want)
 			}
 			if rng.Intn(4) == 0 {
 				st.log = st.log[:0]

@@ -35,6 +35,6 @@ func MkEdge(a, b int) Edge {
 // (and our simulated annealer) executes.
 type Ising struct {
 	Offset float64
-	H      map[int]float64
-	J      map[Edge]float64
+	H      []float64  // field per node; 0 for a node without one
+	J      []QuadTerm // the non-zero couplings, sorted by CompareEdges
 }

@@ -158,11 +158,19 @@ func (p *Poly) Normalized() (*Poly, float64) {
 	return p.Scale(1 / d), d
 }
 
+// mapIsing is the reference algebra's Ising model: Offset + Σ h_i·s_i +
+// Σ J_ij·s_i·s_j, holding only the non-zero terms.
+type mapIsing struct {
+	Offset float64
+	H      map[int]float64
+	J      map[Edge]float64
+}
+
 // ToIsing converts p via x = (1+s)/2. Terms are accumulated in sorted key
 // order so the floating-point results are reproducible bit for bit
 // regardless of map iteration order.
-func (p *Poly) ToIsing() *Ising {
-	is := &Ising{Offset: p.Offset, H: map[int]float64{}, J: map[Edge]float64{}}
+func (p *Poly) ToIsing() *mapIsing {
+	is := &mapIsing{Offset: p.Offset, H: map[int]float64{}, J: map[Edge]float64{}}
 	addH := func(i int, v float64) {
 		is.H[i] += v
 		if is.H[i] == 0 {
@@ -201,7 +209,7 @@ func (p *Poly) ToIsing() *Ising {
 
 // Energy evaluates the Ising model at the given spin assignment
 // (true = +1, false = −1). Nodes absent from spins default to −1.
-func (is *Ising) Energy(spins map[int]bool) float64 {
+func (is *mapIsing) Energy(spins map[int]bool) float64 {
 	sv := func(i int) float64 {
 		if spins[i] {
 			return 1

@@ -602,18 +602,30 @@ func TestClauseStructureMatchesObjectives(t *testing.T) {
 	}
 }
 
-// sameIsing compares two Ising models bit for bit.
-func sameIsing(a, b *Ising) bool {
-	if math.Float64bits(a.Offset) != math.Float64bits(b.Offset) || len(a.H) != len(b.H) || len(a.J) != len(b.J) {
+// sameIsing compares an Ising model with the reference one bit for bit: the
+// same non-zero fields, and the same couplings in ascending edge order.
+func sameIsing(a *Ising, b *mapIsing) bool {
+	if math.Float64bits(a.Offset) != math.Float64bits(b.Offset) || len(a.J) != len(b.J) {
 		return false
 	}
+	fields := 0
 	for i, h := range a.H {
+		if h == 0 {
+			continue
+		}
+		fields++
 		if g, ok := b.H[i]; !ok || math.Float64bits(g) != math.Float64bits(h) {
 			return false
 		}
 	}
-	for e, j := range a.J {
-		if g, ok := b.J[e]; !ok || math.Float64bits(g) != math.Float64bits(j) {
+	if fields != len(b.H) {
+		return false
+	}
+	for k, t := range a.J {
+		if k > 0 && CompareEdges(a.J[k-1].Edge, t.Edge) >= 0 {
+			return false
+		}
+		if g, ok := b.J[t.Edge]; !ok || math.Float64bits(g) != math.Float64bits(t.C) {
 			return false
 		}
 	}
