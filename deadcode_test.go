@@ -24,7 +24,6 @@ var keptUncalled = map[string]string{
 	"verify.FormatDisagreements":           "renders DiffRandom failures in those tests",
 	"qubo.Encoding.NodesFromAssignment":    "TestNodesFromAssignmentZeroEnergyOnModels and FuzzEncodeClause: the ground-state oracle",
 	"verify.ParseDRAT":                     "the DRAT round-trip, CLI -proof and stitched cube-proof tests read proofs back with it",
-	"hyqsat.GenerateQueue":                 "the queue tests and TestFullPipelineManually drive §IV-A queue generation on its own",
 	"perfgate.Overhead":                    "the 1% overhead gates TestNopTracerKernelOverhead and TestResilientOverhead",
 	// Hooks that tests use to check safety invariants.
 	"hyqsat.Solver.PhaseOverlaps": "TestPhaseSpansDisjointAndBounded asserts no two phase spans overlap",

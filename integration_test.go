@@ -7,7 +7,6 @@ package hyqsat_test
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 
 	"hyqsat/internal/anneal"
@@ -135,13 +134,14 @@ func TestFullPipelineManually(t *testing.T) {
 		}
 	}
 
-	rng := rand.New(rand.NewSource(9))
 	unsat := s.UnsatisfiedClauses(nil)
 	if len(unsat) == 0 {
 		t.Fatal("no unsatisfied clauses after 5 steps")
 	}
-	queue := hyqsat.GenerateQueue(f3, cnf.VarAdjacency(f3), s.ClauseScores(),
-		unsat, 30, 200, rng)
+	// The §IV-A activity queue over this unsatisfied set is checked in
+	// internal/hyqsat (TestQueueFromCDCLUnsatSet); here the pipeline takes
+	// the unsatisfied clauses in order.
+	queue := unsat[:min(len(unsat), 200)]
 	clauses := make([]cnf.Clause, len(queue))
 	for i, ci := range queue {
 		clauses[i] = f3.Clauses[ci]

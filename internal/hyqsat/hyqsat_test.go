@@ -8,6 +8,7 @@ import (
 
 	"hyqsat/internal/anneal"
 	"hyqsat/internal/cnf"
+	"hyqsat/internal/gen"
 	"hyqsat/internal/sat"
 	"hyqsat/internal/topo"
 )
@@ -270,7 +271,7 @@ func TestGenerateQueueProperties(t *testing.T) {
 	for i := 0; i < 120; i += 2 {
 		candidates = append(candidates, i)
 	}
-	q := GenerateQueue(f, adj, scores, candidates, 30, 40, rng)
+	q := new(queueGen).generate(f, adj, scores, candidates, 30, 40, rng)
 	if len(q) == 0 || len(q) > 40 {
 		t.Fatalf("queue length %d", len(q))
 	}
@@ -318,9 +319,79 @@ func TestGenerateQueueHeadFromTopActivity(t *testing.T) {
 	for i := range candidates {
 		candidates[i] = i
 	}
-	q := GenerateQueue(f, adj, scores, candidates, 1, 10, rng)
+	q := new(queueGen).generate(f, adj, scores, candidates, 1, 10, rng)
 	if q[0] != 42 {
 		t.Fatalf("head = %d, want the top-activity clause 42", q[0])
+	}
+}
+
+// TestTopAtMatchesSelectionSort checks the queue head's pool against its
+// defining selection sort, at every pool position, on scores with many ties
+// and on candidate lists shorter than the pool.
+func TestTopAtMatchesSelectionSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	var g queueGen
+	for trial := 0; trial < 300; trial++ {
+		scores := make([]float64, 1+rng.Intn(200))
+		levels := 1 + rng.Intn(40)
+		for i := range scores {
+			scores[i] = float64(rng.Intn(levels))
+		}
+		cands := rng.Perm(len(scores))[:1+rng.Intn(len(scores))]
+		topN := min(1+rng.Intn(40), len(cands))
+		want := slices.Clone(cands)
+		for i := 0; i < topN; i++ {
+			best := i
+			for j := i + 1; j < len(want); j++ {
+				if scores[want[j]] > scores[want[best]] {
+					best = j
+				}
+			}
+			want[i], want[best] = want[best], want[i]
+		}
+		for k := 0; k < topN; k++ {
+			if got := g.topAt(slices.Clone(cands), scores, topN, k); got != want[k] {
+				t.Fatalf("trial %d: position %d of the top %d holds %d, want %d", trial, k, topN, got, want[k])
+			}
+		}
+	}
+}
+
+// TestQueueFromCDCLUnsatSet generates a §IV-A queue from a CDCL solver's
+// real activity scores and unsatisfied set, as a hybrid iteration does:
+// every queued clause is unsatisfied and queued once, the queue respects
+// its limit, and the head scores among the top 30.
+func TestQueueFromCDCLUnsatSet(t *testing.T) {
+	f3, _ := cnf.To3CNF(gen.SatisfiableRandom3SAT(60, 240, 9).Formula)
+	s := sat.New(f3, sat.MiniSATOptions())
+	for i := 0; i < 5; i++ {
+		if st := s.Step(); st != sat.StepContinue {
+			t.Fatalf("unexpected early termination: %v", st)
+		}
+	}
+	unsat := s.UnsatisfiedClauses(nil)
+	if len(unsat) == 0 {
+		t.Fatal("no unsatisfied clauses after 5 steps")
+	}
+	scores := s.ClauseScores()
+	q := new(queueGen).generate(f3, cnf.VarAdjacency(f3), scores, unsat, 30, 200, rand.New(rand.NewSource(9)))
+	if len(q) == 0 || len(q) > 200 {
+		t.Fatalf("queue length %d, want 1..200", len(q))
+	}
+	seen := map[int]bool{}
+	for _, ci := range q {
+		if seen[ci] || !slices.Contains(unsat, ci) {
+			t.Fatalf("clause %d queued twice or not unsatisfied", ci)
+		}
+		seen[ci] = true
+	}
+	byScore := make([]float64, len(unsat))
+	for i, ci := range unsat {
+		byScore[i] = scores[ci]
+	}
+	slices.Sort(byScore)
+	if floor := byScore[max(0, len(byScore)-30)]; scores[q[0]] < floor {
+		t.Fatalf("head score %v below the top-30 floor %v", scores[q[0]], floor)
 	}
 }
 
@@ -329,13 +400,13 @@ func TestGenerateQueueEmptyAndLimits(t *testing.T) {
 	f := random3SAT(rng, 10, 20)
 	adj := cnf.VarAdjacency(f)
 	scores := make([]float64, 20)
-	if q := GenerateQueue(f, adj, scores, nil, 30, 10, rng); q != nil {
+	if q := new(queueGen).generate(f, adj, scores, nil, 30, 10, rng); q != nil {
 		t.Fatal("empty candidates should give nil queue")
 	}
-	if q := GenerateQueue(f, adj, scores, []int{3}, 30, 0, rng); q != nil {
+	if q := new(queueGen).generate(f, adj, scores, []int{3}, 30, 0, rng); q != nil {
 		t.Fatal("zero limit should give nil queue")
 	}
-	q := GenerateQueue(f, adj, scores, []int{3}, 30, 10, rng)
+	q := new(queueGen).generate(f, adj, scores, []int{3}, 30, 10, rng)
 	if len(q) != 1 || q[0] != 3 {
 		t.Fatalf("singleton queue = %v", q)
 	}

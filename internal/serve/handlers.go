@@ -217,6 +217,13 @@ func (s *Service) sampleOnce(req *http.Request) (int, []byte) {
 		if errors.As(err, &pe) {
 			return fail(http.StatusBadRequest, "bad_topology", pe.Error())
 		}
+		if share > 0 {
+			// The program ran and the tenant is charged for it: a sample
+			// whose client left, not a refusal.
+			s.m.qpuSamples.Inc()
+			blob, _ := json.Marshal(qpu.WireErrorBody{Error: "cancelled", Detail: err.Error()})
+			return http.StatusServiceUnavailable, blob
+		}
 		return fail(http.StatusServiceUnavailable, "cancelled", err.Error())
 	}
 	s.tenants.RefundDevice(tenant, cost-share)

@@ -593,8 +593,13 @@ func TestSampleCancelledClientsRefundAndLeaveNoGoroutines(t *testing.T) {
 	}
 	srv.Close() // waits for every handler to return
 
-	if svc.m.qpuRejected.Value() == 0 {
-		t.Fatal("no handler observed the cancellation")
+	// Every member's program ran and was charged, so each counts as a
+	// sample although its client hung up.
+	if got, want := svc.m.qpuSamples.Value(), int64(members); got != want {
+		t.Fatalf("serve_qpu_samples = %d, want %d", got, want)
+	}
+	if got := svc.m.qpuRejected.Value(); got != 0 {
+		t.Fatalf("serve_qpu_rejected = %d, want 0", got)
 	}
 	spent := time.Duration(svc.m.deviceBusyNs.Value())
 	if want := anneal.DWave2000QTiming().BatchAccessTime([]int{reads, reads, reads, reads}); spent != want {

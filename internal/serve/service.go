@@ -559,11 +559,10 @@ func (s *Service) cancelRunning() {
 
 // AdmissionError is a typed admission refusal carrying its HTTP shape.
 type AdmissionError struct {
-	Status      int
-	Tag         string // stable machine tag: "queue_full", "quota", "draining", ...
-	Detail      string
-	RetryAfter  time.Duration
-	IsPermanent bool
+	Status     int
+	Tag        string // stable machine tag: "queue_full", "quota", "draining", ...
+	Detail     string
+	RetryAfter time.Duration
 }
 
 func (e *AdmissionError) Error() string {
@@ -576,7 +575,7 @@ func (e *AdmissionError) Error() string {
 func admissionFromQuota(qe *QuotaError) *AdmissionError {
 	ae := &AdmissionError{Tag: "quota", Detail: qe.Error(), RetryAfter: qe.RetryAfter}
 	if qe.IsPermanent {
-		ae.Status, ae.IsPermanent = 403, true
+		ae.Status = 403
 	} else {
 		ae.Status = 429
 		if ae.RetryAfter == 0 {
