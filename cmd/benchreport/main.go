@@ -12,8 +12,8 @@
 //   - portfolio: cube-and-conquer wall-clock scaling on the uf100/uuf100
 //     family at 1/2/4 workers, merged by benchmark name into BENCH_cdcl.json
 //     (the CDCL snapshot keeps its suite tag and existing entries)
-//   - embed: the frontend embedding pass on one var-disjoint queue — the
-//     cold Fast pipeline, per topology → BENCH_embed.json
+//   - embed: one frontend pass of a hybrid warm-up iteration on a uf150
+//     activity queue (hyqsat.EmbedBench), per topology → BENCH_embed.json
 //   - serve: end-to-end daemon throughput under a paced virtual QPU at
 //     1/8/64 concurrent clients with batching on and off → BENCH_serve.json
 //     (serve_batch_speedup_8c records jobs/sec on over off at 8 clients; the
@@ -36,8 +36,10 @@
 //	                                     # snapshot's suite tag in -compare
 //
 // The cdcl snapshot additionally carries a pre_refactor section — the same
-// workloads measured against the pre-arena clause representation — which is
-// preserved verbatim across rewrites so the refactor's win stays on record.
+// workloads measured against the pre-arena clause representation — and the
+// embed snapshot one measured on the frontend before its bit-identical
+// speed-up; both are preserved verbatim across rewrites so the win stays on
+// record.
 package main
 
 import (
@@ -100,8 +102,9 @@ type report struct {
 	ServeBatchSpeedup8C float64       `json:"serve_batch_speedup_8c,omitempty"`
 	Benchmarks          []benchResult `json:"benchmarks"`
 	// PreRefactor holds reference numbers recorded before a landmark change
-	// (for the cdcl suite: the pre-arena clause representation). It is
-	// carried through rewrites and never regenerated.
+	// (for the cdcl suite: the pre-arena clause representation; for the embed
+	// suite: the frontend before its bit-identical speed-up). It is carried
+	// through rewrites and never regenerated.
 	PreRefactor []benchResult `json:"pre_refactor,omitempty"`
 }
 
@@ -275,16 +278,13 @@ func portfolioSuite() (report, error) {
 	return rep, nil
 }
 
-// embedQueueLen is the embed-suite workload: a var-disjoint 3-literal queue
-// long enough to exercise real routing work in the cold Fast pipeline.
-const embedQueueLen = 128
-
-// embedSuite measures the frontend embedding pass on one queue per
-// topology: the cold Fast pipeline (on Pegasus, onto its Chimera fabric).
+// embedSuite measures one frontend pass per topology: the queue stage and
+// the cold Fast pipeline (on Pegasus, onto its Chimera fabric) on a uf150
+// activity queue.
 func embedSuite() (report, error) {
 	rep := hostReport("embed")
 	for _, topology := range []string{"chimera", "pegasus"} {
-		eb, err := hyqsat.NewEmbedBench(topology, embedQueueLen)
+		eb, err := hyqsat.NewEmbedBench(topology)
 		if err != nil {
 			return report{}, err
 		}
@@ -292,7 +292,7 @@ func embedSuite() (report, error) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eb.ColdFast()
+				eb.Pass()
 			}
 		}))
 	}
@@ -552,7 +552,7 @@ func main() {
 		fmt.Printf("benchreport: wrote %s (CubeConquer uf100 4-worker speedup %.2fx on %d CPUs)\n",
 			path, rep.PortfolioSpeedup4W, rep.NumCPU)
 	case "embed":
-		fmt.Printf("benchreport: wrote %s (cold Fast on chimera %.0f ns/op %d allocs/op)\n",
+		fmt.Printf("benchreport: wrote %s (frontend pass on chimera %.0f ns/op %d allocs/op)\n",
 			path, rep.Benchmarks[0].NsPerOp, rep.Benchmarks[0].AllocsPerOp)
 	case "serve":
 		fmt.Printf("benchreport: wrote %s (batching speedup at 8 clients %.2fx on %d CPUs)\n",

@@ -4,62 +4,64 @@ import (
 	"fmt"
 	"math/rand"
 
-	"hyqsat/internal/anneal"
 	"hyqsat/internal/cnf"
-	"hyqsat/internal/embed"
-	"hyqsat/internal/qubo"
+	"hyqsat/internal/gen"
 	"hyqsat/internal/topo"
 )
 
-// EmbedBench is the fixture behind `benchreport -suite embed`: one clause
-// queue (var-disjoint 3-literal clauses) prepared for ColdFast, the
-// frontend's embedding pass — Fast embedding search on the topology's
-// fabric, restriction, coefficient adjustment, normalisation, EmbedIsing —
-// on reused scratch as the solver runs it. The encoding is built once in
-// NewEmbedBench, so ColdFast measures only the embedding pass.
+// EmbedBench is the fixture behind `benchreport -suite embed` and
+// BenchmarkColdFrontend: a HardwareOptions solver on a uf150-sized formula
+// and a 300-clause BFS activity queue over it, the shape of queue every
+// hybrid-mode warm-up iteration embeds. Pass runs one frontend pass on the
+// solver's own scratch, as a warm-up iteration does.
 type EmbedBench struct {
-	graph  topo.Topology
-	fabric *topo.Chimera
-	enc    *qubo.Encoding
-	front  frontendScratch
+	s     *Solver
+	queue []int
 }
 
-// NewEmbedBench prepares the fixture for a topology ("chimera" or "pegasus")
-// and queue length.
-func NewEmbedBench(topology string, nClauses int) (*EmbedBench, error) {
+// NewEmbedBench prepares the fixture for a topology ("chimera" or
+// "pegasus").
+func NewEmbedBench(topology string) (*EmbedBench, error) {
 	g, err := topo.New(topology)
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(42))
-	queue := make([]cnf.Clause, nClauses)
-	for i := range queue {
-		c := make(cnf.Clause, 3)
-		for j := range c {
-			c[j] = cnf.MkLit(cnf.Var(3*i+j), rng.Intn(2) == 1)
-		}
-		queue[i] = c
-	}
-	enc, err := qubo.Encode(queue)
-	if err != nil {
-		return nil, err
-	}
-	eb := &EmbedBench{graph: g, fabric: embed.FastFabric(g), enc: enc}
-	if eb.fabric == nil {
+	f, queue := coldActivityQueue()
+	o := HardwareOptions()
+	o.Hardware = g
+	eb := &EmbedBench{s: New(f, o), queue: queue}
+	if eb.s.fabric == nil {
 		return nil, fmt.Errorf("embedbench: topology %s has no Fast embedder", g.Name())
 	}
 	return eb, nil
 }
 
-// ColdFast runs the embedding pass once (embedding search included), as
-// Solver.encodeAndEmbed does after encoding, and returns the number of
-// embedded clauses.
-func (e *EmbedBench) ColdFast() int {
-	fastRes := e.front.fast.Fast(e.enc, e.fabric)
-	if fastRes.EmbeddedClauses == 0 {
+// coldActivityQueue returns a uf150-sized formula and a 300-clause BFS
+// activity queue over it (random activity scores, every clause a
+// candidate).
+func coldActivityQueue() (*cnf.Formula, []int) {
+	f := gen.Random3SAT(150, 645, 3).Formula
+	rng := rand.New(rand.NewSource(5))
+	scores := make([]float64, len(f.Clauses))
+	for i := range scores {
+		scores[i] = rng.Float64()
+	}
+	cands := make([]int, len(f.Clauses))
+	for i := range cands {
+		cands[i] = i
+	}
+	return f, new(queueGen).generate(f, cnf.VarAdjacency(f), scores, cands, topN, 300, rng)
+}
+
+// Pass runs one frontend pass: the queue stage (unsat-set scan and queue
+// generation, Solver.clauseQueue) and then encodeAndEmbed on the fixture
+// queue (encode, Fast, restriction, coefficient adjustment, normalisation,
+// EmbedIsing). It returns the number of embedded clauses.
+func (e *EmbedBench) Pass() int {
+	e.s.clauseQueue()
+	fe := e.s.encodeAndEmbed(e.queue)
+	if fe.embedded == 0 {
 		panic("embedbench: Fast embedded nothing")
 	}
-	ising := e.enc.Restrict(fastRes.EmbeddedSet).Program(&e.front.sums, true)
-	e.front.ising.EmbedIsing(ising, fastRes.Embedding, e.graph, anneal.ChainStrengthFor(ising))
-	return fastRes.EmbeddedClauses
+	return fe.embedded
 }
