@@ -42,7 +42,7 @@ go test -run='TestFastEmbeddingsVerify' -count=1 ./internal/embed
 # golden digests (and the pinned hardware-mode solve counters) bit for bit;
 # one cold Fast + EmbedIsing on a 300-clause activity queue must stay at or
 # below half the allocations of the map-based implementation, and the whole
-# embedding pass (encodeAndEmbed on warm solver scratch) at or below 64; the
+# embedding pass (encodeAndEmbed on warm solver scratch) at or below 48; the
 # part of an iteration that builds no embedding (unsat scan, queue
 # generation, unembedding, embedded-variable collection) must allocate
 # nothing; and a collection mid-solve must free the embedded problems of
