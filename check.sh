@@ -17,11 +17,11 @@ go vet ./...
 test -z "$(gofmt -l .)"
 # One uncached race-detector run over every package covers all the
 # concurrency-bearing code: parallel Sample under the hybrid loop, the
-# bench worker pool, the telemetry sinks, the portfolio race
-# and clause-sharing bus (soundness corpus, adversarial injection, faulty-QPU
-# entrants, stitched cube proofs), the fault-tolerance layer (fault injection,
-# retry/backoff, circuit breaker, degradation to pure CDCL), the qbatch
-# packer and scheduler with its bit-identical per-member sampling contract,
+# bench worker pool, the telemetry sinks, cube-and-conquer (concurrent
+# workers, QA warm-ups, stitched cube proofs), the fault-tolerance layer
+# (fault injection, retry/backoff, circuit breaker, degradation to pure
+# CDCL), the qbatch packer and scheduler with its bit-identical per-member
+# sampling contract,
 # the hyqsatd service layer (admission, quotas, idempotency, drain, sample
 # requests cancelled mid-flight), and the randomized CDCL certification
 # corpus. HYQSAT_PERF_GATE is unset for this
@@ -122,8 +122,8 @@ go test -run='TestCLITraceStreamReconstructsFigures|TestCLIFlightRecorder' -coun
 # Tracereport round-trip gate: a CLI solve recorded with -trace must feed
 # tracereport a trace it can turn into a non-empty phase breakdown and a
 # QA-quality report. Binaries are built (not `go run`) so the solver's
-# SAT=10/UNSAT=20 exit convention survives; the portfolio -share acceptance
-# path (per-entrant attribution) is pinned by the cmd/tracereport tests.
+# SAT=10/UNSAT=20 exit convention survives; the cube-and-conquer acceptance
+# path (per-worker attribution) is pinned by the cmd/tracereport tests.
 tracedir=$(mktemp -d)
 go build -o "$tracedir" ./cmd/hyqsat ./cmd/satgen ./cmd/tracereport
 "$tracedir/satgen" -random -vars 40 -clauses 168 -seed 5 > "$tracedir/inst.cnf"
@@ -142,11 +142,9 @@ go test -run='TestPropagateSteadyStateAllocs|TestAnalyzeSteadyStateAllocs|TestNo
 # Proof-checker alloc gate: a one-worker DRAT check of the shared uuf150
 # proof fixture allocates at most one object per four proof steps.
 go test -run='TestCheckUnsatProofAllocs' -count=1 ./internal/verify
-# Sharing hot-path alloc gates (run without -race: the detector's own
-# bookkeeping allocates): clause import into the arena and bus export
-# filtering must stay allocation-free in steady state.
-go test -run='TestImportHotPathAllocs|TestImportSteadyStateAllocs|TestInterruptStopsSearchAndRearms' -count=1 ./internal/sat
-go test -run='TestBusExportHotPathAllocs' -count=1 ./internal/portfolio
+# Interrupt gate (run without -race): a pre-set interrupt stops the next
+# search call with Unknown, and clearing it re-arms the solver.
+go test -run='TestInterruptStopsSearchAndRearms' -count=1 ./internal/sat
 # Sampler perf smoke: the kernel must stay 0 allocs/op, and the sampler
 # suite must run end to end. The report goes to stdout and is discarded so
 # the tracked BENCH_baseline.json stays untouched; regenerate it with

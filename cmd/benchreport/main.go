@@ -228,12 +228,12 @@ func cdclSuite() (report, error) {
 }
 
 // portfolioSuite measures cube-and-conquer wall-clock scaling at 1, 2 and 4
-// workers with clause sharing on. Three workloads: a uf100 SAT instance whose
-// satisfying cube sits late in the serial cube order (parallel workers reach
-// it early — diversification speedup), a uuf100 UNSAT instance (pure
-// work-sharing), and a uuf150 UNSAT instance whose larger per-cube refutations
-// amortise the scheduler overhead, showing the efficiency ceiling of the
-// host's physical cores. The probe budget is 1 conflict so the split always
+// workers. Three workloads: a uf100 SAT instance whose satisfying cube sits
+// late in the serial cube order (parallel workers reach it early —
+// diversification speedup), a uuf100 UNSAT instance (pure work-sharing),
+// and a uuf150 UNSAT instance whose larger per-cube refutations amortise the
+// scheduler overhead, showing the efficiency ceiling of the host's physical
+// cores. The probe budget is 1 conflict so the split always
 // happens and the conquer phase dominates.
 func portfolioSuite() (report, error) {
 	workloads := []struct {
@@ -251,8 +251,7 @@ func portfolioSuite() (report, error) {
 		return run(fmt.Sprintf("CubeConquer/%s/workers=%d", name, workers), 0, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				out, err := portfolio.SolveCubes(context.Background(), f.Copy(),
-					portfolio.CubeOptions{Depth: depth, Workers: workers, ProbeConflicts: 1,
-						Seed: 1, Share: true})
+					portfolio.CubeOptions{Depth: depth, Workers: workers, ProbeConflicts: 1, Seed: 1})
 				if err != nil {
 					panic("benchreport: cube solve failed: " + err.Error())
 				}

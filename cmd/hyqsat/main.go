@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	hyqsat [-solver=hyqsat|minisat|kissat|portfolio] [-mode=sim|hw]
+//	hyqsat [-solver=hyqsat|minisat|kissat] [-mode=sim|hw]
 //	       [-topology=chimera|pegasus] [-seed N]
 //	       [-reads N] [-stats] [-proof file.drat] [-verify]
 //	       [-trace out.jsonl] [-metrics-addr host:port] [-flight-recorder N]
@@ -88,7 +88,7 @@ func main() {
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("hyqsat", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	solver := fs.String("solver", "hyqsat", "solver: hyqsat, minisat, kissat, or portfolio (race all three)")
+	solver := fs.String("solver", "hyqsat", "solver: hyqsat, minisat, or kissat")
 	mode := fs.String("mode", "hw", "QA mode for hyqsat: sim (noise-free) or hw (emulated D-Wave 2000Q)")
 	topology := fs.String("topology", "chimera", "QA hardware topology for hyqsat: chimera (D-Wave 2000Q) or pegasus (Pegasus(16); clauses embed on its Chimera fabric)")
 	seed := fs.Int64("seed", 1, "random seed")
@@ -100,10 +100,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	tracePath := fs.String("trace", "", "write a JSONL event trace of the solve to this file")
 	metricsAddr := fs.String("metrics-addr", "", "serve live introspection (/metrics, /solve/status, ...) on this address")
 	flightN := fs.Int("flight-recorder", 0, "keep the last N trace events; dump to stderr on UNSAT/UNKNOWN or panic")
-	maxConflicts := fs.Int64("max-conflicts", 0, "CDCL conflict budget of a single solver (not -solver=portfolio or -cube); report UNKNOWN once exhausted (0 = unlimited)")
+	maxConflicts := fs.Int64("max-conflicts", 0, "CDCL conflict budget of a single solver (not -cube); report UNKNOWN once exhausted (0 = unlimited)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget; report UNKNOWN with partial stats once expired (0 = none)")
 	faultProfile := fs.String("fault-profile", "", "inject QA faults: preset (none, flaky, slow, corrupt, drift, outage) or key=value list")
-	share := fs.Bool("share", false, "portfolio/cube: exchange learnt clauses between solvers over the sharing bus")
 	cube := fs.Bool("cube", false, "solve by cube-and-conquer: split into assumption cubes conquered across -workers solvers")
 	cubeDepth := fs.Int("cube-depth", 3, "cube-and-conquer split depth (2^depth cubes)")
 	workers := fs.Int("workers", 0, "cube-and-conquer worker count (0 = GOMAXPROCS)")
@@ -118,10 +117,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "hyqsat:", err)
 		return 1
 	}
-	// The race and the cube workers run their solvers without a conflict
-	// budget; only the context stops them.
-	if *maxConflicts > 0 && (*cube || *solver == "portfolio") {
-		return fail(fmt.Errorf("-max-conflicts applies to a single solver, not to -solver=portfolio or -cube; use -timeout to bound a race"))
+	// The cube workers run their solvers without a conflict budget; only the
+	// context stops them.
+	if *maxConflicts > 0 && *cube {
+		return fail(fmt.Errorf("-max-conflicts applies to a single solver, not to -cube; use -timeout to bound a cube run"))
 	}
 	if *reads < 0 || *reads > qpu.MaxReads {
 		return fail(fmt.Errorf("-reads %d outside [0, %d]", *reads, qpu.MaxReads))
@@ -186,9 +185,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	tracer := obs.Tee(sinks...)
 	if tracer.Enabled() {
 		// One solve id for the whole invocation: scoped nearest the sinks,
-		// it wins over any inner attribution (race ids, solver sources), so
-		// every event of this run shares one "solve" value while the inner
-		// source names (entrants, cube workers, the QPU layer) survive.
+		// it wins over any inner attribution (cube run ids, solver sources),
+		// so every event of this run shares one "solve" value while the inner
+		// source names (cube workers, the QPU layer) survive.
 		tracer = obs.WithSource(tracer, obs.Source{Solve: obs.NextSolveID()})
 	}
 	var statusVar obs.StatusVar
@@ -288,9 +287,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	var tw *verify.TextWriter
 	if *proofPath != "" && !*cube {
-		if *solver == "portfolio" {
-			return fail(fmt.Errorf("-proof cannot be combined with -solver=portfolio (the winner is nondeterministic); use -verify, or -cube whose stitched proof is deterministic in shape"))
-		}
 		pf, err := os.Create(*proofPath)
 		if err != nil {
 			return fail(err)
@@ -319,21 +315,17 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if *cube {
 		// Cube-and-conquer overrides -solver: the instance is split into
 		// assumption cubes conquered across CDCL workers (optionally with
-		// QA warm-ups and clause sharing). An UNSAT run stitches the
-		// per-cube refutations into one DRAT proof, written to -proof and/or
-		// replayed in-process by -verify.
+		// QA warm-ups). An UNSAT run stitches the per-cube refutations into
+		// one DRAT proof, written to -proof and/or replayed in-process by
+		// -verify.
 		co := portfolio.CubeOptions{
 			Depth:       *cubeDepth,
 			Workers:     *workers,
 			Certify:     *verifyFlag || *proofPath != "",
 			Seed:        *seed,
 			Trace:       tracer,
-			Metrics:     reg,
 			QAWarmup:    *cubeWarmup,
 			WrapBackend: wrapBackend,
-		}
-		if *share {
-			co.Share = true
 		}
 		out, err := portfolio.SolveCubes(ctx, formula, co)
 		switch {
@@ -360,15 +352,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			if *stats {
 				fmt.Fprintf(stdout, "c cubes=%d refuted=%d winner=%d workers=%d elapsed=%v\n",
 					out.Cubes, out.Refuted, out.WinningCube, co.Workers, out.Elapsed)
-				fmt.Fprintf(stdout, "c aggregate conflicts=%d propagations=%d imported=%d qacalls=%d qareads=%d\n",
-					out.Aggregate.SAT.Conflicts,
-					out.Aggregate.SAT.Propagations, out.Aggregate.SAT.Imported,
+				fmt.Fprintf(stdout, "c aggregate conflicts=%d propagations=%d qacalls=%d qareads=%d\n",
+					out.Aggregate.SAT.Conflicts, out.Aggregate.SAT.Propagations,
 					out.Aggregate.QACalls, out.Aggregate.QAReads)
-				if *share {
-					fmt.Fprintf(stdout, "c share exported=%d imported=%d filtered=%d duplicates=%d dropped=%d\n",
-						out.Share.Exported, out.Share.Imported, out.Share.Filtered,
-						out.Share.Duplicates, out.Share.Dropped)
-				}
 				printQuality(stdout, quality)
 			}
 		}
@@ -458,36 +444,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			if *stats {
 				printHybridStats(stdout, r.Stats)
 				printQuality(stdout, quality)
-			}
-		case "portfolio":
-			ro := portfolio.RaceOptions{Certify: *verifyFlag, Trace: tracer, Metrics: reg}
-			if *share {
-				ro.Share = true
-			}
-			out, err := portfolio.SolveWith(ctx, formula,
-				portfolio.DefaultEntrants(*seed, wrapBackend), ro)
-			switch {
-			case err != nil && ctx.Err() != nil:
-				// The race was interrupted, not lost: report UNKNOWN.
-				fmt.Fprintln(stderr, "c interrupted:", ctx.Err())
-				status = sat.Unknown
-			case err != nil:
-				return fail(err)
-			default:
-				status, assignment = out.Result.Status, out.Result.Model
-				if *stats {
-					fmt.Fprintf(stdout, "c winner=%s elapsed=%v iterations=%d\n",
-						out.Winner, out.Elapsed, out.Result.Stats.Iterations)
-					fmt.Fprintf(stdout, "c aggregate conflicts=%d imported=%d qacalls=%d qareads=%d\n",
-						out.Aggregate.SAT.Conflicts,
-						out.Aggregate.SAT.Imported, out.Aggregate.QACalls, out.Aggregate.QAReads)
-					if *share {
-						fmt.Fprintf(stdout, "c share exported=%d imported=%d filtered=%d duplicates=%d dropped=%d\n",
-							out.Share.Exported, out.Share.Imported, out.Share.Filtered,
-							out.Share.Duplicates, out.Share.Dropped)
-					}
-					printQuality(stdout, quality)
-				}
 			}
 		default:
 			return fail(fmt.Errorf("unknown solver %q", *solver))

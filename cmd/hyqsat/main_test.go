@@ -33,7 +33,7 @@ func runCLI(t *testing.T, args []string, stdin string) (code int, stdout, stderr
 }
 
 func TestCLIExitCodes(t *testing.T) {
-	for _, solver := range []string{"minisat", "kissat", "hyqsat", "portfolio"} {
+	for _, solver := range []string{"minisat", "kissat", "hyqsat"} {
 		args := []string{"-solver", solver, "-seed", "2"}
 		if solver == "hyqsat" {
 			args = append(args, "-mode", "sim")
@@ -63,7 +63,8 @@ func TestCLIErrors(t *testing.T) {
 		{"missing file", []string{"/nonexistent/input.cnf"}, ""},
 		{"malformed input", nil, "p cnf 2 9\n1 2 0\n"},
 		{"empty input", nil, ""},
-		{"proof with portfolio", []string{"-solver", "portfolio", "-proof", filepath.Join(t.TempDir(), "p.drat")}, satCNF},
+		{"portfolio is no solver", []string{"-solver", "portfolio"}, satCNF},
+		{"share is no flag", []string{"-cube", "-share"}, satCNF},
 		{"negative reads", []string{"-reads", "-3"}, satCNF},
 		{"reads over bound", []string{"-reads", "4097"}, satCNF},
 	}
@@ -114,13 +115,13 @@ func TestCLIProofFlagEmitsCheckableDRAT(t *testing.T) {
 }
 
 func TestCLIVerifyFlag(t *testing.T) {
-	for _, solver := range []string{"minisat", "kissat", "hyqsat", "portfolio"} {
+	for _, solver := range []string{"minisat", "kissat", "hyqsat"} {
 		args := []string{"-solver", solver, "-mode", "sim", "-verify", "-seed", "3"}
 		code, out, errOut := runCLI(t, args, satCNF)
 		if code != 10 {
 			t.Fatalf("%s -verify SAT: code=%d err=%q", solver, code, errOut)
 		}
-		if solver != "portfolio" && !strings.Contains(out, "c verdict certified") {
+		if !strings.Contains(out, "c verdict certified") {
 			t.Fatalf("%s -verify SAT: missing certification line: %q", solver, out)
 		}
 		code, _, errOut = runCLI(t, args, unsatCNF)
@@ -376,7 +377,7 @@ func TestCLITimeoutReportsUnknown(t *testing.T) {
 	if err := cnf.WriteDIMACS(&sb, inst.Formula); err != nil {
 		t.Fatal(err)
 	}
-	for _, solver := range []string{"hyqsat", "minisat", "portfolio"} {
+	for _, solver := range []string{"hyqsat", "minisat"} {
 		args := []string{"-solver", solver, "-mode", "sim", "-timeout", "1ns", "-flight-recorder", "8"}
 		code, out, errOut := runCLI(t, args, sb.String())
 		if code != 0 || !strings.Contains(out, "s UNKNOWN") {
@@ -388,28 +389,11 @@ func TestCLITimeoutReportsUnknown(t *testing.T) {
 	}
 }
 
-func TestCLISharingPortfolio(t *testing.T) {
-	// -share wires the clause-sharing bus into the portfolio race; the
-	// verdict must certify and the share counters must print with -stats.
-	args := []string{"-solver", "portfolio", "-share", "-verify", "-stats", "-seed", "3"}
-	code, out, errOut := runCLI(t, args, unsatCNF)
-	if code != 20 || !strings.Contains(out, "c verdict certified") {
-		t.Fatalf("shared portfolio UNSAT: code=%d out=%q err=%q", code, out, errOut)
-	}
-	if !strings.Contains(out, "c share exported=") {
-		t.Fatalf("missing share stats line: %q", out)
-	}
-	if !strings.Contains(out, "c aggregate conflicts=") {
-		t.Fatalf("missing aggregate stats line: %q", out)
-	}
-}
-
-func TestCLIMaxConflictsRejectedForRaceAndCube(t *testing.T) {
-	// The race and the cube workers have no conflict budget, so
-	// -max-conflicts there would be silently ignored: it is a usage error
-	// that points at -timeout.
+func TestCLIMaxConflictsRejectedForCube(t *testing.T) {
+	// The cube workers have no conflict budget, so -max-conflicts there
+	// would be silently ignored: it is a usage error that points at
+	// -timeout.
 	for _, args := range [][]string{
-		{"-solver", "portfolio", "-max-conflicts", "5"},
 		{"-cube", "-max-conflicts", "5"},
 		{"-cube", "-solver", "minisat", "-max-conflicts", "5"},
 	} {
@@ -429,14 +413,14 @@ func TestCLICubeAndConquer(t *testing.T) {
 	// proof written by -proof must replay through the DRAT checker against
 	// the input formula.
 	proofPath := filepath.Join(t.TempDir(), "stitched.drat")
-	args := []string{"-cube", "-cube-depth", "2", "-workers", "2", "-share",
+	args := []string{"-cube", "-cube-depth", "2", "-workers", "2",
 		"-verify", "-stats", "-proof", proofPath, "-seed", "5"}
 	code, out, errOut := runCLI(t, args, unsatCNF)
 	if code != 20 || !strings.Contains(out, "c verdict certified") {
 		t.Fatalf("cube UNSAT: code=%d out=%q err=%q", code, out, errOut)
 	}
-	if !strings.Contains(out, "c cubes=") {
-		t.Fatalf("missing cube stats line: %q", out)
+	if !strings.Contains(out, "c cubes=") || !strings.Contains(out, "c aggregate conflicts=") {
+		t.Fatalf("missing cube stats lines: %q", out)
 	}
 	data, err := os.ReadFile(proofPath)
 	if err != nil {
@@ -466,7 +450,7 @@ func TestCLICubeNontrivialInstance(t *testing.T) {
 	// fans out over cubes (probe budget is fixed at 3000 conflicts; this
 	// near-threshold instance needs far more).
 	code, out, errOut := runCLI(t,
-		[]string{"-cube", "-cube-depth", "3", "-workers", "2", "-share", "-verify", "-stats", "-seed", "7"},
+		[]string{"-cube", "-cube-depth", "3", "-workers", "2", "-verify", "-stats", "-seed", "7"},
 		mediumCNF(t))
 	if code != 10 && code != 20 {
 		t.Fatalf("cube nontrivial: code=%d out=%q err=%q", code, out, errOut)

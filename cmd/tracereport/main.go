@@ -15,8 +15,7 @@
 //   - the QA-quality summary: chain-break rate bucketed by chain length,
 //     energy-gap distribution, per-strategy hits and conflict segments, and
 //     the payoff estimate (conflicts avoided per device-µs),
-//   - portfolio entrants/winner, clause-sharing and cube statistics when the
-//     trace recorded a race or a cube-and-conquer run, and
+//   - cube statistics when the trace recorded a cube-and-conquer run, and
 //   - with -calls, the per-access QA call table.
 //
 // -json emits the same report as a JSON document; -compare loads a second
@@ -31,7 +30,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strings"
 	"time"
 
 	"hyqsat/internal/obs"
@@ -134,12 +132,10 @@ type Aggregate struct {
 
 // SolveReport covers every event attributed to one solve id.
 type SolveReport struct {
-	Solve     string          `json:"solve"`
-	Aggregate Aggregate       `json:"aggregate"`
-	Portfolio *PortfolioStats `json:"portfolio,omitempty"`
-	Share     *obs.ShareEvent `json:"share,omitempty"`
-	Cubes     *CubeStats      `json:"cubes,omitempty"`
-	Sources   []SourceReport  `json:"sources,omitempty"`
+	Solve     string         `json:"solve"`
+	Aggregate Aggregate      `json:"aggregate"`
+	Cubes     *CubeStats     `json:"cubes,omitempty"`
+	Sources   []SourceReport `json:"sources,omitempty"`
 }
 
 // SourceReport covers one emitter's stream inside a solve.
@@ -148,12 +144,6 @@ type SourceReport struct {
 	Aggregate Aggregate   `json:"aggregate"`
 	QPU       *QPUStats   `json:"qpu,omitempty"`
 	QACalls   []QACallRow `json:"qa_calls,omitempty"`
-}
-
-// PortfolioStats summarises a race recorded in the trace.
-type PortfolioStats struct {
-	Entrants []string `json:"entrants"` // sorted
-	Winner   string   `json:"winner,omitempty"`
 }
 
 // CubeStats summarises a cube-and-conquer run recorded in the trace.
@@ -212,34 +202,17 @@ func buildReport(name string, r io.Reader, withCalls bool) (*Report, error) {
 func solveReport(id string, events []obs.Stamped, withCalls bool) SolveReport {
 	sr := SolveReport{Solve: id, Aggregate: aggregate(events)}
 
-	var entrants []string
-	var winner string
 	cubeStatus := map[string]int{}
 	cubeSeen := map[int]bool{}
 	workers := map[int]bool{}
 	var cubeConflicts int64
 	for _, ev := range events {
-		switch e := ev.E.(type) {
-		case obs.PortfolioEvent:
-			switch e.Status {
-			case "start":
-				entrants = append(entrants, e.Entrant)
-			case "winner":
-				winner = e.Entrant
-			}
-		case obs.ShareEvent:
-			share := e
-			sr.Share = &share
-		case obs.CubeEvent:
+		if e, ok := ev.E.(obs.CubeEvent); ok {
 			cubeStatus[e.Status]++
 			cubeSeen[e.Cube] = true
 			workers[e.Worker] = true
 			cubeConflicts += e.Conflicts
 		}
-	}
-	if len(entrants) > 0 || winner != "" {
-		sort.Strings(entrants)
-		sr.Portfolio = &PortfolioStats{Entrants: entrants, Winner: winner}
 	}
 	if len(cubeSeen) > 0 {
 		sr.Cubes = &CubeStats{Cubes: len(cubeSeen), ByStatus: cubeStatus,
@@ -352,18 +325,6 @@ func writeReport(w io.Writer, rep *Report) {
 		}
 		fmt.Fprintf(w, "solve %s\n", id)
 		writeAggregate(w, "", sr.Aggregate, "  ")
-		if sr.Portfolio != nil {
-			fmt.Fprintf(w, "  portfolio: entrants=%s", strings.Join(sr.Portfolio.Entrants, ","))
-			if sr.Portfolio.Winner != "" {
-				fmt.Fprintf(w, " winner=%s", sr.Portfolio.Winner)
-			}
-			fmt.Fprintln(w)
-		}
-		if sr.Share != nil {
-			fmt.Fprintf(w, "  share: exported=%d imported=%d filtered=%d duplicates=%d dropped=%d\n",
-				sr.Share.Exported, sr.Share.Imported, sr.Share.Filtered,
-				sr.Share.Duplicates, sr.Share.Dropped)
-		}
 		if sr.Cubes != nil {
 			fmt.Fprintf(w, "  cubes: %d over %d workers, conflicts=%d", sr.Cubes.Cubes,
 				sr.Cubes.Workers, sr.Cubes.Conflicts)

@@ -16,26 +16,27 @@ import (
 	"hyqsat/internal/sat"
 )
 
-// recordPortfolioTrace runs a sharing portfolio race with a single HyQSAT
-// entrant (deterministic: no cross-entrant race for the win) and records it
-// to a JSONL trace file, returning the path.
-func recordPortfolioTrace(t *testing.T) string {
+// recordCubeTrace runs a two-worker cube-and-conquer solve with a QA warm-up
+// before each cube, so the workers' streams carry hybrid frontend, device
+// and quality events, and records it to a JSONL trace file, returning the
+// path.
+func recordCubeTrace(t *testing.T) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "race.jsonl")
+	path := filepath.Join(t.TempDir(), "cubes.jsonl")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink := obs.NewJSONLSink(f)
-	inst := gen.SatisfiableRandom3SAT(30, 120, 9)
-	out, err := portfolio.SolveWith(context.Background(), inst.Formula,
-		[]portfolio.Entrant{portfolio.HyQSATEntrant(3, nil)},
-		portfolio.RaceOptions{Trace: sink, Share: true})
+	inst := gen.SatisfiableRandom3SAT(40, 168, 7)
+	out, err := portfolio.SolveCubes(context.Background(), inst.Formula,
+		portfolio.CubeOptions{Depth: 2, Workers: 2, ProbeConflicts: 1, Seed: 3,
+			QAWarmup: 1, Trace: sink})
 	if err != nil {
-		t.Fatalf("race: %v", err)
+		t.Fatalf("cubes: %v", err)
 	}
 	if out.Result.Status != sat.Sat {
-		t.Fatalf("race status = %v, want Sat", out.Result.Status)
+		t.Fatalf("cube status = %v, want Sat", out.Result.Status)
 	}
 	if err := sink.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
@@ -46,11 +47,10 @@ func recordPortfolioTrace(t *testing.T) string {
 	return path
 }
 
-// TestReportFromPortfolioShareTrace is the acceptance path: a portfolio
-// share trace must reconstruct a per-entrant phase breakdown and the
-// QA-quality report.
-func TestReportFromPortfolioShareTrace(t *testing.T) {
-	path := recordPortfolioTrace(t)
+// TestReportFromCubeTrace is the acceptance path: a cube-and-conquer trace
+// must reconstruct a per-worker phase breakdown and the QA-quality report.
+func TestReportFromCubeTrace(t *testing.T) {
+	path := recordCubeTrace(t)
 	var out, errb bytes.Buffer
 	if rc := run([]string{path}, nil, &out, &errb); rc != 0 {
 		t.Fatalf("run = %d, stderr: %s", rc, errb.String())
@@ -58,11 +58,10 @@ func TestReportFromPortfolioShareTrace(t *testing.T) {
 	text := out.String()
 	for _, want := range []string{
 		fmt.Sprintf("schema %d", obs.TraceSchemaVersion), // header parsed
-		"source hyqsat/s3",      // entrant attribution survived the trace
-		"frontend", "qa_device", // per-entrant phase breakdown
+		"source cube/w",         // worker attribution survived the trace
+		"frontend", "qa_device", // per-worker phase breakdown
 		"quality:", "energy gap:", "chain-break by max len:", // quality report
-		"share: exported=", // bus stats
-		"portfolio: entrants=hyqsat/s3 winner=hyqsat/s3",
+		"cubes: ", // cube stats
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("report missing %q\nreport:\n%s", want, text)
@@ -71,7 +70,7 @@ func TestReportFromPortfolioShareTrace(t *testing.T) {
 }
 
 func TestReportJSON(t *testing.T) {
-	path := recordPortfolioTrace(t)
+	path := recordCubeTrace(t)
 	var out, errb bytes.Buffer
 	if rc := run([]string{"-json", "-calls", path}, nil, &out, &errb); rc != 0 {
 		t.Fatalf("run = %d, stderr: %s", rc, errb.String())
@@ -84,41 +83,37 @@ func TestReportJSON(t *testing.T) {
 		t.Fatalf("header schema = %d, want %d", rep.Header.Schema, obs.TraceSchemaVersion)
 	}
 	if len(rep.Solves) != 1 {
-		t.Fatalf("got %d solves, want 1 (one race id)", len(rep.Solves))
+		t.Fatalf("got %d solves, want 1 (one cube run id)", len(rep.Solves))
 	}
 	sr := rep.Solves[0]
-	if sr.Portfolio == nil || sr.Portfolio.Winner != "hyqsat/s3" ||
-		len(sr.Portfolio.Entrants) != 1 || sr.Portfolio.Entrants[0] != "hyqsat/s3" {
-		t.Fatalf("portfolio stats missing, wrong entrants or wrong winner: %+v", sr.Portfolio)
+	if sr.Cubes == nil || sr.Cubes.Cubes == 0 {
+		t.Fatalf("cube stats missing: %+v", sr.Cubes)
 	}
-	if sr.Share == nil {
-		t.Fatal("share stats missing")
-	}
-	var entrant *SourceReport
+	// Which worker's warm-up reaches the annealer first is scheduling; take
+	// the first worker source that ran one.
+	var worker *SourceReport
 	for i := range sr.Sources {
-		if sr.Sources[i].Name == "hyqsat/s3" {
-			entrant = &sr.Sources[i]
+		if strings.HasPrefix(sr.Sources[i].Name, "cube/w") && len(sr.Sources[i].QACalls) > 0 {
+			worker = &sr.Sources[i]
+			break
 		}
 	}
-	if entrant == nil {
-		t.Fatalf("no hyqsat/s3 source in %+v", sr.Sources)
+	if worker == nil {
+		t.Fatalf("no cube/w<i> source with QA calls in %+v", sr.Sources)
 	}
-	if len(entrant.Aggregate.Phases) == 0 {
-		t.Fatal("entrant has no phase breakdown")
+	if len(worker.Aggregate.Phases) == 0 {
+		t.Fatal("worker has no phase breakdown")
 	}
-	if entrant.Aggregate.Quality.QACalls == 0 {
-		t.Fatal("entrant quality has no QA calls")
+	if worker.Aggregate.Quality.QACalls == 0 {
+		t.Fatal("worker quality has no QA calls")
 	}
-	if len(entrant.QACalls) == 0 {
-		t.Fatal("-calls produced no QA call table")
-	}
-	if entrant.QACalls[0].Chains == 0 {
+	if worker.QACalls[0].Chains == 0 {
 		t.Fatal("QA call row lost the chain count")
 	}
 }
 
 func TestCompare(t *testing.T) {
-	path := recordPortfolioTrace(t)
+	path := recordCubeTrace(t)
 	var out, errb bytes.Buffer
 	if rc := run([]string{"-compare", path, path}, nil, &out, &errb); rc != 0 {
 		t.Fatalf("run = %d, stderr: %s", rc, errb.String())

@@ -29,7 +29,6 @@ var keptUncalled = map[string]string{
 	"hyqsat.Solver.PhaseOverlaps": "TestPhaseSpansDisjointAndBounded asserts no two phase spans overlap",
 	"sat.Solver.ArenaStats":       "TestArenaStats and the reduceDB arena tests",
 	"sat.Solver.ClearInterrupt":   "TestInterruptStopsSearchAndRearms re-arms an interrupted solver",
-	"portfolio.Bus.Inject":        "TestSharingAdversarialInjection* feed corrupted clauses through the bus",
 	"qpu.FaultInjector.Calls":     "the fault-injection and Resilient tests count backend calls",
 	"obs.QualityTracker.BySource": "TestQualityBySourceIsolation checks per-source segment attribution",
 	// Called only implicitly, through an interface.
@@ -131,9 +130,7 @@ func qualified(pkg string, fn *ast.FuncDecl) string {
 // keptUnset lists the fields of exported *Config and *Options structs under
 // internal/ that no non-test code writes but that stay, each with the reason.
 // Keys are pkg.Type.Field.
-var keptUnset = map[string]string{
-	"portfolio.RaceOptions.Bus": "the hook TestSharingAdversarialInjection* use to feed corrupted clauses to the entrants",
-}
+var keptUnset = map[string]string{}
 
 // TestNoUnsetConfigFields fails when a field of an exported struct type under
 // internal/ whose name ends in Config or Options is never written in the

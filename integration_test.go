@@ -90,15 +90,16 @@ func TestAllSolversAgreeAcrossFamilies(t *testing.T) {
 						t.Fatalf("%s UNSAT proof rejected: %v", name, err)
 					}
 				}
-				// Certified portfolio race over the same instance: the
-				// winner's verdict must match and carry certification.
-				out, err := portfolio.SolveWith(context.Background(),
-					f.Copy(), portfolio.DefaultEntrants(7, nil), portfolio.RaceOptions{Certify: true})
+				// Certified cube-and-conquer over the same instance: the
+				// verdict must match and carry a checked stitched proof. A
+				// one-conflict probe keeps the split from being skipped.
+				out, err := portfolio.SolveCubes(context.Background(), f.Copy(),
+					portfolio.CubeOptions{Workers: 2, ProbeConflicts: 1, Certify: true, Seed: 7})
 				if err != nil {
-					t.Fatalf("certified portfolio: %v", err)
+					t.Fatalf("certified cubes: %v", err)
 				}
 				if out.Result.Status != sat.Unsat || !out.Certified {
-					t.Fatalf("certified portfolio: status=%v certified=%v",
+					t.Fatalf("certified cubes: status=%v certified=%v",
 						out.Result.Status, out.Certified)
 				}
 			}

@@ -182,20 +182,6 @@ func (f *Formula) NewVar() Var {
 // NumClauses returns the number of clauses.
 func (f *Formula) NumClauses() int { return len(f.Clauses) }
 
-// MaxClauseLen returns the length of the longest clause, or 0 if empty.
-func (f *Formula) MaxClauseLen() int {
-	max := 0
-	for _, c := range f.Clauses {
-		if len(c) > max {
-			max = len(c)
-		}
-	}
-	return max
-}
-
-// Is3CNF reports whether every clause has at most three literals.
-func (f *Formula) Is3CNF() bool { return f.MaxClauseLen() <= 3 }
-
 // Copy returns a deep copy of f.
 func (f *Formula) Copy() *Formula {
 	g := &Formula{NumVars: f.NumVars, Clauses: make([]Clause, len(f.Clauses))}

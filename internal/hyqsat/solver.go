@@ -123,7 +123,7 @@ type Options struct {
 	// SolveID attributes every traced event of this solver to one logical
 	// solve (the "solve" field of the JSONL envelope). Empty allocates a
 	// fresh process-unique id via obs.NextSolveID. Callers running several
-	// solvers inside one logical solve — the portfolio race, cube-and-conquer
+	// solvers inside one logical solve — the QA warm-ups of cube-and-conquer
 	// — pass a shared id (or pre-scope Trace with obs.WithSource, whose
 	// outer attribution wins over the solver's own).
 	SolveID string
@@ -405,8 +405,8 @@ func New(f *cnf.Formula, opts Options) *Solver {
 	}
 	if s.trace.Enabled() {
 		// Attribute the solver's event stream. When the caller pre-scoped
-		// the tracer (portfolio entrant, cube worker), the outer attribution
-		// wins and this inner source only fills fields left empty.
+		// the tracer (a cube worker), the outer attribution wins and this
+		// inner source only fills fields left empty.
 		id := opts.SolveID
 		if id == "" {
 			id = obs.NextSolveID()
@@ -553,9 +553,6 @@ func (s *Solver) LiveStatus() map[string]any {
 	}
 }
 
-// SATSolver exposes the underlying CDCL solver (for instrumentation).
-func (s *Solver) SATSolver() *sat.Solver { return s.sat }
-
 // Belief returns a copy of the maintained QA assignment — the most recent
 // QA value of every variable that appeared in a (near-)satisfiable sample
 // (feedback strategy 2's accumulated state). Variables the device never
@@ -634,13 +631,6 @@ func (s *Solver) finish(status sat.Status, model []bool) Result {
 		r.Certified = r.CertErr == nil
 	}
 	return r
-}
-
-// SetProofWriter attaches an additional proof writer to the CDCL core,
-// composed with any writer configured via Options (Proof / SelfCertify).
-// Attach before Solve; the premise of the trace is ThreeCNF().
-func (s *Solver) SetProofWriter(w sat.ProofWriter) {
-	s.sat.SetProofWriter(verify.Tee(w, s.opts.Proof, proofWriterOrNil(s.recorder)))
 }
 
 // ThreeCNF returns the 3-CNF form the hybrid solver actually works on — the

@@ -6,8 +6,8 @@
 // The package is deliberately dependency-free (stdlib only) and sits below
 // every solver package: internal/sat emits conflict/restart events,
 // internal/anneal emits per-read QA sampling outcomes, internal/hyqsat emits
-// embed/strategy events and phase spans, and internal/portfolio emits race
-// progress. The paper's evaluation aggregates (Fig 11 phase breakdown, Fig 9
+// embed/strategy events and phase spans, and internal/portfolio emits
+// cube-and-conquer progress. The paper's evaluation aggregates (Fig 11 phase breakdown, Fig 9
 // outcome classification, Table III iteration counts) are reconstructible
 // from a recorded trace — see PhaseBreakdown and OutcomeCounts in replay.go.
 //
@@ -26,8 +26,10 @@ type Event interface {
 
 // TraceSchemaVersion is the schema version stamped into the header record of
 // every JSONL trace. Bump it when the envelope or an event payload changes
-// incompatibly. Version 2: PortfolioEvent lost its budget and its per-window
-// "window" status became one "start" per entrant.
+// incompatibly. Version 2: the portfolio event lost its budget and its
+// per-window "window" status became one "start" per entrant. The
+// "portfolio" and "share" kinds are no longer emitted; ReadTrace skips them
+// in older traces like any unknown kind.
 const TraceSchemaVersion = 2
 
 // headerKind is the envelope type tag of the header record.
@@ -166,18 +168,6 @@ func (PhaseSpan) Kind() string { return "phase_span" }
 // Duration returns the span length in nanoseconds.
 func (p PhaseSpan) Duration() int64 { return p.EndNs - p.StartNs }
 
-// PortfolioEvent records portfolio-race progress: an entrant entering the
-// race ("start", once per entrant), finishing with a verdict ("sat",
-// "unsat", "error"), or being declared the race winner ("winner").
-type PortfolioEvent struct {
-	Entrant string `json:"entrant"`
-	Status  string `json:"status"`
-	Err     string `json:"err,omitempty"`
-}
-
-// Kind implements Event.
-func (PortfolioEvent) Kind() string { return "portfolio" }
-
 // BreakerEvent records one circuit-breaker state transition of the QPU
 // access layer: closed → open when consecutive submissions keep failing,
 // open → half-open when the cooldown elapses and a probe is admitted,
@@ -229,21 +219,6 @@ type DegradeEvent struct {
 
 // Kind implements Event.
 func (DegradeEvent) Kind() string { return "degrade" }
-
-// ShareEvent summarises the clause-sharing bus at the end of a race or cube
-// run: clauses accepted for distribution, clauses attached by importers,
-// offers rejected by the size/LBD filter, offers dropped as fingerprint
-// duplicates, and deliveries lost to full peer inboxes.
-type ShareEvent struct {
-	Exported   int64 `json:"exported"`
-	Imported   int64 `json:"imported"`
-	Filtered   int64 `json:"filtered"`
-	Duplicates int64 `json:"duplicates"`
-	Dropped    int64 `json:"dropped"`
-}
-
-// Kind implements Event.
-func (ShareEvent) Kind() string { return "share" }
 
 // CubeEvent records the fate of one assumption cube in a cube-and-conquer
 // run: which worker took it, how it ended ("refuted" — UNSAT under the cube,

@@ -70,7 +70,7 @@ func (t *QualityTracker) Enabled() bool { return true }
 func (t *QualityTracker) Emit(e Event) { t.EmitFrom(Source{}, e) }
 
 // EmitFrom implements sourceCarrier: events are aggregated per source, so
-// concurrent portfolio entrants and cube workers keep separate conflict
+// concurrent cube workers keep separate conflict
 // counters and the segment attribution stays coherent per emitter.
 func (t *QualityTracker) EmitFrom(src Source, e Event) {
 	t.mu.Lock()

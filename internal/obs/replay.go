@@ -73,12 +73,10 @@ var eventDecoders = map[string]func(json.RawMessage) (Event, error){
 	EmbedEvent{}.Kind():       decodeAs[EmbedEvent],
 	StrategyHitEvent{}.Kind(): decodeAs[StrategyHitEvent],
 	PhaseSpan{}.Kind():        decodeAs[PhaseSpan],
-	PortfolioEvent{}.Kind():   decodeAs[PortfolioEvent],
 	BreakerEvent{}.Kind():     decodeAs[BreakerEvent],
 	QPURetryEvent{}.Kind():    decodeAs[QPURetryEvent],
 	QPUFaultEvent{}.Kind():    decodeAs[QPUFaultEvent],
 	DegradeEvent{}.Kind():     decodeAs[DegradeEvent],
-	ShareEvent{}.Kind():       decodeAs[ShareEvent],
 	CubeEvent{}.Kind():        decodeAs[CubeEvent],
 	JobEvent{}.Kind():         decodeAs[JobEvent],
 }

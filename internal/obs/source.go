@@ -6,20 +6,19 @@ import (
 )
 
 // Source attributes an event stream: which solve it belongs to and which
-// emitter produced it. Concurrent emitters (portfolio entrants, cube workers,
-// the QPU retry layer) share one sink; the source is what lets a reader
+// emitter produced it. Concurrent emitters (cube workers, the QPU retry
+// layer) share one sink; the source is what lets a reader
 // demultiplex their interleaved events back into per-emitter streams.
 //
 // Both fields are plain strings carried in the Stamped envelope ("solve" and
 // "src"); empty fields are omitted from the JSONL output, so unattributed
 // traces look exactly like pre-attribution ones.
 type Source struct {
-	// Solve identifies one logical solve (one CLI invocation, one portfolio
-	// race, one cube-and-conquer run). Allocate with NextSolveID.
+	// Solve identifies one logical solve (one CLI invocation, one
+	// cube-and-conquer run). Allocate with NextSolveID.
 	Solve string
-	// Name identifies the emitter within the solve: "hyqsat", a portfolio
-	// entrant name ("minisat", "hyqsat/s3"), a cube worker ("cube/w3"), the
-	// QPU access layer ("qpu"), ...
+	// Name identifies the emitter within the solve: "hyqsat", "minisat", a
+	// cube worker ("cube/w3"), the QPU access layer ("qpu"), ...
 	Name string
 }
 
@@ -49,10 +48,10 @@ type sourceCarrier interface {
 //
 // Scopes nest, and the outer scope wins: a field set by an enclosing
 // WithSource (closer to the sink) overrides the same field set by an inner
-// one, while unset fields are filled from the inner scope. A portfolio race
-// that scopes each entrant's tracer with {Solve: raceID, Name: entrant}
-// therefore overrides the per-solver "hyqsat" source the hybrid installs on
-// itself, and a bare CLI solve keeps the solver's own attribution.
+// one, while unset fields are filled from the inner scope. A cube run that
+// scopes each worker's tracer with {Solve: runID, Name: "cube/w3"} therefore
+// overrides the per-solver "hyqsat" source its QA warm-ups install on
+// themselves, and a bare CLI solve keeps the solver's own attribution.
 func WithSource(t Tracer, src Source) Tracer {
 	if t == nil || !t.Enabled() {
 		return Nop()

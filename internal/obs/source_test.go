@@ -57,7 +57,7 @@ func TestWithSourceAttributesSinkAndRing(t *testing.T) {
 
 // TestWithSourceOuterWins pins the nesting semantics: the scope nearest the
 // sink (applied first) overrides the fields an inner scope set, and fills
-// the rest from the inner scope — a portfolio entrant name beats the
+// the rest from the inner scope — an enclosing scope's name beats the
 // solver's own "hyqsat" source.
 func TestWithSourceOuterWins(t *testing.T) {
 	ring := NewRing(8)

@@ -16,7 +16,7 @@ import (
 //	}
 //
 // Implementations must be safe for concurrent use: the parallel sampler and
-// the portfolio race emit from multiple goroutines.
+// the cube-and-conquer workers emit from multiple goroutines.
 type Tracer interface {
 	// Enabled reports whether Emit does anything. Callers use it to skip
 	// event construction entirely on hot paths.

@@ -20,12 +20,10 @@ var allKinds = []Event{
 	StrategyHitEvent{Iteration: 2, Class: "satisfiable", Strategy: 1,
 		Energy: 0, AllEmbedded: true},
 	PhaseSpan{Phase: "frontend", StartNs: 100, EndNs: 350},
-	PortfolioEvent{Entrant: "minisat", Status: "start"},
 	BreakerEvent{Backend: "local", From: "closed", To: "open", Failures: 3},
 	QPURetryEvent{Call: 9, Attempt: 2, BackoffNs: 1000, Err: "timeout"},
 	QPUFaultEvent{Call: 9, Fault: "transient"},
 	DegradeEvent{Iteration: 5, Err: "breaker open"},
-	ShareEvent{Exported: 10, Imported: 4, Filtered: 2, Duplicates: 1, Dropped: 3},
 	CubeEvent{Cube: 3, Worker: 1, Status: "refuted", Conflicts: 1234},
 	BatchEvent{Members: 3, TotalReads: 5, ProgramReads: 2, ActiveQubits: 60,
 		DeviceNs: 140000, DeviceSavedNs: 260000},
@@ -75,9 +73,14 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadJSONLSkipsUnknownKinds: kinds the reader does not know — a newer
+// writer's, or the portfolio-race and clause-sharing events schema-2 traces
+// of older builds carry — are skipped, not rejected.
 func TestReadJSONLSkipsUnknownKinds(t *testing.T) {
 	in := `{"t":"from_the_future","ts":1,"e":{"x":1}}` + "\n" +
-		`{"t":"restart","ts":2,"e":{"restarts":1,"conflicts":9}}` + "\n"
+		`{"t":"portfolio","ts":345299,"solve":"s1","src":"minisat","e":{"entrant":"minisat","status":"start"}}` + "\n" +
+		`{"t":"restart","ts":2,"e":{"restarts":1,"conflicts":9}}` + "\n" +
+		`{"t":"share","ts":2942836,"solve":"s1","src":"race","e":{"exported":33,"imported":14,"filtered":0,"duplicates":0,"dropped":0}}` + "\n"
 	_, got, err := ReadTrace(strings.NewReader(in))
 	if err != nil {
 		t.Fatalf("ReadTrace: %v", err)

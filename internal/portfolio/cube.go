@@ -40,18 +40,14 @@ type CubeOptions struct {
 	// plus a resolution tree over the cube literals) that the RUP checker
 	// accepts against the input formula.
 	Certify bool
-	// Share connects the workers with a clause-sharing bus so a lemma learnt
-	// while refuting one cube prunes its siblings.
-	Share bool
 	// Seed seeds the QA warm-ups' hybrid solvers (see QAWarmup); the probe
 	// and worker CDCL solvers draw no random numbers.
 	Seed int64
 	// Trace, when non-nil and enabled, receives one CubeEvent per finished
-	// cube (and a ShareEvent when sharing is on). Emitted from worker
-	// goroutines; the tracer must be safe for concurrent use.
+	// cube, plus the workers' solver events and the warm-ups' hybrid
+	// events. Emitted from worker goroutines; the tracer must be safe for
+	// concurrent use.
 	Trace obs.Tracer
-	// Metrics, when non-nil, hosts the sharing-bus counters.
-	Metrics *obs.Registry
 	// QAWarmup, when positive, runs that many HyQSAT hybrid warm-up
 	// iterations on formula+cube before each cube's CDCL solve, feeding the
 	// QA belief back as phase hints.
@@ -59,7 +55,7 @@ type CubeOptions struct {
 	// WarmupConflicts bounds each warm-up's CDCL budget (default 2000).
 	WarmupConflicts int64
 	// WrapBackend decorates the warm-ups' QA access path (fault injection,
-	// Resilient), as in HyQSATEntrant.
+	// Resilient), as hyqsat.Options.WrapBackend does.
 	WrapBackend func(qpu.Backend) qpu.Backend
 }
 
@@ -94,7 +90,6 @@ type CubeOutcome struct {
 	Refuted     int
 	WinningCube int
 	Aggregate   AggregateStats
-	Share       ShareStats
 	Elapsed     time.Duration
 	// Proof is the checked stitched DRAT proof backing a certified Unsat
 	// verdict (nil otherwise) — exposed so callers can re-serialize or
@@ -176,13 +171,11 @@ func SolveCubes(ctx context.Context, f *cnf.Formula, o CubeOptions) (CubeOutcome
 		trace = obs.Nop()
 	}
 	// One solve id covers the whole cube run; workers trace under their own
-	// source ("cube/w3"), run-level events under "cube", so concurrent worker
-	// streams demultiplex offline.
+	// source ("cube/w3"), so concurrent worker streams demultiplex offline.
 	var runID string
 	if trace.Enabled() {
 		runID = obs.NextSolveID()
 	}
-	runTrace := obs.WithSource(trace, obs.Source{Solve: runID, Name: "cube"})
 	start := time.Now()
 
 	var stitch *verify.SharedRecorder
@@ -194,7 +187,7 @@ func SolveCubes(ctx context.Context, f *cnf.Formula, o CubeOptions) (CubeOutcome
 	agg := &aggregate{}
 
 	cubes, probeRes := makeCubes(f, o.Depth, o.ProbeConflicts, proof)
-	agg.add(RunOutput{Result: probeRes})
+	agg.add(probeRes.Stats, 0, 0)
 	if probeRes.Status != sat.Unknown {
 		out := CubeOutcome{Result: probeRes, WinningCube: -1,
 			Aggregate: agg.snapshot(), Elapsed: time.Since(start)}
@@ -217,10 +210,6 @@ func SolveCubes(ctx context.Context, f *cnf.Formula, o CubeOptions) (CubeOutcome
 		return out, nil
 	}
 
-	var bus *Bus
-	if o.Share {
-		bus = NewBus(o.Metrics)
-	}
 	// The cube queue: preloaded and closed, so pulling from it is both the
 	// schedule and the stealing mechanism.
 	work := make(chan int, len(cubes))
@@ -257,9 +246,6 @@ func SolveCubes(ctx context.Context, f *cnf.Formula, o CubeOptions) (CubeOutcome
 		if proof != nil {
 			solvers[w].SetProofWriter(proof)
 		}
-		if bus != nil {
-			solvers[w].SetExchange(bus.NewPeer(fmt.Sprintf("cube-w%d", w)))
-		}
 		workerTrace[w] = obs.WithSource(trace, obs.Source{Solve: runID, Name: fmt.Sprintf("cube/w%d", w)})
 		if workerTrace[w].Enabled() {
 			solvers[w].SetTracer(workerTrace[w])
@@ -286,7 +272,7 @@ func SolveCubes(ctx context.Context, f *cnf.Formula, o CubeOptions) (CubeOutcome
 			wt := workerTrace[w]
 			defer func() {
 				// The worker's whole incremental run counts once.
-				agg.add(RunOutput{Result: sat.Result{Stats: solver.Stats()}})
+				agg.add(solver.Stats(), 0, 0)
 			}()
 			emit := func(ci int, status string, conflicts int64) {
 				if wt.Enabled() {
@@ -303,7 +289,7 @@ func SolveCubes(ctx context.Context, f *cnf.Formula, o CubeOptions) (CubeOutcome
 				startConf := solver.Stats().Conflicts
 				if o.QAWarmup > 0 {
 					model, qaReads, qaCalls := cubeWarmup(ctx, f, cube, o, solver, wt)
-					agg.add(RunOutput{QAReads: qaReads, QACalls: qaCalls})
+					agg.add(sat.Stats{}, qaReads, qaCalls)
 					if model != nil {
 						mu.Lock()
 						if winCube < 0 {
@@ -367,18 +353,6 @@ func SolveCubes(ctx context.Context, f *cnf.Formula, o CubeOptions) (CubeOutcome
 	finish := func() CubeOutcome {
 		out.Refuted = refuted
 		out.Aggregate = agg.snapshot()
-		if bus != nil {
-			out.Share = bus.Stats()
-			if runTrace.Enabled() {
-				runTrace.Emit(obs.ShareEvent{
-					Exported:   out.Share.Exported,
-					Imported:   out.Share.Imported,
-					Filtered:   out.Share.Filtered,
-					Duplicates: out.Share.Duplicates,
-					Dropped:    out.Share.Dropped,
-				})
-			}
-		}
 		out.Elapsed = time.Since(start)
 		return out
 	}

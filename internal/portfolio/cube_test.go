@@ -3,9 +3,11 @@ package portfolio
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"hyqsat/internal/cnf"
 	"hyqsat/internal/gen"
@@ -132,47 +134,64 @@ func TestCubeStitchedProofRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCubeSharingUnsat runs the conquer phase with the clause-sharing bus
-// between workers and checks the verdict stays certified.
-func TestCubeSharingUnsat(t *testing.T) {
-	inst := gen.UnsatisfiableRandom3SAT(30, 145, 31)
-	out, err := SolveCubes(context.Background(), inst.Formula,
-		CubeOptions{Depth: 3, Workers: 2, ProbeConflicts: 1, Certify: true,
-			Share: true, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Result.Status != sat.Unsat || !out.Certified {
-		t.Fatalf("status=%v certified=%v", out.Result.Status, out.Certified)
-	}
-}
-
-// TestCubeDeterminismSingleWorker: a fixed-seed one-worker cube solve must
-// be bit-identical with the sharing bus enabled and disabled (one peer on
-// the bus means no traffic, and no traffic must mean no divergence).
+// TestCubeDeterminismSingleWorker: a fixed-seed one-worker cube solve
+// conquers the cubes in queue order on one solver, so two runs must agree
+// bit for bit: verdict, refuted count, aggregate stats and stitched proof.
 func TestCubeDeterminismSingleWorker(t *testing.T) {
 	inst := gen.UnsatisfiableRandom3SAT(26, 126, 18)
-	run := func(share bool) CubeOutcome {
+	run := func() CubeOutcome {
 		o := CubeOptions{Depth: 3, Workers: 1, ProbeConflicts: 1, Certify: true, Seed: 11}
-		if share {
-			o.Share = true
-		}
 		out, err := SolveCubes(context.Background(), inst.Formula, o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return out
 	}
-	off, on := run(false), run(true)
-	if off.Result.Status != on.Result.Status || off.Refuted != on.Refuted {
+	a, b := run(), run()
+	if a.Result.Status != b.Result.Status || a.Refuted != b.Refuted {
 		t.Fatalf("verdicts diverged: %v/%d vs %v/%d",
-			off.Result.Status, off.Refuted, on.Result.Status, on.Refuted)
+			a.Result.Status, a.Refuted, b.Result.Status, b.Refuted)
 	}
-	if off.Aggregate.SAT != on.Aggregate.SAT {
-		t.Fatalf("stats diverged:\n  off: %+v\n  on:  %+v", off.Aggregate.SAT, on.Aggregate.SAT)
+	if a.Aggregate.SAT != b.Aggregate.SAT {
+		t.Fatalf("stats diverged:\n  first:  %+v\n  second: %+v", a.Aggregate.SAT, b.Aggregate.SAT)
 	}
-	if !reflect.DeepEqual(off.Proof, on.Proof) {
-		t.Fatal("stitched proofs diverged with bus enabled")
+	if !reflect.DeepEqual(a.Proof, b.Proof) {
+		t.Fatal("stitched proofs diverged between identical runs")
+	}
+}
+
+// TestCubeAgreesWithDirectSolve: on a random corpus the cube verdict matches
+// a single MiniSAT solve of the same formula.
+func TestCubeAgreesWithDirectSolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 6; trial++ {
+		inst := gen.Random3SAT(30, 126, rng.Int63())
+		want := sat.New(inst.Formula.Copy(), sat.MiniSATOptions()).Solve().Status
+		out, err := SolveCubes(context.Background(), inst.Formula,
+			CubeOptions{Depth: 3, Workers: 2, ProbeConflicts: 1, Certify: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Result.Status != want {
+			t.Fatalf("trial %d: cubes %v, direct %v", trial, out.Result.Status, want)
+		}
+	}
+}
+
+// TestCubeContextCancel: a cancelled context stops the conquer phase before
+// any cube is solved, and the run reports the context's error.
+func TestCubeContextCancel(t *testing.T) {
+	inst := gen.UnsatisfiableRandom3SAT(200, 860, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	_, err := SolveCubes(ctx, inst.Formula,
+		CubeOptions{Depth: 3, Workers: 2, ProbeConflicts: 1})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("cancellation took %v", d)
 	}
 }
 

@@ -195,7 +195,6 @@ func (s *Solver) handleConflict(conflict cref) bool {
 			panic("sat: asserting literal already false after backjump")
 		}
 	}
-	s.exportLearnt(learnt, lbd)
 	if s.trace != nil && s.trace.Enabled() {
 		s.trace.Emit(obs.ConflictEvent{
 			Conflicts: s.stats.Conflicts,

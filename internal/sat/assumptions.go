@@ -17,13 +17,6 @@ func (s *Solver) SolveWithAssumptions(assumptions []cnf.Lit) Result {
 	s.cancelUntil(0)
 	s.status = Unknown
 	s.model = nil
-	// Root boundary: pull shared clauses before the assumptions go down (the
-	// assumptions loop itself never restarts, so between-call drains are its
-	// import points).
-	s.drainImports()
-	if s.status != Unknown {
-		return Result{Status: s.status, Stats: s.stats}
-	}
 
 	for {
 		// Honour the conflict budget (the cube probe's) and the asynchronous
@@ -53,7 +46,6 @@ func (s *Solver) SolveWithAssumptions(assumptions []cnf.Lit) Result {
 				learnt, backjump := s.analyze(conflict)
 				s.proofAdd(learnt)
 				s.cancelUntil(backjump)
-				lbd := int32(1)
 				if len(learnt) == 1 {
 					if !s.enqueue(learnt[0], crefUndef) {
 						s.status = Unsat
@@ -64,8 +56,7 @@ func (s *Solver) SolveWithAssumptions(assumptions []cnf.Lit) Result {
 					}
 				} else {
 					c := s.attachClause(learnt, true, -1)
-					lbd = s.computeLBD(learnt)
-					s.ca.setLBD(c, lbd)
+					s.ca.setLBD(c, s.computeLBD(learnt))
 					s.stats.Learned++
 					if !s.enqueue(learnt[0], c) {
 						s.status = Unsat
@@ -75,7 +66,6 @@ func (s *Solver) SolveWithAssumptions(assumptions []cnf.Lit) Result {
 						return Result{Status: Unsat, Stats: s.stats}
 					}
 				}
-				s.exportLearnt(learnt, lbd)
 				// Re-check whether the assumptions are still jointly
 				// enqueueable; the outer loop will retry them.
 				if s.assumptionsConflict(assumptions) {

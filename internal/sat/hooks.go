@@ -115,8 +115,8 @@ func (s *Solver) SetMetrics(m Metrics) { s.metrics = m }
 // the flag where they poll the conflict budget, so the in-flight
 // Solve/SolveWithAssumptions call returns Unknown within one propagation
 // round. This is the one solver method that is safe to call from another
-// goroutine, and the one way a caller stops a search early: the portfolio
-// race, the cube workers and the CLI wire it to their context (usually via
+// goroutine, and the one way a caller stops a search early: the cube
+// workers and the CLI wire it to their context (the CLI via
 // context.AfterFunc). The flag persists until ClearInterrupt, so an
 // Interrupt that lands before the search starts is not lost.
 func (s *Solver) Interrupt() { s.interrupted.Store(true) }

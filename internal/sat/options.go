@@ -93,7 +93,6 @@ type Stats struct {
 	Removed      int64
 	Minimized    int64 // literals deleted by clause minimisation
 	ArenaGCs     int64 // clause-arena compactions (one per reducing reduceDB)
-	Imported     int64 // foreign clauses attached through the sharing exchange
 	MaxTrail     int
 }
 

@@ -112,14 +112,6 @@ func (s *Solver) reset(f *cnf.Formula, opts Options) {
 	s.trace = nil
 	s.metrics = Metrics{}
 	s.forced = s.forced[:0]
-	s.exchange = nil
-	s.importBuf = s.importBuf[:0]
-	if s.importMark != nil {
-		// The import path sizes this lazily off len(assigns); an undersized
-		// leftover from a smaller formula would index out of range.
-		s.importMark = resetSlice(s.importMark, 2*n)
-	}
-	s.importStamp = 0
 
 	if s.order == nil {
 		s.order = newVarHeap(s.varAct)

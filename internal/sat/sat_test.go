@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hyqsat/internal/cnf"
@@ -466,5 +467,40 @@ func TestModelIsStable(t *testing.T) {
 	again := s.Solve()
 	if again.Status != Sat {
 		t.Fatal("re-Solve after Sat changed status")
+	}
+}
+
+func TestInterruptStopsSearchAndRearms(t *testing.T) {
+	// A pre-set interrupt must stop the very next search call with Unknown;
+	// clearing it must make the same solver usable again.
+	f := cnf.New(30)
+	x := uint64(7)
+	next := func(n int) int {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return int(x % uint64(n))
+	}
+	for i := 0; i < 126; i++ {
+		c := make(cnf.Clause, 0, 3)
+		for len(c) < 3 {
+			l := cnf.MkLit(cnf.Var(next(30)), next(2) == 1)
+			if !slices.Contains(c, l) && !slices.Contains(c, l.Not()) {
+				c = append(c, l)
+			}
+		}
+		f.AddClause(c)
+	}
+	s := New(f, MiniSATOptions())
+	s.Interrupt()
+	if r := s.Solve(); r.Status != Unknown {
+		t.Fatalf("interrupted solve returned %v, want Unknown", r.Status)
+	}
+	if r := s.SolveWithAssumptions(nil); r.Status != Unknown {
+		t.Fatalf("interrupted assumption solve returned %v, want Unknown", r.Status)
+	}
+	s.ClearInterrupt()
+	if r := s.Solve(); r.Status == Unknown {
+		t.Fatal("cleared solver still refuses to search")
 	}
 }

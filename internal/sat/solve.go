@@ -97,9 +97,6 @@ func (s *Solver) Step() StepStatus {
 // runs out or Interrupt stops it) and returns the result. Solve may be
 // called again afterwards to continue the search.
 func (s *Solver) Solve() Result {
-	if s.decisionLevel() == s.rootLevel {
-		s.drainImports()
-	}
 	for {
 		switch s.Step() {
 		case StepSat:
@@ -157,9 +154,6 @@ func (s *Solver) restart() {
 	s.conflictsUntilRestart = s.restartBudget()
 	s.emaConflicts = 0
 	s.lbdEMAFast = s.lbdEMASlow
-	// Restart boundaries are the import points of the sharing bus: the trail
-	// is back at the root, so foreign clauses attach cleanly.
-	s.drainImports()
 }
 
 // luby returns base^(position in the Luby sequence), the classic restart

@@ -84,8 +84,8 @@ type Solver struct {
 	conflictC cref // last conflicting clause (for diagnostics)
 
 	// interrupted is the asynchronous stop flag: the only solver state
-	// another goroutine may touch (portfolio/cube schedulers interrupt
-	// losing workers when a race is decided). The search loops poll it where
+	// another goroutine may touch (the cube scheduler interrupts the other
+	// workers once a cube run is decided). The search loops poll it where
 	// they poll the conflict budget and return Unknown.
 	interrupted atomic.Bool
 
@@ -104,15 +104,6 @@ type Solver struct {
 	// (consumed front to back, skipping assigned variables). Set by the
 	// hybrid backend to inject a QA assignment as the next search state.
 	forced []cnf.Lit
-
-	// exchange, when non-nil, is the clause-sharing bus: learnt clauses are
-	// exported from conflict analysis and foreign clauses imported at restart
-	// boundaries. importBuf/importMark/importStamp are the reused scratch that
-	// keeps the import path free of per-clause allocations.
-	exchange    ClauseExchange
-	importBuf   []cnf.Lit
-	importMark  []int64 // indexed by Lit; stamp-based dedup marks
-	importStamp int64
 }
 
 // New builds a solver for formula f with the given options. The formula is

@@ -9,23 +9,22 @@ import (
 
 var _ sat.ProofWriter = (*SharedRecorder)(nil)
 
-// SharedRecorder is the proof log of a clause-sharing solver group: one
-// totally-ordered, additions-only trace that several solvers over the same
-// premise append to concurrently.
+// SharedRecorder is the proof log of a group of solvers over one premise —
+// the probe and the workers of a cube-and-conquer run: one totally-ordered,
+// additions-only trace they append to concurrently.
 //
 // Why this is sound: RUP is monotone under clause additions — a clause that
 // is a RUP consequence of the premise plus some prefix stays one when other
-// additions are interleaved into that prefix. Every solver appends its learnt
-// clause to this log before exporting it onto the bus, so an importer's
-// re-assertion is always ordered after the original addition and checks as a
-// harmless duplicate. Deletions are dropped: they are solver-local (a clause
-// one solver discards may still back a peer's derivation), and keeping every
-// addition alive only makes the checker's propagation stronger.
+// additions are interleaved into that prefix, so each solver's derivations
+// still check in the merged log. Deletions are dropped: they are
+// solver-local (a clause one solver discards may still be live in another's
+// derivation order), and keeping every addition alive only makes the
+// checker's propagation stronger.
 //
-// A winner's certificate is Snapshot() taken at verdict time: its empty
-// clause is already in the log (the solver logs before returning), appends
-// that race in afterwards are excluded, and the checker accepts as soon as
-// the empty clause is derived.
+// A certificate is Snapshot() taken at verdict time: the verdict's empty
+// clause is already in the log (solvers log before returning), appends that
+// arrive afterwards are excluded, and the checker accepts as soon as the
+// empty clause is derived.
 type SharedRecorder struct {
 	mu    sync.Mutex
 	steps Proof
@@ -52,11 +51,4 @@ func (r *SharedRecorder) Snapshot() Proof {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append(Proof(nil), r.steps...)
-}
-
-// Len returns the number of recorded steps.
-func (r *SharedRecorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.steps)
 }
