@@ -2,16 +2,17 @@
 // programs. The paper's timing model charges ProgrammingTime once per
 // program, and its clause-tiling insight — many small 3-clause QUBOs embedded
 // side by side on disjoint Chimera unit cells — generalizes across requests:
-// independent embedded problems whose gadgets are tile-local can be relocated
-// onto disjoint free tiles of one chip and annealed together, so a batch of k
-// requests pays for one program instead of k.
+// independent embedded problems can be shifted by a whole number of unit
+// cells onto disjoint free tiles of one chip and annealed together, so a
+// batch of k requests pays for one program instead of k.
 //
 // The package has two layers: the Packer/Packing pair places member problems
-// onto disjoint tile regions (first-fit over free unit cells, zero-alloc
-// relocation in steady state) and so decides which requests fit one program;
-// the Scheduler collects concurrent requests for a short window, packs them,
-// samples each member with its own stream in one batched device access, and
-// charges each member a pro-rata share of the single program's access time.
+// onto disjoint tile regions (one first-fit tile translation per member,
+// allocation-free in steady state) and so decides which requests fit one
+// program; the Scheduler collects concurrent requests for a short window,
+// packs them, samples each member with its own stream in one batched device
+// access, and charges each member a pro-rata share of the single program's
+// access time.
 package qbatch
 
 import (
@@ -30,10 +31,10 @@ const (
 	// silently mis-place qubits, so this is a hard refusal — the request is
 	// rejected, not served solo.
 	ReasonTopology PackReason = "topology"
-	// ReasonLayout: the problem is not tile-local (a chain or coupler spans
-	// unit cells, or a qubit lies outside every tile), so it cannot be
-	// relocated by tile renaming. The scheduler serves such requests as
-	// their own program at their original placement.
+	// ReasonLayout: a qubit of the problem lies outside the device or
+	// outside every unit cell, so no tile translation can move it. The
+	// scheduler serves such requests as their own program at their original
+	// placement.
 	ReasonLayout PackReason = "layout"
 	// ReasonCapacity: the chip has no compatible free tiles left in this
 	// packing. The scheduler flushes the current program and retries the
@@ -64,7 +65,7 @@ type Packer struct {
 	g     topo.Topology
 	tiles []topo.Tile
 	// qubitTile[q] is the tile index of qubit q, or -1 when q lies outside
-	// every unit cell (such qubits cannot be relocated by tile renaming).
+	// every unit cell (such qubits cannot be moved by a tile translation).
 	qubitTile []int32
 	qubitSide []int8 // 0 = A side, 1 = B side
 	qubitPos  []int8 // position within the side's slice
@@ -134,38 +135,18 @@ func (p *Packer) Compatible(ep *anneal.EmbeddedProblem) error {
 }
 
 // memberTile is one source tile used by the member currently being added:
-// which tile, which positions of each side it occupies, and (once chosen)
-// the free target tile it will be renamed onto.
+// which tile, and which positions of each side it occupies.
 type memberTile struct {
-	src    int32
-	usedA  uint32
-	usedB  uint32
-	target int32
-}
-
-// placement records where one committed member landed, as offsets into the
-// packing's flat buffers (the buffers may be reallocated by later Adds, so
-// views are materialized on demand by Placement).
-type placement struct {
-	qubitOff int // offset into qubitBuf; length = len(member.Qubits)
-	qubitLen int
-	tileOff  int // offset into tileBuf; length = source-tile count
-	tileLen  int
-}
-
-// Placement is the relocation map of one packed member: the relocated
-// physical qubit id per active-qubit index and the target tiles occupied.
-// The slices are views into the packing's buffers — valid until the next
-// Add or Reset.
-type Placement struct {
-	QubitMap []int
-	Tiles    []int32
+	src   int32
+	usedA uint32
+	usedB uint32
 }
 
 // Packing is one in-progress co-tiling of member problems onto disjoint
-// regions of the packer's topology. It is not safe for concurrent use; the
-// scheduler pools packings. After warm-up, an Add/Reset cycle at a given
-// batch shape allocates nothing.
+// regions of the packer's topology. It records only which tiles are
+// occupied: a member's relocation is fully described by the tile
+// translation Add returns. It is not safe for concurrent use; the scheduler
+// pools packings. After warm-up, an Add/Reset cycle allocates nothing.
 type Packing struct {
 	p *Packer
 
@@ -174,79 +155,50 @@ type Packing struct {
 	epoch    uint32
 	occStamp []uint32
 
-	// Per-Add scratch, epoch-stamped likewise. srcIx maps a source tile to
-	// its index in memTiles for the Add in flight; chosenStamp marks target
-	// tiles tentatively selected by the Add in flight, so a failed Add
-	// leaves no trace (the commit is transactional).
-	addEpoch    uint32
-	srcStamp    []uint32
-	srcIx       []int32
-	chosenStamp []uint32
-	memTiles    []memberTile
-
-	placements []placement
-	qubitBuf   []int
-	tileBuf    []int32
+	// Per-Add scratch, epoch-stamped likewise: srcIx maps a source tile to
+	// its index in memTiles for the Add in flight.
+	addEpoch uint32
+	srcStamp []uint32
+	srcIx    []int32
+	memTiles []memberTile
 }
 
 // NewPacking returns an empty packing over the packer's topology.
 func (p *Packer) NewPacking() *Packing {
 	n := len(p.tiles)
 	return &Packing{
-		p:           p,
-		epoch:       1,
-		occStamp:    make([]uint32, n),
-		addEpoch:    1,
-		srcStamp:    make([]uint32, n),
-		srcIx:       make([]int32, n),
-		chosenStamp: make([]uint32, n),
+		p:        p,
+		epoch:    1,
+		occStamp: make([]uint32, n),
+		addEpoch: 1,
+		srcStamp: make([]uint32, n),
+		srcIx:    make([]int32, n),
 	}
 }
 
 // Reset empties the packing, retaining every buffer for reuse.
 func (k *Packing) Reset() {
 	k.epoch++
-	k.placements = k.placements[:0]
-	k.qubitBuf = k.qubitBuf[:0]
-	k.tileBuf = k.tileBuf[:0]
-}
-
-// Len returns the number of committed members.
-func (k *Packing) Len() int { return len(k.placements) }
-
-// Placement returns the relocation map of committed member i.
-func (k *Packing) Placement(i int) Placement {
-	pl := k.placements[i]
-	return Placement{
-		QubitMap: k.qubitBuf[pl.qubitOff : pl.qubitOff+pl.qubitLen : pl.qubitOff+pl.qubitLen],
-		Tiles:    k.tileBuf[pl.tileOff : pl.tileOff+pl.tileLen : pl.tileOff+pl.tileLen],
-	}
 }
 
 // Add attempts to co-tile ep into the packing. On success the member is
 // committed onto free tiles disjoint from every earlier member and Add
-// returns the member index. On failure the packing is unchanged and the
-// error is a *PackError whose Reason directs the caller: ReasonTopology is
-// a hard refusal, ReasonLayout means the problem cannot be placed on this
-// topology at all, ReasonCapacity means this packing is currently too full
-// (retrying on an empty packing always succeeds, via the identity
-// placement).
+// returns the tile translation that places it: every active qubit moves to
+// the same (side, position) coordinate of the cell delta tiles on. On
+// failure the packing is unchanged and the error is a *PackError whose
+// Reason directs the caller: ReasonTopology is a hard refusal, ReasonLayout
+// means the problem cannot be placed on this topology at all,
+// ReasonCapacity means this packing is currently too full (retrying on an
+// empty packing always succeeds, via the identity translation).
 //
-// Two relocation modes cover the two shapes that occur in practice:
-//
-//   - Tile-local members (every coupler joins the A and B side of one unit
-//     cell — single clause gadgets, variable-disjoint clause queues) are
-//     renamed tile-by-tile, first-fit over free cells: the Tile contract
-//     guarantees every working A×B coupler exists in any cell, so any
-//     mask-compatible free cell works.
-//   - Members with inter-tile couplers (chains following line couplers
-//     across cells) are relocated by one uniform tile translation, chosen
-//     first-fit and verified coupler-by-coupler against the topology — a
-//     translation that crosses a grid boundary or lands on a broken coupler
-//     is rejected by the check, never silently mis-programmed. The identity
-//     translation is always among the candidates, so a member whose source
-//     cells are free keeps its original placement.
-func (k *Packing) Add(ep *anneal.EmbeddedProblem) (int, error) {
+// The translation is chosen first-fit: candidate deltas put the member's
+// first source cell on each cell of the chip in order, so delta 0 (the
+// original placement) is among them and a one-cell member lands on the
+// first free cell that fits. Every coupler of the member is verified
+// against the topology at the translated position — a translation that
+// crosses a grid boundary or lands on a broken coupler is rejected by the
+// check, never silently mis-programmed.
+func (k *Packing) Add(ep *anneal.EmbeddedProblem) (int32, error) {
 	if err := k.p.Compatible(ep); err != nil {
 		return 0, err
 	}
@@ -254,8 +206,8 @@ func (k *Packing) Add(ep *anneal.EmbeddedProblem) (int, error) {
 	w := ep.WireView()
 	p := k.p
 
-	// Pass 1: resolve every active qubit to a (tile, side, pos) coordinate
-	// and accumulate per-source-tile usage masks.
+	// Resolve every active qubit to a (tile, side, pos) coordinate and
+	// accumulate per-source-tile usage masks.
 	k.memTiles = k.memTiles[:0]
 	for _, q := range w.Qubits {
 		if q < 0 || q >= len(p.qubitTile) {
@@ -270,7 +222,7 @@ func (k *Packing) Add(ep *anneal.EmbeddedProblem) (int, error) {
 		if k.srcStamp[t] != k.addEpoch {
 			k.srcStamp[t] = k.addEpoch
 			k.srcIx[t] = int32(len(k.memTiles))
-			k.memTiles = append(k.memTiles, memberTile{src: t, target: -1})
+			k.memTiles = append(k.memTiles, memberTile{src: t})
 		}
 		mt := &k.memTiles[k.srcIx[t]]
 		if p.qubitSide[q] == 0 {
@@ -279,102 +231,16 @@ func (k *Packing) Add(ep *anneal.EmbeddedProblem) (int, error) {
 			mt.usedB |= 1 << p.qubitPos[q]
 		}
 	}
-
-	// Pass 2: classify the member. Tile-local means every coupler joins the
-	// two sides of one unit cell — the only couplers an arbitrary cell
-	// renaming is guaranteed to preserve.
-	tileLocal := true
-	for i := range w.Qubits {
-		qi := w.Qubits[i]
-		for e := w.AdjStart[i]; e < w.AdjStart[i+1]; e++ {
-			qo := w.Qubits[w.AdjOther[e]]
-			if p.qubitTile[qi] != p.qubitTile[qo] || p.qubitSide[qi] == p.qubitSide[qo] {
-				tileLocal = false
-				break
-			}
-		}
-		if !tileLocal {
-			break
-		}
+	if len(k.memTiles) == 0 {
+		return 0, nil
 	}
 
-	// Pass 3: choose target tiles, tentatively (chosenStamp) so a failed
-	// Add leaves the packing untouched.
-	if tileLocal {
-		if err := k.placePerTile(); err != nil {
-			return 0, err
-		}
-	} else {
-		if err := k.placeTranslated(&w); err != nil {
-			return 0, err
-		}
-	}
-
-	// Commit: occupy the chosen tiles and materialize the relocation map.
-	qubitOff, tileOff := len(k.qubitBuf), len(k.tileBuf)
-	for _, mt := range k.memTiles {
-		k.occStamp[mt.target] = k.epoch
-		k.tileBuf = append(k.tileBuf, mt.target)
-	}
-	for _, q := range w.Qubits {
-		mt := k.memTiles[k.srcIx[p.qubitTile[q]]]
-		tile := p.tiles[mt.target]
-		if p.qubitSide[q] == 0 {
-			k.qubitBuf = append(k.qubitBuf, tile.A[p.qubitPos[q]])
-		} else {
-			k.qubitBuf = append(k.qubitBuf, tile.B[p.qubitPos[q]])
-		}
-	}
-	idx := len(k.placements)
-	k.placements = append(k.placements, placement{
-		qubitOff: qubitOff, qubitLen: len(w.Qubits),
-		tileOff: tileOff, tileLen: len(k.memTiles),
-	})
-	return idx, nil
-}
-
-// placePerTile first-fits each source tile of the member in flight onto any
-// free, working-compatible cell, independently.
-func (k *Packing) placePerTile() error {
-	p := k.p
-	for j := range k.memTiles {
-		mt := &k.memTiles[j]
-		target := int32(-1)
-		for t := range p.tiles {
-			if k.occStamp[t] == k.epoch || k.chosenStamp[t] == k.addEpoch {
-				continue
-			}
-			if mt.usedA&^p.workA[t] != 0 || mt.usedB&^p.workB[t] != 0 {
-				continue
-			}
-			target = int32(t)
-			break
-		}
-		if target < 0 {
-			return &PackError{Reason: ReasonCapacity,
-				Detail: fmt.Sprintf("no free cell fits member cell %d (%d members already placed)",
-					mt.src, len(k.placements))}
-		}
-		k.chosenStamp[target] = k.addEpoch
-		mt.target = target
-	}
-	return nil
-}
-
-// placeTranslated first-fits one uniform tile translation for a member with
-// inter-tile couplers: every source cell shifts by the same delta, and every
-// coupler of the member is re-checked against the topology at the shifted
-// position. Candidate deltas put the member's first source cell on each cell
-// of the chip in order; delta 0 (the original placement) is among them.
-func (k *Packing) placeTranslated(w *anneal.WireProblem) error {
-	p := k.p
 	n := int32(len(p.tiles))
 	first := k.memTiles[0].src
 cand:
 	for t0 := int32(0); t0 < n; t0++ {
 		delta := t0 - first
-		for j := range k.memTiles {
-			mt := &k.memTiles[j]
+		for _, mt := range k.memTiles {
 			t := mt.src + delta
 			if t < 0 || t >= n || k.occStamp[t] == k.epoch {
 				continue cand
@@ -390,21 +256,18 @@ cand:
 		for i := range w.Qubits {
 			ri := k.relocated(w.Qubits[i], delta)
 			for e := w.AdjStart[i]; e < w.AdjStart[i+1]; e++ {
-				ro := k.relocated(w.Qubits[w.AdjOther[e]], delta)
-				if !p.g.Coupled(ri, ro) {
+				if !p.g.Coupled(ri, k.relocated(w.Qubits[w.AdjOther[e]], delta)) {
 					continue cand
 				}
 			}
 		}
-		for j := range k.memTiles {
-			k.memTiles[j].target = k.memTiles[j].src + delta
-			k.chosenStamp[k.memTiles[j].target] = k.addEpoch
+		for _, mt := range k.memTiles {
+			k.occStamp[mt.src+delta] = k.epoch
 		}
-		return nil
+		return delta, nil
 	}
-	return &PackError{Reason: ReasonCapacity,
-		Detail: fmt.Sprintf("no translation fits the %d-cell member (%d members already placed)",
-			len(k.memTiles), len(k.placements))}
+	return 0, &PackError{Reason: ReasonCapacity,
+		Detail: fmt.Sprintf("no free translation fits the %d-cell member", len(k.memTiles))}
 }
 
 // relocated returns the physical qubit id of q after a tile translation by

@@ -14,8 +14,8 @@ import (
 
 // memberProblem embeds numClauses random 3-SAT clauses over numVars
 // variables onto g. Clauses sharing variables produce inter-tile chains, so
-// numVars ≈ 3·numClauses gives (mostly) tile-local members while small
-// numVars forces the translation path.
+// numVars ≈ 3·numClauses gives (mostly) members whose clauses share no
+// chain, while small numVars chains clauses across cells.
 func memberProblem(t testing.TB, g *topo.Chimera, seed int64, numClauses, numVars int) *anneal.EmbeddedProblem {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -40,12 +40,33 @@ func memberProblem(t testing.TB, g *topo.Chimera, seed int64, numClauses, numVar
 	return new(anneal.EmbedScratch).EmbedIsing(is, res.Embedding, g, anneal.ChainStrengthFor(is))
 }
 
+// relocatedQubits rebuilds a packed member's physical qubit ids, one per
+// active qubit, from the tile translation Add returned for it.
+func relocatedQubits(k *Packing, ep *anneal.EmbeddedProblem, delta int32) []int {
+	qs := make([]int, len(ep.Qubits))
+	for i, q := range ep.Qubits {
+		qs[i] = k.relocated(q, delta)
+	}
+	return qs
+}
+
+// occupiedTiles counts the tiles the packing's committed members hold.
+func occupiedTiles(k *Packing) int {
+	n := 0
+	for _, stamp := range k.occStamp {
+		if stamp == k.epoch {
+			n++
+		}
+	}
+	return n
+}
+
 // TestPackDisjointPlacement is the packer's core invariant: committed
 // members occupy pairwise-disjoint tiles and pairwise-disjoint physical
-// qubits, even though every member was embedded starting from cell 0 of the
-// same topology, and every member's couplers survive its relocation —
-// through per-tile renaming for tile-local members as well as through
-// translation for chained ones.
+// qubits, none of them broken, even though every member was embedded
+// starting from cell 0 of the same topology, and every member's couplers
+// survive its translation — for single-clause members as well as for
+// chained ones.
 func TestPackDisjointPlacement(t *testing.T) {
 	g := topo.DWave2000Q()
 	p, err := NewPacker(g)
@@ -54,34 +75,23 @@ func TestPackDisjointPlacement(t *testing.T) {
 	}
 	k := p.NewPacking()
 	members := []*anneal.EmbeddedProblem{
-		memberProblem(t, g, 1, 1, 3), // single clause, tile-local
+		memberProblem(t, g, 1, 1, 3), // single clause, one cell
 		memberProblem(t, g, 2, 4, 5), // shared variables → inter-tile chains
 		memberProblem(t, g, 3, 2, 6), // variable-disjoint pair
 		memberProblem(t, g, 4, 6, 7), // larger, chained
 		memberProblem(t, g, 5, 1, 3),
 	}
-	for i, ep := range members {
-		if _, err := k.Add(ep); err != nil {
-			t.Fatalf("member %d: %v", i, err)
-		}
-	}
-	if k.Len() != len(members) {
-		t.Fatalf("packing has %d members, want %d", k.Len(), len(members))
-	}
 	seenTile := map[int32]int{}
 	seenQubit := map[int]int{}
-	for i := range members {
-		pl := k.Placement(i)
-		if len(pl.QubitMap) != len(members[i].Qubits) {
-			t.Fatalf("member %d: qubit map has %d entries for %d qubits", i, len(pl.QubitMap), len(members[i].Qubits))
+	for i, ep := range members {
+		delta, err := k.Add(ep)
+		if err != nil {
+			t.Fatalf("member %d: %v", i, err)
 		}
-		for _, tile := range pl.Tiles {
-			if prev, dup := seenTile[tile]; dup {
-				t.Fatalf("tile %d assigned to members %d and %d", tile, prev, i)
-			}
-			seenTile[tile] = i
-		}
-		for _, q := range pl.QubitMap {
+		qubits := relocatedQubits(k, ep, delta)
+		tiles := map[int32]bool{}
+		for _, q := range qubits {
+			tiles[p.qubitTile[q]] = true
 			if g.IsBroken(q) {
 				t.Fatalf("member %d relocated onto broken qubit %d", i, q)
 			}
@@ -90,16 +100,25 @@ func TestPackDisjointPlacement(t *testing.T) {
 			}
 			seenQubit[q] = i
 		}
-		w := members[i].WireView()
+		for tile := range tiles {
+			if prev, dup := seenTile[tile]; dup {
+				t.Fatalf("tile %d assigned to members %d and %d", tile, prev, i)
+			}
+			seenTile[tile] = i
+		}
+		w := ep.WireView()
 		for a := range w.Qubits {
 			for e := w.AdjStart[a]; e < w.AdjStart[a+1]; e++ {
 				b := w.AdjOther[e]
-				if !g.Coupled(pl.QubitMap[a], pl.QubitMap[b]) {
+				if !g.Coupled(qubits[a], qubits[b]) {
 					t.Fatalf("member %d: relocated coupler %d–%d does not exist on the device",
-						i, pl.QubitMap[a], pl.QubitMap[b])
+						i, qubits[a], qubits[b])
 				}
 			}
 		}
+	}
+	if n := occupiedTiles(k); n != len(seenTile) {
+		t.Fatalf("packing holds %d tiles, members use %d", n, len(seenTile))
 	}
 }
 
@@ -123,8 +142,8 @@ func TestPackRefusesForeignTopology(t *testing.T) {
 	if !errors.As(err, &pe) || pe.Reason != ReasonTopology {
 		t.Fatalf("Add(pegasus problem) on chimera packer = %v, want *PackError{ReasonTopology}", err)
 	}
-	if k.Len() != 0 {
-		t.Fatalf("failed Add left %d members in the packing", k.Len())
+	if n := occupiedTiles(k); n != 0 {
+		t.Fatalf("failed Add left %d tiles occupied", n)
 	}
 	// Same family and size → compatible, regardless of instance identity.
 	if _, err := k.Add(memberProblem(t, topo.DWave2000Q(), 22, 1, 3)); err != nil {
@@ -183,19 +202,20 @@ func TestPackAvoidsBrokenQubits(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := p.NewPacking()
-	if _, err := k.Add(ep); err != nil {
+	delta, err := k.Add(ep)
+	if err != nil {
 		t.Fatalf("Add on faulted chip: %v", err)
 	}
-	for _, q := range k.Placement(0).QubitMap {
+	for _, q := range relocatedQubits(k, ep, delta) {
 		if faulty.IsBroken(q) {
 			t.Fatalf("member placed onto broken qubit %d", q)
 		}
 	}
 }
 
-// TestPackTranslationPreservesCouplers verifies the multi-tile relocation
-// mode directly: for a member with inter-tile chains, every relocated
-// coupler must exist on the hardware graph.
+// TestPackTranslationPreservesCouplers verifies the tile translation on a
+// member with inter-tile chains: moved off its occupied original cells,
+// every relocated coupler must exist on the hardware graph.
 func TestPackTranslationPreservesCouplers(t *testing.T) {
 	g := topo.DWave2000Q()
 	p, err := NewPacker(g)
@@ -211,22 +231,22 @@ func TestPackTranslationPreservesCouplers(t *testing.T) {
 		}
 	}
 	chained := memberProblem(t, g, 60, 5, 5)
-	idx, err := k.Add(chained)
+	delta, err := k.Add(chained)
 	if err != nil {
 		t.Fatalf("Add(chained member): %v", err)
 	}
-	pl := k.Placement(idx)
+	qubits := relocatedQubits(k, chained, delta)
 	w := chained.WireView()
 	moved := false
 	for i, q := range w.Qubits {
-		if pl.QubitMap[i] != q {
+		if qubits[i] != q {
 			moved = true
 		}
 		for e := w.AdjStart[i]; e < w.AdjStart[i+1]; e++ {
 			other := w.AdjOther[e]
-			if !g.Coupled(pl.QubitMap[i], pl.QubitMap[other]) {
+			if !g.Coupled(qubits[i], qubits[other]) {
 				t.Fatalf("relocated coupler %d–%d does not exist on the device",
-					pl.QubitMap[i], pl.QubitMap[other])
+					qubits[i], qubits[other])
 			}
 		}
 	}
@@ -236,7 +256,7 @@ func TestPackTranslationPreservesCouplers(t *testing.T) {
 }
 
 // TestPackSteadyStateAllocs is the hot-path gate: after warm-up, a full
-// Reset + Add + Placement cycle at a fixed batch shape allocates nothing.
+// Reset + Add cycle at a fixed batch shape allocates nothing.
 func TestPackSteadyStateAllocs(t *testing.T) {
 	g := topo.DWave2000Q()
 	p, err := NewPacker(g)
@@ -255,9 +275,6 @@ func TestPackSteadyStateAllocs(t *testing.T) {
 			if _, err := k.Add(ep); err != nil {
 				t.Fatal(err)
 			}
-		}
-		for i := range members {
-			_ = k.Placement(i)
 		}
 	}
 	cycle() // warm buffer capacities

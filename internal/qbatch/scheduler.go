@@ -122,12 +122,7 @@ func New(sampler *anneal.Sampler, g topo.Topology, cfg Config) *Scheduler {
 			s.packer = p
 		}
 	}
-	s.pool.New = func() any {
-		if s.packer == nil {
-			return (*Packing)(nil)
-		}
-		return s.packer.NewPacking()
-	}
+	s.pool.New = func() any { return s.packer.NewPacking() }
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -235,20 +230,11 @@ func (s *Scheduler) SubmitCosted(ctx context.Context, ep *anneal.EmbeddedProblem
 
 // runBatch groups the collected requests into device programs — greedily
 // co-tiling onto one packing until the chip fills, then flushing and
-// starting the next program — and runs each group.
+// starting the next program — and runs each group. It runs only when
+// Batching holds, so the packer exists.
 func (s *Scheduler) runBatch(batch []*request) {
 	packing := s.pool.Get().(*Packing)
-	if packing == nil {
-		for _, r := range batch {
-			s.runProgram([]*request{r})
-		}
-		return
-	}
-	defer func() {
-		packing.Reset()
-		s.pool.Put(packing)
-	}()
-
+	defer s.pool.Put(packing)
 	packing.Reset()
 	var group []*request
 	flush := func() {
