@@ -207,5 +207,6 @@ type captureTracer struct {
 	events []obs.Event
 }
 
-func (c *captureTracer) Enabled() bool    { return true }
-func (c *captureTracer) Emit(e obs.Event) { c.events = append(c.events, e) }
+func (c *captureTracer) Enabled() bool                      { return true }
+func (c *captureTracer) Emit(e obs.Event)                   { c.events = append(c.events, e) }
+func (c *captureTracer) EmitFrom(_ obs.Source, e obs.Event) { c.Emit(e) }

@@ -69,7 +69,7 @@ func (t *QualityTracker) Enabled() bool { return true }
 // Emit implements Tracer.
 func (t *QualityTracker) Emit(e Event) { t.EmitFrom(Source{}, e) }
 
-// EmitFrom implements sourceCarrier: events are aggregated per source, so
+// EmitFrom implements Tracer: events are aggregated per source, so
 // concurrent cube workers keep separate conflict
 // counters and the segment attribution stays coherent per emitter.
 func (t *QualityTracker) EmitFrom(src Source, e Event) {

@@ -32,16 +32,6 @@ func NextSolveID() string {
 	return "s" + strconv.FormatInt(solveCounter.Add(1), 10)
 }
 
-// sourceCarrier is the optional sink capability behind zero-alloc
-// attribution: a tracer that can accept the source alongside the event.
-// JSONLSink, Ring, Tee compositions, scoped tracers and the QualityTracker
-// all implement it; WithSource detects it once at construction, so scoped
-// emission is a direct call with the source passed by value — no wrapper
-// event, no per-event allocation.
-type sourceCarrier interface {
-	EmitFrom(src Source, e Event)
-}
-
 // WithSource returns a tracer that attributes every event emitted through it
 // to src before forwarding to t. When t is nil or disabled, WithSource
 // returns the Nop tracer, so scoping keeps the disabled path allocation-free.
@@ -56,17 +46,14 @@ func WithSource(t Tracer, src Source) Tracer {
 	if t == nil || !t.Enabled() {
 		return Nop()
 	}
-	st := &scopedTracer{inner: t, src: src}
-	st.carrier, _ = t.(sourceCarrier)
-	return st
+	return &scopedTracer{inner: t, src: src}
 }
 
-// scopedTracer forwards events with its source attached. It implements
-// sourceCarrier itself so scopes nest.
+// scopedTracer forwards events with its source attached through the inner
+// tracer's EmitFrom, so scopes nest.
 type scopedTracer struct {
-	inner   Tracer
-	carrier sourceCarrier // inner as a carrier, or nil
-	src     Source
+	inner Tracer
+	src   Source
 }
 
 // Enabled implements Tracer: a scoped tracer is only constructed around an
@@ -74,15 +61,9 @@ type scopedTracer struct {
 func (s *scopedTracer) Enabled() bool { return true }
 
 // Emit implements Tracer.
-func (s *scopedTracer) Emit(e Event) {
-	if s.carrier != nil {
-		s.carrier.EmitFrom(s.src, e)
-		return
-	}
-	s.inner.Emit(e)
-}
+func (s *scopedTracer) Emit(e Event) { s.inner.EmitFrom(s.src, e) }
 
-// EmitFrom implements sourceCarrier: src comes from an inner (closer to the
+// EmitFrom implements Tracer: src comes from an inner (closer to the
 // emitter) scope, so this scope's fields take precedence and the inner ones
 // fill the blanks.
 func (s *scopedTracer) EmitFrom(src Source, e Event) {
@@ -93,21 +74,5 @@ func (s *scopedTracer) EmitFrom(src Source, e Event) {
 	if merged.Name == "" {
 		merged.Name = src.Name
 	}
-	if s.carrier != nil {
-		s.carrier.EmitFrom(merged, e)
-		return
-	}
-	s.inner.Emit(e)
-}
-
-// EmitFrom implements sourceCarrier for Tee compositions: the source reaches
-// every member that can carry it; members that cannot still get the event.
-func (m multiTracer) EmitFrom(src Source, e Event) {
-	for _, t := range m {
-		if c, ok := t.(sourceCarrier); ok {
-			c.EmitFrom(src, e)
-		} else {
-			t.Emit(e)
-		}
-	}
+	s.inner.EmitFrom(merged, e)
 }

@@ -78,8 +78,8 @@ func TestWithSourceOuterWins(t *testing.T) {
 	}
 }
 
-// TestWithSourcePlainTracer covers the fallback for sinks that do not carry
-// sources: the event still arrives, unattributed.
+// TestWithSourcePlainTracer: a sink that ignores attribution still receives
+// every event emitted through nested scopes.
 func TestWithSourcePlainTracer(t *testing.T) {
 	var got []Event
 	plain := &funcTracer{fn: func(e Event) { got = append(got, e) }}
@@ -94,8 +94,9 @@ func TestWithSourcePlainTracer(t *testing.T) {
 
 type funcTracer struct{ fn func(Event) }
 
-func (f *funcTracer) Enabled() bool { return true }
-func (f *funcTracer) Emit(e Event)  { f.fn(e) }
+func (f *funcTracer) Enabled() bool              { return true }
+func (f *funcTracer) Emit(e Event)               { f.fn(e) }
+func (f *funcTracer) EmitFrom(_ Source, e Event) { f.fn(e) }
 
 // TestReadJSONLSkipsHeader keeps legacy readers working: ReadTrace keeps the
 // header out of the events, and header-less streams read fine.

@@ -21,8 +21,13 @@ type Tracer interface {
 	// Enabled reports whether Emit does anything. Callers use it to skip
 	// event construction entirely on hot paths.
 	Enabled() bool
-	// Emit records one event. The event must not be mutated afterwards.
+	// Emit records one unattributed event. The event must not be mutated
+	// afterwards.
 	Emit(e Event)
+	// EmitFrom records one event attributed to src (see WithSource): the
+	// source travels by value alongside the event, so scoped emission
+	// needs no wrapper event and no per-event allocation.
+	EmitFrom(src Source, e Event)
 }
 
 // Nop returns the disabled tracer: Enabled() is false and Emit is a no-op.
@@ -32,8 +37,9 @@ func Nop() Tracer { return nopTracer{} }
 
 type nopTracer struct{}
 
-func (nopTracer) Enabled() bool { return false }
-func (nopTracer) Emit(Event)    {}
+func (nopTracer) Enabled() bool          { return false }
+func (nopTracer) Emit(Event)             {}
+func (nopTracer) EmitFrom(Source, Event) {}
 
 // Tee composes tracers: events go to every enabled tracer. Nil and disabled
 // entries are dropped; with none left, Tee returns the Nop tracer, and a
@@ -61,6 +67,12 @@ func (m multiTracer) Enabled() bool { return true }
 func (m multiTracer) Emit(e Event) {
 	for _, t := range m {
 		t.Emit(e)
+	}
+}
+
+func (m multiTracer) EmitFrom(src Source, e Event) {
+	for _, t := range m {
+		t.EmitFrom(src, e)
 	}
 }
 
@@ -110,16 +122,10 @@ func NewJSONLSink(w io.Writer) *JSONLSink {
 func (s *JSONLSink) Enabled() bool { return true }
 
 // Emit implements Tracer.
-func (s *JSONLSink) Emit(e Event) {
-	s.emit(Source{}, e)
-}
+func (s *JSONLSink) Emit(e Event) { s.EmitFrom(Source{}, e) }
 
-// EmitFrom implements sourceCarrier.
+// EmitFrom implements Tracer.
 func (s *JSONLSink) EmitFrom(src Source, e Event) {
-	s.emit(src, e)
-}
-
-func (s *JSONLSink) emit(src Source, e Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err != nil {
@@ -168,16 +174,10 @@ func NewRing(n int) *Ring {
 func (r *Ring) Enabled() bool { return true }
 
 // Emit implements Tracer.
-func (r *Ring) Emit(e Event) {
-	r.emit(Source{}, e)
-}
+func (r *Ring) Emit(e Event) { r.EmitFrom(Source{}, e) }
 
-// EmitFrom implements sourceCarrier.
+// EmitFrom implements Tracer.
 func (r *Ring) EmitFrom(src Source, e Event) {
-	r.emit(src, e)
-}
-
-func (r *Ring) emit(src Source, e Event) {
 	r.mu.Lock()
 	r.buf[r.next] = Stamped{
 		T:     e.Kind(),

@@ -275,3 +275,5 @@ func (c *captureTracer) Emit(e obs.Event) {
 	defer c.mu.Unlock()
 	c.events = append(c.events, e)
 }
+
+func (c *captureTracer) EmitFrom(_ obs.Source, e obs.Event) { c.Emit(e) }
