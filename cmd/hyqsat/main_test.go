@@ -64,6 +64,7 @@ func TestCLIErrors(t *testing.T) {
 		{"malformed input", nil, "p cnf 2 9\n1 2 0\n"},
 		{"empty input", nil, ""},
 		{"portfolio is no solver", []string{"-solver", "portfolio"}, satCNF},
+		{"portfolio is no solver with -cube", []string{"-cube", "-solver", "portfolio"}, satCNF},
 		{"share is no flag", []string{"-cube", "-share"}, satCNF},
 		{"negative reads", []string{"-reads", "-3"}, satCNF},
 		{"reads over bound", []string{"-reads", "4097"}, satCNF},

@@ -11,7 +11,8 @@ import (
 )
 
 // TestCubeEventAttribution: cube runs attribute per-cube verdicts to their
-// worker "cube/w<i>", and all of it to one solve id.
+// worker "cube/w<i>", and all of it to one solve id. A run the probe decides
+// outright traces the probe's search under "cube/probe".
 func TestCubeEventAttribution(t *testing.T) {
 	ring := obs.NewRing(4096)
 	inst := gen.SatisfiableRandom3SAT(40, 168, 7)
@@ -55,5 +56,28 @@ func TestCubeEventAttribution(t *testing.T) {
 	}
 	if workerSrcs == 0 {
 		t.Fatal("no worker-attributed events recorded")
+	}
+
+	ring = obs.NewRing(4096)
+	unsat := gen.UnsatisfiableRandom3SAT(30, 150, 3)
+	out, err = SolveCubes(context.Background(), unsat.Formula, CubeOptions{
+		Depth:   2,
+		Workers: 2,
+		Trace:   ring,
+	})
+	if err != nil {
+		t.Fatalf("probe-decided cubes: %v", err)
+	}
+	if out.Result.Status != sat.Unsat || out.Cubes != 0 {
+		t.Fatalf("status = %v with %d cubes, want Unsat decided by the probe", out.Result.Status, out.Cubes)
+	}
+	evs := ring.Events()
+	if len(evs) == 0 {
+		t.Fatal("probe-decided run recorded no events")
+	}
+	for _, ev := range evs {
+		if ev.Src != "cube/probe" || ev.Solve == "" || ev.Solve != evs[0].Solve {
+			t.Fatalf("event %s from %q under solve %q, want cube/probe under one solve id", ev.T, ev.Src, ev.Solve)
+		}
 	}
 }
