@@ -33,9 +33,6 @@ var ErrEmbeddingFailed = errors.New("embed: no valid embedding found within budg
 // ErrTimeout is returned when an embedder exceeds its wall-clock budget.
 var ErrTimeout = errors.New("embed: timeout")
 
-// Name implements the informal Embedder naming convention.
-func (m *Minorminer) Name() string { return "minorminer" }
-
 // Embed finds chains for every node of p in g, or fails.
 func (m *Minorminer) Embed(p *Problem, g *topo.Chimera) (*Embedding, error) {
 	rounds := m.MaxRounds

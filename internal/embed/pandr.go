@@ -20,9 +20,6 @@ type PandR struct {
 	Timeout      time.Duration // wall-clock budget (default none)
 }
 
-// Name implements the informal Embedder naming convention.
-func (p *PandR) Name() string { return "place-and-route" }
-
 // Embed places and routes problem pr into g, or fails.
 func (p *PandR) Embed(pr *Problem, g *topo.Chimera) (*Embedding, error) {
 	var deadline time.Time

@@ -44,9 +44,6 @@ func (c *Circuit) ConstFalse() cnf.Lit {
 	return c.ConstTrue().Not()
 }
 
-// Not returns the complement wire (free in CNF).
-func (c *Circuit) Not(a cnf.Lit) cnf.Lit { return a.Not() }
-
 // And emits y ↔ a∧b and returns y.
 func (c *Circuit) And(a, b cnf.Lit) cnf.Lit {
 	y := cnf.Pos(c.F.NewVar())

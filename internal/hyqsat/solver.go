@@ -638,15 +638,6 @@ func (s *Solver) finish(status sat.Status, model []bool) Result {
 // (auxiliaries are appended), so models of it restrict to input models.
 func (s *Solver) ThreeCNF() *cnf.Formula { return s.formula }
 
-// Certificate returns the unsatisfiability certificate recorded so far
-// (premise + proof), or nil when SelfCertify was off.
-func (s *Solver) Certificate() *verify.Certificate {
-	if s.recorder == nil {
-		return nil
-	}
-	return &verify.Certificate{Premise: s.formula, Proof: s.recorder.Proof()}
-}
-
 // hybridIteration runs one warm-up iteration: frontend → QA → backend →
 // one CDCL step. It reports completion via done. A failed or invalid QA
 // access degrades the iteration to pure CDCL (see degrade) instead of

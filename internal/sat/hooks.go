@@ -123,6 +123,3 @@ func (s *Solver) Interrupt() { s.interrupted.Store(true) }
 
 // ClearInterrupt re-arms an interrupted solver for further solving.
 func (s *Solver) ClearInterrupt() { s.interrupted.Store(false) }
-
-// Formula returns the input formula the solver was built from.
-func (s *Solver) Formula() *cnf.Formula { return s.formula }

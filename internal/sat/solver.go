@@ -118,14 +118,8 @@ func New(f *cnf.Formula, opts Options) *Solver {
 	return s
 }
 
-// NumVars returns the number of variables of the input formula.
-func (s *Solver) NumVars() int { return len(s.assigns) }
-
 // Stats returns a copy of the current solver counters.
 func (s *Solver) Stats() Stats { return s.stats }
-
-// Status returns the current solve status.
-func (s *Solver) Status() Status { return s.status }
 
 // Model returns the satisfying assignment found by the last Sat outcome,
 // or nil. The returned slice is owned by the solver.

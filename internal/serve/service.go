@@ -220,9 +220,6 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// Metrics returns the service's registry (for /metrics exposure).
-func (s *Service) Metrics() *obs.Registry { return s.reg }
-
 // Draining reports whether Drain has started.
 func (s *Service) Draining() bool {
 	s.mu.Lock()

@@ -61,20 +61,3 @@ func CheckModel(f *cnf.Formula, model []bool) error {
 	}
 	return nil
 }
-
-// Certificate bundles an unsatisfiability proof with the premise formula it
-// refutes. For the hybrid solver the premise is the 3-CNF form actually
-// solved (equisatisfiable with the user's input); for the classical solvers
-// it is the input formula itself.
-type Certificate struct {
-	Premise *cnf.Formula
-	Proof   Proof
-}
-
-// CheckUnsat replays the certificate's proof against its premise.
-func (c *Certificate) CheckUnsat() error {
-	if c == nil {
-		return fmt.Errorf("verify: no certificate")
-	}
-	return CheckUnsatProof(c.Premise, c.Proof)
-}
