@@ -40,13 +40,6 @@ var keptUncalled = map[string]string{
 	"hyqsat.Solver.Metrics":       "TestStatsIsRegistryView and TestLiveEndpointsDuringSolve read the solver's registry",
 	"qpu.Resilient.Metrics":       "TestBreakerStateMachine, TestPanicRecovery and TestRetryGivesUpAfterMaxAttempts read the wrapper's counters",
 	"qpu.Resilient.State":         "TestBreakerStateMachine, TestBreakerHalfOpenSingleProbe and TestBreakerRecoveryDuringSolve step the breaker",
-	// Fault injection: real devices ship with broken qubits; tests break
-	// them on demand and count what is left.
-	"topo.Chimera.MarkBroken": "TestBrokenQubits, TestPackAvoidsBrokenQubits, TestFastEmbeddingsVerify and TestSolverBrokenHardware fault the chip",
-	"topo.Pegasus.MarkBroken": "TestEdgesMatchNeighbors, TestFastEmbeddingsVerify and TestSolverPegasusDegrades fault the chip",
-	"topo.Chimera.NumWorking": "TestBrokenQubits and TestFastEmbeddingsVerify count the working qubits of a faulted chip",
-	"topo.Pegasus.NumWorking": "TestFastEmbeddingsVerify and TestSolverPegasusDegrades count the working qubits of a faulted chip",
-	"topo.Pegasus.Edges":      "TestEdgesMatchNeighbors checks the edge list against the adjacency on both topologies",
 	// Called only implicitly, through an interface.
 	"portfolio.ErrUncertified.Unwrap": "errors.Is and errors.As walk it",
 }

@@ -534,10 +534,11 @@ func oracleProblems(t *testing.T) map[string]*EmbeddedProblem {
 		out[name] = new(EmbedScratch).EmbedIsing(is, emb, chimera, ChainStrengthFor(is))
 	}
 	pegasus := topo.NewPegasus(9)
-	faulted := topo.NewChimera(8, 8, 4)
-	for i := 0; i < 40; i++ {
-		faulted.MarkBroken(rng.Intn(faulted.NumQubits()))
+	broken := make([]int, 40)
+	for i := range broken {
+		broken[i] = rng.Intn(8 * 8 * 2 * 4)
 	}
+	faulted := topo.NewChimera(8, 8, 4, broken...)
 	for _, hw := range []struct {
 		name   string
 		g      topo.Topology

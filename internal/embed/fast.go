@@ -198,8 +198,9 @@ func Fast(enc *qubo.Encoding, g *topo.Chimera) *FastResult {
 }
 
 // FastFabric returns the Chimera grid Fast embeds onto for hardware g: g
-// itself, the fabric view of a Pegasus (Pegasus.Fabric, whose embeddings are
-// embeddings of the Pegasus), or nil for a topology Fast cannot target.
+// itself, the fabric a Pegasus built with itself (Pegasus.Fabric, whose
+// embeddings are embeddings of the Pegasus), or nil for a topology Fast
+// cannot target.
 func FastFabric(g topo.Topology) *topo.Chimera {
 	switch g := g.(type) {
 	case *topo.Chimera:
@@ -217,8 +218,7 @@ func FastFabric(g topo.Topology) *topo.Chimera {
 type FastScratch struct{ st fastState }
 
 // Fast is the package-level Fast reusing sc's storage; the result shares
-// nothing with sc. The broken qubits of g are read on the first run on g,
-// so g must not be marked broken further between runs on one scratch.
+// nothing with sc. The broken qubits of g are read on the first run on g.
 func (sc *FastScratch) Fast(enc *qubo.Encoding, g *topo.Chimera) *FastResult {
 	st := &sc.st
 	st.reset(enc, g)

@@ -19,7 +19,13 @@ func verifyFast(t *testing.T, clauses []cnf.Clause, g topo.Topology) int {
 	}
 	res := Fast(enc, FastFabric(g))
 	if err := Verify(ProblemFromEncoding(enc.Restrict(res.EmbeddedSet)), g, res.Embedding); err != nil {
-		t.Fatalf("%s with %d broken qubits: %v", g.Name(), g.NumQubits()-g.NumWorking(), err)
+		broken := 0
+		for q := range g.NumQubits() {
+			if g.IsBroken(q) {
+				broken++
+			}
+		}
+		t.Fatalf("%s with %d broken qubits: %v", g.Name(), broken, err)
 	}
 	return res.EmbeddedClauses
 }
@@ -30,15 +36,16 @@ func verifyFast(t *testing.T, clauses []cnf.Clause, g topo.Topology) int {
 // still host clauses.
 func TestFastEmbeddingsVerify(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	for _, name := range []string{"chimera", "pegasus"} {
+	for _, chip := range []struct {
+		name  string
+		build func(broken ...int) topo.Topology
+	}{
+		{"chimera", func(b ...int) topo.Topology { return topo.NewChimera(16, 16, 4, b...) }},
+		{"pegasus", func(b ...int) topo.Topology { return topo.NewPegasus(16, b...) }},
+	} {
+		qubits := chip.build().NumQubits()
 		for _, broken := range []int{0, 60, 120, 300} {
-			g, err := topo.New(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for g.NumQubits()-g.NumWorking() < broken {
-				g.MarkBroken(rng.Intn(g.NumQubits()))
-			}
+			g := chip.build(distinctQubits(rng, qubits, broken)...)
 			total := 0
 			const queues = 10
 			for range queues {
@@ -46,13 +53,44 @@ func TestFastEmbeddingsVerify(t *testing.T) {
 				clauses := bfsQueue(random3SATClauses(rng, nv, nv*43/10), nv)
 				n := verifyFast(t, clauses[:300], g)
 				if n == 0 {
-					t.Fatalf("%s with %d broken qubits: Fast embedded nothing", name, broken)
+					t.Fatalf("%s with %d broken qubits: Fast embedded nothing", chip.name, broken)
 				}
 				total += n
 			}
-			t.Logf("%s, %d broken: %.1f clauses per queue", name, broken, float64(total)/queues)
+			t.Logf("%s, %d broken: %.1f clauses per queue", chip.name, broken, float64(total)/queues)
 		}
 	}
+}
+
+// FastFabric hands out one fabric per graph: a Chimera is its own, and a
+// Pegasus's is the one it built, so a solver built on a Pegasus builds no
+// adjacency.
+func TestFastFabricBuiltOnce(t *testing.T) {
+	c := topo.NewChimera(4, 4, 4)
+	if FastFabric(c) != c {
+		t.Fatal("FastFabric(chimera) is not the chimera itself")
+	}
+	p := topo.NewPegasus(16, 7, 300)
+	f := FastFabric(p)
+	if f == nil || f != FastFabric(p) || f != p.Fabric() {
+		t.Fatal("FastFabric(pegasus) is not the one fabric the pegasus built")
+	}
+	if !f.IsBroken(7) || !f.IsBroken(300) {
+		t.Fatal("fabric lost the pegasus's broken qubits")
+	}
+}
+
+// distinctQubits draws rng.Intn(n) until it has k distinct qubits.
+func distinctQubits(rng *rand.Rand, n, k int) []int {
+	drawn := map[int]bool{}
+	var out []int
+	for len(out) < k {
+		if q := rng.Intn(n); !drawn[q] {
+			drawn[q] = true
+			out = append(out, q)
+		}
+	}
+	return out
 }
 
 // FuzzFastVerify lets the input bytes choose a grid (a Chimera or a
@@ -71,15 +109,20 @@ func FuzzFastVerify(f *testing.F) {
 			data = data[1:]
 			return int(b)
 		}
-		var g topo.Topology
+		var build func(broken ...int) topo.Topology
 		if b := next(); b&0x80 != 0 {
-			g = topo.NewPegasus(2 + b%6)
+			m := 2 + b%6
+			build = func(broken ...int) topo.Topology { return topo.NewPegasus(m, broken...) }
 		} else {
-			g = topo.NewChimera(1+b%10, 1+next()%10, 1+next()%4)
+			m, n, l := 1+b%10, 1+next()%10, 1+next()%4
+			build = func(broken ...int) topo.Topology { return topo.NewChimera(m, n, l, broken...) }
 		}
-		for range next() % 16 {
-			g.MarkBroken((next()<<8 | next()) % g.NumQubits())
+		qubits := build().NumQubits()
+		broken := make([]int, next()%16)
+		for i := range broken {
+			broken[i] = (next()<<8 | next()) % qubits
 		}
+		g := build(broken...)
 		const vars = 24
 		var clauses []cnf.Clause
 		for len(data) > 0 && len(clauses) < 64 {

@@ -313,11 +313,7 @@ type goldenTarget struct {
 // of broken horizontal ones) and Pegasus(16), programmed through its fabric.
 func goldenTargets() []goldenTarget {
 	broken := func(n int, seed int64) *topo.Chimera {
-		g := topo.DWave2000Q()
-		for _, q := range rand.New(rand.NewSource(seed)).Perm(g.NumQubits())[:n] {
-			g.MarkBroken(q)
-		}
-		return g
+		return topo.NewChimera(16, 16, 4, rand.New(rand.NewSource(seed)).Perm(topo.DWave2000Q().NumQubits())[:n]...)
 	}
 	healthy, b60, b300 := topo.DWave2000Q(), broken(60, 60), broken(300, 300)
 	peg := topo.NewPegasus(16)

@@ -105,10 +105,7 @@ func solveOnHardware(t *testing.T, f *cnf.Formula, g topo.Topology, seed int64) 
 // is valid on the faulted chip.
 func TestSolverBrokenHardware(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	g := topo.DWave2000Q()
-	for g.NumQubits()-g.NumWorking() < 120 {
-		g.MarkBroken(rng.Intn(g.NumQubits()))
-	}
+	g := topo.NewChimera(16, 16, 4, distinctQubits(rng, topo.DWave2000Q().NumQubits(), 120)...)
 	for _, nc := range []int{125, 170} {
 		solveOnHardware(t, random3SAT(rng, 30+nc/12, nc), g, 5)
 	}
@@ -121,15 +118,26 @@ func TestSolverBrokenHardware(t *testing.T) {
 func TestSolverPegasusDegrades(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	healthy := topo.AdvantagePegasus()
-	faulted := topo.AdvantagePegasus()
-	for faulted.NumQubits()-faulted.NumWorking() < 300 {
-		faulted.MarkBroken(rng.Intn(faulted.NumQubits()))
-	}
+	faulted := topo.NewPegasus(16, distinctQubits(rng, healthy.NumQubits(), 300)...)
 	for _, g := range []topo.Topology{healthy, faulted} {
 		for _, nc := range []int{85, 125} {
 			solveOnHardware(t, random3SAT(rng, 20+nc/12, nc), g, 7)
 		}
 	}
+}
+
+// distinctQubits draws rng.Intn(n) until it has k distinct qubits: the
+// broken set of a faulted chip.
+func distinctQubits(rng *rand.Rand, n, k int) []int {
+	drawn := map[int]bool{}
+	var out []int
+	for len(out) < k {
+		if q := rng.Intn(n); !drawn[q] {
+			drawn[q] = true
+			out = append(out, q)
+		}
+	}
+	return out
 }
 
 // TestPastProblemsCollected pins the frontend's retention contract: nothing

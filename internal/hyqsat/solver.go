@@ -47,13 +47,12 @@ const StrategyNone StrategyMask = 1 << 7
 // default schedule without device noise.
 type Options struct {
 	// Hardware is the QA topology; defaults to a D-Wave 2000Q Chimera built
-	// once per process and shared read-only by every defaulted solver (mark
-	// broken qubits on a graph of your own, never on the default).
+	// once per process and shared by every defaulted solver. A faulted chip
+	// is built with its broken qubits, topo.NewChimera(16, 16, 4, broken...).
 	// Every clause queue embeds through the paper's Fast embedder: on a
 	// topo.Chimera directly, on a topo.Pegasus onto its Chimera fabric
 	// (Pegasus.Fabric), in both cases around the broken qubits. Any other
 	// topology has no embedder, and every warm-up iteration runs pure CDCL.
-	// The topology must not be marked broken once New has run.
 	Hardware topo.Topology
 	// Schedule and Noise configure the annealing substitute. The defaults
 	// (DefaultSchedule, DWave2000QNoise) emulate the real device; use
@@ -135,7 +134,7 @@ type Options struct {
 }
 
 // defaultHardware is the D-Wave 2000Q graph every Options without Hardware
-// shares. It is read-only: nothing may mark its qubits broken.
+// shares.
 var defaultHardware = sync.OnceValue(topo.DWave2000Q)
 
 // WithDefaults returns o with every zero field the solver defaults filled
@@ -261,8 +260,8 @@ type Solver struct {
 	backend qpu.Backend
 
 	// fabric is the Chimera grid Fast embeds onto: Options.Hardware itself,
-	// or a Pegasus's fabric view built once here. nil when the topology has
-	// no Fast embedder.
+	// or the fabric a Pegasus built with itself. nil when the topology has no
+	// Fast embedder.
 	fabric *topo.Chimera
 
 	// Telemetry: every counter of the former Stats struct lives in the

@@ -25,9 +25,6 @@ type StatusVar struct {
 func (s *StatusVar) Set(f func() map[string]any) { s.v.Store(f) }
 
 func (s *StatusVar) get() map[string]any {
-	if s == nil {
-		return map[string]any{"state": "idle"}
-	}
 	if f, ok := s.v.Load().(func() map[string]any); ok && f != nil {
 		st := f()
 		if st == nil {
@@ -64,10 +61,12 @@ func publishExpvar(reg *Registry) {
 //	/metrics        the registry in Prometheus text format (503 without one)
 //	/debug/vars     expvar (cmdline, memstats, and the registry under "hyqsat")
 //	/debug/pprof/*  the net/http/pprof profile endpoints
-//	/solve/status   JSON snapshot of the in-flight solve (status provider)
+//	/solve/status   JSON snapshot of the in-flight solve (404 without a provider)
 //	/trace/flight   the flight-recorder ring as JSONL (404 without a ring)
 //
 // Any argument may be nil; the corresponding endpoint degrades gracefully.
+// A nil status provider leaves /solve/status unrouted rather than reporting
+// idle, since a process without one (the daemon) may well be busy.
 func Handler(reg *Registry, ring *Ring, status *StatusVar) http.Handler {
 	if reg != nil {
 		publishExpvar(reg)
@@ -89,18 +88,18 @@ func Handler(reg *Registry, ring *Ring, status *StatusVar) http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/solve/status", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(status.get())
-	})
-	mux.HandleFunc("/trace/flight", func(w http.ResponseWriter, req *http.Request) {
-		if ring == nil {
-			http.NotFound(w, req)
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		_ = ring.Dump(w)
-	})
+	if status != nil {
+		mux.HandleFunc("/solve/status", func(w http.ResponseWriter, req *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			_ = json.NewEncoder(w).Encode(status.get())
+		})
+	}
+	if ring != nil {
+		mux.HandleFunc("/trace/flight", func(w http.ResponseWriter, req *http.Request) {
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			_ = ring.Dump(w)
+		})
+	}
 	return mux
 }
 

@@ -33,6 +33,12 @@ func TestHandlerMetrics(t *testing.T) {
 }
 
 func TestHandlerStatus(t *testing.T) {
+	// No provider: no route, so a process that cannot report its state
+	// never reports itself idle.
+	if code, _ := get(t, Handler(NewRegistry(), nil, nil), "/solve/status"); code != 404 {
+		t.Fatalf("status without provider: code=%d, want 404", code)
+	}
+
 	var status StatusVar
 	h := Handler(NewRegistry(), nil, &status)
 

@@ -192,11 +192,12 @@ func TestPackAvoidsBrokenQubits(t *testing.T) {
 	clean := topo.DWave2000Q()
 	ep := memberProblem(t, clean, 41, 1, 3)
 
-	faulty := topo.DWave2000Q()
 	// Break one qubit in each of the first three cells.
-	for _, tile := range faulty.Tiles()[:3] {
-		faulty.MarkBroken(tile.A[0])
+	var broken []int
+	for _, tile := range clean.Tiles()[:3] {
+		broken = append(broken, tile.A[0])
 	}
+	faulty := topo.NewChimera(16, 16, 4, broken...)
 	p, err := NewPacker(faulty)
 	if err != nil {
 		t.Fatal(err)

@@ -3,12 +3,12 @@ package topo
 import "fmt"
 
 // Chimera is a Chimera(M,N,L) hardware graph — the D-Wave 2000Q fabric — with
-// an optional set of broken (unusable) qubits, as real annealers have. The
-// graph is an M×N grid of cells, each containing L horizontal and L vertical
-// qubits with a complete bipartite (K_{L,L}) intra-cell coupler set;
-// horizontal qubits couple to the same-index horizontal qubit of the
-// neighbouring cell in their row, and vertical qubits likewise along their
-// column.
+// a set of broken (unusable) qubits fixed at construction, as a calibrated
+// annealer's are. The graph is an M×N grid of cells, each containing L
+// horizontal and L vertical qubits with a complete bipartite (K_{L,L})
+// intra-cell coupler set; horizontal qubits couple to the same-index
+// horizontal qubit of the neighbouring cell in their row, and vertical qubits
+// likewise along their column.
 type Chimera struct {
 	M, N, L int
 	broken  []bool
@@ -16,13 +16,40 @@ type Chimera struct {
 }
 
 // NewChimera returns a Chimera graph with M rows and N columns of cells, each
-// with L horizontal and L vertical qubits.
-func NewChimera(m, n, l int) *Chimera {
+// with L horizontal and L vertical qubits, whose qubits listed in broken are
+// unusable. A repeated index is harmless; one out of range panics.
+func NewChimera(m, n, l int, broken ...int) *Chimera {
 	if m <= 0 || n <= 0 || l <= 0 {
 		panic(fmt.Sprintf("chimera: invalid dimensions %d×%d×%d", m, n, l))
 	}
-	g := &Chimera{M: m, N: n, L: l, broken: make([]bool, m*n*2*l)}
-	g.rebuildAdj()
+	return newChimera(m, n, l, brokenMask("chimera", m*n*2*l, broken))
+}
+
+// newChimera builds the graph over a broken mask of m·n·2·l qubits, which it
+// keeps without copying.
+func newChimera(m, n, l int, broken []bool) *Chimera {
+	g := &Chimera{M: m, N: n, L: l, broken: broken}
+	g.adj = buildAdj(g.NumQubits(), broken, func(q int, emit func(p int)) {
+		r, c, h, k := g.Coords(q)
+		for j := 0; j < g.L; j++ {
+			emit(g.Qubit(r, c, !h, j))
+		}
+		if h {
+			if c > 0 {
+				emit(g.Qubit(r, c-1, true, k))
+			}
+			if c < g.N-1 {
+				emit(g.Qubit(r, c+1, true, k))
+			}
+		} else {
+			if r > 0 {
+				emit(g.Qubit(r-1, c, false, k))
+			}
+			if r < g.M-1 {
+				emit(g.Qubit(r+1, c, false, k))
+			}
+		}
+	})
 	return g
 }
 
@@ -59,26 +86,8 @@ func (g *Chimera) Coords(q int) (r, c int, horizontal bool, k int) {
 	return r, c, u == 0, k
 }
 
-// MarkBroken marks qubit q unusable and rebuilds the adjacency eagerly, so
-// concurrent readers after construction never observe a rebuild in flight.
-func (g *Chimera) MarkBroken(q int) {
-	g.broken[q] = true
-	g.rebuildAdj()
-}
-
 // IsBroken reports whether qubit q is unusable.
 func (g *Chimera) IsBroken(q int) bool { return g.broken[q] }
-
-// NumWorking returns the number of usable qubits.
-func (g *Chimera) NumWorking() int {
-	n := 0
-	for _, b := range g.broken {
-		if !b {
-			n++
-		}
-	}
-	return n
-}
 
 // Coupled reports whether qubits a and b share a coupler. Broken qubits have
 // no couplers.
@@ -100,38 +109,22 @@ func (g *Chimera) Coupled(a, b int) bool {
 }
 
 // Neighbors returns the working qubits coupled to q as a view into the
-// precomputed CSR adjacency (nil when q is broken). The view is valid until
-// the next MarkBroken call and must not be modified.
+// precomputed CSR adjacency (nil when q is broken). The view must not be
+// modified.
 func (g *Chimera) Neighbors(q int) []int { return g.adj.row(q) }
 
-// rebuildAdj recomputes the CSR adjacency from the coordinate structure and
-// the broken mask.
-func (g *Chimera) rebuildAdj() {
-	g.adj = buildAdj(g.NumQubits(), g.broken, func(q int, emit func(p int)) {
-		r, c, h, k := g.Coords(q)
-		for j := 0; j < g.L; j++ {
-			emit(g.Qubit(r, c, !h, j))
-		}
-		if h {
-			if c > 0 {
-				emit(g.Qubit(r, c-1, true, k))
-			}
-			if c < g.N-1 {
-				emit(g.Qubit(r, c+1, true, k))
-			}
-		} else {
-			if r > 0 {
-				emit(g.Qubit(r-1, c, false, k))
-			}
-			if r < g.M-1 {
-				emit(g.Qubit(r+1, c, false, k))
-			}
-		}
-	})
-}
-
 // Edges enumerates every working coupler of the graph.
-func (g *Chimera) Edges() []Edge { return edgesFromAdj(g.NumQubits(), &g.adj) }
+func (g *Chimera) Edges() []Edge {
+	var out []Edge
+	for q := range g.NumQubits() {
+		for _, p := range g.adj.row(q) {
+			if q < p {
+				out = append(out, Edge{q, p})
+			}
+		}
+	}
+	return out
+}
 
 // Tiles enumerates the unit cells row-major: side A holds the horizontal
 // qubits of a cell, side B the vertical ones. Broken qubits are included.

@@ -1,6 +1,11 @@
 package topo
 
-import "testing"
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+)
 
 func TestDWave2000QShape(t *testing.T) {
 	g := DWave2000Q()
@@ -113,15 +118,18 @@ func TestNeighborsMatchCoupled(t *testing.T) {
 }
 
 func TestBrokenQubits(t *testing.T) {
-	g := NewChimera(2, 2, 4)
-	q := g.Qubit(0, 0, true, 0)
-	n := g.Neighbors(q)[0]
-	g.MarkBroken(n)
-	if !g.IsBroken(n) {
-		t.Fatal("MarkBroken did not stick")
+	healthy := NewChimera(2, 2, 4)
+	q := healthy.Qubit(0, 0, true, 0)
+	n := healthy.Neighbors(q)[0]
+	g := NewChimera(2, 2, 4, n)
+	if !g.IsBroken(n) || g.IsBroken(q) {
+		t.Fatalf("IsBroken(%d) = %v, IsBroken(%d) = %v; want only %d broken", n, g.IsBroken(n), q, g.IsBroken(q), n)
 	}
-	if g.Coupled(q, n) {
+	if g.Coupled(q, n) || g.Coupled(n, q) {
 		t.Fatal("broken qubit still coupled")
+	}
+	if len(g.Neighbors(q)) != len(healthy.Neighbors(q))-1 {
+		t.Fatalf("%d has %d neighbors, want %d", q, len(g.Neighbors(q)), len(healthy.Neighbors(q))-1)
 	}
 	for _, m := range g.Neighbors(q) {
 		if m == n {
@@ -131,8 +139,36 @@ func TestBrokenQubits(t *testing.T) {
 	if g.Neighbors(n) != nil {
 		t.Fatal("broken qubit has neighbors")
 	}
-	if g.NumWorking() != g.NumQubits()-1 {
-		t.Fatalf("NumWorking = %d", g.NumWorking())
+}
+
+// A broken index out of range panics with a message naming it; a repeated
+// index is the same as one.
+func TestBrokenIndexChecked(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(broken ...int) Topology
+	}{
+		{"chimera", func(b ...int) Topology { return NewChimera(2, 2, 4, b...) }},
+		{"pegasus", func(b ...int) Topology { return NewPegasus(3, b...) }},
+	} {
+		n := tc.build().NumQubits()
+		for _, bad := range []int{-1, n} {
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if want := fmt.Sprintf("%s: broken qubit %d out of range", tc.name, bad); !strings.Contains(msg, want) {
+						t.Fatalf("broken %d: panic %q, want one containing %q", bad, msg, want)
+					}
+				}()
+				tc.build(bad)
+			}()
+		}
+		once, twice := tc.build(5), tc.build(5, 5)
+		for q := range n {
+			if once.IsBroken(q) != twice.IsBroken(q) || !slices.Equal(once.Neighbors(q), twice.Neighbors(q)) {
+				t.Fatalf("%s: repeated broken index changed qubit %d", tc.name, q)
+			}
+		}
 	}
 }
 

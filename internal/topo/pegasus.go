@@ -1,9 +1,6 @@
 package topo
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Pegasus is a Pegasus-family hardware model in "nice coordinates": three
 // interleaved Chimera(s,s,4) fabrics (s = m−1) whose cells are augmented with
@@ -33,16 +30,49 @@ type Pegasus struct {
 	s      int
 	broken []bool
 	adj    intAdj
+	fabric *Chimera
 }
 
-// NewPegasus returns the Pegasus(m) model; m ≥ 2.
-func NewPegasus(m int) *Pegasus {
+// NewPegasus returns the Pegasus(m) model, m ≥ 2, whose qubits listed in
+// broken are unusable. A repeated index is harmless; one out of range
+// panics.
+func NewPegasus(m int, broken ...int) *Pegasus {
 	if m < 2 {
 		panic(fmt.Sprintf("pegasus: invalid size %d", m))
 	}
 	s := m - 1
-	g := &Pegasus{M: m, s: s, broken: make([]bool, 3*s*s*8)}
-	g.rebuildAdj()
+	g := &Pegasus{M: m, s: s, broken: brokenMask("pegasus", 3*s*s*8, broken)}
+	g.adj = buildAdj(g.NumQubits(), g.broken, func(q int, emit func(p int)) {
+		t, y, x, u, k := g.Coords(q)
+		// Intra-cell K_{4,4} to the opposite side.
+		for j := 0; j < 4; j++ {
+			emit(g.Qubit(t, y, x, 1-u, j))
+		}
+		// Same-orientation line links within the copy.
+		if u == 0 { // horizontal: along the row
+			if x > 0 {
+				emit(g.Qubit(t, y, x-1, 0, k))
+			}
+			if x < g.s-1 {
+				emit(g.Qubit(t, y, x+1, 0, k))
+			}
+		} else { // vertical: along the column
+			if y > 0 {
+				emit(g.Qubit(t, y-1, x, 1, k))
+			}
+			if y < g.s-1 {
+				emit(g.Qubit(t, y+1, x, 1, k))
+			}
+		}
+		// Odd coupler: partner within the same side.
+		emit(g.Qubit(t, y, x, u, k^1))
+		// Cross-copy couplers: forward image in copy t+1 and the qubit in
+		// copy t−1 whose forward image is q (both with flipped orientation).
+		emit(g.Qubit((t+1)%3, y, x, 1-u, k))
+		emit(g.Qubit((t+2)%3, y, x, 1-u, k))
+	})
+	copy0 := s * s * 8
+	g.fabric = newChimera(s, s, 4, g.broken[:copy0:copy0])
 	return g
 }
 
@@ -82,77 +112,21 @@ func (g *Pegasus) Coords(q int) (t, y, x, u, k int) {
 // qubit indices: Chimera qubit ((y·s+x)·2+u)·4+k is Pegasus qubit
 // (0,y,x,u,k), whose index is the same number, and every Chimera coupler is
 // a Pegasus coupler. An embedding found on the fabric is therefore an
-// embedding on g as it stands. The fabric's qubits are broken where g's
-// are; it is a snapshot, so build it after the last MarkBroken.
-func (g *Pegasus) Fabric() *Chimera {
-	f := &Chimera{M: g.s, N: g.s, L: 4, broken: slices.Clone(g.broken[:g.s*g.s*8])}
-	f.rebuildAdj()
-	return f
-}
-
-// MarkBroken marks qubit q unusable and rebuilds the adjacency eagerly.
-func (g *Pegasus) MarkBroken(q int) {
-	g.broken[q] = true
-	g.rebuildAdj()
-}
+// embedding on g. The fabric's qubits are broken where g's are; NewPegasus
+// builds it once over g's broken mask, and every call returns that graph.
+func (g *Pegasus) Fabric() *Chimera { return g.fabric }
 
 // IsBroken reports whether qubit q is unusable.
 func (g *Pegasus) IsBroken(q int) bool { return g.broken[q] }
-
-// NumWorking returns the number of usable qubits.
-func (g *Pegasus) NumWorking() int {
-	n := 0
-	for _, b := range g.broken {
-		if !b {
-			n++
-		}
-	}
-	return n
-}
 
 // Coupled reports whether working qubits a and b share a coupler, by scanning
 // a's bounded-degree adjacency row.
 func (g *Pegasus) Coupled(a, b int) bool { return coupledViaAdj(&g.adj, a, b) }
 
 // Neighbors returns the working qubits coupled to q as a view into the
-// precomputed CSR adjacency (nil when q is broken). The view is valid until
-// the next MarkBroken call and must not be modified.
+// precomputed CSR adjacency (nil when q is broken). The view must not be
+// modified.
 func (g *Pegasus) Neighbors(q int) []int { return g.adj.row(q) }
-
-func (g *Pegasus) rebuildAdj() {
-	g.adj = buildAdj(g.NumQubits(), g.broken, func(q int, emit func(p int)) {
-		t, y, x, u, k := g.Coords(q)
-		// Intra-cell K_{4,4} to the opposite side.
-		for j := 0; j < 4; j++ {
-			emit(g.Qubit(t, y, x, 1-u, j))
-		}
-		// Same-orientation line links within the copy.
-		if u == 0 { // horizontal: along the row
-			if x > 0 {
-				emit(g.Qubit(t, y, x-1, 0, k))
-			}
-			if x < g.s-1 {
-				emit(g.Qubit(t, y, x+1, 0, k))
-			}
-		} else { // vertical: along the column
-			if y > 0 {
-				emit(g.Qubit(t, y-1, x, 1, k))
-			}
-			if y < g.s-1 {
-				emit(g.Qubit(t, y+1, x, 1, k))
-			}
-		}
-		// Odd coupler: partner within the same side.
-		emit(g.Qubit(t, y, x, u, k^1))
-		// Cross-copy couplers: forward image in copy t+1 and the qubit in
-		// copy t−1 whose forward image is q (both with flipped orientation).
-		emit(g.Qubit((t+1)%3, y, x, 1-u, k))
-		emit(g.Qubit((t+2)%3, y, x, 1-u, k))
-	})
-}
-
-// Edges enumerates every working coupler of the graph.
-func (g *Pegasus) Edges() []Edge { return edgesFromAdj(g.NumQubits(), &g.adj) }
 
 // Tiles enumerates the K_{4,4} unit cells copy-major then row-major: side A
 // holds the horizontal (u=0) qubits of a cell, side B the vertical (u=1)

@@ -11,9 +11,12 @@
 //     D-Wave Advantage generation: higher degree means shorter chains, and
 //     chain length drives error rates (Pudenz et al.).
 //
-// Both precompute CSR adjacency at construction so Neighbors returns a
-// subslice view with zero allocations — it sits under the minor-embedding
-// heuristics' routing, anneal.EmbedIsing and embed.Verify.
+// Both take their broken qubits at construction, as a calibrated chip's
+// working graph is fixed, and precompute CSR adjacency then, so Neighbors
+// returns a subslice view with zero allocations — it sits under the
+// minor-embedding heuristics' routing, anneal.EmbedIsing and embed.Verify.
+// Nothing changes a graph once its constructor returns, so one graph may be
+// shared by any number of solvers and goroutines.
 package topo
 
 import "fmt"
@@ -30,33 +33,26 @@ type Tile struct {
 	A, B []int
 }
 
-// Topology is a hardware qubit graph: a fixed qubit index space, a coupler
-// relation, an optional set of broken (unusable) qubits, and a tiling into
-// K_{L,L} unit cells. Implementations precompute CSR adjacency; Neighbors
-// must be allocation-free. Mutation (MarkBroken) is construction-time only —
-// a topology handed to solvers or samplers must no longer be mutated.
+// Topology is an immutable hardware qubit graph: a fixed qubit index space,
+// a coupler relation, the set of broken (unusable) qubits given to its
+// constructor, and a tiling into K_{L,L} unit cells. Implementations
+// precompute CSR adjacency; Neighbors must be allocation-free.
 type Topology interface {
 	// Name identifies the topology family ("chimera", "pegasus").
 	Name() string
 	// NumQubits returns the size of the qubit index space, broken included.
 	NumQubits() int
-	// NumWorking returns the number of usable qubits.
-	NumWorking() int
 	// IsBroken reports whether qubit q is unusable.
 	IsBroken(q int) bool
-	// MarkBroken marks qubit q unusable and updates the adjacency.
-	MarkBroken(q int)
 	// Coupled reports whether working qubits a and b share a coupler.
 	Coupled(a, b int) bool
-	// Neighbors returns the working qubits coupled to q as a read-only view
-	// into precomputed adjacency (nil when q is broken). Callers must not
-	// modify or retain it across MarkBroken calls.
+	// Neighbors returns the working qubits coupled to q as a view into
+	// precomputed adjacency (nil when q is broken). Callers must not modify
+	// it.
 	Neighbors(q int) []int
 	// Tiles enumerates the K_{L,L} unit cells in a fixed deterministic order;
 	// the qbatch packer places batch members tile by tile.
 	Tiles() []Tile
-	// Edges enumerates every working coupler.
-	Edges() []Edge
 }
 
 // New builds a topology by family name with its hardware-default size:
@@ -71,6 +67,20 @@ func New(name string) (Topology, error) {
 	default:
 		return nil, fmt.Errorf("topo: unknown topology %q (want chimera or pegasus)", name)
 	}
+}
+
+// brokenMask returns the broken mask over n qubits with every listed qubit
+// set. A repeated index is harmless; one outside [0,n) panics, naming the
+// topology family and the index.
+func brokenMask(family string, n int, broken []int) []bool {
+	mask := make([]bool, n)
+	for _, q := range broken {
+		if q < 0 || q >= n {
+			panic(fmt.Sprintf("%s: broken qubit %d out of range [0,%d)", family, q, n))
+		}
+		mask[q] = true
+	}
+	return mask
 }
 
 // intAdj is precomputed compressed-sparse-row adjacency over working qubits:
@@ -126,19 +136,6 @@ func buildAdj(n int, broken []bool, forEach func(q int, emit func(p int))) intAd
 		}
 	}
 	return adj
-}
-
-// edgesFromAdj enumerates working couplers from precomputed adjacency.
-func edgesFromAdj(n int, adj *intAdj) []Edge {
-	var out []Edge
-	for q := 0; q < n; q++ {
-		for _, p := range adj.row(q) {
-			if q < p {
-				out = append(out, Edge{q, p})
-			}
-		}
-	}
-	return out
 }
 
 // coupledViaAdj implements Coupled by scanning the (bounded-degree) row.

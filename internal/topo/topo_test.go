@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -8,6 +9,22 @@ import (
 // both returns the two stock topologies at test-friendly sizes.
 func both() []Topology {
 	return []Topology{NewChimera(4, 4, 4), NewPegasus(4)}
+}
+
+// faulted rebuilds g at its size with k qubits drawn from rng broken
+// (repeats allowed, so fewer may break).
+func faulted(g Topology, rng *rand.Rand, k int) Topology {
+	broken := make([]int, k)
+	for i := range broken {
+		broken[i] = rng.Intn(g.NumQubits())
+	}
+	switch g := g.(type) {
+	case *Chimera:
+		return NewChimera(g.M, g.N, g.L, broken...)
+	case *Pegasus:
+		return NewPegasus(g.M, broken...)
+	}
+	panic(fmt.Sprintf("faulted: unknown topology %T", g))
 }
 
 func TestNewByName(t *testing.T) {
@@ -31,9 +48,7 @@ func TestNeighborsConsistent(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		for round := 0; round < 2; round++ {
 			if round == 1 {
-				for i := 0; i < g.NumQubits()/20; i++ {
-					g.MarkBroken(rng.Intn(g.NumQubits()))
-				}
+				g = faulted(g, rng, g.NumQubits()/20)
 			}
 			for q := 0; q < g.NumQubits(); q++ {
 				ns := map[int]bool{}
@@ -93,10 +108,7 @@ func TestNeighborsZeroAllocs(t *testing.T) {
 // each working B-side qubit, and tile qubit sets disjoint across tiles.
 func TestTilesAreCompleteBipartite(t *testing.T) {
 	for _, g := range both() {
-		rng := rand.New(rand.NewSource(11))
-		for i := 0; i < g.NumQubits()/30; i++ {
-			g.MarkBroken(rng.Intn(g.NumQubits()))
-		}
+		g = faulted(g, rand.New(rand.NewSource(11)), g.NumQubits()/30)
 		seen := map[int]bool{}
 		tiles := g.Tiles()
 		if len(tiles) == 0 {
@@ -127,23 +139,51 @@ func TestTilesAreCompleteBipartite(t *testing.T) {
 }
 
 func TestEdgesMatchNeighbors(t *testing.T) {
-	for _, g := range both() {
-		g.MarkBroken(3)
-		want := 0
-		for q := 0; q < g.NumQubits(); q++ {
-			want += len(g.Neighbors(q))
+	g := NewChimera(4, 4, 4, 3)
+	want := 0
+	for q := 0; q < g.NumQubits(); q++ {
+		want += len(g.Neighbors(q))
+	}
+	edges := g.Edges()
+	if got := len(edges); got*2 != want {
+		t.Fatalf("%d edges vs %d directed neighbor entries", got, want)
+	}
+	for _, e := range edges {
+		if e.A >= e.B {
+			t.Fatalf("unordered edge %v", e)
 		}
-		if got := len(g.Edges()); got*2 != want {
-			t.Fatalf("%s: %d edges vs %d directed neighbor entries", g.Name(), got, want)
+		if !g.Coupled(e.A, e.B) {
+			t.Fatalf("edge %v not coupled", e)
 		}
-		for _, e := range g.Edges() {
-			if e.A >= e.B {
-				t.Fatalf("%s: unordered edge %v", g.Name(), e)
+	}
+}
+
+// A Pegasus builds its fabric once: every Fabric call returns the same
+// graph, broken exactly where copy 0 of the Pegasus is, whose couplers are
+// all Pegasus couplers.
+func TestPegasusFabric(t *testing.T) {
+	healthy := NewPegasus(4)
+	copy0 := healthy.Fabric().NumQubits()
+	g := NewPegasus(4, 3, copy0-1, copy0, healthy.NumQubits()-1)
+	f := g.Fabric()
+	if g.Fabric() != f {
+		t.Fatal("Fabric returned a different graph on a second call")
+	}
+	if f.M != 3 || f.N != 3 || f.L != 4 || copy0 != 3*3*8 {
+		t.Fatalf("fabric is Chimera(%d,%d,%d) over %d qubits, want Chimera(3,3,4) over 72", f.M, f.N, f.L, copy0)
+	}
+	for q := range copy0 {
+		if f.IsBroken(q) != g.IsBroken(q) {
+			t.Fatalf("qubit %d: fabric broken %v, pegasus broken %v", q, f.IsBroken(q), g.IsBroken(q))
+		}
+		for _, p := range f.Neighbors(q) {
+			if !g.Coupled(q, p) {
+				t.Fatalf("fabric coupler %d-%d is not a pegasus coupler", q, p)
 			}
-			if !g.Coupled(e.A, e.B) {
-				t.Fatalf("%s: edge %v not coupled", g.Name(), e)
-			}
 		}
+	}
+	if !f.IsBroken(3) || !f.IsBroken(copy0-1) {
+		t.Fatal("fabric lost a broken qubit of copy 0")
 	}
 }
 
