@@ -139,9 +139,11 @@ go test -count=1 ./cmd/tracereport
 # CDCL arena gates: steady-state propagation and conflict analysis must stay
 # allocation-free, and reduceDB must leave no dead cref behind.
 go test -run='TestPropagateSteadyStateAllocs|TestAnalyzeSteadyStateAllocs|TestNoDeletedWatchersAfterReduce|TestSolveDeterministicAcrossGC' -count=1 ./internal/sat
-# Proof-checker alloc gate: a one-worker DRAT check of the shared uuf150
-# proof fixture allocates at most one object per four proof steps.
-go test -run='TestCheckUnsatProofAllocs' -count=1 ./internal/verify
+# Proof-checker memory gates: a one-worker check of the shared uuf150 proof
+# fixture allocates at most one object per four proof steps; checking it by
+# its hints allocates no more bytes than a one-worker RUP check of it with
+# the hints stripped; and the Recorder holds at most 72 bytes per step of it.
+go test -run='TestCheckUnsatProofAllocs|TestCheckHintedProofBytes|TestRecorderBytesPerStep' -count=1 ./internal/verify
 # Interrupt gate (run without -race): a pre-set interrupt stops the next
 # search call with Unknown, and clearing it re-arms the solver.
 go test -run='TestInterruptStopsSearchAndRearms' -count=1 ./internal/sat

@@ -6,9 +6,10 @@
 //     BenchmarkSampleOnce / BenchmarkSampleOnceLong / BenchmarkSamplerParallel
 //     → BENCH_baseline.json
 //   - cdcl: the CDCL solver workloads of internal/sat's BenchmarkPropagate /
-//     BenchmarkSolveUF and the DRAT check of internal/verify's
-//     BenchmarkCheckUnsatProof → BENCH_cdcl.json (merged by benchmark name,
-//     so the portfolio rows stay)
+//     BenchmarkSolveUF and the proof check of internal/verify's
+//     BenchmarkCheckUnsatProof, hinted and with the hints stripped (the
+//     /rup row) → BENCH_cdcl.json (merged by benchmark name, so the
+//     portfolio rows stay)
 //   - portfolio: cube-and-conquer wall-clock scaling on the uf100/uuf100
 //     family at 1/2/4 workers, merged by benchmark name into BENCH_cdcl.json
 //     (the CDCL snapshot keeps its suite tag and existing entries)
@@ -214,16 +215,27 @@ func cdclSuite() (report, error) {
 			}
 		}
 	}))
+	// The fixture proof carries the solver's hints; the rup row checks it
+	// with them stripped, as a DRAT text or stitched cube proof is checked.
 	pf, proof := bench.BuildProofFixture()
-	rep.Benchmarks = append(rep.Benchmarks, run("CheckProof/uuf150", 0, func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := verify.CheckUnsatProof(pf, proof); err != nil {
-				panic("benchreport: proof fixture rejected: " + err.Error())
+	steps := proof.Steps()
+	for i := range steps {
+		steps[i].Hints = nil
+	}
+	for _, c := range []struct {
+		name  string
+		proof verify.Proof
+	}{{"CheckProof/uuf150", proof}, {"CheckProof/uuf150/rup", verify.NewProof(steps...)}} {
+		rep.Benchmarks = append(rep.Benchmarks, run(c.name, 0, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := verify.CheckUnsatProof(pf, c.proof); err != nil {
+					panic("benchreport: proof fixture rejected: " + err.Error())
+				}
 			}
-		}
-	}))
+		}))
+	}
 	return rep, nil
 }
 

@@ -30,12 +30,15 @@
 //
 // -proof streams a DRAT proof of the solver's clause derivations to a file;
 // for an UNSAT run the file certifies the verdict (checkable by any DRAT
-// checker, including internal/verify). For -solver=hyqsat the proof premise
-// is the 3-CNF form of the input (equisatisfiable; printed as a comment).
+// checker, including internal/verify). The file is plain DRAT: the hints
+// the solver logs with each learnt clause are not written. For
+// -solver=hyqsat the proof premise is the 3-CNF form of the input
+// (equisatisfiable; printed as a comment).
 //
 // -verify self-certifies the verdict in-process before reporting it: SAT
 // models are checked against the formula and UNSAT proofs replayed through
-// the RUP checker. A verdict that fails certification exits 1.
+// the proof checker, which walks the recorded hints. A verdict that fails
+// certification exits 1.
 //
 // -trace streams a structured JSONL event log of the solve (conflicts,
 // restarts, QA calls with per-read energies, embeddings, strategy outcomes,
@@ -341,7 +344,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			return fail(err)
 		default:
 			status, assignment = out.Result.Status, out.Result.Model
-			if *proofPath != "" && out.Proof != nil {
+			if *proofPath != "" && out.Proof.Len() > 0 {
 				pf, err := os.Create(*proofPath)
 				if err != nil {
 					return fail(err)

@@ -43,8 +43,8 @@ func BuildCDCLFixture() *cnf.Formula {
 
 // BuildProofFixture returns the uuf150-645 instance shared by the proof
 // checker benchmarks (internal/verify BenchmarkCheckUnsatProof and
-// cmd/benchreport -suite cdcl) with the DRAT proof a MiniSAT-configured solve
-// records for it: 8.6k steps, deterministic by seed.
+// cmd/benchreport -suite cdcl) with the hinted DRAT proof a MiniSAT-configured
+// solve records for it: 8.6k steps, deterministic by seed.
 func BuildProofFixture() (*cnf.Formula, verify.Proof) {
 	f := gen.UnsatisfiableRandom3SAT(150, 645, 3).Formula
 	rec := verify.NewRecorder()

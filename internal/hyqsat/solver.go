@@ -104,12 +104,15 @@ type Options struct {
 	WrapBackend func(qpu.Backend) qpu.Backend
 
 	// Proof, when non-nil, receives the CDCL core's clause trace in DRAT
-	// form. The proof's premise is the 3-CNF formula actually solved
-	// (ThreeCNF), which is equisatisfiable with the input.
+	// form, each learnt clause with its LRAT-style hints (see
+	// sat.ProofWriter). The proof's premise is the 3-CNF formula actually
+	// solved (ThreeCNF), which is equisatisfiable with the input, and the
+	// hints number its clauses from 1.
 	Proof sat.ProofWriter
 	// SelfCertify makes Solve check its own answer before returning it:
 	// Sat models are re-evaluated against the 3-CNF formula and Unsat
-	// verdicts are certified by recording and RUP-checking a DRAT proof.
+	// verdicts are certified by recording a hinted DRAT proof and checking
+	// it (verify.CheckUnsatProof).
 	// The outcome lands in Result.Certified / Result.CertErr.
 	SelfCertify bool
 
@@ -235,7 +238,7 @@ func (s Stats) Total() time.Duration {
 
 // Result is the outcome of a hybrid solve. When Options.SelfCertify is set,
 // Certified reports whether the conclusive verdict passed independent
-// verification (model check for Sat, RUP proof check for Unsat) and CertErr
+// verification (model check for Sat, proof check for Unsat) and CertErr
 // carries the failure otherwise. Without SelfCertify both stay zero.
 type Result struct {
 	Status    sat.Status

@@ -92,7 +92,7 @@ type CubeOutcome struct {
 	Aggregate   AggregateStats
 	Elapsed     time.Duration
 	// Proof is the checked stitched DRAT proof backing a certified Unsat
-	// verdict (nil otherwise) — exposed so callers can re-serialize or
+	// verdict (empty otherwise) — exposed so callers can re-serialize or
 	// re-verify it.
 	Proof verify.Proof
 }
@@ -166,8 +166,9 @@ func negCube(c Cube) []cnf.Lit {
 // and in certifying mode the per-cube refutations are stitched into one DRAT
 // proof — each worker appends ¬cube for every cube it kills, and the
 // coordinator closes the proof with the binary resolution tree over the split
-// literals down to the empty clause. The stitched proof is checked against f
-// before the Unsat verdict is returned.
+// literals down to the empty clause. The stitched proof carries no hints
+// (clause ids are local to each solver, see verify.SharedRecorder), so it is
+// RUP-checked against f before the Unsat verdict is returned.
 func SolveCubes(ctx context.Context, f *cnf.Formula, o CubeOptions) (CubeOutcome, error) {
 	o = o.withDefaults()
 	trace := o.Trace
@@ -331,7 +332,7 @@ func SolveCubes(ctx context.Context, f *cnf.Formula, o CubeOptions) (CubeOutcome
 					// clauses that made the assumptions conflict), so it
 					// extends the stitched proof soundly.
 					if stitch != nil {
-						stitch.ProofAdd(negCube(cube))
+						stitch.ProofAdd(negCube(cube), nil)
 					}
 					mu.Lock()
 					refuted++
@@ -393,7 +394,7 @@ func SolveCubes(ctx context.Context, f *cnf.Formula, o CubeOptions) (CubeOutcome
 				for k := 0; k < j; k++ {
 					cl[k] = cnf.MkLit(sel[k], mask>>k&1 == 1).Not()
 				}
-				stitch.ProofAdd(cl)
+				stitch.ProofAdd(cl, nil)
 			}
 		}
 	}

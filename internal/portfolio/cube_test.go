@@ -118,7 +118,7 @@ func TestCubeStitchedProofRoundTrip(t *testing.T) {
 	if out.Result.Status != sat.Unsat || !out.Certified {
 		t.Fatalf("status=%v certified=%v", out.Result.Status, out.Certified)
 	}
-	if out.Proof == nil {
+	if out.Proof.Len() == 0 {
 		t.Fatal("certified UNSAT outcome carries no proof")
 	}
 	var buf bytes.Buffer

@@ -8,24 +8,33 @@ import (
 // analyze derives a first-UIP learnt clause from the conflict, returning the
 // learnt literals (asserting literal first) and the backjump level. It also
 // bumps variable activities, CHB scores, and the paper's per-input-clause
-// activity scores for every clause involved in the resolution.
+// activity scores for every clause involved in the resolution. When a proof
+// writer is attached it leaves the clause's hints (see ProofWriter) in
+// s.hints.
 func (s *Solver) analyze(conflict cref) (learnt []cnf.Lit, backjump int32) {
 	learnt = s.analyzeBuf[:0]
 	learnt = append(learnt, cnf.NoLit) // reserve slot for the asserting literal
+
+	logging := s.proof != nil
+	units := s.hints[:0]      // ids of the root-level units met
+	chain := s.chain[:0]      // ids of the resolved clauses, conflict first
+	cleared := s.clearBuf[:0] // every variable marked seen
 
 	pathC := 0
 	p := cnf.NoLit
 	idx := len(s.trail) - 1
 	c := conflict
 
-	bumped := s.bumpedBuf[:0]
 	for {
+		if logging {
+			chain = append(chain, s.clauseID(c))
+		}
 		if s.ca.learnt(c) {
 			s.claBump(c)
-		}
-		if o := s.ca.orig(c); o >= 0 {
+		} else {
 			// Paper §IV-A: "the activity score of the involved clauses in the
 			// backtrack increases by a constant."
+			o := s.ca.orig(c)
 			s.clauseScore[o] += 1.0
 			if s.confVisits != nil {
 				s.confVisits[o]++
@@ -39,12 +48,19 @@ func (s *Solver) analyze(conflict cref) (learnt []cnf.Lit, backjump int32) {
 				continue
 			}
 			v := q.Var()
-			if s.seen[v] || s.level[v] == 0 {
+			if s.seen[v] {
+				continue
+			}
+			if s.level[v] == 0 {
+				if logging {
+					units = s.hintUnit(units, v)
+					cleared = append(cleared, v)
+				}
 				continue
 			}
 			s.seen[v] = true
 			s.bumpOnConflict(v)
-			bumped = append(bumped, v)
+			cleared = append(cleared, v)
 			if s.level[v] >= s.decisionLevel() {
 				pathC++
 			} else {
@@ -69,17 +85,47 @@ func (s *Solver) analyze(conflict cref) (learnt []cnf.Lit, backjump int32) {
 
 	// Clause minimisation (basic mode): a literal is redundant if its reason
 	// clause is entirely made of seen/root literals.
-	removed := 0
+	removed := s.removedBuf[:0]
 	out := learnt[:1]
 	for _, q := range learnt[1:] {
 		if s.litRedundant(q) {
-			removed++
+			removed = append(removed, q)
 			continue
 		}
 		out = append(out, q)
 	}
-	s.stats.Minimized += int64(removed)
+	s.stats.Minimized += int64(len(removed))
 	learnt = out
+
+	if logging {
+		// Hints: the root-level units, the reasons of the removed literals
+		// in trail order (one may rest on an earlier one), then the resolved
+		// reasons in trail order, ending with the conflict.
+		for i := 1; i < len(removed); i++ {
+			q, j := removed[i], i
+			for ; j > 0 && s.trailPos[removed[j-1].Var()] > s.trailPos[q.Var()]; j-- {
+				removed[j] = removed[j-1]
+			}
+			removed[j] = q
+		}
+		for _, q := range removed {
+			for _, l := range s.ca.lits(s.reason[q.Var()]) {
+				if v := l.Var(); s.level[v] == 0 && !s.seen[v] {
+					units = s.hintUnit(units, v)
+					cleared = append(cleared, v)
+				}
+			}
+		}
+		hints := units
+		for _, q := range removed {
+			hints = append(hints, s.clauseID(s.reason[q.Var()]))
+		}
+		for i := len(chain) - 1; i >= 0; i-- {
+			hints = append(hints, chain[i])
+		}
+		s.hints, s.chain = hints, chain
+	}
+	s.removedBuf = removed
 
 	// Compute backjump level: the second-highest level in the clause.
 	backjump = 0
@@ -94,17 +140,21 @@ func (s *Solver) analyze(conflict cref) (learnt []cnf.Lit, backjump int32) {
 		backjump = s.level[learnt[1].Var()]
 	}
 
-	// Clear seen flags for the learnt literals (the resolved ones were
+	// Every seen variable is in cleared (the resolved ones were also
 	// cleared as we walked the trail).
-	for _, q := range learnt {
-		s.seen[q.Var()] = false
-	}
-	for _, v := range bumped {
+	for _, v := range cleared {
 		s.seen[v] = false
 	}
 	s.analyzeBuf = learnt
-	s.bumpedBuf = bumped[:0]
+	s.clearBuf = cleared
 	return learnt, backjump
+}
+
+// hintUnit appends the unit id of root-level variable v to units and marks v
+// seen, so that a lemma names each unit once. The caller clears the mark.
+func (s *Solver) hintUnit(units []int32, v cnf.Var) []int32 {
+	s.seen[v] = true
+	return append(units, s.unitID[v])
 }
 
 // litRedundant reports whether learnt literal q can be removed because every
@@ -167,27 +217,28 @@ func (s *Solver) handleConflict(conflict cref) bool {
 	if s.decisionLevel() == s.rootLevel {
 		s.status = Unsat
 		s.conflictC = conflict
-		s.proofAdd(nil) // the empty clause: unsatisfiability is established
+		// the empty clause: unsatisfiability is established
+		s.proofRefute(s.ca.lits(conflict), s.clauseID(conflict))
 		if s.trace != nil && s.trace.Enabled() {
 			s.trace.Emit(obs.ConflictEvent{Conflicts: s.stats.Conflicts, Level: level})
 		}
 		return false
 	}
 	learnt, backjump := s.analyze(conflict)
-	s.proofAdd(learnt)
+	id := s.proofAdd(learnt, s.hints)
 	s.cancelUntil(backjump)
 	if s.metrics.LearntLen != nil {
 		s.metrics.LearntLen.Observe(float64(len(learnt)))
 	}
 	lbd := int32(1)
 	if len(learnt) == 1 {
-		if !s.enqueue(learnt[0], crefUndef) {
+		if !s.enqueueUnit(learnt[0], id) {
 			s.status = Unsat
-			s.proofAdd(nil)
+			s.proofRefute(learnt, id)
 			return false
 		}
 	} else {
-		c := s.attachClause(learnt, true, -1)
+		c := s.attachClause(learnt, true, int(id))
 		lbd = s.computeLBD(learnt)
 		s.ca.setLBD(c, lbd)
 		s.stats.Learned++

@@ -31,7 +31,8 @@ func isBinRef(c cref) bool { return c < crefUndef }
 //	data[c+0]  header: size<<hdrSizeShift | flags
 //	data[c+1]  activity (float32 bits); forwarding cref once hdrReloc is set
 //	data[c+2]  LBD
-//	data[c+3]  orig: index of the originating input clause, -1 for learnt
+//	data[c+3]  orig: index of the originating input clause; for a learnt
+//	           clause, the id it was logged under (see ProofWriter)
 //	data[c+4 .. c+4+size)  the literals
 const (
 	hdrLearnt    = 1 << 0 // clause was learnt (participates in activity/reduce)

@@ -30,10 +30,13 @@ func (s *Solver) SolveWithAssumptions(assumptions []cnf.Lit) Result {
 			return Result{Status: Unknown, Stats: s.stats}
 		}
 		conflict := s.propagate()
+		if s.decisionLevel() == 0 {
+			s.logRootUnits()
+		}
 		if conflict != crefUndef {
 			if s.decisionLevel() == 0 {
 				s.status = Unsat
-				s.proofAdd(nil)
+				s.proofRefute(s.ca.lits(conflict), s.clauseID(conflict))
 				return Result{Status: Unsat, Stats: s.stats}
 			}
 			if int(s.decisionLevel()) <= len(assumptions) {
@@ -44,24 +47,22 @@ func (s *Solver) SolveWithAssumptions(assumptions []cnf.Lit) Result {
 				// search), so it belongs in the proof trace.
 				s.stats.Conflicts++
 				learnt, backjump := s.analyze(conflict)
-				s.proofAdd(learnt)
+				id := s.proofAdd(learnt, s.hints)
 				s.cancelUntil(backjump)
 				if len(learnt) == 1 {
-					if !s.enqueue(learnt[0], crefUndef) {
+					if !s.enqueueUnit(learnt[0], id) {
 						s.status = Unsat
-						if s.decisionLevel() == 0 {
-							s.proofAdd(nil)
-						}
+						s.proofRefute(learnt, id)
 						return Result{Status: Unsat, Stats: s.stats}
 					}
 				} else {
-					c := s.attachClause(learnt, true, -1)
+					c := s.attachClause(learnt, true, int(id))
 					s.ca.setLBD(c, s.computeLBD(learnt))
 					s.stats.Learned++
 					if !s.enqueue(learnt[0], c) {
 						s.status = Unsat
 						if s.decisionLevel() == 0 {
-							s.proofAdd(nil)
+							s.proofRefute(learnt, id)
 						}
 						return Result{Status: Unsat, Stats: s.stats}
 					}

@@ -65,6 +65,7 @@ func (s *Solver) reset(f *cnf.Formula, opts Options) {
 	s.assigns = resetSlice(s.assigns, n)
 	s.level = resetSlice(s.level, n)
 	s.reason = resetSlice(s.reason, n)
+	s.trailPos = resetSlice(s.trailPos, n)
 	for i := range s.reason {
 		s.reason[i] = crefUndef
 	}
@@ -84,7 +85,8 @@ func (s *Solver) reset(f *cnf.Formula, opts Options) {
 
 	s.seen = resetSlice(s.seen, n)
 	s.analyzeBuf = emptySlice(s.analyzeBuf, n+1)
-	s.bumpedBuf = emptySlice(s.bumpedBuf, n)
+	s.clearBuf = emptySlice(s.clearBuf, n)
+	s.removedBuf = s.removedBuf[:0]
 	s.lbdSeen = resetSlice(s.lbdSeen, n+1)
 	s.lbdStamp = 0
 
@@ -109,6 +111,11 @@ func (s *Solver) reset(f *cnf.Formula, opts Options) {
 	s.conflictC = crefUndef
 	s.interrupted.Store(false)
 	s.proof = nil
+	s.nextID = int32(len(f.Clauses)) + 1
+	s.unitID = resetSlice(s.unitID, n)
+	s.rootLogged = 0
+	s.hints = s.hints[:0]
+	s.chain = s.chain[:0]
 	s.trace = nil
 	s.metrics = Metrics{}
 	s.forced = s.forced[:0]
@@ -132,6 +139,9 @@ func (s *Solver) reset(f *cnf.Formula, opts Options) {
 		case 0:
 			s.status = Unsat
 		case 1:
+			if s.value(nc[0]) == cnf.Undef {
+				s.unitID[nc[0].Var()] = int32(i) + 1
+			}
 			if !s.enqueue(nc[0], crefUndef) {
 				s.status = Unsat
 			}

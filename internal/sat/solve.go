@@ -44,6 +44,9 @@ func (s *Solver) Step() StepStatus {
 
 	for {
 		conflict := s.propagate()
+		if s.decisionLevel() == 0 {
+			s.logRootUnits()
+		}
 		if conflict == crefUndef {
 			break
 		}

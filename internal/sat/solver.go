@@ -33,6 +33,7 @@ type Solver struct {
 	assigns  []cnf.Value // by Var
 	level    []int32     // decision level of each assigned var
 	reason   []cref      // antecedent clause of each implied var
+	trailPos []int32     // trail index of each assigned var
 	trail    []cnf.Lit
 	trailLim []int // trail index at each decision level
 	qhead    int   // propagation queue head (index into trail)
@@ -53,8 +54,9 @@ type Solver struct {
 	// TestAnalyzeSteadyStateAllocs).
 	seen       []bool
 	analyzeBuf []cnf.Lit
-	bumpedBuf  []cnf.Var
-	lbdSeen    []int64 // per-level stamp for computeLBD
+	clearBuf   []cnf.Var // variables whose seen mark analyze must clear
+	removedBuf []cnf.Lit // literals clause minimisation removed
+	lbdSeen    []int64   // per-level stamp for computeLBD
 	lbdStamp   int64
 
 	// Paper §IV-A: per-input-clause activity, bumped when the clause is
@@ -89,8 +91,19 @@ type Solver struct {
 	// they poll the conflict budget and return Unknown.
 	interrupted atomic.Bool
 
-	// proof, when non-nil, receives every learnt/deleted clause (DRAT trace).
-	proof ProofWriter
+	// proof, when non-nil, receives every learnt/deleted clause with its
+	// hints (see ProofWriter). nextID is the id of the next logged clause;
+	// unitID holds, per root-level variable, the id of the unit clause that
+	// hints name for it (0 until it has one), and rootLogged counts the
+	// trail entries logRootUnits has covered. hints and chain are analyze's
+	// scratch.
+	proof      ProofWriter
+	nextID     int32
+	unitID     []int32
+	rootLogged int
+	unitLit    [1]cnf.Lit
+	hints      []int32
+	chain      []int32
 
 	// trace, when non-nil and enabled, receives conflict/restart events.
 	// Emission sites guard with Enabled() so disabled tracing costs one
@@ -180,6 +193,7 @@ func (s *Solver) enqueue(l cnf.Lit, from cref) bool {
 	}
 	s.level[v] = s.decisionLevel()
 	s.reason[v] = from
+	s.trailPos[v] = int32(len(s.trail))
 	s.trail = append(s.trail, l)
 	if len(s.trail) > s.stats.MaxTrail {
 		s.stats.MaxTrail = len(s.trail)

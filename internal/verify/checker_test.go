@@ -5,8 +5,10 @@ package verify_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"hyqsat/internal/bench"
@@ -70,7 +72,7 @@ func TestCheckUnsatProofMatchesReference(t *testing.T) {
 		}
 		for j, p := range proofs {
 			if err := referenceMismatch(in.f, p); err != nil {
-				t.Fatalf("%s, variant %d (%d steps): %v", in.name, j, len(p), err)
+				t.Fatalf("%s, variant %d (%d steps): %v", in.name, j, p.Len(), err)
 			}
 			checked++
 			if verify.CheckUnsatProof(in.f, p) != nil {
@@ -95,10 +97,86 @@ func TestCheckUnsatProofAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if limit := float64(len(p)) / 4; allocs > limit {
-		t.Fatalf("one-worker check of a %d-step proof: %.0f allocs, want ≤ %.0f", len(p), allocs, limit)
+	if limit := float64(p.Len()) / 4; allocs > limit {
+		t.Fatalf("one-worker check of a %d-step proof: %.0f allocs, want ≤ %.0f", p.Len(), allocs, limit)
 	}
-	t.Logf("%d steps: %.0f allocs", len(p), allocs)
+	t.Logf("%d steps: %.0f allocs", p.Len(), allocs)
+}
+
+// TestCheckHintedProofBytes gates the memory of a hinted check: checking
+// the benchmark fixture by its hints, on one database without watch lists,
+// allocates no more bytes than a one-worker RUP check of the same proof with
+// its hints stripped.
+func TestCheckHintedProofBytes(t *testing.T) {
+	f, p := bench.BuildProofFixture()
+	hinted := checkBytes(t, f, p)
+	rup := checkBytes(t, f, stripHints(p))
+	if hinted > rup {
+		t.Fatalf("hinted check of a %d-step proof allocates %d bytes, the RUP check of it %d", p.Len(), hinted, rup)
+	}
+	t.Logf("%d steps: hinted check %d bytes, RUP check %d bytes", p.Len(), hinted, rup)
+}
+
+// checkBytes returns the fewest bytes a one-worker check of p allocated over
+// three runs.
+func checkBytes(t *testing.T, f *cnf.Formula, p verify.Proof) uint64 {
+	t.Helper()
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := verify.CheckUnsatProofWith(f, p, 1, verify.ProofChunk); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestRecorderBytesPerStep gates the Recorder's footprint: recording the
+// benchmark fixture's hinted proof holds at most 72 bytes per step, the live
+// heap the Recorder held per step of this proof when it kept a Step header
+// and a literal slice per step and recorded no hints.
+func TestRecorderBytesPerStep(t *testing.T) {
+	f, _ := bench.BuildProofFixture()
+	rec := verify.NewRecorder()
+	s := sat.New(f.Copy(), sat.MiniSATOptions())
+	s.SetProofWriter(rec)
+	if s.Solve().Status != sat.Unsat {
+		t.Fatal("fixture not unsatisfiable")
+	}
+	perStep := float64(verify.RecorderBytes(rec)) / float64(rec.Len())
+	if perStep > 72 {
+		t.Fatalf("recorder holds %.1f bytes per step over %d steps, want ≤ 72", perStep, rec.Len())
+	}
+	t.Logf("%d steps: %.1f bytes per step", rec.Len(), perStep)
+}
+
+// TestHybridProofHintsComplete pins hint emission on the hybrid solver's
+// path: the proof of a uuf150 HardwareOptions solve must check with no lemma
+// falling back from its hints to RUP, and check again with its hints
+// stripped.
+func TestHybridProofHintsComplete(t *testing.T) {
+	inst := gen.UnsatisfiableRandom3SAT(150, 645, 1)
+	opts := hyqsat.HardwareOptions()
+	opts.Seed = 1
+	rec := verify.NewRecorder()
+	opts.Proof = rec
+	s := hyqsat.New(inst.Formula, opts)
+	if r := s.Solve(); r.Status != sat.Unsat {
+		t.Fatalf("status %v", r.Status)
+	}
+	fallbacks, err := verify.HintFallbacks(s.ThreeCNF(), rec.Proof())
+	if err != nil {
+		t.Fatalf("proof rejected: %v", err)
+	}
+	if fallbacks != 0 {
+		t.Fatalf("%d of the proof's lemmas fell back from their hints to RUP", fallbacks)
+	}
+	if err := verify.CheckUnsatProof(s.ThreeCNF(), stripHints(rec.Proof())); err != nil {
+		t.Fatalf("proof rejected with its hints stripped: %v", err)
+	}
 }
 
 // BenchmarkCheckUnsatProof times CheckUnsatProof on the shared proof fixture;
@@ -116,59 +194,62 @@ func BenchmarkCheckUnsatProof(b *testing.B) {
 
 // referenceMismatch checks p against f with the reference checker, with
 // CheckUnsatProof, and with CheckUnsatProofWith at 1, 2 and 3 workers and
-// chunks of 1, 7 and ProofChunk additions. It describes the first run whose
-// verdict or error text differs from the reference's, or that modified p,
-// and returns nil when every run agrees.
+// chunks of 1, 7 and ProofChunk additions, each on p as given and on p with
+// its hints stripped. It describes the first run whose verdict or error text
+// differs from the reference's, or that modified p, and returns nil when
+// every run agrees.
 func referenceMismatch(f *cnf.Formula, p verify.Proof) error {
 	want := fmt.Sprint(verify.ReferenceCheckUnsatProof(f, p))
-	orig := cloneProof(p)
+	orig := p.Steps()
+	stripped := stripHints(p)
 	agree := func(name string, err error) error {
 		if got := fmt.Sprint(err); got != want {
 			return fmt.Errorf("%s: got %q, reference %q", name, got, want)
 		}
-		if !reflect.DeepEqual(p, orig) {
+		if !reflect.DeepEqual(p.Steps(), orig) {
 			return fmt.Errorf("%s modified the proof", name)
 		}
 		return nil
 	}
-	if err := agree("CheckUnsatProof", verify.CheckUnsatProof(f, p)); err != nil {
-		return err
-	}
-	for _, workers := range []int{1, 2, 3} {
-		for _, chunk := range []int{1, 7, verify.ProofChunk} {
-			name := fmt.Sprintf("workers=%d chunk=%d", workers, chunk)
-			if err := agree(name, verify.CheckUnsatProofWith(f, p, workers, chunk)); err != nil {
-				return err
+	for _, v := range []struct {
+		name string
+		p    verify.Proof
+	}{{"hinted", p}, {"stripped", stripped}} {
+		if err := agree(v.name+" CheckUnsatProof", verify.CheckUnsatProof(f, v.p)); err != nil {
+			return err
+		}
+		for _, workers := range []int{1, 2, 3} {
+			for _, chunk := range []int{1, 7, verify.ProofChunk} {
+				name := fmt.Sprintf("%s workers=%d chunk=%d", v.name, workers, chunk)
+				if err := agree(name, verify.CheckUnsatProofWith(f, v.p, workers, chunk)); err != nil {
+					return err
+				}
 			}
 		}
 	}
 	return nil
 }
 
-func cloneProof(p verify.Proof) verify.Proof {
-	if p == nil {
-		return nil
+// stripHints returns p without its hints.
+func stripHints(p verify.Proof) verify.Proof {
+	steps := p.Steps()
+	for i := range steps {
+		steps[i].Hints = nil
 	}
-	out := make(verify.Proof, len(p))
-	for i, s := range p {
-		out[i] = verify.Step{Del: s.Del}
-		if s.Lits != nil {
-			out[i].Lits = append(make([]cnf.Lit, 0, len(s.Lits)), s.Lits...)
-		}
-	}
-	return out
+	return verify.NewProof(steps...)
 }
 
 // mutateProof returns corrupted copies of p, a proof for f, one per
 // mutation that applies, each at a position drawn from rng: an addition
 // dropped, a deletion dropped, a literal dropped, a literal flipped, the
 // proof truncated before its last empty clause, two adjacent steps swapped,
-// and a deletion of an earlier clause (literals reversed) inserted before an
-// addition.
+// a deletion of an earlier clause (literals reversed) inserted before an
+// addition, and each of verify.HintMutations' hint corruptions.
 func mutateProof(f *cnf.Formula, p verify.Proof, rng *rand.Rand) []verify.Proof {
+	steps := p.Steps()
 	var adds, dels, lits []int // step indices: additions, deletions, non-empty steps
 	lastEmpty := -1
-	for i, s := range p {
+	for i, s := range steps {
 		switch {
 		case s.Del:
 			dels = append(dels, i)
@@ -182,9 +263,10 @@ func mutateProof(f *cnf.Formula, p verify.Proof, rng *rand.Rand) []verify.Proof 
 		}
 	}
 	pick := func(idx []int) int { return idx[rng.Intn(len(idx))] }
+	clone := p.Steps
 	drop := func(i int) verify.Proof {
-		q := cloneProof(p)
-		return append(q[:i], q[i+1:]...)
+		q := clone()
+		return verify.NewProof(append(q[:i], q[i+1:]...)...)
 	}
 	var out []verify.Proof
 	if len(adds) > 0 {
@@ -194,31 +276,31 @@ func mutateProof(f *cnf.Formula, p verify.Proof, rng *rand.Rand) []verify.Proof 
 		out = append(out, drop(pick(dels)))
 	}
 	if len(lits) > 0 {
-		q := cloneProof(p)
+		q := clone()
 		s := &q[pick(lits)]
 		j := rng.Intn(len(s.Lits))
 		s.Lits = append(s.Lits[:j], s.Lits[j+1:]...)
-		out = append(out, q)
+		out = append(out, verify.NewProof(q...))
 
-		q = cloneProof(p)
+		q = clone()
 		s = &q[pick(lits)]
 		j = rng.Intn(len(s.Lits))
 		s.Lits[j] = s.Lits[j].Not()
-		out = append(out, q)
+		out = append(out, verify.NewProof(q...))
 	}
 	if lastEmpty >= 0 {
-		out = append(out, cloneProof(p[:lastEmpty]))
+		out = append(out, verify.NewProof(steps[:lastEmpty]...))
 	}
-	if len(p) > 1 {
-		q := cloneProof(p)
+	if len(steps) > 1 {
+		q := clone()
 		i := rng.Intn(len(q) - 1)
 		q[i], q[i+1] = q[i+1], q[i]
-		out = append(out, q)
+		out = append(out, verify.NewProof(q...))
 	}
 	if len(adds) > 0 {
 		i := pick(adds)
 		earlier := append([]cnf.Clause(nil), f.Clauses...)
-		for _, s := range p[:i] {
+		for _, s := range steps[:i] {
 			if !s.Del {
 				earlier = append(earlier, s.Lits)
 			}
@@ -228,8 +310,11 @@ func mutateProof(f *cnf.Formula, p verify.Proof, rng *rand.Rand) []verify.Proof 
 		for j, l := range victim {
 			del.Lits[len(victim)-1-j] = l
 		}
-		q := cloneProof(p)
-		out = append(out, append(q[:i], append(verify.Proof{del}, q[i:]...)...))
+		q := clone()
+		out = append(out, verify.NewProof(append(q[:i], append([]verify.Step{del}, q[i:]...)...)...))
+	}
+	for _, q := range verify.HintMutations(f, steps, rng.Intn) {
+		out = append(out, verify.NewProof(q...))
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -11,8 +12,10 @@ import (
 // TestCDCLCorpusCertified is the arena-refactor certification corpus: a
 // randomized mix of uf20–uf100-scale 3-SAT instances straddling the phase
 // transition (so both SAT and UNSAT occur), where every solve is certified —
-// model-checked on SAT, DRAT/RUP-checked on UNSAT — across both baseline
-// configurations. check.sh runs it under the race detector.
+// model-checked on SAT, proof-checked on UNSAT — across both baseline
+// configurations. Every UNSAT proof must check by its hints alone, with no
+// lemma falling back to RUP, and check again with its hints stripped.
+// check.sh runs it under the race detector.
 func TestCDCLCorpusCertified(t *testing.T) {
 	instances := 40
 	if testing.Short() {
@@ -42,6 +45,7 @@ func TestCDCLCorpusCertified(t *testing.T) {
 					t.Fatalf("instance %d (%s, n=%d): DRAT proof rejected: %v\n%s",
 						i, name, n, err, cnf.DIMACSString(f))
 				}
+				checkHintsComplete(t, fmt.Sprintf("instance %d (%s)", i, name), f, rec.Proof())
 			default:
 				t.Fatalf("instance %d (%s): Unknown without a budget", i, name)
 			}
@@ -61,6 +65,31 @@ func TestCDCLCorpusCertified(t *testing.T) {
 		t.Fatalf("corpus was one-sided: %d SAT / %d UNSAT — widen the ratio range", sats, unsats)
 	}
 	t.Logf("certified %d instances (%d SAT, %d UNSAT)", instances, sats, unsats)
+}
+
+// checkHintsComplete fails the test unless p, a solver's UNSAT proof of f,
+// checks with no addition falling back from its hints to RUP, and checks by
+// RUP alone once its hints are stripped: a solver whose hint emission
+// degrades fails here though its proofs still check.
+func checkHintsComplete(t *testing.T, name string, f *cnf.Formula, p Proof) {
+	t.Helper()
+	if !p.hinted {
+		t.Fatalf("%s: the proof carries no hints", name)
+	}
+	fallbacks, err := checkUnsatProof(f, p, 1, proofChunk)
+	if err != nil {
+		t.Fatalf("%s: proof rejected: %v", name, err)
+	}
+	if fallbacks != 0 {
+		t.Fatalf("%s: %d lemmas fell back from their hints to RUP", name, fallbacks)
+	}
+	steps := p.Steps()
+	for i := range steps {
+		steps[i].Hints = nil
+	}
+	if err := CheckUnsatProof(f, NewProof(steps...)); err != nil {
+		t.Fatalf("%s: proof rejected with its hints stripped: %v", name, err)
+	}
 }
 
 // certCorpus returns the first instances formulas of the certification

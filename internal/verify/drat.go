@@ -15,58 +15,17 @@ import (
 	"hyqsat/internal/sat"
 )
 
-// Step is one line of a DRAT proof: a clause addition (the clause must be a
-// RUP consequence of everything before it) or a clause deletion.
-type Step struct {
-	Del  bool
-	Lits []cnf.Lit
-}
-
-// Proof is an ordered DRAT proof trace. An addition step with no literals is
-// the empty clause, which concludes an unsatisfiability proof.
-type Proof []Step
-
-// --- Capturing proofs from the solver ---
-
 var (
-	_ sat.ProofWriter = (*Recorder)(nil)
 	_ sat.ProofWriter = (*TextWriter)(nil)
 	_ sat.ProofWriter = tee{}
 )
 
-// Recorder is an in-memory sat.ProofWriter. It copies every clause it
-// receives, so the recorded proof stays valid after the solver moves on.
-// A Recorder is not safe for concurrent use; attach one recorder per solver.
-type Recorder struct {
-	steps Proof
-}
-
-// NewRecorder returns an empty proof recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
-
-// ProofAdd implements sat.ProofWriter.
-func (r *Recorder) ProofAdd(lits []cnf.Lit) {
-	r.steps = append(r.steps, Step{Lits: append([]cnf.Lit(nil), lits...)})
-}
-
-// ProofDelete implements sat.ProofWriter.
-func (r *Recorder) ProofDelete(lits []cnf.Lit) {
-	r.steps = append(r.steps, Step{Del: true, Lits: append([]cnf.Lit(nil), lits...)})
-}
-
-// Proof returns the recorded trace. The caller must not mutate it while the
-// solver is still running.
-func (r *Recorder) Proof() Proof { return r.steps }
-
-// Len returns the number of recorded steps.
-func (r *Recorder) Len() int { return len(r.steps) }
-
 // tee fans proof events out to several writers.
 type tee struct{ ws []sat.ProofWriter }
 
-func (t tee) ProofAdd(lits []cnf.Lit) {
+func (t tee) ProofAdd(lits []cnf.Lit, hints []int32) {
 	for _, w := range t.ws {
-		w.ProofAdd(lits)
+		w.ProofAdd(lits, hints)
 	}
 }
 
@@ -95,8 +54,9 @@ func Tee(ws ...sat.ProofWriter) sat.ProofWriter {
 }
 
 // TextWriter is a sat.ProofWriter that streams the trace as DRAT text
-// ("-1 2 0" additions, "d -1 2 0" deletions). Errors are sticky and
-// reported by Flush, matching the write-mostly shape of proof logging.
+// ("-1 2 0" additions, "d -1 2 0" deletions); hints are not written, so the
+// text is plain DRAT. Errors are sticky and reported by Flush, matching the
+// write-mostly shape of proof logging.
 type TextWriter struct {
 	bw  *bufio.Writer
 	err error
@@ -121,8 +81,8 @@ func (t *TextWriter) writeClause(prefix string, lits []cnf.Lit) {
 	_, t.err = t.bw.WriteString(sb.String())
 }
 
-// ProofAdd implements sat.ProofWriter.
-func (t *TextWriter) ProofAdd(lits []cnf.Lit) { t.writeClause("", lits) }
+// ProofAdd implements sat.ProofWriter. The hints are dropped.
+func (t *TextWriter) ProofAdd(lits []cnf.Lit, _ []int32) { t.writeClause("", lits) }
 
 // ProofDelete implements sat.ProofWriter.
 func (t *TextWriter) ProofDelete(lits []cnf.Lit) { t.writeClause("d ", lits) }
@@ -135,14 +95,15 @@ func (t *TextWriter) Flush() error {
 	return t.bw.Flush()
 }
 
-// WriteDRAT serialises a recorded proof as DRAT text.
+// WriteDRAT serialises a recorded proof as DRAT text, without its hints.
 func WriteDRAT(w io.Writer, p Proof) error {
 	tw := NewTextWriter(w)
-	for _, s := range p {
-		if s.Del {
-			tw.ProofDelete(s.Lits)
+	r := p.reader()
+	for r.next() {
+		if r.del {
+			tw.ProofDelete(r.lits)
 		} else {
-			tw.ProofAdd(s.Lits)
+			tw.ProofAdd(r.lits, nil)
 		}
 	}
 	return tw.Flush()
@@ -154,9 +115,10 @@ const maxProofVar = 1 << 24
 
 // ParseDRAT reads a DRAT text proof: one clause per line, "d " prefix for
 // deletions, literals in DIMACS encoding, each clause terminated by 0.
-// Comment lines starting with "c" are ignored.
+// Comment lines starting with "c" are ignored. The proof has no hints.
 func ParseDRAT(r io.Reader) (Proof, error) {
-	var p Proof
+	var p proofLog
+	var lits []cnf.Lit
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
 	lineNo := 0
@@ -166,44 +128,45 @@ func ParseDRAT(r io.Reader) (Proof, error) {
 		if line == "" || strings.HasPrefix(line, "c") {
 			continue
 		}
-		step := Step{}
+		del := false
+		lits = lits[:0]
 		if line == "d" || strings.HasPrefix(line, "d ") {
-			step.Del = true
+			del = true
 			line = strings.TrimSpace(strings.TrimPrefix(line, "d"))
 		}
 		terminated := false
 		for _, tok := range strings.Fields(line) {
 			if terminated {
-				return nil, fmt.Errorf("verify: drat line %d: literals after terminating 0", lineNo)
+				return Proof{}, fmt.Errorf("verify: drat line %d: literals after terminating 0", lineNo)
 			}
 			d, err := strconv.Atoi(tok)
 			if err != nil {
-				return nil, fmt.Errorf("verify: drat line %d: bad literal %q", lineNo, tok)
+				return Proof{}, fmt.Errorf("verify: drat line %d: bad literal %q", lineNo, tok)
 			}
 			if d == 0 {
 				if tok != "0" {
-					return nil, fmt.Errorf("verify: drat line %d: bad literal %q", lineNo, tok)
+					return Proof{}, fmt.Errorf("verify: drat line %d: bad literal %q", lineNo, tok)
 				}
 				terminated = true
 				continue
 			}
 			if d > maxProofVar || d < -maxProofVar {
-				return nil, fmt.Errorf("verify: drat line %d: literal %d out of range", lineNo, d)
+				return Proof{}, fmt.Errorf("verify: drat line %d: literal %d out of range", lineNo, d)
 			}
-			step.Lits = append(step.Lits, cnf.LitFromDimacs(d))
+			lits = append(lits, cnf.LitFromDimacs(d))
 		}
 		if !terminated {
-			return nil, fmt.Errorf("verify: drat line %d: clause not terminated by 0", lineNo)
+			return Proof{}, fmt.Errorf("verify: drat line %d: clause not terminated by 0", lineNo)
 		}
-		p = append(p, step)
+		p.add(del, lits, nil)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("verify: drat read: %w", err)
+		return Proof{}, fmt.Errorf("verify: drat read: %w", err)
 	}
-	return p, nil
+	return p.proof(), nil
 }
 
-// --- RUP proof checking ---
+// --- Proof checking ---
 
 // proofChunk is how many consecutive additions one worker RUP-checks before
 // the next chunk falls to the next worker.
@@ -222,52 +185,80 @@ const proofChunk = 256
 // mention variables of f — a constraint every RUP proof of f can satisfy —
 // which keeps the checker's memory bounded by the premise.
 //
-// Long proofs are checked by up to GOMAXPROCS workers. Each replays every
-// step into its own database but RUP-checks only its share of the additions
-// (chunks of proofChunk, dealt round robin), so each lemma is checked against
-// the database a sequential replay would hold at that step. The verdict and
-// the error — the lowest failing step — are those of a sequential check. The
-// caller's proof is only read.
+// A hinted proof (see sat.ProofWriter for the ids and the hint order) is
+// first checked on one clause database with no watch lists: each addition
+// is verified by walking its hints, one linear pass over the hinted clauses
+// with no propagation search, and an empty clause verified that way accepts
+// the proof. A walk that fails — a hint naming an unknown, deleted or later
+// id, or a hinted clause that is neither unit nor falsified — ends this
+// pass, and the proof is checked again from the start as below, with the
+// additions before the failed one trusted and each later one trying its
+// hints before a full RUP check. Hints therefore cost time when wrong but
+// never change a verdict.
+//
+// A proof without hints (DRAT text, a stitched cube proof), or the rest of a
+// hinted one after a failed walk, is checked by up to GOMAXPROCS workers.
+// Each replays every step into its own database but RUP-checks only its
+// share of the additions (chunks of proofChunk, dealt round robin), so each
+// lemma is checked against the database a sequential replay would hold at
+// that step. The verdict and the error — the lowest failing step — are
+// those of a sequential check. The caller's proof is only read.
 //
 // A nil error means f is unsatisfiable, certified without trusting the
 // solver that produced the proof.
 func CheckUnsatProof(f *cnf.Formula, p Proof) error {
-	return checkUnsatProof(f, p, runtime.GOMAXPROCS(0), proofChunk)
+	_, err := checkUnsatProof(f, p, runtime.GOMAXPROCS(0), proofChunk)
+	return err
 }
 
 // checkUnsatProof is CheckUnsatProof over at most workers workers, dealing
-// the additions out in chunks of chunk. Proofs with fewer than two chunks of
-// additions are checked on the calling goroutine.
-func checkUnsatProof(f *cnf.Formula, p Proof, workers, chunk int) error {
-	adds, addLits := 0, 0
-	for i, s := range p {
-		for _, l := range s.Lits {
-			if l < 0 || int(l.Var()) >= f.NumVars {
-				return fmt.Errorf("verify: proof step %d mentions variable %d beyond the formula's %d",
-					i, l.Var()+1, f.NumVars)
+// the RUP-checked additions out in chunks of chunk. Proofs with fewer than
+// two chunks of additions are checked on the calling goroutine. It also
+// returns how many additions fell back from their hints to a RUP check (for
+// a proof without hints, every addition that was checked).
+func checkUnsatProof(f *cnf.Formula, p Proof, workers, chunk int) (fallbacks int, err error) {
+	if int64(p.maxLit) >= 2*int64(f.NumVars) {
+		r := p.reader()
+		for i := 0; r.next(); i++ {
+			for _, l := range r.lits {
+				if l < 0 || int(l.Var()) >= f.NumVars {
+					return 0, fmt.Errorf("verify: proof step %d mentions variable %d beyond the formula's %d",
+						i, l.Var()+1, f.NumVars)
+				}
 			}
 		}
-		if !s.Del {
-			adds++
-			addLits += len(s.Lits)
+	}
+	adds, addLits := p.adds, p.addLits
+	trusted := 0 // additions before this step are known RUP consequences
+	if p.hinted {
+		ck := newChecker(f, adds, addLits)
+		ck.ids = newIDs(len(f.Clauses) + adds)
+		var refuted bool
+		if trusted, refuted = ck.walkProof(f, p); refuted {
+			return 0, nil
 		}
 	}
 	if chunks := (adds + chunk - 1) / chunk; workers > chunks {
 		workers = chunks
 	}
-	// Each worker reports its first failing step (or -1) and whether its
-	// database derived the empty clause; stop lets workers skip the steps
-	// past the lowest failure seen so far.
+	// Each worker reports its first failing step (or -1), whether its
+	// database derived the empty clause, and its fallback count; stop lets
+	// workers skip the steps past the lowest failure seen so far.
 	type outcome struct {
-		fail    int
-		refuted bool
+		fail, fallbacks int
+		refuted         bool
 	}
 	outs := make([]outcome, max(workers, 1))
 	var stop atomic.Int64
 	stop.Store(math.MaxInt64)
 	check := func(id int) {
-		fail, refuted := newChecker(f, adds, addLits).run(f, p, id, len(outs), chunk, &stop)
-		outs[id] = outcome{fail, refuted}
+		ck := newChecker(f, adds, addLits)
+		ck.watches = newWatches(f)
+		if p.hinted {
+			ck.ids = newIDs(len(f.Clauses) + adds)
+		}
+		o := &outs[id]
+		o.fail, o.refuted, o.fallbacks = ck.run(f, p, trusted, id, len(outs), chunk, &stop)
 	}
 	var wg sync.WaitGroup
 	for id := 1; id < len(outs); id++ {
@@ -285,14 +276,15 @@ func checkUnsatProof(f *cnf.Formula, p Proof, workers, chunk int) error {
 			fail = o.fail
 		}
 		refuted = refuted || o.refuted
+		fallbacks += o.fallbacks
 	}
 	if fail >= 0 {
-		return fmt.Errorf("verify: proof step %d is not a RUP consequence: %v", fail, clauseString(p[fail].Lits))
+		return fallbacks, fmt.Errorf("verify: proof step %d is not a RUP consequence: %v", fail, clauseString(p.step(fail).Lits))
 	}
 	if refuted {
-		return nil
+		return fallbacks, nil
 	}
-	return fmt.Errorf("verify: proof does not derive the empty clause (%d steps checked)", len(p))
+	return fallbacks, fmt.Errorf("verify: proof does not derive the empty clause (%d steps checked)", p.Len())
 }
 
 func clauseString(lits []cnf.Lit) string {
@@ -323,18 +315,21 @@ type watch struct {
 }
 
 // checker is a unit-propagation engine over a growing clause database,
-// supporting temporary assumptions (for RUP checks) via trail truncation.
-// The clause database is one flat arena; deletions find their clause through
-// a hash table of normalised literal sets whose chains run through the clause
-// headers.
+// supporting temporary assumptions (for RUP checks and hint walks) via trail
+// truncation. The clause database is one flat arena; deletions find their
+// clause through a hash table of normalised literal sets whose chains run
+// through the clause headers, and hints through ids, which maps a clause id
+// to its arena offset. Watch lists and ids are allocated only when a check
+// needs them: a hint walk uses no watches, and a proof without hints no ids.
 type checker struct {
 	arena    []cnf.Lit
 	buckets  []int32 // hash of normalised literals → first clause offset, or -1
 	mask     uint32
+	ids      []int32   // clause id → arena offset, or -1
 	watches  [][]watch // lit → watches of clauses that lit falsifies
 	vals     []int8    // lit → 1 true, -1 false, 0 unassigned
 	trail    []cnf.Lit
-	marks    []uint32 // lit → stamp, for comparing literal sets on deletion
+	marks    []uint32 // lit → stamp, for normalising and comparing literal sets
 	stamp    uint32
 	scratch  []cnf.Lit // normalisation buffer
 	rootDone int       // trail entries already propagated at the root level
@@ -357,8 +352,21 @@ func newChecker(f *cnf.Formula, adds, addLits int) *checker {
 		buckets[i] = -1
 	}
 	nlits := 2 * f.NumVars
-	// Carve every watch list's initial capacity from one block: room for
-	// the premise's two watches per clause, twice over.
+	return &checker{
+		arena:   make([]cnf.Lit, 0, size),
+		buckets: buckets,
+		mask:    uint32(nb - 1),
+		vals:    make([]int8, nlits),
+		trail:   make([]cnf.Lit, 0, f.NumVars),
+		marks:   make([]uint32, nlits),
+	}
+}
+
+// newWatches returns empty watch lists for f's literals, every list's
+// initial capacity carved from one block: room for the premise's two
+// watches per clause, twice over.
+func newWatches(f *cnf.Formula) [][]watch {
+	nlits := 2 * f.NumVars
 	watches := make([][]watch, nlits)
 	if nlits > 0 {
 		per := 4*len(f.Clauses)/nlits + 4
@@ -367,84 +375,116 @@ func newChecker(f *cnf.Formula, adds, addLits int) *checker {
 			watches[l] = block[l*per : l*per : (l+1)*per]
 		}
 	}
-	return &checker{
-		arena:   make([]cnf.Lit, 0, size),
-		buckets: buckets,
-		mask:    uint32(nb - 1),
-		watches: watches,
-		vals:    make([]int8, nlits),
-		trail:   make([]cnf.Lit, 0, f.NumVars),
-		marks:   make([]uint32, nlits),
+	return watches
+}
+
+// newIDs returns an id table for n clauses (ids 1..n), all unknown.
+func newIDs(n int) []int32 {
+	ids := make([]int32, n+1)
+	for i := range ids {
+		ids[i] = -1
 	}
+	return ids
+}
+
+// walkProof loads f and checks p by its hints alone, on a checker without
+// watches: each addition must be derived by walking its hints, and is then
+// stored, with no root propagation. It returns refuted once an empty clause
+// is derived, and otherwise the step at which it stopped: the first addition
+// its hints do not derive, or p.Len() when none derived the empty clause.
+func (ck *checker) walkProof(f *cnf.Formula, p Proof) (stop int, refuted bool) {
+	for i, c := range f.Clauses {
+		ck.ids[i+1], _ = ck.store(c)
+	}
+	id := int32(len(f.Clauses))
+	r := p.reader()
+	for i := 0; r.next(); i++ {
+		if r.del {
+			ck.delete(r.lits)
+			continue
+		}
+		id++
+		if !ck.walk(r.lits, r.hints, id) {
+			return i, false
+		}
+		if len(r.lits) == 0 {
+			return i, true
+		}
+		ck.ids[id], _ = ck.store(r.lits)
+	}
+	return p.Len(), false
 }
 
 // run loads f, then replays p: every deletion, and every addition followed
-// by root propagation. It RUP-checks the additions of chunks k with
-// k mod workers == id and returns the step of the first that fails (or -1),
-// and whether the database derived the empty clause. A failure lowers *stop
-// to its step, and every worker gives up once its steps pass *stop.
-func (ck *checker) run(f *cnf.Formula, p Proof, id, workers, chunk int, stop *atomic.Int64) (fail int, refuted bool) {
-	for _, c := range f.Clauses {
-		ck.add(c)
+// by root propagation. From step trusted on, it checks the additions of
+// chunks k with k mod workers == id, each by its hints or else by RUP, and
+// returns the step of the first that fails (or -1), whether the database
+// derived the empty clause, and how many additions fell back to RUP. A
+// failure lowers *stop to its step, and every worker gives up once its steps
+// pass *stop.
+func (ck *checker) run(f *cnf.Formula, p Proof, trusted, id, workers, chunk int, stop *atomic.Int64) (fail int, refuted bool, fallbacks int) {
+	for i, c := range f.Clauses {
+		ck.setID(int32(i)+1, ck.add(c))
 	}
 	if ck.propagateRoot() {
-		return -1, true // the formula propagates to a conflict on its own
+		return -1, true, 0 // the formula propagates to a conflict on its own
 	}
 	adds := 0
-	for i, s := range p {
+	r := p.reader()
+	for i := 0; r.next(); i++ {
 		if int64(i) > stop.Load() {
-			return -1, false // an earlier step already failed
+			return -1, false, fallbacks // an earlier step already failed
 		}
-		if s.Del {
-			ck.delete(s.Lits)
+		if r.del {
+			ck.delete(r.lits)
 			continue
 		}
-		if (adds/chunk)%workers == id && !ck.checkRUP(s.Lits) {
-			for cur := stop.Load(); int64(i) < cur; cur = stop.Load() {
-				if stop.CompareAndSwap(cur, int64(i)) {
-					break
+		lemma := int32(len(f.Clauses) + adds + 1)
+		if i >= trusted && (adds/chunk)%workers == id && !ck.walk(r.lits, r.hints, lemma) {
+			fallbacks++
+			if !ck.checkRUP(r.lits) {
+				for cur := stop.Load(); int64(i) < cur; cur = stop.Load() {
+					if stop.CompareAndSwap(cur, int64(i)) {
+						break
+					}
 				}
+				return i, false, fallbacks
 			}
-			return i, false
 		}
 		adds++
-		ck.add(s.Lits)
+		ck.setID(lemma, ck.add(r.lits))
 		if ck.propagateRoot() {
-			return -1, true // empty clause derived
+			return -1, true, fallbacks // empty clause derived
 		}
 	}
-	return -1, false
+	return -1, false, fallbacks
 }
 
-// normalize sorts a copy of lits into the scratch buffer and drops duplicate
-// literals. It also returns the hash of the result and whether it is a
+// setID records clause id's arena offset when the checker keeps ids.
+func (ck *checker) setID(id, c int32) {
+	if ck.ids != nil {
+		ck.ids[id] = c
+	}
+}
+
+// normalize copies lits into the scratch buffer without duplicate literals,
+// leaving every literal of the result marked with the current stamp. It
+// also returns an order-independent hash of the result and whether it is a
 // tautology.
 func (ck *checker) normalize(lits []cnf.Lit) (norm []cnf.Lit, hash uint32, taut bool) {
-	n := append(ck.scratch[:0], lits...)
+	ck.stamp++
+	n := ck.scratch[:0]
+	for _, l := range lits {
+		if ck.marks[l] == ck.stamp {
+			continue
+		}
+		taut = taut || ck.marks[l^1] == ck.stamp
+		ck.marks[l] = ck.stamp
+		n = append(n, l)
+		hash += (uint32(l) + 1) * 0x9e3779b1
+	}
 	ck.scratch = n
-	for i := 1; i < len(n); i++ {
-		l, j := n[i], i
-		for ; j > 0 && n[j-1] > l; j-- {
-			n[j] = n[j-1]
-		}
-		n[j] = l
-	}
-	hash = 2166136261
-	k := 0
-	for _, l := range n {
-		if k > 0 {
-			if l == n[k-1] {
-				continue
-			}
-			if l == n[k-1]^1 {
-				taut = true
-			}
-		}
-		n[k] = l
-		k++
-		hash = (hash ^ uint32(l)) * 16777619
-	}
-	return n[:k], hash, taut
+	return n, hash ^ hash>>15, taut
 }
 
 func (ck *checker) assign(l cnf.Lit) {
@@ -453,17 +493,33 @@ func (ck *checker) assign(l cnf.Lit) {
 	ck.trail = append(ck.trail, l)
 }
 
-// add installs a clause into the database at the root level. Clauses that
+// store appends the normalised clause to the arena and its hash bucket,
+// returning its offset and whether it is a tautology. Every clause is
+// stored, tautologies, units and the empty clause included, so that a
+// deletion or a hint can find it.
+func (ck *checker) store(lits []cnf.Lit) (c int32, taut bool) {
+	norm, hash, taut := ck.normalize(lits)
+	c = int32(len(ck.arena))
+	b := hash & ck.mask
+	ck.arena = append(ck.arena, cnf.Lit(len(norm)), cnf.Lit(ck.buckets[b]))
+	ck.arena = append(ck.arena, norm...)
+	ck.buckets[b] = c
+	return c, taut
+}
+
+// add installs a clause into the database at the root level and returns its
+// offset, or -1 once the database has derived the empty clause. Clauses that
 // are unit (or falsified) under the current root assignment enqueue their
 // consequence (or set the conflict flag) immediately.
-func (ck *checker) add(lits []cnf.Lit) {
+func (ck *checker) add(lits []cnf.Lit) int32 {
 	if ck.conflict {
-		return
+		return -1
 	}
-	norm, hash, taut := ck.normalize(lits)
+	c, taut := ck.store(lits)
+	norm := ck.arena[int(c)+hdrLen:]
 	if len(norm) == 0 {
 		ck.conflict = true
-		return
+		return c
 	}
 	// Choose up to two non-false literals, moving them to the front.
 	w := 0
@@ -473,19 +529,12 @@ func (ck *checker) add(lits []cnf.Lit) {
 			w++
 		}
 	}
-	// Every clause is stored, tautologies and units included, so that a
-	// deletion can match it.
-	c := int32(len(ck.arena))
-	b := hash & ck.mask
-	ck.arena = append(ck.arena, cnf.Lit(len(norm)), cnf.Lit(ck.buckets[b]))
-	ck.arena = append(ck.arena, norm...)
-	ck.buckets[b] = c
 	switch {
 	case taut:
-		return // never propagates
+		return c // never propagates
 	case w == 0:
 		ck.conflict = true
-		return
+		return c
 	case w == 1 && ck.vals[norm[0]] == 0:
 		ck.assign(norm[0])
 	}
@@ -496,15 +545,12 @@ func (ck *checker) add(lits []cnf.Lit) {
 		ck.watches[norm[0]^1] = append(ck.watches[norm[0]^1], watch{c, norm[1]})
 		ck.watches[norm[1]^1] = append(ck.watches[norm[1]^1], watch{c, norm[0]})
 	}
+	return c
 }
 
 // delete removes one live instance of the clause, if present.
 func (ck *checker) delete(lits []cnf.Lit) {
 	norm, hash, _ := ck.normalize(lits)
-	ck.stamp++
-	for _, l := range norm {
-		ck.marks[l] = ck.stamp
-	}
 	b := hash & ck.mask
 	prev := int32(-1)
 	for c := ck.buckets[b]; c >= 0; c = int32(ck.arena[c+hdrNext]) {
@@ -618,10 +664,72 @@ func (ck *checker) checkRUP(lits []cnf.Lit) bool {
 	if !conflict {
 		conflict = ck.propagate(mark)
 	}
+	ck.undo(mark)
+	return conflict
+}
+
+// walk reports whether hints derive lits, the addition with the given id,
+// by unit propagation along them alone: with the negation of lits assigned
+// on top of the root assignment, each hinted clause in turn must be unit,
+// and its literal is assigned, until one is falsified. A hint naming no live
+// clause of a lower id, or a hinted clause that is satisfied or has two
+// unassigned literals, fails the walk. The trail is restored afterwards.
+func (ck *checker) walk(lits []cnf.Lit, hints []int32, id int32) bool {
+	if len(hints) == 0 {
+		return false
+	}
+	mark := len(ck.trail)
+	ok := ck.walkHints(lits, hints, id)
+	ck.undo(mark)
+	return ok
+}
+
+func (ck *checker) walkHints(lits []cnf.Lit, hints []int32, id int32) bool {
+	for _, l := range lits {
+		if v := ck.vals[l]; v == 1 {
+			return true // ¬l contradicts the current assignment
+		} else if v == 0 {
+			ck.assign(l ^ 1)
+		}
+	}
+	vals, arena, ids := ck.vals, ck.arena, ck.ids
+	for _, h := range hints {
+		if h <= 0 || h >= id || ids[h] < 0 {
+			return false
+		}
+		c := int(ids[h])
+		size := int(arena[c+hdrSize])
+		if size < 0 {
+			return false // deleted
+		}
+		// Most literals of a hinted clause are false: test for that first.
+		unit, free := cnf.NoLit, 0
+		for _, l := range arena[c+hdrLen : c+hdrLen+size] {
+			if v := vals[l]; v >= 0 {
+				if v > 0 {
+					return false // satisfied
+				}
+				unit = l
+				free++
+			}
+		}
+		switch free {
+		case 0:
+			return true // falsified: the conflict
+		case 1:
+			ck.assign(unit)
+		default:
+			return false
+		}
+	}
+	return false
+}
+
+// undo unassigns the trail entries from mark on.
+func (ck *checker) undo(mark int) {
 	for _, l := range ck.trail[mark:] {
 		ck.vals[l] = 0
 		ck.vals[l^1] = 0
 	}
 	ck.trail = ck.trail[:mark]
-	return conflict
 }

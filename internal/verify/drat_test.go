@@ -118,7 +118,7 @@ func TestProofForSatisfiableFormulaRejected(t *testing.T) {
 	if err := CheckUnsatProof(satF, proof); err == nil {
 		t.Fatal("proof accepted against a satisfiable premise")
 	}
-	if err := CheckUnsatProof(satF, nil); err == nil {
+	if err := CheckUnsatProof(satF, Proof{}); err == nil {
 		t.Fatal("empty proof accepted against a satisfiable premise")
 	}
 }
@@ -126,8 +126,8 @@ func TestProofForSatisfiableFormulaRejected(t *testing.T) {
 func TestMutatedProofRejected(t *testing.T) {
 	php := pigeonhole(4, 3)
 	r, proof := solveWithProof(php, sat.MiniSATOptions())
-	if r.Status != sat.Unsat || len(proof) == 0 {
-		t.Fatalf("unexpected: status=%v steps=%d", r.Status, len(proof))
+	if r.Status != sat.Unsat || proof.Len() == 0 {
+		t.Fatalf("unexpected: status=%v steps=%d", r.Status, proof.Len())
 	}
 	if err := CheckUnsatProof(php, proof); err != nil {
 		t.Fatalf("baseline proof rejected: %v", err)
@@ -135,7 +135,7 @@ func TestMutatedProofRejected(t *testing.T) {
 
 	// A non-consequence step injected at the front must be caught: no unit
 	// clause is RUP for the pigeonhole formula at step 0.
-	corrupted := append(Proof{{Lits: []cnf.Lit{cnf.Pos(0)}}}, proof...)
+	corrupted := NewProof(append([]Step{{Lits: []cnf.Lit{cnf.Pos(0)}}}, proof.Steps()...)...)
 	if err := CheckUnsatProof(php, corrupted); err == nil {
 		t.Fatal("corrupted proof (bogus leading unit) accepted")
 	}
@@ -150,11 +150,11 @@ func TestMutatedProofRejected(t *testing.T) {
 	// break the derivation: turn each addition into (delete everything it
 	// would propagate with) — approximated by deleting the entire formula
 	// first, after which nothing non-trivial is RUP.
-	var wipe Proof
+	var wipe []Step
 	for _, c := range php.Clauses {
 		wipe = append(wipe, Step{Del: true, Lits: c})
 	}
-	if err := CheckUnsatProof(php, append(wipe, proof...)); err == nil {
+	if err := CheckUnsatProof(php, NewProof(append(wipe, proof.Steps()...)...)); err == nil {
 		t.Fatal("proof accepted after deleting all premises")
 	}
 }
@@ -169,14 +169,14 @@ func TestDeletionChangesRUPStatus(t *testing.T) {
 	f.Add(-1, 2)
 	f.Add(-1, -2)
 
-	good := Proof{{Lits: []cnf.Lit{cnf.Pos(0)}}}
+	good := NewProof(Step{Lits: []cnf.Lit{cnf.Pos(0)}})
 	if err := CheckUnsatProof(f, good); err != nil {
 		t.Fatalf("valid proof rejected: %v", err)
 	}
-	bad := Proof{
-		{Del: true, Lits: cnf.NewClause(1, 2)},
-		{Lits: []cnf.Lit{cnf.Pos(0)}},
-	}
+	bad := NewProof(
+		Step{Del: true, Lits: cnf.NewClause(1, 2)},
+		Step{Lits: []cnf.Lit{cnf.Pos(0)}},
+	)
 	if err := CheckUnsatProof(f, bad); err == nil {
 		t.Fatal("proof accepted though its premise was deleted")
 	}
@@ -193,15 +193,16 @@ func TestDRATTextRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(parsed) != len(proof) {
-		t.Fatalf("round trip changed step count: %d vs %d", len(parsed), len(proof))
+	ps, want := parsed.Steps(), proof.Steps()
+	if len(ps) != len(want) {
+		t.Fatalf("round trip changed step count: %d vs %d", len(ps), len(want))
 	}
-	for i := range proof {
-		if parsed[i].Del != proof[i].Del || len(parsed[i].Lits) != len(proof[i].Lits) {
+	for i := range want {
+		if ps[i].Del != want[i].Del || len(ps[i].Lits) != len(want[i].Lits) || ps[i].Hints != nil {
 			t.Fatalf("step %d shape mismatch", i)
 		}
-		for j := range proof[i].Lits {
-			if parsed[i].Lits[j] != proof[i].Lits[j] {
+		for j := range want[i].Lits {
+			if ps[i].Lits[j] != want[i].Lits[j] {
 				t.Fatalf("step %d literal %d mismatch", i, j)
 			}
 		}
@@ -229,8 +230,8 @@ func TestParseDRATErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p) != 3 || p[0].Del || !p[1].Del || len(p[2].Lits) != 0 {
-		t.Fatalf("unexpected parse: %+v", p)
+	if ps := p.Steps(); len(ps) != 3 || ps[0].Del || !ps[1].Del || len(ps[2].Lits) != 0 {
+		t.Fatalf("unexpected parse: %+v", ps)
 	}
 }
 
@@ -238,7 +239,7 @@ func TestProofMentioningForeignVariableRejected(t *testing.T) {
 	f := cnf.New(1)
 	f.Add(1)
 	f.Add(-1)
-	p := Proof{{Lits: []cnf.Lit{cnf.Pos(5)}}}
+	p := NewProof(Step{Lits: []cnf.Lit{cnf.Pos(5)}})
 	if err := CheckUnsatProof(f, p); err == nil {
 		t.Fatal("proof over foreign variables accepted")
 	}

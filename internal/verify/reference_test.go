@@ -13,11 +13,12 @@ import (
 // id-only watch lists, map-based normalisation and string deletion keys — as
 // the oracle the production checker in drat.go is compared against
 // (TestCheckUnsatProofMatchesReference, FuzzProofCheck). Verdicts and error
-// text must match it exactly.
+// text must match it exactly, whatever hints a proof carries.
 
 // referenceCheckUnsatProof is the original body of CheckUnsatProof, kept
-// verbatim.
-func referenceCheckUnsatProof(f *cnf.Formula, p Proof) error {
+// verbatim but for decoding the proof's steps first. It ignores hints.
+func referenceCheckUnsatProof(f *cnf.Formula, proof Proof) error {
+	p := proof.Steps()
 	for i, s := range p {
 		for _, l := range s.Lits {
 			if int(l.Var()) >= f.NumVars {

@@ -21,23 +21,27 @@ var _ sat.ProofWriter = (*SharedRecorder)(nil)
 // derivation order), and keeping every addition alive only makes the
 // checker's propagation stronger.
 //
+// Hints are dropped too: clause ids are solver-local (each solver numbers
+// its own additions after the premise), so one solver's hints would name
+// another's clauses in the merged log. A stitched proof is checked by RUP.
+//
 // A certificate is Snapshot() taken at verdict time: the verdict's empty
 // clause is already in the log (solvers log before returning), appends that
 // arrive afterwards are excluded, and the checker accepts as soon as the
 // empty clause is derived.
 type SharedRecorder struct {
-	mu    sync.Mutex
-	steps Proof
+	mu  sync.Mutex
+	log proofLog
 }
 
 // NewSharedRecorder returns an empty shared proof log.
 func NewSharedRecorder() *SharedRecorder { return &SharedRecorder{} }
 
-// ProofAdd implements sat.ProofWriter. Safe for concurrent use.
-func (r *SharedRecorder) ProofAdd(lits []cnf.Lit) {
-	cp := append([]cnf.Lit(nil), lits...)
+// ProofAdd implements sat.ProofWriter, dropping the hints (see type
+// comment). Safe for concurrent use.
+func (r *SharedRecorder) ProofAdd(lits []cnf.Lit, _ []int32) {
 	r.mu.Lock()
-	r.steps = append(r.steps, Step{Lits: cp})
+	r.log.add(false, lits, nil)
 	r.mu.Unlock()
 }
 
@@ -45,10 +49,10 @@ func (r *SharedRecorder) ProofAdd(lits []cnf.Lit) {
 // solver-local and never enter the shared log (see type comment).
 func (r *SharedRecorder) ProofDelete([]cnf.Lit) {}
 
-// Snapshot returns a copy of the log as recorded so far. Safe to call while
-// solvers are still appending; the copy is a consistent prefix.
+// Snapshot returns the log as recorded so far. Safe to call while solvers
+// are still appending; the snapshot is a consistent prefix.
 func (r *SharedRecorder) Snapshot() Proof {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append(Proof(nil), r.steps...)
+	return r.log.proof()
 }

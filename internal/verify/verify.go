@@ -4,16 +4,17 @@
 //
 // Three pillars:
 //
-//   - Proof certification (drat.go): the CDCL core logs learnt and deleted
-//     clauses through sat.ProofWriter; the Recorder and TextWriter here
-//     capture that trace in DRAT form, and CheckUnsatProof replays it with a
-//     standalone reverse-unit-propagation (RUP) checker, so an UNSAT verdict
-//     is accepted only when mechanically re-derived from the input formula.
-//     The checker keeps its clauses in one flat arena with blocker-literal
-//     watches, and splits a long proof's RUP checks across GOMAXPROCS
-//     workers in interleaved chunks; each worker replays the whole proof, so
-//     verdicts and errors are exactly those of a sequential check (DESIGN.md
-//     §6).
+//   - Proof certification (proof.go, drat.go): the CDCL core logs learnt
+//     and deleted clauses through sat.ProofWriter, each learnt clause with
+//     LRAT-style hints; the Recorder (flat, varint-encoded, hints kept) and
+//     TextWriter (plain DRAT text) here capture that trace, and
+//     CheckUnsatProof replays it with a standalone checker, so an UNSAT
+//     verdict is accepted only when mechanically re-derived from the input
+//     formula. A hinted proof is checked by walking each lemma's hints on
+//     one database; a proof without hints, or a lemma whose hints fail, by
+//     reverse unit propagation (RUP) over blocker-literal watches, split
+//     across GOMAXPROCS workers in interleaved chunks. Either way verdicts
+//     and errors are exactly those of a sequential RUP check (DESIGN.md §6).
 //
 //   - Model certification (CheckModel): a SAT verdict is accepted only when
 //     the reported assignment is total over the formula's variables and
