@@ -18,6 +18,8 @@ type Sums struct {
 	keys   []int     // distinct quadratic keys U·n+V, ascending
 	quad   []float64 // quadratic coefficient per key
 	slot   []int32   // per quadratic term of the sub-clauses, in order: index into keys
+	keyEnd []int32   // node U → end of U's keys (U·n+V for every V) in keys
+	upper  []int32   // sum's scratch: the upper nodes of every clause edge, bucketed by lower node
 	h      []float64 // Ising fields, returned as the model's H
 }
 
@@ -26,23 +28,75 @@ func (s *Sums) edge(key int) Edge { return Edge{key / s.n, key % s.n} }
 
 // sum lays out e's quadratic keys and sums its objectives at their current
 // α coefficients.
+//
+// Each clause's edges (ClauseEdges) are exactly its sub-clauses' quadratic
+// terms, sorted and distinct, so the layout needs no global sort: the edges
+// of every clause are bucketed by lower node (a counting sort), each
+// bucket — the few upper nodes one node meets across clauses — is ordered
+// and deduplicated in place, and a term finds its key by a scan of its
+// lower node's keys.
 func (s *Sums) sum(e *Encoding) {
-	s.n = e.NumNodes()
-	s.keys = s.keys[:0]
+	n := e.NumNodes()
+	s.n = n
+	end := slices.Grow(s.keyEnd[:0], n)[:n]
+	clear(end)
+	total := 0
 	for i := range e.Sub {
-		for _, t := range e.Sub[i].Quad() {
-			s.keys = append(s.keys, t.Edge.U*s.n+t.Edge.V)
+		if k := e.Sub[i].Clause; i == 0 || k != e.Sub[i-1].Clause {
+			for _, ed := range e.ClauseEdges(k) {
+				end[ed.U]++
+				total++
+			}
 		}
 	}
-	slices.Sort(s.keys)
-	s.keys = slices.Compact(s.keys)
+	// end[u] becomes the start of u's bucket, then, as the bucket fills,
+	// its end.
+	start := int32(0)
+	for u, c := range end {
+		end[u] = start
+		start += c
+	}
+	upper := slices.Grow(s.upper[:0], total)[:total]
+	for i := range e.Sub {
+		if k := e.Sub[i].Clause; i == 0 || k != e.Sub[i-1].Clause {
+			for _, ed := range e.ClauseEdges(k) {
+				upper[end[ed.U]] = int32(ed.V)
+				end[ed.U]++
+			}
+		}
+	}
+	s.keys = s.keys[:0]
+	lo := int32(0)
+	for u, hi := range end {
+		b := upper[lo:hi]
+		for i := 1; i < len(b); i++ {
+			v, j := b[i], i
+			for ; j > 0 && b[j-1] > v; j-- {
+				b[j] = b[j-1]
+			}
+			b[j] = v
+		}
+		for i, v := range b {
+			if i == 0 || v != b[i-1] {
+				s.keys = append(s.keys, u*n+int(v))
+			}
+		}
+		lo = hi
+		end[u] = int32(len(s.keys))
+	}
 	s.slot = s.slot[:0]
 	for i := range e.Sub {
 		for _, t := range e.Sub[i].Quad() {
-			j, _ := slices.BinarySearch(s.keys, t.Edge.U*s.n+t.Edge.V)
-			s.slot = append(s.slot, int32(j))
+			j := int32(0)
+			if t.Edge.U > 0 {
+				j = end[t.Edge.U-1]
+			}
+			for key := t.Edge.U*n + t.Edge.V; s.keys[j] != key; j++ {
+			}
+			s.slot = append(s.slot, j)
 		}
 	}
+	s.keyEnd, s.upper = end, upper
 	s.resum(e)
 }
 
