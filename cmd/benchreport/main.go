@@ -216,7 +216,7 @@ func cdclSuite() (report, error) {
 		}
 	}))
 	// The fixture proof carries the solver's hints; the rup row checks it
-	// with them stripped, as a DRAT text or stitched cube proof is checked.
+	// with them stripped, as a DRAT text proof is checked.
 	pf, proof := bench.BuildProofFixture()
 	steps := proof.Steps()
 	for i := range steps {

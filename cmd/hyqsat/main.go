@@ -37,8 +37,9 @@
 //
 // -verify self-certifies the verdict in-process before reporting it: SAT
 // models are checked against the formula and UNSAT proofs replayed through
-// the proof checker, which walks the recorded hints. A verdict that fails
-// certification exits 1.
+// the proof checker, which walks the recorded hints; with -cube the stitched
+// proof of the cube run is hinted too. A verdict that fails certification,
+// or a -proof file that cannot be written in full, exits 1.
 //
 // -trace streams a structured JSONL event log of the solve (conflicts,
 // restarts, QA calls with per-read energies, embeddings, strategy outcomes,
@@ -288,22 +289,25 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	// Proof plumbing shared by the single-solver modes. The recorder backs
-	// -verify (in-process RUP replay); the text writer backs -proof.
+	// -verify (in-process hint walk); the text writer backs -proof and is
+	// flushed and closed, errors checked, once the solve ends.
+	var proofSinks []sat.ProofWriter
 	var rec *verify.Recorder
 	if *verifyFlag {
 		rec = verify.NewRecorder()
+		proofSinks = append(proofSinks, rec)
 	}
+	var pf *os.File
 	var tw *verify.TextWriter
 	if *proofPath != "" && !*cube {
-		pf, err := os.Create(*proofPath)
-		if err != nil {
+		if pf, err = os.Create(*proofPath); err != nil {
 			return fail(err)
 		}
-		defer pf.Close()
+		defer pf.Close() // for the error returns; a second Close is harmless
 		tw = verify.NewTextWriter(pf)
-		defer tw.Flush()
+		proofSinks = append(proofSinks, tw)
 	}
-	hook := verify.Tee(proofSinkOrNil(tw), recorderOrNil(rec))
+	hook := verify.Tee(proofSinks...)
 
 	// certify replays the verdict through internal/verify against the
 	// premise the proof was logged for.
@@ -324,8 +328,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		// Cube-and-conquer takes the place of -solver (still checked
 		// above): the instance is split into assumption cubes conquered
 		// across CDCL workers (optionally with QA warm-ups). An UNSAT run
-		// stitches the per-cube refutations into one DRAT proof, written
-		// to -proof and/or replayed in-process by -verify.
+		// stitches the probe's and the workers' hinted proofs into one,
+		// written to -proof as DRAT and/or hint-walked in-process by -verify.
 		co := portfolio.CubeOptions{
 			Depth:       *cubeDepth,
 			Workers:     *workers,
@@ -456,6 +460,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 	}
 
+	if tw != nil {
+		if err := errors.Join(tw.Flush(), pf.Close()); err != nil {
+			return fail(err)
+		}
+	}
 	if *verifyFlag && status != sat.Unknown {
 		fmt.Fprintln(stdout, "c verdict certified")
 	}
@@ -534,20 +543,4 @@ func printQuality(w io.Writer, quality *obs.QualityTracker) {
 	}
 	fmt.Fprintf(w, "c quality qacalls=%d chainbreakrate=%.4f gapmean=%.3f degrades=%d payoff=%.3f/us\n",
 		q.QACalls, q.ChainBreakRate, q.EnergyGap.Mean, q.Degrades, q.PayoffPerDeviceUs)
-}
-
-// proofSinkOrNil / recorderOrNil avoid the non-nil interface around a nil
-// pointer when a proof sink is absent.
-func proofSinkOrNil(tw *verify.TextWriter) sat.ProofWriter {
-	if tw == nil {
-		return nil
-	}
-	return tw
-}
-
-func recorderOrNil(r *verify.Recorder) sat.ProofWriter {
-	if r == nil {
-		return nil
-	}
-	return r
 }

@@ -460,3 +460,23 @@ func TestCLICubeNontrivialInstance(t *testing.T) {
 		t.Fatalf("cube UNSAT not certified: %q", out)
 	}
 }
+
+// TestCLIProofWriteErrorFails: a -proof file that cannot be written in full
+// is an error (exit 1) on every path, never a silently truncated
+// certificate behind an UNSAT verdict. /dev/full fails every write.
+func TestCLIProofWriteErrorFails(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full")
+	}
+	for _, args := range [][]string{
+		{"-solver", "minisat"},
+		{"-solver", "kissat"},
+		{"-solver", "hyqsat", "-mode", "sim"},
+		{"-cube", "-workers", "2"},
+	} {
+		code, out, errOut := runCLI(t, append(args, "-proof", "/dev/full"), unsatCNF)
+		if code != 1 || !strings.Contains(errOut, "no space left on device") {
+			t.Fatalf("%v: code=%d stdout=%q stderr=%q, want exit 1 with the write error", args, code, out, errOut)
+		}
+	}
+}

@@ -36,9 +36,9 @@ type CubeOptions struct {
 	// the whole split.
 	ProbeConflicts int64
 	// Certify requires verdict certification: Sat models are checked, and an
-	// Unsat verdict must carry a stitched DRAT proof (per-cube refutations
-	// plus a resolution tree over the cube literals) that the RUP checker
-	// accepts against the input formula.
+	// Unsat verdict must carry a stitched hinted proof (the probe's and the
+	// workers' proofs plus a resolution tree over the cube literals) that the
+	// checker accepts against the input formula by walking its hints.
 	Certify bool
 	// Seed seeds the QA warm-ups' hybrid solvers (see QAWarmup); the probe
 	// and worker CDCL solvers draw no random numbers.
@@ -91,7 +91,7 @@ type CubeOutcome struct {
 	WinningCube int
 	Aggregate   AggregateStats
 	Elapsed     time.Duration
-	// Proof is the checked stitched DRAT proof backing a certified Unsat
+	// Proof is the checked stitched proof backing a certified Unsat
 	// verdict (empty otherwise) — exposed so callers can re-serialize or
 	// re-verify it.
 	Proof verify.Proof
@@ -102,9 +102,9 @@ type CubeOutcome struct {
 // variables not fixed at the root become split variables, and every sign
 // combination over them becomes a cube. When the probe solves the instance
 // outright the returned cube list is nil and the Result is conclusive. proof,
-// when non-nil, receives the probe's DRAT trace, and trace, when non-nil,
+// when non-nil, records the probe's hinted proof, and trace, when non-nil,
 // its conflict and restart events.
-func makeCubes(f *cnf.Formula, depth int, probeConflicts int64, proof sat.ProofWriter, trace obs.Tracer) ([]Cube, sat.Result) {
+func makeCubes(f *cnf.Formula, depth int, probeConflicts int64, proof *verify.Recorder, trace obs.Tracer) ([]Cube, sat.Result) {
 	po := sat.MiniSATOptions()
 	po.MaxConflicts = probeConflicts
 	probe := sat.New(f.Copy(), po)
@@ -162,13 +162,11 @@ func negCube(c Cube) []cnf.Lit {
 // assumption cubes, and conquer the cubes across Workers incremental CDCL
 // solvers pulling from a shared queue (which is also the load balancer — a
 // worker that finishes its cube early simply steals the next one). A model
-// under any cube is a model of f; all cubes refuted means f is unsatisfiable,
-// and in certifying mode the per-cube refutations are stitched into one DRAT
-// proof — each worker appends ¬cube for every cube it kills, and the
-// coordinator closes the proof with the binary resolution tree over the split
-// literals down to the empty clause. The stitched proof carries no hints
-// (clause ids are local to each solver, see verify.SharedRecorder), so it is
-// RUP-checked against f before the Unsat verdict is returned.
+// under any cube is a model of f; all cubes refuted means f is unsatisfiable.
+// In certifying mode the probe and every worker record their own hinted
+// proof, which ends each refuted cube with its final clause (a subset of
+// ¬cube, see sat.Solver.SolveWithAssumptions), and an Unsat verdict is
+// returned only once stitchProof has joined, closed and checked them.
 func SolveCubes(ctx context.Context, f *cnf.Formula, o CubeOptions) (CubeOutcome, error) {
 	o = o.withDefaults()
 	trace := o.Trace
@@ -186,15 +184,17 @@ func SolveCubes(ctx context.Context, f *cnf.Formula, o CubeOptions) (CubeOutcome
 	}
 	start := time.Now()
 
-	var stitch *verify.SharedRecorder
-	var proof sat.ProofWriter
+	// The probe's proof (recs[0]) and each worker w's (recs[1+w]), when
+	// certifying.
+	recs := make([]*verify.Recorder, 1+o.Workers)
 	if o.Certify {
-		stitch = verify.NewSharedRecorder()
-		proof = stitch
+		for i := range recs {
+			recs[i] = verify.NewRecorder()
+		}
 	}
 	agg := &aggregate{}
 
-	cubes, probeRes := makeCubes(f, o.Depth, o.ProbeConflicts, proof, probeTrace)
+	cubes, probeRes := makeCubes(f, o.Depth, o.ProbeConflicts, recs[0], probeTrace)
 	agg.add(probeRes.Stats, 0, 0)
 	if probeRes.Status != sat.Unknown {
 		out := CubeOutcome{Result: probeRes, WinningCube: -1,
@@ -207,12 +207,12 @@ func SolveCubes(ctx context.Context, f *cnf.Formula, o CubeOptions) (CubeOutcome
 			out.Certified = o.Certify
 		case sat.Unsat:
 			if o.Certify {
-				stitched := stitch.Snapshot()
-				if err := verify.CheckUnsatProof(f, stitched); err != nil {
+				p, err := stitchProof(f, recs, nil, nil)
+				if err != nil {
 					return CubeOutcome{}, ErrUncertified{"cube-probe", err}
 				}
 				out.Certified = true
-				out.Proof = stitched
+				out.Proof = p
 			}
 		}
 		return out, nil
@@ -232,6 +232,7 @@ func SolveCubes(ctx context.Context, f *cnf.Formula, o CubeOptions) (CubeOutcome
 
 	var (
 		mu          sync.Mutex
+		leaves      = make([]leaf, len(cubes))
 		winCube     = -1
 		winRes      sat.Result
 		globalUnsat bool
@@ -251,8 +252,8 @@ func SolveCubes(ctx context.Context, f *cnf.Formula, o CubeOptions) (CubeOutcome
 	workerTrace := make([]obs.Tracer, o.Workers)
 	for w := range solvers {
 		solvers[w] = sat.New(f.Copy(), sat.MiniSATOptions())
-		if proof != nil {
-			solvers[w].SetProofWriter(proof)
+		if o.Certify {
+			solvers[w].SetProofWriter(recs[1+w])
 		}
 		workerTrace[w] = obs.WithSource(trace, obs.Source{Solve: runID, Name: fmt.Sprintf("cube/w%d", w)})
 		if workerTrace[w].Enabled() {
@@ -327,12 +328,11 @@ func SolveCubes(ctx context.Context, f *cnf.Formula, o CubeOptions) (CubeOutcome
 					cancel()
 					return
 				case r.Status == sat.Unsat && r.AssumptionsFailed:
-					// The cube is refuted. ¬cube is a RUP consequence of the
-					// clauses this worker has already logged (the learnt
-					// clauses that made the assumptions conflict), so it
-					// extends the stitched proof soundly.
-					if stitch != nil {
-						stitch.ProofAdd(negCube(cube), nil)
+					// The cube is refuted: the solver's latest addition is
+					// its final clause, a subset of ¬cube hinted by the
+					// clauses this worker has already logged.
+					if rec := recs[1+w]; rec != nil {
+						leaves[ci] = leaf{1 + w, int32(len(f.Clauses) + rec.Adds())}
 					}
 					mu.Lock()
 					refuted++
@@ -379,35 +379,58 @@ func SolveCubes(ctx context.Context, f *cnf.Formula, o CubeOptions) (CubeOutcome
 		return CubeOutcome{}, parent.Err()
 	}
 
-	// Unsat. With all cubes individually refuted, close the stitched proof:
-	// fold the 2^d ¬cube leaves pairwise with the binary resolution tree over
-	// the split variables — the negation of each length-j prefix is RUP from
-	// its two length-j+1 children — down to the empty clause.
-	if stitch != nil && !globalUnsat {
-		sel := make([]cnf.Var, len(cubes[0]))
-		for j, l := range cubes[0] {
-			sel[j] = l.Var()
-		}
-		for j := len(sel) - 1; j >= 0; j-- {
-			for mask := 0; mask < 1<<j; mask++ {
-				cl := make([]cnf.Lit, j)
-				for k := 0; k < j; k++ {
-					cl[k] = cnf.MkLit(sel[k], mask>>k&1 == 1).Not()
-				}
-				stitch.ProofAdd(cl, nil)
-			}
-		}
-	}
+	// Unsat: every cube refuted, or a worker found f unsatisfiable outright
+	// and holds the empty clause in its own proof.
 	out.Result = sat.Result{Status: sat.Unsat, Stats: agg.snapshot().SAT}
 	if o.Certify {
-		stitched := stitch.Snapshot()
-		if err := verify.CheckUnsatProof(f, stitched); err != nil {
+		tree := cubes
+		if globalUnsat {
+			tree = nil // the empty clause is already in a worker's proof
+		}
+		p, err := stitchProof(f, recs, tree, leaves)
+		if err != nil {
 			return CubeOutcome{}, ErrUncertified{"cube-stitch", err}
 		}
 		out.Certified = true
-		out.Proof = stitched
+		out.Proof = p
 	}
 	return finish(), nil
+}
+
+// leaf locates a refuted cube's final clause: its id in recs[rec].
+type leaf struct {
+	rec int
+	id  int32
+}
+
+// stitchProof joins the solvers' proofs recs, in order, into one proof of f
+// (verify.Recorder.Splice), closes it when cubes is non-nil, and checks it.
+// Closing folds the cubes' final clauses (leaves) pairwise with the binary
+// resolution tree over the split variables, down to the empty clause: the
+// negation of each length-j prefix (cube mask's first j literals) is hinted
+// by its two length-j+1 children, each a subset of that negation plus one
+// split literal of either sign.
+func stitchProof(f *cnf.Formula, recs []*verify.Recorder, cubes []Cube, leaves []leaf) (verify.Proof, error) {
+	m := len(f.Clauses)
+	joined := verify.NewRecorder()
+	shift := make([]int32, len(recs))
+	for i, r := range recs {
+		shift[i] = joined.Splice(r.Proof(), m)
+	}
+	if len(cubes) > 0 {
+		ids := make([]int32, len(cubes)) // the current tree level's ids, by prefix mask
+		for ci, l := range leaves {
+			ids[ci] = l.id + shift[l.rec]
+		}
+		for j := len(cubes[0]) - 1; j >= 0; j-- {
+			for mask := 0; mask < 1<<j; mask++ {
+				joined.ProofAdd(negCube(cubes[mask][:j]), []int32{ids[mask], ids[mask|1<<j]})
+				ids[mask] = int32(m + joined.Adds())
+			}
+		}
+	}
+	p := joined.Proof()
+	return p, verify.CheckUnsatProof(f, p)
 }
 
 // cubeWarmup runs a bounded HyQSAT hybrid warm-up on f restricted by the

@@ -8,7 +8,9 @@ import "hyqsat/internal/cnf"
 // model consistent with them. Result.AssumptionsFailed distinguishes
 // "unsatisfiable under these assumptions" from global unsatisfiability.
 // The solver remains usable afterwards (learnt clauses are kept), so
-// repeated calls with different assumptions solve incrementally.
+// repeated calls with different assumptions solve incrementally. With a
+// proof writer attached, an AssumptionsFailed result's last logged addition
+// is the final clause: the failed assumptions negated, hinted (proofFinal).
 func (s *Solver) SolveWithAssumptions(assumptions []cnf.Lit) Result {
 	if s.status == Unsat {
 		return Result{Status: Unsat, Stats: s.stats}
@@ -69,7 +71,8 @@ func (s *Solver) SolveWithAssumptions(assumptions []cnf.Lit) Result {
 				}
 				// Re-check whether the assumptions are still jointly
 				// enqueueable; the outer loop will retry them.
-				if s.assumptionsConflict(assumptions) {
+				if a := s.falseAssumption(assumptions); a != cnf.NoLit {
+					s.proofFinal(a)
 					s.cancelUntil(0)
 					s.status = Unknown
 					return Result{Status: Unsat, Stats: s.stats,
@@ -92,6 +95,7 @@ func (s *Solver) SolveWithAssumptions(assumptions []cnf.Lit) Result {
 				// Already satisfied: open an empty level so indices align.
 				s.newDecisionLevel()
 			case cnf.False:
+				s.proofFinal(a)
 				s.cancelUntil(0)
 				s.status = Unknown
 				return Result{Status: Unsat, Stats: s.stats, AssumptionsFailed: true}
@@ -123,13 +127,13 @@ func (s *Solver) SolveWithAssumptions(assumptions []cnf.Lit) Result {
 	}
 }
 
-// assumptionsConflict reports whether any assumption is already false under
-// the current (post-backjump) trail.
-func (s *Solver) assumptionsConflict(assumptions []cnf.Lit) bool {
+// falseAssumption returns the first assumption the current (post-backjump)
+// trail falsifies, or cnf.NoLit.
+func (s *Solver) falseAssumption(assumptions []cnf.Lit) cnf.Lit {
 	for _, a := range assumptions {
 		if s.value(a) == cnf.False {
-			return true
+			return a
 		}
 	}
-	return false
+	return cnf.NoLit
 }

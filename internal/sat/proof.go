@@ -118,3 +118,60 @@ func (s *Solver) proofRefute(lits []cnf.Lit, id int32) {
 	s.hints = append(hints, id)
 	s.proofAdd(nil, s.hints)
 }
+
+// proofFinal logs the clause that refutes the assumptions when the trail
+// falsifies assumption a: ¬a and the negations of the assumption decisions
+// that a's falsification rests on, found by MiniSAT's analyzeFinal walk down
+// the trail. Every decision level of an assumption search is an
+// assumption's, so the clause is a subset of the negated assumptions. Its
+// hints are the units of the root-level literals met, then the reasons of
+// the implied literals in trail order, ending with the reason of ¬a (or just
+// ¬a's unit when a is false at the root).
+func (s *Solver) proofFinal(a cnf.Lit) {
+	if s.proof == nil {
+		return
+	}
+	if s.decisionLevel() == 0 {
+		s.logRootUnits()
+	}
+	lits := append(s.analyzeBuf[:0], a.Not())
+	hints := s.hints[:0] // the root units; the reasons follow
+	chain := s.chain[:0] // the reasons, in reverse trail order
+	cleared := s.clearBuf[:0]
+	see := func(v cnf.Var) {
+		switch {
+		case s.seen[v]:
+		case s.level[v] == 0:
+			hints = s.hintUnit(hints, v)
+			cleared = append(cleared, v)
+		default:
+			s.seen[v] = true
+		}
+	}
+	see(a.Var())
+	for i := len(s.trail) - 1; i >= 0 && s.level[s.trail[i].Var()] > 0; i-- {
+		x := s.trail[i].Var()
+		if !s.seen[x] {
+			continue
+		}
+		s.seen[x] = false
+		if r := s.reason[x]; r == crefUndef {
+			lits = append(lits, s.trail[i].Not())
+		} else {
+			chain = append(chain, s.clauseID(r))
+			for _, q := range s.ca.lits(r) {
+				if q.Var() != x {
+					see(q.Var())
+				}
+			}
+		}
+	}
+	for _, v := range cleared {
+		s.seen[v] = false
+	}
+	for i := len(chain) - 1; i >= 0; i-- {
+		hints = append(hints, chain[i])
+	}
+	s.analyzeBuf, s.hints, s.chain, s.clearBuf = lits, hints, chain, cleared
+	s.proofAdd(lits, hints)
+}

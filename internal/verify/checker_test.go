@@ -21,8 +21,8 @@ import (
 
 // TestCheckUnsatProofMatchesReference pins the production checker to the
 // original one: on the certification corpus's CDCL proofs, on hybrid-solver
-// proofs, and on mutated copies of each, every worker count and chunk size
-// must return the reference's verdict and error text and leave the proof
+// proofs, and on mutated copies of each, it must return the reference's
+// verdict and error text, with hints and without, and leave the proof
 // untouched.
 func TestCheckUnsatProofMatchesReference(t *testing.T) {
 	instances, hybrids := 40, 3
@@ -86,27 +86,27 @@ func TestCheckUnsatProofMatchesReference(t *testing.T) {
 	t.Logf("%d proofs from %d inputs agree with the reference (%d rejected)", checked, len(inputs), rejected)
 }
 
-// TestCheckUnsatProofAllocs gates the checker's allocations: a one-worker
-// check of the benchmark fixture allocates at most one object per four proof
+// TestCheckUnsatProofAllocs gates the checker's allocations: a check of the
+// benchmark fixture allocates at most one object per four proof
 // steps (the map- and string-keyed checker it replaced made ~18 per step
 // on this proof).
 func TestCheckUnsatProofAllocs(t *testing.T) {
 	f, p := bench.BuildProofFixture()
 	allocs := testing.AllocsPerRun(3, func() {
-		if err := verify.CheckUnsatProofWith(f, p, 1, verify.ProofChunk); err != nil {
+		if err := verify.CheckUnsatProof(f, p); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if limit := float64(p.Len()) / 4; allocs > limit {
-		t.Fatalf("one-worker check of a %d-step proof: %.0f allocs, want ≤ %.0f", p.Len(), allocs, limit)
+		t.Fatalf("check of a %d-step proof: %.0f allocs, want ≤ %.0f", p.Len(), allocs, limit)
 	}
 	t.Logf("%d steps: %.0f allocs", p.Len(), allocs)
 }
 
 // TestCheckHintedProofBytes gates the memory of a hinted check: checking
 // the benchmark fixture by its hints, on one database without watch lists,
-// allocates no more bytes than a one-worker RUP check of the same proof with
-// its hints stripped.
+// allocates no more bytes than the RUP check of the same proof with its
+// hints stripped.
 func TestCheckHintedProofBytes(t *testing.T) {
 	f, p := bench.BuildProofFixture()
 	hinted := checkBytes(t, f, p)
@@ -117,15 +117,15 @@ func TestCheckHintedProofBytes(t *testing.T) {
 	t.Logf("%d steps: hinted check %d bytes, RUP check %d bytes", p.Len(), hinted, rup)
 }
 
-// checkBytes returns the fewest bytes a one-worker check of p allocated over
-// three runs.
+// checkBytes returns the fewest bytes a check of p allocated over three
+// runs.
 func checkBytes(t *testing.T, f *cnf.Formula, p verify.Proof) uint64 {
 	t.Helper()
 	least := uint64(math.MaxUint64)
 	for i := 0; i < 3; i++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if err := verify.CheckUnsatProofWith(f, p, 1, verify.ProofChunk); err != nil {
+		if err := verify.CheckUnsatProof(f, p); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
@@ -192,12 +192,10 @@ func BenchmarkCheckUnsatProof(b *testing.B) {
 	}
 }
 
-// referenceMismatch checks p against f with the reference checker, with
-// CheckUnsatProof, and with CheckUnsatProofWith at 1, 2 and 3 workers and
-// chunks of 1, 7 and ProofChunk additions, each on p as given and on p with
-// its hints stripped. It describes the first run whose verdict or error text
-// differs from the reference's, or that modified p, and returns nil when
-// every run agrees.
+// referenceMismatch checks p against f with the reference checker and with
+// CheckUnsatProof, on p as given and on p with its hints stripped. It
+// describes the first check whose verdict or error text differs from the
+// reference's, or that modified p, and returns nil when both agree.
 func referenceMismatch(f *cnf.Formula, p verify.Proof) error {
 	want := fmt.Sprint(verify.ReferenceCheckUnsatProof(f, p))
 	orig := p.Steps()
@@ -215,16 +213,8 @@ func referenceMismatch(f *cnf.Formula, p verify.Proof) error {
 		name string
 		p    verify.Proof
 	}{{"hinted", p}, {"stripped", stripped}} {
-		if err := agree(v.name+" CheckUnsatProof", verify.CheckUnsatProof(f, v.p)); err != nil {
+		if err := agree(v.name, verify.CheckUnsatProof(f, v.p)); err != nil {
 			return err
-		}
-		for _, workers := range []int{1, 2, 3} {
-			for _, chunk := range []int{1, 7, verify.ProofChunk} {
-				name := fmt.Sprintf("%s workers=%d chunk=%d", v.name, workers, chunk)
-				if err := agree(name, verify.CheckUnsatProofWith(f, v.p, workers, chunk)); err != nil {
-					return err
-				}
-			}
 		}
 	}
 	return nil

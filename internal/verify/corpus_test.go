@@ -76,7 +76,7 @@ func checkHintsComplete(t *testing.T, name string, f *cnf.Formula, p Proof) {
 	if !p.hinted {
 		t.Fatalf("%s: the proof carries no hints", name)
 	}
-	fallbacks, err := checkUnsatProof(f, p, 1, proofChunk)
+	fallbacks, err := checkUnsatProof(f, p)
 	if err != nil {
 		t.Fatalf("%s: proof rejected: %v", name, err)
 	}

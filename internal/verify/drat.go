@@ -4,12 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"hyqsat/internal/cnf"
 	"hyqsat/internal/sat"
@@ -168,10 +164,6 @@ func ParseDRAT(r io.Reader) (Proof, error) {
 
 // --- Proof checking ---
 
-// proofChunk is how many consecutive additions one worker RUP-checks before
-// the next chunk falls to the next worker.
-const proofChunk = 256
-
 // CheckUnsatProof verifies that the proof establishes the unsatisfiability
 // of f: every addition step must be a reverse-unit-propagation (RUP)
 // consequence of the formula plus the previously added clauses, and the
@@ -191,32 +183,24 @@ const proofChunk = 256
 // with no propagation search, and an empty clause verified that way accepts
 // the proof. A walk that fails — a hint naming an unknown, deleted or later
 // id, or a hinted clause that is neither unit nor falsified — ends this
-// pass, and the proof is checked again from the start as below, with the
-// additions before the failed one trusted and each later one trying its
-// hints before a full RUP check. Hints therefore cost time when wrong but
-// never change a verdict.
-//
-// A proof without hints (DRAT text, a stitched cube proof), or the rest of a
-// hinted one after a failed walk, is checked by up to GOMAXPROCS workers.
-// Each replays every step into its own database but RUP-checks only its
-// share of the additions (chunks of proofChunk, dealt round robin), so each
-// lemma is checked against the database a sequential replay would hold at
-// that step. The verdict and the error — the lowest failing step — are
-// those of a sequential check. The caller's proof is only read.
+// pass, and the proof is checked again from the start on a watched-literal
+// database, with the additions before the failed one trusted and each later
+// one trying its hints before a full RUP check. A proof without hints (DRAT
+// text) is checked that way throughout. Hints therefore cost time when wrong
+// but never change a verdict. The check runs on the calling goroutine, and
+// the caller's proof is only read.
 //
 // A nil error means f is unsatisfiable, certified without trusting the
 // solver that produced the proof.
 func CheckUnsatProof(f *cnf.Formula, p Proof) error {
-	_, err := checkUnsatProof(f, p, runtime.GOMAXPROCS(0), proofChunk)
+	_, err := checkUnsatProof(f, p)
 	return err
 }
 
-// checkUnsatProof is CheckUnsatProof over at most workers workers, dealing
-// the RUP-checked additions out in chunks of chunk. Proofs with fewer than
-// two chunks of additions are checked on the calling goroutine. It also
-// returns how many additions fell back from their hints to a RUP check (for
-// a proof without hints, every addition that was checked).
-func checkUnsatProof(f *cnf.Formula, p Proof, workers, chunk int) (fallbacks int, err error) {
+// checkUnsatProof is CheckUnsatProof that also returns how many additions
+// fell back from their hints to a RUP check (for a proof without hints,
+// every addition that was checked).
+func checkUnsatProof(f *cnf.Formula, p Proof) (fallbacks int, err error) {
 	if int64(p.maxLit) >= 2*int64(f.NumVars) {
 		r := p.reader()
 		for i := 0; r.next(); i++ {
@@ -231,53 +215,14 @@ func checkUnsatProof(f *cnf.Formula, p Proof, workers, chunk int) (fallbacks int
 	adds, addLits := p.adds, p.addLits
 	trusted := 0 // additions before this step are known RUP consequences
 	if p.hinted {
-		ck := newChecker(f, adds, addLits)
-		ck.ids = newIDs(len(f.Clauses) + adds)
 		var refuted bool
-		if trusted, refuted = ck.walkProof(f, p); refuted {
+		if trusted, refuted = newChecker(f, adds, addLits).walkProof(f, p); refuted {
 			return 0, nil
 		}
 	}
-	if chunks := (adds + chunk - 1) / chunk; workers > chunks {
-		workers = chunks
-	}
-	// Each worker reports its first failing step (or -1), whether its
-	// database derived the empty clause, and its fallback count; stop lets
-	// workers skip the steps past the lowest failure seen so far.
-	type outcome struct {
-		fail, fallbacks int
-		refuted         bool
-	}
-	outs := make([]outcome, max(workers, 1))
-	var stop atomic.Int64
-	stop.Store(math.MaxInt64)
-	check := func(id int) {
-		ck := newChecker(f, adds, addLits)
-		ck.watches = newWatches(f)
-		if p.hinted {
-			ck.ids = newIDs(len(f.Clauses) + adds)
-		}
-		o := &outs[id]
-		o.fail, o.refuted, o.fallbacks = ck.run(f, p, trusted, id, len(outs), chunk, &stop)
-	}
-	var wg sync.WaitGroup
-	for id := 1; id < len(outs); id++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			check(id)
-		}()
-	}
-	check(0)
-	wg.Wait()
-	fail, refuted := -1, false
-	for _, o := range outs {
-		if o.fail >= 0 && (fail < 0 || o.fail < fail) {
-			fail = o.fail
-		}
-		refuted = refuted || o.refuted
-		fallbacks += o.fallbacks
-	}
+	ck := newChecker(f, adds, addLits)
+	ck.watches = newWatches(f)
+	fail, refuted, fallbacks := ck.run(f, p, trusted)
 	if fail >= 0 {
 		return fallbacks, fmt.Errorf("verify: proof step %d is not a RUP consequence: %v", fail, clauseString(p.step(fail).Lits))
 	}
@@ -319,13 +264,13 @@ type watch struct {
 // truncation. The clause database is one flat arena; deletions find their
 // clause through a hash table of normalised literal sets whose chains run
 // through the clause headers, and hints through ids, which maps a clause id
-// to its arena offset. Watch lists and ids are allocated only when a check
-// needs them: a hint walk uses no watches, and a proof without hints no ids.
+// to its arena offset. Watch lists are allocated only when a check needs
+// them: a hint walk uses none.
 type checker struct {
 	arena    []cnf.Lit
 	buckets  []int32 // hash of normalised literals → first clause offset, or -1
 	mask     uint32
-	ids      []int32   // clause id → arena offset, or -1
+	ids      []int32   // clause id → arena offset
 	watches  [][]watch // lit → watches of clauses that lit falsifies
 	vals     []int8    // lit → 1 true, -1 false, 0 unassigned
 	trail    []cnf.Lit
@@ -337,7 +282,8 @@ type checker struct {
 }
 
 // newChecker sizes a checker for f plus a proof with adds additions holding
-// addLits literals in total, so neither the arena nor the hash table grows.
+// addLits literals in total, so neither the arena, the hash table nor the id
+// table grows.
 func newChecker(f *cnf.Formula, adds, addLits int) *checker {
 	size := addLits + hdrLen*adds
 	for _, c := range f.Clauses {
@@ -356,6 +302,7 @@ func newChecker(f *cnf.Formula, adds, addLits int) *checker {
 		arena:   make([]cnf.Lit, 0, size),
 		buckets: buckets,
 		mask:    uint32(nb - 1),
+		ids:     make([]int32, len(f.Clauses)+adds+1),
 		vals:    make([]int8, nlits),
 		trail:   make([]cnf.Lit, 0, f.NumVars),
 		marks:   make([]uint32, nlits),
@@ -376,15 +323,6 @@ func newWatches(f *cnf.Formula) [][]watch {
 		}
 	}
 	return watches
-}
-
-// newIDs returns an id table for n clauses (ids 1..n), all unknown.
-func newIDs(n int) []int32 {
-	ids := make([]int32, n+1)
-	for i := range ids {
-		ids[i] = -1
-	}
-	return ids
 }
 
 // walkProof loads f and checks p by its hints alone, on a checker without
@@ -416,55 +354,37 @@ func (ck *checker) walkProof(f *cnf.Formula, p Proof) (stop int, refuted bool) {
 }
 
 // run loads f, then replays p: every deletion, and every addition followed
-// by root propagation. From step trusted on, it checks the additions of
-// chunks k with k mod workers == id, each by its hints or else by RUP, and
-// returns the step of the first that fails (or -1), whether the database
-// derived the empty clause, and how many additions fell back to RUP. A
-// failure lowers *stop to its step, and every worker gives up once its steps
-// pass *stop.
-func (ck *checker) run(f *cnf.Formula, p Proof, trusted, id, workers, chunk int, stop *atomic.Int64) (fail int, refuted bool, fallbacks int) {
+// by root propagation. From step trusted on, it checks each addition by its
+// hints or else by RUP, and returns the step of the first that fails (or
+// -1), whether the database derived the empty clause, and how many additions
+// fell back to RUP.
+func (ck *checker) run(f *cnf.Formula, p Proof, trusted int) (fail int, refuted bool, fallbacks int) {
 	for i, c := range f.Clauses {
-		ck.setID(int32(i)+1, ck.add(c))
+		ck.ids[i+1] = ck.add(c)
 	}
 	if ck.propagateRoot() {
 		return -1, true, 0 // the formula propagates to a conflict on its own
 	}
-	adds := 0
+	lemma := int32(len(f.Clauses))
 	r := p.reader()
 	for i := 0; r.next(); i++ {
-		if int64(i) > stop.Load() {
-			return -1, false, fallbacks // an earlier step already failed
-		}
 		if r.del {
 			ck.delete(r.lits)
 			continue
 		}
-		lemma := int32(len(f.Clauses) + adds + 1)
-		if i >= trusted && (adds/chunk)%workers == id && !ck.walk(r.lits, r.hints, lemma) {
+		lemma++
+		if i >= trusted && !ck.walk(r.lits, r.hints, lemma) {
 			fallbacks++
 			if !ck.checkRUP(r.lits) {
-				for cur := stop.Load(); int64(i) < cur; cur = stop.Load() {
-					if stop.CompareAndSwap(cur, int64(i)) {
-						break
-					}
-				}
 				return i, false, fallbacks
 			}
 		}
-		adds++
-		ck.setID(lemma, ck.add(r.lits))
+		ck.ids[lemma] = ck.add(r.lits)
 		if ck.propagateRoot() {
 			return -1, true, fallbacks // empty clause derived
 		}
 	}
 	return -1, false, fallbacks
-}
-
-// setID records clause id's arena offset when the checker keeps ids.
-func (ck *checker) setID(id, c int32) {
-	if ck.ids != nil {
-		ck.ids[id] = c
-	}
 }
 
 // normalize copies lits into the scratch buffer without duplicate literals,

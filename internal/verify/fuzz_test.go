@@ -55,19 +55,12 @@ func FuzzProofCheck(f *testing.F) {
 			}
 		}
 		for name, p := range variants {
-			// The production checker, and its multi-worker path dealing one
-			// addition per chunk, must return the reference checker's verdict
-			// and error text.
+			// The production checker must return the reference checker's
+			// verdict and error text.
 			want := fmt.Sprint(referenceCheckUnsatProof(formula, p))
-			_, multi := checkUnsatProof(formula, p, 3, 1)
-			for check, err := range map[string]error{
-				"CheckUnsatProof":    CheckUnsatProof(formula, p),
-				"3 workers, chunk 1": multi,
-			} {
-				if got := fmt.Sprint(err); got != want {
-					t.Fatalf("%s, %s: got %q, reference %q\nformula:\n%s\nproof:\n%+v",
-						name, check, got, want, cnfText, p.Steps())
-				}
+			if got := fmt.Sprint(CheckUnsatProof(formula, p)); got != want {
+				t.Fatalf("%s: got %q, reference %q\nformula:\n%s\nproof:\n%+v",
+					name, got, want, cnfText, p.Steps())
 			}
 			if want != "<nil>" {
 				continue // rejected: always sound

@@ -84,10 +84,9 @@ const (
 	maxProofBlock = 64 << 10
 )
 
-// proofLog is the append-only encoder behind Recorder, SharedRecorder and
-// NewProof. A step is uvarint(len(lits)<<1 | del), then, for an addition,
-// uvarint(len(hints)), then each literal and each hint as the uvarint of its
-// uint32 bits.
+// proofLog is the append-only encoder behind Recorder and NewProof. A step
+// is uvarint(len(lits)<<1 | del), then, for an addition, uvarint(len(hints)),
+// then each literal and each hint as the uvarint of its uint32 bits.
 type proofLog struct {
 	blocks [][]byte
 	proofCounts
@@ -236,3 +235,30 @@ func (r *Recorder) Proof() Proof { return r.log.proof() }
 
 // Len returns the number of recorded steps.
 func (r *Recorder) Len() int { return r.log.n }
+
+// Adds returns the number of recorded additions: over an m-clause premise,
+// the latest addition has id m+Adds().
+func (r *Recorder) Adds() int { return r.log.adds }
+
+// Splice appends the additions of p, a proof another solver recorded over
+// the same m-clause premise, and returns the shift from p's ids to theirs
+// here: ids up to m (the premise) stay, and later ones, hints included, move
+// by the additions r held before. p's deletions are dropped, since one may
+// remove a premise or another solver's clause that later hints name; extra
+// live clauses fail no hint walk or RUP check.
+func (r *Recorder) Splice(p Proof, m int) (shift int32) {
+	shift = int32(r.log.adds)
+	pr := p.reader()
+	for pr.next() {
+		if pr.del {
+			continue
+		}
+		for i, h := range pr.hints {
+			if h > int32(m) {
+				pr.hints[i] = h + shift
+			}
+		}
+		r.log.add(false, pr.lits, pr.hints)
+	}
+	return shift
+}

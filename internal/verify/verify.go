@@ -10,11 +10,9 @@
 //     TextWriter (plain DRAT text) here capture that trace, and
 //     CheckUnsatProof replays it with a standalone checker, so an UNSAT
 //     verdict is accepted only when mechanically re-derived from the input
-//     formula. A hinted proof is checked by walking each lemma's hints on
-//     one database; a proof without hints, or a lemma whose hints fail, by
-//     reverse unit propagation (RUP) over blocker-literal watches, split
-//     across GOMAXPROCS workers in interleaved chunks. Either way verdicts
-//     and errors are exactly those of a sequential RUP check (DESIGN.md §6).
+//     formula. A hinted proof is checked by walking each lemma's hints; a
+//     proof without hints, or a lemma whose hints fail, by one sequential
+//     reverse unit propagation (RUP) pass (DESIGN.md §6).
 //
 //   - Model certification (CheckModel): a SAT verdict is accepted only when
 //     the reported assignment is total over the formula's variables and
