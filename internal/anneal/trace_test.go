@@ -74,11 +74,11 @@ func TestSampleTracingPreservesResults(t *testing.T) {
 }
 
 // TestNopTracerKernelOverhead is the perf gate check.sh runs: the sweep
-// kernel's ns/op with a nop tracer installed must stay within 1% of the
-// untraced kernel (the tracer field is never touched on the SampleInto path,
-// so any systematic gap is a regression). Decided on the median of per-round
-// paired ratios so scheduler noise on a shared machine moves single rounds,
-// not the verdict; opt-in via HYQSAT_PERF_GATE=1.
+// kernel's CPU time per op with a nop tracer installed must stay within 1%
+// of the untraced kernel's (the tracer field is never touched on the
+// SampleInto path, so any systematic gap is a regression). Decided on the
+// median of per-round paired ratios so scheduler noise on a shared machine
+// moves single rounds, not the verdict; opt-in via HYQSAT_PERF_GATE=1.
 func TestNopTracerKernelOverhead(t *testing.T) {
 	if os.Getenv("HYQSAT_PERF_GATE") == "" {
 		t.Skip("perf gate disabled; set HYQSAT_PERF_GATE=1")
