@@ -110,10 +110,7 @@ func (s *Solver) SolveWithAssumptions(assumptions []cnf.Lit) Result {
 
 		v := s.pickBranchVar()
 		if v == cnf.NoVar {
-			s.model = make([]bool, len(s.assigns))
-			for i, val := range s.assigns {
-				s.model[i] = val == cnf.True
-			}
+			s.model = s.newModel()
 			// Leave status Unknown so the solver can be reused with other
 			// assumptions; the returned result carries Sat.
 			model := s.model

@@ -57,7 +57,7 @@ func (b *PropagateBench) Run() int64 {
 	s := b.s
 	start := s.stats.Propagations
 	for _, l := range b.decisions {
-		if s.assigns[l.Var()] != cnf.Undef {
+		if s.value(l) != cnf.Undef {
 			continue
 		}
 		s.newDecisionLevel()

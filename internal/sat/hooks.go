@@ -19,11 +19,11 @@ func (s *Solver) ClauseScores() []float64 { return s.clauseScore }
 // receives from the decision step) and returns the extended slice, so a
 // caller scanning every iteration can reuse one buffer.
 func (s *Solver) UnsatisfiedClauses(dst []int) []int {
-	out := dst
+	out, vals := dst, s.vals
 	for i, c := range s.formula.Clauses {
 		sat := false
 		for _, l := range c {
-			if s.value(l) == cnf.True {
+			if vals[l] == cnf.True {
 				sat = true
 				break
 			}
@@ -36,7 +36,7 @@ func (s *Solver) UnsatisfiedClauses(dst []int) []int {
 }
 
 // VarValue returns the current truth value of v.
-func (s *Solver) VarValue(v cnf.Var) cnf.Value { return s.assigns[v] }
+func (s *Solver) VarValue(v cnf.Var) cnf.Value { return s.vals[cnf.MkLit(v, false)] }
 
 // SetPhaseHints biases future decisions on every assigned variable of a
 // towards its value in a (feedback strategy 2: adopt the QA assignment as the

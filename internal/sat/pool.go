@@ -62,7 +62,7 @@ func (s *Solver) reset(f *cnf.Formula, opts Options) {
 		s.watches = s.watches[:2*n]
 	}
 
-	s.assigns = resetSlice(s.assigns, n)
+	s.vals = resetSlice(s.vals, 2*n)
 	s.level = resetSlice(s.level, n)
 	s.reason = resetSlice(s.reason, n)
 	s.trailPos = resetSlice(s.trailPos, n)

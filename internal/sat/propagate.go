@@ -11,7 +11,13 @@ import "hyqsat/internal/cnf"
 // arena at all — their watcher carries the implied literal directly.
 // Deleted clauses cannot appear here: reduceDB is immediately followed by
 // garbageCollect, which purges dead watchers from every list.
+//
+// The value table and the arena's words are read through locals (as the
+// proof checker's propagate does): propagation neither grows the arena nor
+// resizes the table, and the locals spare a reload through s after every
+// store.
 func (s *Solver) propagate() cref {
+	vals, data := s.vals, s.ca.data
 	conflict := crefUndef
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead] // p became true; inspect clauses watching ¬p
@@ -26,7 +32,7 @@ func (s *Solver) propagate() cref {
 				// Binary fast path: the blocker is the only other literal,
 				// so it is the implication (or the conflict) directly.
 				kept = append(kept, w)
-				switch s.value(w.blocker) {
+				switch vals[w.blocker] {
 				case cnf.True:
 					continue
 				case cnf.False:
@@ -45,13 +51,14 @@ func (s *Solver) propagate() cref {
 				}
 				continue
 			}
-			if s.value(w.blocker) == cnf.True {
+			if vals[w.blocker] == cnf.True {
 				kept = append(kept, w)
 				continue
 			}
 			c := w.c
 			s.stats.Propagations++
-			lits := s.ca.lits(c)
+			off := int(c) + clauseHeaderWords
+			lits := data[off : off+int(data[c])>>hdrSizeShift]
 			// Two ifs, not one &&: the && form lays this loop out ~9%
 			// slower in BenchmarkPropagate.
 			if s.propVisits != nil {
@@ -65,13 +72,13 @@ func (s *Solver) propagate() cref {
 				lits[0], lits[1] = lits[1], lits[0]
 			}
 			first := lits[0]
-			if first != w.blocker && s.value(first) == cnf.True {
+			if first != w.blocker && vals[first] == cnf.True {
 				kept = append(kept, watcher{c, first})
 				continue
 			}
 			// Find a new literal to watch.
 			for k := 2; k < len(lits); k++ {
-				if s.value(lits[k]) != cnf.False {
+				if vals[lits[k]] != cnf.False {
 					lits[1], lits[k] = lits[k], lits[1]
 					s.watch(lits[1], watcher{c, first})
 					continue Clauses
@@ -79,7 +86,7 @@ func (s *Solver) propagate() cref {
 			}
 			// No replacement: clause is unit or conflicting.
 			kept = append(kept, watcher{c, first})
-			if s.value(first) == cnf.False {
+			if vals[first] == cnf.False {
 				conflict = c
 				s.qhead = len(s.trail)
 				// Copy the rest of the watch list and stop.

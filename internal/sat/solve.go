@@ -68,7 +68,7 @@ func (s *Solver) Step() StepStatus {
 	for len(s.forced) > 0 {
 		l := s.forced[0]
 		s.forced = s.forced[1:]
-		if s.assigns[l.Var()] != cnf.Undef {
+		if s.value(l) != cnf.Undef {
 			continue
 		}
 		s.stats.Decisions++
@@ -82,10 +82,7 @@ func (s *Solver) Step() StepStatus {
 	v := s.pickBranchVar()
 	if v == cnf.NoVar {
 		s.status = Sat
-		s.model = make([]bool, len(s.assigns))
-		for i, val := range s.assigns {
-			s.model[i] = val == cnf.True
-		}
+		s.model = s.newModel()
 		return StepSat
 	}
 	s.stats.Decisions++
@@ -242,6 +239,5 @@ func (s *Solver) isReason(c cref) bool {
 	if len(lits) == 0 {
 		return false
 	}
-	v := lits[0].Var()
-	return s.assigns[v] != cnf.Undef && s.reason[v] == c
+	return s.value(lits[0]) != cnf.Undef && s.reason[lits[0].Var()] == c
 }

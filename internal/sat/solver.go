@@ -30,10 +30,14 @@ type Solver struct {
 
 	watches [][]watcher // indexed by Lit
 
-	assigns  []cnf.Value // by Var
-	level    []int32     // decision level of each assigned var
-	reason   []cref      // antecedent clause of each implied var
-	trailPos []int32     // trail index of each assigned var
+	// vals is the value table, indexed by Lit (2n entries): vals[l] is the
+	// value of l and vals[l^1] its complement, so reading a literal's value
+	// is one load with no polarity branch. enqueue writes both entries and
+	// cancelUntil clears both.
+	vals     []cnf.Value
+	level    []int32 // decision level of each assigned var
+	reason   []cref  // antecedent clause of each implied var
+	trailPos []int32 // trail index of each assigned var
 	trail    []cnf.Lit
 	trailLim []int // trail index at each decision level
 	qhead    int   // propagation queue head (index into trail)
@@ -165,12 +169,15 @@ func (s *Solver) watch(l cnf.Lit, w watcher) {
 }
 
 // value returns the current truth value of literal l.
-func (s *Solver) value(l cnf.Lit) cnf.Value {
-	v := s.assigns[l.Var()]
-	if l.IsNeg() {
-		return v.Not()
+func (s *Solver) value(l cnf.Lit) cnf.Value { return s.vals[l] }
+
+// newModel returns the current (total) assignment, one bool per variable.
+func (s *Solver) newModel() []bool {
+	model := make([]bool, len(s.vals)/2)
+	for v := range model {
+		model[v] = s.vals[2*v] == cnf.True
 	}
-	return v
+	return model
 }
 
 // decisionLevel is the current depth of the decision stack.
@@ -185,12 +192,9 @@ func (s *Solver) enqueue(l cnf.Lit, from cref) bool {
 	case cnf.False:
 		return false
 	}
+	s.vals[l] = cnf.True
+	s.vals[l^1] = cnf.False
 	v := l.Var()
-	if l.IsNeg() {
-		s.assigns[v] = cnf.False
-	} else {
-		s.assigns[v] = cnf.True
-	}
 	s.level[v] = s.decisionLevel()
 	s.reason[v] = from
 	s.trailPos[v] = int32(len(s.trail))
@@ -216,7 +220,8 @@ func (s *Solver) cancelUntil(lvl int32) {
 		l := s.trail[i]
 		v := l.Var()
 		s.polarity[v] = !l.IsNeg()
-		s.assigns[v] = cnf.Undef
+		s.vals[l] = cnf.Undef
+		s.vals[l^1] = cnf.Undef
 		s.reason[v] = crefUndef
 		if !s.order.contains(v) {
 			s.order.push(v)
@@ -231,7 +236,7 @@ func (s *Solver) cancelUntil(lvl int32) {
 func (s *Solver) pickBranchVar() cnf.Var {
 	for !s.order.empty() {
 		v := s.order.pop()
-		if s.assigns[v] == cnf.Undef {
+		if s.VarValue(v) == cnf.Undef {
 			return v
 		}
 	}
