@@ -122,6 +122,12 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		Flush:           flush,
 	})
 
+	// SIGTERM and SIGINT both drain: admission flips to 503, in-flight jobs
+	// finish or checkpoint within the grace period, traces flush, then exit.
+	// The handler is installed before the API is announced, so a signal sent
+	// as soon as the daemon is ready drains it instead of killing it.
+	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	api, err := obs.Serve(*addr, svc.Handler())
 	if err != nil {
 		return fail(err)
@@ -143,11 +149,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		fmt.Fprintf(stderr, "hyqsatd: introspection on http://%s\n", obsSrv.Addr)
 	}
 
-	// Serve until a shutdown signal or a dead listener. SIGTERM and SIGINT
-	// both drain: admission flips to 503, in-flight jobs finish or
-	// checkpoint within the grace period, traces flush, then exit.
-	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	// Serve until a shutdown signal or a dead listener.
 	obsErr := func() <-chan error {
 		if obsSrv != nil {
 			return obsSrv.Err()
