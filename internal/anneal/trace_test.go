@@ -78,25 +78,26 @@ func TestSampleTracingPreservesResults(t *testing.T) {
 // of the untraced kernel's (the tracer field is never touched on the
 // SampleInto path, so any systematic gap is a regression). Decided on the
 // median of per-round paired ratios so scheduler noise on a shared machine
-// moves single rounds, not the verdict; opt-in via HYQSAT_PERF_GATE=1.
+// moves single rounds, not the verdict; opt-in via HYQSAT_PERF_GATE=1. Both
+// sides run one sampler, which switches its tracer and timing model on for
+// the traced side and off for the plain one, so the tracer is the only
+// difference between them (two samplers differ in memory layout too).
 func TestNopTracerKernelOverhead(t *testing.T) {
 	if os.Getenv("HYQSAT_PERF_GATE") == "" {
 		t.Skip("perf gate disabled; set HYQSAT_PERF_GATE=1")
 	}
 	ep := testEmbeddedProblem(t, 5, 20)
-	plain := NewSampler(DefaultSchedule(), DWave2000QNoise, 7)
-	traced := NewSampler(DefaultSchedule(), DWave2000QNoise, 7)
-	traced.Trace = obs.Nop()
-	traced.Timing = DWave2000QTiming()
-	sample := func(s *Sampler) func(int) {
-		var out Sample
+	s := NewSampler(DefaultSchedule(), DWave2000QNoise, 7)
+	var out Sample
+	sample := func(trace obs.Tracer, timing TimingModel) func(int) {
 		return func(n int) {
+			s.Trace, s.Timing = trace, timing
 			for j := 0; j < n; j++ {
 				s.SampleInto(ep, &out)
 			}
 		}
 	}
-	ratio, ratios := perfgate.Overhead(1001, sample(plain), sample(traced))
+	ratio, ratios := perfgate.Overhead(1001, sample(nil, TimingModel{}), sample(obs.Nop(), DWave2000QTiming()))
 	t.Logf("kernel nop-tracer/plain: median ratio %.4f over %d rounds", ratio, len(ratios))
 	if ratio > 1.01 {
 		t.Fatalf("nop tracer costs %.2f%% on the sweep kernel, budget is 1%%", 100*(ratio-1))
