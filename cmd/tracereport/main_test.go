@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"hyqsat/internal/cnf"
 	"hyqsat/internal/gen"
 	"hyqsat/internal/obs"
 	"hyqsat/internal/portfolio"
@@ -22,29 +23,36 @@ import (
 // path.
 func recordCubeTrace(t *testing.T) string {
 	t.Helper()
+	path, out := solveCubesTraced(t, gen.SatisfiableRandom3SAT(40, 168, 7).Formula,
+		portfolio.CubeOptions{Depth: 2, Workers: 2, ProbeConflicts: 1, Seed: 3, QAWarmup: 1})
+	if out.Result.Status != sat.Sat {
+		t.Fatalf("cube status = %v, want Sat", out.Result.Status)
+	}
+	return path
+}
+
+// solveCubesTraced runs SolveCubes on f with o, tracing to a JSONL file, and
+// returns the file's path and the run's outcome.
+func solveCubesTraced(t *testing.T, f *cnf.Formula, o portfolio.CubeOptions) (string, portfolio.CubeOutcome) {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "cubes.jsonl")
-	f, err := os.Create(path)
+	file, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := obs.NewJSONLSink(f)
-	inst := gen.SatisfiableRandom3SAT(40, 168, 7)
-	out, err := portfolio.SolveCubes(context.Background(), inst.Formula,
-		portfolio.CubeOptions{Depth: 2, Workers: 2, ProbeConflicts: 1, Seed: 3,
-			QAWarmup: 1, Trace: sink})
+	sink := obs.NewJSONLSink(file)
+	o.Trace = sink
+	out, err := portfolio.SolveCubes(context.Background(), f, o)
 	if err != nil {
 		t.Fatalf("cubes: %v", err)
-	}
-	if out.Result.Status != sat.Sat {
-		t.Fatalf("cube status = %v, want Sat", out.Result.Status)
 	}
 	if err := sink.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	if err := f.Close(); err != nil {
+	if err := file.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return path
+	return path, out
 }
 
 // TestReportFromCubeTrace is the acceptance path: a cube-and-conquer trace
@@ -66,6 +74,29 @@ func TestReportFromCubeTrace(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("report missing %q\nreport:\n%s", want, text)
 		}
+	}
+
+	// Offline equals live: the solve-level conflict count read back from the
+	// trace of an unsatisfiable cube run is the aggregate the CLI prints
+	// with -stats, refuted cubes included.
+	unsatPath, cubes := solveCubesTraced(t, gen.UnsatisfiableRandom3SAT(100, 426, 5).Formula,
+		portfolio.CubeOptions{Depth: 3, Workers: 2, ProbeConflicts: 200})
+	if cubes.Result.Status != sat.Unsat || cubes.Refuted == 0 {
+		t.Fatalf("cube run ended %v with %d refuted cubes, want Unsat by refutation",
+			cubes.Result.Status, cubes.Refuted)
+	}
+	var rep bytes.Buffer
+	if rc := run([]string{unsatPath}, nil, &rep, &errb); rc != 0 {
+		t.Fatalf("run = %d, stderr: %s", rc, errb.String())
+	}
+	// The first quality line after the "solve" header is the solve level's.
+	_, solve, _ := strings.Cut(rep.String(), "\nsolve ")
+	_, quality, _ := strings.Cut(solve, "quality: ")
+	quality, _, _ = strings.Cut(quality, "\n")
+	want := fmt.Sprintf(" conflicts=%d ", cubes.Aggregate.SAT.Conflicts)
+	if !strings.Contains(quality, want) {
+		t.Errorf("solve-level quality %q, want%s(the -stats aggregate)\nreport:\n%s",
+			quality, want, rep.String())
 	}
 }
 

@@ -214,9 +214,8 @@ func (s *Solver) handleConflict(conflict cref) bool {
 	if s.metrics.ConflictDepth != nil {
 		s.metrics.ConflictDepth.Observe(float64(level))
 	}
-	if s.decisionLevel() == s.rootLevel {
+	if s.decisionLevel() == 0 {
 		s.status = Unsat
-		s.conflictC = conflict
 		// the empty clause: unsatisfiability is established
 		s.proofRefute(s.ca.lits(conflict), s.clauseID(conflict))
 		if s.trace != nil && s.trace.Enabled() {

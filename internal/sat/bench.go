@@ -37,7 +37,7 @@ func NewPropagateBench(f *cnf.Formula, opts Options, warmupConflicts int64) (*Pr
 	if warmupConflicts > 0 {
 		s.Solve()
 	}
-	s.cancelUntil(s.rootLevel)
+	s.cancelUntil(0)
 	s.opts.MaxConflicts = 0
 
 	decisions := make([]cnf.Lit, 0, len(r.Model))
@@ -66,6 +66,6 @@ func (b *PropagateBench) Run() int64 {
 			s.cancelUntil(s.decisionLevel() - 1)
 		}
 	}
-	s.cancelUntil(s.rootLevel)
+	s.cancelUntil(0)
 	return s.stats.Propagations - start
 }

@@ -59,10 +59,6 @@ func (s *Solver) garbageCollect() {
 		s.watches[li] = kept
 	}
 
-	// The last conflicting clause is diagnostic state only; do not let it
-	// dangle into the compacted arena.
-	s.conflictC = crefUndef
-
 	s.gcBuf = s.ca.data[:0]
 	s.ca = to
 	s.stats.ArenaGCs++

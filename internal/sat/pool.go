@@ -107,8 +107,6 @@ func (s *Solver) reset(f *cnf.Formula, opts Options) {
 	s.emaConflicts = 0
 	s.status = Unknown
 	s.model = nil
-	s.rootLevel = 0
-	s.conflictC = crefUndef
 	s.interrupted.Store(false)
 	s.proof = nil
 	s.nextID = int32(len(f.Clauses)) + 1
@@ -119,6 +117,7 @@ func (s *Solver) reset(f *cnf.Formula, opts Options) {
 	s.trace = nil
 	s.metrics = Metrics{}
 	s.forced = s.forced[:0]
+	s.assumps = nil
 
 	if s.order == nil {
 		s.order = newVarHeap(s.varAct)
@@ -155,7 +154,6 @@ func (s *Solver) reset(f *cnf.Formula, opts Options) {
 		}
 	}
 	s.maxLearnts = float64(len(s.problem))/3.0 + 100
-	s.learntsAdjust = 100
 	s.conflictsUntilRestart = s.restartBudget()
 }
 
