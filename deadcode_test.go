@@ -385,3 +385,108 @@ func TestNoUnsetConfigFields(t *testing.T) {
 		}
 	}
 }
+
+// keptUnread lists the unexported struct fields under internal/ that no
+// non-test code reads but that stay, each with the reason. Keys are
+// pkg.Type.field.
+var keptUnread = map[string]string{
+	"obs.Server.ln": "server_test.go closes the listener under a running server to check that Err reports the serve error",
+}
+
+// TestNoUnreadInternalFields fails when an unexported field of a struct type
+// declared in a non-test file under internal/ is never read in the module's
+// non-test Go files: state that is only assigned (or not used at all) does
+// nothing. A write is an assignment or increment target, a composite-literal
+// key or element, or the slice, map or value struct a target indexes or
+// selects into (writing x.f[i] or x.f.g writes f); every other use is a
+// read, so a field reached through a pointer (x.p.g = v) or whose address
+// is taken counts as read. Fields resolve with go/types, as in
+// TestNoUncalledInternalExports.
+func TestNoUnreadInternalFields(t *testing.T) {
+	mt, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes := map[*ast.SelectorExpr]bool{}
+	// target marks the field selections an assignment target writes.
+	var target func(ast.Expr)
+	target = func(e ast.Expr) {
+		switch e := e.(type) {
+		case *ast.SelectorExpr:
+			if sel, ok := mt.info.Selections[e]; ok && sel.Kind() == types.FieldVal {
+				writes[e] = true
+				if _, ptr := mt.info.TypeOf(e.X).Underlying().(*types.Pointer); !ptr {
+					target(e.X)
+				}
+			}
+		case *ast.IndexExpr:
+			if _, ptr := mt.info.TypeOf(e.X).Underlying().(*types.Pointer); !ptr {
+				target(e.X)
+			}
+		case *ast.ParenExpr:
+			target(e.X)
+		}
+	}
+	read := map[*types.Var]bool{}
+	for _, files := range mt.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						target(lhs)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				}
+				return true
+			})
+		}
+	}
+	for e, sel := range mt.info.Selections {
+		if sel.Kind() == types.FieldVal && !writes[e] {
+			read[sel.Obj().(*types.Var).Origin()] = true
+		}
+	}
+	declared := map[string]bool{}
+	var unread []string
+	mt.internalFiles(func(path string, f *ast.File) {
+		for _, d := range f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts := spec.(*ast.TypeSpec)
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					continue
+				}
+				for _, fl := range st.Fields.List {
+					for _, id := range fl.Names {
+						if id.IsExported() || id.Name == "_" {
+							continue
+						}
+						key := f.Name.Name + "." + ts.Name.Name + "." + id.Name
+						declared[key] = true
+						if _, ok := keptUnread[key]; !ok && !read[mt.info.Defs[id].(*types.Var)] {
+							unread = append(unread, path+": "+key)
+						}
+					}
+				}
+			}
+		}
+	})
+	if len(declared) == 0 {
+		t.Fatal("found no unexported struct fields under internal/")
+	}
+	sort.Strings(unread)
+	for _, u := range unread {
+		t.Errorf("%s is never read in non-test code; delete it and its writes, or list it in keptUnread with the reason", u)
+	}
+	for key := range keptUnread {
+		if !declared[key] {
+			t.Errorf("keptUnread lists %s, which is no longer declared", key)
+		}
+	}
+}

@@ -78,7 +78,7 @@ func TestAllSolversAgreeAcrossFamilies(t *testing.T) {
 						t.Fatalf("%s model invalid", name)
 					}
 				}
-				f3, _ := cnf.To3CNF(f)
+				f3 := cnf.To3CNF(f)
 				if !cnf.FromBools(hy.Model).Satisfies(f3) {
 					t.Fatal("hyqsat model invalid")
 				}
@@ -125,7 +125,7 @@ func TestFullPipelineManually(t *testing.T) {
 	// Drive the frontend→QA→backend pipeline by hand on a generated
 	// workload and check every interface contract along the way.
 	inst := gen.SatisfiableRandom3SAT(60, 240, 9)
-	f3, _ := cnf.To3CNF(inst.Formula)
+	f3 := cnf.To3CNF(inst.Formula)
 
 	opts := sat.MiniSATOptions()
 	s := sat.New(f3, opts)
@@ -210,7 +210,7 @@ func TestHybridSolvesEveryDomainRepresentative(t *testing.T) {
 			t.Fatalf("%s: got %v want %v", inst.Name, r.Status, inst.Expected)
 		}
 		if r.Status == sat.Sat {
-			f3, _ := cnf.To3CNF(inst.Formula)
+			f3 := cnf.To3CNF(inst.Formula)
 			if !cnf.FromBools(r.Model).Satisfies(f3) {
 				t.Fatalf("%s: invalid model", inst.Name)
 			}

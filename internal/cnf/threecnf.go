@@ -3,16 +3,12 @@ package cnf
 // To3CNF converts f into an equisatisfiable 3-CNF formula: clauses with more
 // than three literals are split by introducing chain variables
 // (l1 ∨ l2 ∨ s1)(¬s1 ∨ l3 ∨ s2)…, the standard Tseitin-style reduction the
-// paper assumes in §VII-B. Clauses of length ≤3 are copied verbatim, and the
-// returned mapping reports, for each output clause, the index of the input
-// clause it came from (useful when tracing activity back to the source).
-func To3CNF(f *Formula) (*Formula, []int) {
+// paper assumes in §VII-B. Clauses of length ≤3 are copied verbatim.
+func To3CNF(f *Formula) *Formula {
 	g := &Formula{NumVars: f.NumVars}
-	origin := make([]int, 0, len(f.Clauses))
-	for i, c := range f.Clauses {
+	for _, c := range f.Clauses {
 		if len(c) <= 3 {
 			g.Clauses = append(g.Clauses, append(Clause(nil), c...))
-			origin = append(origin, i)
 			continue
 		}
 		// (l1 l2 s1), (¬s1 l3 s2), …, (¬s_{k} l_{n-1} l_n)
@@ -29,15 +25,13 @@ func To3CNF(f *Formula) (*Formula, []int) {
 				rest = rest[1:]
 			}
 			g.Clauses = append(g.Clauses, cl)
-			origin = append(origin, i)
 			prev = Pos(s)
 		}
 		last := Clause{prev.Not()}
 		last = append(last, rest...)
 		g.Clauses = append(g.Clauses, last)
-		origin = append(origin, i)
 	}
-	return g, origin
+	return g
 }
 
 // VarAdjacency returns, for each variable, the indices of the clauses that

@@ -115,7 +115,7 @@ func TestHybridKSATInput(t *testing.T) {
 	}) {
 		t.Fatal("model violates short clauses")
 	}
-	orig, _ := cnf.To3CNF(f)
+	orig := cnf.To3CNF(f)
 	if !cnf.FromBools(r.Model).Satisfies(orig) {
 		t.Fatal("model violates 3-CNF conversion")
 	}
@@ -362,7 +362,7 @@ func TestTopAtMatchesSelectionSort(t *testing.T) {
 // every queued clause is unsatisfied and queued once, the queue respects
 // its limit, and the head scores among the top 30.
 func TestQueueFromCDCLUnsatSet(t *testing.T) {
-	f3, _ := cnf.To3CNF(gen.SatisfiableRandom3SAT(60, 240, 9).Formula)
+	f3 := cnf.To3CNF(gen.SatisfiableRandom3SAT(60, 240, 9).Formula)
 	s := sat.New(f3, sat.MiniSATOptions())
 	for i := 0; i < 5; i++ {
 		if st := s.Step(); st != sat.StepContinue {

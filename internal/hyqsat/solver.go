@@ -256,7 +256,6 @@ type Solver struct {
 	opts    Options
 	rng     *rand.Rand
 	formula *cnf.Formula // 3-CNF form actually solved
-	origin  []int        // 3-CNF clause → original clause index
 	sat     *sat.Solver
 	varAdj  [][]int
 	sampler *anneal.Sampler
@@ -375,12 +374,11 @@ func newSolverMetrics(reg *obs.Registry) solverMetrics {
 // the model returned covers the original variables).
 func New(f *cnf.Formula, opts Options) *Solver {
 	opts = opts.WithDefaults()
-	f3, origin := cnf.To3CNF(f)
+	f3 := cnf.To3CNF(f)
 	s := &Solver{
 		opts:    opts,
 		rng:     rand.New(rand.NewSource(opts.Seed)),
 		formula: f3,
-		origin:  origin,
 		varAdj:  cnf.VarAdjacency(f3),
 		sampler: anneal.NewSampler(opts.Schedule, opts.Noise, opts.Seed^0x3c3c3c),
 		belief:  cnf.NewAssignment(f3.NumVars),

@@ -73,7 +73,6 @@ type Scheduler struct {
 	maxMem  int
 	pace    bool
 	trace   obs.Tracer
-	reg     *obs.Registry
 
 	packer *Packer // nil → batching disabled (solo programs only)
 	pool   sync.Pool
@@ -127,7 +126,6 @@ func New(sampler *anneal.Sampler, g topo.Topology, cfg Config) *Scheduler {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	s.reg = reg
 	s.mPrograms = reg.Counter("batch_programs")
 	s.mMembers = reg.Counter("batch_members")
 	s.mSolo = reg.Counter("batch_solo")

@@ -126,7 +126,6 @@ func (c Config) withDefaults() Config {
 // queue in front of a worker pool, plus the remote QPU sampling endpoint.
 type Service struct {
 	cfg     Config
-	reg     *obs.Registry
 	trace   obs.Tracer
 	tenants *tenants
 	queue   chan *job
@@ -182,7 +181,6 @@ func New(cfg Config) *Service {
 	}
 	s := &Service{
 		cfg:     cfg,
-		reg:     reg,
 		trace:   cfg.Trace,
 		tenants: newTenants(maxTenants, cfg.DefaultQuota, time.Now),
 		queue:   make(chan *job, cfg.QueueDepth),
