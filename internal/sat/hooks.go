@@ -111,8 +111,8 @@ type Metrics struct {
 // SetMetrics installs live instrumentation sinks. Attach before solving.
 func (s *Solver) SetMetrics(m Metrics) { s.metrics = m }
 
-// Interrupt asynchronously stops the current search: the search loops poll
-// the flag where they poll the conflict budget, so the in-flight
+// Interrupt asynchronously stops the current search: Step polls the flag
+// where it polls the conflict budget, so the in-flight
 // Solve/SolveWithAssumptions call returns Unknown within one propagation
 // round. This is the one solver method that is safe to call from another
 // goroutine, and the one way a caller stops a search early: the cube
