@@ -57,9 +57,12 @@ HYQSAT_PERF_GATE=1 go test -run=TestResilientOverhead -count=1 -v ./internal/qpu
 # Cross-solve batching gates: each member's read set from a batched program
 # bit-identical to sequential solo sampling at the same seeds, pro-rata
 # device-time shares summing exactly to the batched program's access time,
-# and the steady-state pack cycle staying allocation-free.
+# the steady-state pack cycle staying allocation-free, and the batching
+# window lasting as long as configured (a lone request's median wait within
+# 400 µs of the 100 µs default, not the ≈1 ms a sub-millisecond timer takes;
+# a 20 ms window no shorter).
 go test -run='TestSampleBatchBitIdenticalToSequentialSample|TestSplitAccessTimeSumsExactly' -count=1 ./internal/anneal
-go test -run='TestPackSteadyStateAllocs' -count=1 ./internal/qbatch
+go test -run='TestPackSteadyStateAllocs|TestSchedulerWindow' -count=1 ./internal/qbatch
 # Wire-decode gate: the decode fuzz targets pin that no /v1/qpu/sample
 # payload can panic its decoders, the server's request decoder and the
 # response decoder (qpu.SampleResponse.ReadSet).

@@ -15,6 +15,8 @@
 //   - the QA-quality summary: chain-break rate bucketed by chain length,
 //     energy-gap distribution, per-strategy hits and conflict segments, and
 //     the payoff estimate (conflicts avoided per device-µs),
+//   - the batching summary when the trace holds qbatch device programs:
+//     members and batching-window wait per program, device time saved,
 //   - cube statistics when the trace recorded a cube-and-conquer run, and
 //   - with -calls, the per-access QA call table.
 //
@@ -122,12 +124,33 @@ type Report struct {
 }
 
 // Aggregate is the analysis of one event subset: phase breakdown (ns per
-// phase), outcome classification counts, and the QA-quality summary.
+// phase), outcome classification counts, the QA-quality summary, and the
+// batching summary.
 type Aggregate struct {
 	Events   int                `json:"events"`
 	Phases   map[string]int64   `json:"phases_ns,omitempty"`
 	Outcomes map[string]int     `json:"outcomes,omitempty"`
 	Quality  obs.QualitySummary `json:"quality"`
+	Batch    *BatchStats        `json:"batch,omitempty"`
+}
+
+// BatchStats sums the qbatch scheduler's qa_batch events: device programs,
+// the member requests they served, the leaders' batching-window waits, and
+// the modelled device time run and saved.
+type BatchStats struct {
+	Programs      int   `json:"programs"`
+	Members       int   `json:"members"`
+	WindowNs      int64 `json:"window_ns"`
+	DeviceNs      int64 `json:"device_ns"`
+	DeviceSavedNs int64 `json:"device_saved_ns"`
+}
+
+// MeanWindowUs is the mean batching-window wait per device program, in µs.
+func (b *BatchStats) MeanWindowUs() float64 {
+	if b == nil || b.Programs == 0 {
+		return 0
+	}
+	return float64(b.WindowNs) / 1e3 / float64(b.Programs)
 }
 
 // SolveReport covers every event attributed to one solve id.
@@ -265,6 +288,19 @@ func aggregate(events []obs.Stamped) Aggregate {
 	if oc := obs.OutcomeCounts(events); len(oc) > 0 {
 		agg.Outcomes = oc
 	}
+	for _, ev := range events {
+		if e, ok := ev.E.(obs.BatchEvent); ok {
+			if agg.Batch == nil {
+				agg.Batch = &BatchStats{}
+			}
+			b := agg.Batch
+			b.Programs++
+			b.Members += e.Members
+			b.WindowNs += e.WindowNs
+			b.DeviceNs += e.DeviceNs
+			b.DeviceSavedNs += e.DeviceSavedNs
+		}
+	}
 	return agg
 }
 
@@ -393,6 +429,14 @@ func writeAggregate(w io.Writer, title string, agg Aggregate, indent string) {
 		fmt.Fprintln(w)
 	}
 	writeQuality(w, agg.Quality, indent)
+	if b := agg.Batch; b != nil {
+		saved := 0.0
+		if b.DeviceNs+b.DeviceSavedNs > 0 {
+			saved = 100 * float64(b.DeviceSavedNs) / float64(b.DeviceNs+b.DeviceSavedNs)
+		}
+		fmt.Fprintf(w, "%sbatch: programs=%d members/program=%.2f window_us/program=%.1f device_saved=%.1f%%\n",
+			indent, b.Programs, float64(b.Members)/float64(b.Programs), b.MeanWindowUs(), saved)
+	}
 }
 
 func writeQuality(w io.Writer, q obs.QualitySummary, indent string) {
@@ -461,6 +505,7 @@ func writeCompare(w io.Writer, a, b *Report) {
 	row("conflicts", float64(qa.Conflicts), float64(qb.Conflicts))
 	row("degrades", float64(qa.Degrades), float64(qb.Degrades))
 	row("payoff_per_us", qa.PayoffPerDeviceUs, qb.PayoffPerDeviceUs)
+	row("batch_window_us", a.Total.Batch.MeanWindowUs(), b.Total.Batch.MeanWindowUs())
 }
 
 func deltaPct(a, b float64) string {

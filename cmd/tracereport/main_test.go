@@ -67,6 +67,7 @@ func TestReportFromCubeTrace(t *testing.T) {
 	for _, want := range []string{
 		fmt.Sprintf("schema %d", obs.TraceSchemaVersion), // header parsed
 		"source cube/w",         // worker attribution survived the trace
+		"source cube/warmup/w",  // so did the warm-ups'
 		"frontend", "qa_device", // per-worker phase breakdown
 		"quality:", "energy gap:", "chain-break by max len:", // quality report
 		"cubes: ", // cube stats
@@ -78,25 +79,31 @@ func TestReportFromCubeTrace(t *testing.T) {
 
 	// Offline equals live: the solve-level conflict count read back from the
 	// trace of an unsatisfiable cube run is the aggregate the CLI prints
-	// with -stats, refuted cubes included.
-	unsatPath, cubes := solveCubesTraced(t, gen.UnsatisfiableRandom3SAT(100, 426, 5).Formula,
-		portfolio.CubeOptions{Depth: 3, Workers: 2, ProbeConflicts: 200})
-	if cubes.Result.Status != sat.Unsat || cubes.Refuted == 0 {
-		t.Fatalf("cube run ended %v with %d refuted cubes, want Unsat by refutation",
-			cubes.Result.Status, cubes.Refuted)
-	}
-	var rep bytes.Buffer
-	if rc := run([]string{unsatPath}, nil, &rep, &errb); rc != 0 {
-		t.Fatalf("run = %d, stderr: %s", rc, errb.String())
-	}
-	// The first quality line after the "solve" header is the solve level's.
-	_, solve, _ := strings.Cut(rep.String(), "\nsolve ")
-	_, quality, _ := strings.Cut(solve, "quality: ")
-	quality, _, _ = strings.Cut(quality, "\n")
-	want := fmt.Sprintf(" conflicts=%d ", cubes.Aggregate.SAT.Conflicts)
-	if !strings.Contains(quality, want) {
-		t.Errorf("solve-level quality %q, want%s(the -stats aggregate)\nreport:\n%s",
-			quality, want, rep.String())
+	// with -stats, refuted cubes included, and with QA warm-ups before each
+	// cube their hybrid cores' conflicts too.
+	for _, warmup := range []int{0, 2} {
+		unsatPath, cubes := solveCubesTraced(t, gen.UnsatisfiableRandom3SAT(100, 426, 5).Formula,
+			portfolio.CubeOptions{Depth: 3, Workers: 2, ProbeConflicts: 200, Seed: 1, QAWarmup: warmup})
+		if cubes.Result.Status != sat.Unsat || cubes.Refuted == 0 {
+			t.Fatalf("warm-up %d: cube run ended %v with %d refuted cubes, want Unsat by refutation",
+				warmup, cubes.Result.Status, cubes.Refuted)
+		}
+		if warmup > 0 && cubes.Aggregate.QACalls == 0 {
+			t.Fatalf("warm-up %d: no QA calls in the aggregate", warmup)
+		}
+		var rep bytes.Buffer
+		if rc := run([]string{unsatPath}, nil, &rep, &errb); rc != 0 {
+			t.Fatalf("run = %d, stderr: %s", rc, errb.String())
+		}
+		// The first quality line after the "solve" header is the solve level's.
+		_, solve, _ := strings.Cut(rep.String(), "\nsolve ")
+		_, quality, _ := strings.Cut(solve, "quality: ")
+		quality, _, _ = strings.Cut(quality, "\n")
+		want := fmt.Sprintf(" conflicts=%d ", cubes.Aggregate.SAT.Conflicts)
+		if !strings.Contains(quality, want) {
+			t.Errorf("warm-up %d: solve-level quality %q, want%s(the -stats aggregate)\nreport:\n%s",
+				warmup, quality, want, rep.String())
+		}
 	}
 }
 
@@ -121,16 +128,16 @@ func TestReportJSON(t *testing.T) {
 		t.Fatalf("cube stats missing: %+v", sr.Cubes)
 	}
 	// Which worker's warm-up reaches the annealer first is scheduling; take
-	// the first worker source that ran one.
+	// the first warm-up source that ran one.
 	var worker *SourceReport
 	for i := range sr.Sources {
-		if strings.HasPrefix(sr.Sources[i].Name, "cube/w") && len(sr.Sources[i].QACalls) > 0 {
+		if strings.HasPrefix(sr.Sources[i].Name, "cube/warmup/w") && len(sr.Sources[i].QACalls) > 0 {
 			worker = &sr.Sources[i]
 			break
 		}
 	}
 	if worker == nil {
-		t.Fatalf("no cube/w<i> source with QA calls in %+v", sr.Sources)
+		t.Fatalf("no cube/warmup/w<i> source with QA calls in %+v", sr.Sources)
 	}
 	if len(worker.Aggregate.Phases) == 0 {
 		t.Fatal("worker has no phase breakdown")
@@ -158,6 +165,35 @@ func TestCompare(t *testing.T) {
 	// Self-compare: every delta must be 0%.
 	if strings.Contains(text, "new") || strings.Contains(strings.ReplaceAll(text, "+0.0%", ""), "+") {
 		t.Errorf("self-compare shows nonzero deltas:\n%s", text)
+	}
+}
+
+// TestBatchSummary: qa_batch events are summed into the batching line, the
+// window wait averaged over every program (the second window's overflow
+// program carries none).
+func TestBatchSummary(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "batch.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := obs.NewJSONLSink(f)
+	sink.Emit(obs.BatchEvent{Members: 4, DeviceNs: 150_000, DeviceSavedNs: 450_000, WindowNs: 110_000})
+	sink.Emit(obs.BatchEvent{Members: 1, DeviceNs: 130_000, WindowNs: 130_000})
+	sink.Emit(obs.BatchEvent{Members: 1, DeviceNs: 130_000})
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if rc := run([]string{path}, nil, &out, &errb); rc != 0 {
+		t.Fatalf("run = %d, stderr: %s", rc, errb.String())
+	}
+	want := "batch: programs=3 members/program=2.00 window_us/program=80.0 device_saved=52.3%"
+	if !strings.Contains(out.String(), want) {
+		t.Errorf("report missing %q\nreport:\n%s", want, out.String())
 	}
 }
 

@@ -104,8 +104,10 @@ func (QACallEvent) Kind() string { return "qa_call" }
 // scheduler: how many member requests were co-tiled, total reads across
 // members, the read count actually programmed (max over members — every read
 // cycle reads all members out together), merged problem size, the modelled
-// device time of the single program, and the device time saved versus running
-// each member as its own program.
+// device time of the single program, the device time saved versus running
+// each member as its own program, and the measured wait of the batching
+// window that collected the members (carried by the first program a window
+// runs; 0 on the others and on solo programs run with batching off).
 type BatchEvent struct {
 	Members       int   `json:"members"`
 	TotalReads    int   `json:"total_reads"`
@@ -113,6 +115,7 @@ type BatchEvent struct {
 	ActiveQubits  int   `json:"active_qubits,omitempty"`
 	DeviceNs      int64 `json:"device_ns"`
 	DeviceSavedNs int64 `json:"device_saved_ns"`
+	WindowNs      int64 `json:"window_ns,omitempty"`
 }
 
 // Kind implements Event.

@@ -206,8 +206,8 @@ type qualityAgg struct {
 	degrades int64
 
 	// conflict-segment attribution: conflictTotal is monotonic across
-	// counter resets (each cube's QA warm-up runs a fresh CDCL core under
-	// its worker's source); segStart
+	// counter resets (a cube worker's QA warm-ups run one fresh CDCL core
+	// each under one warm-up source); segStart
 	// marks where the currently-open segment began; curStrategy is the
 	// strategy whose guidance the open segment runs under (-1 before the
 	// first strategy event — those conflicts stay unattributed).
@@ -299,7 +299,10 @@ func (a *qualityAgg) observe(e Event, t *QualityTracker) {
 		// segment joins the strategy-0 baseline.
 		a.closeSegment(0, t)
 	case ConflictEvent:
-		if ev.Conflicts >= a.lastRaw {
+		// One core emits one event per conflict, so its counts strictly
+		// rise; a count that does not is a fresh core's (a core that
+		// stopped after one conflict is followed by another's count of 1).
+		if ev.Conflicts > a.lastRaw {
 			a.conflictTotal += ev.Conflicts - a.lastRaw
 		} else {
 			a.conflictTotal += ev.Conflicts // counter reset (a fresh CDCL core)

@@ -132,24 +132,27 @@ func TestQualityDegradeJoinsBaseline(t *testing.T) {
 	}
 }
 
-// TestQualityConflictCounterReset: each cube's QA warm-up runs a fresh CDCL
-// core under its worker's source, resetting the conflict counter; the
-// tracker must keep the total monotonic instead of attributing a huge
-// negative delta.
+// TestQualityConflictCounterReset: a cube worker's QA warm-ups each run a
+// fresh CDCL core under one warm-up source, resetting the conflict counter;
+// the tracker must keep the total monotonic instead of attributing a huge
+// negative delta, and must not lose a one-conflict core's conflict when the
+// next core's first count equals it.
 func TestQualityConflictCounterReset(t *testing.T) {
 	q := NewQualityTracker(nil)
 	q.Emit(StrategyHitEvent{Strategy: 0})
 	q.Emit(ConflictEvent{Conflicts: 50})
 	q.Emit(ConflictEvent{Conflicts: 80})
 	q.Emit(ConflictEvent{Conflicts: 30}) // reset: new warm-up, 30 fresh conflicts
+	q.Emit(ConflictEvent{Conflicts: 1})  // reset: a warm-up with one conflict
+	q.Emit(ConflictEvent{Conflicts: 1})  // reset: the next warm-up's first
 	q.Emit(StrategyHitEvent{Strategy: 1})
 
 	s := q.Snapshot()
-	if s.Conflicts != 110 {
-		t.Fatalf("total conflicts=%d, want 80+30=110", s.Conflicts)
+	if s.Conflicts != 112 {
+		t.Fatalf("total conflicts=%d, want 80+30+1+1=112", s.Conflicts)
 	}
-	if s.Strategies[0].Conflicts != 110 {
-		t.Fatalf("baseline segment conflicts=%d, want 110", s.Strategies[0].Conflicts)
+	if s.Strategies[0].Conflicts != 112 {
+		t.Fatalf("baseline segment conflicts=%d, want 112", s.Strategies[0].Conflicts)
 	}
 }
 

@@ -39,9 +39,10 @@ func NextSolveID() string {
 // Scopes nest, and the outer scope wins: a field set by an enclosing
 // WithSource (closer to the sink) overrides the same field set by an inner
 // one, while unset fields are filled from the inner scope. A cube run that
-// scopes each worker's tracer with {Solve: runID, Name: "cube/w3"} therefore
-// overrides the per-solver "hyqsat" source its QA warm-ups install on
-// themselves, and a bare CLI solve keeps the solver's own attribution.
+// scopes each worker's warm-up tracer with {Solve: runID, Name:
+// "cube/warmup/w3"} therefore overrides the per-solver "hyqsat" source its
+// QA warm-ups install on themselves, and a bare CLI solve keeps the
+// solver's own attribution.
 func WithSource(t Tracer, src Source) Tracer {
 	if t == nil || !t.Enabled() {
 		return Nop()

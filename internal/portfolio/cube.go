@@ -250,7 +250,12 @@ func SolveCubes(ctx context.Context, f *cnf.Formula, o CubeOptions) (CubeOutcome
 
 	solvers := make([]*sat.Solver, o.Workers)
 	workerTrace := make([]obs.Tracer, o.Workers)
+	// A worker's QA warm-ups run their own hybrid CDCL cores, so they trace
+	// under a source of their own ("cube/warmup/w3"): the worker's conflict
+	// counter and the warm-ups' never interleave in one stream.
+	warmupTrace := make([]obs.Tracer, o.Workers)
 	for w := range solvers {
+		warmupTrace[w] = obs.WithSource(trace, obs.Source{Solve: runID, Name: fmt.Sprintf("cube/warmup/w%d", w)})
 		solvers[w] = sat.New(f.Copy(), sat.MiniSATOptions())
 		if o.Certify {
 			solvers[w].SetProofWriter(recs[1+w])
@@ -297,8 +302,8 @@ func SolveCubes(ctx context.Context, f *cnf.Formula, o CubeOptions) (CubeOutcome
 				cube := cubes[ci]
 				startConf := solver.Stats().Conflicts
 				if o.QAWarmup > 0 {
-					model, qaReads, qaCalls := cubeWarmup(ctx, f, cube, o, solver, wt)
-					agg.add(sat.Stats{}, qaReads, qaCalls)
+					model, st := cubeWarmup(ctx, f, cube, o, solver, warmupTrace[w])
+					agg.add(st.SAT, st.QAReads, int64(st.QACalls))
 					if model != nil {
 						mu.Lock()
 						if winCube < 0 {
@@ -439,9 +444,10 @@ func stitchProof(f *cnf.Formula, recs []*verify.Recorder, cubes []Cube, leaves [
 // stumbles on a model of f, the (verified) model is returned and wins the
 // solve; a warm-up Unsat is ignored — its premise is the restricted
 // formula's 3-CNF form, which the stitched proof cannot absorb, so the CDCL
-// worker re-derives the refutation certifiably.
+// worker re-derives the refutation certifiably. st is the warm-up's work,
+// for the run's aggregate.
 func cubeWarmup(ctx context.Context, f *cnf.Formula, cube Cube, o CubeOptions,
-	solver *sat.Solver, trace obs.Tracer) (model []bool, qaReads, qaCalls int64) {
+	solver *sat.Solver, trace obs.Tracer) (model []bool, st hyqsat.Stats) {
 	g := f.Copy()
 	for _, l := range cube {
 		g.AddClause(cnf.Clause{l})
@@ -454,16 +460,15 @@ func cubeWarmup(ctx context.Context, f *cnf.Formula, cube Cube, o CubeOptions,
 	ho.Trace = trace
 	h := hyqsat.New(g, ho)
 	r := h.SolveContext(ctx)
-	qaReads, qaCalls = r.Stats.QAReads, int64(r.Stats.QACalls)
 	if r.Status == sat.Sat {
 		m := r.Model
 		if len(m) > f.NumVars {
 			m = m[:f.NumVars]
 		}
 		if verify.CheckModel(f, m) == nil {
-			return m, qaReads, qaCalls
+			return m, r.Stats
 		}
-		return nil, qaReads, qaCalls
+		return nil, r.Stats
 	}
 	if r.Status == sat.Unknown && r.Err == nil {
 		belief := h.Belief()
@@ -472,5 +477,5 @@ func cubeWarmup(ctx context.Context, f *cnf.Formula, cube Cube, o CubeOptions,
 		}
 		solver.SetPhaseHints(belief)
 	}
-	return nil, qaReads, qaCalls
+	return nil, r.Stats
 }

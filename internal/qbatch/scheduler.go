@@ -2,6 +2,7 @@ package qbatch
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"time"
 
@@ -62,7 +63,7 @@ type request struct {
 // a pro-rata share of the one program's modelled access time.
 //
 // The collection protocol is leaderless-goroutine-free: the first request of
-// a window becomes the leader, sleeps out the window (or until the batch
+// a window becomes the leader, waits out the window (or until the batch
 // fills) on its own goroutine, then runs the programs and distributes
 // results. Followers just wait on their request. No background goroutine
 // exists, so a drained daemon leaks nothing.
@@ -90,6 +91,7 @@ type Scheduler struct {
 	mRefused  *obs.Counter
 	mDeviceNs *obs.Counter
 	mSavedNs  *obs.Counter
+	mWindowNs *obs.Counter
 }
 
 // New builds a scheduler over sampler and the hardware graph g. A nil g, or
@@ -132,6 +134,7 @@ func New(sampler *anneal.Sampler, g topo.Topology, cfg Config) *Scheduler {
 	s.mRefused = reg.Counter("batch_refused_topology")
 	s.mDeviceNs = reg.Counter("batch_device_ns")
 	s.mSavedNs = reg.Counter("batch_device_saved_ns")
+	s.mWindowNs = reg.Counter("batch_window_ns")
 	return s
 }
 
@@ -179,7 +182,7 @@ func (s *Scheduler) SubmitCosted(ctx context.Context, ep *anneal.EmbeddedProblem
 	}
 	if !s.Batching() {
 		req := &request{ep: ep, reads: reads}
-		s.runProgram([]*request{req})
+		s.runProgram([]*request{req}, 0)
 		return req.rs, req.share, nil
 	}
 
@@ -209,12 +212,10 @@ func (s *Scheduler) SubmitCosted(ctx context.Context, ep *anneal.EmbeddedProblem
 	s.pending = append(s.pending, req)
 	s.mu.Unlock()
 
-	timer := time.NewTimer(s.window)
-	select {
-	case <-timer.C:
-	case <-full:
-		timer.Stop()
-	}
+	start := time.Now()
+	waitWindow(start.Add(s.window), full)
+	waited := time.Since(start)
+	s.mWindowNs.Add(waited.Nanoseconds())
 
 	s.mu.Lock()
 	batch := s.pending
@@ -222,22 +223,67 @@ func (s *Scheduler) SubmitCosted(ctx context.Context, ep *anneal.EmbeddedProblem
 	s.collecting = false
 	s.mu.Unlock()
 
-	s.runBatch(batch)
+	s.runBatch(batch, waited)
 	return req.rs, req.share, nil
+}
+
+// spinSlack is how close to a window's deadline the leader stops blocking on
+// a timer and starts yield-spinning. In a mostly idle Go process a timer
+// fires on the netpoller's ≈1 ms tick, so a 100 µs timer returns after about
+// a millisecond; a timer is only trusted to wake the leader this far early.
+const spinSlack = 2 * time.Millisecond
+
+// waitWindow returns at deadline, or as soon as full is closed. More than
+// spinSlack ahead of the deadline it blocks on a timer (or full); the rest
+// it yield-spins: check full without blocking, compare the clock with the
+// deadline, runtime.Gosched.
+//
+// Cost: the spin keeps one goroutine runnable for the last spinSlack of a
+// window, at most the whole window when it is shorter (100 µs under
+// DefaultWindow). Only the leader of the open window calls this and one
+// window collects at a time, so at most one goroutine spins, for at most
+// one window per device program; Gosched hands its P to any other runnable
+// goroutine on every pass.
+func waitWindow(deadline time.Time, full <-chan struct{}) {
+	if d := time.Until(deadline) - spinSlack; d > 0 {
+		timer := time.NewTimer(d)
+		select {
+		case <-timer.C:
+		case <-full:
+			timer.Stop()
+			return
+		}
+	}
+	for {
+		select {
+		case <-full:
+			return
+		default:
+		}
+		if !time.Now().Before(deadline) {
+			return
+		}
+		runtime.Gosched()
+	}
 }
 
 // runBatch groups the collected requests into device programs — greedily
 // co-tiling onto one packing until the chip fills, then flushing and
 // starting the next program — and runs each group. It runs only when
-// Batching holds, so the packer exists.
-func (s *Scheduler) runBatch(batch []*request) {
+// Batching holds, so the packer exists. window is the leader's wait, carried
+// by the first program's trace event.
+func (s *Scheduler) runBatch(batch []*request, window time.Duration) {
 	packing := s.pool.Get().(*Packing)
 	defer s.pool.Put(packing)
 	packing.Reset()
 	var group []*request
+	run := func(members []*request) {
+		s.runProgram(members, window)
+		window = 0
+	}
 	flush := func() {
 		if len(group) > 0 {
-			s.runProgram(group)
+			run(group)
 			group = group[:0]
 			packing.Reset()
 		}
@@ -258,7 +304,7 @@ func (s *Scheduler) runBatch(batch []*request) {
 			// Unrelocatable (or still over capacity alone): its own program
 			// at its original placement. Topology refusals cannot reach here
 			// — SubmitCosted rejects them before the window.
-			s.runProgram([]*request{r})
+			run([]*request{r})
 			continue
 		}
 		group = append(group, r)
@@ -268,8 +314,8 @@ func (s *Scheduler) runBatch(batch []*request) {
 
 // runProgram runs one device program serving the given members: one batched
 // sampler access, pro-rata cost shares, metrics, trace, and result
-// distribution.
-func (s *Scheduler) runProgram(group []*request) {
+// distribution. window is the batching wait the trace event reports.
+func (s *Scheduler) runProgram(group []*request, window time.Duration) {
 	k := len(group)
 	eps := make([]*anneal.EmbeddedProblem, k)
 	reads := make([]int, k)
@@ -319,6 +365,7 @@ func (s *Scheduler) runProgram(group []*request) {
 			ActiveQubits:  activeQubits,
 			DeviceNs:      total.Nanoseconds(),
 			DeviceSavedNs: (soloSum - total).Nanoseconds(),
+			WindowNs:      window.Nanoseconds(),
 		})
 	}
 	for i, r := range group {

@@ -3,6 +3,7 @@ package qbatch
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -161,6 +162,62 @@ func TestSchedulerBatchingDisabled(t *testing.T) {
 	}
 	if saved := reg.Counter("batch_device_saved_ns").Value(); saved != 0 {
 		t.Fatalf("solo programs saved %dns, want 0", saved)
+	}
+}
+
+// TestSchedulerWindowLoneSubmit: a lone request waits out the default
+// window and not the ≈1 ms a sub-millisecond Go timer takes to fire in an
+// idle process. The bound leaves 400 µs for sampling one small member,
+// enough under -race too; each leader's measured wait, in the counter and in
+// the trace, is at least the window.
+func TestSchedulerWindowLoneSubmit(t *testing.T) {
+	g := topo.DWave2000Q()
+	var sink captureTracer
+	sched, reg := newTestScheduler(t, Config{Trace: &sink})
+	ep := memberProblem(t, g, 241, 1, 3)
+	const n = 25
+	lat := make([]time.Duration, n)
+	for i := range lat {
+		start := time.Now()
+		if _, _, err := sched.SubmitCosted(context.Background(), ep, 1); err != nil {
+			t.Fatal(err)
+		}
+		lat[i] = time.Since(start)
+	}
+	slices.Sort(lat)
+	p50 := lat[n/2]
+	t.Logf("lone Submit median %v (window %v)", p50, DefaultWindow)
+	if limit := DefaultWindow + 400*time.Microsecond; p50 > limit {
+		t.Errorf("lone Submit median %v over %v, all: %v", p50, limit, lat)
+	}
+	if got := reg.Counter("batch_window_ns").Value(); got < n*DefaultWindow.Nanoseconds() {
+		t.Errorf("batch_window_ns = %d, want >= %d windows of %v", got, n, DefaultWindow)
+	}
+	if len(sink.events) != n {
+		t.Fatalf("got %d batch events, want %d", len(sink.events), n)
+	}
+	for i, e := range sink.events {
+		if be := e.(obs.BatchEvent); be.WindowNs < DefaultWindow.Nanoseconds() {
+			t.Fatalf("event %d: WindowNs = %d, want >= window %v", i, be.WindowNs, DefaultWindow)
+		}
+	}
+}
+
+// TestSchedulerWindowLong: a window longer than the spin slack still waits
+// its whole length; the timer covers the start and the spin the rest.
+func TestSchedulerWindowLong(t *testing.T) {
+	g := topo.DWave2000Q()
+	const window = 20 * time.Millisecond
+	sched, reg := newTestScheduler(t, Config{Window: window})
+	start := time.Now()
+	if _, _, err := sched.SubmitCosted(context.Background(), memberProblem(t, g, 251, 1, 3), 1); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took < window {
+		t.Fatalf("lone Submit under a %v window returned after %v", window, took)
+	}
+	if got := reg.Counter("batch_window_ns").Value(); got < window.Nanoseconds() {
+		t.Fatalf("batch_window_ns = %d, want >= %d", got, window.Nanoseconds())
 	}
 }
 
